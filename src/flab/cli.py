@@ -129,9 +129,9 @@ def main(argv=None) -> int:
     _add_common(cf)
 
     args = parser.parse_args(argv)
-    cfg = _config(args)
 
     try:
+        cfg = _config(args)
         if args.command == "ow":
             report = run_ornstein_weiss(cfg)
         elif args.command == "gen":

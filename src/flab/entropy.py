@@ -9,7 +9,7 @@ comparison, never by floating-point tolerance.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -114,24 +114,39 @@ class EntropyValue:
     def to_float(self) -> float:
         return float(sum(float(q) * math.log(p) for p, q in self._terms))
 
-    def _decimal(self) -> Decimal:
-        getcontext().prec = 60
-        total = Decimal(0)
-        for p, q in self._terms:
-            total += (
-                Decimal(q.numerator) / Decimal(q.denominator) * Decimal(p).ln()
-            )
-        return total
+    def _approx(self, prec: int) -> tuple[Decimal, Decimal]:
+        """The value at `prec` significant digits, and a bound on its error.
+
+        Each term is rounded three times and each partial sum once, every
+        time by at most half a unit in the last digit; the bound allows
+        twenty times that, relative to sum |q| * bit_length(p) >= sum |q log p|.
+        """
+        with localcontext() as ctx:
+            ctx.prec = prec
+            total = Decimal(0)
+            scale = Decimal(0)
+            for p, q in self._terms:
+                coeff = Decimal(q.numerator) / Decimal(q.denominator)
+                total += coeff * Decimal(p).ln()
+                scale += abs(coeff) * p.bit_length()
+            return total, (len(self._terms) + 4) * scale * Decimal(10) ** (2 - prec)
 
     def __lt__(self, other: "EntropyValue") -> bool:
+        """Exact order, decided at doubling precision in a local decimal context.
+
+        Logs of distinct primes are independent over Q, so distinct values
+        differ by a nonzero amount, which the error bound eventually falls
+        below: the loop ends for every pair.
+        """
         if self == other:
             return False
-        diff = (other - self)._decimal()
-        if abs(diff) < Decimal("1e-40"):
-            raise ArithmeticError(
-                "entropy comparison below separation guard; refine precision"
-            )
-        return diff > 0
+        diff = other - self
+        prec = 60
+        while True:
+            value, error = diff._approx(prec)
+            if abs(value) > error:
+                return value > 0
+            prec *= 2
 
     def __le__(self, other: "EntropyValue") -> bool:
         return self == other or self < other
@@ -161,10 +176,6 @@ class EntropyValue:
         for p, q in self._terms:
             parts.append(f"{q}*log({p})")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def log_value(n: int) -> EntropyValue:
-    return EntropyValue.log_int(n)
 
 
 class FinitePartition:
@@ -256,19 +267,6 @@ class FinitePartition:
             if b in inverse and inverse[b] != a:
                 return False
             inverse[b] = a
-        return True
-
-    def refines(self, other: "FinitePartition") -> bool:
-        """True if every block of self sits inside one block of other (mod null)."""
-        if not self.same_space(other):
-            raise SpaceMismatchError("partitions on different spaces")
-        image: dict[int, int] = {}
-        for w, a, b in zip(self.weights, self.labels, other.labels):
-            if w == 0:
-                continue
-            if a in image and image[a] != b:
-                return False
-            image[a] = b
         return True
 
     def apply_permutation(self, perm: Sequence[int]) -> "FinitePartition":

@@ -17,20 +17,14 @@ i.i.d. closed form (Bernoulli shifts), where the per-n value is constant.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .entropy import EntropyValue, FinitePartition
 from .processes import weakest_certificate
-from .words import FreeWord, WordSet, ball, ball_size
-
-
-def _generator(rank: int, i: int) -> FreeWord:
-    return FreeWord(rank, (i,))
+from .words import FreeWord, WordSet, ball, ball_size, generator
 
 
 def _union_window(proc, n: int, i: int) -> WordSet:
     b = ball(proc.rank, n)
-    return b.union(b.translate(_generator(proc.rank, i)))
+    return b.union(b.translate(generator(proc.rank, i)))
 
 
 def _entropy(proc, W: WordSet, given=None) -> EntropyValue:
@@ -45,17 +39,9 @@ def _window_cert(proc, W: WordSet, given=None) -> str:
     return "EXACT"
 
 
-def F_of(proc, n: int, given=None) -> EntropyValue:
-    """(1-2r) H(P^{B(n)}) + sum_i H(P^{B(n)} v s_i P^{B(n)}), exactly."""
-    r = proc.rank
-    b = ball(r, n)
-    total = (1 - 2 * r) * _entropy(proc, b, given)
-    for i in range(1, r + 1):
-        total = total + _entropy(proc, _union_window(proc, n, i), given)
-    return total
-
-
-def _F_row(proc, n: int, given=None) -> tuple[EntropyValue, str]:
+def F_of(proc, n: int, given=None) -> tuple[EntropyValue, str]:
+    """(1-2r) H(P^{B(n)}) + sum_i H(P^{B(n)} v s_i P^{B(n)}), exactly,
+    with the weakest certificate of the window entropies it used."""
     r = proc.rank
     b = ball(r, n)
     certs = [_window_cert(proc, b, given)]
@@ -78,9 +64,6 @@ class RateResult:
         self.increments = increments
         self.stabilized_at = stabilized_at
         self.window_certificate = window_certificate
-
-    def is_exact(self) -> bool:
-        return self.kind == "EXACT-ZERO"
 
     def to_json(self) -> dict:
         return {
@@ -108,7 +91,7 @@ def generator_entropy_rate(
     of `stable_threshold` equal positive increments is reported as
     STABLE(t), the last increment otherwise as an upper bound.
     """
-    s = _generator(proc.rank, i)
+    s = generator(proc.rank, i)
     U = W
     prev = _entropy(proc, U, given)
     certs = [_window_cert(proc, U, given)]
@@ -239,7 +222,7 @@ def full_report(
     rows = []
     inf_F = inf_F_star = None
     for n in range(n_max + 1):
-        F, F_cert = _F_row(proc, n, given)
+        F, F_cert = F_of(proc, n, given)
         F_star, F_star_cert, rates = F_star_of(
             proc, n, given, stable_threshold=stable_threshold, m_cap=m_cap
         )
@@ -291,28 +274,6 @@ def full_report(
         stabilized_at,
         relative=given is not None,
     )
-
-
-def f_truncated(proc, n_max: int, **kwargs) -> FReport:
-    return full_report(proc, n_max, **kwargs)
-
-
-def f_star_truncated(proc, n_max: int, **kwargs) -> FReport:
-    return full_report(proc, n_max, **kwargs)
-
-
-def relative_F(proc, n: int, given=None) -> EntropyValue:
-    return F_of(proc, n, given=given if given is not None else getattr(proc, "base_marker")())
-
-
-def relative_F_star(proc, n: int, given=None, **kwargs):
-    marker = given if given is not None else proc.base_marker()
-    return F_star_of(proc, n, given=marker, **kwargs)
-
-
-def relative_f_truncated(proc, n_max: int, given=None, **kwargs) -> FReport:
-    marker = given if given is not None else proc.base_marker()
-    return full_report(proc, n_max, given=marker, **kwargs)
 
 
 # -- exact values on finite models --------------------------------------------

@@ -1,15 +1,17 @@
 """Exact linear algebra over Z/pZ: rank, solving, and coordinate projection.
 
-Two representations coexist: dense FpMatrix with labelled-coordinate
-AffineSolutionSet results for the module API and test oracles, and a
-sparse row form (dicts keyed by column label) used to project very large
-translation-invariant systems onto small coordinate windows by
-eliminating the non-kept columns first.
+Every computation runs through one sparse Gaussian elimination,
+`eliminate`, on rows stored as dicts {column label: nonzero residue}.
+FpMatrix is only a dense input format.  Solution sets come back as
+AffineSolutionSet in a canonical form (reduced row echelon basis,
+particular point zero on the basis pivots), so equal sets compare equal
+however they were computed.  Very large translation-invariant systems
+are projected onto small coordinate windows by eliminating the
+non-kept columns first (`eliminate_columns`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Hashable, Iterable, Sequence
 
@@ -28,10 +30,10 @@ def is_prime(n: int) -> bool:
 
 
 def check_modulus(p: int):
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
     if p > MAX_PRIME:
         raise ValueError(f"modulus {p} exceeds the 2^15 guard")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
 
 
 class FpMatrix:
@@ -70,33 +72,83 @@ class FpMatrix:
         return tuple(sum(a * x for a, x in zip(row, v)) % p for row in self.entries)
 
 
-def _rref(p: int, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+# -- the elimination kernel -------------------------------------------------
+
+SparseRow = dict
+
+
+def eliminate(
+    rows: Iterable[SparseRow], order: Iterable[Hashable], p: int
+) -> tuple[list[tuple[Hashable, SparseRow]], list[SparseRow]]:
+    """Sparse Gaussian elimination over Z/pZ of the columns in `order`.
+
+    Column by column, the first remaining row in insertion order that
+    touches the column becomes its pivot: it is scaled to 1 there, taken
+    out, and subtracted from every other remaining row touching the
+    column.  Returns the pivot rows as (column, row) pairs in elimination
+    order, and the remaining nonzero rows in insertion order.  Each pivot
+    row is zero on every column eliminated before it, and the remaining
+    rows span exactly the constraints the system puts on the columns
+    outside `order`.  The input rows are not modified.
+    """
+    check_modulus(p)
+    active: dict[int, SparseRow] = {}
+    by_col: dict[Hashable, set[int]] = {}
+    for idx, row in enumerate(rows):
+        row = {k: v % p for k, v in row.items() if v % p}
+        if row:
+            active[idx] = row
+            for k in row:
+                by_col.setdefault(k, set()).add(idx)
+
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] % p), None)
-        if pivot is None:
+    for col in order:
+        touching = by_col.pop(col, None)
+        if not touching:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [row for row in rows if any(row)], pivots
+        pivot_idx, *others = sorted(touching)
+        pivot = active.pop(pivot_idx)
+        inv = pow(pivot[col], -1, p)
+        pivot = {k: v * inv % p for k, v in pivot.items()}
+        for k in pivot:
+            if k != col:
+                by_col[k].discard(pivot_idx)
+        pivots.append((col, pivot))
+        for idx in others:
+            row = active[idx]
+            f = row[col]
+            for k, v in pivot.items():
+                w = (row.get(k, 0) - f * v) % p
+                if w:
+                    if k not in row:
+                        by_col.setdefault(k, set()).add(idx)
+                    row[k] = w
+                else:
+                    del row[k]
+                    if k != col:
+                        by_col[k].discard(idx)
+            if not row:
+                del active[idx]
+    return pivots, [active[i] for i in sorted(active)]
+
+
+def _reduce(pivots: list[tuple[Hashable, SparseRow]], p: int) -> list[tuple[Hashable, SparseRow]]:
+    """Reduced echelon form of pivot rows that `eliminate` returned.
+
+    Eliminating again, latest pivot first, clears every pivot column from
+    the other pivot rows.  The result lists the pivots latest first.
+    """
+    pivots = pivots[::-1]
+    return eliminate([row for _, row in pivots], [c for c, _ in pivots], p)[0]
+
+
+# -- solution sets ----------------------------------------------------------
+
+_RHS = object()  # column label of the right-hand side in augmented rows
 
 
 def rank(m: FpMatrix) -> int:
-    rows, _ = _rref(m.p, [list(r) for r in m.entries])
-    return len(rows)
+    return len(eliminate([dict(enumerate(r)) for r in m.entries], range(m.cols), m.p)[0])
 
 
 class AffineSolutionSet:
@@ -119,25 +171,27 @@ class AffineSolutionSet:
         check_modulus(p)
         keys = tuple(keys)
         if particular is None:
-            object.__setattr__(self, "p", p)
-            object.__setattr__(self, "keys", keys)
-            object.__setattr__(self, "particular", None)
-            object.__setattr__(self, "basis", ())
-            object.__setattr__(self, "pivots", ())
+            self._set(p, keys, None, (), ())
             return
-        rows, pivots = _rref(p, [[x % p for x in row] for row in basis])
         point = [x % p for x in particular]
         if len(point) != len(keys):
             raise ValueError("particular point has wrong length")
+        n = len(keys)
+        reduced = _reduce(eliminate([dict(enumerate(r)) for r in basis], range(n), p)[0], p)
+        pivots = [c for c, _ in reversed(reduced)]
+        rows = [tuple(row.get(j, 0) for j in range(n)) for _, row in reversed(reduced)]
         for row, c in zip(rows, pivots):
             if point[c]:
                 f = point[c]
                 point = [(a - f * b) % p for a, b in zip(point, row)]
+        self._set(p, keys, tuple(point), tuple(rows), tuple(pivots))
+
+    def _set(self, p, keys, particular, basis, pivots):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "particular", tuple(point))
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in rows))
-        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "particular", particular)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineSolutionSet is immutable")
@@ -214,23 +268,34 @@ class AffineSolutionSet:
         )
 
 
-def project_solution_set(s: AffineSolutionSet, coords) -> AffineSolutionSet:
-    """Image of an affine solution set under projection onto a key subset."""
-    return s.project(coords)
+def _solution_set(rows: list[SparseRow], keys: tuple, p: int) -> AffineSolutionSet:
+    """Solutions of sparse rows over columns 0..len(keys)-1, right-hand side at _RHS.
 
-
-def nullspace_basis(m: FpMatrix) -> list[tuple[int, ...]]:
-    rows, pivots = _rref(m.p, [list(r) for r in m.entries])
-    p = m.p
-    free_cols = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        v = [0] * m.cols
-        v[fc] = 1
-        for row, pc in zip(rows, pivots):
-            v[pc] = (-row[fc]) % p
-        basis.append(tuple(v))
-    return basis
+    Eliminating the columns last to first and reducing leaves each pivot
+    row reading x[c] + sum of a[f] x[f] over free columns f < c = rhs.  So
+    the vectors v_f (1 at f, -a[f] at each pivot c, 0 elsewhere) lead at f
+    and vanish on the other free columns: they are the reduced echelon
+    basis of the solution space, and the point (rhs at the pivots, 0 at
+    the free columns) is already reduced against it.
+    """
+    n = len(keys)
+    pivots, rest = eliminate(rows, range(n - 1, -1, -1), p)
+    if rest:  # a leftover row reads 0 = rhs with rhs != 0
+        return AffineSolutionSet.empty(p, keys)
+    point = [0] * n
+    free = {j: [0] * n for j in range(n)}
+    for c, row in _reduce(pivots, p):
+        del free[c]
+        for j, v in row.items():
+            if j is _RHS:
+                point[c] = v
+            elif j != c:
+                free[j][c] = -v % p
+    for j, v in free.items():
+        v[j] = 1
+    out = object.__new__(AffineSolutionSet)
+    out._set(p, keys, tuple(point), tuple(map(tuple, free.values())), tuple(free))
+    return out
 
 
 def solve(m: FpMatrix, b: Sequence[int], keys: Sequence[Hashable] | None = None) -> AffineSolutionSet:
@@ -240,39 +305,12 @@ def solve(m: FpMatrix, b: Sequence[int], keys: Sequence[Hashable] | None = None)
     keys = tuple(keys) if keys is not None else tuple(range(m.cols))
     if len(keys) != m.cols:
         raise ValueError("key count must match column count")
-    p = m.p
-    aug = [list(row) + [bv % p] for row, bv in zip(m.entries, b)]
-    if not aug:
-        return AffineSolutionSet(p, keys, [0] * m.cols, nullspace_basis(m))
-    rows, pivots = _rref(p, aug)
-    for row, c in zip(rows, pivots):
-        if c == m.cols:
-            return AffineSolutionSet.empty(p, keys)
-    point = [0] * m.cols
-    for row, c in zip(rows, pivots):
-        point[c] = row[-1]
-    return AffineSolutionSet(p, keys, point, nullspace_basis(m))
-
-
-# -- sparse constraint rows ------------------------------------------------
-
-SparseRow = dict
-
-
-def sparse_normalize(row: SparseRow, p: int) -> SparseRow:
-    return {k: v % p for k, v in row.items() if v % p}
-
-
-def sparse_axpy(target: SparseRow, factor: int, source: SparseRow, p: int) -> SparseRow:
-    """target - factor * source, dropping zeros."""
-    out = dict(target)
-    for k, v in source.items():
-        w = (out.get(k, 0) - factor * v) % p
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
+    rows = []
+    for entries, bv in zip(m.entries, b):
+        row = dict(enumerate(entries))
+        row[_RHS] = bv
+        rows.append(row)
+    return _solution_set(rows, keys, m.p)
 
 
 def eliminate_columns(
@@ -283,69 +321,14 @@ def eliminate_columns(
     """Gaussian elimination of the given columns from a sparse homogeneous system.
 
     Returns rows spanning the induced constraints on the remaining columns:
-    exactly the constraint system of the projected solution set.  Pivoting
-    is deterministic (first row in insertion order touching the column).
+    exactly the constraint system of the projected solution set.
     """
-    check_modulus(p)
-    active: dict[int, SparseRow] = {}
-    by_col: dict[Hashable, set[int]] = {}
-    for idx, row in enumerate(rows):
-        row = sparse_normalize(row, p)
-        if not row:
-            continue
-        active[idx] = row
-        for k in row:
-            by_col.setdefault(k, set()).add(idx)
-
-    def detach(idx: int):
-        for k in active[idx]:
-            by_col[k].discard(idx)
-        del active[idx]
-
-    def attach(idx: int, row: SparseRow):
-        active[idx] = row
-        for k in row:
-            by_col.setdefault(k, set()).add(idx)
-
-    for col in eliminate_order:
-        touching = sorted(by_col.get(col, ()))
-        if not touching:
-            continue
-        pivot_idx = touching[0]
-        pivot = active[pivot_idx]
-        inv = pow(pivot[col], -1, p)
-        pivot = {k: (v * inv) % p for k, v in pivot.items()}
-        detach(pivot_idx)
-        for idx in touching[1:]:
-            row = active[idx]
-            detach(idx)
-            row = sparse_axpy(row, row[col], pivot, p)
-            if row:
-                attach(idx, row)
-    return [active[i] for i in sorted(active)]
-
-
-def dense_from_sparse(
-    rows: Sequence[SparseRow], keys: Sequence[Hashable], p: int
-) -> FpMatrix:
-    index = {k: i for i, k in enumerate(keys)}
-    out = []
-    for row in rows:
-        dense = [0] * len(keys)
-        for k, v in row.items():
-            dense[index[k]] = v % p
-        out.append(dense)
-    return FpMatrix(p, out, cols=len(keys))
+    return eliminate(rows, eliminate_order, p)[1]
 
 
 def solution_space_from_constraints(
     rows: Sequence[SparseRow], keys: Sequence[Hashable], p: int
 ) -> AffineSolutionSet:
     """Homogeneous solution set over the given keys."""
-    m = dense_from_sparse(rows, keys, p)
-    return solve(m, [0] * m.rows, keys=keys)
-
-
-def cardinality_fraction(p: int, dimension: int, total: int) -> Fraction:
-    """|set| / p^total for a subspace of dimension `dimension`."""
-    return Fraction(p**dimension, p**total)
+    index = {k: i for i, k in enumerate(keys)}
+    return _solution_set([{index[k]: v for k, v in row.items()} for row in rows], tuple(keys), p)

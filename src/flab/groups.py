@@ -11,6 +11,8 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
+from .spec import is_int, spec_field
+
 
 class FiniteGroup:
     __slots__ = ("name", "labels", "table", "identity", "inverse", "_index")
@@ -184,20 +186,6 @@ def quaternion8() -> FiniteGroup:
     return FiniteGroup("Q8", labels, table)
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    labels = [f"({a},{b})" for a in g.labels for b in h.labels]
-    ng, nh = g.order(), h.order()
-    def enc(a, b):
-        return a * nh + b
-    table = [[0] * (ng * nh) for _ in range(ng * nh)]
-    for a1 in range(ng):
-        for b1 in range(nh):
-            for a2 in range(ng):
-                for b2 in range(nh):
-                    table[enc(a1, b1)][enc(a2, b2)] = enc(g.mul(a1, a2), h.mul(b1, b2))
-    return FiniteGroup(f"{g.name}x{h.name}", labels, table)
-
-
 _PRESETS = {
     "Z/2": lambda: cyclic(2),
     "Z/3": lambda: cyclic(3),
@@ -222,9 +210,17 @@ def preset_group(name: str) -> FiniteGroup:
 
 def group_from_json(data: dict) -> FiniteGroup:
     """{"preset": "Z/4"} or {"name": ..., "elements": [...], "table": [[...]]}."""
-    if "preset" in data:
-        return preset_group(data["preset"])
-    return FiniteGroup(data.get("name", "custom"), data["elements"], data["table"])
+    preset = spec_field(data, "preset", str, None)
+    if preset is not None:
+        return preset_group(preset)
+    labels = spec_field(data, "elements", list)
+    table = spec_field(data, "table", list)
+    n = len(labels)
+    if not all(isinstance(lab, str) for lab in labels):
+        raise ValueError("group elements must be labelled by strings")
+    if not all(isinstance(row, list) and all(is_int(x) and 0 <= x < n for x in row) for row in table):
+        raise ValueError("group table entries must be element indices")
+    return FiniteGroup(spec_field(data, "name", str, "custom"), labels, table)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,6 @@ further, repeated through the whole growth schedule).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Mapping, Sequence
 
 from .entropy import EntropyValue
@@ -29,8 +28,8 @@ from .fplinear import (
     eliminate_columns,
     rank as fp_rank,
     solution_space_from_constraints,
-    solve,
 )
+from .spec import is_int, spec_field
 from .words import (
     FreeWord,
     WordSet,
@@ -52,6 +51,7 @@ from .words import (
 Matrix = tuple[tuple[int, ...], ...]
 
 GROWTH_CAP = 4
+WINDOW_GUARD = 80_000  # largest window (in words) the growth loop will build
 
 
 class ZeroKernelError(ValueError):
@@ -172,15 +172,20 @@ class ConvolutionKernel:
 
     @staticmethod
     def from_json(data: dict) -> "ConvolutionKernel":
-        rank = int(data["rank"])
-        d_in = int(data.get("d_in", 1))
-        d_out = int(data.get("d_out", 1))
+        rank = spec_field(data, "rank", int)
+        d_in = spec_field(data, "d_in", int, 1)
+        d_out = spec_field(data, "d_out", int, 1)
         coeffs = {}
-        for text, block in data["coeffs"].items():
-            if isinstance(block, int):
+        for text, block in spec_field(data, "coeffs", dict).items():
+            if is_int(block):
                 block = [[block]]
+            if not (
+                isinstance(block, list)
+                and all(isinstance(row, list) and all(is_int(x) for x in row) for row in block)
+            ):
+                raise ValueError(f"coefficient of {text!r} must be an integer or a matrix of integers")
             coeffs[parse_word(text, rank)] = block
-        return ConvolutionKernel(int(data["p"]), rank, coeffs, d_in, d_out)
+        return ConvolutionKernel(spec_field(data, "p", int), rank, coeffs, d_in, d_out)
 
     def __repr__(self) -> str:
         supp = ",".join(format_word(w) for w in self.support_words())
@@ -291,25 +296,6 @@ def window_rows(k: ConvolutionKernel, V: WordSet) -> tuple[list[dict], list[Free
     return rows, sites
 
 
-def window_system(k: ConvolutionKernel, V: WordSet) -> tuple[FpMatrix, list[FreeWord]]:
-    """Dense window system (one block-row per fitting site) and its site index."""
-    rows, sites = window_rows(k, V)
-    cols = window_coordinates(k, V)
-    index = {c: i for i, c in enumerate(cols)}
-    dense = []
-    for row in rows:
-        out = [0] * len(cols)
-        for key, v in row.items():
-            out[index[key]] = v
-        dense.append(out)
-    return FpMatrix(k.p, dense, cols=len(cols)), sites
-
-
-def window_solution_space(k: ConvolutionKernel, V: WordSet) -> AffineSolutionSet:
-    m, _ = window_system(k, V)
-    return solve(m, [0] * m.rows, keys=tuple(window_coordinates(k, V)))
-
-
 def _marginal_system(k: ConvolutionKernel, W: WordSet, V: WordSet) -> AffineSolutionSet:
     """Project the window-V solution set onto the W coordinates.
 
@@ -371,24 +357,12 @@ def _extension_proof(
 class MarginalResult:
     """Projected solution set of the kernel subshift on a window, with certificate."""
 
-    __slots__ = (
-        "window",
-        "solution_set",
-        "certificate",
-        "stabilized",
-        "extension_certified",
-        "dims",
-        "bounds",
-    )
+    __slots__ = ("window", "solution_set", "certificate", "bounds")
 
-    def __init__(self, window, solution_set, certificate, stabilized,
-                 extension_certified, dims, bounds=None):
+    def __init__(self, window, solution_set, certificate, bounds=None):
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "solution_set", solution_set)
         object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "stabilized", stabilized)
-        object.__setattr__(self, "extension_certified", extension_certified)
-        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "bounds", bounds)
 
     def __setattr__(self, name, value):
@@ -405,17 +379,11 @@ class MarginalResult:
 class KernelSubshift:
     """ker(phi) with an append-only cache of certified window projections."""
 
-    def __init__(
-        self,
-        kernel: ConvolutionKernel,
-        growth_cap: int = GROWTH_CAP,
-        window_guard: int = 80_000,
-    ):
+    def __init__(self, kernel: ConvolutionKernel, growth_cap: int = GROWTH_CAP):
         if kernel.is_zero():
             raise ZeroKernelError("the zero kernel cuts out the full shift; use a Bernoulli process")
         self.kernel = kernel
         self.growth_cap = growth_cap
-        self.window_guard = window_guard
         self._geometry = support_geometry(kernel)
         self._cache: dict[tuple, MarginalResult] = {}
 
@@ -443,41 +411,28 @@ class KernelSubshift:
         if _fresh_candidates(k, geo):
             V_cap = V1
             grown = 1
-            while grown < self.growth_cap and len(V_cap) <= self.window_guard:
+            while grown < self.growth_cap and len(V_cap) <= WINDOW_GUARD:
                 V_cap = thicken(V_cap, 1)
                 grown += 1
-            if grown == self.growth_cap and len(V_cap) <= self.window_guard:
+            if grown == self.growth_cap and len(V_cap) <= WINDOW_GUARD:
                 extension_ok = _extension_proof(k, geo, V0, V_cap)
         if extension_ok:
             if not stabilized:
                 raise AssertionError("extension proof contradicts computed projections")
-            return MarginalResult(
-                W, sets[1], "EXTENSION-CERTIFIED", True, True,
-                [s.dimension for s in sets],
-            )
+            return MarginalResult(W, sets[1], "EXTENSION-CERTIFIED")
         if stabilized:
-            return MarginalResult(
-                W, sets[1], "STABILIZED", True, False, [s.dimension for s in sets]
-            )
+            return MarginalResult(W, sets[1], "STABILIZED")
         V = V1
         for _ in range(1, self.growth_cap):
             V = thicken(V, 1)
-            if len(V) > self.window_guard:
+            if len(V) > WINDOW_GUARD:
                 break
             sets.append(_marginal_system(k, W, V))
             if sets[-1] == sets[-2]:
-                return MarginalResult(
-                    W, sets[-1], "STABILIZED", True, False, [s.dimension for s in sets]
-                )
-        dims = [s.dimension for s in sets]
+                return MarginalResult(W, sets[-1], "STABILIZED")
         return MarginalResult(
-            W, sets[-1], "UNCERTIFIED", False, False, dims,
-            bounds=(dims[-1], dims[-2]),
+            W, sets[-1], "UNCERTIFIED", bounds=(sets[-1].dimension, sets[-2].dimension)
         )
-
-    def window_dimension(self, W: WordSet) -> tuple[int, str]:
-        m = self.marginal(W)
-        return m.dimension, m.certificate
 
     def window_entropy(self, W: WordSet) -> tuple[EntropyValue, str]:
         m = self.marginal(W)
@@ -516,13 +471,10 @@ class KernelSubshift:
         return out
 
 
-def projected_dimension(
-    k: ConvolutionKernel, W: WordSet, certify: bool = True, growth_cap: int = GROWTH_CAP
-) -> tuple[int, str]:
+def projected_dimension(k: ConvolutionKernel, W: WordSet) -> tuple[int, str]:
     """Dimension of the W-marginal of ker(phi) with its certificate."""
-    sub = KernelSubshift(k, growth_cap=growth_cap)
-    m = sub.marginal(W)
-    if certify and not m.is_certified():
+    m = KernelSubshift(k).marginal(W)
+    if not m.is_certified():
         raise UncertifiedWindowError(
             f"window {W!r} failed certification; dimension bounds {m.bounds}"
         )
@@ -570,22 +522,6 @@ def target_map_matrix(k: ConvolutionKernel, W: WordSet) -> tuple[FpMatrix, list]
     return FpMatrix(k.p, rows, cols=len(cols)), cols
 
 
-def window_targets_all_solvable(k: ConvolutionKernel, W: WordSet, exhaustive: bool = True) -> bool:
-    """Whether every target pattern on W is attainable by some configuration.
-
-    With exhaustive=True every single target is solved independently (the
-    brute-force oracle); otherwise onto-ness is decided by one rank
-    computation.
-    """
-    m, _ = target_map_matrix(k, W)
-    if not exhaustive:
-        return fp_rank(m) == m.rows
-    for y in product(range(k.p), repeat=m.rows):
-        if solve(m, list(y)).is_empty():
-            return False
-    return True
-
-
 def is_surjective(k: ConvolutionKernel, depth: int = 3) -> SurjectivityReport:
     """Onto-ness of phi, with a certificate.
 
@@ -616,7 +552,9 @@ def is_surjective(k: ConvolutionKernel, depth: int = 3) -> SurjectivityReport:
         )
     verdicts = {}
     for n in (0, 1):
-        verdicts[f"B({n})"] = window_targets_all_solvable(k, ball(k.rank, n), exhaustive=False)
+        # every target on B(n) is attainable iff the target map has full row rank
+        m, _ = target_map_matrix(k, ball(k.rank, n))
+        verdicts[f"B({n})"] = fp_rank(m) == m.rows
     return SurjectivityReport(
         all(verdicts.values()),
         "window-checked",

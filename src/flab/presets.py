@@ -7,7 +7,6 @@ from a single seed.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .entropy import FinitePartition
 from .groups import FiniteGroup, all_automorphisms, preset_group
@@ -67,10 +66,6 @@ def normal_subgroups(group: FiniteGroup) -> list[frozenset[int]]:
     return sorted(
         (s for s in found if group.is_normal(s)), key=lambda s: (len(s), sorted(s))
     )
-
-
-def invariant_normal_subgroups(ga: FiniteGroupAction) -> list[frozenset[int]]:
-    return [s for s in normal_subgroups(ga.group) if ga.subgroup_invariant(s)]
 
 
 def _auto_fixing_subgroup(group: FiniteGroup, sub: frozenset[int], skip_identity=True):

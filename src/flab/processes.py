@@ -29,6 +29,8 @@ from .kernels import ConvolutionKernel, KernelSubshift
 from .skew import FiniteAction, FiniteGroupAction, SkewBundle
 from .words import FreeWord, WordSet, inv, mul
 
+CLOSURE_GUARD = 18  # most base coordinates a window's dependency closure may read
+
 CERT_STRENGTH = {"EXACT": 0, "EXTENSION-CERTIFIED": 1, "STABILIZED": 2, "UPPER-BOUND": 3}
 
 
@@ -94,9 +96,6 @@ class FiniteActionProcess:
 
     def conditional_entropy(self, W: WordSet, given: FinitePartition) -> EntropyValue:
         return conditional_entropy(self.window_partition(W), given)
-
-    def with_partition(self, partition: FinitePartition, label: str | None = None):
-        return FiniteActionProcess(self.action, partition, label or self.label)
 
     def describe(self) -> dict:
         return {
@@ -201,7 +200,6 @@ class BernoulliBaseSkewProcess:
         gen_values: Sequence[Callable[[Mapping[FreeWord, int]], int]],
         fiber_partition: FinitePartition,
         label: str = "bernoulli-skew",
-        closure_guard: int = 18,
     ):
         if len(gen_values) != rank:
             raise ValueError("need a cocycle value function per generator")
@@ -212,7 +210,6 @@ class BernoulliBaseSkewProcess:
         self.gen_values = tuple(gen_values)
         self.fiber_partition = fiber_partition
         self.label = label
-        self.closure_guard = closure_guard
 
     def _needed(self, w: FreeWord) -> set[FreeWord]:
         """Base coordinates sigma(w, .) reads."""
@@ -257,7 +254,7 @@ class BernoulliBaseSkewProcess:
         for w in W:
             closure |= self._needed(inv(w))
         coords = sorted(closure, key=FreeWord.sort_key)
-        if len(coords) > self.closure_guard:
+        if len(coords) > CLOSURE_GUARD:
             raise ValueError(f"dependency closure too large ({len(coords)} coordinates)")
         k = self.base_alphabet
         ny = self.fiber.size()

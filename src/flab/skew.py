@@ -26,7 +26,7 @@ from .entropy import (
     shannon_entropy,
 )
 from .groups import FiniteGroup, compose_perms, invert_perm
-from .words import FreeWord, WordSet, ball, format_word, identity as word_identity
+from .words import FreeWord, WordSet, ball, format_word
 
 
 class FiniteAction:
@@ -237,9 +237,6 @@ class SkewBundle:
             perms.append(perm)
         self.product = FiniteAction(weights, perms, base.rank)
         self._ny = ny
-
-    def encode(self, x: int, y: int) -> int:
-        return x * self._ny + y
 
     def lift_base(self, p: FinitePartition) -> FinitePartition:
         labels = []

@@ -9,16 +9,13 @@ tolerance-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .entropy import EntropyValue, FinitePartition, join, log_value
+from .entropy import EntropyValue, FinitePartition
 from .finv import (
     F_star_of,
     abramov_rokhlin_check,
     addition_report,
-    exact_f_finite,
     full_report,
-    relative_F_star,
 )
 from .groups import all_automorphisms, group_from_json, preset_group
 from .kernels import (
@@ -60,7 +57,8 @@ from .skew import (
     verify_skew_entropy_bound,
     verify_window_split,
 )
-from .words import FreeWord, ball, format_word, parse_word
+from .spec import is_int, spec_field
+from .words import ball, format_word, parse_word
 
 
 @dataclass
@@ -71,7 +69,6 @@ class RunConfig:
     window_cap: int = 4
     stable_threshold: int = 3
     seed: int = DEFAULT_SEED
-    ordering_depth: int = 3
 
     def __post_init__(self):
         if self.rank < 1:
@@ -176,7 +173,7 @@ def run_generalization(cfg: RunConfig, k_name: str) -> dict:
             "constants_only": all(d["dimension"] == 1 for d in dims.values()),
         }
 
-    expected_constants = -(r - 1) * log_value(k)
+    expected_constants = -(r - 1) * EntropyValue.log_int(k)
     ok = (
         addition["verdict"] == "EXACT-PASS"
         and constants.f_value == expected_constants
@@ -205,7 +202,7 @@ def run_algebraic(cfg: RunConfig, kernel: ConvolutionKernel) -> dict:
         raise ValueError("the zero kernel cuts out the full shift; nothing to run")
     if not kernel.is_scalar():
         raise ValueError("the algebraic family runs on scalar kernels")
-    surj = is_surjective(kernel, depth=cfg.ordering_depth)
+    surj = is_surjective(kernel)
     geo = support_geometry(kernel)
     try:
         kproc = KernelProcess(kernel, "kernel subshift", growth_cap=cfg.window_cap)
@@ -388,7 +385,7 @@ def _suite_relative_collapse(cfg: RunConfig) -> dict:
         fiber_proc = proc.fiber_process()
         ok = True
         for n in range(cfg.n_max + 1):
-            lhs, _, _ = relative_F_star(proc, n)
+            lhs, _, _ = F_star_of(proc, n, given=proc.base_marker())
             rhs, _, _ = F_star_of(fiber_proc, n)
             ok = ok and lhs == rhs
         cases.append(
@@ -493,23 +490,34 @@ def run_verifier_suite(
 
 def _perm_or_index(group, value):
     autos = all_automorphisms(group)
-    if isinstance(value, int):
+    if is_int(value):
         return autos[value % len(autos)]
+    if not (isinstance(value, list) and all(is_int(x) for x in value)):
+        raise ValueError(f"automorphism must be an index or a permutation list, not {value!r}")
     perm = tuple(value)
     if not group.is_automorphism(perm):
         raise ValueError("provided permutation is not an automorphism")
     return perm
 
 
+def _group_action(group, autos: list, rank: int) -> FiniteGroupAction:
+    return FiniteGroupAction(group, [_perm_or_index(group, a) for a in autos], rank)
+
+
+def _label_indices(group, labels, key: str) -> list[int]:
+    if not isinstance(labels, list) or any(lab not in group.labels for lab in labels):
+        raise ValueError(f"spec field {key!r} must list element labels of {group.name}")
+    return [group.index(lab) for lab in labels]
+
+
 def process_from_spec(spec: dict, cfg: RunConfig):
-    kind = spec.get("type")
+    kind = spec_field(spec, "type", str)
+    rank = spec_field(spec, "rank", int, cfg.rank)
     if kind == "bernoulli":
-        return BernoulliProcess(spec.get("rank", cfg.rank), int(spec["k"]))
+        return BernoulliProcess(rank, spec_field(spec, "k", int))
     if kind == "finite_group":
-        group = group_from_json(spec["group"])
-        rank = spec.get("rank", cfg.rank)
-        autos = [_perm_or_index(group, a) for a in spec.get("autos", [0] * rank)]
-        action = FiniteGroupAction(group, autos, rank)
+        group = group_from_json(spec_field(spec, "group", dict))
+        action = _group_action(group, spec_field(spec, "autos", list, [0] * rank), rank)
         return FiniteActionProcess(
             action.action,
             FinitePartition.points(FinitePartition.uniform_space(group.order())),
@@ -517,14 +525,13 @@ def process_from_spec(spec: dict, cfg: RunConfig):
         )
     if kind == "kernel":
         return KernelProcess(
-            ConvolutionKernel.from_json(spec["kernel"]), growth_cap=cfg.window_cap
+            ConvolutionKernel.from_json(spec_field(spec, "kernel", dict)),
+            growth_cap=cfg.window_cap,
         )
     if kind == "skew_section":
-        group = group_from_json(spec["group"])
-        rank = spec.get("rank", cfg.rank)
-        autos = [_perm_or_index(group, a) for a in spec.get("autos", [0] * rank)]
-        action = FiniteGroupAction(group, autos, rank)
-        sub = frozenset(group.index(lab) for lab in spec["subgroup"])
+        group = group_from_json(spec_field(spec, "group", dict))
+        action = _group_action(group, spec_field(spec, "autos", list, [0] * rank), rank)
+        sub = frozenset(_label_indices(group, spec_field(spec, "subgroup", list), "subgroup"))
         bundle = cocycle_from_section(action, sub)
         return SkewProductProcess(
             bundle.skew,
@@ -533,15 +540,13 @@ def process_from_spec(spec: dict, cfg: RunConfig):
             f"{group.name} over subgroup of order {len(sub)}",
         )
     if kind == "skew_custom":
-        base_group = group_from_json(spec["base_group"])
-        fiber_group = group_from_json(spec["fiber_group"])
-        rank = spec.get("rank", cfg.rank)
-        base_autos = [_perm_or_index(base_group, a) for a in spec["base_autos"]]
-        fiber_autos = [_perm_or_index(fiber_group, a) for a in spec["fiber_autos"]]
-        base = FiniteGroupAction(base_group, base_autos, rank)
-        fiber = FiniteGroupAction(fiber_group, fiber_autos, rank)
+        base_group = group_from_json(spec_field(spec, "base_group", dict))
+        fiber_group = group_from_json(spec_field(spec, "fiber_group", dict))
+        base = _group_action(base_group, spec_field(spec, "base_autos", list), rank)
+        fiber = _group_action(fiber_group, spec_field(spec, "fiber_autos", list), rank)
         gen_values = [
-            [fiber_group.index(lab) for lab in row] for row in spec["cocycle"]
+            _label_indices(fiber_group, row, "cocycle")
+            for row in spec_field(spec, "cocycle", list)
         ]
         cocycle = Cocycle(base.action, fiber, gen_values)
         from .skew import SkewBundle
@@ -576,7 +581,7 @@ def run_compute_f(cfg: RunConfig, spec: dict) -> dict:
         "status": "PASS",
     }
     if isinstance(proc, SkewProductProcess):
-        from .finv import relative_f_truncated
-
-        out["relative_report"] = relative_f_truncated(proc, cfg.n_max).to_json()
+        out["relative_report"] = full_report(
+            proc, cfg.n_max, given=proc.base_marker()
+        ).to_json()
     return out

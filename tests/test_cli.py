@@ -1,7 +1,16 @@
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import flab
 from flab.cli import main
 
 
@@ -192,6 +201,100 @@ class TestComputeF:
         spec = tmp_path / "proc.json"
         spec.write_text(json.dumps({"type": "nonsense"}))
         assert main(["compute-f", "--process", str(spec)]) == 2
+
+
+# one valid spec per kind, with the CLI command and, for the spec and each
+# object nested in it (by key path), the fields it may not drop
+KERNEL_FIELDS = ("p", "rank", "coeffs")
+VALID_SPECS = [
+    ("kernel", {"p": 2, "rank": 2, "coeffs": {"e": 1, "A": 1}}, {(): KERNEL_FIELDS}),
+    ("kernel", {"p": 2, "rank": 2, "d_in": 1, "d_out": 2,
+                "coeffs": {"e": [[1], [1]], "a": [[1], [0]], "b": [[0], [1]]}}, {(): KERNEL_FIELDS}),
+    ("compute-f", {"type": "bernoulli", "k": 2, "rank": 2}, {(): ("type", "k")}),
+    ("compute-f", {"type": "finite_group", "group": {"preset": "Z/4"}, "autos": [1, 0]},
+     {(): ("type", "group"), ("group",): ("preset",)}),
+    ("compute-f", {"type": "finite_group", "autos": [[0, 1], [0, 1]],
+                   "group": {"name": "C2", "elements": ["0", "1"], "table": [[0, 1], [1, 0]]}},
+     {(): ("type", "group"), ("group",): ("elements", "table")}),
+    ("compute-f", {"type": "kernel", "kernel": {"p": 2, "rank": 2, "coeffs": {"e": 1, "A": 1}}},
+     {(): ("type", "kernel"), ("kernel",): KERNEL_FIELDS}),
+    ("compute-f", {"type": "skew_section", "group": {"preset": "Z/4"}, "autos": [1, 0],
+                   "subgroup": ["0", "2"]},
+     {(): ("type", "group", "subgroup"), ("group",): ("preset",)}),
+    ("compute-f", {"type": "skew_custom", "base_group": {"preset": "Z/2"}, "base_autos": [0, 0],
+                   "fiber_group": {"preset": "Z/2"}, "fiber_autos": [0, 0],
+                   "cocycle": [["0", "1"], ["0", "0"]]},
+     {(): ("type", "base_group", "fiber_group", "base_autos", "fiber_autos", "cocycle"),
+      ("base_group",): ("preset",), ("fiber_group",): ("preset",)}),
+]
+
+# values of the wrong JSON type for every spec field
+WRONG_TYPES = [None, True, 1.5, "x", [], {}, [["x"]], {"x": None}]
+
+
+def _run_quiet(command, spec) -> tuple[int, str]:
+    flag = "--spec" if command == "kernel" else "--process"
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(spec))
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([command, flag, str(path), "--nmax", "1"])
+    return code, err.getvalue()
+
+
+class TestMalformedSpecs:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dropped_or_mistyped_field_exits_2(self, data):
+        command, spec, objects = data.draw(st.sampled_from(VALID_SPECS))
+        spec = json.loads(json.dumps(spec))
+        path = data.draw(st.sampled_from(sorted(objects)))
+        target = spec
+        for key in path:
+            target = target[key]
+        if data.draw(st.booleans()):
+            del target[data.draw(st.sampled_from(objects[path]))]
+        else:
+            field = data.draw(st.sampled_from(sorted(target)))
+            wrong = data.draw(st.sampled_from(WRONG_TYPES))
+            assume(type(wrong) is not type(target[field]))
+            target[field] = wrong
+        code, err = _run_quiet(command, spec)
+        assert code == 2, (spec, err)
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_options_exit_2(self, capsys, monkeypatch):
+        assert main(["ow", "--nmax", "0"]) == 2
+        assert main(["gen", "--k", "Z/3", "--rank", "0"]) == 2
+        monkeypatch.setenv("FLAB_SEED", "abc")
+        assert main(["verify", "--suite", "none"]) == 2
+        assert capsys.readouterr().err.count("error: ") == 3
+
+    @pytest.mark.parametrize(
+        "command, spec",
+        [
+            ("kernel", {"rank": 2, "coeffs": {"e": 1}}),
+            ("kernel", [1, 2]),
+            ("compute-f", {"type": "bernoulli"}),
+            ("compute-f", [{"type": "bernoulli", "k": 2}]),
+        ],
+    )
+    def test_reported_cases_exit_2_without_traceback(self, tmp_path, command, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        flag = "--spec" if command == "kernel" else "--process"
+        env = dict(os.environ, PYTHONPATH=str(Path(flab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flab.cli", command, flag, str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import decimal
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from flab.entropy import (
     factorize,
     information_function,
     join,
-    log_value,
     shannon_entropy,
     z_entropy_rate_finite,
 )
@@ -30,27 +30,48 @@ def random_partition(rng, weights, max_blocks=4):
 
 class TestEntropyValue:
     def test_log_canonicalization(self):
-        assert log_value(4) == 2 * log_value(2)
-        assert log_value(6) == log_value(2) + log_value(3)
-        assert log_value(1) == EntropyValue.zero()
+        assert EntropyValue.log_int(4) == 2 * EntropyValue.log_int(2)
+        assert EntropyValue.log_int(6) == EntropyValue.log_int(2) + EntropyValue.log_int(3)
+        assert EntropyValue.log_int(1) == EntropyValue.zero()
 
     def test_exact_cancellation(self):
-        assert ((log_value(2) + log_value(3)) - log_value(6)).is_zero()
+        assert ((EntropyValue.log_int(2) + EntropyValue.log_int(3)) - EntropyValue.log_int(6)).is_zero()
 
     def test_fraction_log(self):
         got = EntropyValue.log_fraction(F(3, 4))
-        assert got == log_value(3) - 2 * log_value(2)
+        assert got == EntropyValue.log_int(3) - 2 * EntropyValue.log_int(2)
 
     def test_order_matches_float(self):
-        vals = [log_value(2), log_value(3), F(1, 2) * log_value(5), EntropyValue.zero()]
+        vals = [EntropyValue.log_int(2), EntropyValue.log_int(3), F(1, 2) * EntropyValue.log_int(5), EntropyValue.zero()]
         for a in vals:
             for b in vals:
                 if a == b:
                     continue
                 assert (a < b) == (a.to_float() < b.to_float())
 
+    def test_comparison_leaves_decimal_context_alone(self):
+        before = decimal.getcontext().prec
+        assert EntropyValue.log_int(2) < EntropyValue.log_int(3)
+        assert decimal.getcontext().prec == before
+
+    def test_order_of_values_closer_than_working_precision(self):
+        zero = EntropyValue.zero()
+        tiny = F(1, 10**50) * EntropyValue.log_int(2)
+        assert zero < tiny and not tiny < zero
+        assert min(tiny, zero) == zero
+        # a rational multiple of log 2 within about 1e-64 of log 3
+        a = F(15849625007211561814537389439478165087598144076924810604557526545, 10**64)
+        close = EntropyValue.log_int(3) - a * EntropyValue.log_int(2)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 200
+            D = decimal.Decimal
+            truth = D(3).ln() - D(a.numerator) / D(a.denominator) * D(2).ln()
+        assert 0 < abs(truth) < D("1e-40")
+        assert (zero < close) == (truth > 0)
+        assert (close < zero) == (truth < 0)
+
     def test_json_round_trip(self):
-        v = F(3, 2) * log_value(2) - F(3, 4) * log_value(3)
+        v = F(3, 2) * EntropyValue.log_int(2) - F(3, 4) * EntropyValue.log_int(3)
         data = v.to_json()
         assert data["terms"] == {"2": "3/2", "3": "-3/4"}
         assert EntropyValue.from_json(data) == v
@@ -62,7 +83,7 @@ class TestEntropyValue:
 class TestShannonEntropy:
     def test_uniform_two_blocks(self):
         p = FinitePartition(uniform(2), [0, 1])
-        assert shannon_entropy(p) == log_value(2)
+        assert shannon_entropy(p) == EntropyValue.log_int(2)
 
     def test_single_block(self):
         p = FinitePartition.trivial(uniform(4))
@@ -71,11 +92,11 @@ class TestShannonEntropy:
     def test_three_quarters(self):
         p = FinitePartition([F(3, 4), F(1, 4)], [0, 1])
         # hand expansion: -(3/4)(log3-2log2) - (1/4)(-2log2) = 2log2 - (3/4)log3
-        assert shannon_entropy(p) == 2 * log_value(2) - F(3, 4) * log_value(3)
+        assert shannon_entropy(p) == 2 * EntropyValue.log_int(2) - F(3, 4) * EntropyValue.log_int(3)
 
     def test_zero_weight_blocks_are_ignored(self):
         p = FinitePartition([F(1, 2), F(1, 2), F(0)], [0, 1, 2])
-        assert shannon_entropy(p) == log_value(2)
+        assert shannon_entropy(p) == EntropyValue.log_int(2)
 
 
 class TestJoin:
@@ -91,7 +112,7 @@ class TestJoin:
     def test_independent_bits(self):
         p = FinitePartition(uniform(4), [0, 0, 1, 1])
         q = FinitePartition(uniform(4), [0, 1, 0, 1])
-        assert shannon_entropy(join(p, q)) == log_value(4)
+        assert shannon_entropy(join(p, q)) == EntropyValue.log_int(4)
 
     def test_commutative_associative(self):
         rng = random.Random(0)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from flab.entropy import EntropyValue, FinitePartition, join, log_value
+from flab.entropy import EntropyValue, FinitePartition, join
 from flab.finv import (
     F_of,
     F_star_of,
@@ -11,13 +11,8 @@ from flab.finv import (
     abramov_rokhlin_check,
     addition_report,
     exact_f_finite,
-    f_star_truncated,
-    f_truncated,
     full_report,
     generator_entropy_rate,
-    relative_F,
-    relative_F_star,
-    relative_f_truncated,
 )
 from flab.groups import cyclic, preset_group
 from flab.kernels import ow_kernel, scalar_kernel
@@ -60,22 +55,26 @@ class TestFOf:
     def test_bernoulli_rows_constant(self):
         proc = BernoulliProcess(2, 2)
         for n in range(3):
-            assert F_of(proc, n) == log_value(2)
+            assert F_of(proc, n)[0] == EntropyValue.log_int(2)
 
     def test_bernoulli_rank3(self):
         proc = BernoulliProcess(3, 3)
         for n in range(3):
-            assert F_of(proc, n) == log_value(3)
+            assert F_of(proc, n)[0] == EntropyValue.log_int(3)
 
     def test_edge_kernel_zero_rows(self):
         proc = edge_process()
-        assert F_of(proc, 0).is_zero()
-        assert F_of(proc, 1).is_zero()
+        assert F_of(proc, 0)[0].is_zero()
+        assert F_of(proc, 1)[0].is_zero()
+
+    def test_certificate_is_the_weakest_window(self):
+        assert F_of(BernoulliProcess(2, 2), 1)[1] == "EXACT"
+        assert F_of(edge_process(), 1)[1] in ("EXTENSION-CERTIFIED", "STABILIZED")
 
     def test_finite_group_rows(self):
         proc = points_process(preset_group("Z/4"))
         for n in range(3):
-            assert F_of(proc, n) == -1 * log_value(4)
+            assert F_of(proc, n)[0] == -1 * EntropyValue.log_int(4)
 
     def test_matches_raw_join_recomputation(self):
         # recompute from materialized window partitions rather than entropy queries
@@ -91,14 +90,14 @@ class TestFOf:
                 s = parse_word("ab"[i - 1], 2)
                 moved = base.apply_permutation(proc.action.word_perm(s))
                 total = total + shannon_entropy(join(base, moved))
-            assert total == F_of(proc, n)
+            assert total == F_of(proc, n)[0]
 
 
 class TestRates:
     def test_bernoulli_rate_is_log_k(self):
         proc = BernoulliProcess(2, 3)
         rate = generator_entropy_rate(proc, 1, WordSet(2, [parse_word("e", 2)]))
-        assert rate.value == log_value(3)
+        assert rate.value == EntropyValue.log_int(3)
         assert rate.kind.startswith("STABLE")
 
     def test_edge_kernel_axis_rates(self):
@@ -107,7 +106,7 @@ class TestRates:
         along = generator_entropy_rate(proc, 1, W)
         across = generator_entropy_rate(proc, 2, W)
         assert along.value.is_zero() and along.kind == "EXACT-ZERO"
-        assert across.value == log_value(2)
+        assert across.value == EntropyValue.log_int(2)
 
     def test_finite_systems_have_zero_rates(self):
         proc = points_process(preset_group("D4"), autos=[1, 0])
@@ -136,16 +135,16 @@ class TestFStar:
         value, cert, rates = F_star_of(edge_process(), 0)
         assert value.is_zero()
         assert rates[0].value.is_zero()
-        assert rates[1].value == log_value(2)
+        assert rates[1].value == EntropyValue.log_int(2)
 
     def test_bernoulli(self):
         value, cert, _ = F_star_of(BernoulliProcess(2, 2), 0)
-        assert value == log_value(2)
+        assert value == EntropyValue.log_int(2)
 
     def test_finite_group_points(self):
         proc = points_process(preset_group("Z/4"), autos=[1, 0])
         value, cert, _ = F_star_of(proc, 0)
-        assert value == -1 * log_value(4)
+        assert value == -1 * EntropyValue.log_int(4)
         assert cert == "EXACT"
 
 
@@ -154,27 +153,27 @@ class TestReports:
         for name in ("Z/4", "Z/2xZ/2", "D4"):
             proc = points_process(preset_group(name))
             f, rep = exact_f_finite(proc)
-            assert f == -1 * log_value(proc.action.size())
+            assert f == -1 * EntropyValue.log_int(proc.action.size())
             assert rep.f_exact() and rep.f_star_exact()
             assert rep.f_value == rep.f_star_value
 
     def test_ow_group_via_kernel(self):
         rep = full_report(KernelProcess(ow_kernel()), 2)
-        assert rep.f_value == -1 * log_value(2)
+        assert rep.f_value == -1 * EntropyValue.log_int(2)
         assert rep.f_certificate == "EXACT-STABILIZED"
-        assert rep.f_star_value == -1 * log_value(2)
+        assert rep.f_star_value == -1 * EntropyValue.log_int(2)
 
     def test_ow_group_via_finite_model(self):
         # the kernel of the doubling map is two constants: a trivial Z/2 action
         proc = points_process(cyclic(2))
         f, rep = exact_f_finite(proc)
-        assert f == -1 * log_value(2)
+        assert f == -1 * EntropyValue.log_int(2)
 
     def test_bernoulli_exact_iid(self):
         rep = full_report(BernoulliProcess(2, 4), 2)
-        assert rep.f_value == log_value(4)
+        assert rep.f_value == EntropyValue.log_int(4)
         assert rep.f_certificate == "EXACT-IID"
-        assert rep.f_star_value == log_value(4)
+        assert rep.f_star_value == EntropyValue.log_int(4)
 
     def test_edge_kernel_truncated_upper_bound(self):
         rep = full_report(edge_process(), 2)
@@ -205,12 +204,9 @@ class TestReports:
         assert EntropyValue.from_json(data["f"]["value"]) == rep.f_value
         assert data["rows"][0]["n"] == 0
 
-
-class TestTruncatedWrappers:
-    def test_f_and_f_star_truncated(self):
-        rep = f_truncated(BernoulliProcess(2, 2), 2)
-        rep2 = f_star_truncated(BernoulliProcess(2, 2), 2)
-        assert rep.f_value == rep2.f_value == log_value(2)
+    def test_bernoulli_f_and_f_star_columns(self):
+        rep = full_report(BernoulliProcess(2, 2), 2)
+        assert rep.f_value == rep.f_star_value == EntropyValue.log_int(2)
 
 
 class TestBernoulliTriples:
@@ -228,7 +224,7 @@ class TestBernoulliTriples:
             image = full_report(BernoulliProcess(r, k**r), 2)
             verdict = addition_report(total, constants, image)
             assert verdict["verdict"] == "EXACT-PASS"
-            assert constants.f_value == -(r - 1) * log_value(k)
+            assert constants.f_value == -(r - 1) * EntropyValue.log_int(k)
 
     def test_exact_fail_detected(self):
         total = full_report(BernoulliProcess(2, 2), 2)
@@ -267,8 +263,8 @@ class TestRelative:
         proc = SkewProductProcess(bundle, FinitePartition.points(base.weights), q)
         fiber_proc = proc.fiber_process()
         for n in range(2):
-            lhs = relative_F(proc, n)
-            rhs = F_of(fiber_proc, n)
+            lhs, _ = F_of(proc, n, given=proc.base_marker())
+            rhs, _ = F_of(fiber_proc, n)
             assert lhs == rhs
 
     def test_base_measurable_partition_relative_zero(self):
@@ -281,7 +277,7 @@ class TestRelative:
             bundle, FinitePartition.points(bundle.base.weights), trivial_fiber
         )
         for n in range(2):
-            assert relative_F(proc, n).is_zero()
+            assert F_of(proc, n, given=proc.base_marker())[0].is_zero()
 
     def test_special_collapse_on_all_cases(self):
         # relative F* of the skew equals F* of the fiber, per n, exactly
@@ -294,7 +290,7 @@ class TestRelative:
             )
             fiber_proc = proc.fiber_process()
             for n in range(3):
-                lhs, _, _ = relative_F_star(proc, n)
+                lhs, _, _ = F_star_of(proc, n, given=proc.base_marker())
                 rhs, _, _ = F_star_of(fiber_proc, n)
                 assert lhs == rhs, (case["name"], n)
             if case["nontrivial_cocycle"]:
@@ -308,7 +304,7 @@ class TestRelative:
             FinitePartition.points(case["bundle"].base.weights),
             case["special"].partition,
         )
-        rep = relative_f_truncated(proc, 2)
+        rep = full_report(proc, 2, given=proc.base_marker())
         assert rep.relative
         assert rep.f_exact()
 
@@ -351,7 +347,7 @@ class TestAbramovRokhlin:
         q = FinitePartition(act.weights, [0, 1, 0, 1])
         result = abramov_rokhlin_check(act, p, q)
         assert result["equal"]
-        assert result["f_join"] == -1 * log_value(4)
+        assert result["f_join"] == -1 * EntropyValue.log_int(4)
 
 
 class TestProcessInvariants:
@@ -397,16 +393,16 @@ class TestBernoulliBaseSkew:
     def test_single_site_entropy(self):
         proc = self._process()
         W = WordSet(2, [parse_word("e", 2)])
-        assert proc.entropy(W) == 2 * log_value(2)
-        assert proc.conditional_entropy(W) == log_value(2)
+        assert proc.entropy(W) == 2 * EntropyValue.log_int(2)
+        assert proc.conditional_entropy(W) == EntropyValue.log_int(2)
 
     def test_ball_one_matches_hand_enumeration(self):
         # fiber coordinates over B(1) are y plus known base offsets, so the
         # joint window carries H(base over B(1)) + log 2 exactly
         proc = self._process()
         W = ball(2, 1)
-        assert proc.entropy(W) == 6 * log_value(2)
-        assert proc.conditional_entropy(W) == log_value(2)
+        assert proc.entropy(W) == 6 * EntropyValue.log_int(2)
+        assert proc.conditional_entropy(W) == EntropyValue.log_int(2)
 
 
 class TestSkewActionConstructor:

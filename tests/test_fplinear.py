@@ -6,9 +6,7 @@ import pytest
 from flab.fplinear import (
     AffineSolutionSet,
     FpMatrix,
-    dense_from_sparse,
     eliminate_columns,
-    nullspace_basis,
     rank,
     solution_space_from_constraints,
     solve,
@@ -34,7 +32,7 @@ class TestRank:
         for p in (2, 3, 5):
             for _ in range(15):
                 m = FpMatrix(p, [[rng.randrange(p) for _ in range(7)] for _ in range(4)])
-                assert rank(m) + len(nullspace_basis(m)) == m.cols
+                assert rank(m) + solve(m, [0] * m.rows).dimension == m.cols
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
@@ -103,6 +101,12 @@ class TestProjection:
         assert proj.dimension == 2
         assert set(proj.members()) == set(product(range(2), repeat=2))
 
+    def test_project_onto_key_subset(self):
+        # labelled keys: x + y = 0 mod 2, projected onto {x, z}
+        s = AffineSolutionSet(2, ("x", "y", "z"), (0, 0, 0), [(1, 1, 0), (0, 0, 1)])
+        proj = s.project(("x", "z"))
+        assert proj.keys == ("x", "z") and proj.dimension == 2
+
     def test_out_of_range(self):
         s = solve(FpMatrix(2, [[1, 1]]), [0])
         with pytest.raises(IndexError):
@@ -139,6 +143,8 @@ class TestCanonicalForm:
 
 class TestSparseElimination:
     def test_projection_matches_dense_route(self):
+        # eliminate, then solve on the kept columns, against brute-force
+        # enumeration of the full system projected onto them
         rng = random.Random(4)
         for p in (2, 3):
             for _ in range(25):
@@ -152,19 +158,37 @@ class TestSparseElimination:
                 reduced = eliminate_columns(rows, eliminate, p)
                 assert all(set(r) <= set(keep) for r in reduced)
                 got = solution_space_from_constraints(reduced, keep, p)
-                dense = dense_from_sparse(rows, list(range(ncols)), p)
-                want = solve(dense, [0] * 5).project(tuple(keep))
-                assert got == want
+                want = {
+                    tuple(x[c] for c in keep)
+                    for x in product(range(p), repeat=ncols)
+                    if all(sum(v * x[c] for c, v in row.items()) % p == 0 for row in rows)
+                }
+                assert set(got.members()) == want
 
     def test_empty_elimination(self):
         rows = [{0: 1, 1: 1}]
         assert eliminate_columns(rows, [], 2) == [{0: 1, 1: 1}]
 
 
-class TestProjectAlias:
-    def test_module_level_projection(self):
-        from flab.fplinear import project_solution_set
-
-        m = FpMatrix(2, [[1, 1, 0]])
-        s = solve(m, [0])
-        assert project_solution_set(s, (0, 2)).dimension == 2
+class TestRowOrder:
+    def test_permuted_rows_give_equal_solution_sets(self):
+        # RREF and the reduced particular point are unique, so the pivot
+        # order (first row in insertion order) cannot change the result
+        rng = random.Random(6)
+        for p in (2, 3, 5):
+            for _ in range(40):
+                nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
+                m = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+                x = [rng.randrange(p) for _ in range(ncols)]
+                b = [sum(a * v for a, v in zip(row, x)) % p for row in m]
+                if nrows and rng.random() < 0.3:
+                    b[rng.randrange(nrows)] += 1
+                perm = rng.sample(range(nrows), nrows)
+                s = solve(FpMatrix(p, m, cols=ncols), b)
+                t = solve(FpMatrix(p, [m[i] for i in perm], cols=ncols), [b[i] for i in perm])
+                assert s == t and s.pivots == t.pivots
+                if not s.is_empty():
+                    assert s == AffineSolutionSet(p, s.keys, s.particular, s.basis)
+                sparse = [{c: a for c, a in enumerate(row) if a} for row in m]
+                u = solution_space_from_constraints([sparse[i] for i in perm], range(ncols), p)
+                assert u == solve(FpMatrix(p, m, cols=ncols), [0] * nrows)

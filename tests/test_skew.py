@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from flab.entropy import EntropyValue, FinitePartition, join, log_value, shannon_entropy
+from flab.entropy import EntropyValue, FinitePartition, join, shannon_entropy
 from flab.groups import (
     all_automorphisms,
     cyclic,
@@ -136,7 +136,7 @@ class TestKOf:
         z3 = cyclic(3)
         q = FinitePartition(uniform(3), [0, 1, 1])
         # translates shift the singleton around: K = (4/3) log 2 by direct evaluation
-        assert K_of(q, z3) == F(4, 3) * log_value(2)
+        assert K_of(q, z3) == F(4, 3) * EntropyValue.log_int(2)
 
     def test_zero_iff_translation_invariant(self):
         rng = random.Random(0)
@@ -253,7 +253,7 @@ class TestSkewBundle:
         p = FinitePartition.points(bundle.base.weights)
         q = FinitePartition.points(uniform(fiber.size()))
         joint = bundle.product_partition(p, q)
-        assert shannon_entropy(joint) == shannon_entropy(p) + log_value(fiber.size())
+        assert shannon_entropy(joint) == shannon_entropy(p) + EntropyValue.log_int(fiber.size())
 
 
 class TestSigmaGenerated:
