@@ -72,7 +72,8 @@ def _add_common(sub):
     sub.add_argument("--nmax", type=int, default=2, help="largest ball radius n")
     sub.add_argument("--rank", type=int, default=2, help="rank of the free group")
     sub.add_argument("--window-cap", type=int, default=4, dest="window_cap",
-                     help="extra enclosing-window growth for marginal certification")
+                     help="most enclosing-window growth steps for marginal certification; "
+                     "0 turns the extension proof off")
     sub.add_argument("--stable-threshold", type=int, default=3, dest="stable_threshold",
                      help="equal increments needed to declare a rate stable")
     sub.add_argument("--out", default=None, help="write the JSON report to this path")

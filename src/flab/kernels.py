@@ -7,18 +7,25 @@ coeffs[s] = h(s^{-1}), which makes the support of the stored map exactly
 the set F = {g : h(g^{-1}) != 0} whose translates g.F are the constraint
 stencils.
 
-Exact cylinder measures of ker(phi) come from projecting finite window
-systems onto the queried coordinates; each projection carries a
-certificate: STABILIZED (two successive enclosing windows agree) or
-EXTENSION-CERTIFIED (a constructive proof, via the extreme-point step of
-the onto-ness induction, that every window solution extends one window
-further, repeated through the whole growth schedule).
+Cylinder measures of ker(phi) come from projecting finite window
+systems onto the queried coordinates, along a chain of enclosing windows
+V0 < V1 < ... < V_cap.  Each projection carries a certificate saying
+what was shown:
+
+    EXTENSION-CERTIFIED  a constructive proof, via the extreme-point step
+                         of the onto-ness induction, that every V0
+                         solution extends to V_cap, so the projections of
+                         all windows V0 .. V_cap agree
+    STABILIZED           two successive windows of the chain give the
+                         same projection; evidence, not a proof, since a
+                         later window can still cut the projection down
+    UNCERTIFIED          neither, within the growth cap
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .entropy import EntropyValue
 from .fplinear import (
@@ -37,6 +44,7 @@ from .words import (
     check_ordering_condition,
     convex_hull,
     distance,
+    escape_walk,
     extreme_points,
     format_word,
     identity,
@@ -227,20 +235,14 @@ def comparison_kernel(p: int, rank: int) -> ConvolutionKernel:
     return ConvolutionKernel(p, rank, coeffs, d_in=1, d_out=rank)
 
 
-class SupportGeometry:
+class SupportGeometry(NamedTuple):
     """Stencil support F, its convex hull, extreme points, radius and centers."""
 
-    __slots__ = ("support", "hull", "extremes", "radius", "centers")
-
-    def __init__(self, support, hull, extremes, radius, centers):
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "hull", hull)
-        object.__setattr__(self, "extremes", extremes)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "centers", centers)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SupportGeometry is immutable")
+    support: WordSet
+    hull: WordSet
+    extremes: WordSet
+    radius: int
+    centers: WordSet
 
     def diameter(self) -> int:
         elems = list(self.hull)
@@ -322,51 +324,29 @@ def _fresh_candidates(k: ConvolutionKernel, geo: SupportGeometry) -> list[FreeWo
 
 
 def _extension_proof(
-    k: ConvolutionKernel, geo: SupportGeometry, V: WordSet, V2: WordSet
+    k: ConvolutionKernel, fresh: list[FreeWord], V: WordSet, V2: WordSet
 ) -> bool:
     """Constructive proof that every V-window solution extends to V2 >= V.
 
-    Greedily orders the constraints newly fitting in V2 so that each one
-    owns a fresh coordinate g.f, f an extreme point of the stencil hull,
-    outside everything already pinned; solving for that single coordinate
+    Walks the constraints newly fitting in V2 in length-lex order; each
+    must own a fresh coordinate g.f, f in `fresh`, outside V and the
+    stencils placed before it, and solving for that single coordinate
     satisfies the new constraint without disturbing any earlier one.
     Success means the restriction map between the window solution spaces
     is onto, so their projections to any subwindow of V agree.
     """
-    fresh_candidates = _fresh_candidates(k, geo)
-    if not fresh_candidates:
-        return False
     old_sites = set(constraint_sites(k, V))
     new_sites = [g for g in constraint_sites(k, V2) if g not in old_sites]
-    assigned = set(V)
-    support = k.support_words()
-    remaining = list(new_sites)
-    while remaining:
-        progress = False
-        for idx, g in enumerate(remaining):
-            if any(mul(g, f) not in assigned for f in fresh_candidates):
-                assigned.update(mul(g, s) for s in support)
-                remaining.pop(idx)
-                progress = True
-                break
-        if not progress:
-            return False
-    return True
+    return len(escape_walk(new_sites, fresh, k.support_words(), V)) == len(new_sites)
 
 
-class MarginalResult:
+class MarginalResult(NamedTuple):
     """Projected solution set of the kernel subshift on a window, with certificate."""
 
-    __slots__ = ("window", "solution_set", "certificate", "bounds")
-
-    def __init__(self, window, solution_set, certificate, bounds=None):
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "solution_set", solution_set)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "bounds", bounds)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MarginalResult is immutable")
+    window: WordSet
+    solution_set: AffineSolutionSet
+    certificate: str
+    bounds: tuple[int, int] | None = None
 
     @property
     def dimension(self) -> int:
@@ -385,6 +365,8 @@ class KernelSubshift:
         self.kernel = kernel
         self.growth_cap = growth_cap
         self._geometry = support_geometry(kernel)
+        self._fresh = _fresh_candidates(kernel, self._geometry)
+        self._reach = max(1, self._geometry.diameter())
         self._cache: dict[tuple, MarginalResult] = {}
 
     def geometry(self) -> SupportGeometry:
@@ -400,52 +382,57 @@ class KernelSubshift:
         return result
 
     def _compute_marginal(self, W: WordSet) -> MarginalResult:
-        k = self.kernel
-        geo = self._geometry
-        V0 = thicken(convex_hull(W), max(1, geo.diameter()))
-        V1 = thicken(V0, 1)
-        sets = [_marginal_system(k, W, V0), _marginal_system(k, W, V1)]
-        stabilized = sets[0] == sets[1]
+        """Project onto W along one chain of enclosing windows.
 
-        extension_ok = False
-        if _fresh_candidates(k, geo):
-            V_cap = V1
-            grown = 1
-            while grown < self.growth_cap and len(V_cap) <= WINDOW_GUARD:
-                V_cap = thicken(V_cap, 1)
-                grown += 1
-            if grown == self.growth_cap and len(V_cap) <= WINDOW_GUARD:
-                extension_ok = _extension_proof(k, geo, V0, V_cap)
-        if extension_ok:
-            if not stabilized:
+        V0 thickens hull(W) by the stencil diameter and V(i+1) thickens
+        V(i) by one; each window is built once, when first needed.  The
+        extension proof from V0 to V_cap certifies the V1 projection;
+        failing it, the first two successive windows (up to V_cap and
+        WINDOW_GUARD words) that agree give STABILIZED.
+        """
+        k, cap = self.kernel, self.growth_cap
+        chain = [thicken(convex_hull(W), self._reach)]
+
+        def window(i: int) -> WordSet:
+            while len(chain) <= i:
+                chain.append(thicken(chain[-1], 1))
+            return chain[i]
+
+        sets = [_marginal_system(k, W, window(0)), _marginal_system(k, W, window(1))]
+        if (
+            self._fresh
+            and cap >= 1
+            and all(len(window(i)) <= WINDOW_GUARD for i in range(1, cap + 1))
+            and _extension_proof(k, self._fresh, window(0), window(cap))
+        ):
+            if sets[0] != sets[1]:
                 raise AssertionError("extension proof contradicts computed projections")
             return MarginalResult(W, sets[1], "EXTENSION-CERTIFIED")
-        if stabilized:
-            return MarginalResult(W, sets[1], "STABILIZED")
-        V = V1
-        for _ in range(1, self.growth_cap):
-            V = thicken(V, 1)
-            if len(V) > WINDOW_GUARD:
-                break
-            sets.append(_marginal_system(k, W, V))
-            if sets[-1] == sets[-2]:
-                return MarginalResult(W, sets[-1], "STABILIZED")
-        return MarginalResult(
-            W, sets[-1], "UNCERTIFIED", bounds=(sets[-1].dimension, sets[-2].dimension)
-        )
+        i = 1
+        while sets[i] != sets[i - 1]:
+            i += 1
+            if i > cap or len(window(i)) > WINDOW_GUARD:
+                return MarginalResult(
+                    W, sets[-1], "UNCERTIFIED", bounds=(sets[-1].dimension, sets[-2].dimension)
+                )
+            sets.append(_marginal_system(k, W, window(i)))
+        return MarginalResult(W, sets[i], "STABILIZED")
 
-    def window_entropy(self, W: WordSet) -> tuple[EntropyValue, str]:
+    def _certified_marginal(self, W: WordSet) -> MarginalResult:
+        """marginal(W), raising UncertifiedWindowError when it is uncertified."""
         m = self.marginal(W)
         if not m.is_certified():
             raise UncertifiedWindowError(
                 f"window {W!r} failed certification; dimension bounds {m.bounds}"
             )
+        return m
+
+    def window_entropy(self, W: WordSet) -> tuple[EntropyValue, str]:
+        m = self._certified_marginal(W)
         return m.dimension * EntropyValue.log_int(self.kernel.p), m.certificate
 
     def cylinder_measure(self, W: WordSet, pattern: Mapping[FreeWord, object]) -> Fraction:
-        m = self.marginal(W)
-        if not m.is_certified():
-            raise UncertifiedWindowError(f"window {W!r} is uncertified")
+        m = self._certified_marginal(W)
         vec = []
         for w, j in window_coordinates(self.kernel, W):
             val = pattern[w]
@@ -458,9 +445,7 @@ class KernelSubshift:
 
     def marginal_patterns(self, W: WordSet, limit: int = 1 << 12) -> list[dict]:
         """All positive-measure patterns on W (for small windows)."""
-        m = self.marginal(W)
-        if not m.is_certified():
-            raise UncertifiedWindowError(f"window {W!r} is uncertified")
+        m = self._certified_marginal(W)
         cols = window_coordinates(self.kernel, W)
         out = []
         for member in m.solution_set.members(limit):
@@ -471,35 +456,13 @@ class KernelSubshift:
         return out
 
 
-def projected_dimension(k: ConvolutionKernel, W: WordSet) -> tuple[int, str]:
-    """Dimension of the W-marginal of ker(phi) with its certificate."""
-    m = KernelSubshift(k).marginal(W)
-    if not m.is_certified():
-        raise UncertifiedWindowError(
-            f"window {W!r} failed certification; dimension bounds {m.bounds}"
-        )
-    return m.dimension, m.certificate
-
-
-def cylinder_measure(
-    k: ConvolutionKernel, W: WordSet, pattern: Mapping[FreeWord, object]
-) -> Fraction:
-    return KernelSubshift(k).cylinder_measure(W, pattern)
-
-
 # -- surjectivity ------------------------------------------------------------
 
 
-class SurjectivityReport:
-    __slots__ = ("surjective", "kind", "details")
-
-    def __init__(self, surjective: bool, kind: str, details: dict):
-        object.__setattr__(self, "surjective", surjective)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "details", details)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SurjectivityReport is immutable")
+class SurjectivityReport(NamedTuple):
+    surjective: bool
+    kind: str
+    details: dict
 
     def to_json(self) -> dict:
         return {"surjective": self.surjective, "kind": self.kind, **self.details}
@@ -570,12 +533,12 @@ def preimage_on_ball(
 ) -> dict[FreeWord, int]:
     """A finite configuration x with phi(x)(g) = y(g) for every g in B(n).
 
-    Runs the inductive construction behind the onto-ness theorem: sites
-    are processed in an order (greedily refined from the spiral ordering)
-    in which each one owns an extreme-point coordinate outside all earlier
-    translated hulls; that single coordinate is then solved for.  Raises
-    OrderingConditionError if no processable site remains, reporting the
-    step index.
+    Runs the inductive construction behind the onto-ness theorem: the
+    escape walk pairs each site of the spiral ordering with an
+    extreme-point coordinate outside all earlier translated hulls, and
+    that single coordinate is then solved for.  Raises
+    OrderingConditionError at the first site with no such coordinate,
+    reporting its index in the ordering.
     """
     if k.is_zero():
         raise ZeroKernelError("zero kernel has no preimages")
@@ -583,33 +546,20 @@ def preimage_on_ball(
         raise ValueError("preimage solver requires a scalar kernel")
     geo = support_geometry(k)
     support = geo.support
-    fresh_candidates = list(geo.extremes) if len(geo.hull) > 1 else list(geo.support)
-    hull_words = list(geo.hull)
     sites = spiral_ordering(k.rank, n)
     for g in sites:
         if g not in y:
             raise ValueError(f"target pattern missing site {format_word(g)}")
+    walk = escape_walk(sites, _fresh_candidates(k, geo), geo.hull)
+    if len(walk) < len(sites):
+        step = len(walk)
+        raise OrderingConditionError(
+            step,
+            f"site {format_word(sites[step])} has no uncovered extreme coordinate at step {step}",
+        )
 
     x: dict[FreeWord, int] = {}
-    covered: set[FreeWord] = set()
-    remaining = list(sites)
-    step = 0
-    while remaining:
-        pick = None
-        for idx, g in enumerate(remaining):
-            fresh = next(
-                (f for f in fresh_candidates if mul(g, f) not in covered), None
-            )
-            if fresh is not None:
-                pick = (idx, g, fresh)
-                break
-        if pick is None:
-            raise OrderingConditionError(
-                step,
-                f"no site with an uncovered extreme coordinate at step {step}",
-            )
-        idx, g, f = pick
-        remaining.pop(idx)
+    for g, f in walk:
         for s in support:
             x.setdefault(mul(g, s), 0)
         coeff = k.coeffs[f][0][0]
@@ -617,10 +567,8 @@ def preimage_on_ball(
             k.coeffs[s][0][0] * x[mul(g, s)] for s in support if s != f
         )
         x[mul(g, f)] = (pow(coeff, -1, k.p) * (y[g] - rest)) % k.p
-        covered.update(mul(g, h) for h in hull_words)
         if k.evaluate(x, g) != (y[g] % k.p,):
             raise AssertionError("solver step failed to satisfy its constraint")
-        step += 1
 
     for g in sites:
         if k.evaluate(x, g) != (y[g] % k.p,):

@@ -14,10 +14,10 @@ from .skew import (
     Cocycle,
     FiniteAction,
     FiniteGroupAction,
+    SectionCocycleBundle,
     SkewBundle,
     SpecialPartition,
     ZSkewSystem,
-    cocycle_from_section,
 )
 
 DEFAULT_SEED = 20120717
@@ -154,7 +154,7 @@ def skew_test_cases(rank: int = 2) -> list[dict]:
     trivial and nontrivial."""
     cases = []
     for pair in section_pair_catalog(rank):
-        bundle_src = cocycle_from_section(pair["action"], pair["subgroup"])
+        bundle_src = SectionCocycleBundle(pair["action"], pair["subgroup"])
         fiber_group = bundle_src.fiber_group
         specials = [
             SpecialPartition(fiber_group, sub)

@@ -5,9 +5,12 @@ the window W, exactly, together with a certificate string:
 
     EXACT                entropies computed on a materialized finite model
     EXTENSION-CERTIFIED  kernel marginal backed by the constructive
-                         extension proof
-    STABILIZED           kernel marginal backed by agreement of two
-                         successive enclosing windows
+                         proof that every solution on the first
+                         enclosing window extends to the last one, so
+                         every window of the chain gives the same marginal
+    STABILIZED           kernel marginal on which two successive enclosing
+                         windows agree; evidence, not a proof, since a
+                         later window can still shrink the marginal
 
 Window results are memoized per canonical window key.
 """
@@ -25,7 +28,7 @@ from .entropy import (
     shannon_entropy,
 )
 from .groups import invert_perm
-from .kernels import ConvolutionKernel, KernelSubshift
+from .kernels import GROWTH_CAP, ConvolutionKernel, KernelSubshift
 from .skew import FiniteAction, FiniteGroupAction, SkewBundle
 from .words import FreeWord, WordSet, inv, mul
 
@@ -46,7 +49,6 @@ class BernoulliProcess:
     """
 
     iid_closed_form = True
-    conditional_capable = False
 
     def __init__(self, rank: int, alphabet_size: int, label: str | None = None):
         if alphabet_size < 1:
@@ -69,7 +71,6 @@ class FiniteActionProcess:
     """A finite measured free-group action observed through a fixed partition."""
 
     iid_closed_form = False
-    conditional_capable = True
 
     def __init__(self, action: FiniteAction, partition: FinitePartition, label: str = "finite"):
         if partition.weights != action.weights:
@@ -111,11 +112,12 @@ class KernelProcess:
     """The Haar system on the kernel subshift of a convolution operator."""
 
     iid_closed_form = False
-    conditional_capable = False
 
-    def __init__(self, kernel: ConvolutionKernel, label: str | None = None, **subshift_kwargs):
+    def __init__(
+        self, kernel: ConvolutionKernel, label: str | None = None, growth_cap: int = GROWTH_CAP
+    ):
         self.kernel = kernel
-        self.subshift = KernelSubshift(kernel, **subshift_kwargs)
+        self.subshift = KernelSubshift(kernel, growth_cap)
         self.rank = kernel.rank
         self.label = label or f"ker(phi) {kernel!r}"
 
@@ -189,7 +191,6 @@ class BernoulliBaseSkewProcess:
     """
 
     iid_closed_form = False
-    conditional_capable = True
 
     def __init__(
         self,

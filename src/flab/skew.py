@@ -368,10 +368,6 @@ class SectionCocycleBundle:
         return True, None
 
 
-def cocycle_from_section(ga: FiniteGroupAction, sub: frozenset[int]) -> SectionCocycleBundle:
-    return SectionCocycleBundle(ga, sub)
-
-
 # -- partition functionals ----------------------------------------------------
 
 

@@ -48,8 +48,8 @@ from .processes import (
 from .skew import (
     Cocycle,
     FiniteGroupAction,
+    SectionCocycleBundle,
     SpecialPartition,
-    cocycle_from_section,
     join_special,
     verify_cocycle_identity,
     verify_generated_algebra,
@@ -75,6 +75,10 @@ class RunConfig:
             raise ValueError("rank must be >= 1")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if self.window_cap < 0:
+            raise ValueError("window_cap must be >= 0")
+        if self.stable_threshold < 1:
+            raise ValueError("stable_threshold must be >= 1")
 
     def to_json(self) -> dict:
         return {
@@ -286,7 +290,7 @@ def run_algebraic(cfg: RunConfig, kernel: ConvolutionKernel) -> dict:
 def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
     cases = []
     for pair in section_pair_catalog(2):
-        bundle = cocycle_from_section(pair["action"], pair["subgroup"])
+        bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
         ok_eq, wit_eq = verify_cocycle_identity(
             bundle.cocycle.sigma, bundle.base_action, bundle.fiber_action, max_len=3
         )
@@ -302,7 +306,7 @@ def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
         )
     if inject_bug == "negate-cocycle":
         pair = section_pair_catalog(2)[0]
-        bundle = cocycle_from_section(pair["action"], pair["subgroup"])
+        bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
         fiber = bundle.fiber_group
         bump = next(x for x in range(fiber.order()) if x != fiber.identity)
 
@@ -532,7 +536,7 @@ def process_from_spec(spec: dict, cfg: RunConfig):
         group = group_from_json(spec_field(spec, "group", dict))
         action = _group_action(group, spec_field(spec, "autos", list, [0] * rank), rank)
         sub = frozenset(_label_indices(group, spec_field(spec, "subgroup", list), "subgroup"))
-        bundle = cocycle_from_section(action, sub)
+        bundle = SectionCocycleBundle(action, sub)
         return SkewProductProcess(
             bundle.skew,
             FinitePartition.points(bundle.base_action.weights),

@@ -12,7 +12,7 @@ letters their inverses, and "e" (or the empty string) is the identity.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -350,6 +350,34 @@ def thicken(s: WordSet, t: int) -> WordSet:
     return WordSet(s.rank, out)
 
 
+def escape_walk(
+    ordering: Sequence[FreeWord],
+    fresh: Collection[FreeWord],
+    cover: Collection[FreeWord],
+    covered: Iterable[FreeWord] = (),
+) -> list[tuple[FreeWord, FreeWord]]:
+    """Pair each site g, in order, with its first fresh coordinate g·f.
+
+    f is the first element of `fresh` with g·f outside `covered` and
+    outside every earlier g'·cover; the walk stops at the first site that
+    has none, so it is blocked at index len(result) when that is shorter
+    than `ordering`.  This is the ordering step of the onto-ness
+    induction.  Processing the sites in the given order loses nothing:
+    the covered set only grows, so a site without a fresh coordinate
+    never gains one, and any order that skips a blocked site can never
+    place it either.
+    """
+    covered = set(covered)
+    walk = []
+    for g in ordering:
+        f = next((f for f in fresh if mul(g, f) not in covered), None)
+        if f is None:
+            break
+        walk.append((g, f))
+        covered.update(mul(g, c) for c in cover)
+    return walk
+
+
 def check_ordering_condition(
     hull: WordSet, ordering: Sequence[FreeWord]
 ) -> bool:
@@ -360,11 +388,6 @@ def check_ordering_condition(
 def failing_ordering_index(
     hull: WordSet, ordering: Sequence[FreeWord]
 ) -> int | None:
-    """First n >= 1 where g_n·hull is covered by earlier translates, if any."""
-    covered: set[FreeWord] = set()
-    for n, g in enumerate(ordering):
-        translate = {mul(g, f) for f in hull}
-        if n >= 1 and translate <= covered:
-            return n
-        covered.update(translate)
-    return None
+    """First n where g_n·hull is covered by earlier translates, if any."""
+    n = len(escape_walk(ordering, hull, hull))
+    return None if n == len(ordering) else n

@@ -47,7 +47,7 @@ from flab.presets import (
     trivial_action,
 )
 from flab.processes import BernoulliProcess, FiniteActionProcess, KernelProcess, SkewProductProcess
-from flab.skew import cocycle_from_section, verify_cocycle_identity, verify_skew_entropy_bound
+from flab.skew import SectionCocycleBundle, verify_cocycle_identity, verify_skew_entropy_bound
 from flab.words import WordSet, ball, ball_size, mul, parse_word
 
 SEED = int(os.environ.get("FLAB_SEED", DEFAULT_SEED))
@@ -194,7 +194,7 @@ def test_criterion_7_cocycle_and_conjugacy():
     failures = 0
     pairs = section_pair_catalog(2)
     for pair in pairs:
-        bundle = cocycle_from_section(pair["action"], pair["subgroup"])
+        bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
         ok_eq, _ = verify_cocycle_identity(
             bundle.cocycle.sigma, bundle.base_action, bundle.fiber_action, max_len=3
         )

@@ -9,12 +9,13 @@ from flab.kernels import (
     ConvolutionKernel,
     KernelSubshift,
     OrderingConditionError,
+    UncertifiedWindowError,
     ZeroKernelError,
+    _marginal_system,
     comparison_kernel,
     is_surjective,
     ow_kernel,
     preimage_on_ball,
-    projected_dimension,
     scalar_kernel,
     support_geometry,
     target_map_matrix,
@@ -24,12 +25,15 @@ from flab.kernels import (
 from flab.words import (
     WordSet,
     ball,
+    convex_hull,
     extreme_points,
     format_word,
     identity,
     inv,
     mul,
     parse_word,
+    spiral_ordering,
+    thicken,
 )
 
 
@@ -150,18 +154,18 @@ class TestWindowSystem:
 
 class TestProjectedDimension:
     def test_edge_kernel_ball_one(self):
-        dim, cert = projected_dimension(edge_kernel(), ball(2, 1))
-        assert dim == 3 and cert in ("EXTENSION-CERTIFIED", "STABILIZED")
+        m = KernelSubshift(edge_kernel()).marginal(ball(2, 1))
+        assert m.dimension == 3 and m.certificate in ("EXTENSION-CERTIFIED", "STABILIZED")
 
     def test_delta_kernel_trivial(self):
-        dim, _ = projected_dimension(scalar_kernel(2, 2, {"e": 1}), ball(2, 1))
-        assert dim == 0
+        m = KernelSubshift(scalar_kernel(2, 2, {"e": 1})).marginal(ball(2, 1))
+        assert m.is_certified() and m.dimension == 0
 
     def test_edge_kernel_union_window(self):
         W = ball(2, 1).union(ball(2, 1).translate(w("b")))
         assert len(W) == 8
-        dim, _ = projected_dimension(edge_kernel(), W)
-        assert dim == 4
+        m = KernelSubshift(edge_kernel()).marginal(W)
+        assert m.is_certified() and m.dimension == 4
 
     def test_matches_coset_oracle_on_random_windows(self):
         rng = random.Random(1)
@@ -181,8 +185,8 @@ class TestProjectedDimension:
         big = window_solution_space(k, ball(2, 2))
         keep = tuple((v, 0) for v in W)
         brute = big.project(keep)
-        dim, _ = projected_dimension(k, W)
-        assert dim == brute.dimension
+        m = KernelSubshift(k).marginal(W)
+        assert m.is_certified() and m.dimension == brute.dimension
 
     def test_ow_kernel_is_two_constants(self):
         sub = KernelSubshift(ow_kernel())
@@ -213,8 +217,6 @@ class TestProjectedDimension:
 
     def test_stabilization_by_two_extra_balls(self):
         # support within B(2) stabilizes by V = B(n+2) for W = B(n)
-        from flab.kernels import _marginal_system
-
         rng = random.Random(2)
         pool = list(ball(2, 2))
         kernels = [edge_kernel(), edge_kernel(3), scalar_kernel(2, 2, {"e": 1, "a": 1, "b": 1})]
@@ -229,6 +231,80 @@ class TestProjectedDimension:
                 a = _marginal_system(k, W, ball(2, n + 2))
                 b = _marginal_system(k, W, ball(2, n + 3))
                 assert a == b
+
+
+def matrix_kernel(p, coeffs):
+    """2x2 matrix kernel on the rank-2 group from word-text blocks."""
+    return ConvolutionKernel(p, 2, {w(t): block for t, block in coeffs.items()}, d_in=2, d_out=2)
+
+
+def plateau_kernel():
+    """Rows x(gB)_0 + x(ga)_1 and x(ga)_0: they force x = 0, so ker(phi) = {0}."""
+    return matrix_kernel(2, {"B": [[1, 0], [0, 0]], "a": [[0, 1], [1, 0]]})
+
+
+# (kernel, W = B(n)) -> (certificate, dimension, bounds) for growth_cap 0..4;
+# the 2x2 kernels reach the growth loop past V1 and the UNCERTIFIED branch
+CERTIFICATE_KERNELS = {
+    "edge": lambda: edge_kernel(),
+    "edge3": lambda: edge_kernel(3),
+    "p3": lambda: scalar_kernel(3, 2, {"e": 1, "A": 1, "B": 2}),
+    "delta": lambda: scalar_kernel(2, 2, {"e": 1}),
+    "ow": ow_kernel,
+    "comparison": lambda: comparison_kernel(3, 2),
+    "m3": lambda: matrix_kernel(3, {"A": [[1, 1], [1, 0]], "e": [[1, 1], [1, 1]], "a": [[0, 0], [1, 1]]}),
+    "m2": plateau_kernel,
+}
+EXT, STAB, UNC = "EXTENSION-CERTIFIED", "STABILIZED", "UNCERTIFIED"
+GOLDEN_CERTIFICATES = {
+    ("edge", 0): [(STAB, 1, None), (EXT, 1, None), (EXT, 1, None), (EXT, 1, None), (EXT, 1, None)],
+    ("edge", 1): [(STAB, 3, None), (EXT, 3, None), (EXT, 3, None), (EXT, 3, None), (EXT, 3, None)],
+    ("edge3", 0): [(STAB, 1, None), (EXT, 1, None), (EXT, 1, None), (EXT, 1, None), (EXT, 1, None)],
+    ("edge3", 1): [(STAB, 3, None), (EXT, 3, None), (EXT, 3, None), (EXT, 3, None), (EXT, 3, None)],
+    ("p3", 0): [(STAB, 1, None), (EXT, 1, None), (EXT, 1, None), (EXT, 1, None), (EXT, 1, None)],
+    ("p3", 1): [(STAB, 4, None), (EXT, 4, None), (EXT, 4, None), (EXT, 4, None), (EXT, 4, None)],
+    ("delta", 0): [(STAB, 0, None), (EXT, 0, None), (EXT, 0, None), (EXT, 0, None), (EXT, 0, None)],
+    ("delta", 1): [(STAB, 0, None), (EXT, 0, None), (EXT, 0, None), (EXT, 0, None), (EXT, 0, None)],
+    ("ow", 0): [(STAB, 1, None)] * 5,
+    ("ow", 1): [(STAB, 1, None)] * 5,
+    ("comparison", 0): [(STAB, 1, None)] * 5,
+    ("comparison", 1): [(STAB, 1, None)] * 5,
+    ("m3", 0): [(UNC, 1, (1, 2)), (UNC, 1, (1, 2)), (STAB, 1, None), (STAB, 1, None), (STAB, 1, None)],
+    ("m3", 1): [(UNC, 3, (3, 6)), (UNC, 3, (3, 6)), (STAB, 3, None), (STAB, 3, None), (STAB, 3, None)],
+    ("m2", 0): [(STAB, 1, None)] * 5,
+    ("m2", 1): [(UNC, 3, (3, 4)), (UNC, 3, (3, 4)), (UNC, 0, (0, 3)), (STAB, 0, None), (STAB, 0, None)],
+}
+
+
+class TestCertificateTable:
+    @pytest.mark.parametrize("name, n", sorted(GOLDEN_CERTIFICATES))
+    def test_golden_certificates(self, name, n):
+        k = CERTIFICATE_KERNELS[name]()
+        got = []
+        for cap in range(5):
+            m = KernelSubshift(k, growth_cap=cap).marginal(ball(2, n))
+            got.append((m.certificate, m.dimension, m.bounds))
+        assert got == GOLDEN_CERTIFICATES[(name, n)]
+
+    def test_window_entropy_reports_bounds(self):
+        sub = KernelSubshift(plateau_kernel(), growth_cap=1)
+        with pytest.raises(UncertifiedWindowError, match=r"dimension bounds \(3, 4\)"):
+            sub.window_entropy(ball(2, 1))
+
+    def test_stabilized_plateau_then_drop(self):
+        # STABILIZED is not a proof: the B(0) marginal of a kernel with
+        # ker(phi) = {0} keeps dimension 1 on V0 and V1, then drops to 0
+        k = plateau_kernel()
+        W = ball(2, 0)
+        V = thicken(convex_hull(W), max(1, support_geometry(k).diameter()))
+        dims = []
+        for _ in range(5):
+            dims.append(_marginal_system(k, W, V).dimension)
+            V = thicken(V, 1)
+        assert dims == [1, 1, 0, 0, 0]
+        sub = KernelSubshift(k)
+        assert (sub.marginal(W).certificate, sub.marginal(W).dimension) == (STAB, 1)
+        assert (sub.marginal(ball(2, 1)).certificate, sub.marginal(ball(2, 1)).dimension) == (STAB, 0)
 
 
 class TestCylinderMeasure:
@@ -398,6 +474,15 @@ class TestPreimage:
     def test_matrix_kernel_rejected(self):
         with pytest.raises(ValueError):
             preimage_on_ball(ow_kernel(), {g: 0 for g in ball(2, 0)}, 0)
+
+    def test_blocked_walk_reports_first_blocked_site(self):
+        # the translated hull of {aa, ab} at site BA has no extreme point
+        # outside the hulls placed at the 15 sites before it
+        k = scalar_kernel(2, 2, {"aa": 1, "ab": 1})
+        with pytest.raises(OrderingConditionError, match="site BA ") as info:
+            preimage_on_ball(k, {g: 0 for g in ball(2, 2)}, 2)
+        assert info.value.step == 15
+        assert format_word(spiral_ordering(2, 2)[15]) == "BA"
 
 
 class TestJson:

@@ -27,10 +27,10 @@ from flab.skew import (
     FiniteAction,
     FiniteGroupAction,
     K_of,
+    SectionCocycleBundle,
     SkewBundle,
     SpecialPartition,
     ZSkewSystem,
-    cocycle_from_section,
     is_special,
     join_special,
     right_translate,
@@ -155,7 +155,7 @@ class TestSectionCocycles:
         z4 = cyclic(4)
         neg = tuple((-x) % 4 for x in range(4))
         ga = FiniteGroupAction(z4, [neg, tuple(range(4))], 2)
-        bundle = cocycle_from_section(ga, frozenset({0, 2}))
+        bundle = SectionCocycleBundle(ga, frozenset({0, 2}))
         ok, witness = verify_cocycle_identity(
             bundle.cocycle.sigma, bundle.base_action, bundle.fiber_action, max_len=3
         )
@@ -171,7 +171,7 @@ class TestSectionCocycles:
         z4 = cyclic(4)
         neg = tuple((-x) % 4 for x in range(4))
         ga = FiniteGroupAction(z4, [neg, neg], 2)
-        bundle = cocycle_from_section(ga, frozenset({0}))
+        bundle = SectionCocycleBundle(ga, frozenset({0}))
         assert all(
             v == bundle.fiber_group.identity
             for vals in bundle.cocycle.gen_values
@@ -183,7 +183,7 @@ class TestSectionCocycles:
         z4 = cyclic(4)
         neg = tuple((-x) % 4 for x in range(4))
         ga = FiniteGroupAction(z4, [tuple(range(4)), neg], 2)
-        bundle = cocycle_from_section(ga, frozenset(range(4)))
+        bundle = SectionCocycleBundle(ga, frozenset(range(4)))
         assert bundle.base_action.size() == 1
         assert bundle.verify_conjugacy(max_len=2)[0]
 
@@ -196,11 +196,11 @@ class TestSectionCocycles:
         )
         ga = FiniteGroupAction(klein, [swap, tuple(range(4))], 2)
         with pytest.raises(ValueError):
-            cocycle_from_section(ga, frozenset({klein.identity, klein.index("(1,0)")}))
+            SectionCocycleBundle(ga, frozenset({klein.identity, klein.index("(1,0)")}))
 
     def test_all_preset_pairs(self):
         for pair in section_pair_catalog(2):
-            bundle = cocycle_from_section(pair["action"], pair["subgroup"])
+            bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
             ok, witness = verify_cocycle_identity(
                 bundle.cocycle.sigma, bundle.base_action, bundle.fiber_action, max_len=2
             )
@@ -212,7 +212,7 @@ class TestSectionCocycles:
         z4 = cyclic(4)
         neg = tuple((-x) % 4 for x in range(4))
         ga = FiniteGroupAction(z4, [neg, tuple(range(4))], 2)
-        bundle = cocycle_from_section(ga, frozenset({0, 2}))
+        bundle = SectionCocycleBundle(ga, frozenset({0, 2}))
         fiber = bundle.fiber_group
         bump = next(x for x in range(fiber.order()) if x != fiber.identity)
 
@@ -288,7 +288,7 @@ class TestPartitionExchangeVerifiers:
         z4 = cyclic(4)
         neg = tuple((-x) % 4 for x in range(4))
         ga = FiniteGroupAction(z4, [neg, tuple(range(4))], 2)
-        return cocycle_from_section(ga, frozenset({0, 2}))
+        return SectionCocycleBundle(ga, frozenset({0, 2}))
 
     def test_pullback_exchange_identity_word(self):
         bundle = self._z4_bundle()

@@ -12,6 +12,7 @@ from flab.words import (
     check_ordering_condition,
     convex_hull,
     distance,
+    escape_walk,
     extreme_points,
     failing_ordering_index,
     format_word,
@@ -287,6 +288,54 @@ class TestOrderingCondition:
             WordSet(2, [w("B"), w("e"), w("a"), w("b")]),
         ]:
             assert check_ordering_condition(ws, spiral_ordering(2, 3))
+
+
+def restart_greedy(ordering, fresh, cover, covered=()):
+    """Oracle: repeatedly place the first remaining site that has a fresh coordinate."""
+    covered, remaining, placed = set(covered), list(ordering), []
+    while remaining:
+        for idx, g in enumerate(remaining):
+            f = next((f for f in fresh if mul(g, f) not in covered), None)
+            if f is not None:
+                placed.append((remaining.pop(idx), f))
+                covered.update(mul(g, c) for c in cover)
+                break
+        else:
+            return None
+    return placed
+
+
+class TestEscapeWalk:
+    def test_pairs_each_site_with_first_fresh_point(self):
+        hull = WordSet(2, [w("e"), w("a")])
+        walk = escape_walk([w("e"), w("a"), w("A")], list(hull), hull)
+        assert walk == [(w("e"), w("e")), (w("a"), w("a")), (w("A"), w("e"))]
+
+    def test_stops_at_first_blocked_site(self):
+        hull = WordSet(2, [w("e")])
+        walk = escape_walk([w("a"), w("b"), w("b"), w("B")], hull, hull)
+        assert [g for g, _ in walk] == [w("a"), w("b")]
+
+    def test_initial_cover_blocks(self):
+        hull = WordSet(2, [w("e")])
+        assert escape_walk([w("a")], hull, hull, covered=[w("a")]) == []
+
+    def test_matches_restart_greedy(self):
+        # the covered set only grows, so the fixed-order walk succeeds
+        # exactly when the restart-greedy ordering does, and in the same order
+        rng = random.Random(11)
+        pool = ball_list(2, 2)
+        for _ in range(200):
+            cover = convex_hull(WordSet(2, rng.sample(pool, rng.randint(1, 4))))
+            fresh = [f for f in cover if rng.random() < 0.7] or list(cover)
+            ordering = rng.sample(pool, rng.randint(1, 12))
+            covered = rng.sample(pool, rng.randint(0, 3))
+            walk = escape_walk(ordering, fresh, cover, covered)
+            greedy = restart_greedy(ordering, fresh, cover, covered)
+            if len(walk) == len(ordering):
+                assert greedy == walk
+            else:
+                assert greedy is None
 
 
 class TestThicken:
