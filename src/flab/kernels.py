@@ -41,6 +41,7 @@ from .words import (
     FreeWord,
     WordSet,
     ball,
+    ball_size,
     check_ordering_condition,
     convex_hull,
     distance,
@@ -155,16 +156,8 @@ class ConvolutionKernel:
         kernels cut out the same subshift, with constraints reindexed by
         g -> g c^{-1}.
         """
-        geo = support_geometry(self)
-        center = next(iter(geo.centers))
-        if center.is_identity():
-            return self, center
-        cinv = inv(center)
-        new_coeffs = {mul(cinv, s): block for s, block in self.coeffs.items()}
-        return (
-            ConvolutionKernel(self.p, self.rank, new_coeffs, self.d_in, self.d_out),
-            center,
-        )
+        kernel, center, _ = _centered(self)
+        return kernel, center
 
     def to_json(self) -> dict:
         return {
@@ -260,6 +253,18 @@ def support_geometry(k: ConvolutionKernel) -> SupportGeometry:
     return SupportGeometry(support, hull, extreme_points(hull), radius, centers)
 
 
+def _centered(k: ConvolutionKernel) -> tuple[ConvolutionKernel, FreeWord, SupportGeometry]:
+    """k.centered(), with the support geometry of the centered kernel."""
+    geo = support_geometry(k)
+    center = next(iter(geo.centers))
+    if center.is_identity():
+        return k, center, geo
+    cinv = inv(center)
+    coeffs = {mul(cinv, s): block for s, block in k.coeffs.items()}
+    kc = ConvolutionKernel(k.p, k.rank, coeffs, k.d_in, k.d_out)
+    return kc, center, support_geometry(kc)
+
+
 # -- window systems ---------------------------------------------------------
 
 
@@ -272,11 +277,14 @@ def constraint_sites(k: ConvolutionKernel, V: WordSet) -> list[FreeWord]:
     """All g whose translated stencil support g.F lies inside V."""
     if k.is_zero():
         return []
-    supp = k.support_words()
-    f0 = supp[0]
-    f0inv = inv(f0)
-    candidates = {mul(v, f0inv) for v in V}
-    sites = [g for g in candidates if all(mul(g, s) in V for s in supp)]
+    f0, *rest = k.support_words()
+    # g = v·f0^-1 puts g·f0 = v inside V, so only the rest of F is checked
+    if f0.is_identity():
+        candidates = V
+    else:
+        f0inv = inv(f0)
+        candidates = [mul(v, f0inv) for v in V]
+    sites = [g for g in candidates if all(mul(g, s) in V for s in rest)]
     sites.sort(key=FreeWord.sort_key)
     return sites
 
@@ -496,8 +504,7 @@ def is_surjective(k: ConvolutionKernel, depth: int = 3) -> SurjectivityReport:
     if k.is_zero():
         return SurjectivityReport(False, "zero-kernel", {})
     if k.is_scalar():
-        centered, center = k.centered()
-        geo = support_geometry(centered)
+        _, center, geo = _centered(k)
         rho, centers = geo.radius, geo.centers
         ordering = spiral_ordering(k.rank, depth)
         ok = check_ordering_condition(geo.hull, ordering)
@@ -533,24 +540,30 @@ def preimage_on_ball(
 ) -> dict[FreeWord, int]:
     """A finite configuration x with phi(x)(g) = y(g) for every g in B(n).
 
-    Runs the inductive construction behind the onto-ness theorem: the
-    escape walk pairs each site of the spiral ordering with an
-    extreme-point coordinate outside all earlier translated hulls, and
-    that single coordinate is then solved for.  Raises
-    OrderingConditionError at the first site with no such coordinate,
-    reporting its index in the ordering.
+    Runs the inductive construction behind the onto-ness theorem on the
+    centered stencil k' = k.centered() with center c: phi(x)(g) =
+    phi'(x)(g·c), so the targets move to y'(g·c) = y(g) for g in B(n),
+    and y' = 0 on the rest of B(n + |c|).  The escape walk pairs each
+    site of the spiral ordering of B(n + |c|) with an extreme-point
+    coordinate outside all earlier translated hulls, and that single
+    coordinate is then solved for.  Raises OrderingConditionError at the
+    first site with no such coordinate, reporting its index in that
+    ordering.  The result is re-verified against k on B(n).
     """
     if k.is_zero():
         raise ZeroKernelError("zero kernel has no preimages")
     if not k.is_scalar():
         raise ValueError("preimage solver requires a scalar kernel")
-    geo = support_geometry(k)
+    centered, c, geo = _centered(k)
     support = geo.support
-    sites = spiral_ordering(k.rank, n)
-    for g in sites:
+    # the spiral ordering is breadth-first, so B(n) is a prefix of it
+    sites = spiral_ordering(k.rank, n + len(c))
+    targets = sites[: ball_size(k.rank, n)]
+    for g in targets:
         if g not in y:
             raise ValueError(f"target pattern missing site {format_word(g)}")
-    walk = escape_walk(sites, _fresh_candidates(k, geo), geo.hull)
+    shifted = {mul(g, c): y[g] for g in targets}
+    walk = escape_walk(sites, _fresh_candidates(centered, geo), geo.hull)
     if len(walk) < len(sites):
         step = len(walk)
         raise OrderingConditionError(
@@ -562,15 +575,16 @@ def preimage_on_ball(
     for g, f in walk:
         for s in support:
             x.setdefault(mul(g, s), 0)
-        coeff = k.coeffs[f][0][0]
+        target = shifted.get(g, 0) % k.p
+        coeff = centered.coeffs[f][0][0]
         rest = sum(
-            k.coeffs[s][0][0] * x[mul(g, s)] for s in support if s != f
+            centered.coeffs[s][0][0] * x[mul(g, s)] for s in support if s != f
         )
-        x[mul(g, f)] = (pow(coeff, -1, k.p) * (y[g] - rest)) % k.p
-        if k.evaluate(x, g) != (y[g] % k.p,):
+        x[mul(g, f)] = (pow(coeff, -1, k.p) * (target - rest)) % k.p
+        if centered.evaluate(x, g) != (target,):
             raise AssertionError("solver step failed to satisfy its constraint")
 
-    for g in sites:
+    for g in targets:
         if k.evaluate(x, g) != (y[g] % k.p,):
             raise AssertionError("preimage re-verification failed")
     return x

@@ -8,6 +8,14 @@ computed exactly here.
 
 Text syntax: lowercase letters a..z are generators 1..26, uppercase
 letters their inverses, and "e" (or the empty string) is the identity.
+
+Construction: the public `FreeWord(rank, letters)` reduces its letters and
+checks each against the rank, so it accepts any input.  The private
+`_word(rank, letters)` trusts its caller to pass a reduced tuple of
+in-range letters and only stores it; `mul`, `inv`, `neighbors`,
+`ball_list` and `geodesic_interval` build their results with it, because
+they produce reduced words by construction.  Every word stores its hash
+when it is built.
 """
 
 from __future__ import annotations
@@ -25,15 +33,10 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
-def _letter_key(a: int) -> tuple[int, int]:
-    # generator before its inverse: a < A < b < B < ...
-    return (abs(a), 0 if a > 0 else 1)
-
-
 class FreeWord:
     """A reduced word in the rank-r free group."""
 
-    __slots__ = ("rank", "letters")
+    __slots__ = ("rank", "letters", "_hash")
 
     def __init__(self, rank: int, letters: Iterable[int] = ()):
         if rank < 1:
@@ -42,8 +45,9 @@ class FreeWord:
         for a in reduced:
             if a == 0 or abs(a) > rank:
                 raise ValueError(f"letter {a} out of range for rank {rank}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "letters", reduced)
+        _set_rank(self, rank)
+        _set_letters(self, reduced)
+        _set_hash(self, hash((rank, reduced)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeWord is immutable")
@@ -52,24 +56,46 @@ class FreeWord:
         return len(self.letters)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, FreeWord)
+            and self._hash == other._hash
             and self.rank == other.rank
             and self.letters == other.letters
         )
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.letters))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FreeWord({self.rank}, {format_word(self)!r})"
 
     def sort_key(self):
-        """Length-lexicographic key; fixes every deterministic iteration order."""
-        return (len(self.letters), tuple(_letter_key(a) for a in self.letters))
+        """Length-lexicographic key; fixes every deterministic iteration order.
+
+        Letters compare by code 2i-1 for the generator s_i and 2i for its
+        inverse, so a < A < b < B < ...
+        """
+        codes = [a + a - 1 if a > 0 else -a - a for a in self.letters]
+        return (len(codes), tuple(codes))
 
     def is_identity(self) -> bool:
         return not self.letters
+
+
+_set_rank = FreeWord.rank.__set__
+_set_letters = FreeWord.letters.__set__
+_set_hash = FreeWord._hash.__set__
+
+
+def _word(rank: int, letters: tuple[int, ...]) -> FreeWord:
+    """A FreeWord from letters the caller knows to be reduced and in range."""
+    w = object.__new__(FreeWord)
+    _set_rank(w, rank)
+    _set_letters(w, letters)
+    _set_hash(w, hash((rank, letters)))
+    return w
 
 
 def identity(rank: int) -> FreeWord:
@@ -89,11 +115,11 @@ def mul(a: FreeWord, b: FreeWord) -> FreeWord:
     while i > 0 and j < len(y) and x[i - 1] == -y[j]:
         i -= 1
         j += 1
-    return FreeWord(a.rank, x[:i] + y[j:])
+    return _word(a.rank, x[:i] + y[j:])
 
 
 def inv(a: FreeWord) -> FreeWord:
-    return FreeWord(a.rank, tuple(-l for l in reversed(a.letters)))
+    return _word(a.rank, tuple([-l for l in reversed(a.letters)]))
 
 
 def distance(v: FreeWord, w: FreeWord) -> int:
@@ -201,7 +227,13 @@ def signed_letters(rank: int) -> list[int]:
 
 
 def neighbors(w: FreeWord) -> list[FreeWord]:
-    return [mul(w, FreeWord(w.rank, (a,))) for a in signed_letters(w.rank)]
+    """w·s for s = s1, s1^-1, ..., sr, sr^-1: the parent once, children otherwise."""
+    rank, x = w.rank, w.letters
+    back = -x[-1] if x else 0
+    return [
+        _word(rank, x[:-1]) if a == back else _word(rank, x + (a,))
+        for a in signed_letters(rank)
+    ]
 
 
 def ball_list(rank: int, n: int) -> list[FreeWord]:
@@ -222,7 +254,7 @@ def ball_list(rank: int, n: int) -> list[FreeWord]:
             for a in signed_letters(rank):
                 if a == -last:
                     continue
-                nxt.append(FreeWord(rank, w.letters + (a,)))
+                nxt.append(_word(rank, w.letters + (a,)))
         out.extend(nxt)
         frontier = nxt
     return out
@@ -256,8 +288,8 @@ def geodesic_interval(v: FreeWord, w: FreeWord) -> WordSet:
     while i < len(a) and i < len(b) and a[i] == b[i]:
         i += 1
     rank = v.rank
-    path = [FreeWord(rank, a[:k]) for k in range(len(a), i - 1, -1)]
-    path.extend(FreeWord(rank, b[:k]) for k in range(i + 1, len(b) + 1))
+    path = [_word(rank, a[:k]) for k in range(len(a), i - 1, -1)]
+    path.extend(_word(rank, b[:k]) for k in range(i + 1, len(b) + 1))
     return WordSet(rank, path)
 
 

@@ -8,11 +8,11 @@ from flab.fplinear import FpMatrix, rank as fp_rank, solve
 from flab.kernels import (
     ConvolutionKernel,
     KernelSubshift,
-    OrderingConditionError,
     UncertifiedWindowError,
     ZeroKernelError,
     _marginal_system,
     comparison_kernel,
+    constraint_sites,
     is_surjective,
     ow_kernel,
     preimage_on_ball,
@@ -23,9 +23,12 @@ from flab.kernels import (
     window_rows,
 )
 from flab.words import (
+    FreeWord,
     WordSet,
     ball,
+    ball_list,
     convex_hull,
+    escape_walk,
     extreme_points,
     format_word,
     identity,
@@ -307,6 +310,36 @@ class TestCertificateTable:
         assert (sub.marginal(ball(2, 1)).certificate, sub.marginal(ball(2, 1)).dimension) == (STAB, 0)
 
 
+# stencils with e as their first support word, then three without
+SITE_KERNELS = {
+    "edge": lambda: edge_kernel(),
+    "p3": lambda: scalar_kernel(3, 2, {"e": 1, "A": 1, "B": 2}),
+    "ow": ow_kernel,
+    "aa_ab": lambda: scalar_kernel(2, 2, {"aa": 1, "ab": 1}),
+    "A_b": lambda: scalar_kernel(3, 2, {"A": 1, "b": 2}),
+    "m2": plateau_kernel,
+}
+
+
+class TestConstraintSites:
+    def test_kernels_cover_both_anchors(self):
+        firsts = {name: make().support_words()[0].is_identity() for name, make in SITE_KERNELS.items()}
+        assert firsts == {"edge": True, "p3": True, "ow": True, "aa_ab": False, "A_b": False, "m2": False}
+
+    @pytest.mark.parametrize("name", sorted(SITE_KERNELS))
+    def test_matches_brute_force(self, name):
+        k = SITE_KERNELS[name]()
+        F = k.support_words()
+        for n in (0, 1):
+            for t in (0, 1, 2):
+                V = thicken(convex_hull(ball(2, n)), t)
+                # g.f in V, inside B(n + t), puts g inside B(n + t + |f|)
+                pool = ball_list(2, n + t + max(len(f) for f in F))
+                want = [g for g in pool if all(mul(g, f) in V for f in F)]
+                want.sort(key=FreeWord.sort_key)
+                assert constraint_sites(k, V) == want
+
+
 class TestCylinderMeasure:
     def test_single_site(self):
         sub = KernelSubshift(edge_kernel())
@@ -476,13 +509,37 @@ class TestPreimage:
             preimage_on_ball(ow_kernel(), {g: 0 for g in ball(2, 0)}, 0)
 
     def test_blocked_walk_reports_first_blocked_site(self):
-        # the translated hull of {aa, ab} at site BA has no extreme point
-        # outside the hulls placed at the 15 sites before it
+        # on the uncentered hull of {aa, ab}, the translate at site BA has
+        # no extreme point outside the hulls placed at the 15 sites before it
+        geo = support_geometry(scalar_kernel(2, 2, {"aa": 1, "ab": 1}))
+        sites = spiral_ordering(2, 2)
+        walk = escape_walk(sites, list(geo.extremes), geo.hull)
+        assert len(walk) == 15
+        assert format_word(sites[15]) == "BA"
+
+    def test_off_center_stencil_solves(self):
+        # the walk above blocks, but the solver runs on the centered stencil
+        # {a, b}, so it solves every kernel that is_surjective certifies
         k = scalar_kernel(2, 2, {"aa": 1, "ab": 1})
-        with pytest.raises(OrderingConditionError, match="site BA ") as info:
-            preimage_on_ball(k, {g: 0 for g in ball(2, 2)}, 2)
-        assert info.value.step == 15
-        assert format_word(spiral_ordering(2, 2)[15]) == "BA"
+        rep = is_surjective(k)
+        assert rep.surjective and rep.details["ordering_condition"]
+        rng = random.Random(8)
+        for n in (1, 2):
+            y = {g: rng.randrange(2) for g in ball(2, n)}
+            x = preimage_on_ball(k, y, n)
+            for g in ball(2, n):
+                assert k.evaluate(x, g) == (y[g],)
+
+    def test_centered_stencil_keeps_its_solution(self):
+        # a stencil centered at e is solved on B(n) itself, so it keeps the
+        # solution recorded with the solver that did not center
+        k = scalar_kernel(3, 2, {"e": 1, "A": 1, "B": 2})
+        assert k.centered()[1].is_identity()
+        x = preimage_on_ball(k, {g: (len(g) + 1) % 3 for g in ball(2, 1)}, 1)
+        assert {format_word(g): v for g, v in x.items()} == {
+            "e": 0, "a": 0, "A": 1, "b": 0, "B": 0, "aB": 1,
+            "AA": 1, "AB": 0, "bA": 2, "BA": 2, "BB": 0,
+        }
 
 
 class TestJson:

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from flab import words
+from flab.kernels import KernelSubshift, scalar_kernel
 from flab.words import (
     FreeWord,
     WordSet,
@@ -21,8 +23,10 @@ from flab.words import (
     inv,
     is_connected,
     mul,
+    neighbors,
     parse_word,
     radius_center,
+    signed_letters,
     spiral_ordering,
     thicken,
 )
@@ -345,3 +349,94 @@ class TestThicken:
     def test_contains_original(self):
         s = WordSet(2, [w("ab"), w("B")])
         assert set(s) <= set(thicken(s, 1))
+
+
+# -- trusted construction ------------------------------------------------------
+
+
+@st.composite
+def letter_lists(draw, count):
+    """A rank in 1..3 and `count` unreduced letter sequences of that rank."""
+    rank = draw(st.integers(1, 3))
+    letter = st.sampled_from(signed_letters(rank))
+    return rank, [draw(st.lists(letter, max_size=8)) for _ in range(count)]
+
+
+def assert_validated(word, rank, letters):
+    """word equals, and hashes like, FreeWord(rank, letters) built with checks."""
+    want = FreeWord(rank, letters)
+    assert word == want and hash(word) == hash(want)
+    assert word.rank == rank and word.letters == want.letters
+
+
+def old_sort_key(word):
+    """The length-lex key before integer letter codes: a < A < b < B < ..."""
+    return (len(word.letters), tuple((abs(a), a < 0) for a in word.letters))
+
+
+class TestTrustedConstruction:
+    @given(letter_lists(2))
+    def test_mul_and_inv(self, case):
+        rank, (x, y) = case
+        a, b = FreeWord(rank, x), FreeWord(rank, y)
+        assert_validated(mul(a, b), rank, x + y)
+        assert_validated(inv(a), rank, [-l for l in reversed(x)])
+
+    @given(letter_lists(1))
+    def test_neighbors(self, case):
+        rank, (x,) = case
+        got = neighbors(FreeWord(rank, x))
+        assert len(got) == 2 * rank
+        for u, a in zip(got, signed_letters(rank)):
+            assert_validated(u, rank, x + [a])
+
+    @given(letter_lists(2))
+    def test_geodesic_interval(self, case):
+        rank, (x, y) = case
+        path = geodesic_interval(FreeWord(rank, x), FreeWord(rank, y))
+        for u in path:
+            assert_validated(u, rank, u.letters)
+
+    def test_ball_list(self):
+        for rank in (1, 2, 3):
+            for u in ball_list(rank, 3):
+                assert_validated(u, rank, u.letters)
+
+    @given(letter_lists(12))
+    def test_sort_key_orders_like_the_old_key(self, case):
+        rank, lists = case
+        sample = [FreeWord(rank, x) for x in lists]
+        assert sorted(sample, key=FreeWord.sort_key) == sorted(sample, key=old_sort_key)
+        for a in sample:
+            for b in sample:
+                assert (a.sort_key() < b.sort_key()) == (old_sort_key(a) < old_sort_key(b))
+
+    def test_equal_words_from_both_constructors(self):
+        a = mul(w("ab"), w("Ba"))
+        b = FreeWord(2, [1, 2, -2, 1])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != w("ab") and a != (2, (1, 1))
+
+    def test_validated_constructor_still_checks(self):
+        with pytest.raises(ValueError, match="out of range"):
+            FreeWord(2, [3])
+        with pytest.raises(ValueError, match="rank"):
+            FreeWord(0, [])
+        assert FreeWord(2, [1, -1, 2]).letters == (2,)
+
+    def test_window_path_never_reduces(self, monkeypatch):
+        # a deterministic count: validated construction re-runs _reduce, so
+        # any of it on the window path shows up here
+        b2, k = ball(2, 2), scalar_kernel(2, 2, {"e": 1, "A": 1})
+        sub, W, g, h = KernelSubshift(k), ball(2, 1), w("ab"), w("Ba")
+        calls = []
+        real = words._reduce
+        monkeypatch.setattr(words, "_reduce", lambda letters: calls.append(1) or real(letters))
+        FreeWord(2, [1])
+        assert calls == [1]
+        calls.clear()
+        thicken(b2, 3)
+        mul(g, h)
+        neighbors(g)
+        sub.marginal(W)
+        assert calls == []
