@@ -9,61 +9,54 @@ plus generator entropy rates,
 
     F*(n) = (1 - r) H(B(n)) + sum_i h(s_i, B(n)).
 
+Every functional reads a process only through its window query
+proc.entropy(W) -> (value, certificate).  A relative (base-conditioned)
+functional is the same functional of a conditioned process, such as
+SkewProductProcess.relative() or a FiniteActionProcess built with
+`given`, so nothing here takes a conditioning argument.
+
 Truncated infima over n >= 1 are upper bounds by definition; a report is
 flagged EXACT only when a tail argument pins the remaining n: window
 entropies stabilizing (finite models and finite-kernel systems) or the
-i.i.d. closed form (Bernoulli shifts), where the per-n value is constant.
+i.i.d. closed form (Bernoulli shifts), where every row is log k because
+(1 - r)|B(n)| + r(2r - 1)^n = 1 for every r >= 1 and n >= 0.
 """
 
 from __future__ import annotations
 
-from .entropy import EntropyValue, FinitePartition
-from .processes import weakest_certificate
-from .words import FreeWord, WordSet, ball, ball_size, generator
+from typing import NamedTuple
+
+from .entropy import EntropyValue, FinitePartition, join
+from .processes import BernoulliProcess, FiniteActionProcess, weakest_certificate
+from .skew import sigma_generated
+from .words import FreeWord, WordSet, ball, generator
+
+M_CAP = 10  # most one-sided increments a generator entropy rate takes
 
 
-def _union_window(proc, n: int, i: int) -> WordSet:
-    b = ball(proc.rank, n)
-    return b.union(b.translate(generator(proc.rank, i)))
-
-
-def _entropy(proc, W: WordSet, given=None) -> EntropyValue:
-    if given is None:
-        return proc.entropy(W)
-    return proc.conditional_entropy(W, given)
-
-
-def _window_cert(proc, W: WordSet, given=None) -> str:
-    if given is None:
-        return proc.entropy_certificate(W)
-    return "EXACT"
-
-
-def F_of(proc, n: int, given=None) -> tuple[EntropyValue, str]:
+def F_of(proc, n: int) -> tuple[EntropyValue, str]:
     """(1-2r) H(P^{B(n)}) + sum_i H(P^{B(n)} v s_i P^{B(n)}), exactly,
     with the weakest certificate of the window entropies it used."""
     r = proc.rank
     b = ball(r, n)
-    certs = [_window_cert(proc, b, given)]
-    total = (1 - 2 * r) * _entropy(proc, b, given)
+    value, cert = proc.entropy(b)
+    total = (1 - 2 * r) * value
+    certs = [cert]
     for i in range(1, r + 1):
-        W = _union_window(proc, n, i)
-        total = total + _entropy(proc, W, given)
-        certs.append(_window_cert(proc, W, given))
+        value, cert = proc.entropy(b.union(b.translate(generator(r, i))))
+        total = total + value
+        certs.append(cert)
     return total, weakest_certificate(certs)
 
 
-class RateResult:
+class RateResult(NamedTuple):
     """A generator entropy rate with its stabilization evidence."""
 
-    __slots__ = ("value", "kind", "increments", "stabilized_at", "window_certificate")
-
-    def __init__(self, value, kind, increments, stabilized_at, window_certificate):
-        self.value = value
-        self.kind = kind
-        self.increments = increments
-        self.stabilized_at = stabilized_at
-        self.window_certificate = window_certificate
+    value: EntropyValue
+    kind: str
+    increments: list[EntropyValue]
+    stabilized_at: int | None
+    window_certificate: str
 
     def to_json(self) -> dict:
         return {
@@ -75,33 +68,26 @@ class RateResult:
         }
 
 
-def generator_entropy_rate(
-    proc,
-    i: int,
-    W: WordSet,
-    given=None,
-    stable_threshold: int = 3,
-    m_cap: int = 10,
-) -> RateResult:
+def generator_entropy_rate(proc, i: int, W: WordSet, stable_threshold: int = 3) -> RateResult:
     """Entropy rate along the i-th generator, via one-sided window increments.
 
     The increments H(union of m+1 translates) - H(union of m translates)
     are nonincreasing; a zero increment certifies rate exactly zero
     (later translates stay measurable in the earlier joins), while a run
     of `stable_threshold` equal positive increments is reported as
-    STABLE(t), the last increment otherwise as an upper bound.
+    STABLE(t), the last of M_CAP increments otherwise as an upper bound.
     """
     s = generator(proc.rank, i)
     U = W
-    prev = _entropy(proc, U, given)
-    certs = [_window_cert(proc, U, given)]
+    prev, cert = proc.entropy(U)
+    certs = [cert]
     increments: list[EntropyValue] = []
     shift = s
-    for m in range(1, m_cap + 1):
+    for m in range(1, M_CAP + 1):
         U = U.union(W.translate(shift))
         shift = FreeWord(proc.rank, shift.letters + s.letters)
-        value = _entropy(proc, U, given)
-        certs.append(_window_cert(proc, U, given))
+        value, cert = proc.entropy(U)
+        certs.append(cert)
         d = value - prev
         prev = value
         increments.append(d)
@@ -125,21 +111,18 @@ def generator_entropy_rate(
 
 
 def F_star_of(
-    proc, n: int, given=None, stable_threshold: int = 3, m_cap: int = 10
+    proc, n: int, stable_threshold: int = 3
 ) -> tuple[EntropyValue, str, list[RateResult]]:
     """(1-r) H(P^{B(n)}) + sum_i h(s_i, P^{B(n)}), with the weakest certificate."""
     r = proc.rank
     b = ball(r, n)
-    total = (1 - r) * _entropy(proc, b, given)
+    total = (1 - r) * proc.entropy(b)[0]
     rates = []
-    kinds = []
     for i in range(1, r + 1):
-        rate = generator_entropy_rate(
-            proc, i, b, given, stable_threshold=stable_threshold, m_cap=m_cap
-        )
+        rate = generator_entropy_rate(proc, i, b, stable_threshold)
         rates.append(rate)
         total = total + rate.value
-        kinds.append(rate.kind)
+    kinds = [rate.kind for rate in rates]
     if any(k == "UPPER-BOUND" for k in kinds):
         cert = "UPPER-BOUND"
     elif any(k.startswith("STABLE") for k in kinds):
@@ -149,21 +132,19 @@ def F_star_of(
     return total, cert, rates
 
 
-class FReport:
+class FReport(NamedTuple):
     """Per-n table of F and F* with running infima and exactness flags."""
 
-    def __init__(self, label, rank, n_max, rows, f_value, f_certificate,
-                 f_star_value, f_star_certificate, stabilized_at, relative):
-        self.label = label
-        self.rank = rank
-        self.n_max = n_max
-        self.rows = rows
-        self.f_value = f_value
-        self.f_certificate = f_certificate
-        self.f_star_value = f_star_value
-        self.f_star_certificate = f_star_certificate
-        self.stabilized_at = stabilized_at
-        self.relative = relative
+    label: str
+    rank: int
+    n_max: int
+    rows: list[dict]
+    f_value: EntropyValue
+    f_certificate: str
+    f_star_value: EntropyValue
+    f_star_certificate: str
+    stabilized_at: int | None
+    relative: bool
 
     def f_exact(self) -> bool:
         return self.f_certificate.startswith("EXACT")
@@ -199,33 +180,23 @@ class FReport:
         }
 
 
-def _iid_identity_holds(rank: int, upto: int = 64) -> bool:
-    # (1-r)|B(n)| + r (2r-1)^n == 1 makes every i.i.d. row equal log k
-    return all(
-        (1 - rank) * ball_size(rank, n) + rank * (2 * rank - 1) ** n == 1
-        for n in range(upto)
-    )
+def _stabilization_point(proc, cap: int) -> int | None:
+    """The least n < cap with H(P^{B(n+1)}) = H(P^{B(n)}), or None."""
+    for n in range(cap):
+        if proc.entropy(ball(proc.rank, n + 1))[0] == proc.entropy(ball(proc.rank, n))[0]:
+            return n
+    return None
 
 
-def full_report(
-    proc,
-    n_max: int,
-    given=None,
-    label: str | None = None,
-    stable_threshold: int = 3,
-    m_cap: int = 10,
-) -> FReport:
+def full_report(proc, n_max: int, stable_threshold: int = 3) -> FReport:
     """Rows n = 0..n_max (n = 0 is diagnostic; infima use n >= 1 only)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rank = proc.rank
     rows = []
     inf_F = inf_F_star = None
     for n in range(n_max + 1):
-        F, F_cert = F_of(proc, n, given)
-        F_star, F_star_cert, rates = F_star_of(
-            proc, n, given, stable_threshold=stable_threshold, m_cap=m_cap
-        )
+        F, F_cert = F_of(proc, n)
+        F_star, F_star_cert, rates = F_star_of(proc, n, stable_threshold)
         if n >= 1:
             inf_F = F if inf_F is None else min(inf_F, F)
             inf_F_star = F_star if inf_F_star is None else min(inf_F_star, F_star)
@@ -242,59 +213,46 @@ def full_report(
             }
         )
 
-    stabilized_at = None
-    for n in range(n_max):
-        if _entropy(proc, ball(rank, n + 1), given) == _entropy(proc, ball(rank, n), given):
-            stabilized_at = n
-            break
-
+    stabilized_at = _stabilization_point(proc, n_max)
     if stabilized_at is not None:
         # window entropies are constant beyond the stabilization point, so the
         # computed rows already contain the constant tail value
-        f_cert = "EXACT-STABILIZED"
-        f_star_cert = "EXACT-STABILIZED"
-    elif getattr(proc, "iid_closed_form", False) and _iid_identity_holds(rank):
+        cert = "EXACT-STABILIZED"
+    elif isinstance(proc, BernoulliProcess):
+        # every i.i.d. row is log k (see the module docstring)
         if not all(row["F"] == rows[1]["F"] for row in rows[1:]):
             raise AssertionError("i.i.d. closed form violated by computed rows")
-        f_cert = "EXACT-IID"
-        f_star_cert = "EXACT-IID"
+        cert = "EXACT-IID"
     else:
-        f_cert = "UPPER-BOUND"
-        f_star_cert = "UPPER-BOUND"
+        cert = "UPPER-BOUND"
 
     return FReport(
-        label or getattr(proc, "label", "process"),
-        rank,
+        proc.label,
+        proc.rank,
         n_max,
         rows,
         inf_F,
-        f_cert,
+        cert,
         inf_F_star,
-        f_star_cert,
+        cert,
         stabilized_at,
-        relative=given is not None,
+        proc.conditioned,
     )
 
 
 # -- exact values on finite models --------------------------------------------
 
 
-def exact_f_finite(proc, given=None, n_cap: int | None = None) -> tuple[EntropyValue, FReport]:
+def exact_f_finite(proc) -> tuple[EntropyValue, FReport]:
     """The exact f-value of a finite-model process (window joins stabilize).
 
     Searches for the stabilization point and truncates one step past it;
     the report is then EXACT by the tail argument.
     """
-    rank = proc.rank
-    cap = n_cap if n_cap is not None else proc.action.size() + 2
-    n_stab = None
-    for n in range(cap):
-        if _entropy(proc, ball(rank, n + 1), given) == _entropy(proc, ball(rank, n), given):
-            n_stab = n
-            break
+    n_stab = _stabilization_point(proc, proc.action.size() + 2)
     if n_stab is None:
         raise AssertionError("finite model failed to stabilize within the cap")
-    report = full_report(proc, max(1, n_stab + 1), given=given)
+    report = full_report(proc, max(1, n_stab + 1))
     if not report.f_exact():
         raise AssertionError("stabilized finite model produced a non-exact report")
     return report.f_value, report
@@ -302,14 +260,10 @@ def exact_f_finite(proc, given=None, n_cap: int | None = None) -> tuple[EntropyV
 
 def abramov_rokhlin_check(action, p: FinitePartition, q: FinitePartition) -> dict:
     """f(P v Q) = f(Q) + f(P | Sigma(Q)) on a finite model, exactly."""
-    from .entropy import join
-    from .processes import FiniteActionProcess
-    from .skew import sigma_generated
-
     sigma_q = sigma_generated(action, q)
     f_join, _ = exact_f_finite(FiniteActionProcess(action, join(p, q), "P v Q"))
     f_q, _ = exact_f_finite(FiniteActionProcess(action, q, "Q"))
-    f_rel, _ = exact_f_finite(FiniteActionProcess(action, p, "P"), given=sigma_q)
+    f_rel, _ = exact_f_finite(FiniteActionProcess(action, p, "P", given=sigma_q))
     return {
         "f_join": f_join,
         "f_q": f_q,

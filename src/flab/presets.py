@@ -19,6 +19,7 @@ from .skew import (
     SpecialPartition,
     ZSkewSystem,
 )
+from .spec import is_int
 
 DEFAULT_SEED = 20120717
 
@@ -27,13 +28,23 @@ def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
-def group_action(group: FiniteGroup, auto_indices, rank: int) -> FiniteGroupAction:
-    """Action with generator images picked from the automorphism catalog."""
-    autos = all_automorphisms(group)
-    perms = [autos[i % len(autos)] for i in auto_indices]
-    if len(perms) != rank:
-        raise ValueError("need one automorphism index per generator")
-    return FiniteGroupAction(group, perms, rank)
+def group_action(group: FiniteGroup, autos, rank: int) -> FiniteGroupAction:
+    """Action whose generator images are automorphisms, each given as an
+    index into the automorphism catalog (taken mod its length) or as a
+    permutation list."""
+    return FiniteGroupAction(group, [_automorphism(group, a) for a in autos], rank)
+
+
+def _automorphism(group: FiniteGroup, value) -> tuple[int, ...]:
+    catalog = all_automorphisms(group)
+    if is_int(value):
+        return catalog[value % len(catalog)]
+    if not (isinstance(value, list) and all(is_int(x) for x in value)):
+        raise ValueError(f"automorphism must be an index or a permutation list, not {value!r}")
+    perm = tuple(value)
+    if not group.is_automorphism(perm):
+        raise ValueError("provided permutation is not an automorphism")
+    return perm
 
 
 def trivial_action(group: FiniteGroup, rank: int) -> FiniteGroupAction:

@@ -1,7 +1,8 @@
 """Measured free-group processes answering exact window-entropy queries.
 
-A process exposes entropy(W) = H of the coordinate partition joined over
-the window W, exactly, together with a certificate string:
+Every process answers one window query, entropy(W) -> (value,
+certificate): the entropy of the coordinate partition joined over the
+window W, exactly, with what backs it:
 
     EXACT                entropies computed on a materialized finite model
     EXTENSION-CERTIFIED  kernel marginal backed by the constructive
@@ -12,7 +13,12 @@ the window W, exactly, together with a certificate string:
                          windows agree; evidence, not a proof, since a
                          later window can still shrink the marginal
 
-Window results are memoized per canonical window key.
+Conditioning is fixed when a process is built, not passed per query.  A
+FiniteActionProcess built with `given` answers H(P^W | given), and the
+skew products' relative() returns the process conditioned on the base,
+whose functionals are the relative (base-conditioned) ones of the
+addition formula.  Finite models memoize their answers per canonical
+window key.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ class BernoulliProcess:
     exact and the per-n functionals are constant in n.
     """
 
-    iid_closed_form = True
+    conditioned = False
 
     def __init__(self, rank: int, alphabet_size: int, label: str | None = None):
         if alphabet_size < 1:
@@ -57,46 +63,54 @@ class BernoulliProcess:
         self.alphabet_size = alphabet_size
         self.label = label or f"bernoulli({alphabet_size})"
 
-    def entropy(self, W: WordSet) -> EntropyValue:
-        return len(W) * EntropyValue.log_int(self.alphabet_size)
-
-    def entropy_certificate(self, W: WordSet) -> str:
-        return "EXACT"
+    def entropy(self, W: WordSet) -> tuple[EntropyValue, str]:
+        return len(W) * EntropyValue.log_int(self.alphabet_size), "EXACT"
 
     def describe(self) -> dict:
         return {"type": "bernoulli", "alphabet": self.alphabet_size, "rank": self.rank}
 
 
-class FiniteActionProcess:
-    """A finite measured free-group action observed through a fixed partition."""
+class _ExactWindows:
+    """Exact answers memoized per canonical window key; subclasses supply
+    _compute(W), the (conditional) entropy of the joined window."""
 
-    iid_closed_form = False
+    def entropy(self, W: WordSet) -> tuple[EntropyValue, str]:
+        key = W.key()
+        hit = self._answers.get(key)
+        if hit is None:
+            hit = self._answers[key] = (self._compute(W), "EXACT")
+        return hit
 
-    def __init__(self, action: FiniteAction, partition: FinitePartition, label: str = "finite"):
+
+class FiniteActionProcess(_ExactWindows):
+    """A finite measured free-group action observed through a fixed partition,
+    conditioned on the partition `given` when one is passed."""
+
+    def __init__(
+        self,
+        action: FiniteAction,
+        partition: FinitePartition,
+        label: str = "finite",
+        given: FinitePartition | None = None,
+    ):
         if partition.weights != action.weights:
             raise ValueError("partition lives on a different space than the action")
         self.rank = action.rank
         self.action = action
         self.partition = partition
         self.label = label
-        self._windows: dict[tuple, FinitePartition] = {}
+        self.given = given
+        self.conditioned = given is not None
+        self._answers: dict[tuple, tuple[EntropyValue, str]] = {}
 
     def window_partition(self, W: WordSet) -> FinitePartition:
-        key = W.key()
-        hit = self._windows.get(key)
-        if hit is None:
-            hit = self.action.window_partition(self.partition, W)
-            self._windows[key] = hit
-        return hit
+        return self.action.window_partition(self.partition, W)
 
-    def entropy(self, W: WordSet) -> EntropyValue:
-        return shannon_entropy(self.window_partition(W))
-
-    def entropy_certificate(self, W: WordSet) -> str:
-        return "EXACT"
-
-    def conditional_entropy(self, W: WordSet, given: FinitePartition) -> EntropyValue:
-        return conditional_entropy(self.window_partition(W), given)
+    def _compute(self, W: WordSet) -> EntropyValue:
+        joined = self.window_partition(W)
+        if self.given is None:
+            return shannon_entropy(joined)
+        return conditional_entropy(joined, self.given)
 
     def describe(self) -> dict:
         return {
@@ -111,7 +125,7 @@ class FiniteActionProcess:
 class KernelProcess:
     """The Haar system on the kernel subshift of a convolution operator."""
 
-    iid_closed_form = False
+    conditioned = False
 
     def __init__(
         self, kernel: ConvolutionKernel, label: str | None = None, growth_cap: int = GROWTH_CAP
@@ -121,23 +135,19 @@ class KernelProcess:
         self.rank = kernel.rank
         self.label = label or f"ker(phi) {kernel!r}"
 
-    def entropy(self, W: WordSet) -> EntropyValue:
-        value, _cert = self.subshift.window_entropy(W)
-        return value
-
-    def entropy_certificate(self, W: WordSet) -> str:
-        _value, cert = self.subshift.window_entropy(W)
-        return cert
+    def entropy(self, W: WordSet) -> tuple[EntropyValue, str]:
+        return self.subshift.window_entropy(W)
 
     def describe(self) -> dict:
         return {"type": "kernel", "kernel": self.kernel.to_json(), "rank": self.rank}
 
 
 class SkewProductProcess(FiniteActionProcess):
-    """A finite skew product observed through P x Q, with base conditioning.
+    """A finite skew product observed through P x Q.
 
-    Also exposes the base and fiber processes so the two sides of the
-    collapse identity can be computed independently.
+    relative() is the same process conditioned on the base and
+    fiber_process() the fiber alone, so the two sides of the collapse
+    identity can be computed independently.
     """
 
     def __init__(
@@ -155,22 +165,17 @@ class SkewProductProcess(FiniteActionProcess):
         self.bundle = bundle
         self.base_partition = base_partition
         self.fiber_partition = fiber_partition
-        self._base_marker = bundle.base_marker()
 
-    def base_marker(self) -> FinitePartition:
-        return self._base_marker
-
-    def conditional_entropy(self, W: WordSet, given: FinitePartition | None = None) -> EntropyValue:
-        marker = self._base_marker if given is None else given
-        return conditional_entropy(self.window_partition(W), marker)
+    def relative(self) -> FiniteActionProcess:
+        """P x Q conditioned on the base marker, one block per base point."""
+        return FiniteActionProcess(
+            self.action, self.partition, self.label, self.bundle.base_marker()
+        )
 
     def fiber_process(self) -> FiniteActionProcess:
         return FiniteActionProcess(
             self.bundle.fiber.action, self.fiber_partition, self.label + "/fiber"
         )
-
-    def base_process(self) -> FiniteActionProcess:
-        return FiniteActionProcess(self.bundle.base, self.base_partition, self.label + "/base")
 
     def describe(self) -> dict:
         return {
@@ -182,15 +187,15 @@ class SkewProductProcess(FiniteActionProcess):
         }
 
 
-class BernoulliBaseSkewProcess:
+class BernoulliBaseSkewProcess(_ExactWindows):
     """A skew product over a Bernoulli base with a finitely supported cocycle.
 
     The cocycle generator values read the base configuration on a declared
     dependence window D; window entropies enumerate base patterns on the
-    dependency closure, which must stay small.
+    dependency closure, which must stay small.  Built with
+    conditioned=True (see relative()), it answers entropies conditioned
+    on the base pattern.
     """
-
-    iid_closed_form = False
 
     def __init__(
         self,
@@ -201,6 +206,7 @@ class BernoulliBaseSkewProcess:
         gen_values: Sequence[Callable[[Mapping[FreeWord, int]], int]],
         fiber_partition: FinitePartition,
         label: str = "bernoulli-skew",
+        conditioned: bool = False,
     ):
         if len(gen_values) != rank:
             raise ValueError("need a cocycle value function per generator")
@@ -211,6 +217,15 @@ class BernoulliBaseSkewProcess:
         self.gen_values = tuple(gen_values)
         self.fiber_partition = fiber_partition
         self.label = label
+        self.conditioned = conditioned
+        self._answers: dict[tuple, tuple[EntropyValue, str]] = {}
+
+    def relative(self) -> BernoulliBaseSkewProcess:
+        """The same process conditioned on the base pattern."""
+        return BernoulliBaseSkewProcess(
+            self.rank, self.base_alphabet, self.dependence, self.fiber,
+            self.gen_values, self.fiber_partition, self.label, conditioned=True,
+        )
 
     def _needed(self, w: FreeWord) -> set[FreeWord]:
         """Base coordinates sigma(w, .) reads."""
@@ -282,18 +297,11 @@ class BernoulliBaseSkewProcess:
         marker = FinitePartition(weights, base_labels)
         return joint, marker
 
-    def entropy(self, W: WordSet) -> EntropyValue:
-        joint, _ = self._enumerated_partitions(W)
-        return shannon_entropy(joint)
-
-    def entropy_certificate(self, W: WordSet) -> str:
-        return "EXACT"
-
-    def conditional_entropy(self, W: WordSet, given=None) -> EntropyValue:
-        if given is not None:
-            raise ValueError("bernoulli-base skew products condition on the base only")
+    def _compute(self, W: WordSet) -> EntropyValue:
         joint, marker = self._enumerated_partitions(W)
-        return conditional_entropy(joint, marker)
+        if self.conditioned:
+            return conditional_entropy(joint, marker)
+        return shannon_entropy(joint)
 
     def describe(self) -> dict:
         return {
@@ -310,22 +318,3 @@ def _shift_pattern(pattern: Mapping[FreeWord, int], u: FreeWord) -> dict[FreeWor
         return dict(pattern)
     return {mul(u, c): v for c, v in pattern.items()}
 
-
-def skew_action(
-    base: FiniteAction,
-    fiber: FiniteGroupAction,
-    cocycle,
-    base_partition: FinitePartition | None = None,
-    fiber_partition: FinitePartition | None = None,
-    label: str = "skew",
-) -> SkewProductProcess:
-    """The skew-product process on base x fiber observed through P x Q.
-
-    Defaults to the points partitions on both factors.
-    """
-    bundle = SkewBundle(base, fiber, cocycle)
-    if base_partition is None:
-        base_partition = FinitePartition.points(base.weights)
-    if fiber_partition is None:
-        fiber_partition = FinitePartition.points(fiber.action.weights)
-    return SkewProductProcess(bundle, base_partition, fiber_partition, label)

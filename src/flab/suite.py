@@ -17,7 +17,7 @@ from .finv import (
     addition_report,
     full_report,
 )
-from .groups import all_automorphisms, group_from_json, preset_group
+from .groups import group_from_json, preset_group
 from .kernels import (
     ConvolutionKernel,
     KernelSubshift,
@@ -30,6 +30,7 @@ from .kernels import (
 )
 from .presets import (
     DEFAULT_SEED,
+    group_action,
     make_rng,
     normal_subgroups,
     random_finite_action,
@@ -48,7 +49,9 @@ from .processes import (
 from .skew import (
     Cocycle,
     FiniteGroupAction,
+    K_of,
     SectionCocycleBundle,
+    SkewBundle,
     SpecialPartition,
     join_special,
     verify_cocycle_identity,
@@ -57,7 +60,7 @@ from .skew import (
     verify_skew_entropy_bound,
     verify_window_split,
 )
-from .spec import is_int, spec_field
+from .spec import spec_field
 from .words import ball, format_word, parse_word
 
 
@@ -91,12 +94,23 @@ class RunConfig:
         }
 
 
-def _points_process(group, rank):
+def _points_process(action: FiniteGroupAction) -> FiniteActionProcess:
+    """A finite group under automorphisms, observed through its points."""
     return FiniteActionProcess(
-        trivial_action(group, rank).action,
-        FinitePartition.points(FinitePartition.uniform_space(group.order())),
-        group.name,
+        action.action, FinitePartition.points(action.action.weights), action.group.name
     )
+
+
+def _marginal_table(sub: KernelSubshift, rank: int, radii) -> tuple[dict, bool]:
+    """The dimension and certificate of each ball marginal B(n), n in radii,
+    and whether every one of them is certified."""
+    dims = {}
+    certified = True
+    for n in radii:
+        m = sub.marginal(ball(rank, n))
+        dims[f"B({n})"] = {"dimension": m.dimension, "certificate": m.certificate}
+        certified = certified and m.is_certified()
+    return dims, certified
 
 
 def run_ornstein_weiss(cfg: RunConfig) -> dict:
@@ -104,21 +118,19 @@ def run_ornstein_weiss(cfg: RunConfig) -> dict:
     if cfg.rank != 2:
         raise ValueError("the doubling-map example lives over the rank-2 free group")
     kernel = ow_kernel()
-    sub = KernelSubshift(kernel, growth_cap=cfg.window_cap)
-    dims = {}
-    certified = True
-    for n in range(3):
-        m = sub.marginal(ball(2, n))
-        dims[f"B({n})"] = {"dimension": m.dimension, "certificate": m.certificate}
-        certified = certified and m.is_certified()
+    dims, certified = _marginal_table(
+        KernelSubshift(kernel, growth_cap=cfg.window_cap), 2, range(3)
+    )
     surj = is_surjective(kernel)
 
-    full = full_report(BernoulliProcess(2, 2, "full shift on Z/2"), cfg.n_max)
+    t = cfg.stable_threshold
+    full = full_report(BernoulliProcess(2, 2, "full shift on Z/2"), cfg.n_max, t)
     n_col = full_report(
         KernelProcess(kernel, "kernel of the doubling map", growth_cap=cfg.window_cap),
         cfg.n_max,
+        t,
     )
-    image = full_report(BernoulliProcess(2, 4, "full shift on Z/2 x Z/2"), cfg.n_max)
+    image = full_report(BernoulliProcess(2, 4, "full shift on Z/2 x Z/2"), cfg.n_max, t)
     addition = addition_report(full, n_col, image)
 
     ok = (
@@ -153,10 +165,11 @@ def run_generalization(cfg: RunConfig, k_name: str) -> dict:
         )
     r = cfg.rank
     k = group.order()
-    total = full_report(BernoulliProcess(r, k, f"full shift on {group.name}"), cfg.n_max)
-    constants = full_report(_points_process(group, r), cfg.n_max)
+    t = cfg.stable_threshold
+    total = full_report(BernoulliProcess(r, k, f"full shift on {group.name}"), cfg.n_max, t)
+    constants = full_report(_points_process(trivial_action(group, r)), cfg.n_max, t)
     image = full_report(
-        BernoulliProcess(r, k**r, f"full shift on {group.name}^{r}"), cfg.n_max
+        BernoulliProcess(r, k**r, f"full shift on {group.name}^{r}"), cfg.n_max, t
     )
     addition = addition_report(total, constants, image)
 
@@ -164,12 +177,9 @@ def run_generalization(cfg: RunConfig, k_name: str) -> dict:
     certified = True
     if k >= 2 and all(k % d for d in range(2, k)):
         ck = comparison_kernel(k, r)
-        sub = KernelSubshift(ck, growth_cap=cfg.window_cap)
-        dims = {}
-        for n in (1, 2):
-            m = sub.marginal(ball(r, n))
-            dims[f"B({n})"] = {"dimension": m.dimension, "certificate": m.certificate}
-            certified = certified and m.is_certified()
+        dims, certified = _marginal_table(
+            KernelSubshift(ck, growth_cap=cfg.window_cap), r, (1, 2)
+        )
         comparison = {
             "applicable": True,
             "kernel": ck.to_json(),
@@ -210,9 +220,7 @@ def run_algebraic(cfg: RunConfig, kernel: ConvolutionKernel) -> dict:
     geo = support_geometry(kernel)
     try:
         kproc = KernelProcess(kernel, "kernel subshift", growth_cap=cfg.window_cap)
-        rep = full_report(
-            kproc, cfg.n_max, stable_threshold=cfg.stable_threshold
-        )
+        rep = full_report(kproc, cfg.n_max, cfg.stable_threshold)
     except UncertifiedWindowError as exc:
         return {
             "command": "kernel",
@@ -225,15 +233,10 @@ def run_algebraic(cfg: RunConfig, kernel: ConvolutionKernel) -> dict:
     full = full_report(
         BernoulliProcess(kernel.rank, kernel.p, f"full shift on Z/{kernel.p}"),
         cfg.n_max,
+        cfg.stable_threshold,
     )
 
-    window_dims = {}
-    for n in range(min(cfg.n_max, 2) + 1):
-        m = kproc.subshift.marginal(ball(kernel.rank, n))
-        window_dims[f"B({n})"] = {
-            "dimension": m.dimension,
-            "certificate": m.certificate,
-        }
+    window_dims, _ = _marginal_table(kproc.subshift, kernel.rank, range(min(cfg.n_max, 2) + 1))
     zero_pattern = {w: 0 for w in ball(kernel.rank, 1)}
     zero_measure = kproc.subshift.cylinder_measure(ball(kernel.rank, 1), zero_pattern)
 
@@ -343,8 +346,6 @@ def _suite_special(cfg: RunConfig) -> dict:
             "passed": joined.subgroup == frozenset({0, 4}),
         }
     )
-    from .skew import K_of
-
     for name in ("Z/4", "D4", "Q8"):
         group = preset_group(name)
         for sub in normal_subgroups(group):
@@ -386,11 +387,12 @@ def _suite_relative_collapse(cfg: RunConfig) -> dict:
             FinitePartition.points(bundle.base.weights),
             case["special"].partition,
         )
+        relative = proc.relative()
         fiber_proc = proc.fiber_process()
         ok = True
         for n in range(cfg.n_max + 1):
-            lhs, _, _ = F_star_of(proc, n, given=proc.base_marker())
-            rhs, _, _ = F_star_of(fiber_proc, n)
+            lhs, _, _ = F_star_of(relative, n, cfg.stable_threshold)
+            rhs, _, _ = F_star_of(fiber_proc, n, cfg.stable_threshold)
             ok = ok and lhs == rhs
         cases.append(
             {
@@ -472,10 +474,15 @@ def run_verifier_suite(
     cfg: RunConfig, suites: list[str] | None = None, inject_bug: str | None = None
 ) -> dict:
     selection = list(_SUITES) if suites is None else suites
-    results = []
     for name in selection:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; available: {sorted(_SUITES)}")
+    if inject_bug is not None and "cocycle" not in selection:
+        raise ValueError(
+            f"the injected bug {inject_bug!r} corrupts the cocycle suite, which is not selected"
+        )
+    results = []
+    for name in selection:
         if name == "cocycle":
             results.append(_suite_cocycle(cfg, inject_bug))
         else:
@@ -492,22 +499,6 @@ def run_verifier_suite(
 # -- process specs for compute-f -------------------------------------------------
 
 
-def _perm_or_index(group, value):
-    autos = all_automorphisms(group)
-    if is_int(value):
-        return autos[value % len(autos)]
-    if not (isinstance(value, list) and all(is_int(x) for x in value)):
-        raise ValueError(f"automorphism must be an index or a permutation list, not {value!r}")
-    perm = tuple(value)
-    if not group.is_automorphism(perm):
-        raise ValueError("provided permutation is not an automorphism")
-    return perm
-
-
-def _group_action(group, autos: list, rank: int) -> FiniteGroupAction:
-    return FiniteGroupAction(group, [_perm_or_index(group, a) for a in autos], rank)
-
-
 def _label_indices(group, labels, key: str) -> list[int]:
     if not isinstance(labels, list) or any(lab not in group.labels for lab in labels):
         raise ValueError(f"spec field {key!r} must list element labels of {group.name}")
@@ -521,11 +512,8 @@ def process_from_spec(spec: dict, cfg: RunConfig):
         return BernoulliProcess(rank, spec_field(spec, "k", int))
     if kind == "finite_group":
         group = group_from_json(spec_field(spec, "group", dict))
-        action = _group_action(group, spec_field(spec, "autos", list, [0] * rank), rank)
-        return FiniteActionProcess(
-            action.action,
-            FinitePartition.points(FinitePartition.uniform_space(group.order())),
-            group.name,
+        return _points_process(
+            group_action(group, spec_field(spec, "autos", list, [0] * rank), rank)
         )
     if kind == "kernel":
         return KernelProcess(
@@ -534,7 +522,7 @@ def process_from_spec(spec: dict, cfg: RunConfig):
         )
     if kind == "skew_section":
         group = group_from_json(spec_field(spec, "group", dict))
-        action = _group_action(group, spec_field(spec, "autos", list, [0] * rank), rank)
+        action = group_action(group, spec_field(spec, "autos", list, [0] * rank), rank)
         sub = frozenset(_label_indices(group, spec_field(spec, "subgroup", list), "subgroup"))
         bundle = SectionCocycleBundle(action, sub)
         return SkewProductProcess(
@@ -546,15 +534,13 @@ def process_from_spec(spec: dict, cfg: RunConfig):
     if kind == "skew_custom":
         base_group = group_from_json(spec_field(spec, "base_group", dict))
         fiber_group = group_from_json(spec_field(spec, "fiber_group", dict))
-        base = _group_action(base_group, spec_field(spec, "base_autos", list), rank)
-        fiber = _group_action(fiber_group, spec_field(spec, "fiber_autos", list), rank)
+        base = group_action(base_group, spec_field(spec, "base_autos", list), rank)
+        fiber = group_action(fiber_group, spec_field(spec, "fiber_autos", list), rank)
         gen_values = [
             _label_indices(fiber_group, row, "cocycle")
             for row in spec_field(spec, "cocycle", list)
         ]
         cocycle = Cocycle(base.action, fiber, gen_values)
-        from .skew import SkewBundle
-
         bundle = SkewBundle(base.action, fiber, cocycle)
         return SkewProductProcess(
             bundle,
@@ -568,7 +554,7 @@ def process_from_spec(spec: dict, cfg: RunConfig):
 def run_compute_f(cfg: RunConfig, spec: dict) -> dict:
     proc = process_from_spec(spec, cfg)
     try:
-        rep = full_report(proc, cfg.n_max, stable_threshold=cfg.stable_threshold)
+        rep = full_report(proc, cfg.n_max, cfg.stable_threshold)
     except UncertifiedWindowError as exc:
         return {
             "command": "compute-f",
@@ -586,6 +572,6 @@ def run_compute_f(cfg: RunConfig, spec: dict) -> dict:
     }
     if isinstance(proc, SkewProductProcess):
         out["relative_report"] = full_report(
-            proc, cfg.n_max, given=proc.base_marker()
+            proc.relative(), cfg.n_max, cfg.stable_threshold
         ).to_json()
     return out

@@ -219,9 +219,10 @@ def test_criterion_8_relative_collapse():
             FinitePartition.points(bundle.base.weights),
             case["special"].partition,
         )
+        relative = proc.relative()
         fiber_proc = proc.fiber_process()
         for n in range(3):
-            lhs, _, _ = F_star_of(proc, n, given=proc.base_marker())
+            lhs, _, _ = F_star_of(relative, n)
             rhs, _, _ = F_star_of(fiber_proc, n)
             ok = ok and lhs == rhs
         if case["nontrivial_cocycle"]:
@@ -312,7 +313,7 @@ def test_criterion_11_property_suites():
             A = WordSet(2, rng.sample(pool, rng.randint(1, 3)))
             B = WordSet(2, rng.sample(pool, rng.randint(1, 3)))
             union = A.union(B)
-            hA, hB, hU = proc.entropy(A), proc.entropy(B), proc.entropy(union)
+            hA, hB, hU = proc.entropy(A)[0], proc.entropy(B)[0], proc.entropy(union)[0]
             mono = mono and hA <= hU and hB <= hU and hU <= hA + hB
     checks.append(("monotone+subadditive", mono))
 
@@ -320,7 +321,7 @@ def test_criterion_11_property_suites():
     dec = True
     for proc in procs:
         for i in (1, 2):
-            rate = generator_entropy_rate(proc, i, ball(2, 1), m_cap=6)
+            rate = generator_entropy_rate(proc, i, ball(2, 1))
             dec = dec and all(b <= a for a, b in zip(rate.increments, rate.increments[1:]))
     checks.append(("nonincreasing increments", dec))
 

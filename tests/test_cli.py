@@ -134,6 +134,55 @@ class TestVerify:
     def test_unknown_suite_rejected(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
 
+    def test_injected_bug_needs_the_cocycle_suite(self, capsys):
+        for selection in ("special", "none", "relative-collapse,window-split"):
+            assert main(["verify", "--suite", selection, "--inject-bug", "negate-cocycle"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestStableThreshold:
+    def test_rates_use_the_threshold(self, capsys):
+        code, report = run_cli(["ow", "--stable-threshold", "5", "--nmax", "1"], capsys)
+        text = json.dumps(report)
+        assert code == 0
+        assert "STABLE(5)" in text and "STABLE(3)" not in text
+
+    def test_every_functional_gets_the_threshold(self, tmp_path, capsys, monkeypatch):
+        from flab import suite
+
+        seen = []
+
+        def spy(fn):
+            def wrapper(proc, n, stable_threshold=3):
+                seen.append(stable_threshold)
+                return fn(proc, n, stable_threshold)
+
+            return wrapper
+
+        monkeypatch.setattr(suite, "full_report", spy(suite.full_report))
+        monkeypatch.setattr(suite, "F_star_of", spy(suite.F_star_of))
+        kernel = tmp_path / "kernel.json"
+        kernel.write_text(json.dumps({"p": 2, "rank": 2, "coeffs": {"e": 1, "A": 1}}))
+        process = tmp_path / "proc.json"
+        process.write_text(json.dumps(
+            {"type": "skew_section", "group": {"preset": "Z/4"}, "autos": [1, 0],
+             "subgroup": ["0", "2"]}
+        ))
+        runs = [
+            ["ow"],
+            ["gen", "--k", "Z/3"],
+            ["kernel", "--spec", str(kernel)],
+            ["verify", "--suite", "relative-collapse"],
+            ["compute-f", "--process", str(process)],
+        ]
+        for args in runs:
+            seen.clear()
+            assert main(args + ["--stable-threshold", "5", "--nmax", "1"]) == 0
+            capsys.readouterr()
+            assert seen and set(seen) == {5}, (args, seen)
+
 
 class TestComputeF:
     def test_bernoulli_spec(self, tmp_path, capsys):

@@ -125,7 +125,7 @@ class TestRates:
         ]
         for proc in procs:
             for i in (1, 2):
-                rate = generator_entropy_rate(proc, i, ball(2, 1), m_cap=6)
+                rate = generator_entropy_rate(proc, i, ball(2, 1))
                 for a, b in zip(rate.increments, rate.increments[1:]):
                     assert b <= a
 
@@ -263,7 +263,7 @@ class TestRelative:
         proc = SkewProductProcess(bundle, FinitePartition.points(base.weights), q)
         fiber_proc = proc.fiber_process()
         for n in range(2):
-            lhs, _ = F_of(proc, n, given=proc.base_marker())
+            lhs, _ = F_of(proc.relative(), n)
             rhs, _ = F_of(fiber_proc, n)
             assert lhs == rhs
 
@@ -277,7 +277,7 @@ class TestRelative:
             bundle, FinitePartition.points(bundle.base.weights), trivial_fiber
         )
         for n in range(2):
-            assert F_of(proc, n, given=proc.base_marker())[0].is_zero()
+            assert F_of(proc.relative(), n)[0].is_zero()
 
     def test_special_collapse_on_all_cases(self):
         # relative F* of the skew equals F* of the fiber, per n, exactly
@@ -288,9 +288,10 @@ class TestRelative:
             proc = SkewProductProcess(
                 bundle, FinitePartition.points(bundle.base.weights), sp.partition
             )
+            relative = proc.relative()
             fiber_proc = proc.fiber_process()
             for n in range(3):
-                lhs, _, _ = F_star_of(proc, n, given=proc.base_marker())
+                lhs, _, _ = F_star_of(relative, n)
                 rhs, _, _ = F_star_of(fiber_proc, n)
                 assert lhs == rhs, (case["name"], n)
             if case["nontrivial_cocycle"]:
@@ -304,7 +305,7 @@ class TestRelative:
             FinitePartition.points(case["bundle"].base.weights),
             case["special"].partition,
         )
-        rep = full_report(proc, 2, given=proc.base_marker())
+        rep = full_report(proc.relative(), 2)
         assert rep.relative
         assert rep.f_exact()
 
@@ -324,11 +325,64 @@ class TestRelative:
         given = sigma_generated(act, given)
         values = set()
         for part in (points, other2):
-            proc = FiniteActionProcess(act, part, "z4")
-            f_rel, rep = exact_f_finite(proc, given=given)
+            proc = FiniteActionProcess(act, part, "z4", given=given)
+            f_rel, rep = exact_f_finite(proc)
             assert rep.f_value == rep.f_star_value
             values.add(f_rel)
         assert len(values) == 1
+
+
+class TestWindowQuery:
+    @pytest.mark.parametrize("conditioned", [False, True])
+    def test_exact_f_finite_computes_each_window_once(self, monkeypatch, conditioned):
+        import flab.processes as processes
+        from flab.skew import sigma_generated
+
+        computed = []
+
+        def counting(fn):
+            def wrapper(*args):
+                computed.append(args)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(processes, "shannon_entropy", counting(processes.shannon_entropy))
+        monkeypatch.setattr(
+            processes, "conditional_entropy", counting(processes.conditional_entropy)
+        )
+        asked = set()
+
+        class Spy(FiniteActionProcess):
+            def entropy(self, W):
+                asked.add(W.key())
+                return super().entropy(W)
+
+        rng = make_rng(31)
+        act = random_finite_action(rng)
+        given = sigma_generated(act, random_partition(rng, act.size())) if conditioned else None
+        exact_f_finite(Spy(act, random_partition(rng, act.size()), "rnd", given=given))
+        assert computed and len(computed) == len(asked)
+
+    def test_relative_is_conditioned_on_the_base(self):
+        from flab.entropy import conditional_entropy, shannon_entropy
+
+        b = ball(2, 1)
+        windows = [ball(2, 0), b] + [b.union(b.translate(parse_word(s, 2))) for s in "ab"]
+        for case in skew_test_cases(2):
+            bundle = case["bundle"]
+            observed = bundle.product_partition(
+                FinitePartition.points(bundle.base.weights), case["special"].partition
+            )
+            proc = SkewProductProcess(
+                bundle, FinitePartition.points(bundle.base.weights), case["special"].partition
+            )
+            relative = proc.relative()
+            for W in windows:
+                joined = bundle.product.window_partition(observed, W)
+                want = conditional_entropy(joined, bundle.base_marker())
+                assert relative.entropy(W) == (want, "EXACT"), (case["name"], W)
+                assert proc.entropy(W) == (shannon_entropy(joined), "EXACT")
 
 
 class TestAbramovRokhlin:
@@ -367,11 +421,11 @@ class TestProcessInvariants:
             A = WordSet(2, rng.sample(pool, rng.randint(1, 3)))
             B = WordSet(2, rng.sample(pool, rng.randint(1, 3)))
             union = A.union(B)
-            hA, hB, hU = proc.entropy(A), proc.entropy(B), proc.entropy(union)
+            hA, hB, hU = proc.entropy(A)[0], proc.entropy(B)[0], proc.entropy(union)[0]
             assert hA <= hU and hB <= hU
             assert hU <= hA + hB
             g = rng.choice(pool)
-            assert proc.entropy(A.translate(g)) == hA
+            assert proc.entropy(A.translate(g))[0] == hA
 
 
 class TestBernoulliBaseSkew:
@@ -393,30 +447,35 @@ class TestBernoulliBaseSkew:
     def test_single_site_entropy(self):
         proc = self._process()
         W = WordSet(2, [parse_word("e", 2)])
-        assert proc.entropy(W) == 2 * EntropyValue.log_int(2)
-        assert proc.conditional_entropy(W) == EntropyValue.log_int(2)
+        assert proc.entropy(W) == (2 * EntropyValue.log_int(2), "EXACT")
+        assert proc.relative().entropy(W) == (EntropyValue.log_int(2), "EXACT")
 
     def test_ball_one_matches_hand_enumeration(self):
         # fiber coordinates over B(1) are y plus known base offsets, so the
         # joint window carries H(base over B(1)) + log 2 exactly
         proc = self._process()
         W = ball(2, 1)
-        assert proc.entropy(W) == 6 * EntropyValue.log_int(2)
-        assert proc.conditional_entropy(W) == EntropyValue.log_int(2)
+        assert proc.entropy(W) == (6 * EntropyValue.log_int(2), "EXACT")
+        assert proc.relative().entropy(W) == (EntropyValue.log_int(2), "EXACT")
 
 
 class TestSkewActionConstructor:
     def test_defaults_to_points_partitions(self):
-        from flab.processes import skew_action
-        from flab.skew import Cocycle, FiniteGroupAction
+        from flab.skew import Cocycle, FiniteGroupAction, SkewBundle
 
         rng = make_rng(21)
         base = random_finite_action(rng)
         z2 = cyclic(2)
         fiber = FiniteGroupAction(z2, [tuple(range(2))] * 2, 2)
         cocycle = Cocycle(base, fiber, [[0] * base.size()] * 2)
-        proc = skew_action(base, fiber, cocycle)
+        base_points = FinitePartition.points(base.weights)
+        proc = SkewProductProcess(
+            SkewBundle(base, fiber, cocycle),
+            base_points,
+            FinitePartition.points(fiber.action.weights),
+        )
         # joint points observable: window entropy splits as base plus fiber
         W = ball(2, 1)
-        split = proc.base_process().entropy(W) + proc.fiber_process().entropy(W)
-        assert proc.entropy(W) == split
+        base_h, _ = FiniteActionProcess(base, base_points).entropy(W)
+        fiber_h, _ = proc.fiber_process().entropy(W)
+        assert proc.entropy(W)[0] == base_h + fiber_h
