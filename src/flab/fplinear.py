@@ -2,17 +2,32 @@
 
 Every computation runs through one sparse Gaussian elimination,
 `eliminate`, on rows stored as dicts {column label: nonzero residue}.
-FpMatrix is only a dense input format.  Solution sets come back as
-AffineSolutionSet in a canonical form (reduced row echelon basis,
-particular point zero on the basis pivots), so equal sets compare equal
-however they were computed.  Very large translation-invariant systems
-are projected onto small coordinate windows by eliminating the
-non-kept columns first (`eliminate_columns`).
+Solution sets come back as AffineSolutionSet in a canonical form
+(reduced row echelon basis, particular point zero on the basis pivots),
+so equal sets compare equal however they were computed.  Very large
+translation-invariant systems are projected onto small coordinate
+windows by eliminating the non-kept columns first (`eliminate_columns`).
+
+An FpMatrix is factored once, on its first `solve` or `rank`, and keeps
+the factorization.  It is the elimination of [m | I]: row i carries a
+tag column that records which combination of the original rows each
+eliminated row is.  Columns are eliminated last to first, then reduced.
+The factorization keeps
+  - the check rows: the leftover rows, which hold tags only, so m x = b
+    is consistent iff every check reads 0 on b;
+  - for each pivot column c, the tags of its reduced row, which give the
+    particular point at c as a dot product with b;
+  - the reduced echelon basis of the solutions of m x = 0 and its
+    pivots, which do not depend on b and are shared by every solution set.
+Pivot choice never looks at the right-hand side, so each solve does the
+same row operations a fresh elimination of [m | b] would; reading them
+off the tags gives the same canonical set, field for field.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 from typing import Hashable, Iterable, Sequence
 
 MAX_PRIME = 1 << 15
@@ -37,9 +52,13 @@ def check_modulus(p: int):
 
 
 class FpMatrix:
-    """A dense matrix over Z/pZ with entries reduced to [0, p)."""
+    """A dense matrix over Z/pZ with entries reduced to [0, p).
 
-    __slots__ = ("p", "rows", "cols", "entries")
+    The factorization behind `solve` and `rank` is built on first use and
+    cached in the private `_factors` slot.
+    """
+
+    __slots__ = ("p", "rows", "cols", "entries", "_factors")
 
     def __init__(self, p: int, entries: Sequence[Sequence[int]], cols: int | None = None):
         check_modulus(p)
@@ -54,22 +73,13 @@ class FpMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", tuple(rows))
+        object.__setattr__(self, "_factors", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FpMatrix is immutable")
 
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix(
-            self.p,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        p = self.p
-        return tuple(sum(a * x for a, x in zip(row, v)) % p for row in self.entries)
+    def __delattr__(self, name):
+        raise AttributeError("FpMatrix is immutable")
 
 
 # -- the elimination kernel -------------------------------------------------
@@ -143,13 +153,6 @@ def _reduce(pivots: list[tuple[Hashable, SparseRow]], p: int) -> list[tuple[Hash
 
 
 # -- solution sets ----------------------------------------------------------
-
-_RHS = object()  # column label of the right-hand side in augmented rows
-
-
-def rank(m: FpMatrix) -> int:
-    return len(eliminate([dict(enumerate(r)) for r in m.entries], range(m.cols), m.p)[0])
-
 
 class AffineSolutionSet:
     """A (possibly empty) affine subspace of (Z/pZ)^keys in canonical form.
@@ -268,34 +271,72 @@ class AffineSolutionSet:
         )
 
 
-def _solution_set(rows: list[SparseRow], keys: tuple, p: int) -> AffineSolutionSet:
-    """Solutions of sparse rows over columns 0..len(keys)-1, right-hand side at _RHS.
+def _canonical(p, keys, particular, basis, pivots) -> AffineSolutionSet:
+    """An AffineSolutionSet from fields already in canonical form."""
+    out = object.__new__(AffineSolutionSet)
+    out._set(p, keys, particular, basis, pivots)
+    return out
 
-    Eliminating the columns last to first and reducing leaves each pivot
-    row reading x[c] + sum of a[f] x[f] over free columns f < c = rhs.  So
-    the vectors v_f (1 at f, -a[f] at each pivot c, 0 elsewhere) lead at f
-    and vanish on the other free columns: they are the reduced echelon
-    basis of the solution space, and the point (rhs at the pivots, 0 at
-    the free columns) is already reduced against it.
+
+def _solution_basis(rows: list[SparseRow], n: int, p: int):
+    """Eliminate columns n-1, ..., 0 of `rows`, reduce, and read off the solutions.
+
+    Labels n and up are not variables: they ride along untouched by the
+    pivot choice.  Eliminating the columns last to first and reducing
+    leaves each pivot row reading x[c] + sum of a[f] x[f] over free
+    columns f < c.  So the vectors v_f (1 at f, -a[f] at each pivot c, 0
+    elsewhere) lead at f and vanish on the other free columns: they are
+    the reduced echelon basis of the homogeneous solution space, with the
+    free columns as its pivots.  Returns the reduced pivot rows (latest
+    first), the leftover rows, the basis and its pivots.
     """
-    n = len(keys)
     pivots, rest = eliminate(rows, range(n - 1, -1, -1), p)
-    if rest:  # a leftover row reads 0 = rhs with rhs != 0
-        return AffineSolutionSet.empty(p, keys)
-    point = [0] * n
+    reduced = _reduce(pivots, p)
     free = {j: [0] * n for j in range(n)}
-    for c, row in _reduce(pivots, p):
+    for c, row in reduced:
         del free[c]
         for j, v in row.items():
-            if j is _RHS:
-                point[c] = v
-            elif j != c:
+            if j < n and j != c:
                 free[j][c] = -v % p
     for j, v in free.items():
         v[j] = 1
-    out = object.__new__(AffineSolutionSet)
-    out._set(p, keys, tuple(point), tuple(map(tuple, free.values())), tuple(free))
-    return out
+    return reduced, rest, tuple(map(tuple, free.values())), tuple(free)
+
+
+def _tags(row: SparseRow, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(row indices, coefficients) of the tag columns of a tagged row."""
+    tags = [(j - n, v) for j, v in row.items() if j >= n]
+    return tuple(i for i, _ in tags), tuple(v for _, v in tags)
+
+
+def _factorization(m: FpMatrix) -> tuple:
+    """(checks, point rows, basis, basis pivots) of m, cached on m.
+
+    The rows of [m | I] are eliminated, with the tag of row i at column
+    label cols + i.  Checks are the tags of the leftover rows, point rows
+    pair each pivot column with the tags of its reduced row.
+    """
+    f = m._factors
+    if f is None:
+        n = m.cols
+        tagged = []
+        for i, entries in enumerate(m.entries):
+            row = dict(enumerate(entries))
+            row[n + i] = 1
+            tagged.append(row)
+        reduced, rest, basis, free = _solution_basis(tagged, n, m.p)
+        f = (
+            tuple(_tags(row, n) for row in rest),
+            tuple((c, _tags(row, n)) for c, row in reduced),
+            basis,
+            free,
+        )
+        object.__setattr__(m, "_factors", f)
+    return f
+
+
+def rank(m: FpMatrix) -> int:
+    return len(_factorization(m)[1])
 
 
 def solve(m: FpMatrix, b: Sequence[int], keys: Sequence[Hashable] | None = None) -> AffineSolutionSet:
@@ -305,12 +346,16 @@ def solve(m: FpMatrix, b: Sequence[int], keys: Sequence[Hashable] | None = None)
     keys = tuple(keys) if keys is not None else tuple(range(m.cols))
     if len(keys) != m.cols:
         raise ValueError("key count must match column count")
-    rows = []
-    for entries, bv in zip(m.entries, b):
-        row = dict(enumerate(entries))
-        row[_RHS] = bv
-        rows.append(row)
-    return _solution_set(rows, keys, m.p)
+    checks, point_rows, basis, free = _factorization(m)
+    p = m.p
+    at = b.__getitem__
+    for idx, coeffs in checks:
+        if sum(map(mul, coeffs, map(at, idx))) % p:
+            return _canonical(p, keys, None, (), ())
+    point = [0] * m.cols
+    for c, (idx, coeffs) in point_rows:
+        point[c] = sum(map(mul, coeffs, map(at, idx))) % p
+    return _canonical(p, keys, tuple(point), basis, free)
 
 
 def eliminate_columns(
@@ -330,5 +375,8 @@ def solution_space_from_constraints(
     rows: Sequence[SparseRow], keys: Sequence[Hashable], p: int
 ) -> AffineSolutionSet:
     """Homogeneous solution set over the given keys."""
+    keys = tuple(keys)
     index = {k: i for i, k in enumerate(keys)}
-    return _solution_set([{index[k]: v for k, v in row.items()} for row in rows], tuple(keys), p)
+    n = len(keys)
+    _, _, basis, free = _solution_basis([{index[k]: v for k, v in row.items()} for row in rows], n, p)
+    return _canonical(p, keys, (0,) * n, basis, free)

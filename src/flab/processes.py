@@ -14,11 +14,12 @@ window W, exactly, with what backs it:
                          later window can still shrink the marginal
 
 Conditioning is fixed when a process is built, not passed per query.  A
-FiniteActionProcess built with `given` answers H(P^W | given), and the
-skew products' relative() returns the process conditioned on the base,
-whose functionals are the relative (base-conditioned) ones of the
-addition formula.  Finite models memoize their answers per canonical
-window key.
+FiniteActionProcess built with `given` answers H(P^W | given) as
+H(P^W v given) - H(given), with H(given) computed once when it is built,
+and the skew products' relative() returns the process conditioned on
+the base, whose functionals are the relative (base-conditioned) ones of
+the addition formula.  Finite models memoize their answers per
+canonical window key.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .entropy import (
     EntropyValue,
     FinitePartition,
     conditional_entropy,
+    join,
     shannon_entropy,
 )
 from .groups import invert_perm
@@ -101,6 +103,8 @@ class FiniteActionProcess(_ExactWindows):
         self.label = label
         self.given = given
         self.conditioned = given is not None
+        # H(P^W | given) = H(P^W v given) - H(given); the second term is fixed
+        self._given_entropy = None if given is None else shannon_entropy(given)
         self._answers: dict[tuple, tuple[EntropyValue, str]] = {}
 
     def window_partition(self, W: WordSet) -> FinitePartition:
@@ -110,7 +114,7 @@ class FiniteActionProcess(_ExactWindows):
         joined = self.window_partition(W)
         if self.given is None:
             return shannon_entropy(joined)
-        return conditional_entropy(joined, self.given)
+        return shannon_entropy(join(joined, self.given)) - self._given_entropy
 
     def describe(self) -> dict:
         return {

@@ -362,7 +362,38 @@ class TestWindowQuery:
         act = random_finite_action(rng)
         given = sigma_generated(act, random_partition(rng, act.size())) if conditioned else None
         exact_f_finite(Spy(act, random_partition(rng, act.size()), "rnd", given=given))
-        assert computed and len(computed) == len(asked)
+        # one computation per window, plus H(given) once for a conditioned process
+        assert computed and len(computed) == len(asked) + conditioned
+
+    def test_given_entropy_computed_once_per_process(self, monkeypatch):
+        import flab.entropy as entropy
+        import flab.processes as processes
+        from flab.skew import sigma_generated
+
+        rng = make_rng(31)
+        act = random_finite_action(rng)
+        part = random_partition(rng, act.size())
+        given = sigma_generated(act, random_partition(rng, act.size()))
+        windows = [ball(2, 0), ball(2, 1), ball(2, 2)]
+        want = [
+            entropy.conditional_entropy(act.window_partition(part, W), given) for W in windows
+        ]
+        on_given = []
+
+        def counting(fn):
+            def wrapper(p):
+                if p is given:
+                    on_given.append(p)
+                return fn(p)
+
+            return wrapper
+
+        for module in (entropy, processes):
+            monkeypatch.setattr(module, "shannon_entropy", counting(module.shannon_entropy))
+        proc = FiniteActionProcess(act, part, "rnd", given=given)
+        assert [proc.entropy(W) for W in windows] == [(v, "EXACT") for v in want]
+        exact_f_finite(proc)
+        assert len(on_given) == 1
 
     def test_relative_is_conditioned_on_the_base(self):
         from flab.entropy import conditional_entropy, shannon_entropy

@@ -2,7 +2,9 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flab import fplinear
 from flab.fplinear import (
     AffineSolutionSet,
     FpMatrix,
@@ -11,6 +13,20 @@ from flab.fplinear import (
     solution_space_from_constraints,
     solve,
 )
+from flab.kernels import scalar_kernel, target_map_matrix
+from flab.words import ball
+
+
+def transpose(m: FpMatrix) -> FpMatrix:
+    return FpMatrix(m.p, [list(col) for col in zip(*m.entries)], cols=m.rows)
+
+
+def mul_vector(m: FpMatrix, v) -> tuple[int, ...]:
+    return tuple(sum(a * x for a, x in zip(row, v)) % m.p for row in m.entries)
+
+
+def fields(s: AffineSolutionSet) -> tuple:
+    return (s.p, s.keys, s.particular, s.basis, s.pivots)
 
 
 class TestRank:
@@ -25,7 +41,7 @@ class TestRank:
         rng = random.Random(0)
         for _ in range(30):
             m = FpMatrix(3, [[rng.randrange(3) for _ in range(9)] for _ in range(6)])
-            assert rank(m) == rank(m.transpose())
+            assert rank(m) == rank(transpose(m))
 
     def test_rank_nullity(self):
         rng = random.Random(1)
@@ -70,14 +86,14 @@ class TestSolve:
                 if s.is_empty():
                     # cross-check emptiness by brute force on small systems
                     assert not any(
-                        m.mul_vector(v) == tuple(b)
+                        mul_vector(m, v) == tuple(b)
                         for v in product(range(p), repeat=5)
                     )
                     continue
                 assert s.size() == p ** s.dimension
                 for v in s.members():
-                    assert m.mul_vector(v) == tuple(x % p for x in b)
-                brute = {v for v in product(range(p), repeat=5) if m.mul_vector(v) == tuple(b)}
+                    assert mul_vector(m, v) == tuple(x % p for x in b)
+                brute = {v for v in product(range(p), repeat=5) if mul_vector(m, v) == tuple(b)}
                 assert set(s.members()) == brute
 
 
@@ -192,3 +208,65 @@ class TestRowOrder:
                 sparse = [{c: a for c, a in enumerate(row) if a} for row in m]
                 u = solution_space_from_constraints([sparse[i] for i in perm], range(ncols), p)
                 assert u == solve(FpMatrix(p, m, cols=ncols), [0] * nrows)
+
+
+@st.composite
+def systems(draw):
+    """A matrix over Z/pZ and a list of right-hand sides for it."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    residues = st.integers(0, p - 1)
+    entries = draw(
+        st.lists(st.lists(residues, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+    )
+    targets = draw(
+        st.lists(st.lists(residues, min_size=nrows, max_size=nrows), min_size=1, max_size=12)
+    )
+    return p, ncols, entries, targets
+
+
+class TestCachedFactorization:
+    @settings(max_examples=300, deadline=None)
+    @given(systems())
+    def test_reused_matrix_matches_fresh_matrix_and_brute_force(self, system):
+        p, ncols, entries, targets = system
+        m, again = FpMatrix(p, entries, cols=ncols), FpMatrix(p, entries, cols=ncols)
+        forward = [solve(m, b) for b in targets]
+        backward = [solve(again, b) for b in reversed(targets)][::-1]
+        for b, got, back in zip(targets, forward, backward):
+            want = solve(FpMatrix(p, entries, cols=ncols), b)
+            assert fields(got) == fields(back) == fields(want)
+            if not got.is_empty():
+                assert fields(got) == fields(AffineSolutionSet(p, got.keys, got.particular, got.basis))
+            if p**ncols <= 1 << 10:
+                brute = {v for v in product(range(p), repeat=ncols) if mul_vector(m, v) == tuple(b)}
+                assert set(got.members(limit=1 << 10)) == brute
+        assert rank(m) == rank(FpMatrix(p, entries, cols=ncols))
+
+    def test_one_factorization_answers_every_target(self, monkeypatch):
+        k = scalar_kernel(3, 2, {"e": 1, "a": 1, "B": 2})
+        m, _ = target_map_matrix(k, ball(2, 1))
+        calls = []
+        real = fplinear.eliminate
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fplinear, "eliminate", counting)
+        assert not solve(m, [0] * m.rows).is_empty()
+        first = len(calls)
+        targets = list(product(range(3), repeat=m.rows))
+        assert all(not solve(m, list(y)).is_empty() for y in targets)
+        assert rank(m) == m.rows
+        assert len(targets) == 243 and 0 < first <= 2 and len(calls) == first
+
+    def test_matrix_stays_immutable(self):
+        m = FpMatrix(3, [[1, 2], [0, 1]])
+        solve(m, [1, 1])
+        for name in ("p", "rows", "cols", "entries", "_factors", "other"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        assert m.entries == ((1, 2), (0, 1)) and rank(m) == 2
