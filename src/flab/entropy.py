@@ -4,11 +4,25 @@ Every entropy here is a finite rational combination of logarithms of
 primes, represented exactly by EntropyValue.  Identities such as the
 chain rule or the addition formulas are therefore decided by coefficient
 comparison, never by floating-point tolerance.
+
+A measure space is stored as integers: atom i carries a count c_i >= 0
+over one denominator N, the least common denominator of the weights, so
+its weight is c_i / N and the counts sum to N.  A space is validated once,
+when it is built; every partition holds a reference to its space, and
+join, join_many and apply_permutation build their results on the
+operand's space without validating it again.  With block counts C_b (the
+sum of c_i over block b),
+
+    H(P) = -sum_b (C_b / N) log(C_b / N) = log N - (1/N) sum_b C_b log C_b,
+
+so shannon_entropy adds up integer prime exponents of the C_b and divides
+by N once per prime.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -61,6 +75,9 @@ class EntropyValue:
         object.__setattr__(self, "_terms", tuple(items))
 
     def __setattr__(self, name, value):
+        raise AttributeError("EntropyValue is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("EntropyValue is immutable")
 
     @staticmethod
@@ -178,75 +195,153 @@ class EntropyValue:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+class _MeasureSpace:
+    """Atoms 0..n-1 with weights c_i / N, validated once when built.
+
+    The counts c_i are nonnegative integers summing to N, and N is the
+    least common denominator of the weights (the counts have no common
+    factor with N), so equal weight vectors give equal counts.  A space
+    reads as the sequence of its Fraction weights.
+    """
+
+    __slots__ = ("counts", "total", "_hash", "_weights")
+
+    def __init__(self, counts: Sequence[int], total: int):
+        counts = tuple(counts)
+        if len(counts) > MAX_ATOMS:
+            raise ValueError(f"space too large ({len(counts)} atoms)")
+        if any(c < 0 for c in counts):
+            raise ValueError("negative weight")
+        if total < 1 or sum(counts) != total:
+            raise ValueError("weights must sum to exactly 1")
+        common = math.gcd(total, *counts)
+        if common > 1:
+            counts = tuple(c // common for c in counts)
+            total //= common
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "_hash", hash(counts))
+        object.__setattr__(self, "_weights", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("measure spaces are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("measure spaces are immutable")
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        if self._weights is None:
+            n = self.total
+            object.__setattr__(self, "_weights", tuple(Fraction(c, n) for c in self.counts))
+        return self._weights
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self):
+        return iter(self.weights)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, _MeasureSpace) and self.counts == other.counts
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"_MeasureSpace({len(self.counts)} atoms over {self.total})"
+
+
+def _as_space(weights: Sequence[Fraction]) -> _MeasureSpace:
+    """The space itself, or a new validated space with these weights."""
+    if isinstance(weights, _MeasureSpace):
+        return weights
+    weights = tuple(Fraction(w) for w in weights)
+    total = math.lcm(*(w.denominator for w in weights))
+    return _MeasureSpace(
+        [w.numerator * (total // w.denominator) for w in weights], total
+    )
+
+
+def _canonical(labels: Iterable) -> tuple[int, ...]:
+    """Labels renumbered 0..k-1 in order of first appearance."""
+    canon: dict = {}
+    return tuple([canon.setdefault(lab, len(canon)) for lab in labels])
+
+
 class FinitePartition:
     """A labelled partition of a finite measured space.
 
-    The space is atoms 0..n-1 with rational weights summing to 1; blocks
-    are given by a label per atom.  Labels are canonicalized to
-    0..k-1 in order of first appearance, so two partitions are equal as
-    partitions iff their canonical label tuples agree.
+    The space is atoms 0..n-1 with rational weights summing to 1, given
+    as a sequence of weights or as the space of another partition or
+    action; blocks are given by a label per atom.  Labels are
+    canonicalized to 0..k-1 in order of first appearance, so two
+    partitions are equal as partitions iff their canonical label tuples
+    agree.
     """
 
-    __slots__ = ("weights", "labels")
+    __slots__ = ("space", "labels")
 
     def __init__(self, weights: Sequence[Fraction], labels: Sequence):
-        weights = tuple(Fraction(w) for w in weights)
-        if len(weights) > MAX_ATOMS:
-            raise ValueError(f"space too large ({len(weights)} atoms)")
-        if len(weights) != len(labels):
+        space = _as_space(weights)
+        if len(space) != len(labels):
             raise SpaceMismatchError("weights/labels length mismatch")
-        if any(w < 0 for w in weights):
-            raise ValueError("negative weight")
-        if sum(weights) != 1:
-            raise ValueError("weights must sum to exactly 1")
-        canon: dict = {}
-        new_labels = []
-        for lab in labels:
-            if lab not in canon:
-                canon[lab] = len(canon)
-            new_labels.append(canon[lab])
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "labels", tuple(new_labels))
+        _set_space(self, space)
+        _set_labels(self, _canonical(labels))
 
     def __setattr__(self, name, value):
         raise AttributeError("FinitePartition is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("FinitePartition is immutable")
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        return self.space.weights
+
     @staticmethod
-    def uniform_space(n: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(1, n) for _ in range(n))
+    def uniform_space(n: int) -> _MeasureSpace:
+        return _MeasureSpace((1,) * n, n)
 
     @classmethod
     def points(cls, weights: Sequence[Fraction]) -> "FinitePartition":
-        return cls(weights, tuple(range(len(weights))))
+        return cls(weights, range(len(weights)))
 
     @classmethod
     def trivial(cls, weights: Sequence[Fraction]) -> "FinitePartition":
         return cls(weights, (0,) * len(weights))
 
     def num_atoms(self) -> int:
-        return len(self.weights)
+        return len(self.labels)
 
     def num_blocks(self) -> int:
-        return len(set(self.labels))
+        return max(self.labels) + 1
 
-    def block_weights(self) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for w, lab in zip(self.weights, self.labels):
-            out[lab] = out.get(lab, Fraction(0)) + w
+    def block_counts(self) -> list[int]:
+        """The integer count C_b of each block b, over the space's total N."""
+        out = [0] * self.num_blocks()
+        for c, lab in zip(self.space.counts, self.labels):
+            out[lab] += c
         return out
 
+    def block_weights(self) -> dict[int, Fraction]:
+        n = self.space.total
+        return {lab: Fraction(c, n) for lab, c in enumerate(self.block_counts())}
+
     def same_space(self, other: "FinitePartition") -> bool:
-        return self.weights == other.weights
+        return self.space == other.space
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FinitePartition)
-            and self.weights == other.weights
             and self.labels == other.labels
+            and self.space == other.space
         )
 
     def __hash__(self) -> int:
-        return hash((self.weights, self.labels))
+        return hash((self.space, self.labels))
 
     def __repr__(self) -> str:
         return f"FinitePartition({self.num_blocks()} blocks on {self.num_atoms()} atoms)"
@@ -256,8 +351,8 @@ class FinitePartition:
         if not self.same_space(other):
             raise SpaceMismatchError("partitions on different spaces")
         seen: dict[tuple, int] = {}
-        for w, a, b in zip(self.weights, self.labels, other.labels):
-            if w == 0:
+        for c, a, b in zip(self.space.counts, self.labels, other.labels):
+            if c == 0:
                 continue
             if a in seen and seen[a] != b:
                 return False
@@ -272,40 +367,62 @@ class FinitePartition:
     def apply_permutation(self, perm: Sequence[int]) -> "FinitePartition":
         """The image partition T(P) = {T(A) : A in P} for a bijection T of atoms.
 
-        Atom x lies in T(A) iff T^{-1}(x) lies in A, so the new label of x
-        is the old label of T^{-1}(x).
+        Atom x lies in T(A) iff T^{-1}(x) lies in A, so the new label of
+        T(x) is the old label of x.
         """
-        n = self.num_atoms()
-        inverse = [0] * n
+        labels = self.labels
+        moved = [0] * len(labels)
         for x, y in enumerate(perm):
-            inverse[y] = x
-        return FinitePartition(
-            self.weights, tuple(self.labels[inverse[x]] for x in range(n))
-        )
+            moved[y] = labels[x]
+        return _partition(self.space, moved)
+
+
+_set_space = FinitePartition.space.__set__
+_set_labels = FinitePartition.labels.__set__
+
+
+def _partition(space: _MeasureSpace, labels: Iterable) -> FinitePartition:
+    """A FinitePartition on a space the caller already holds, with one label
+    per atom: the space is shared, not validated again."""
+    p = object.__new__(FinitePartition)
+    _set_space(p, space)
+    _set_labels(p, _canonical(labels))
+    return p
 
 
 def check_permutation_preserves(weights: Sequence[Fraction], perm: Sequence[int]):
-    n = len(weights)
+    counts = _as_space(weights).counts
+    n = len(counts)
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation of the atoms")
     for x in range(n):
-        if weights[perm[x]] != weights[x]:
+        if counts[perm[x]] != counts[x]:
             raise ValueError("permutation does not preserve the measure")
 
 
 def shannon_entropy(p: FinitePartition) -> EntropyValue:
-    """H(P) = -sum nu(P) log nu(P), exactly; 0 log 0 = 0."""
-    total = EntropyValue.zero()
-    for w in p.block_weights().values():
-        if w > 0:
-            total = total - w * EntropyValue.log_fraction(w)
-    return total
+    """H(P) = -sum nu(P) log nu(P), exactly; 0 log 0 = 0.
+
+    With block counts C_b over the space's total N this is
+    log N - (1/N) sum_b C_b log C_b: the sum is accumulated as integer
+    exponents per prime, and divided by N once per prime.
+    """
+    exponents: dict[int, int] = {}
+    for size, mult in Counter(p.block_counts()).items():
+        if size > 1:
+            for q, e in factorize(size):
+                exponents[q] = exponents.get(q, 0) + mult * size * e
+    n = p.space.total
+    terms = {q: Fraction(e) for q, e in factorize(n)}
+    for q, e in exponents.items():
+        terms[q] = terms.get(q, 0) - Fraction(e, n)
+    return EntropyValue(terms)
 
 
 def join(p: FinitePartition, q: FinitePartition) -> FinitePartition:
     if not p.same_space(q):
         raise SpaceMismatchError("join of partitions on different spaces")
-    return FinitePartition(p.weights, tuple(zip(p.labels, q.labels)))
+    return _partition(p.space, zip(p.labels, q.labels))
 
 
 def join_many(parts: Iterable[FinitePartition]) -> FinitePartition:
@@ -321,50 +438,3 @@ def join_many(parts: Iterable[FinitePartition]) -> FinitePartition:
 def conditional_entropy(p: FinitePartition, f: FinitePartition) -> EntropyValue:
     """H(P|F) = H(P v F) - H(F)."""
     return shannon_entropy(join(p, f)) - shannon_entropy(f)
-
-
-def information_function(
-    p: FinitePartition, f: FinitePartition
-) -> tuple[EntropyValue, ...]:
-    """Pointwise information of P given the algebra generated by F.
-
-    At atom x this is -log nu(P_x | F_x); its weighted sum is H(P|F).
-    Computed from conditional measures, independently of the
-    join-difference route, so the two can be cross-checked.
-    """
-    if not p.same_space(f):
-        raise SpaceMismatchError("partitions on different spaces")
-    joint = join(p, f)
-    joint_w = joint.block_weights()
-    f_w = f.block_weights()
-    out = []
-    for x in range(p.num_atoms()):
-        if p.weights[x] == 0:
-            out.append(EntropyValue.zero())
-            continue
-        cond = joint_w[joint.labels[x]] / f_w[f.labels[x]]
-        out.append(-EntropyValue.log_fraction(cond))
-    return tuple(out)
-
-
-def z_entropy_rate_finite(
-    perm: Sequence[int], p: FinitePartition
-) -> tuple[EntropyValue, int]:
-    """Entropy rate of a measure-preserving bijection of a finite space.
-
-    Always exactly zero; returns (0, m) where m is the first step at which
-    the forward join partition stabilizes, certifying the limit.
-    """
-    check_permutation_preserves(p.weights, perm)
-    current = p
-    shifted = p
-    m = 0
-    while True:
-        shifted = shifted.apply_permutation(perm)
-        nxt = join(current, shifted)
-        if nxt.equal_mod_null(current):
-            return EntropyValue.zero(), m + 1
-        current = nxt
-        m += 1
-        if m > p.num_atoms():
-            raise AssertionError("join failed to stabilize on a finite space")

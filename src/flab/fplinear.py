@@ -199,6 +199,9 @@ class AffineSolutionSet:
     def __setattr__(self, name, value):
         raise AttributeError("AffineSolutionSet is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("AffineSolutionSet is immutable")
+
     @staticmethod
     def empty(p: int, keys: Sequence[Hashable]) -> "AffineSolutionSet":
         return AffineSolutionSet(p, keys, None, ())

@@ -53,6 +53,9 @@ class FiniteGroup:
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("FiniteGroup is immutable")
+
     def order(self) -> int:
         return len(self.labels)
 

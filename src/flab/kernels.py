@@ -124,6 +124,9 @@ class ConvolutionKernel:
     def __setattr__(self, name, value):
         raise AttributeError("ConvolutionKernel is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("ConvolutionKernel is immutable")
+
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -24,7 +24,6 @@ canonical window key.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
@@ -95,7 +94,7 @@ class FiniteActionProcess(_ExactWindows):
         label: str = "finite",
         given: FinitePartition | None = None,
     ):
-        if partition.weights != action.weights:
+        if partition.space != action.space:
             raise ValueError("partition lives on a different space than the action")
         self.rank = action.rank
         self.action = action
@@ -279,8 +278,6 @@ class BernoulliBaseSkewProcess(_ExactWindows):
         k = self.base_alphabet
         ny = self.fiber.size()
         g = self.fiber.group
-        weight = Fraction(1, k ** len(coords) * ny)
-        weights = []
         joint_labels = []
         base_labels = []
         w_list = list(W)
@@ -290,15 +287,15 @@ class BernoulliBaseSkewProcess(_ExactWindows):
             sigmas = {w: self._sigma(inv(w), pattern) for w in w_list}
             base_part = tuple(pattern[w] for w in w_list)
             for y in range(ny):
-                weights.append(weight)
                 fiber_part = tuple(
                     self.fiber_partition.labels[g.mul(inv_perms[w][y], sigmas[w])]
                     for w in w_list
                 )
                 joint_labels.append((base_part, fiber_part))
                 base_labels.append(values)
-        joint = FinitePartition(weights, joint_labels)
-        marker = FinitePartition(weights, base_labels)
+        space = FinitePartition.uniform_space(len(joint_labels))
+        joint = FinitePartition(space, joint_labels)
+        marker = FinitePartition(space, base_labels)
         return joint, marker
 
     def _compute(self, W: WordSet) -> EntropyValue:

@@ -19,34 +19,44 @@ from typing import Callable, Sequence
 from .entropy import (
     EntropyValue,
     FinitePartition,
+    _as_space,
+    _MeasureSpace,
     check_permutation_preserves,
-    conditional_entropy,
     join,
     join_many,
     shannon_entropy,
 )
 from .groups import FiniteGroup, compose_perms, invert_perm
-from .words import FreeWord, WordSet, ball, format_word
+from .words import FreeWord, WordSet, _word, ball, format_word, mul
 
 
 class FiniteAction:
-    """A free-group action on a finite measured space by per-generator bijections."""
+    """A free-group action on a finite measured space by per-generator bijections.
+
+    `weights` is a sequence of atom weights or an existing space (such as
+    another action's `space`); the action holds the validated space, which
+    every partition built on it shares.
+    """
 
     def __init__(self, weights: Sequence[Fraction], gen_perms: Sequence[Sequence[int]], rank: int):
-        weights = tuple(Fraction(w) for w in weights)
+        space = _as_space(weights)
         if len(gen_perms) != rank:
             raise ValueError("need one permutation per generator")
         perms = tuple(tuple(p) for p in gen_perms)
         for p in perms:
-            check_permutation_preserves(weights, p)
-        self.weights = weights
+            check_permutation_preserves(space, p)
+        self.space = space
         self.rank = rank
         self.gen_perms = perms
         self._inv_perms = tuple(invert_perm(p) for p in perms)
         self._memo: dict[tuple, tuple[int, ...]] = {}
 
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        return self.space.weights
+
     def size(self) -> int:
-        return len(self.weights)
+        return len(self.space.counts)
 
     def letter_perm(self, letter: int) -> tuple[int, ...]:
         return self.gen_perms[letter - 1] if letter > 0 else self._inv_perms[-letter - 1]
@@ -60,7 +70,7 @@ class FiniteAction:
         if not key:
             perm = tuple(range(self.size()))
         else:
-            rest = self.word_perm(FreeWord(w.rank, key[1:]))
+            rest = self.word_perm(_word(w.rank, key[1:]))
             perm = compose_perms(self.letter_perm(key[0]), rest)
         self._memo[key] = perm
         return perm
@@ -162,9 +172,9 @@ class Cocycle:
         elif len(key) == 1:
             out = self._letter_values(key[0])
         else:
-            t, rest = key[0], FreeWord(w.rank, key[1:])
+            t, rest = key[0], _word(w.rank, key[1:])
             rest_vals = self.values(rest)
-            head_vals = self._letter_values(t)
+            head_vals = self.values(_word(w.rank, key[:1]))
             beta_t = self.fiber.action.letter_perm(t)
             alpha_rest = self.base.word_perm(rest)
             out = tuple(
@@ -189,16 +199,20 @@ def verify_cocycle_identity(
     Returns (ok, witness); the witness names the first failing (g, h, x).
     """
     g_group = fiber.group
-    rank = base.rank
-    words = list(ball(rank, max_len))
+    words = list(ball(base.rank, max_len))
+    points = range(base.size())
+    # sigma(w, .) over the ball, read once per word rather than once per pair
+    tables = {w: [sigma(w, x) for x in points] for w in words}
     for g in words:
         beta_g = fiber.action.word_perm(g)
+        sigma_g = tables[g]
         for h in words:
-            gh = FreeWord(rank, g.letters + h.letters)
+            gh = mul(g, h)
             alpha_h = base.word_perm(h)
-            for x in range(base.size()):
+            sigma_h = tables[h]
+            for x in points:
                 lhs = sigma(gh, x)
-                rhs = g_group.mul(beta_g[sigma(h, x)], sigma(g, alpha_h[x]))
+                rhs = g_group.mul(beta_g[sigma_h[x]], sigma_g[alpha_h[x]])
                 if lhs != rhs:
                     return False, {
                         "g": format_word(g),
@@ -221,10 +235,10 @@ class SkewBundle:
         self.cocycle = cocycle
         nx, ny = base.size(), fiber.size()
         g = fiber.group
-        weights = []
-        for x in range(nx):
-            for y in range(ny):
-                weights.append(base.weights[x] * Fraction(1, ny))
+        # atom (x, y) at x * ny + y carries weight nu(x) / ny
+        space = _MeasureSpace(
+            [c for c in base.space.counts for _ in range(ny)], base.space.total * ny
+        )
         perms = []
         for i in range(base.rank):
             alpha = base.gen_perms[i]
@@ -235,24 +249,24 @@ class SkewBundle:
                 for y in range(ny):
                     perm[x * ny + y] = alpha[x] * ny + g.mul(beta[y], vals[x])
             perms.append(perm)
-        self.product = FiniteAction(weights, perms, base.rank)
+        self.product = FiniteAction(space, perms, base.rank)
         self._ny = ny
 
     def lift_base(self, p: FinitePartition) -> FinitePartition:
         labels = []
         for x in range(self.base.size()):
             labels.extend([p.labels[x]] * self._ny)
-        return FinitePartition(self.product.weights, labels)
+        return FinitePartition(self.product.space, labels)
 
     def lift_fiber(self, q: FinitePartition) -> FinitePartition:
         labels = []
         for _x in range(self.base.size()):
             labels.extend(q.labels)
-        return FinitePartition(self.product.weights, labels)
+        return FinitePartition(self.product.space, labels)
 
     def base_marker(self) -> FinitePartition:
         """B_X as a partition of the product: one block per base point."""
-        return self.lift_base(FinitePartition.points(self.base.weights))
+        return self.lift_base(FinitePartition.points(self.base.space))
 
     def product_partition(self, p: FinitePartition, q: FinitePartition) -> FinitePartition:
         return join(self.lift_base(p), self.lift_fiber(q))
@@ -262,7 +276,7 @@ class SkewBundle:
         beta_gq = q.apply_permutation(self.fiber.action.word_perm(g))
         vals = self.cocycle.values(g)
         return FinitePartition(
-            self.base.weights,
+            self.base.space,
             [beta_gq.labels[vals[x]] for x in range(self.base.size())],
         )
 
@@ -379,11 +393,15 @@ def right_translate(group: FiniteGroup, q: FinitePartition, g: int) -> FinitePar
 
 def K_of(q: FinitePartition, group: FiniteGroup) -> EntropyValue:
     """sup over group elements of H(Qg | Q) + H(Q | Qg); zero iff Q is
-    invariant under every right translation."""
+    invariant under every right translation.
+
+    Each term is 2 H(Q v Qg) - H(Q) - H(Qg), one join per element.
+    """
     best = EntropyValue.zero()
+    h_q = shannon_entropy(q)
     for g in range(group.order()):
         qg = right_translate(group, q, g)
-        value = conditional_entropy(qg, q) + conditional_entropy(q, qg)
+        value = 2 * shannon_entropy(join(q, qg)) - h_q - shannon_entropy(qg)
         if value > best:
             best = value
     return best
@@ -461,7 +479,7 @@ def verify_generated_algebra(
     """The invariant algebra of P x Q equals the one generated by
     B_X x Sigma(Q), for generating base partitions."""
     if not sigma_generated(bundle.base, p_base).equal_mod_null(
-        FinitePartition.points(bundle.base.weights)
+        FinitePartition.points(bundle.base.space)
     ):
         raise ValueError("base partition is not generating")
     lhs = sigma_generated(
@@ -504,7 +522,7 @@ class ZSkewSystem:
         s_perm: Sequence[int],
         gen_value: Sequence[int],
     ):
-        weights = tuple(Fraction(w) for w in weights)
+        weights = _as_space(weights)
         check_permutation_preserves(weights, t_perm)
         if not fiber.is_automorphism(s_perm):
             raise ValueError("S must be a group automorphism")

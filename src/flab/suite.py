@@ -97,7 +97,7 @@ class RunConfig:
 def _points_process(action: FiniteGroupAction) -> FiniteActionProcess:
     """A finite group under automorphisms, observed through its points."""
     return FiniteActionProcess(
-        action.action, FinitePartition.points(action.action.weights), action.group.name
+        action.action, FinitePartition.points(action.action.space), action.group.name
     )
 
 
@@ -384,7 +384,7 @@ def _suite_relative_collapse(cfg: RunConfig) -> dict:
         bundle = case["bundle"]
         proc = SkewProductProcess(
             bundle,
-            FinitePartition.points(bundle.base.weights),
+            FinitePartition.points(bundle.base.space),
             case["special"].partition,
         )
         relative = proc.relative()
@@ -422,7 +422,7 @@ def _suite_generated_algebra(cfg: RunConfig) -> dict:
     cases = []
     for case in skew_test_cases(2)[:8]:
         bundle = case["bundle"]
-        p = FinitePartition.points(bundle.base.weights)
+        p = FinitePartition.points(bundle.base.space)
         ok = verify_generated_algebra(bundle, p, case["special"])
         cases.append({"name": case["name"], "passed": ok})
     return {"name": "generated-algebra", "cases": cases, "passed": all(c["passed"] for c in cases)}
@@ -432,7 +432,7 @@ def _suite_window_split(cfg: RunConfig) -> dict:
     cases = []
     for case in skew_test_cases(2)[:4]:
         bundle = case["bundle"]
-        p = FinitePartition.points(bundle.base.weights)
+        p = FinitePartition.points(bundle.base.space)
         ok = all(verify_window_split(bundle, n, p, case["special"]) for n in (1, 2))
         cases.append({"name": case["name"], "passed": ok})
     return {"name": "window-split", "cases": cases, "passed": all(c["passed"] for c in cases)}
@@ -527,8 +527,8 @@ def process_from_spec(spec: dict, cfg: RunConfig):
         bundle = SectionCocycleBundle(action, sub)
         return SkewProductProcess(
             bundle.skew,
-            FinitePartition.points(bundle.base_action.weights),
-            FinitePartition.points(bundle.fiber_action.action.weights),
+            FinitePartition.points(bundle.base_action.space),
+            FinitePartition.points(bundle.fiber_action.action.space),
             f"{group.name} over subgroup of order {len(sub)}",
         )
     if kind == "skew_custom":
@@ -544,8 +544,8 @@ def process_from_spec(spec: dict, cfg: RunConfig):
         bundle = SkewBundle(base.action, fiber, cocycle)
         return SkewProductProcess(
             bundle,
-            FinitePartition.points(base.action.weights),
-            FinitePartition.points(fiber.action.weights),
+            FinitePartition.points(base.action.space),
+            FinitePartition.points(fiber.action.space),
             "custom skew product",
         )
     raise ValueError(f"unknown process type {kind!r}")

@@ -12,10 +12,10 @@ letters their inverses, and "e" (or the empty string) is the identity.
 Construction: the public `FreeWord(rank, letters)` reduces its letters and
 checks each against the rank, so it accepts any input.  The private
 `_word(rank, letters)` trusts its caller to pass a reduced tuple of
-in-range letters and only stores it; `mul`, `inv`, `neighbors`,
-`ball_list` and `geodesic_interval` build their results with it, because
-they produce reduced words by construction.  Every word stores its hash
-when it is built.
+in-range letters and only stores it; `identity`, `mul`, `inv`,
+`neighbors`, `ball_list` and `geodesic_interval` build their results
+with it, because they produce reduced words by construction.  Every
+word stores its hash when it is built.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ class FreeWord:
         _set_hash(self, hash((rank, reduced)))
 
     def __setattr__(self, name, value):
+        raise AttributeError("FreeWord is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("FreeWord is immutable")
 
     def __len__(self) -> int:
@@ -99,7 +102,9 @@ def _word(rank: int, letters: tuple[int, ...]) -> FreeWord:
 
 
 def identity(rank: int) -> FreeWord:
-    return FreeWord(rank, ())
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    return _word(rank, ())
 
 
 def generator(rank: int, i: int) -> FreeWord:
@@ -178,6 +183,9 @@ class WordSet:
             object.__setattr__(self, name, value)
         else:
             raise AttributeError("WordSet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("WordSet is immutable")
 
     def __len__(self) -> int:
         return len(self._words)

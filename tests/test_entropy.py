@@ -3,17 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from entropy_oracles import fraction_entropy, information_function, z_entropy_rate_finite
 from flab.entropy import (
     EntropyValue,
     FinitePartition,
     SpaceMismatchError,
     conditional_entropy,
     factorize,
-    information_function,
     join,
     shannon_entropy,
-    z_entropy_rate_finite,
 )
 
 F = Fraction
@@ -235,3 +235,106 @@ class TestZEntropyRate:
         p = FinitePartition([F(1, 2), F(1, 3), F(1, 6)], [0, 1, 2])
         with pytest.raises(ValueError):
             z_entropy_rate_finite([1, 0, 2], p)
+
+
+@st.composite
+def weighted_pair(draw):
+    """Fraction weights with zero-weight atoms allowed, and two labellings."""
+    counts = draw(st.lists(st.integers(0, 6), min_size=1, max_size=12))
+    if not any(counts):
+        counts[0] = 1
+    total = sum(counts)
+    weights = [Fraction(c, total) for c in counts]
+    n = len(weights)
+    p_labels = draw(st.lists(st.sampled_from("abcd"), min_size=n, max_size=n))
+    q_labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return weights, p_labels, q_labels
+
+
+class TestIntegerCountsAgainstFractionWeights:
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_pair())
+    def test_entropy_join_and_conditioning(self, case):
+        weights, p_labels, q_labels = case
+        p = FinitePartition(weights, p_labels)
+        q = FinitePartition(weights, q_labels)
+        assert p.weights == tuple(weights)
+        pairs = list(zip(p_labels, q_labels))
+        assert shannon_entropy(p) == fraction_entropy(weights, p_labels)
+        joined = join(p, q)
+        first_seen = list(dict.fromkeys(pairs))
+        assert joined.labels == tuple(first_seen.index(x) for x in pairs)
+        assert shannon_entropy(joined) == fraction_entropy(weights, pairs)
+        cond = conditional_entropy(p, q)
+        assert cond == fraction_entropy(weights, pairs) - fraction_entropy(weights, q_labels)
+        info = information_function(p, q)
+        total = EntropyValue.zero()
+        for w, value in zip(weights, info):
+            total = total + w * value
+        assert total == cond
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_pair())
+    def test_separately_built_spaces_are_one_space(self, case):
+        weights, p_labels, q_labels = case
+        p = FinitePartition(weights, p_labels)
+        q = FinitePartition(list(weights), q_labels)
+        assert p.space is not q.space and p.same_space(q)
+        assert join(p, q).space is p.space
+
+
+class TestSpaceValidation:
+    def test_errors_unchanged(self):
+        with pytest.raises(ValueError, match="negative weight"):
+            FinitePartition([F(3, 2), F(-1, 2)], [0, 1])
+        with pytest.raises(ValueError, match="sum to exactly 1"):
+            FinitePartition([F(1, 2), F(1, 3)], [0, 1])
+        with pytest.raises(SpaceMismatchError, match="length mismatch"):
+            FinitePartition(uniform(3), [0, 1])
+
+    def test_counts_over_least_denominator(self):
+        p = FinitePartition([F(1, 2), F(1, 6), F(1, 3), F(0)], [0, 1, 2, 3])
+        assert p.space.counts == (3, 1, 2, 0) and p.space.total == 6
+        assert p.weights == (F(1, 2), F(1, 6), F(1, 3), F(0))
+
+    def test_skew_product_validates_each_space_once(self, monkeypatch):
+        import flab.entropy as entropy
+        from flab.finv import exact_f_finite
+        from flab.groups import cyclic
+        from flab.processes import SkewProductProcess
+        from flab.skew import Cocycle, FiniteAction, FiniteGroupAction, SkewBundle
+
+        # a non-uniform base: atoms 1 and 2 are swapped, atom 0 is fixed
+        base = FiniteAction([F(1, 2), F(1, 4), F(1, 4)], [[0, 2, 1], [0, 1, 2]], 2)
+        z4 = cyclic(4)
+        fiber = FiniteGroupAction(z4, [tuple((-x) % 4 for x in range(4)), tuple(range(4))], 2)
+        validated = []
+        trusted = []
+        space_init = entropy._MeasureSpace.__init__
+        partition = entropy._partition
+
+        def counting_init(self, counts, total):
+            validated.append(len(counts))
+            space_init(self, counts, total)
+
+        def counting_partition(space, labels):
+            trusted.append(space)
+            return partition(space, labels)
+
+        monkeypatch.setattr(entropy._MeasureSpace, "__init__", counting_init)
+        monkeypatch.setattr(entropy, "_partition", counting_partition)
+        bundle = SkewBundle(base, fiber, Cocycle(base, fiber, [[1, 0, 3], [0, 2, 0]]))
+        proc = SkewProductProcess(
+            bundle,
+            FinitePartition.points(base.space),
+            FinitePartition.points(fiber.action.space),
+        )
+        f, _ = exact_f_finite(proc)
+        f_rel, _ = exact_f_finite(proc.relative())
+        # the product space is the only one built; every join reuses it
+        assert validated == [12]
+        assert len(trusted) > 50 and all(s is bundle.product.space for s in trusted)
+        # points of the product generate: f = (1 - r) H(points), and
+        # conditioning on the base leaves the uniform fiber, log 4
+        assert f == -shannon_entropy(FinitePartition.points(bundle.product.space))
+        assert f_rel == -EntropyValue.log_int(4)

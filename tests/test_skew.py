@@ -228,6 +228,31 @@ class TestSectionCocycles:
         assert not ok and witness is not None
 
 
+    def test_cocycle_path_builds_no_validated_words(self, monkeypatch):
+        import flab.words as words
+
+        z4 = cyclic(4)
+        neg = tuple((-x) % 4 for x in range(4))
+        ga = FiniteGroupAction(z4, [neg, tuple(range(4))], 2)
+        bundle = SectionCocycleBundle(ga, frozenset({0, 2}))
+        fresh = Cocycle(bundle.base_action, bundle.fiber_action, bundle.cocycle.gen_values)
+        reduced = []
+        original = words._reduce
+
+        def counting(letters):
+            reduced.append(letters)
+            return original(letters)
+
+        monkeypatch.setattr(words, "_reduce", counting)
+        ok, witness = verify_cocycle_identity(
+            bundle.cocycle.sigma, bundle.base_action, bundle.fiber_action, max_len=3
+        )
+        assert ok, witness
+        tables = [fresh.values(w) for w in ball(2, 3)]
+        assert tables == [bundle.cocycle.values(w) for w in ball(2, 3)]
+        assert reduced == []
+
+
 class TestSkewBundle:
     def test_trivial_cocycle_is_product(self):
         rng = make_rng(5)
