@@ -7,15 +7,16 @@ four-group, the dihedral group of order 8 and the quaternion group.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import permutations
+from itertools import product
 from typing import Sequence
 
 from .spec import is_int, spec_field
 
 
 class FiniteGroup:
-    __slots__ = ("name", "labels", "table", "identity", "inverse", "_index")
+    """A group given by its multiplication table; caches its automorphisms."""
+
+    __slots__ = ("name", "labels", "table", "identity", "inverse", "_index", "_automorphisms")
 
     def __init__(self, name: str, labels: Sequence[str], table: Sequence[Sequence[int]]):
         n = len(labels)
@@ -49,6 +50,7 @@ class FiniteGroup:
         object.__setattr__(self, "identity", ident)
         object.__setattr__(self, "inverse", tuple(inverse))
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
+        object.__setattr__(self, "_automorphisms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
@@ -226,29 +228,55 @@ def group_from_json(data: dict) -> FiniteGroup:
     return FiniteGroup(spec_field(data, "name", str, "custom"), labels, table)
 
 
-@lru_cache(maxsize=None)
-def _automorphisms_cached(group_key) -> tuple[tuple[int, ...], ...]:
-    labels, table = group_key
-    g = FiniteGroup("tmp", labels, table)
-    n = g.order()
-    others = [x for x in range(n) if x != g.identity]
-    out = []
-    for images in permutations(others):
-        perm = [0] * n
-        perm[g.identity] = g.identity
-        for x, y in zip(others, images):
-            perm[x] = y
-        if g.is_automorphism(perm):
-            out.append(tuple(perm))
-    out.sort()
-    return tuple(out)
+def _element_order(g: FiniteGroup, x: int) -> int:
+    k, y = 1, x
+    while y != g.identity:
+        y, k = g.mul(y, x), k + 1
+    return k
 
 
 def all_automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """Every automorphism, as a permutation tuple, in a deterministic order."""
+    """Every automorphism, as a permutation tuple, in ascending order.
+
+    An automorphism is fixed by its images of a generating set, and each
+    image has the order of its generator.  So the candidates are those
+    images, each extended along a spanning tree of the Cayley graph
+    (x·s is sent to image(x)·image(s)) and kept when the result is a
+    bijective homomorphism.  The list is computed once per group.
+    """
     if g.order() > 8:
         raise ValueError("automorphism enumeration capped at order 8")
-    return list(_automorphisms_cached((g.labels, g.table)))
+    if g._automorphisms is None:
+        n = g.order()
+        gens: list[int] = []
+        span = {g.identity}
+        for x in range(n):
+            if x not in span:
+                gens.append(x)
+                span = g.subgroup_closure(gens)
+        # each other element y as (x, k, y): y = x·gens[k], x reached before y
+        steps, reached = [], [g.identity]
+        seen = {g.identity}
+        for x in reached:
+            for k, s in enumerate(gens):
+                y = g.mul(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+                    steps.append((x, k, y))
+        orders = [_element_order(g, x) for x in range(n)]
+        choices = [[y for y in range(n) if orders[y] == orders[s]] for s in gens]
+        out = []
+        for images in product(*choices):
+            perm = [0] * n
+            perm[g.identity] = g.identity
+            for x, k, y in steps:
+                perm[y] = g.mul(perm[x], images[k])
+            if g.is_automorphism(perm):
+                out.append(tuple(perm))
+        out.sort()
+        object.__setattr__(g, "_automorphisms", tuple(out))
+    return list(g._automorphisms)
 
 
 def compose_perms(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:

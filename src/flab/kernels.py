@@ -20,6 +20,13 @@ what was shown:
                          same projection; evidence, not a proof, since a
                          later window can still cut the projection down
     UNCERTIFIED          neither, within the growth cap
+
+The window path runs on integer word ids (see `flab.words`): the window
+chain is a sequence of id sets, and constraint sites, constraint rows
+and the extension proof's escape walk take their stencil steps on the
+subshift's own `CayleyTree`.  Only the kept coordinates of a projection
+are labelled by words.  `constraint_sites` and `window_rows` are the
+word-level views of the same computations.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .fplinear import (
 )
 from .spec import is_int, spec_field
 from .words import (
+    CayleyTree,
     FreeWord,
     WordSet,
     ball,
@@ -50,6 +58,7 @@ from .words import (
     format_word,
     identity,
     inv,
+    letter_slots,
     mul,
     parse_word,
     radius_center,
@@ -276,51 +285,74 @@ def window_coordinates(k: ConvolutionKernel, V: WordSet) -> list[tuple[FreeWord,
     return [(w, j) for w in V for j in range(k.d_in)]
 
 
-def constraint_sites(k: ConvolutionKernel, V: WordSet) -> list[FreeWord]:
-    """All g whose translated stencil support g.F lies inside V."""
+def _sites(k: ConvolutionKernel, tree: CayleyTree, V: frozenset[int]) -> list[int]:
+    """Ids of all g whose translated stencil support g.F lies inside V, ascending."""
     if k.is_zero():
         return []
-    f0, *rest = k.support_words()
+    f0, *rest = [letter_slots(f.letters) for f in k.support_words()]
     # g = v·f0^-1 puts g·f0 = v inside V, so only the rest of F is checked
-    if f0.is_identity():
-        candidates = V
-    else:
-        f0inv = inv(f0)
-        candidates = [mul(v, f0inv) for v in V]
-    sites = [g for g in candidates if all(mul(g, s) in V for s in rest)]
-    sites.sort(key=FreeWord.sort_key)
+    sites = tree.translates(V, tuple(a ^ 1 for a in reversed(f0)))
+    for f in rest:
+        sites = [g for g, gf in zip(sites, tree.translates(sites, f)) if gf in V]
+    sites.sort()
     return sites
 
 
-def window_rows(k: ConvolutionKernel, V: WordSet) -> tuple[list[dict], list[FreeWord]]:
-    """Sparse homogeneous constraint rows over window V plus the site index."""
-    sites = constraint_sites(k, V)
+def constraint_sites(k: ConvolutionKernel, V: WordSet) -> list[FreeWord]:
+    """All g whose translated stencil support g.F lies inside V."""
+    tree = CayleyTree(k.rank)
+    return [tree.word(g) for g in _sites(k, tree, V.ids())]
+
+
+def _window_rows(
+    k: ConvolutionKernel, tree: CayleyTree, V: frozenset[int]
+) -> tuple[list[dict], list[int]]:
+    """Constraint rows over the ids V, keyed (id, input channel), and the site ids."""
+    sites = _sites(k, tree, V)
+    blocks = list(k.coeffs.values())
+    columns = [tree.translates(sites, letter_slots(s.letters)) for s in k.coeffs]
+    p = k.p
     rows = []
-    for g in sites:
+    for n in range(len(sites)):
+        placed = [(column[n], block) for column, block in zip(columns, blocks)]
         for r in range(k.d_out):
             row: dict = {}
-            for s, block in k.coeffs.items():
-                gs = mul(g, s)
+            for gs, block in placed:
                 for j in range(k.d_in):
                     if block[r][j]:
                         key = (gs, j)
-                        row[key] = (row.get(key, 0) + block[r][j]) % k.p
+                        row[key] = (row.get(key, 0) + block[r][j]) % p
             rows.append({kk: v for kk, v in row.items() if v})
     return rows, sites
 
 
-def _marginal_system(k: ConvolutionKernel, W: WordSet, V: WordSet) -> AffineSolutionSet:
+def window_rows(k: ConvolutionKernel, V: WordSet) -> tuple[list[dict], list[FreeWord]]:
+    """Sparse homogeneous constraint rows over window V plus the site index."""
+    tree = CayleyTree(k.rank)
+    rows, sites = _window_rows(k, tree, V.ids())
+    word = {i: tree.word(i) for i in V.ids()}
+    rows = [{(word[i], j): v for (i, j), v in row.items()} for row in rows]
+    return rows, [tree.word(g) for g in sites]
+
+
+def _marginal_system(
+    k: ConvolutionKernel, W: WordSet, V: WordSet, tree: CayleyTree | None = None
+) -> AffineSolutionSet:
     """Project the window-V solution set onto the W coordinates.
 
     Eliminates the non-kept columns outermost-first (leaf-first in the
     tree), which keeps fill-in local for translation-invariant stencils.
+    The system is built on ids; the kept columns are relabelled by words.
     """
-    rows, _ = window_rows(k, V)
+    tree = tree or CayleyTree(k.rank)
+    rows, _ = _window_rows(k, tree, V.ids())
+    channels, kept = range(k.d_in), W.ids()
+    length = tree.length
+    outer = sorted(V.ids() - kept, key=lambda i: (-length(i), i))
+    reduced = eliminate_columns(rows, [(i, j) for i in outer for j in channels], k.p)
     keep = window_coordinates(k, W)
-    keep_set = set(keep)
-    eliminate = [c for c in window_coordinates(k, V) if c not in keep_set]
-    eliminate.sort(key=lambda c: (-len(c[0]), c[0].sort_key(), c[1]))
-    reduced = eliminate_columns(rows, eliminate, k.p)
+    label = dict(zip([(i, j) for i in sorted(kept) for j in channels], keep))
+    reduced = [{label[c]: v for c, v in row.items()} for row in reduced]
     return solution_space_from_constraints(reduced, tuple(keep), k.p)
 
 
@@ -335,20 +367,26 @@ def _fresh_candidates(k: ConvolutionKernel, geo: SupportGeometry) -> list[FreeWo
 
 
 def _extension_proof(
-    k: ConvolutionKernel, fresh: list[FreeWord], V: WordSet, V2: WordSet
+    k: ConvolutionKernel,
+    tree: CayleyTree,
+    fresh: list[tuple[int, ...]],
+    V: WordSet,
+    V2: WordSet,
 ) -> bool:
     """Constructive proof that every V-window solution extends to V2 >= V.
 
     Walks the constraints newly fitting in V2 in length-lex order; each
-    must own a fresh coordinate g.f, f in `fresh`, outside V and the
-    stencils placed before it, and solving for that single coordinate
-    satisfies the new constraint without disturbing any earlier one.
-    Success means the restriction map between the window solution spaces
-    is onto, so their projections to any subwindow of V agree.
+    must own a fresh coordinate g.f, f in `fresh` (letter slots), outside
+    V and the stencils placed before it, and solving for that single
+    coordinate satisfies the new constraint without disturbing any
+    earlier one.  Success means the restriction map between the window
+    solution spaces is onto, so their projections to any subwindow of V
+    agree.
     """
-    old_sites = set(constraint_sites(k, V))
-    new_sites = [g for g in constraint_sites(k, V2) if g not in old_sites]
-    return len(escape_walk(new_sites, fresh, k.support_words(), V)) == len(new_sites)
+    old_sites = set(_sites(k, tree, V.ids()))
+    new_sites = [g for g in _sites(k, tree, V2.ids()) if g not in old_sites]
+    cover = [letter_slots(s.letters) for s in k.support_words()]
+    return len(tree.escape_walk(new_sites, fresh, cover, V.ids())) == len(new_sites)
 
 
 class MarginalResult(NamedTuple):
@@ -376,7 +414,8 @@ class KernelSubshift:
         self.kernel = kernel
         self.growth_cap = growth_cap
         self._geometry = support_geometry(kernel)
-        self._fresh = _fresh_candidates(kernel, self._geometry)
+        self._fresh = [letter_slots(f.letters) for f in _fresh_candidates(kernel, self._geometry)]
+        self._tree = CayleyTree(kernel.rank)
         self._reach = max(1, self._geometry.diameter())
         self._cache: dict[tuple, MarginalResult] = {}
 
@@ -401,7 +440,7 @@ class KernelSubshift:
         failing it, the first two successive windows (up to V_cap and
         WINDOW_GUARD words) that agree give STABILIZED.
         """
-        k, cap = self.kernel, self.growth_cap
+        k, cap, tree = self.kernel, self.growth_cap, self._tree
         chain = [thicken(convex_hull(W), self._reach)]
 
         def window(i: int) -> WordSet:
@@ -409,12 +448,12 @@ class KernelSubshift:
                 chain.append(thicken(chain[-1], 1))
             return chain[i]
 
-        sets = [_marginal_system(k, W, window(0)), _marginal_system(k, W, window(1))]
+        sets = [_marginal_system(k, W, window(0), tree), _marginal_system(k, W, window(1), tree)]
         if (
             self._fresh
             and cap >= 1
             and all(len(window(i)) <= WINDOW_GUARD for i in range(1, cap + 1))
-            and _extension_proof(k, self._fresh, window(0), window(cap))
+            and _extension_proof(k, tree, self._fresh, window(0), window(cap))
         ):
             if sets[0] != sets[1]:
                 raise AssertionError("extension proof contradicts computed projections")
@@ -426,7 +465,7 @@ class KernelSubshift:
                 return MarginalResult(
                     W, sets[-1], "UNCERTIFIED", bounds=(sets[-1].dimension, sets[-2].dimension)
                 )
-            sets.append(_marginal_system(k, W, window(i)))
+            sets.append(_marginal_system(k, W, window(i), tree))
         return MarginalResult(W, sets[i], "STABILIZED")
 
     def _certified_marginal(self, W: WordSet) -> MarginalResult:
@@ -453,18 +492,6 @@ class KernelSubshift:
         if m.solution_set.contains(vec):
             return Fraction(1, self.kernel.p ** m.dimension)
         return Fraction(0)
-
-    def marginal_patterns(self, W: WordSet, limit: int = 1 << 12) -> list[dict]:
-        """All positive-measure patterns on W (for small windows)."""
-        m = self._certified_marginal(W)
-        cols = window_coordinates(self.kernel, W)
-        out = []
-        for member in m.solution_set.members(limit):
-            pattern: dict[FreeWord, list[int]] = {w: [0] * self.kernel.d_in for w in W}
-            for (w, j), v in zip(cols, member):
-                pattern[w][j] = v
-            out.append({w: tuple(v) for w, v in pattern.items()})
-        return out
 
 
 # -- surjectivity ------------------------------------------------------------

@@ -13,13 +13,35 @@ Construction: the public `FreeWord(rank, letters)` reduces its letters and
 checks each against the rank, so it accepts any input.  The private
 `_word(rank, letters)` trusts its caller to pass a reduced tuple of
 in-range letters and only stores it; `identity`, `mul`, `inv`,
-`neighbors`, `ball_list` and `geodesic_interval` build their results
-with it, because they produce reduced words by construction.  Every
-word stores its hash when it is built.
+`neighbors`, `ball_list` and the id decoding build their results with it,
+because they produce reduced words by construction.  Every word stores
+its hash when it is built.
+
+Integer ids.  Each reduced word of rank r also has an integer id, its
+length-lex index: letters are ordered by their slot, 2i-2 for the
+generator s_i and 2i-1 for its inverse (a < A < b < B < ...), e has id 0,
+and the words of length n come after all shorter words, in lex order of
+their slots.  This is the word's position in `ball_list`'s breadth-first
+order, and integer order is `FreeWord.sort_key` order: sorting ids gives
+the canonical order, which is the only ordering contract of this module.
+With q = 2r - 1 and S(n) = ball_size(r, n), a word of length n >= 1 with
+id i has
+    children  S(n) + (i - S(n-1))·q + d  for d = 0 .. q-1, in slot order
+              (the children of e are 1 .. 2r),
+    parent    S(n-2) + (i - S(n-1)) // q  (e when n = 1).
+The child reached by the letter of slot s skips the inverse of i's last
+letter, so d = s, or s - 1 past that inverse; a one-generator step i·s
+therefore needs i's last letter too.  A `CayleyTree` does these steps and
+keeps, for the ids it has met, their last letters.  A `WordSet` stores
+ids, and `thicken`, `convex_hull`, `geodesic_interval`, `extreme_points`
+and `escape_walk` run on ids; their word arguments and results are
+converted at the boundary.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import reduce
 from typing import Collection, Iterable, Iterator, Sequence
 
 
@@ -160,22 +182,246 @@ def format_word(w: FreeWord) -> str:
     return "".join(out)
 
 
+# -- integer ids -------------------------------------------------------------
+
+
+def letter_slots(letters: Iterable[int]) -> tuple[int, ...]:
+    """Letter slots: 2i-2 for the generator s_i, 2i-1 for its inverse."""
+    return tuple(a + a - 2 if a > 0 else -a - a - 1 for a in letters)
+
+
+def _word_id(rank: int, letters: Sequence[int]) -> int:
+    """The length-lex id of a reduced word."""
+    q = 2 * rank - 1
+    i, lo, width, back = 0, 0, 1, -1  # words of i's length: [lo, lo + width)
+    for a in letters:
+        s = a + a - 2 if a > 0 else -a - a - 1
+        if lo:
+            i = lo + width + (i - lo) * q + (s if s < back else s - 1)
+            lo, width = lo + width, width * q
+        else:
+            i, lo, width = s + 1, 1, 2 * rank
+        back = s ^ 1
+    return i
+
+
+def _id_letters(rank: int, i: int) -> tuple[int, ...]:
+    """The letters of the reduced word with id i."""
+    if i == 0:
+        return ()
+    q, lo, width, n = 2 * rank - 1, 1, 2 * rank, 1
+    while i >= lo + width:
+        lo, width, n = lo + width, width * q, n + 1
+    j, digits = i - lo, []
+    for _ in range(n - 1):
+        j, d = divmod(j, q)
+        digits.append(d)
+    s, path = j, [j]
+    for d in reversed(digits):
+        back = s ^ 1
+        s = d if d < back else d + 1
+        path.append(s)
+    return tuple(s // 2 + 1 if s % 2 == 0 else -(s // 2 + 1) for s in path)
+
+
+class CayleyTree:
+    """The tree steps on the ids of the rank-r free group.
+
+    Keeps the ball sizes S(0), S(1), ... and the last-letter slot of every
+    id it has met, both grown on demand, so that after the first visit a
+    one-generator step is a few integer operations.  The tables belong to
+    the instance; an owner that walks many windows keeps one tree for all
+    of them.
+    """
+
+    __slots__ = ("rank", "q", "_sizes", "_last")
+
+    def __init__(self, rank: int):
+        if rank < 1:
+            raise ValueError("rank must be >= 1")
+        self.rank = rank
+        self.q = 2 * rank - 1
+        self._sizes = [1]
+        self._last: dict[int, int] = {}
+
+    def id(self, w: FreeWord) -> int:
+        if w.rank != self.rank:
+            raise ValueError(f"rank mismatch: {w.rank} != {self.rank}")
+        i = _word_id(self.rank, w.letters)
+        if i:
+            self._last[i] = letter_slots(w.letters[-1:])[0]
+        return i
+
+    def word(self, i: int) -> FreeWord:
+        return _word(self.rank, _id_letters(self.rank, i))
+
+    def length(self, i: int) -> int:
+        """n with S(n-1) <= i < S(n); grows the size table past i."""
+        sizes = self._sizes
+        while sizes[-1] <= i:
+            sizes.append(ball_size(self.rank, len(sizes)))
+        return bisect_right(sizes, i)
+
+    def parent(self, i: int) -> int:
+        n = self.length(i)
+        if n == 0:
+            raise ValueError("the identity has no parent")
+        return self._sizes[n - 2] + (i - self._sizes[n - 1]) // self.q if n > 1 else 0
+
+    def children(self, i: int) -> range:
+        if i == 0:
+            return range(1, 2 * self.rank + 1)
+        n = self.length(i)
+        base = self._sizes[n] + (i - self._sizes[n - 1]) * self.q
+        return range(base, base + self.q)
+
+    def last(self, i: int) -> int:
+        """The slot of the last letter of the word with id i >= 1."""
+        s = self._last.get(i)
+        if s is None:
+            if i == 0:
+                raise ValueError("the identity has no last letter")
+            if i <= 2 * self.rank:
+                s = i - 1
+            else:
+                d = (i - self._sizes[self.length(i) - 1]) % self.q
+                back = self.last(self.parent(i)) ^ 1
+                s = d if d < back else d + 1
+            self._last[i] = s
+        return s
+
+    def translates(self, ids: Iterable[int], word: Sequence[int]) -> list[int]:
+        """The ids of v·w for each id v, for w given by its letter slots."""
+        sizes, last, q = self._sizes, self._last, self.q
+        out = []
+        for i in ids:
+            for s in word:
+                if i == 0:
+                    i = s + 1
+                    continue
+                back = last.get(i)
+                if back is None:
+                    back = self.last(i)
+                back ^= 1
+                if sizes[-1] <= i:
+                    self.length(i)
+                n = bisect_right(sizes, i)
+                if s == back:
+                    i = sizes[n - 2] + (i - sizes[n - 1]) // q if n > 1 else 0
+                else:
+                    i = sizes[n] + (i - sizes[n - 1]) * q + (s if s < back else s - 1)
+                    last[i] = s
+            out.append(i)
+        return out
+
+    def thicken(self, ids: Iterable[int], t: int) -> set[int]:
+        """All ids within distance t of the given ones."""
+        sizes, q, top = self._sizes, self.q, range(1, 2 * self.rank + 1)
+        out = set(ids)
+        frontier = out
+        for _ in range(t):
+            nxt: set[int] = set()
+            for i in frontier:
+                if i == 0:
+                    nxt.update(top)
+                    continue
+                if sizes[-1] <= i:
+                    self.length(i)
+                n = bisect_right(sizes, i)
+                j = i - sizes[n - 1]
+                nxt.add(sizes[n - 2] + j // q if n > 1 else 0)
+                base = sizes[n] + j * q
+                nxt.update(range(base, base + q))
+            nxt -= out
+            out |= nxt
+            frontier = nxt
+        return out
+
+    def hull(self, ids: Iterable[int]) -> set[int]:
+        """The smallest connected set of ids containing the given ones.
+
+        Every id descends from the meet (deepest common ancestor) of all
+        of them, so the hull is the union of the paths up to the meet.
+        """
+        ids = list(ids)
+        if not ids:
+            raise ValueError("convex hull of empty set")
+        parent = self.parent
+
+        def meet(u: int, v: int) -> int:
+            # a longer word has a larger id, so the larger id climbs
+            while u != v:
+                if u > v:
+                    u = parent(u)
+                else:
+                    v = parent(v)
+            return u
+
+        out = {reduce(meet, ids)}
+        for w in ids:
+            while w not in out:
+                out.add(w)
+                w = parent(w)
+        return out
+
+    def degree(self, i: int, ids: Collection[int]) -> int:
+        """Neighbours of i inside ids."""
+        deg = sum(1 for c in self.children(i) if c in ids)
+        return deg + (i != 0 and self.parent(i) in ids)
+
+    def escape_walk(
+        self,
+        ordering: Iterable[int],
+        fresh: Sequence[Sequence[int]],
+        cover: Iterable[Sequence[int]],
+        covered: Iterable[int] = (),
+    ) -> list[int]:
+        """The ordering step of the onto-ness induction on ids.
+
+        `fresh` and `cover` are words given by their letter slots.  Each
+        site g, in order, takes the first index k with g·fresh[k] outside
+        `covered` and outside every earlier g'·cover; the walk stops at the
+        first site that has none.  Returns the index k of each placed site.
+        """
+        ordering, covered = list(ordering), set(covered)
+        image = {}
+        for w in [*fresh, *cover]:
+            if w not in image:
+                image[w] = self.translates(ordering, w)
+        fresh = [image[f] for f in fresh]
+        cover = [image[c] for c in cover]
+        picks = []
+        for n in range(len(ordering)):
+            k = next((k for k, f in enumerate(fresh) if f[n] not in covered), None)
+            if k is None:
+                break
+            picks.append(k)
+            covered.update(c[n] for c in cover)
+        return picks
+
+
+# -- word sets ---------------------------------------------------------------
+
+
 class WordSet:
     """A finite set of words of common rank with deterministic iteration.
 
-    Iteration is length-lexicographic, so anything derived from a WordSet
-    (reports, matrix column orders) is byte-stable.
+    The words are held as their ids.  Iteration is length-lexicographic
+    (ascending id), so anything derived from a WordSet (reports, matrix
+    column orders) is byte-stable; the words are decoded on the first
+    iteration and kept.
     """
 
-    __slots__ = ("rank", "_words", "_sorted")
+    __slots__ = ("rank", "_ids", "_sorted")
 
     def __init__(self, rank: int, words: Iterable[FreeWord] = ()):
-        ws = frozenset(words)
-        for w in ws:
+        ids = set()
+        for w in words:
             if w.rank != rank:
                 raise ValueError("word of wrong rank in WordSet")
+            ids.add(_word_id(rank, w.letters))
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_words", ws)
+        object.__setattr__(self, "_ids", frozenset(ids))
         object.__setattr__(self, "_sorted", None)
 
     def __setattr__(self, name, value):
@@ -188,41 +434,58 @@ class WordSet:
         raise AttributeError("WordSet is immutable")
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._ids)
 
     def __contains__(self, w: FreeWord) -> bool:
-        return w in self._words
+        return (
+            isinstance(w, FreeWord)
+            and w.rank == self.rank
+            and _word_id(self.rank, w.letters) in self._ids
+        )
 
     def __iter__(self) -> Iterator[FreeWord]:
         if self._sorted is None:
-            self._sorted = sorted(self._words, key=FreeWord.sort_key)
+            rank = self.rank
+            self._sorted = [_word(rank, _id_letters(rank, i)) for i in sorted(self._ids)]
         return iter(self._sorted)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WordSet)
             and self.rank == other.rank
-            and self._words == other._words
+            and self._ids == other._ids
         )
 
     def __hash__(self) -> int:
-        return hash((self.rank, self._words))
+        return hash((self.rank, self._ids))
 
     def __repr__(self) -> str:
         return "WordSet({%s})" % ", ".join(format_word(w) for w in self)
 
+    def ids(self) -> frozenset[int]:
+        return self._ids
+
     def union(self, other: "WordSet") -> "WordSet":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return WordSet(self.rank, self._words | other._words)
+        return _wordset(self.rank, self._ids | other._ids)
 
     def translate(self, g: FreeWord) -> "WordSet":
         """Left translate g·S."""
-        return WordSet(self.rank, (mul(g, w) for w in self._words))
+        return WordSet(self.rank, (mul(g, w) for w in self))
 
     def key(self) -> tuple:
-        """Canonical hashable key (used for memo tables)."""
-        return tuple(w.letters for w in self)
+        """Canonical hashable key (used for memo tables): the ascending ids."""
+        return tuple(sorted(self._ids))
+
+
+def _wordset(rank: int, ids: Iterable[int]) -> WordSet:
+    """A WordSet from ids the caller knows to be valid for the rank."""
+    s = object.__new__(WordSet)
+    object.__setattr__(s, "rank", rank)
+    object.__setattr__(s, "_ids", frozenset(ids))
+    object.__setattr__(s, "_sorted", None)
+    return s
 
 
 def signed_letters(rank: int) -> list[int]:
@@ -247,9 +510,9 @@ def neighbors(w: FreeWord) -> list[FreeWord]:
 def ball_list(rank: int, n: int) -> list[FreeWord]:
     """Breadth-first enumeration of the radius-n ball around the identity.
 
-    Children are visited in the order s1, s1^-1, ..., sr, sr^-1; every
-    prefix of the output is connected, which is the property the spiral
-    ordering needs.
+    Children are visited in the order s1, s1^-1, ..., sr, sr^-1, so the
+    word at position i has id i; every prefix of the output is connected,
+    which is the property the spiral ordering needs.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -269,7 +532,11 @@ def ball_list(rank: int, n: int) -> list[FreeWord]:
 
 
 def ball(rank: int, n: int) -> WordSet:
-    return WordSet(rank, ball_list(rank, n))
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _wordset(rank, range(ball_size(rank, n)))
 
 
 def ball_size(rank: int, n: int) -> int:
@@ -288,50 +555,21 @@ def spiral_ordering(rank: int, n: int) -> list[FreeWord]:
 
 
 def geodesic_interval(v: FreeWord, w: FreeWord) -> WordSet:
-    """Vertices on the unique tree path from v to w, inclusive."""
+    """Vertices on the unique tree path from v to w, inclusive: hull {v, w}."""
     if v.rank != w.rank:
         raise ValueError("rank mismatch")
-    a, b = v.letters, w.letters
-    i = 0
-    while i < len(a) and i < len(b) and a[i] == b[i]:
-        i += 1
-    rank = v.rank
-    path = [_word(rank, a[:k]) for k in range(len(a), i - 1, -1)]
-    path.extend(_word(rank, b[:k]) for k in range(i + 1, len(b) + 1))
-    return WordSet(rank, path)
+    tree = CayleyTree(v.rank)
+    return _wordset(v.rank, tree.hull((tree.id(v), tree.id(w))))
 
 
 def convex_hull(s: WordSet) -> WordSet:
     """Smallest connected superset in the Cayley tree.
 
-    Equals the union of geodesics from any fixed basepoint of s to all
-    other elements; the pairwise-geodesic union gives the same set and is
-    kept as the test oracle.
+    The union of the paths from each element up to the meet of all of
+    them; the pairwise-geodesic union gives the same set and is kept as
+    the test oracle.
     """
-    if len(s) == 0:
-        raise ValueError("convex hull of empty set")
-    it = iter(s)
-    base = next(it)
-    out = {base}
-    for w in it:
-        out.update(geodesic_interval(base, w)._words)
-    return WordSet(s.rank, out)
-
-
-def is_connected(s: WordSet) -> bool:
-    if len(s) == 0:
-        return True
-    seen = set()
-    stack = [next(iter(s))]
-    while stack:
-        w = stack.pop()
-        if w in seen:
-            continue
-        seen.add(w)
-        for u in neighbors(w):
-            if u in s and u not in seen:
-                stack.append(u)
-    return len(seen) == len(s)
+    return _wordset(s.rank, CayleyTree(s.rank).hull(s._ids))
 
 
 def extreme_points(s: WordSet) -> WordSet:
@@ -340,12 +578,8 @@ def extreme_points(s: WordSet) -> WordSet:
     A singleton has degree 0, hence no extreme points; downstream users
     special-case radius-0 hulls.
     """
-    out = []
-    for w in s:
-        deg = sum(1 for u in neighbors(w) if u in s)
-        if deg == 1:
-            out.append(w)
-    return WordSet(s.rank, out)
+    tree, ids = CayleyTree(s.rank), s._ids
+    return _wordset(s.rank, (i for i in ids if tree.degree(i, ids) == 1))
 
 
 def radius_center(s: WordSet) -> tuple[int, WordSet]:
@@ -377,17 +611,7 @@ def radius_center(s: WordSet) -> tuple[int, WordSet]:
 
 def thicken(s: WordSet, t: int) -> WordSet:
     """All words within distance t of s."""
-    out = set(s._words)
-    frontier = set(s._words)
-    for _ in range(t):
-        nxt = set()
-        for w in frontier:
-            for u in neighbors(w):
-                if u not in out:
-                    nxt.add(u)
-        out.update(nxt)
-        frontier = nxt
-    return WordSet(s.rank, out)
+    return _wordset(s.rank, CayleyTree(s.rank).thicken(s._ids, t))
 
 
 def escape_walk(
@@ -405,17 +629,19 @@ def escape_walk(
     induction.  Processing the sites in the given order loses nothing:
     the covered set only grows, so a site without a fresh coordinate
     never gains one, and any order that skips a blocked site can never
-    place it either.
+    place it either.  The walk runs on ids (`CayleyTree.escape_walk`).
     """
-    covered = set(covered)
-    walk = []
-    for g in ordering:
-        f = next((f for f in fresh if mul(g, f) not in covered), None)
-        if f is None:
-            break
-        walk.append((g, f))
-        covered.update(mul(g, c) for c in cover)
-    return walk
+    ordering, fresh = list(ordering), list(fresh)
+    if not ordering:
+        return []
+    tree = CayleyTree(ordering[0].rank)
+    picks = tree.escape_walk(
+        map(tree.id, ordering),
+        [letter_slots(f.letters) for f in fresh],
+        [letter_slots(c.letters) for c in cover],
+        map(tree.id, covered),
+    )
+    return [(g, fresh[k]) for g, k in zip(ordering, picks)]
 
 
 def check_ordering_condition(

@@ -196,11 +196,11 @@ class TestProjectedDimension:
         for n in range(3):
             m = sub.marginal(ball(2, n))
             assert m.is_certified() and m.dimension == 1
-        pats = sub.marginal_patterns(ball(2, 1))
-        assert len(pats) == 2
-        for pat in pats:
-            vals = {v for v in pat.values()}
-            assert len(vals) == 1  # constants only
+        # one input channel, so a member lists the values on B(1) in order
+        members = sub.marginal(ball(2, 1)).solution_set.members()
+        assert len(members) == 2
+        for member in members:
+            assert len(set(member)) == 1  # constants only
 
     def test_comparison_kernel_constants(self):
         for p in (2, 3):

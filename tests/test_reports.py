@@ -6,7 +6,9 @@ recorded before the word layer switched to trusted construction, stored
 hashes and integer length-lex keys; the verifier and the finite-group and
 skew-product compute-f digests (the skew ones carry a relative_report)
 were recorded before the processes answered every window through one
-memoized entropy query with conditioning fixed at construction.  A change
+memoized entropy query with conditioning fixed at construction; the p=3
+kernel digest was recorded before the window path moved to integer word
+ids.  A change
 that alters any byte of these reports fails here.
 """
 
@@ -42,6 +44,9 @@ RUNS = {
     "kernel p=2 {e:1,A:1}": lambda: suite.run_algebraic(
         suite.RunConfig(n_max=1), scalar_kernel(2, 2, {"e": 1, "A": 1})
     ),
+    "kernel p=3 {e:1,A:1,B:2}": lambda: suite.run_algebraic(
+        suite.RunConfig(n_max=1), scalar_kernel(3, 2, {"e": 1, "A": 1, "B": 2})
+    ),
     "compute-f bernoulli": lambda: suite.run_compute_f(
         suite.RunConfig(n_max=2), {"type": "bernoulli", "k": 2}
     ),
@@ -58,6 +63,7 @@ GOLDEN = {
     "ow": "c862ff16c0b2c3b260efbe475079a570a053042dd3877002d9a9c0ce7d65b8a6",
     "gen Z/3": "cdfe656a73a5c557fc701d6ab2719cef401ffd3ccb5e4e2b8ca6971b70506d79",
     "kernel p=2 {e:1,A:1}": "5ae06dbd262b5e6fd619de7a6e4943bed583ef16089eaab6256547f8226fde10",
+    "kernel p=3 {e:1,A:1,B:2}": "527b0e34877cdf2e0a89befbef6e2f2d398243da92bbd1c0ea665be34cef163d",
     "compute-f bernoulli": "797b34a6927be1c5aadc867bc42b0218eeacd408893dfcd0ac29b91b9b4caef4",
     "verify all": "d74e3dd1be4f9b057cc4b5384e6dbb296a707079ea96027eb98ed5f3706436f2",
     "verify cocycle negate-cocycle": "3ef8c482f1d6433ed1a3eb17ba162bfc00c5d4a5ab47401750a440aa4dca7925",

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from flab.entropy import EntropyValue, FinitePartition, join, shannon_entropy
 from flab.groups import (
+    _PRESETS,
     all_automorphisms,
     cyclic,
     dihedral4,
@@ -50,6 +52,21 @@ def uniform(n):
     return FinitePartition.uniform_space(n)
 
 
+
+def brute_force_automorphisms(g):
+    """Oracle: test every bijection fixing the identity, sorted."""
+    n = g.order()
+    others = [x for x in range(n) if x != g.identity]
+    out = []
+    for images in permutations(others):
+        perm = [0] * n
+        perm[g.identity] = g.identity
+        for x, y in zip(others, images):
+            perm[x] = y
+        if g.is_automorphism(perm):
+            out.append(tuple(perm))
+    return sorted(out)
+
 class TestGroups:
     def test_preset_orders(self):
         assert cyclic(4).order() == 4
@@ -68,6 +85,20 @@ class TestGroups:
         assert len(all_automorphisms(klein_four())) == 6
         assert len(all_automorphisms(dihedral4())) == 8
         assert len(all_automorphisms(quaternion8())) == 24
+
+    @pytest.mark.parametrize("name", sorted(_PRESETS))
+    def test_automorphisms_match_brute_force(self, name):
+        g = preset_group(name)
+        assert g.order() <= 8
+        assert all_automorphisms(g) == brute_force_automorphisms(g)
+
+    def test_automorphisms_cached_on_the_group(self):
+        g = dihedral4()
+        assert g._automorphisms is None
+        autos = all_automorphisms(g)
+        autos.clear()
+        assert all_automorphisms(g) == brute_force_automorphisms(g)
+        assert preset_group("D4")._automorphisms is None
 
     def test_q8_relations(self):
         q8 = quaternion8()

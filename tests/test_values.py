@@ -15,7 +15,7 @@ VALUES = {
     "measure space": (lambda: FinitePartition.uniform_space(3), "counts"),
     "EntropyValue": (lambda: EntropyValue.log_int(6), "_terms"),
     "FreeWord": (lambda: parse_word("abA", 2), "letters"),
-    "WordSet": (lambda: ball(2, 1), "_words"),
+    "WordSet": (lambda: ball(2, 1), "_ids"),
     "FiniteGroup": (lambda: cyclic(3), "table"),
     "ConvolutionKernel": (
         lambda: ConvolutionKernel(2, 2, {parse_word("a", 2): [[1]]}),

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from flab import words
 from flab.kernels import KernelSubshift, scalar_kernel
 from flab.words import (
+    CayleyTree,
     FreeWord,
     WordSet,
     ball,
@@ -21,7 +22,7 @@ from flab.words import (
     geodesic_interval,
     identity,
     inv,
-    is_connected,
+    letter_slots,
     mul,
     neighbors,
     parse_word,
@@ -34,6 +35,23 @@ from flab.words import (
 
 def w(text, rank=2):
     return parse_word(text, rank)
+
+
+def is_connected(s):
+    """Depth-first connectivity of a word set in the Cayley tree (test oracle)."""
+    if len(s) == 0:
+        return True
+    seen = set()
+    stack = [next(iter(s))]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        for u in neighbors(v):
+            if u in s and u not in seen:
+                stack.append(u)
+    return len(seen) == len(s)
 
 
 def naive_reduce(letters):
@@ -138,6 +156,17 @@ class TestBall:
             assert len(v) <= 3
 
 
+def prefix_geodesic(v, w):
+    """Oracle: the tree path from v up to the longest common prefix, then down to w."""
+    a, b = v.letters, w.letters
+    i = 0
+    while i < len(a) and i < len(b) and a[i] == b[i]:
+        i += 1
+    path = [FreeWord(v.rank, a[:k]) for k in range(len(a), i - 1, -1)]
+    path.extend(FreeWord(v.rank, b[:k]) for k in range(i + 1, len(b) + 1))
+    return path
+
+
 class TestGeodesic:
     def test_prefix_path(self):
         assert geodesic_interval(w("e"), w("ab")) == WordSet(2, [w("e"), w("a"), w("ab")])
@@ -152,6 +181,10 @@ class TestGeodesic:
     def test_size_is_distance_plus_one(self, a, b):
         assert len(geodesic_interval(a, b)) == distance(a, b) + 1
 
+    @given(words_st, words_st)
+    def test_matches_prefix_oracle(self, a, b):
+        assert set(geodesic_interval(a, b)) == set(prefix_geodesic(a, b))
+
 
 def pairwise_hull_oracle(s):
     """Union of geodesics over all pairs: an independent hull oracle."""
@@ -159,7 +192,7 @@ def pairwise_hull_oracle(s):
     elems = list(s)
     for a in elems:
         for b in elems:
-            out.update(geodesic_interval(a, b))
+            out.update(prefix_geodesic(a, b))
     return WordSet(s.rank, out)
 
 
@@ -440,3 +473,132 @@ class TestTrustedConstruction:
         neighbors(g)
         sub.marginal(W)
         assert calls == []
+
+
+# -- integer word ids ----------------------------------------------------------
+
+
+def word_walk(ordering, fresh, cover, covered=()):
+    """Oracle: the escape walk on words, with `mul` and word sets."""
+    covered, walk = set(covered), []
+    for g in ordering:
+        f = next((f for f in fresh if mul(g, f) not in covered), None)
+        if f is None:
+            break
+        walk.append((g, f))
+        covered.update(mul(g, c) for c in cover)
+    return walk
+
+
+def word_thicken(ws, t):
+    """Oracle: breadth-first thickening through `neighbors`."""
+    out = set(ws)
+    frontier = set(ws)
+    for _ in range(t):
+        frontier = {u for v in frontier for u in neighbors(v)} - out
+        out |= frontier
+    return out
+
+
+@st.composite
+def word_samples(draw, count):
+    """A rank in 1..3 and `count` reduced words of that rank."""
+    rank, lists = draw(letter_lists(count))
+    return rank, [FreeWord(rank, x) for x in lists]
+
+
+def ids_of(rank, ws):
+    tree = CayleyTree(rank)
+    return [tree.id(u) for u in ws]
+
+
+class TestWordIds:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_ids_are_ball_list_positions(self, rank):
+        tree = CayleyTree(rank)
+        for i, u in enumerate(ball_list(rank, 4)):
+            assert tree.id(u) == i
+            assert_validated(tree.word(i), rank, u.letters)
+        assert ball(rank, 4).ids() == frozenset(range(ball_size(rank, 4)))
+
+    @given(word_samples(1))
+    def test_round_trip(self, case):
+        rank, (u,) = case
+        tree = CayleyTree(rank)
+        i = tree.id(u)
+        assert_validated(tree.word(i), rank, u.letters)
+        assert tree.id(tree.word(i)) == i
+        assert tree.length(i) == len(u)
+
+    @given(word_samples(12))
+    def test_id_order_is_sort_key_order(self, case):
+        rank, sample = case
+        ids = dict(zip(sample, ids_of(rank, sample)))
+        assert sorted(sample, key=ids.get) == sorted(sample, key=FreeWord.sort_key)
+        for a in sample:
+            for b in sample:
+                assert (ids[a] < ids[b]) == (a.sort_key() < b.sort_key())
+        assert list(WordSet(rank, sample)) == sorted(set(sample), key=FreeWord.sort_key)
+
+    @given(word_samples(2))
+    def test_tree_steps_match_neighbors_and_mul(self, case):
+        rank, (u, v) = case
+        # a tree that has not seen u recovers its last letter by arithmetic
+        (i,), tree = ids_of(rank, [u]), CayleyTree(rank)
+        steps = [tree.translates([i], letter_slots([a]))[0] for a in signed_letters(rank)]
+        assert steps == ids_of(rank, neighbors(u))
+        children = ids_of(rank, [x for x in neighbors(u) if len(x) > len(u)])
+        assert list(tree.children(i)) == children
+        if u.letters:
+            assert tree.parent(i) == ids_of(rank, [FreeWord(rank, u.letters[:-1])])[0]
+            assert tree.last(i) == letter_slots(u.letters[-1:])[0]
+        assert tree.translates([i], letter_slots(v.letters)) == ids_of(rank, [mul(u, v)])
+
+    @given(word_samples(4), st.integers(0, 2))
+    def test_thicken_matches_word_oracle(self, case, t):
+        rank, sample = case
+        got = thicken(WordSet(rank, sample), t)
+        assert set(got) == word_thicken(sample, t)
+        assert got.ids() == CayleyTree(rank).thicken(ids_of(rank, sample), t)
+
+    @given(word_samples(5))
+    def test_convex_hull_matches_word_oracle(self, case):
+        rank, sample = case
+        s = WordSet(rank, sample)
+        got = convex_hull(s)
+        assert got == pairwise_hull_oracle(s)
+        assert got.ids() == CayleyTree(rank).hull(ids_of(rank, sample))
+        assert is_connected(got)
+
+    @given(word_samples(12), st.data())
+    def test_escape_walk_matches_word_oracle(self, case, data):
+        rank, sample = case
+        ordering, pool = sample[:8], sample[8:]
+        cover = list(convex_hull(WordSet(rank, pool)))
+        fresh = [f for f in cover if data.draw(st.booleans())] or cover
+        covered = data.draw(st.lists(st.sampled_from(sample), max_size=3))
+        assert escape_walk(ordering, fresh, cover, covered) == word_walk(
+            ordering, fresh, cover, covered
+        )
+
+    def test_window_path_builds_few_words(self, monkeypatch):
+        # the window chain of this marginal reaches about a thousand words
+        # and every one of its steps runs on ids; the words built are the
+        # stencil geometry and the kept B(1) coordinate labels
+        built = []
+        real_word, real_init = words._word, FreeWord.__init__
+
+        def counting_word(rank, letters):
+            built.append(letters)
+            return real_word(rank, letters)
+
+        def counting_init(self, rank, letters=()):
+            built.append(letters)
+            real_init(self, rank, letters)
+
+        k, W = scalar_kernel(2, 2, {"e": 1, "A": 1}), ball(2, 1)
+        monkeypatch.setattr(words, "_word", counting_word)
+        monkeypatch.setattr(FreeWord, "__init__", counting_init)
+        m = KernelSubshift(k).marginal(W)
+        assert (m.certificate, m.dimension) == ("EXTENSION-CERTIFIED", 3)
+        assert len(built) <= 64
