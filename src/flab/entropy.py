@@ -25,7 +25,6 @@ import math
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 MAX_ATOMS = 1 << 20
@@ -35,7 +34,6 @@ class SpaceMismatchError(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...)."""
     if n < 1:

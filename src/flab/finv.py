@@ -149,9 +149,6 @@ class FReport(NamedTuple):
     def f_exact(self) -> bool:
         return self.f_certificate.startswith("EXACT")
 
-    def f_star_exact(self) -> bool:
-        return self.f_star_certificate.startswith("EXACT")
-
     def to_json(self) -> dict:
         return {
             "label": self.label,

@@ -26,7 +26,12 @@ chain is a sequence of id sets, and constraint sites, constraint rows
 and the extension proof's escape walk take their stencil steps on the
 subshift's own `CayleyTree`.  Only the kept coordinates of a projection
 are labelled by words.  `constraint_sites` and `window_rows` are the
-word-level views of the same computations.
+word-level views of the same computations; the window path calls the
+id-level `_sites` and `_window_rows`.
+
+The onto-ness decision (`is_surjective`) and the preimage solver
+(`preimage_on_ball`) work on the stencil translated so that the identity
+is a center of its hull (`_centered`), which cuts out the same subshift.
 """
 
 from __future__ import annotations
@@ -161,16 +166,6 @@ class ConvolutionKernel:
                 out[r] += sum(block[r][j] * val[j] for j in range(self.d_in))
         return tuple(v % self.p for v in out)
 
-    def centered(self) -> tuple["ConvolutionKernel", FreeWord]:
-        """Translate the stencil so the identity becomes a center of its hull.
-
-        Returns (kernel', c) with kernel'.coeffs[t] = coeffs[c t]; the two
-        kernels cut out the same subshift, with constraints reindexed by
-        g -> g c^{-1}.
-        """
-        kernel, center, _ = _centered(self)
-        return kernel, center
-
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -266,7 +261,12 @@ def support_geometry(k: ConvolutionKernel) -> SupportGeometry:
 
 
 def _centered(k: ConvolutionKernel) -> tuple[ConvolutionKernel, FreeWord, SupportGeometry]:
-    """k.centered(), with the support geometry of the centered kernel."""
+    """Translate the stencil so the identity becomes a center of its hull.
+
+    Returns (k', c, geometry of k') with k'.coeffs[t] = k.coeffs[c t]; the
+    two kernels cut out the same subshift, with constraints reindexed by
+    g -> g c^{-1}.
+    """
     geo = support_geometry(k)
     center = next(iter(geo.centers))
     if center.is_identity():
@@ -419,9 +419,6 @@ class KernelSubshift:
         self._reach = max(1, self._geometry.diameter())
         self._cache: dict[tuple, MarginalResult] = {}
 
-    def geometry(self) -> SupportGeometry:
-        return self._geometry
-
     def marginal(self, W: WordSet) -> MarginalResult:
         key = W.key()
         hit = self._cache.get(key)
@@ -571,7 +568,7 @@ def preimage_on_ball(
     """A finite configuration x with phi(x)(g) = y(g) for every g in B(n).
 
     Runs the inductive construction behind the onto-ness theorem on the
-    centered stencil k' = k.centered() with center c: phi(x)(g) =
+    centered stencil k' = _centered(k) with center c: phi(x)(g) =
     phi'(x)(g·c), so the targets move to y'(g·c) = y(g) for g in B(n),
     and y' = 0 on the rest of B(n + |c|).  The escape walk pairs each
     site of the spiral ordering of B(n + |c|) with an extreme-point

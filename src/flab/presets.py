@@ -11,11 +11,9 @@ import random
 from .entropy import FinitePartition
 from .groups import FiniteGroup, all_automorphisms, preset_group
 from .skew import (
-    Cocycle,
     FiniteAction,
     FiniteGroupAction,
     SectionCocycleBundle,
-    SkewBundle,
     SpecialPartition,
     ZSkewSystem,
 )
@@ -49,22 +47,6 @@ def _automorphism(group: FiniteGroup, value) -> tuple[int, ...]:
 
 def trivial_action(group: FiniteGroup, rank: int) -> FiniteGroupAction:
     return FiniteGroupAction(group, [identity_perm(group.order())] * rank, rank)
-
-
-def nontrivial_auto_assignments(group: FiniteGroup, rank: int, count: int = 2) -> list[list[int]]:
-    """Deterministic distinct automorphism assignments, identity first."""
-    autos = all_automorphisms(group)
-    assignments = [[0] * rank]
-    idx = 1
-    while len(assignments) < count and idx < len(autos) * rank:
-        pick = [0] * rank
-        pick[idx % rank] = idx % len(autos)
-        if pick not in assignments and any(pick):
-            assignments.append(pick)
-        idx += 1
-    while len(assignments) < count:
-        assignments.append([len(assignments) % max(1, len(autos) - 1) + 1] * rank)
-    return assignments[:count]
 
 
 def normal_subgroups(group: FiniteGroup) -> list[frozenset[int]]:
@@ -232,18 +214,3 @@ def random_z_skew(rng: random.Random) -> tuple[ZSkewSystem, FinitePartition, boo
         return zs, q, True
     return zs, random_partition(rng, fiber.order(), max_blocks=3), False
 
-
-def random_group_skew_bundle(rng: random.Random, rank: int = 2) -> tuple[SkewBundle, FiniteGroupAction]:
-    """A skew bundle with random base action and random finite-group cocycle."""
-    fiber_group = preset_group(_FIBER_PRESETS[rng.randrange(len(_FIBER_PRESETS))])
-    autos = all_automorphisms(fiber_group)
-    fiber = FiniteGroupAction(
-        fiber_group, [autos[rng.randrange(len(autos))] for _ in range(rank)], rank
-    )
-    base = random_finite_action(rng, rank)
-    gen_values = [
-        [rng.randrange(fiber_group.order()) for _ in range(base.size())]
-        for _ in range(rank)
-    ]
-    cocycle = Cocycle(base, fiber, gen_values)
-    return SkewBundle(base, fiber, cocycle), fiber

@@ -119,17 +119,6 @@ class SpecialPartition:
         )
 
 
-def is_special(group: FiniteGroup, p: FinitePartition) -> bool:
-    """Structural check: blocks are exactly the cosets of a normal subgroup."""
-    block_of_identity = frozenset(
-        x for x in range(group.order()) if p.labels[x] == p.labels[group.identity]
-    )
-    if not group.is_normal(block_of_identity):
-        return False
-    expected = SpecialPartition(group, block_of_identity).partition
-    return p.equal_mod_null(expected)
-
-
 class Cocycle:
     """A cocycle for (base, fiber) actions, given by its generator values."""
 

@@ -648,12 +648,4 @@ def check_ordering_condition(
     hull: WordSet, ordering: Sequence[FreeWord]
 ) -> bool:
     """True iff every translate g_n·hull escapes the union of the earlier ones."""
-    return failing_ordering_index(hull, ordering) is None
-
-
-def failing_ordering_index(
-    hull: WordSet, ordering: Sequence[FreeWord]
-) -> int | None:
-    """First n where g_n·hull is covered by earlier translates, if any."""
-    n = len(escape_walk(ordering, hull, hull))
-    return None if n == len(ordering) else n
+    return len(escape_walk(ordering, hull, hull)) == len(ordering)

@@ -1,0 +1,57 @@
+"""Skew-product fixtures and a special-partition oracle, for the tests only.
+
+No runner builds these: the verifier suites draw their cases from
+flab.presets, and these give the tests independent inputs and checks.
+"""
+
+from __future__ import annotations
+
+import random
+
+from flab.entropy import FinitePartition
+from flab.groups import FiniteGroup, all_automorphisms, preset_group
+from flab.presets import _FIBER_PRESETS, random_finite_action
+from flab.skew import Cocycle, FiniteGroupAction, SkewBundle, SpecialPartition
+
+
+def nontrivial_auto_assignments(group: FiniteGroup, rank: int, count: int = 2) -> list[list[int]]:
+    """Deterministic distinct automorphism assignments, identity first."""
+    autos = all_automorphisms(group)
+    assignments = [[0] * rank]
+    idx = 1
+    while len(assignments) < count and idx < len(autos) * rank:
+        pick = [0] * rank
+        pick[idx % rank] = idx % len(autos)
+        if pick not in assignments and any(pick):
+            assignments.append(pick)
+        idx += 1
+    while len(assignments) < count:
+        assignments.append([len(assignments) % max(1, len(autos) - 1) + 1] * rank)
+    return assignments[:count]
+
+
+def random_group_skew_bundle(rng: random.Random, rank: int = 2) -> tuple[SkewBundle, FiniteGroupAction]:
+    """A skew bundle with random base action and random finite-group cocycle."""
+    fiber_group = preset_group(_FIBER_PRESETS[rng.randrange(len(_FIBER_PRESETS))])
+    autos = all_automorphisms(fiber_group)
+    fiber = FiniteGroupAction(
+        fiber_group, [autos[rng.randrange(len(autos))] for _ in range(rank)], rank
+    )
+    base = random_finite_action(rng, rank)
+    gen_values = [
+        [rng.randrange(fiber_group.order()) for _ in range(base.size())]
+        for _ in range(rank)
+    ]
+    cocycle = Cocycle(base, fiber, gen_values)
+    return SkewBundle(base, fiber, cocycle), fiber
+
+
+def is_special(group: FiniteGroup, p: FinitePartition) -> bool:
+    """Structural check: blocks are exactly the cosets of a normal subgroup."""
+    block_of_identity = frozenset(
+        x for x in range(group.order()) if p.labels[x] == p.labels[group.identity]
+    )
+    if not group.is_normal(block_of_identity):
+        return False
+    expected = SpecialPartition(group, block_of_identity).partition
+    return p.equal_mod_null(expected)

@@ -38,7 +38,6 @@ from flab.presets import (
     DEFAULT_SEED,
     group_action,
     make_rng,
-    nontrivial_auto_assignments,
     random_finite_action,
     random_partition,
     random_z_skew,
@@ -49,6 +48,7 @@ from flab.presets import (
 from flab.processes import BernoulliProcess, FiniteActionProcess, KernelProcess, SkewProductProcess
 from flab.skew import SectionCocycleBundle, verify_cocycle_identity, verify_skew_entropy_bound
 from flab.words import WordSet, ball, ball_size, mul, parse_word
+from skew_fixtures import nontrivial_auto_assignments
 
 SEED = int(os.environ.get("FLAB_SEED", DEFAULT_SEED))
 

@@ -18,7 +18,6 @@ from flab.presets import (
     make_rng,
     normal_subgroups,
     random_finite_action,
-    random_group_skew_bundle,
     random_partition,
     random_z_skew,
     section_pair_catalog,
@@ -33,7 +32,6 @@ from flab.skew import (
     SkewBundle,
     SpecialPartition,
     ZSkewSystem,
-    is_special,
     join_special,
     right_translate,
     sigma_generated,
@@ -44,6 +42,7 @@ from flab.skew import (
     verify_window_split,
 )
 from flab.words import ball, parse_word
+from skew_fixtures import is_special, random_group_skew_bundle
 
 F = Fraction
 

@@ -1,9 +1,13 @@
-"""Every immutable value class refuses both setattr and del."""
+"""Every immutable value class refuses both setattr and del, and no
+library function keeps a process-global cache."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import flab
 from flab.entropy import EntropyValue, FinitePartition
 from flab.fplinear import AffineSolutionSet, FpMatrix
 from flab.groups import cyclic
@@ -45,3 +49,15 @@ def test_shared_space_survives_del_attempts():
     with pytest.raises(AttributeError):
         del q.space.counts
     assert p.space.counts == (1, 1, 1, 1) and p.same_space(q)
+
+
+def test_no_function_keeps_a_functools_cache():
+    cached = []
+    for info in pkgutil.iter_modules(flab.__path__):
+        module = importlib.import_module(f"flab.{info.name}")
+        for name, value in vars(module).items():
+            members = vars(value).items() if isinstance(value, type) else [(None, value)]
+            for attr, member in members:
+                if hasattr(getattr(member, "__func__", member), "cache_info"):
+                    cached.append(f"{module.__name__}.{name}" + (f".{attr}" if attr else ""))
+    assert not cached

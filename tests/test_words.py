@@ -17,7 +17,6 @@ from flab.words import (
     distance,
     escape_walk,
     extreme_points,
-    failing_ordering_index,
     format_word,
     geodesic_interval,
     identity,
@@ -312,7 +311,9 @@ class TestOrderingCondition:
 
     def test_repeat_fails(self):
         order = [w("e"), w("a"), w("a")]
-        assert failing_ordering_index(WordSet(2, [w("e")]), order) == 2
+        hull = WordSet(2, [w("e")])
+        assert not check_ordering_condition(hull, order)
+        assert len(escape_walk(order, hull, hull)) == 2
 
     def test_centered_hulls_pass_at_depth_three(self):
         # Cross-validation of the covering lemma on small cases: hulls
