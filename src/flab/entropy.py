@@ -22,12 +22,17 @@ by N once per prime.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 MAX_ATOMS = 1 << 20
+
+# the binary first rung of EntropyValue.__lt__ (see its docstring)
+_FIRST_RUNG_MARGIN = 2.0 ** -40
+_MIN_NORMAL = sys.float_info.min
 
 
 class SpaceMismatchError(ValueError):
@@ -147,21 +152,55 @@ class EntropyValue:
             return total, (len(self._terms) + 4) * scale * Decimal(10) ** (2 - prec)
 
     def __lt__(self, other: "EntropyValue") -> bool:
-        """Exact order, decided at doubling precision in a local decimal context.
+        """Exact order: a binary first rung, then a decimal ladder.
 
-        Logs of distinct primes are independent over Q, so distinct values
-        differ by a nonzero amount, which the error bound eventually falls
-        below: the loop ends for every pair.
+        First rung: the difference d = sum q log p is summed in doubles,
+        each coefficient rounded once to a normal double (relative error at
+        most u = 2^-53), each math.log(p) within a few ulps, and each
+        product and partial sum rounded once.  For k terms the computed
+        sum is then within about (k + 4) u sum |q log p| of d, and
+        log p < bit_length(p), so that error is below
+        (k + 4) sum |q| bit_length(p) 2^-53.  The rung decides only when
+        |sum| exceeds (k + 4) sum |q| bit_length(p) 2^-40, 2^13 times that
+        bound, so the sign it reads is the sign of d.  A coefficient that
+        overflows a double or underflows below the normal range, or a
+        sum that is not finite, decides nothing.
+
+        Otherwise the ladder decides at doubling decimal precision in a
+        local decimal context.  Logs of distinct primes are independent
+        over Q, so distinct values differ by a nonzero amount, which the
+        error bound eventually falls below: the loop ends for every pair.
         """
         if self == other:
             return False
         diff = other - self
+        value = diff._first_rung()
+        if value is not None:
+            return value > 0
         prec = 60
         while True:
             value, error = diff._approx(prec)
             if abs(value) > error:
                 return value > 0
             prec *= 2
+
+    def _first_rung(self) -> float | None:
+        """The value in doubles when that fixes its sign, else None."""
+        total = scale = 0.0
+        try:
+            for p, q in self._terms:
+                coeff = q.numerator / q.denominator
+                if abs(coeff) < _MIN_NORMAL:
+                    return None
+                total += coeff * math.log(p)
+                scale += abs(coeff) * p.bit_length()
+        except OverflowError:
+            return None
+        if not (math.isfinite(total) and math.isfinite(scale)):
+            return None
+        if abs(total) > (len(self._terms) + 4) * scale * _FIRST_RUNG_MARGIN:
+            return total
+        return None
 
     def __le__(self, other: "EntropyValue") -> bool:
         return self == other or self < other

@@ -279,10 +279,6 @@ def all_automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
     return list(g._automorphisms)
 
 
-def compose_perms(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
-    return tuple(outer[inner[x]] for x in range(len(inner)))
-
-
 def invert_perm(perm: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(perm)
     for x, y in enumerate(perm):

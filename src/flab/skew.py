@@ -26,8 +26,8 @@ from .entropy import (
     join_many,
     shannon_entropy,
 )
-from .groups import FiniteGroup, compose_perms, invert_perm
-from .words import FreeWord, WordSet, _word, ball, format_word, mul
+from .groups import FiniteGroup, invert_perm
+from .words import FreeWord, WordSet, _word, ball, format_word, signed_letters
 
 
 class FiniteAction:
@@ -49,7 +49,7 @@ class FiniteAction:
         self.rank = rank
         self.gen_perms = perms
         self._inv_perms = tuple(invert_perm(p) for p in perms)
-        self._memo: dict[tuple, tuple[int, ...]] = {}
+        self._memo: dict[tuple, tuple[int, ...]] = {(): tuple(range(len(space.counts)))}
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -63,16 +63,14 @@ class FiniteAction:
 
     def word_perm(self, w: FreeWord) -> tuple[int, ...]:
         """alpha_w as a permutation; alpha_{uv} = alpha_u after alpha_v."""
-        key = w.letters
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if not key:
-            perm = tuple(range(self.size()))
-        else:
-            rest = self.word_perm(_word(w.rank, key[1:]))
-            perm = compose_perms(self.letter_perm(key[0]), rest)
-        self._memo[key] = perm
+        return self._perm(w.letters)
+
+    def _perm(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        """alpha_w for the reduced letter tuple of w, memoized by letters."""
+        perm = self._memo.get(key)
+        if perm is None:
+            head = self.letter_perm(key[0])
+            perm = self._memo[key] = tuple([head[x] for x in self._perm(key[1:])])
         return perm
 
     def window_partition(self, p: FinitePartition, W: WordSet) -> FinitePartition:
@@ -136,7 +134,15 @@ class Cocycle:
         self.base = base
         self.fiber = fiber
         self.gen_values = tuple(tuple(v) for v in gen_values)
-        self._memo: dict[tuple, tuple[int, ...]] = {}
+        # (beta_t, sigma(t, .)) for every letter t
+        self._steps = {
+            t: (fiber.action.letter_perm(t), self._letter_values(t))
+            for t in signed_letters(base.rank)
+        }
+        self._memo: dict[tuple, tuple[int, ...]] = {
+            (t,): row for t, (_beta, row) in self._steps.items()
+        }
+        self._memo[()] = (fiber.group.identity,) * base.size()
 
     def _letter_values(self, letter: int) -> tuple[int, ...]:
         g = self.fiber.group
@@ -151,65 +157,79 @@ class Cocycle:
 
     def values(self, w: FreeWord) -> tuple[int, ...]:
         """sigma(w, .) as a table over base points."""
-        key = w.letters
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        g = self.fiber.group
-        if not key:
-            out = tuple(g.identity for _ in range(self.base.size()))
-        elif len(key) == 1:
-            out = self._letter_values(key[0])
-        else:
-            t, rest = key[0], _word(w.rank, key[1:])
-            rest_vals = self.values(rest)
-            head_vals = self.values(_word(w.rank, key[:1]))
-            beta_t = self.fiber.action.letter_perm(t)
-            alpha_rest = self.base.word_perm(rest)
-            out = tuple(
-                g.mul(beta_t[rest_vals[x]], head_vals[alpha_rest[x]])
-                for x in range(self.base.size())
-            )
-        self._memo[key] = out
-        return out
+        return self._values(w.letters)
 
-    def sigma(self, w: FreeWord, x: int) -> int:
-        return self.values(w)[x]
+    def _values(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        """sigma(w, .) for the reduced letter tuple of w, memoized by letters.
+
+        For w = t v with t a letter, sigma(w, x) = beta_t sigma(v, x) .
+        sigma(t, alpha_v x).
+        """
+        out = self._memo.get(key)
+        if out is None:
+            table = self.fiber.group.table
+            beta_t, head = self._steps[key[0]]
+            rest = key[1:]
+            out = self._memo[key] = tuple([
+                table[beta_t[s]][head[a]]
+                for s, a in zip(self._values(rest), self.base._perm(rest))
+            ])
+        return out
 
 
 def verify_cocycle_identity(
-    sigma: Callable[[FreeWord, int], int],
+    values: Callable[[FreeWord], Sequence[int]],
     base: FiniteAction,
     fiber: FiniteGroupAction,
     max_len: int = 3,
 ) -> tuple[bool, dict | None]:
     """Exhaustive check of the cocycle identity over pairs of words.
 
-    Returns (ok, witness); the witness names the first failing (g, h, x).
+    `values(w)` returns one row, sigma(w, x) for every base point x in
+    order.  For every g, h in B(max_len), taken in ball order, the row
+    of gh is compared whole against the row x -> beta_g sigma(h, x) .
+    sigma(g, alpha_h x).  Rows are read once per distinct reduced word,
+    so `values` is called once for each word of B(2 max_len) that some
+    product gh reaches, and gh is formed by cancelling letter tuples.
+
+    Returns (ok, witness); the witness names the first failing (g, h, x)
+    in the order g, then h, then x.
     """
-    g_group = fiber.group
-    words = list(ball(base.rank, max_len))
-    points = range(base.size())
-    # sigma(w, .) over the ball, read once per word rather than once per pair
-    tables = {w: [sigma(w, x) for x in points] for w in words}
+    rank = base.rank
+    table = fiber.group.table
+    labels = fiber.group.labels
+    rows: dict[tuple[int, ...], list[int]] = {}
+
+    def row(key: tuple[int, ...]) -> list[int]:
+        out = rows[key] = list(values(_word(rank, key)))
+        return out
+
+    words = [w.letters for w in ball(rank, max_len)]
+    # (sigma(h, .), alpha_h) paired per point, built once per h
+    h_pairs = [(h, list(zip(row(h), base._perm(h)))) for h in words]
     for g in words:
-        beta_g = fiber.action.word_perm(g)
-        sigma_g = tables[g]
-        for h in words:
-            gh = mul(g, h)
-            alpha_h = base.word_perm(h)
-            sigma_h = tables[h]
-            for x in points:
-                lhs = sigma(gh, x)
-                rhs = g_group.mul(beta_g[sigma_h[x]], sigma_g[alpha_h[x]])
-                if lhs != rhs:
-                    return False, {
-                        "g": format_word(g),
-                        "h": format_word(h),
-                        "x": x,
-                        "lhs": g_group.labels[lhs],
-                        "rhs": g_group.labels[rhs],
-                    }
+        beta_g = fiber.action._perm(g)
+        sigma_g = rows[g]
+        cut = len(g)
+        for h, pairs in h_pairs:
+            i, j = cut, 0
+            while i and j < len(h) and g[i - 1] == -h[j]:
+                i -= 1
+                j += 1
+            key = g[:i] + h[j:]
+            lhs = rows.get(key)
+            if lhs is None:
+                lhs = row(key)
+            rhs = [table[beta_g[s]][sigma_g[a]] for s, a in pairs]
+            if lhs != rhs:
+                x = next(x for x, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
+                return False, {
+                    "g": format_word(_word(rank, g)),
+                    "h": format_word(_word(rank, h)),
+                    "x": x,
+                    "lhs": labels[lhs[x]],
+                    "rhs": labels[rhs[x]],
+                }
     return True, None
 
 
@@ -522,25 +542,32 @@ class ZSkewSystem:
         self.fiber = fiber
         self.s_perm = tuple(s_perm)
         self.gen_value = tuple(gen_value)
+        identity = tuple(range(fiber.order()))
+        # S^k and S^-k at index k, and sigma(k, .) at index k, grown on demand
+        self._powers = ([identity], [identity])
+        self._steps = (self.s_perm, invert_perm(self.s_perm))
+        self._sigma_rows = [(fiber.identity,) * len(gen_value)]
 
     def sigma(self, k: int, x: int) -> int:
         """sigma(k, x) for k >= 0 via sigma(k, x) = S^{k-1} sigma(1, x) . sigma(k-1, Tx)."""
         if k < 0:
             raise ValueError("only forward times are needed here")
-        g = self.fiber
-        if k == 0:
-            return g.identity
-        img = self.gen_value[x]
-        for _ in range(k - 1):
-            img = self.s_perm[img]
-        return g.mul(img, self.sigma(k - 1, self.t_perm[x]))
+        rows = self._sigma_rows
+        table = self.fiber.table
+        while len(rows) <= k:
+            s_prev = self.s_power_perm(len(rows) - 1)
+            prev = rows[-1]
+            rows.append(tuple([
+                table[s_prev[v]][prev[tx]] for v, tx in zip(self.gen_value, self.t_perm)
+            ]))
+        return rows[k][x]
 
     def s_power_perm(self, k: int) -> tuple[int, ...]:
-        perm = tuple(range(self.fiber.order()))
-        step = self.s_perm if k >= 0 else invert_perm(self.s_perm)
-        for _ in range(abs(k)):
-            perm = compose_perms(step, perm)
-        return perm
+        """S^k, each power built once from the one before it."""
+        powers, step = self._powers[k < 0], self._steps[k < 0]
+        while len(powers) <= abs(k):
+            powers.append(tuple([step[y] for y in powers[-1]]))
+        return powers[abs(k)]
 
     def q_m(self, q: FinitePartition, m: int) -> FinitePartition:
         """Q^m = join of S^{-k} Q for 0 <= k < m."""

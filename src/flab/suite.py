@@ -295,7 +295,7 @@ def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
     for pair in section_pair_catalog(2):
         bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
         ok_eq, wit_eq = verify_cocycle_identity(
-            bundle.cocycle.sigma, bundle.base_action, bundle.fiber_action, max_len=3
+            bundle.cocycle.values, bundle.base_action, bundle.fiber_action, max_len=3
         )
         ok_phi, wit_phi = bundle.verify_conjugacy(max_len=3)
         cases.append(
@@ -313,9 +313,9 @@ def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
         fiber = bundle.fiber_group
         bump = next(x for x in range(fiber.order()) if x != fiber.identity)
 
-        def corrupted(w, x):
-            value = bundle.cocycle.sigma(w, x)
-            return fiber.mul(value, bump) if len(w) == 2 else value
+        def corrupted(w):
+            row = bundle.cocycle.values(w)
+            return [fiber.mul(value, bump) for value in row] if len(w) == 2 else row
 
         ok, witness = verify_cocycle_identity(
             corrupted, bundle.base_action, bundle.fiber_action, max_len=2

@@ -8,6 +8,7 @@ routes can be cross-checked.
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -78,3 +79,21 @@ def z_entropy_rate_finite(
         m += 1
         if m > p.num_atoms():
             raise AssertionError("join failed to stabilize on a finite space")
+
+
+def decimal_less(a: EntropyValue, b: EntropyValue, prec: int = 120) -> bool:
+    """a < b for distinct values, from b - a summed at `prec` decimal digits.
+
+    Raises ValueError when |b - a| is within 10^(20 - prec) of zero,
+    relative to the size of its terms, where `prec` digits cannot decide.
+    """
+    with localcontext() as ctx:
+        ctx.prec = prec
+        value = scale = Decimal(0)
+        for p, q in (b - a).terms.items():
+            term = Decimal(q.numerator) / Decimal(q.denominator) * Decimal(p).ln()
+            value += term
+            scale += abs(term)
+        if abs(value) <= scale * Decimal(10) ** (20 - prec):
+            raise ValueError("too close to zero to decide at this precision")
+        return value > 0

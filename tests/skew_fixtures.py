@@ -11,7 +11,8 @@ import random
 from flab.entropy import FinitePartition
 from flab.groups import FiniteGroup, all_automorphisms, preset_group
 from flab.presets import _FIBER_PRESETS, random_finite_action
-from flab.skew import Cocycle, FiniteGroupAction, SkewBundle, SpecialPartition
+from flab.skew import Cocycle, FiniteAction, FiniteGroupAction, SkewBundle, SpecialPartition
+from flab.words import ball, format_word, mul
 
 
 def nontrivial_auto_assignments(group: FiniteGroup, rank: int, count: int = 2) -> list[list[int]]:
@@ -55,3 +56,34 @@ def is_special(group: FiniteGroup, p: FinitePartition) -> bool:
         return False
     expected = SpecialPartition(group, block_of_identity).partition
     return p.equal_mod_null(expected)
+
+
+def pointwise_cocycle_failure(
+    sigma, base: FiniteAction, fiber: FiniteGroupAction, max_len: int
+) -> tuple[bool, dict | None]:
+    """The cocycle identity checked one point at a time, as a witness oracle.
+
+    `sigma(w, x)` is one value.  For g, then h, in ball order, then x, it
+    compares sigma(gh, x) with beta_g sigma(h, x) . sigma(g, alpha_h x) and
+    returns the first failing (g, h, x) in the witness format of
+    `verify_cocycle_identity`.
+    """
+    group = fiber.group
+    words = list(ball(base.rank, max_len))
+    for g in words:
+        beta_g = fiber.action.word_perm(g)
+        for h in words:
+            gh = mul(g, h)
+            alpha_h = base.word_perm(h)
+            for x in range(base.size()):
+                lhs = sigma(gh, x)
+                rhs = group.mul(beta_g[sigma(h, x)], sigma(g, alpha_h[x]))
+                if lhs != rhs:
+                    return False, {
+                        "g": format_word(g),
+                        "h": format_word(h),
+                        "x": x,
+                        "lhs": group.labels[lhs],
+                        "rhs": group.labels[rhs],
+                    }
+    return True, None

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entropy_oracles import fraction_entropy, information_function, z_entropy_rate_finite
+from entropy_oracles import (
+    decimal_less,
+    fraction_entropy,
+    information_function,
+    z_entropy_rate_finite,
+)
 from flab.entropy import (
     EntropyValue,
     FinitePartition,
@@ -78,6 +83,75 @@ class TestEntropyValue:
 
     def test_factorize(self):
         assert factorize(360) == ((2, 3), (3, 2), (5, 1))
+
+
+def random_value(rng):
+    """A value over a few small primes with small random rational coefficients."""
+    return EntropyValue({
+        p: F(rng.randrange(-40, 41), rng.randrange(1, 13))
+        for p in (2, 3, 5, 7, 11)
+        if rng.random() < 0.6
+    })
+
+
+class TestExactOrder:
+    def test_random_pairs_agree_with_the_decimal_oracle(self):
+        rng = random.Random(10)
+        decided = 0
+        for _ in range(500):
+            a, b = random_value(rng), random_value(rng)
+            if a == b:
+                continue
+            want = decimal_less(a, b)
+            assert (a < b) == want
+            assert (b < a) == (not want)
+            rung = (b - a)._first_rung()
+            if rung is not None:
+                decided += 1
+                assert (rung > 0) == want
+        assert decided > 400
+
+    def test_near_tie_from_a_convergent_falls_through_to_the_ladder(self, monkeypatch):
+        # 16785921 / 10590737 is a convergent of log 3 / log 2, so these two
+        # values differ by about 5e-8, far inside the first rung's margin
+        a = 16785921 * EntropyValue.log_int(2)
+        b = 10590737 * EntropyValue.log_int(3)
+        assert (b - a)._first_rung() is None and (a - b)._first_rung() is None
+        ladder = []
+        approx = EntropyValue._approx
+
+        def counting(self, prec):
+            ladder.append(prec)
+            return approx(self, prec)
+
+        monkeypatch.setattr(EntropyValue, "_approx", counting)
+        assert (a < b) == decimal_less(a, b)
+        assert (b < a) == decimal_less(b, a)
+        assert a < b and not b < a
+        assert ladder
+
+    def test_coefficients_outside_the_double_range(self):
+        big, tiny = F(10**400, 3), F(1, 10**400)
+        log2, log3 = EntropyValue.log_int(2), EntropyValue.log_int(3)
+        values = [
+            EntropyValue.zero(),
+            log2,
+            big * log2,
+            -big * log2,
+            big * (log2 - log3),
+            big * log2 - log3,
+            tiny * log2,
+            tiny * (log3 - log2),
+            tiny * tiny * log3,
+            log2 + tiny * log3,
+        ]
+        assert (big * log2)._first_rung() is None
+        assert (tiny * log2)._first_rung() is None
+        for a in values:
+            for b in values:
+                if a != b:
+                    assert (a < b) == decimal_less(a, b)
+        assert min(values) == -big * log2 and max(values) == big * log2
 
 
 class TestShannonEntropy:

@@ -10,6 +10,7 @@ from flab.groups import (
     all_automorphisms,
     cyclic,
     dihedral4,
+    invert_perm,
     klein_four,
     preset_group,
     quaternion8,
@@ -42,7 +43,7 @@ from flab.skew import (
     verify_window_split,
 )
 from flab.words import ball, parse_word
-from skew_fixtures import is_special, random_group_skew_bundle
+from skew_fixtures import is_special, pointwise_cocycle_failure, random_group_skew_bundle
 
 F = Fraction
 
@@ -187,7 +188,7 @@ class TestSectionCocycles:
         ga = FiniteGroupAction(z4, [neg, tuple(range(4))], 2)
         bundle = SectionCocycleBundle(ga, frozenset({0, 2}))
         ok, witness = verify_cocycle_identity(
-            bundle.cocycle.sigma, bundle.base_action, bundle.fiber_action, max_len=3
+            bundle.cocycle.values, bundle.base_action, bundle.fiber_action, max_len=3
         )
         assert ok, witness
         ok, witness = bundle.verify_conjugacy(max_len=3)
@@ -232,7 +233,7 @@ class TestSectionCocycles:
         for pair in section_pair_catalog(2):
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
             ok, witness = verify_cocycle_identity(
-                bundle.cocycle.sigma, bundle.base_action, bundle.fiber_action, max_len=2
+                bundle.cocycle.values, bundle.base_action, bundle.fiber_action, max_len=2
             )
             assert ok, (pair["name"], witness)
             ok, witness = bundle.verify_conjugacy(max_len=2)
@@ -246,17 +247,64 @@ class TestSectionCocycles:
         fiber = bundle.fiber_group
         bump = next(x for x in range(fiber.order()) if x != fiber.identity)
 
-        def corrupted(w, x):
-            value = bundle.cocycle.sigma(w, x)
+        def corrupted(w):
+            row = bundle.cocycle.values(w)
             if len(w) == 2:
-                return fiber.mul(value, bump)
-            return value
+                return [fiber.mul(value, bump) for value in row]
+            return row
 
         ok, witness = verify_cocycle_identity(
             corrupted, bundle.base_action, bundle.fiber_action, max_len=2
         )
         assert not ok and witness is not None
 
+    def test_injected_bug_witness(self):
+        pair = section_pair_catalog(2)[0]
+        bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
+        fiber = bundle.fiber_group
+        bump = next(x for x in range(fiber.order()) if x != fiber.identity)
+
+        def corrupted(w):
+            row = bundle.cocycle.values(w)
+            if len(w) == 2:
+                return [fiber.mul(value, bump) for value in row]
+            return row
+
+        ok, witness = verify_cocycle_identity(
+            corrupted, bundle.base_action, bundle.fiber_action, max_len=2
+        )
+        assert not ok
+        assert witness == {"g": "a", "h": "a", "x": 0, "lhs": "2", "rhs": "0"}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_corrupted_cell_gives_the_pointwise_witness(self, seed):
+        rng = random.Random(seed)
+        pairs = [
+            pair for pair in section_pair_catalog(2) if len(pair["subgroup"]) > 1
+        ]
+        pair = pairs[rng.randrange(len(pairs))]
+        bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
+        fiber = bundle.fiber_group
+        max_len = rng.randrange(1, 4)
+        targets = list(ball(2, 2 * max_len))
+        target = targets[rng.randrange(len(targets))]
+        x0 = rng.randrange(bundle.base_action.size())
+        bump = rng.choice([y for y in range(fiber.order()) if y != fiber.identity])
+
+        def corrupted(w):
+            row = list(bundle.cocycle.values(w))
+            if w == target:
+                row[x0] = fiber.mul(row[x0], bump)
+            return row
+
+        got = verify_cocycle_identity(
+            corrupted, bundle.base_action, bundle.fiber_action, max_len
+        )
+        want = pointwise_cocycle_failure(
+            lambda w, x: corrupted(w)[x], bundle.base_action, bundle.fiber_action, max_len
+        )
+        assert got == want
+        assert not got[0]
 
     def test_cocycle_path_builds_no_validated_words(self, monkeypatch):
         import flab.words as words
@@ -275,7 +323,7 @@ class TestSectionCocycles:
 
         monkeypatch.setattr(words, "_reduce", counting)
         ok, witness = verify_cocycle_identity(
-            bundle.cocycle.sigma, bundle.base_action, bundle.fiber_action, max_len=3
+            bundle.cocycle.values, bundle.base_action, bundle.fiber_action, max_len=3
         )
         assert ok, witness
         tables = [fresh.values(w) for w in ball(2, 3)]
@@ -408,6 +456,39 @@ class TestZSkew:
                             tx = zs.t_perm[tx]
                         rhs = zs.fiber.mul(img, zs.sigma(n, tx))
                         assert lhs == rhs
+
+    def test_tables_match_direct_recursion(self):
+        def direct_power(zs, k):
+            step = zs.s_perm if k >= 0 else invert_perm(zs.s_perm)
+            perm = tuple(range(zs.fiber.order()))
+            for _ in range(abs(k)):
+                perm = tuple(step[y] for y in perm)
+            return perm
+
+        def direct_sigma(zs, k, x):
+            if k == 0:
+                return zs.fiber.identity
+            img = zs.gen_value[x]
+            for _ in range(k - 1):
+                img = zs.s_perm[img]
+            return zs.fiber.mul(img, direct_sigma(zs, k - 1, zs.t_perm[x]))
+
+        rng = make_rng(8)
+        systems = [random_z_skew(rng)[0] for _ in range(6)]
+        # S = multiplication by 2 on Z/5 has order 4, so S^-1 differs from S
+        z5 = cyclic(5)
+        systems.append(
+            ZSkewSystem(uniform(3), (1, 2, 0), z5, tuple(2 * y % 5 for y in range(5)), (1, 3, 0))
+        )
+        for zs in systems:
+            # out of order, so the tables grow from the middle as well
+            for k in (3, -2, 0, 6, -5, 1):
+                assert zs.s_power_perm(k) == direct_power(zs, k)
+            for k in (4, 0, 2, 6, 1):
+                for x in range(len(zs.weights)):
+                    assert zs.sigma(k, x) == direct_sigma(zs, k, x)
+        with pytest.raises(ValueError):
+            zs.sigma(-1, 0)
 
     def test_trivial_cocycle_equality(self):
         z3 = cyclic(3)
