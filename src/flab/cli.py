@@ -1,8 +1,8 @@
 """Command-line front end: byte-stable JSON reports for the example families.
 
-Exit codes: 0 when every verdict is PASS/EXACT, 1 on any FAIL, 2 on any
-UNCERTIFIED result.  FLAB_SEED seeds the randomized verifier suites
-(a fixed default otherwise).
+Exit codes: 0 when the report's status is PASS, 1 when it is FAIL, 2 on
+malformed input or options (a one-line error, no report).  FLAB_SEED
+seeds the randomized verifier suites (a fixed default otherwise).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .kernels import ConvolutionKernel, UncertifiedWindowError
+from .kernels import ConvolutionKernel
 from .presets import DEFAULT_SEED
 from .suite import (
     RunConfig,
@@ -23,7 +23,7 @@ from .suite import (
     run_verifier_suite,
 )
 
-_EXIT = {"PASS": 0, "FAIL": 1, "UNCERTIFIED": 2}
+_EXIT = {"PASS": 0, "FAIL": 1}
 
 
 def _render_table(report: dict) -> str:
@@ -71,9 +71,6 @@ def _emit(report: dict, out: str | None, pretty: bool) -> int:
 def _add_common(sub):
     sub.add_argument("--nmax", type=int, default=2, help="largest ball radius n")
     sub.add_argument("--rank", type=int, default=2, help="rank of the free group")
-    sub.add_argument("--window-cap", type=int, default=4, dest="window_cap",
-                     help="most enclosing-window growth steps for marginal certification; "
-                     "0 turns the extension proof off")
     sub.add_argument("--stable-threshold", type=int, default=3, dest="stable_threshold",
                      help="equal increments needed to declare a rate stable")
     sub.add_argument("--out", default=None, help="write the JSON report to this path")
@@ -85,7 +82,6 @@ def _config(args) -> RunConfig:
     return RunConfig(
         rank=args.rank,
         n_max=args.nmax,
-        window_cap=args.window_cap,
         stable_threshold=args.stable_threshold,
         seed=seed,
     )
@@ -156,9 +152,6 @@ def main(argv=None) -> int:
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
             return 2
-    except UncertifiedWindowError as exc:
-        print(f"uncertified: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

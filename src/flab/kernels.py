@@ -7,27 +7,17 @@ coeffs[s] = h(s^{-1}), which makes the support of the stored map exactly
 the set F = {g : h(g^{-1}) != 0} whose translates g.F are the constraint
 stencils.
 
-Cylinder measures of ker(phi) come from projecting finite window
-systems onto the queried coordinates, along a chain of enclosing windows
-V0 < V1 < ... < V_cap.  Each projection carries a certificate saying
-what was shown:
-
-    EXTENSION-CERTIFIED  a constructive proof, via the extreme-point step
-                         of the onto-ness induction, that every V0
-                         solution extends to V_cap, so the projections of
-                         all windows V0 .. V_cap agree
-    STABILIZED           two successive windows of the chain give the
-                         same projection; evidence, not a proof, since a
-                         later window can still cut the projection down
-    UNCERTIFIED          neither, within the growth cap
-
-The window path runs on integer word ids (see `flab.words`): the window
-chain is a sequence of id sets, and constraint sites, constraint rows
-and the extension proof's escape walk take their stencil steps on the
-subshift's own `CayleyTree`.  Only the kept coordinates of a projection
-are labelled by words.  `constraint_sites` and `window_rows` are the
-word-level views of the same computations; the window path calls the
-id-level `_sites` and `_window_rows`.
+Cylinder measures of ker(phi) come from exact window marginals
+pi_W(ker phi), one argument for every kernel, scalar or matrix-valued:
+ker(phi) is a tree shift of finite type, the states that extend into
+each branch of the Cayley tree are a fixed point computed once per
+subshift, and pi_W(ker phi) is the solution set on hull(W) with each
+exit state held to its branch's fixed point (see `KernelSubshift`).
+Every marginal is labelled EXACT.  The systems are built on integer word
+ids (see `flab.words`), on the subshift's own `CayleyTree`; only the
+kept coordinates are labelled by words.  `constraint_sites` and
+`window_rows` are the word-level views of the constraint placement on a
+window.
 
 The onto-ness decision (`is_surjective`) and the preimage solver
 (`preimage_on_ball`) work on the stencil translated so that the identity
@@ -44,6 +34,7 @@ from .fplinear import (
     AffineSolutionSet,
     FpMatrix,
     check_modulus,
+    eliminate,
     eliminate_columns,
     rank as fp_rank,
     solution_space_from_constraints,
@@ -54,10 +45,10 @@ from .words import (
     FreeWord,
     WordSet,
     ball,
+    ball_list,
     ball_size,
     check_ordering_condition,
     convex_hull,
-    distance,
     escape_walk,
     extreme_points,
     format_word,
@@ -68,20 +59,12 @@ from .words import (
     parse_word,
     radius_center,
     spiral_ordering,
-    thicken,
 )
 
 Matrix = tuple[tuple[int, ...], ...]
 
-GROWTH_CAP = 4
-WINDOW_GUARD = 80_000  # largest window (in words) the growth loop will build
-
 
 class ZeroKernelError(ValueError):
-    pass
-
-
-class UncertifiedWindowError(RuntimeError):
     pass
 
 
@@ -244,12 +227,6 @@ class SupportGeometry(NamedTuple):
     radius: int
     centers: WordSet
 
-    def diameter(self) -> int:
-        elems = list(self.hull)
-        return max(
-            (distance(a, b) for a in elems for b in elems), default=0
-        )
-
 
 def support_geometry(k: ConvolutionKernel) -> SupportGeometry:
     if k.is_zero():
@@ -275,6 +252,16 @@ def _centered(k: ConvolutionKernel) -> tuple[ConvolutionKernel, FreeWord, Suppor
     coeffs = {mul(cinv, s): block for s, block in k.coeffs.items()}
     kc = ConvolutionKernel(k.p, k.rank, coeffs, k.d_in, k.d_out)
     return kc, center, support_geometry(kc)
+
+
+def _fresh_candidates(k: ConvolutionKernel, geo: SupportGeometry) -> list[FreeWord]:
+    """Stencil positions usable as the solved-for coordinate in a preimage step.
+
+    Extreme points of the hull (the whole support for a radius-0 stencil)
+    whose coefficient block can produce any output value.
+    """
+    cands = list(geo.extremes) if len(geo.hull) > 1 else list(geo.support)
+    return [f for f in cands if _block_full_row_rank(k.coeffs[f], k.p)]
 
 
 # -- window systems ---------------------------------------------------------
@@ -304,11 +291,8 @@ def constraint_sites(k: ConvolutionKernel, V: WordSet) -> list[FreeWord]:
     return [tree.word(g) for g in _sites(k, tree, V.ids())]
 
 
-def _window_rows(
-    k: ConvolutionKernel, tree: CayleyTree, V: frozenset[int]
-) -> tuple[list[dict], list[int]]:
-    """Constraint rows over the ids V, keyed (id, input channel), and the site ids."""
-    sites = _sites(k, tree, V)
+def _site_rows(k: ConvolutionKernel, tree: CayleyTree, sites: list[int]) -> list[dict]:
+    """The constraint rows at the given site ids, keyed (id, input channel)."""
     blocks = list(k.coeffs.values())
     columns = [tree.translates(sites, letter_slots(s.letters)) for s in k.coeffs]
     p = k.p
@@ -323,70 +307,21 @@ def _window_rows(
                         key = (gs, j)
                         row[key] = (row.get(key, 0) + block[r][j]) % p
             rows.append({kk: v for kk, v in row.items() if v})
-    return rows, sites
+    return rows
 
 
 def window_rows(k: ConvolutionKernel, V: WordSet) -> tuple[list[dict], list[FreeWord]]:
     """Sparse homogeneous constraint rows over window V plus the site index."""
     tree = CayleyTree(k.rank)
-    rows, sites = _window_rows(k, tree, V.ids())
+    sites = _sites(k, tree, V.ids())
     word = {i: tree.word(i) for i in V.ids()}
-    rows = [{(word[i], j): v for (i, j), v in row.items()} for row in rows]
+    rows = [{(word[i], j): v for (i, j), v in row.items()} for row in _site_rows(k, tree, sites)]
     return rows, [tree.word(g) for g in sites]
 
 
-def _marginal_system(
-    k: ConvolutionKernel, W: WordSet, V: WordSet, tree: CayleyTree | None = None
-) -> AffineSolutionSet:
-    """Project the window-V solution set onto the W coordinates.
-
-    Eliminates the non-kept columns outermost-first (leaf-first in the
-    tree), which keeps fill-in local for translation-invariant stencils.
-    The system is built on ids; the kept columns are relabelled by words.
-    """
-    tree = tree or CayleyTree(k.rank)
-    rows, _ = _window_rows(k, tree, V.ids())
-    channels, kept = range(k.d_in), W.ids()
-    length = tree.length
-    outer = sorted(V.ids() - kept, key=lambda i: (-length(i), i))
-    reduced = eliminate_columns(rows, [(i, j) for i in outer for j in channels], k.p)
-    keep = window_coordinates(k, W)
-    label = dict(zip([(i, j) for i in sorted(kept) for j in channels], keep))
-    reduced = [{label[c]: v for c, v in row.items()} for row in reduced]
-    return solution_space_from_constraints(reduced, tuple(keep), k.p)
-
-
-def _fresh_candidates(k: ConvolutionKernel, geo: SupportGeometry) -> list[FreeWord]:
-    """Stencil positions usable as the solved-for coordinate in an extension step.
-
-    Extreme points of the hull (the whole support for a radius-0 stencil)
-    whose coefficient block can produce any output value.
-    """
-    cands = list(geo.extremes) if len(geo.hull) > 1 else list(geo.support)
-    return [f for f in cands if _block_full_row_rank(k.coeffs[f], k.p)]
-
-
-def _extension_proof(
-    k: ConvolutionKernel,
-    tree: CayleyTree,
-    fresh: list[tuple[int, ...]],
-    V: WordSet,
-    V2: WordSet,
-) -> bool:
-    """Constructive proof that every V-window solution extends to V2 >= V.
-
-    Walks the constraints newly fitting in V2 in length-lex order; each
-    must own a fresh coordinate g.f, f in `fresh` (letter slots), outside
-    V and the stencils placed before it, and solving for that single
-    coordinate satisfies the new constraint without disturbing any
-    earlier one.  Success means the restriction map between the window
-    solution spaces is onto, so their projections to any subwindow of V
-    agree.
-    """
-    old_sites = set(_sites(k, tree, V.ids()))
-    new_sites = [g for g in _sites(k, tree, V2.ids()) if g not in old_sites]
-    cover = [letter_slots(s.letters) for s in k.support_words()]
-    return len(tree.escape_walk(new_sites, fresh, cover, V.ids())) == len(new_sites)
+def _basis_rows(rows: list[dict], columns, p: int) -> list[dict]:
+    """Linearly independent rows with the same solution space as `rows`."""
+    return [row for _, row in eliminate(rows, columns, p)[0]]
 
 
 class MarginalResult(NamedTuple):
@@ -395,28 +330,53 @@ class MarginalResult(NamedTuple):
     window: WordSet
     solution_set: AffineSolutionSet
     certificate: str
-    bounds: tuple[int, int] | None = None
 
     @property
     def dimension(self) -> int:
         return self.solution_set.dimension
 
-    def is_certified(self) -> bool:
-        return self.certificate != "UNCERTIFIED"
-
 
 class KernelSubshift:
-    """ker(phi) with an append-only cache of certified window projections."""
+    """ker(phi) as a tree shift of finite type, with a cache of exact window marginals.
 
-    def __init__(self, kernel: ConvolutionKernel, growth_cap: int = GROWTH_CAP):
+    The subshift is read through the centered stencil (`_centered`), whose
+    hull lies in the ball B(rho).  The state at a vertex g is x on g·B(rho)
+    satisfying the constraint at g; x is in ker(phi) iff the states at
+    every pair of neighbours agree where their balls overlap.  For each of
+    the 2r letters t, E_t is the subspace of states at g that extend, by
+    agreeing states, to every vertex of the branch through g·t.  These
+    are computed once, as the greatest fixed point of
+
+        E_t <- {states y : some z in the meet of E_t', t' != t^-1,
+                 agrees with y on B(rho) ∩ t·B(rho)}
+
+    started from all states (Aubrun–Béal, Tree-shifts of finite type,
+    TCS 2012; Piantadosi, Symbolic dynamics on free groups, DCDS 2008).
+    Round k keeps the states that extend k levels into the branch.  The
+    rounds only shrink the E_t, so once a round changes nothing no later
+    round does, and each round that changes something lowers the total
+    dimension: there are at most 2r·d_in·|B(rho)| of them.  By compactness
+    a state that extends to every depth extends to the whole branch, so
+    the fixed point is exact.
+
+    The marginal on W then needs no window growth.  On a tree a branch
+    meets hull(W) only through its exit edge, so x on thicken(hull(W), rho)
+    is a restriction of ker(phi) iff it satisfies the constraint at every
+    g in hull(W) and the state at g lies in E_t for every exit edge (g, t),
+    g·t outside hull(W).  π_W(ker phi) is the projection of that solution
+    set onto W, and its certificate is EXACT.
+    """
+
+    def __init__(self, kernel: ConvolutionKernel):
         if kernel.is_zero():
             raise ZeroKernelError("the zero kernel cuts out the full shift; use a Bernoulli process")
         self.kernel = kernel
-        self.growth_cap = growth_cap
-        self._geometry = support_geometry(kernel)
-        self._fresh = [letter_slots(f.letters) for f in _fresh_candidates(kernel, self._geometry)]
+        self._stencil, _, geo = _centered(kernel)
         self._tree = CayleyTree(kernel.rank)
-        self._reach = max(1, self._geometry.diameter())
+        # letter slots of the words of B(rho), in id order
+        self._ball = [letter_slots(w.letters) for w in ball_list(kernel.rank, geo.radius)]
+        self._radius = geo.radius
+        self._branches = self._fixed_point()
         self._cache: dict[tuple, MarginalResult] = {}
 
     def marginal(self, W: WordSet) -> MarginalResult:
@@ -428,58 +388,56 @@ class KernelSubshift:
         self._cache[key] = result
         return result
 
+    def _fixed_point(self) -> list[list[dict]]:
+        """E_t for each letter slot t, as independent rows over the state
+        coordinates (id in B(rho), input channel)."""
+        k, tree, p = self._stencil, self._tree, self.kernel.p
+        n, letters = len(self._ball), range(2 * k.rank)
+        keys = [(u, j) for u in range(n) for j in range(k.d_in)]
+        state = _basis_rows(_site_rows(k, tree, [0]), keys, p)
+        # t·w for each state coordinate w of the neighbour g·t, as seen from g
+        step = list(zip(*(tree.translates(range(1, 2 * k.rank + 1), w) for w in self._ball)))
+        branches = [state for _ in letters]
+        while True:
+            grown = []
+            for t in letters:
+                shared = {w: tw for w, tw in enumerate(step[t]) if tw < n}
+                beyond = [row for s in letters if s != t ^ 1 for row in branches[s]]
+                hidden = [(w, j) for w in range(n) if w not in shared for j in range(k.d_in)]
+                seen = eliminate_columns(beyond, hidden, p)
+                rows = state + [{(shared[w], j): v for (w, j), v in row.items()} for row in seen]
+                grown.append(_basis_rows(rows, keys, p))
+            # each E_t only shrinks, so equal ranks mean a fixed point
+            if [len(rows) for rows in grown] == [len(rows) for rows in branches]:
+                return branches
+            branches = grown
+
     def _compute_marginal(self, W: WordSet) -> MarginalResult:
-        """Project onto W along one chain of enclosing windows.
-
-        V0 thickens hull(W) by the stencil diameter and V(i+1) thickens
-        V(i) by one; each window is built once, when first needed.  The
-        extension proof from V0 to V_cap certifies the V1 projection;
-        failing it, the first two successive windows (up to V_cap and
-        WINDOW_GUARD words) that agree give STABILIZED.
-        """
-        k, cap, tree = self.kernel, self.growth_cap, self._tree
-        chain = [thicken(convex_hull(W), self._reach)]
-
-        def window(i: int) -> WordSet:
-            while len(chain) <= i:
-                chain.append(thicken(chain[-1], 1))
-            return chain[i]
-
-        sets = [_marginal_system(k, W, window(0), tree), _marginal_system(k, W, window(1), tree)]
-        if (
-            self._fresh
-            and cap >= 1
-            and all(len(window(i)) <= WINDOW_GUARD for i in range(1, cap + 1))
-            and _extension_proof(k, tree, self._fresh, window(0), window(cap))
-        ):
-            if sets[0] != sets[1]:
-                raise AssertionError("extension proof contradicts computed projections")
-            return MarginalResult(W, sets[1], "EXTENSION-CERTIFIED")
-        i = 1
-        while sets[i] != sets[i - 1]:
-            i += 1
-            if i > cap or len(window(i)) > WINDOW_GUARD:
-                return MarginalResult(
-                    W, sets[-1], "UNCERTIFIED", bounds=(sets[-1].dimension, sets[-2].dimension)
-                )
-            sets.append(_marginal_system(k, W, window(i), tree))
-        return MarginalResult(W, sets[i], "STABILIZED")
-
-    def _certified_marginal(self, W: WordSet) -> MarginalResult:
-        """marginal(W), raising UncertifiedWindowError when it is uncertified."""
-        m = self.marginal(W)
-        if not m.is_certified():
-            raise UncertifiedWindowError(
-                f"window {W!r} failed certification; dimension bounds {m.bounds}"
-            )
-        return m
+        """Project the hull system of W onto W (see the class docstring)."""
+        k, tree, p = self._stencil, self._tree, self.kernel.p
+        hull = sorted(tree.hull(W.ids()))
+        inside = set(hull)
+        rows = _site_rows(k, tree, hull)
+        for t, branch in enumerate(self._branches):
+            exits = [g for g, gt in zip(hull, tree.translates(hull, (t,))) if gt not in inside]
+            placed = [tree.translates(exits, u) for u in self._ball]
+            for e in range(len(exits)):
+                rows += [{(placed[u][e], j): v for (u, j), v in row.items()} for row in branch]
+        channels, kept = range(k.d_in), W.ids()
+        length = tree.length
+        outer = sorted(tree.thicken(hull, self._radius) - kept, key=lambda i: (-length(i), i))
+        reduced = eliminate_columns(rows, [(i, j) for i in outer for j in channels], p)
+        keep = window_coordinates(k, W)
+        label = dict(zip([(i, j) for i in sorted(kept) for j in channels], keep))
+        reduced = [{label[c]: v for c, v in row.items()} for row in reduced]
+        return MarginalResult(W, solution_space_from_constraints(reduced, tuple(keep), p), "EXACT")
 
     def window_entropy(self, W: WordSet) -> tuple[EntropyValue, str]:
-        m = self._certified_marginal(W)
+        m = self.marginal(W)
         return m.dimension * EntropyValue.log_int(self.kernel.p), m.certificate
 
     def cylinder_measure(self, W: WordSet, pattern: Mapping[FreeWord, object]) -> Fraction:
-        m = self._certified_marginal(W)
+        m = self.marginal(W)
         vec = []
         for w, j in window_coordinates(self.kernel, W):
             val = pattern[w]

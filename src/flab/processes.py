@@ -6,14 +6,9 @@ base) and KernelProcess.  Every process answers one window query,
 entropy(W) -> (value, certificate): the entropy of the coordinate
 partition joined over the window W, exactly, with what backs it:
 
-    EXACT                entropies computed on a materialized finite model
-    EXTENSION-CERTIFIED  kernel marginal backed by the constructive
-                         proof that every solution on the first
-                         enclosing window extends to the last one, so
-                         every window of the chain gives the same marginal
-    STABILIZED           kernel marginal on which two successive enclosing
-                         windows agree; evidence, not a proof, since a
-                         later window can still shrink the marginal
+    EXACT  entropies computed on a materialized finite model, from the
+           closed form of a Bernoulli shift, or from a kernel marginal
+           that the tree fixed point of `KernelSubshift` makes exact
 
 Conditioning is fixed when a process is built, not passed per query.  A
 FiniteActionProcess built with `given` answers H(P^W | given) as
@@ -27,11 +22,11 @@ memoizes its answers per canonical window key.
 from __future__ import annotations
 
 from .entropy import EntropyValue, FinitePartition, join, shannon_entropy
-from .kernels import GROWTH_CAP, ConvolutionKernel, KernelSubshift
+from .kernels import ConvolutionKernel, KernelSubshift
 from .skew import FiniteAction, SkewBundle
 from .words import WordSet
 
-CERT_STRENGTH = {"EXACT": 0, "EXTENSION-CERTIFIED": 1, "STABILIZED": 2, "UPPER-BOUND": 3}
+CERT_STRENGTH = {"EXACT": 0, "UPPER-BOUND": 1}
 
 
 def weakest_certificate(certs) -> str:
@@ -116,11 +111,9 @@ class KernelProcess:
 
     conditioned = False
 
-    def __init__(
-        self, kernel: ConvolutionKernel, label: str | None = None, growth_cap: int = GROWTH_CAP
-    ):
+    def __init__(self, kernel: ConvolutionKernel, label: str | None = None):
         self.kernel = kernel
-        self.subshift = KernelSubshift(kernel, growth_cap)
+        self.subshift = KernelSubshift(kernel)
         self.rank = kernel.rank
         self.label = label or f"ker(phi) {kernel!r}"
 

@@ -1,7 +1,7 @@
 """Runners behind the CLI subcommands: example families and verifier suites.
 
 Every runner returns a plain JSON-serializable dict with a top-level
-"status" of PASS, FAIL or UNCERTIFIED; exact quantities appear as
+"status" of PASS or FAIL; exact quantities appear as
 {"terms": ..., "float": ...} pairs so reports stay byte-stable and
 tolerance-free.
 """
@@ -21,7 +21,6 @@ from .groups import group_from_json, preset_group
 from .kernels import (
     ConvolutionKernel,
     KernelSubshift,
-    UncertifiedWindowError,
     comparison_kernel,
     is_surjective,
     ow_kernel,
@@ -68,8 +67,6 @@ from .words import ball, format_word, parse_word
 class RunConfig:
     rank: int = 2
     n_max: int = 2
-    p: int = 2
-    window_cap: int = 4
     stable_threshold: int = 3
     seed: int = DEFAULT_SEED
 
@@ -78,8 +75,6 @@ class RunConfig:
             raise ValueError("rank must be >= 1")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.window_cap < 0:
-            raise ValueError("window_cap must be >= 0")
         if self.stable_threshold < 1:
             raise ValueError("stable_threshold must be >= 1")
 
@@ -87,8 +82,6 @@ class RunConfig:
         return {
             "rank": self.rank,
             "n_max": self.n_max,
-            "p": self.p,
-            "window_cap": self.window_cap,
             "stable_threshold": self.stable_threshold,
             "seed": self.seed,
         }
@@ -101,16 +94,13 @@ def _points_process(action: FiniteGroupAction) -> FiniteActionProcess:
     )
 
 
-def _marginal_table(sub: KernelSubshift, rank: int, radii) -> tuple[dict, bool]:
-    """The dimension and certificate of each ball marginal B(n), n in radii,
-    and whether every one of them is certified."""
+def _marginal_table(sub: KernelSubshift, rank: int, radii) -> dict:
+    """The dimension and certificate of each ball marginal B(n), n in radii."""
     dims = {}
-    certified = True
     for n in radii:
         m = sub.marginal(ball(rank, n))
         dims[f"B({n})"] = {"dimension": m.dimension, "certificate": m.certificate}
-        certified = certified and m.is_certified()
-    return dims, certified
+    return dims
 
 
 def run_ornstein_weiss(cfg: RunConfig) -> dict:
@@ -118,18 +108,12 @@ def run_ornstein_weiss(cfg: RunConfig) -> dict:
     if cfg.rank != 2:
         raise ValueError("the doubling-map example lives over the rank-2 free group")
     kernel = ow_kernel()
-    dims, certified = _marginal_table(
-        KernelSubshift(kernel, growth_cap=cfg.window_cap), 2, range(3)
-    )
+    dims = _marginal_table(KernelSubshift(kernel), 2, range(3))
     surj = is_surjective(kernel)
 
     t = cfg.stable_threshold
     full = full_report(BernoulliProcess(2, 2, "full shift on Z/2"), cfg.n_max, t)
-    n_col = full_report(
-        KernelProcess(kernel, "kernel of the doubling map", growth_cap=cfg.window_cap),
-        cfg.n_max,
-        t,
-    )
+    n_col = full_report(KernelProcess(kernel, "kernel of the doubling map"), cfg.n_max, t)
     image = full_report(BernoulliProcess(2, 4, "full shift on Z/2 x Z/2"), cfg.n_max, t)
     addition = addition_report(full, n_col, image)
 
@@ -137,7 +121,6 @@ def run_ornstein_weiss(cfg: RunConfig) -> dict:
         addition["verdict"] == "EXACT-PASS"
         and all(d["dimension"] == 1 for d in dims.values())
         and surj.surjective
-        and certified
     )
     return {
         "command": "ow",
@@ -151,7 +134,7 @@ def run_ornstein_weiss(cfg: RunConfig) -> dict:
             "image": image.to_json(),
         },
         "addition": addition,
-        "status": "PASS" if ok else ("UNCERTIFIED" if not certified else "FAIL"),
+        "status": "PASS" if ok else "FAIL",
     }
 
 
@@ -174,12 +157,9 @@ def run_generalization(cfg: RunConfig, k_name: str) -> dict:
     addition = addition_report(total, constants, image)
 
     comparison = {"applicable": False}
-    certified = True
     if k >= 2 and all(k % d for d in range(2, k)):
         ck = comparison_kernel(k, r)
-        dims, certified = _marginal_table(
-            KernelSubshift(ck, growth_cap=cfg.window_cap), r, (1, 2)
-        )
+        dims = _marginal_table(KernelSubshift(ck), r, (1, 2))
         comparison = {
             "applicable": True,
             "kernel": ck.to_json(),
@@ -192,7 +172,6 @@ def run_generalization(cfg: RunConfig, k_name: str) -> dict:
         addition["verdict"] == "EXACT-PASS"
         and constants.f_value == expected_constants
         and (not comparison["applicable"] or comparison["constants_only"])
-        and certified
     )
     return {
         "command": "gen",
@@ -206,7 +185,7 @@ def run_generalization(cfg: RunConfig, k_name: str) -> dict:
         "expected_constants_f": expected_constants.to_json(),
         "comparison_kernel": comparison,
         "addition": addition,
-        "status": "PASS" if ok else ("UNCERTIFIED" if not certified else "FAIL"),
+        "status": "PASS" if ok else "FAIL",
     }
 
 
@@ -218,25 +197,15 @@ def run_algebraic(cfg: RunConfig, kernel: ConvolutionKernel) -> dict:
         raise ValueError("the algebraic family runs on scalar kernels")
     surj = is_surjective(kernel)
     geo = support_geometry(kernel)
-    try:
-        kproc = KernelProcess(kernel, "kernel subshift", growth_cap=cfg.window_cap)
-        rep = full_report(kproc, cfg.n_max, cfg.stable_threshold)
-    except UncertifiedWindowError as exc:
-        return {
-            "command": "kernel",
-            "config": cfg.to_json(),
-            "kernel": kernel.to_json(),
-            "surjectivity": surj.to_json(),
-            "error": str(exc),
-            "status": "UNCERTIFIED",
-        }
+    kproc = KernelProcess(kernel, "kernel subshift")
+    rep = full_report(kproc, cfg.n_max, cfg.stable_threshold)
     full = full_report(
         BernoulliProcess(kernel.rank, kernel.p, f"full shift on Z/{kernel.p}"),
         cfg.n_max,
         cfg.stable_threshold,
     )
 
-    window_dims, _ = _marginal_table(kproc.subshift, kernel.rank, range(min(cfg.n_max, 2) + 1))
+    window_dims = _marginal_table(kproc.subshift, kernel.rank, range(min(cfg.n_max, 2) + 1))
     zero_pattern = {w: 0 for w in ball(kernel.rank, 1)}
     zero_measure = kproc.subshift.cylinder_measure(ball(kernel.rank, 1), zero_pattern)
 
@@ -516,10 +485,7 @@ def process_from_spec(spec: dict, cfg: RunConfig):
             group_action(group, spec_field(spec, "autos", list, [0] * rank), rank)
         )
     if kind == "kernel":
-        return KernelProcess(
-            ConvolutionKernel.from_json(spec_field(spec, "kernel", dict)),
-            growth_cap=cfg.window_cap,
-        )
+        return KernelProcess(ConvolutionKernel.from_json(spec_field(spec, "kernel", dict)))
     if kind == "skew_section":
         group = group_from_json(spec_field(spec, "group", dict))
         action = group_action(group, spec_field(spec, "autos", list, [0] * rank), rank)
@@ -553,16 +519,7 @@ def process_from_spec(spec: dict, cfg: RunConfig):
 
 def run_compute_f(cfg: RunConfig, spec: dict) -> dict:
     proc = process_from_spec(spec, cfg)
-    try:
-        rep = full_report(proc, cfg.n_max, cfg.stable_threshold)
-    except UncertifiedWindowError as exc:
-        return {
-            "command": "compute-f",
-            "config": cfg.to_json(),
-            "process": spec,
-            "error": str(exc),
-            "status": "UNCERTIFIED",
-        }
+    rep = full_report(proc, cfg.n_max, cfg.stable_threshold)
     out = {
         "command": "compute-f",
         "config": cfg.to_json(),

@@ -317,12 +317,11 @@ class TestMalformedSpecs:
     def test_bad_options_exit_2(self, capsys, monkeypatch):
         assert main(["ow", "--nmax", "0"]) == 2
         assert main(["gen", "--k", "Z/3", "--rank", "0"]) == 2
-        assert main(["ow", "--window-cap", "-1"]) == 2
         for threshold in ("0", "-2"):
             assert main(["gen", "--k", "Z/3", "--stable-threshold", threshold]) == 2
         monkeypatch.setenv("FLAB_SEED", "abc")
         assert main(["verify", "--suite", "none"]) == 2
-        assert capsys.readouterr().err.count("error: ") == 6
+        assert capsys.readouterr().err.count("error: ") == 5
 
     @pytest.mark.parametrize(
         "command, spec",

@@ -3,15 +3,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from kernel_oracles import contains, window_chain, window_projection
 
 from flab.fplinear import FpMatrix, rank as fp_rank, solve
 from flab.kernels import (
     ConvolutionKernel,
     KernelSubshift,
-    UncertifiedWindowError,
     ZeroKernelError,
     _centered,
-    _marginal_system,
     comparison_kernel,
     constraint_sites,
     is_surjective,
@@ -159,17 +159,17 @@ class TestWindowSystem:
 class TestProjectedDimension:
     def test_edge_kernel_ball_one(self):
         m = KernelSubshift(edge_kernel()).marginal(ball(2, 1))
-        assert m.dimension == 3 and m.certificate in ("EXTENSION-CERTIFIED", "STABILIZED")
+        assert m.dimension == 3 and m.certificate == "EXACT"
 
     def test_delta_kernel_trivial(self):
         m = KernelSubshift(scalar_kernel(2, 2, {"e": 1})).marginal(ball(2, 1))
-        assert m.is_certified() and m.dimension == 0
+        assert m.certificate == "EXACT" and m.dimension == 0
 
     def test_edge_kernel_union_window(self):
         W = ball(2, 1).union(ball(2, 1).translate(w("b")))
         assert len(W) == 8
         m = KernelSubshift(edge_kernel()).marginal(W)
-        assert m.is_certified() and m.dimension == 4
+        assert m.certificate == "EXACT" and m.dimension == 4
 
     def test_matches_coset_oracle_on_random_windows(self):
         rng = random.Random(1)
@@ -178,7 +178,7 @@ class TestProjectedDimension:
         for _ in range(15):
             W = WordSet(2, rng.sample(pool, rng.randint(1, 6)))
             m = sub.marginal(W)
-            assert m.is_certified()
+            assert m.certificate == "EXACT"
             assert m.dimension == coset_count(W)
 
     def test_matches_exhaustive_enumeration(self):
@@ -190,13 +190,13 @@ class TestProjectedDimension:
         keep = tuple((v, 0) for v in W)
         brute = big.project(keep)
         m = KernelSubshift(k).marginal(W)
-        assert m.is_certified() and m.dimension == brute.dimension
+        assert m.certificate == "EXACT" and m.dimension == brute.dimension
 
     def test_ow_kernel_is_two_constants(self):
         sub = KernelSubshift(ow_kernel())
         for n in range(3):
             m = sub.marginal(ball(2, n))
-            assert m.is_certified() and m.dimension == 1
+            assert m.certificate == "EXACT" and m.dimension == 1
         # one input channel, so a member lists the values on B(1) in order
         members = sub.marginal(ball(2, 1)).solution_set.members()
         assert len(members) == 2
@@ -209,7 +209,7 @@ class TestProjectedDimension:
                 sub = KernelSubshift(comparison_kernel(p, r))
                 for n in (1, 2):
                     m = sub.marginal(ball(r, n))
-                    assert m.is_certified() and m.dimension == 1
+                    assert m.certificate == "EXACT" and m.dimension == 1
 
     def test_restriction_consistency(self):
         sub = KernelSubshift(edge_kernel())
@@ -232,8 +232,8 @@ class TestProjectedDimension:
         for k in kernels:
             for n in (0, 1):
                 W = ball(2, n)
-                a = _marginal_system(k, W, ball(2, n + 2))
-                b = _marginal_system(k, W, ball(2, n + 3))
+                a = window_projection(k, W, ball(2, n + 2))
+                b = window_projection(k, W, ball(2, n + 3))
                 assert a == b
 
 
@@ -247,8 +247,7 @@ def plateau_kernel():
     return matrix_kernel(2, {"B": [[1, 0], [0, 0]], "a": [[0, 1], [1, 0]]})
 
 
-# (kernel, W = B(n)) -> (certificate, dimension, bounds) for growth_cap 0..4;
-# the 2x2 kernels reach the growth loop past V1 and the UNCERTIFIED branch
+# the exact marginal of each kernel on W = B(n), n = 0, 1
 CERTIFICATE_KERNELS = {
     "edge": lambda: edge_kernel(),
     "edge3": lambda: edge_kernel(3),
@@ -259,56 +258,76 @@ CERTIFICATE_KERNELS = {
     "m3": lambda: matrix_kernel(3, {"A": [[1, 1], [1, 0]], "e": [[1, 1], [1, 1]], "a": [[0, 0], [1, 1]]}),
     "m2": plateau_kernel,
 }
-EXT, STAB, UNC = "EXTENSION-CERTIFIED", "STABILIZED", "UNCERTIFIED"
 GOLDEN_CERTIFICATES = {
-    ("edge", 0): [(STAB, 1, None), (EXT, 1, None), (EXT, 1, None), (EXT, 1, None), (EXT, 1, None)],
-    ("edge", 1): [(STAB, 3, None), (EXT, 3, None), (EXT, 3, None), (EXT, 3, None), (EXT, 3, None)],
-    ("edge3", 0): [(STAB, 1, None), (EXT, 1, None), (EXT, 1, None), (EXT, 1, None), (EXT, 1, None)],
-    ("edge3", 1): [(STAB, 3, None), (EXT, 3, None), (EXT, 3, None), (EXT, 3, None), (EXT, 3, None)],
-    ("p3", 0): [(STAB, 1, None), (EXT, 1, None), (EXT, 1, None), (EXT, 1, None), (EXT, 1, None)],
-    ("p3", 1): [(STAB, 4, None), (EXT, 4, None), (EXT, 4, None), (EXT, 4, None), (EXT, 4, None)],
-    ("delta", 0): [(STAB, 0, None), (EXT, 0, None), (EXT, 0, None), (EXT, 0, None), (EXT, 0, None)],
-    ("delta", 1): [(STAB, 0, None), (EXT, 0, None), (EXT, 0, None), (EXT, 0, None), (EXT, 0, None)],
-    ("ow", 0): [(STAB, 1, None)] * 5,
-    ("ow", 1): [(STAB, 1, None)] * 5,
-    ("comparison", 0): [(STAB, 1, None)] * 5,
-    ("comparison", 1): [(STAB, 1, None)] * 5,
-    ("m3", 0): [(UNC, 1, (1, 2)), (UNC, 1, (1, 2)), (STAB, 1, None), (STAB, 1, None), (STAB, 1, None)],
-    ("m3", 1): [(UNC, 3, (3, 6)), (UNC, 3, (3, 6)), (STAB, 3, None), (STAB, 3, None), (STAB, 3, None)],
-    ("m2", 0): [(STAB, 1, None)] * 5,
-    ("m2", 1): [(UNC, 3, (3, 4)), (UNC, 3, (3, 4)), (UNC, 0, (0, 3)), (STAB, 0, None), (STAB, 0, None)],
+    ("edge", 0): ("EXACT", 1),
+    ("edge", 1): ("EXACT", 3),
+    ("edge3", 0): ("EXACT", 1),
+    ("edge3", 1): ("EXACT", 3),
+    ("p3", 0): ("EXACT", 1),
+    ("p3", 1): ("EXACT", 4),
+    ("delta", 0): ("EXACT", 0),
+    ("delta", 1): ("EXACT", 0),
+    ("ow", 0): ("EXACT", 1),
+    ("ow", 1): ("EXACT", 1),
+    ("comparison", 0): ("EXACT", 1),
+    ("comparison", 1): ("EXACT", 1),
+    ("m3", 0): ("EXACT", 1),
+    ("m3", 1): ("EXACT", 3),
+    ("m2", 0): ("EXACT", 0),
+    ("m2", 1): ("EXACT", 0),
 }
 
 
 class TestCertificateTable:
     @pytest.mark.parametrize("name, n", sorted(GOLDEN_CERTIFICATES))
     def test_golden_certificates(self, name, n):
-        k = CERTIFICATE_KERNELS[name]()
-        got = []
-        for cap in range(5):
-            m = KernelSubshift(k, growth_cap=cap).marginal(ball(2, n))
-            got.append((m.certificate, m.dimension, m.bounds))
-        assert got == GOLDEN_CERTIFICATES[(name, n)]
+        m = KernelSubshift(CERTIFICATE_KERNELS[name]()).marginal(ball(2, n))
+        assert (m.certificate, m.dimension) == GOLDEN_CERTIFICATES[(name, n)]
 
-    def test_window_entropy_reports_bounds(self):
-        sub = KernelSubshift(plateau_kernel(), growth_cap=1)
-        with pytest.raises(UncertifiedWindowError, match=r"dimension bounds \(3, 4\)"):
-            sub.window_entropy(ball(2, 1))
+    @pytest.mark.parametrize("name, n", sorted(GOLDEN_CERTIFICATES))
+    def test_matches_the_window_oracle(self, name, n):
+        k = CERTIFICATE_KERNELS[name]()
+        exact = KernelSubshift(k).marginal(ball(2, n)).solution_set
+        *early, last = window_chain(k, ball(2, n))
+        # a window only drops constraints, so its projection can only be larger
+        assert all(contains(V, exact) for V in early)
+        assert last == exact
 
     def test_stabilized_plateau_then_drop(self):
-        # STABILIZED is not a proof: the B(0) marginal of a kernel with
-        # ker(phi) = {0} keeps dimension 1 on V0 and V1, then drops to 0
+        # two agreeing windows prove nothing: the B(0) projection of a kernel
+        # with ker(phi) = {0} keeps dimension 1 on V0 and V1, then drops to 0;
+        # the fixed point gives 0 at once
         k = plateau_kernel()
-        W = ball(2, 0)
-        V = thicken(convex_hull(W), max(1, support_geometry(k).diameter()))
-        dims = []
-        for _ in range(5):
-            dims.append(_marginal_system(k, W, V).dimension)
-            V = thicken(V, 1)
-        assert dims == [1, 1, 0, 0, 0]
+        assert [V.dimension for V in window_chain(k, ball(2, 0))] == [1, 1, 0, 0, 0]
         sub = KernelSubshift(k)
-        assert (sub.marginal(W).certificate, sub.marginal(W).dimension) == (STAB, 1)
-        assert (sub.marginal(ball(2, 1)).certificate, sub.marginal(ball(2, 1)).dimension) == (STAB, 0)
+        assert (sub.marginal(ball(2, 0)).certificate, sub.marginal(ball(2, 0)).dimension) == ("EXACT", 0)
+        assert (sub.marginal(ball(2, 1)).certificate, sub.marginal(ball(2, 1)).dimension) == ("EXACT", 0)
+
+
+B1 = ball_list(2, 1)
+
+
+@st.composite
+def small_kernels(draw):
+    """A nonzero stencil supported in B(1), scalar or 2x2, over Z/2 or Z/3."""
+    p = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from([1, 2]))
+    support = draw(st.lists(st.sampled_from(B1), min_size=1, max_size=len(B1), unique=True))
+    block = st.lists(st.lists(st.integers(0, p - 1), min_size=d, max_size=d), min_size=d, max_size=d)
+    coeffs = {v: draw(block) for v in support}
+    k = ConvolutionKernel(p, 2, coeffs, d_in=d, d_out=d)
+    assume(not k.is_zero())
+    return k
+
+
+class TestRestrictionConsistency:
+    @settings(max_examples=60, deadline=None)
+    @given(small_kernels())
+    def test_ball_one_projects_onto_ball_zero(self, k):
+        sub = KernelSubshift(k)
+        big = sub.marginal(ball(2, 1)).solution_set
+        small = sub.marginal(ball(2, 0)).solution_set
+        assert big.project(small.keys) == small
 
 
 # stencils with e as their first support word, then three without

@@ -115,6 +115,19 @@ class TestGroups:
         reflection_pair = d4.subgroup_closure((d4.index("r0s"),))
         assert not d4.is_normal(reflection_pair)
 
+    @pytest.mark.parametrize("name", sorted(_PRESETS))
+    def test_normal_subgroups_match_all_pairs(self, name):
+        # every subgroup of an order-8 group has two generators, so closing
+        # all ordered pairs finds them all
+        g = preset_group(name)
+        n = g.order()
+        pairs = {g.subgroup_closure((a, b)) for a in range(n) for b in range(n)}
+        want = sorted(
+            (s for s in pairs | {frozenset(range(n))} if g.is_normal(s)),
+            key=lambda s: (len(s), sorted(s)),
+        )
+        assert normal_subgroups(g) == want
+
 
 class TestSpecialPartitions:
     def test_cosets(self):

@@ -583,9 +583,9 @@ class TestWordIds:
         )
 
     def test_window_path_builds_few_words(self, monkeypatch):
-        # the window chain of this marginal reaches about a thousand words
-        # and every one of its steps runs on ids; the words built are the
-        # stencil geometry and the kept B(1) coordinate labels
+        # the fixed point and the hull system of this marginal run on ids;
+        # the words built are the stencil geometry, the state ball B(rho)
+        # and the kept B(1) coordinate labels
         built = []
         real_word, real_init = words._word, FreeWord.__init__
 
@@ -601,5 +601,5 @@ class TestWordIds:
         monkeypatch.setattr(words, "_word", counting_word)
         monkeypatch.setattr(FreeWord, "__init__", counting_init)
         m = KernelSubshift(k).marginal(W)
-        assert (m.certificate, m.dimension) == ("EXTENSION-CERTIFIED", 3)
+        assert (m.certificate, m.dimension) == ("EXACT", 3)
         assert len(built) <= 64
