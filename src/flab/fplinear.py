@@ -174,7 +174,7 @@ class AffineSolutionSet:
         check_modulus(p)
         keys = tuple(keys)
         if particular is None:
-            self._set(p, keys, None, (), ())
+            _fill(self, p, keys, None, (), ())
             return
         point = [x % p for x in particular]
         if len(point) != len(keys):
@@ -187,24 +187,13 @@ class AffineSolutionSet:
             if point[c]:
                 f = point[c]
                 point = [(a - f * b) % p for a, b in zip(point, row)]
-        self._set(p, keys, tuple(point), tuple(rows), tuple(pivots))
-
-    def _set(self, p, keys, particular, basis, pivots):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "particular", particular)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
+        _fill(self, p, keys, tuple(point), tuple(rows), tuple(pivots))
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineSolutionSet is immutable")
 
     def __delattr__(self, name):
         raise AttributeError("AffineSolutionSet is immutable")
-
-    @staticmethod
-    def empty(p: int, keys: Sequence[Hashable]) -> "AffineSolutionSet":
-        return AffineSolutionSet(p, keys, None, ())
 
     def is_empty(self) -> bool:
         return self.particular is None
@@ -265,7 +254,7 @@ class AffineSolutionSet:
                 raise IndexError(f"projection coordinate {k!r} out of range")
         cols = [index[k] for k in keep]
         if self.is_empty():
-            return AffineSolutionSet.empty(self.p, keep)
+            return _canonical(self.p, tuple(keep), None, (), ())
         return AffineSolutionSet(
             self.p,
             tuple(keep),
@@ -274,11 +263,24 @@ class AffineSolutionSet:
         )
 
 
+_set_p, _set_keys, _set_particular, _set_basis, _set_pivots = (
+    getattr(AffineSolutionSet, name).__set__ for name in AffineSolutionSet.__slots__
+)
+
+
+def _fill(out: AffineSolutionSet, p, keys, particular, basis, pivots) -> AffineSolutionSet:
+    """Store canonical fields through the slot descriptors, past __setattr__."""
+    _set_p(out, p)
+    _set_keys(out, keys)
+    _set_particular(out, particular)
+    _set_basis(out, basis)
+    _set_pivots(out, pivots)
+    return out
+
+
 def _canonical(p, keys, particular, basis, pivots) -> AffineSolutionSet:
     """An AffineSolutionSet from fields already in canonical form."""
-    out = object.__new__(AffineSolutionSet)
-    out._set(p, keys, particular, basis, pivots)
-    return out
+    return _fill(object.__new__(AffineSolutionSet), p, keys, particular, basis, pivots)
 
 
 def _solution_basis(rows: list[SparseRow], n: int, p: int):
@@ -313,7 +315,7 @@ def _tags(row: SparseRow, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _factorization(m: FpMatrix) -> tuple:
-    """(checks, point rows, basis, basis pivots) of m, cached on m.
+    """(checks, point rows, basis, basis pivots, column indices) of m, cached on m.
 
     The rows of [m | I] are eliminated, with the tag of row i at column
     label cols + i.  Checks are the tags of the leftover rows, point rows
@@ -333,6 +335,7 @@ def _factorization(m: FpMatrix) -> tuple:
             tuple((c, _tags(row, n)) for c, row in reduced),
             basis,
             free,
+            tuple(range(n)),
         )
         object.__setattr__(m, "_factors", f)
     return f
@@ -346,10 +349,10 @@ def solve(m: FpMatrix, b: Sequence[int], keys: Sequence[Hashable] | None = None)
     """Full solution set of m x = b as an AffineSolutionSet."""
     if len(b) != m.rows:
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    keys = tuple(keys) if keys is not None else tuple(range(m.cols))
+    checks, point_rows, basis, free, columns = _factorization(m)
+    keys = columns if keys is None else tuple(keys)
     if len(keys) != m.cols:
         raise ValueError("key count must match column count")
-    checks, point_rows, basis, free = _factorization(m)
     p = m.p
     at = b.__getitem__
     for idx, coeffs in checks:

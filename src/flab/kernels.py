@@ -13,15 +13,16 @@ ker(phi) is a tree shift of finite type, the states that extend into
 each branch of the Cayley tree are a fixed point computed once per
 subshift, and pi_W(ker phi) is the solution set on hull(W) with each
 exit state held to its branch's fixed point (see `KernelSubshift`).
-Every marginal is labelled EXACT.  The systems are built on integer word
-ids (see `flab.words`), on the subshift's own `CayleyTree`; only the
-kept coordinates are labelled by words.  `constraint_sites` and
-`window_rows` are the word-level views of the constraint placement on a
-window.
+Every marginal is labelled EXACT.  `constraint_sites` and `window_rows`
+are the word-level views of the constraint placement on a window.
 
 The onto-ness decision (`is_surjective`) and the preimage solver
 (`preimage_on_ball`) work on the stencil translated so that the identity
 is a center of its hull (`_centered`), which cuts out the same subshift.
+
+The window systems and the onto-ness path run on word ids and
+`CayleyTree` steps (see `flab.words`); FreeWords are built only at the
+boundary: for arguments, for the keys and columns returned, and reports.
 """
 
 from __future__ import annotations
@@ -47,9 +48,7 @@ from .words import (
     ball,
     ball_list,
     ball_size,
-    check_ordering_condition,
     convex_hull,
-    escape_walk,
     extreme_points,
     format_word,
     identity,
@@ -58,7 +57,6 @@ from .words import (
     mul,
     parse_word,
     radius_center,
-    spiral_ordering,
 )
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -83,10 +81,6 @@ def _as_matrix(value, d_out: int, d_in: int, p: int) -> Matrix:
 
 def _block_is_zero(m: Matrix) -> bool:
     return all(all(x == 0 for x in row) for row in m)
-
-
-def _block_full_row_rank(m: Matrix, p: int) -> bool:
-    return fp_rank(FpMatrix(p, m)) == len(m)
 
 
 class ConvolutionKernel:
@@ -254,14 +248,9 @@ def _centered(k: ConvolutionKernel) -> tuple[ConvolutionKernel, FreeWord, Suppor
     return kc, center, support_geometry(kc)
 
 
-def _fresh_candidates(k: ConvolutionKernel, geo: SupportGeometry) -> list[FreeWord]:
-    """Stencil positions usable as the solved-for coordinate in a preimage step.
-
-    Extreme points of the hull (the whole support for a radius-0 stencil)
-    whose coefficient block can produce any output value.
-    """
-    cands = list(geo.extremes) if len(geo.hull) > 1 else list(geo.support)
-    return [f for f in cands if _block_full_row_rank(k.coeffs[f], k.p)]
+def _stencil(k: ConvolutionKernel, tree: CayleyTree) -> list[tuple[int, tuple[int, ...], Matrix]]:
+    """(id, letter slots, block) of each support word of k, in ascending id."""
+    return sorted((tree.id(s), letter_slots(s.letters), block) for s, block in k.coeffs.items())
 
 
 # -- window systems ---------------------------------------------------------
@@ -276,7 +265,7 @@ def _sites(k: ConvolutionKernel, tree: CayleyTree, V: frozenset[int]) -> list[in
     """Ids of all g whose translated stencil support g.F lies inside V, ascending."""
     if k.is_zero():
         return []
-    f0, *rest = [letter_slots(f.letters) for f in k.support_words()]
+    f0, *rest = [slots for _, slots, _ in _stencil(k, tree)]
     # g = v·f0^-1 puts g·f0 = v inside V, so only the rest of F is checked
     sites = tree.translates(V, tuple(a ^ 1 for a in reversed(f0)))
     for f in rest:
@@ -463,19 +452,22 @@ class SurjectivityReport(NamedTuple):
 
 def target_map_matrix(k: ConvolutionKernel, W: WordSet) -> tuple[FpMatrix, list]:
     """Matrix of x |-> phi(x)|_W over the variables the W-constraints read."""
-    var_words = sorted({mul(g, s) for g in W for s in k.coeffs}, key=FreeWord.sort_key)
-    cols = [(w, j) for w in var_words for j in range(k.d_in)]
-    index = {c: i for i, c in enumerate(cols)}
+    tree, p, d_in = CayleyTree(k.rank), k.p, k.d_in
+    sites = sorted(W.ids())
+    placed = [(tree.translates(sites, slots), block) for _, slots, block in _stencil(k, tree)]
+    var_ids = sorted({gs for column, _ in placed for gs in column})
+    index = {i: n * d_in for n, i in enumerate(var_ids)}
     rows = []
-    for g in W:
+    for n in range(len(sites)):
         for r in range(k.d_out):
-            row = [0] * len(cols)
-            for s, block in k.coeffs.items():
-                gs = mul(g, s)
-                for j in range(k.d_in):
-                    row[index[(gs, j)]] = (row[index[(gs, j)]] + block[r][j]) % k.p
+            row = [0] * (len(var_ids) * d_in)
+            for column, block in placed:
+                at = index[column[n]]
+                for j in range(d_in):
+                    row[at + j] = (row[at + j] + block[r][j]) % p
             rows.append(row)
-    return FpMatrix(k.p, rows, cols=len(cols)), cols
+    cols = [(tree.word(i), j) for i in var_ids for j in range(d_in)]
+    return FpMatrix(p, rows, cols=len(cols)), cols
 
 
 def is_surjective(k: ConvolutionKernel, depth: int = 3) -> SurjectivityReport:
@@ -490,19 +482,20 @@ def is_surjective(k: ConvolutionKernel, depth: int = 3) -> SurjectivityReport:
         return SurjectivityReport(False, "zero-kernel", {})
     if k.is_scalar():
         _, center, geo = _centered(k)
-        rho, centers = geo.radius, geo.centers
-        ordering = spiral_ordering(k.rank, depth)
-        ok = check_ordering_condition(geo.hull, ordering)
+        slots = [letter_slots(w.letters) for w in geo.hull]
+        # the spiral ordering of B(depth) is breadth-first: the ids 0, 1, ...
+        sites = ball_size(k.rank, depth)
+        walk = CayleyTree(k.rank).escape_walk(range(sites), slots, slots)
         return SurjectivityReport(
             True,
             "theorem-scalar",
             {
                 "center": format_word(center),
                 "centered_hull": [format_word(w) for w in geo.hull],
-                "hull_radius": rho,
-                "identity_is_center": identity(k.rank) in centers,
+                "hull_radius": geo.radius,
+                "identity_is_center": 0 in geo.centers.ids(),
                 "ordering_depth": depth,
-                "ordering_condition": ok,
+                "ordering_condition": len(walk) == sites,
             },
         )
     verdicts = {}
@@ -533,43 +526,54 @@ def preimage_on_ball(
     coordinate outside all earlier translated hulls, and that single
     coordinate is then solved for.  Raises OrderingConditionError at the
     first site with no such coordinate, reporting its index in that
-    ordering.  The result is re-verified against k on B(n).
+    ordering.  The result is re-verified against k on B(n).  Sites,
+    targets and x are keyed by word id; x is decoded once, at the return.
     """
     if k.is_zero():
         raise ZeroKernelError("zero kernel has no preimages")
     if not k.is_scalar():
         raise ValueError("preimage solver requires a scalar kernel")
     centered, c, geo = _centered(k)
-    support = geo.support
-    # the spiral ordering is breadth-first, so B(n) is a prefix of it
-    sites = spiral_ordering(k.rank, n + len(c))
-    targets = sites[: ball_size(k.rank, n)]
+    rank, p, tree = k.rank, k.p, CayleyTree(k.rank)
+    # the spiral ordering is breadth-first: the ids 0, 1, ..., with B(n) first
+    sites = range(ball_size(rank, n + len(c)))
+    targets = range(ball_size(rank, n))
+    given = {tree.id(g): v for g, v in y.items() if g.rank == rank}
     for g in targets:
-        if g not in y:
-            raise ValueError(f"target pattern missing site {format_word(g)}")
-    shifted = {mul(g, c): y[g] for g in targets}
-    walk = escape_walk(sites, _fresh_candidates(centered, geo), geo.hull)
-    if len(walk) < len(sites):
-        step = len(walk)
+        if g not in given:
+            raise ValueError(f"target pattern missing site {format_word(tree.word(g))}")
+    shifted = dict(zip(tree.translates(targets, letter_slots(c.letters)), map(given.get, targets)))
+    stencil = _stencil(centered, tree)
+    # the solved-for coordinate is an extreme point of the hull (the whole
+    # support for a radius-0 stencil); a nonzero scalar is invertible mod p
+    ends = (geo.extremes if len(geo.hull) > 1 else geo.support).ids()
+    fresh = [f for f, (i, _, _) in enumerate(stencil) if i in ends]
+    hull = [letter_slots(w.letters) for w in geo.hull]
+    picks = tree.escape_walk(sites, [stencil[f][1] for f in fresh], hull)
+    if len(picks) < len(sites):
+        step = len(picks)
         raise OrderingConditionError(
             step,
-            f"site {format_word(sites[step])} has no uncovered extreme coordinate at step {step}",
+            f"site {format_word(tree.word(step))} has no uncovered extreme coordinate at step {step}",
         )
 
-    x: dict[FreeWord, int] = {}
-    for g, f in walk:
-        for s in support:
-            x.setdefault(mul(g, s), 0)
-        target = shifted.get(g, 0) % k.p
-        coeff = centered.coeffs[f][0][0]
-        rest = sum(
-            centered.coeffs[s][0][0] * x[mul(g, s)] for s in support if s != f
-        )
-        x[mul(g, f)] = (pow(coeff, -1, k.p) * (target - rest)) % k.p
-        if centered.evaluate(x, g) != (target,):
+    image = [tree.translates(sites, slots) for _, slots, _ in stencil]
+    coeffs = [block[0][0] for _, _, block in stencil]
+    x: dict[int, int] = {}
+    for g, pick in zip(sites, picks):
+        f = fresh[pick]
+        placed = [column[g] for column in image]
+        for gs in placed:
+            x.setdefault(gs, 0)
+        target = shifted.get(g, 0) % p
+        rest = sum(a * x[gs] for s, (a, gs) in enumerate(zip(coeffs, placed)) if s != f)
+        x[placed[f]] = (pow(coeffs[f], -1, p) * (target - rest)) % p
+        if sum(a * x[gs] for a, gs in zip(coeffs, placed)) % p != target:
             raise AssertionError("solver step failed to satisfy its constraint")
 
+    checks = [(tree.translates(targets, slots), block[0][0]) for _, slots, block in _stencil(k, tree)]
     for g in targets:
-        if k.evaluate(x, g) != (y[g] % k.p,):
+        if sum(a * x.get(column[g], 0) for column, a in checks) % p != given[g] % p:
             raise AssertionError("preimage re-verification failed")
-    return x
+    words = ball_list(rank, tree.length(max(x)))
+    return {words[i]: v for i, v in x.items()}

@@ -27,7 +27,7 @@ from .entropy import (
     shannon_entropy,
 )
 from .groups import FiniteGroup, invert_perm
-from .words import FreeWord, WordSet, _word, ball, format_word, signed_letters
+from .words import CayleyTree, FreeWord, WordSet, _word, ball, format_word, signed_letters
 
 
 class FiniteAction:
@@ -50,6 +50,7 @@ class FiniteAction:
         self.gen_perms = perms
         self._inv_perms = tuple(invert_perm(p) for p in perms)
         self._memo: dict[tuple, tuple[int, ...]] = {(): tuple(range(len(space.counts)))}
+        self._tree, self._by_id = CayleyTree(rank), {0: self._memo[()]}
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -73,9 +74,20 @@ class FiniteAction:
             perm = self._memo[key] = tuple([head[x] for x in self._perm(key[1:])])
         return perm
 
+    def _id_perm(self, i: int) -> tuple[int, ...]:
+        """alpha_w for the word with id i: alpha_parent after alpha_last letter."""
+        perm = self._by_id.get(i)
+        if perm is None:
+            head, s = self._id_perm(self._tree.parent(i)), self._tree.last(i)
+            step = (self.gen_perms if s % 2 == 0 else self._inv_perms)[s // 2]
+            perm = self._by_id[i] = tuple([head[x] for x in step])
+        return perm
+
     def window_partition(self, p: FinitePartition, W: WordSet) -> FinitePartition:
-        """P^W: the join of alpha_w P over the window."""
-        return join_many(p.apply_permutation(self.word_perm(w)) for w in W)
+        """P^W: the join of alpha_w P over the window, in ascending id."""
+        if W.rank != self.rank:
+            raise ValueError(f"rank mismatch: {W.rank} != {self.rank}")
+        return join_many(p.apply_permutation(self._id_perm(i)) for i in sorted(W.ids()))
 
 
 class FiniteGroupAction:

@@ -14,8 +14,9 @@ checks each against the rank, so it accepts any input.  The private
 `_word(rank, letters)` trusts its caller to pass a reduced tuple of
 in-range letters and only stores it; `identity`, `mul`, `inv`,
 `neighbors`, `ball_list` and the id decoding build their results with it,
-because they produce reduced words by construction.  Every word stores
-its hash when it is built.
+because they produce reduced words by construction.  A word stores its
+hash on first use: that of its doubled letters, since hash(-1) ==
+hash(-2) would equate s1^-1 and s2^-1 in the letters themselves.
 
 Integer ids.  Each reduced word of rank r also has an integer id, its
 length-lex index: letters are ordered by their slot, 2i-2 for the
@@ -33,15 +34,17 @@ The child reached by the letter of slot s skips the inverse of i's last
 letter, so d = s, or s - 1 past that inverse; a one-generator step i·s
 therefore needs i's last letter too.  A `CayleyTree` does these steps and
 keeps, for the ids it has met, their last letters.  A `WordSet` stores
-ids, and `thicken`, `convex_hull`, `geodesic_interval`, `extreme_points`
-and `escape_walk` run on ids; their word arguments and results are
-converted at the boundary.
+ids, and `thicken`, `convex_hull`, `geodesic_interval`, `extreme_points`,
+`radius_center` and `escape_walk` run on ids; their word arguments and
+results are converted at the boundary.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import reduce
+from itertools import combinations
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
 
@@ -69,7 +72,7 @@ class FreeWord:
                 raise ValueError(f"letter {a} out of range for rank {rank}")
         _set_rank(self, rank)
         _set_letters(self, reduced)
-        _set_hash(self, hash((rank, reduced)))
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeWord is immutable")
@@ -85,12 +88,13 @@ class FreeWord:
             return True
         return (
             isinstance(other, FreeWord)
-            and self._hash == other._hash
-            and self.rank == other.rank
             and self.letters == other.letters
+            and self.rank == other.rank
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            _set_hash(self, hash((self.rank, tuple([a + a for a in self.letters]))))
         return self._hash
 
     def __repr__(self) -> str:
@@ -119,7 +123,7 @@ def _word(rank: int, letters: tuple[int, ...]) -> FreeWord:
     w = object.__new__(FreeWord)
     _set_rank(w, rank)
     _set_letters(w, letters)
-    _set_hash(w, hash((rank, letters)))
+    _set_hash(w, None)
     return w
 
 
@@ -347,22 +351,28 @@ class CayleyTree:
         if not ids:
             raise ValueError("convex hull of empty set")
         parent = self.parent
-
-        def meet(u: int, v: int) -> int:
-            # a longer word has a larger id, so the larger id climbs
-            while u != v:
-                if u > v:
-                    u = parent(u)
-                else:
-                    v = parent(v)
-            return u
-
-        out = {reduce(meet, ids)}
+        out = {reduce(self.meet, ids)}
         for w in ids:
             while w not in out:
                 out.add(w)
                 w = parent(w)
         return out
+
+    def meet(self, u: int, v: int) -> int:
+        """The deepest common ancestor of u and v; the larger id climbs,
+        since a longer word has a larger id."""
+        parent = self.parent
+        while u != v:
+            if u > v:
+                u = parent(u)
+            else:
+                v = parent(v)
+        return u
+
+    def distance(self, u: int, v: int) -> int:
+        """|u^-1 v| = |u| + |v| - 2 |meet(u, v)|."""
+        length = self.length
+        return length(u) + length(v) - 2 * length(self.meet(u, v))
 
     def degree(self, i: int, ids: Collection[int]) -> int:
         """Neighbours of i inside ids."""
@@ -586,27 +596,18 @@ def radius_center(s: WordSet) -> tuple[int, WordSet]:
     """Smallest rho with B(v, rho) covering s, and all such centers v.
 
     In a tree every center lies on a geodesic between a diametral pair,
-    so only the one or two midpoint candidates need checking.
+    so only that geodesic is searched.  Distances are taken on ids.
     """
     if len(s) == 0:
         raise ValueError("radius of empty set")
-    elems = list(s)
-    if len(elems) == 1:
-        return 0, WordSet(s.rank, elems)
-    best = (-1, elems[0], elems[0])
-    for i, v in enumerate(elems):
-        for w in elems[i + 1 :]:
-            d = distance(v, w)
-            if d > best[0]:
-                best = (d, v, w)
-    diam, u1, u2 = best
+    elems, tree = sorted(s._ids), CayleyTree(s.rank)
+    dist = tree.distance
+    # the first diametral pair in length-lex order
+    pairs = ((dist(v, w), v, w) for v, w in combinations(elems, 2))
+    diam, u1, u2 = max(pairs, key=itemgetter(0), default=(0, elems[0], elems[0]))
     rho = (diam + 1) // 2
-    path = sorted(geodesic_interval(u1, u2), key=lambda g: distance(u1, g))
-    candidates = [g for g in path if max(distance(g, u1), distance(g, u2)) <= rho]
-    centers = [
-        g for g in candidates if all(distance(g, w) <= rho for w in elems)
-    ]
-    return rho, WordSet(s.rank, centers)
+    centers = [g for g in tree.hull((u1, u2)) if all(dist(g, w) <= rho for w in elems)]
+    return rho, _wordset(s.rank, centers)
 
 
 def thicken(s: WordSet, t: int) -> WordSet:

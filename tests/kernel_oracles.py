@@ -1,20 +1,47 @@
-"""The enclosing-window oracle for kernel marginals, for the tests only.
+"""Test oracles for flab.kernels, for the tests only.
 
-Any window V containing W gives an outer bound on pi_W(ker phi): project
-the solution set of the constraints that fit inside V onto the W
-coordinates.  Along the chain V0 = thicken(hull(W), reach), V(i+1) =
+Kernel marginals.  Any window V containing W gives an outer bound on
+pi_W(ker phi): project the solution set of the constraints that fit
+inside V onto the W coordinates.  Along the chain V0 = thicken(hull(W), reach), V(i+1) =
 thicken(V(i), 1), with reach the stencil hull's diameter (at least 1),
 these projections shrink towards the exact marginal.  The chain never
 says when it has arrived, which is why flab computes marginals by the
 tree fixed point instead; here it cross-checks that fixed point from the
 other side.
+
+The onto-ness path.  Word-level copies of `is_surjective`'s certificate,
+`target_map_matrix` and `preimage_on_ball`, in which every product is a
+FreeWord built by `mul`; flab runs the same steps on word ids.
 """
 
 from __future__ import annotations
 
-from flab.fplinear import eliminate_columns, solution_space_from_constraints
-from flab.kernels import support_geometry, window_coordinates, window_rows
-from flab.words import convex_hull, distance, thicken
+from flab.fplinear import FpMatrix, eliminate_columns, rank as fp_rank, solution_space_from_constraints
+from flab.kernels import (
+    ConvolutionKernel,
+    OrderingConditionError,
+    SupportGeometry,
+    support_geometry,
+    window_coordinates,
+    window_rows,
+)
+from flab.words import (
+    FreeWord,
+    WordSet,
+    ball_size,
+    check_ordering_condition,
+    convex_hull,
+    distance,
+    escape_walk,
+    extreme_points,
+    format_word,
+    geodesic_interval,
+    identity,
+    inv,
+    mul,
+    spiral_ordering,
+    thicken,
+)
 
 
 def window_projection(k, W, V):
@@ -45,3 +72,107 @@ def contains(outer, inner) -> bool:
     """Whether the linear solution set `inner` lies inside `outer` (same keys)."""
     return outer.keys == inner.keys and all(outer.contains(v) for v in inner.basis)
 
+
+
+# -- the word-level onto-ness path -------------------------------------------
+
+
+def old_radius_center(s):
+    """Smallest rho with B(v, rho) covering s, and all such centers v."""
+    elems = list(s)
+    if len(elems) == 1:
+        return 0, WordSet(s.rank, elems)
+    best = (-1, elems[0], elems[0])
+    for i, v in enumerate(elems):
+        for u in elems[i + 1 :]:
+            d = distance(v, u)
+            if d > best[0]:
+                best = (d, v, u)
+    diam, u1, u2 = best
+    rho = (diam + 1) // 2
+    path = sorted(geodesic_interval(u1, u2), key=lambda g: distance(u1, g))
+    candidates = [g for g in path if max(distance(g, u1), distance(g, u2)) <= rho]
+    centers = [g for g in candidates if all(distance(g, u) <= rho for u in elems)]
+    return rho, WordSet(s.rank, centers)
+
+
+def old_geometry(k):
+    support = k.support()
+    hull = convex_hull(support)
+    radius, centers = old_radius_center(hull)
+    return SupportGeometry(support, hull, extreme_points(hull), radius, centers)
+
+
+def old_centered(k):
+    geo = old_geometry(k)
+    center = next(iter(geo.centers))
+    if center.is_identity():
+        return k, center, geo
+    cinv = inv(center)
+    kc = ConvolutionKernel(k.p, k.rank, {mul(cinv, s): b for s, b in k.coeffs.items()}, k.d_in, k.d_out)
+    return kc, center, old_geometry(kc)
+
+
+def old_surjectivity_certificate(k, depth: int = 3) -> dict:
+    """to_json() of is_surjective(k) for a nonzero scalar kernel."""
+    _, center, geo = old_centered(k)
+    ok = check_ordering_condition(geo.hull, spiral_ordering(k.rank, depth))
+    return {
+        "surjective": True,
+        "kind": "theorem-scalar",
+        "center": format_word(center),
+        "centered_hull": [format_word(u) for u in geo.hull],
+        "hull_radius": geo.radius,
+        "identity_is_center": identity(k.rank) in geo.centers,
+        "ordering_depth": depth,
+        "ordering_condition": ok,
+    }
+
+
+def old_target_map_matrix(k, W):
+    var_words = sorted({mul(g, s) for g in W for s in k.coeffs}, key=FreeWord.sort_key)
+    cols = [(u, j) for u in var_words for j in range(k.d_in)]
+    index = {c: i for i, c in enumerate(cols)}
+    rows = []
+    for g in W:
+        for r in range(k.d_out):
+            row = [0] * len(cols)
+            for s, block in k.coeffs.items():
+                gs = mul(g, s)
+                for j in range(k.d_in):
+                    row[index[(gs, j)]] = (row[index[(gs, j)]] + block[r][j]) % k.p
+            rows.append(row)
+    return FpMatrix(k.p, rows, cols=len(cols)), cols
+
+
+def old_preimage_on_ball(k, y, n):
+    """A preimage of y on B(n), or OrderingConditionError at the blocked step."""
+    centered, c, geo = old_centered(k)
+    support = geo.support
+    sites = spiral_ordering(k.rank, n + len(c))
+    targets = sites[: ball_size(k.rank, n)]
+    for g in targets:
+        if g not in y:
+            raise ValueError(f"target pattern missing site {format_word(g)}")
+    shifted = {mul(g, c): y[g] for g in targets}
+    cands = list(geo.extremes) if len(geo.hull) > 1 else list(geo.support)
+    fresh = [f for f in cands if fp_rank(FpMatrix(k.p, centered.coeffs[f])) == k.d_out]
+    walk = escape_walk(sites, fresh, geo.hull)
+    if len(walk) < len(sites):
+        step = len(walk)
+        raise OrderingConditionError(
+            step,
+            f"site {format_word(sites[step])} has no uncovered extreme coordinate at step {step}",
+        )
+    x = {}
+    for g, f in walk:
+        for s in support:
+            x.setdefault(mul(g, s), 0)
+        target = shifted.get(g, 0) % k.p
+        coeff = centered.coeffs[f][0][0]
+        rest = sum(centered.coeffs[s][0][0] * x[mul(g, s)] for s in support if s != f)
+        x[mul(g, f)] = (pow(coeff, -1, k.p) * (target - rest)) % k.p
+        assert centered.evaluate(x, g) == (target,)
+    for g in targets:
+        assert k.evaluate(x, g) == (y[g] % k.p,)
+    return x

@@ -270,3 +270,33 @@ class TestCachedFactorization:
             with pytest.raises(AttributeError):
                 delattr(m, name)
         assert m.entries == ((1, 2), (0, 1)) and rank(m) == 2
+
+
+class TestSolveKeys:
+    m = FpMatrix(3, [[1, 2, 0], [0, 1, 1]])
+
+    def test_default_keys_are_the_column_indices(self):
+        for b in product(range(3), repeat=2):
+            got = solve(self.m, list(b))
+            assert got.keys == (0, 1, 2)
+            assert fields(got) == fields(solve(self.m, list(b), keys=range(3)))
+        plain, named = solve(self.m, [1, 2]), solve(self.m, [1, 2], keys="xyz")
+        assert named.keys == ("x", "y", "z")
+        assert (named.particular, named.basis) == (plain.particular, plain.basis)
+
+    def test_wrong_sizes_still_raise(self):
+        with pytest.raises(ValueError, match="key count"):
+            solve(self.m, [0, 0], keys=("x", "y"))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(self.m, [0, 0, 0])
+
+    def test_solved_sets_stay_immutable(self):
+        inconsistent = FpMatrix(2, [[1], [1]])
+        solved = [solve(self.m, [1, 1]), solve(inconsistent, [0, 1])]
+        assert solved[1].is_empty() and solved[1].project([0]).is_empty()
+        for s in solved:
+            for name in ("p", "keys", "particular", "basis", "pivots", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(s, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(s, name)

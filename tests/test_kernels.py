@@ -4,12 +4,21 @@ from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from kernel_oracles import contains, window_chain, window_projection
+from kernel_oracles import (
+    contains,
+    old_preimage_on_ball,
+    old_surjectivity_certificate,
+    old_target_map_matrix,
+    window_chain,
+    window_projection,
+)
 
+from flab import kernels, words
 from flab.fplinear import FpMatrix, rank as fp_rank, solve
 from flab.kernels import (
     ConvolutionKernel,
     KernelSubshift,
+    OrderingConditionError,
     ZeroKernelError,
     _centered,
     comparison_kernel,
@@ -585,3 +594,87 @@ class TestTargetMap:
     def test_ow_target_rank_full(self):
         m, _ = target_map_matrix(ow_kernel(), ball(2, 1))
         assert fp_rank(m) == m.rows == 10
+
+
+# -- the onto-ness path on word ids ---------------------------------------------
+
+
+def nonzero_b1_stencils():
+    """All 273 nonzero scalar stencils supported in B(1) at rank 2, p = 2, 3."""
+    pool = list(ball(2, 1))
+    out = []
+    for p in (2, 3):
+        for coeffs in product(range(p), repeat=len(pool)):
+            if any(coeffs):
+                out.append(ConvolutionKernel(p, 2, {u: [[c]] for u, c in zip(pool, coeffs) if c}))
+    return out
+
+
+# stencils off B(1) (p=3 {A:1, b:2} is among the 273), two of them centered
+# away from e, and one each at rank 1 and rank 3
+ODD_STENCILS = [
+    scalar_kernel(2, 2, {"aa": 1, "ab": 1}),
+    scalar_kernel(3, 2, {"ab": 1, "aB": 2}),
+    scalar_kernel(3, 1, {"e": 1, "a": 2, "AA": 1}),
+    scalar_kernel(2, 3, {"e": 1, "c": 1, "Bc": 1}),
+]
+
+
+def stencil_id(k):
+    coeffs = ",".join(f"{u}:{b[0][0]}" for u, b in k.to_json()["coeffs"].items())
+    return f"p{k.p}-r{k.rank}-{{{coeffs}}}"
+
+
+def preimage_or_step(solver, k, y, n):
+    try:
+        return solver(k, y, n)
+    except OrderingConditionError as err:
+        return ("blocked", err.step, str(err))
+
+
+class TestIdPathMatchesWordOracle:
+    def test_stencil_count(self):
+        assert len(nonzero_b1_stencils()) == 273
+
+    @pytest.mark.parametrize("k", nonzero_b1_stencils() + ODD_STENCILS, ids=stencil_id)
+    def test_matches_word_level_oracle(self, k):
+        assert is_surjective(k).to_json() == old_surjectivity_certificate(k)
+        for n in (0, 1):
+            m, cols = target_map_matrix(k, ball(k.rank, n))
+            want, want_cols = old_target_map_matrix(k, ball(k.rank, n))
+            assert (m.entries, m.cols, cols) == (want.entries, want.cols, want_cols)
+        rng = random.Random(stencil_id(k))
+        for n in (1, 2):
+            y = {g: rng.randrange(k.p) for g in ball(k.rank, n)}
+            got = preimage_or_step(preimage_on_ball, k, y, n)
+            assert got == preimage_or_step(old_preimage_on_ball, k, y, n)
+            assert isinstance(got, dict) and all(isinstance(g, FreeWord) for g in got)
+
+    def test_matrix_kernel_target_map(self):
+        for k in (ow_kernel(), comparison_kernel(3, 2)):
+            for n in (0, 1):
+                m, cols = target_map_matrix(k, ball(2, n))
+                want, want_cols = old_target_map_matrix(k, ball(2, n))
+                assert (m.entries, cols) == (want.entries, want_cols)
+
+
+class TestWordFreeOntoPath:
+    def test_no_word_products_on_a_centered_stencil(self, monkeypatch):
+        # a deterministic count: the onto-ness path runs on ids, so neither
+        # a word product nor a word comparison may happen inside it
+        k = scalar_kernel(3, 2, {"e": 1, "A": 1, "B": 2})
+        y = {g: (len(g) + 1) % 3 for g in ball(2, 2)}
+        W = ball(2, 1)
+        calls = []
+        real_mul, real_eq = words.mul, FreeWord.__eq__
+        counting = lambda a, b: calls.append("mul") or real_mul(a, b)
+        for module in (words, kernels):
+            monkeypatch.setattr(module, "mul", counting)
+        monkeypatch.setattr(FreeWord, "__eq__", lambda a, b: calls.append("eq") or real_eq(a, b))
+        assert is_surjective(k).surjective
+        target_map_matrix(k, W)
+        x = preimage_on_ball(k, y, 2)
+        assert calls == []
+        monkeypatch.undo()
+        for g in ball(2, 2):
+            assert k.evaluate(x, g) == (y[g],)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
+from kernel_oracles import old_radius_center
 
 from flab import words
 from flab.kernels import KernelSubshift, scalar_kernel
@@ -451,6 +452,14 @@ class TestTrustedConstruction:
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != w("ab") and a != (2, (1, 1))
 
+    def test_hashes_tell_inverse_letters_apart(self):
+        # hash(-1) == hash(-2), so hashing the letters themselves gave A and
+        # B, and every pair of words differing only there, one hash
+        assert hash(w("A")) != hash(w("B"))
+        for rank in (2, 3):
+            ws = ball_list(rank, 3)
+            assert len({hash(u) for u in ws}) == len(ws)
+
     def test_validated_constructor_still_checks(self):
         with pytest.raises(ValueError, match="out of range"):
             FreeWord(2, [3])
@@ -603,3 +612,23 @@ class TestWordIds:
         m = KernelSubshift(k).marginal(W)
         assert (m.certificate, m.dimension) == ("EXACT", 3)
         assert len(built) <= 64
+
+
+class TestTreeDistance:
+    @given(word_samples(2))
+    def test_meet_and_distance(self, case):
+        rank, (a, b) = case
+        tree = CayleyTree(rank)
+        u, v = tree.id(a), tree.id(b)
+        prefix = 0
+        while prefix < min(len(a), len(b)) and a.letters[prefix] == b.letters[prefix]:
+            prefix += 1
+        assert tree.word(tree.meet(u, v)).letters == a.letters[:prefix]
+        assert tree.distance(u, v) == tree.distance(v, u) == distance(a, b)
+
+    @given(word_samples(6))
+    def test_radius_center_matches_word_level_oracle(self, case):
+        # distances on ids against the pairwise word products they replaced
+        rank, ws = case
+        s = WordSet(rank, ws)
+        assert radius_center(s) == old_radius_center(s)
