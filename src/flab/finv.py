@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .entropy import EntropyValue, FinitePartition, join
 from .processes import BernoulliProcess, FiniteActionProcess, weakest_certificate
 from .skew import sigma_generated
-from .words import FreeWord, WordSet, ball, generator
+from .words import WordSet, ball, generator
 
 M_CAP = 10  # most one-sided increments a generator entropy rate takes
 
@@ -82,10 +82,10 @@ def generator_entropy_rate(proc, i: int, W: WordSet, stable_threshold: int = 3) 
     prev, cert = proc.entropy(U)
     certs = [cert]
     increments: list[EntropyValue] = []
-    shift = s
+    T = W
     for m in range(1, M_CAP + 1):
-        U = U.union(W.translate(shift))
-        shift = FreeWord(proc.rank, shift.letters + s.letters)
+        T = T.translate(s)  # s^m W
+        U = U.union(T)
         value, cert = proc.entropy(U)
         certs.append(cert)
         d = value - prev

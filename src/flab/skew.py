@@ -9,6 +9,11 @@ which a free group imposes no relations on.  The skew action moves the
 base and then right-multiplies the fiber by the cocycle value.  All
 verifiers here are exhaustive and exact: finite spaces make the "up to
 measure zero" clauses literal equalities.
+
+Words enter as ids (see `flab.words`): alpha_w and sigma(w, .) live in
+tables keyed by the id of w, each entry grown from its parent's.  A
+FreeWord is encoded once where a caller passes one (`word_perm`,
+`values`, `pullback_partition`) and decoded only for a witness.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .entropy import (
     shannon_entropy,
 )
 from .groups import FiniteGroup, invert_perm
-from .words import CayleyTree, FreeWord, WordSet, _word, ball, format_word, signed_letters
+from .words import CayleyTree, FreeWord, WordSet, ball, ball_size, format_word, signed_letters
 
 
 class FiniteAction:
@@ -49,8 +54,7 @@ class FiniteAction:
         self.rank = rank
         self.gen_perms = perms
         self._inv_perms = tuple(invert_perm(p) for p in perms)
-        self._memo: dict[tuple, tuple[int, ...]] = {(): tuple(range(len(space.counts)))}
-        self._tree, self._by_id = CayleyTree(rank), {0: self._memo[()]}
+        self._tree, self._by_id = CayleyTree(rank), {0: tuple(range(len(space.counts)))}
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -64,15 +68,7 @@ class FiniteAction:
 
     def word_perm(self, w: FreeWord) -> tuple[int, ...]:
         """alpha_w as a permutation; alpha_{uv} = alpha_u after alpha_v."""
-        return self._perm(w.letters)
-
-    def _perm(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        """alpha_w for the reduced letter tuple of w, memoized by letters."""
-        perm = self._memo.get(key)
-        if perm is None:
-            head = self.letter_perm(key[0])
-            perm = self._memo[key] = tuple([head[x] for x in self._perm(key[1:])])
-        return perm
+        return self._id_perm(self._tree.id(w))
 
     def _id_perm(self, i: int) -> tuple[int, ...]:
         """alpha_w for the word with id i: alpha_parent after alpha_last letter."""
@@ -138,6 +134,8 @@ class Cocycle:
         fiber: FiniteGroupAction,
         gen_values: Sequence[Sequence[int]],
     ):
+        if base.rank != fiber.rank:
+            raise ValueError("base and fiber must share the acting group rank")
         if len(gen_values) != base.rank:
             raise ValueError("need cocycle values for every generator")
         for vals in gen_values:
@@ -146,15 +144,11 @@ class Cocycle:
         self.base = base
         self.fiber = fiber
         self.gen_values = tuple(tuple(v) for v in gen_values)
-        # (beta_t, sigma(t, .)) for every letter t
-        self._steps = {
-            t: (fiber.action.letter_perm(t), self._letter_values(t))
-            for t in signed_letters(base.rank)
-        }
-        self._memo: dict[tuple, tuple[int, ...]] = {
-            (t,): row for t, (_beta, row) in self._steps.items()
-        }
-        self._memo[()] = (fiber.group.identity,) * base.size()
+        # (sigma(t, .), alpha_t) for every letter t, in slot order
+        self._steps = [
+            (self._letter_values(t), base.letter_perm(t)) for t in signed_letters(base.rank)
+        ]
+        self._rows = {0: (fiber.group.identity,) * base.size()}
 
     def _letter_values(self, letter: int) -> tuple[int, ...]:
         g = self.fiber.group
@@ -169,75 +163,72 @@ class Cocycle:
 
     def values(self, w: FreeWord) -> tuple[int, ...]:
         """sigma(w, .) as a table over base points."""
-        return self._values(w.letters)
+        return self.row(self.base._tree.id(w))
 
-    def _values(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        """sigma(w, .) for the reduced letter tuple of w, memoized by letters.
+    def row(self, i: int) -> tuple[int, ...]:
+        """sigma(w, .) for the word w with id i.
 
-        For w = t v with t a letter, sigma(w, x) = beta_t sigma(v, x) .
-        sigma(t, alpha_v x).
+        For w = v t with parent v and last letter t, sigma(w, x) =
+        beta_v sigma(t, x) . sigma(v, alpha_t x).
         """
-        out = self._memo.get(key)
+        out = self._rows.get(i)
         if out is None:
-            table = self.fiber.group.table
-            beta_t, head = self._steps[key[0]]
-            rest = key[1:]
-            out = self._memo[key] = tuple([
-                table[beta_t[s]][head[a]]
-                for s, a in zip(self._values(rest), self.base._perm(rest))
+            tree, table = self.base._tree, self.fiber.group.table
+            v = tree.parent(i)
+            sigma_t, alpha_t = self._steps[tree.last(i)]
+            beta_v, head = self.fiber.action._id_perm(v), self.row(v)
+            out = self._rows[i] = tuple([
+                table[beta_v[s]][head[a]] for s, a in zip(sigma_t, alpha_t)
             ])
         return out
 
 
 def verify_cocycle_identity(
-    values: Callable[[FreeWord], Sequence[int]],
+    row: Callable[[int], Sequence[int]],
     base: FiniteAction,
     fiber: FiniteGroupAction,
     max_len: int = 3,
 ) -> tuple[bool, dict | None]:
     """Exhaustive check of the cocycle identity over pairs of words.
 
-    `values(w)` returns one row, sigma(w, x) for every base point x in
-    order.  For every g, h in B(max_len), taken in ball order, the row
-    of gh is compared whole against the row x -> beta_g sigma(h, x) .
-    sigma(g, alpha_h x).  Rows are read once per distinct reduced word,
-    so `values` is called once for each word of B(2 max_len) that some
-    product gh reaches, and gh is formed by cancelling letter tuples.
+    `row(i)` returns sigma(w, x) for the word w with id i and every base
+    point x in order.  For every g, h in B(max_len), taken in id order,
+    the row of gh is compared whole against the row x -> beta_g
+    sigma(h, x) . sigma(g, alpha_h x).  `row` is called once for each id
+    of B(2 max_len) that some gh reaches; the ids of gh for all g are one
+    tree step from those of g times the parent of h.
 
     Returns (ok, witness); the witness names the first failing (g, h, x)
     in the order g, then h, then x.
     """
-    rank = base.rank
     table = fiber.group.table
     labels = fiber.group.labels
-    rows: dict[tuple[int, ...], list[int]] = {}
+    tree = base._tree
+    ids = range(ball_size(base.rank, max_len))
+    rows = {}
 
-    def row(key: tuple[int, ...]) -> list[int]:
-        out = rows[key] = list(values(_word(rank, key)))
+    def read(i: int) -> Sequence[int]:
+        out = rows.get(i)
+        if out is None:
+            out = rows[i] = list(row(i))
         return out
 
-    words = [w.letters for w in ball(rank, max_len)]
-    # (sigma(h, .), alpha_h) paired per point, built once per h
-    h_pairs = [(h, list(zip(row(h), base._perm(h)))) for h in words]
-    for g in words:
-        beta_g = fiber.action._perm(g)
+    # (sigma(h, .), alpha_h) paired per point, and the ids of g h by g
+    h_pairs = [list(zip(read(h), base._id_perm(h))) for h in ids]
+    products = [list(ids)]
+    for h in ids[1:]:
+        products.append(tree.translates(products[tree.parent(h)], (tree.last(h),)))
+    for g in ids:
+        beta_g = fiber.action._id_perm(g)
         sigma_g = rows[g]
-        cut = len(g)
-        for h, pairs in h_pairs:
-            i, j = cut, 0
-            while i and j < len(h) and g[i - 1] == -h[j]:
-                i -= 1
-                j += 1
-            key = g[:i] + h[j:]
-            lhs = rows.get(key)
-            if lhs is None:
-                lhs = row(key)
+        for h, pairs in zip(ids, h_pairs):
+            lhs = read(products[h][g])
             rhs = [table[beta_g[s]][sigma_g[a]] for s, a in pairs]
             if lhs != rhs:
                 x = next(x for x, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
                 return False, {
-                    "g": format_word(_word(rank, g)),
-                    "h": format_word(_word(rank, h)),
+                    "g": format_word(tree.word(g)),
+                    "h": format_word(tree.word(h)),
                     "x": x,
                     "lhs": labels[lhs[x]],
                     "rhs": labels[rhs[x]],
@@ -389,14 +380,14 @@ class SectionCocycleBundle:
         ]
         if sorted(phi_flat) != list(range(g.order())):
             return False, {"reason": "phi is not a bijection"}
-        for w in ball(self.parent.rank, max_len):
-            skew_perm = self.skew.product.word_perm(w)
-            parent_perm = self.parent.action.word_perm(w)
+        skew, parent = self.skew.product, self.parent.action
+        for i in range(ball_size(self.parent.rank, max_len)):
+            skew_perm, parent_perm = skew._id_perm(i), parent._id_perm(i)
             for idx in range(len(phi_flat)):
                 if phi_flat[skew_perm[idx]] != parent_perm[phi_flat[idx]]:
                     c, n = divmod(idx, ny)
                     return False, {
-                        "word": format_word(w),
+                        "word": format_word(skew._tree.word(i)),
                         "coset": c,
                         "fiber": self.fiber_group.labels[n],
                     }

@@ -60,7 +60,7 @@ from .skew import (
     verify_window_split,
 )
 from .spec import spec_field
-from .words import ball, format_word, parse_word
+from .words import ball, ball_size, format_word, parse_word
 
 
 @dataclass
@@ -264,7 +264,7 @@ def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
     for pair in section_pair_catalog(2):
         bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
         ok_eq, wit_eq = verify_cocycle_identity(
-            bundle.cocycle.values, bundle.base_action, bundle.fiber_action, max_len=3
+            bundle.cocycle.row, bundle.base_action, bundle.fiber_action, max_len=3
         )
         ok_phi, wit_phi = bundle.verify_conjugacy(max_len=3)
         cases.append(
@@ -282,9 +282,11 @@ def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
         fiber = bundle.fiber_group
         bump = next(x for x in range(fiber.order()) if x != fiber.identity)
 
-        def corrupted(w):
-            row = bundle.cocycle.values(w)
-            return [fiber.mul(value, bump) for value in row] if len(w) == 2 else row
+        length_two = range(ball_size(2, 1), ball_size(2, 2))
+
+        def corrupted(i):
+            row = bundle.cocycle.row(i)
+            return [fiber.mul(value, bump) for value in row] if i in length_two else row
 
         ok, witness = verify_cocycle_identity(
             corrupted, bundle.base_action, bundle.fiber_action, max_len=2

@@ -481,8 +481,11 @@ class WordSet:
         return _wordset(self.rank, self._ids | other._ids)
 
     def translate(self, g: FreeWord) -> "WordSet":
-        """Left translate g·S."""
-        return WordSet(self.rank, (mul(g, w) for w in self))
+        """Left translate g·S, reduced on letters."""
+        rank, x = self.rank, g.letters
+        if g.rank != rank:
+            raise ValueError(f"rank mismatch: {g.rank} != {rank}")
+        return _wordset(rank, (_word_id(rank, _reduce(x + _id_letters(rank, i))) for i in self._ids))
 
     def key(self) -> tuple:
         """Canonical hashable key (used for memo tables): the ascending ids."""

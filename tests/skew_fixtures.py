@@ -12,7 +12,7 @@ from flab.entropy import FinitePartition
 from flab.groups import FiniteGroup, all_automorphisms, preset_group
 from flab.presets import _FIBER_PRESETS, random_finite_action
 from flab.skew import Cocycle, FiniteAction, FiniteGroupAction, SkewBundle, SpecialPartition
-from flab.words import ball, format_word, mul
+from flab.words import ball, format_word, mul, signed_letters
 
 
 def nontrivial_auto_assignments(group: FiniteGroup, rank: int, count: int = 2) -> list[list[int]]:
@@ -87,3 +87,54 @@ def pointwise_cocycle_failure(
                         "rhs": group.labels[rhs],
                     }
     return True, None
+
+
+class LetterPerms:
+    """alpha_w memoized by the letter tuple of w, peeling the first letter:
+    alpha_{t v} = alpha_t after alpha_v.  The oracle for the id-keyed
+    `FiniteAction` table, which grows from the last letter."""
+
+    def __init__(self, action: FiniteAction):
+        self.action = action
+        self._memo: dict[tuple, tuple[int, ...]] = {(): tuple(range(action.size()))}
+
+    def perm(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        perm = self._memo.get(key)
+        if perm is None:
+            head = self.action.letter_perm(key[0])
+            perm = self._memo[key] = tuple([head[x] for x in self.perm(key[1:])])
+        return perm
+
+
+class LetterCocycle:
+    """sigma(w, .) memoized by the letter tuple of w, peeling the first letter.
+
+    For w = t v with t a letter, sigma(w, x) = beta_t sigma(v, x) .
+    sigma(t, alpha_v x).  The oracle for the id-keyed `Cocycle` rows, which
+    grow from the last letter.
+    """
+
+    def __init__(self, cocycle: Cocycle):
+        self.cocycle = cocycle
+        self.base = LetterPerms(cocycle.base)
+        # (beta_t, sigma(t, .)) for every letter t
+        self._steps = {
+            t: (cocycle.fiber.action.letter_perm(t), cocycle._letter_values(t))
+            for t in signed_letters(cocycle.base.rank)
+        }
+        self._memo: dict[tuple, tuple[int, ...]] = {
+            (t,): row for t, (_beta, row) in self._steps.items()
+        }
+        self._memo[()] = (cocycle.fiber.group.identity,) * cocycle.base.size()
+
+    def values(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        out = self._memo.get(key)
+        if out is None:
+            table = self.cocycle.fiber.group.table
+            beta_t, head = self._steps[key[0]]
+            rest = key[1:]
+            out = self._memo[key] = tuple([
+                table[beta_t[s]][head[a]]
+                for s, a in zip(self.values(rest), self.base.perm(rest))
+            ])
+        return out

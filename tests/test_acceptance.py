@@ -196,7 +196,7 @@ def test_criterion_7_cocycle_and_conjugacy():
     for pair in pairs:
         bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
         ok_eq, _ = verify_cocycle_identity(
-            bundle.cocycle.values, bundle.base_action, bundle.fiber_action, max_len=3
+            bundle.cocycle.row, bundle.base_action, bundle.fiber_action, max_len=3
         )
         ok_phi, _ = bundle.verify_conjugacy(max_len=3)
         if not (ok_eq and ok_phi):

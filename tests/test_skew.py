@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from flab.entropy import EntropyValue, FinitePartition, join, shannon_entropy
+from flab.finv import generator_entropy_rate
 from flab.groups import (
     _PRESETS,
     all_automorphisms,
@@ -24,6 +25,7 @@ from flab.presets import (
     section_pair_catalog,
     skew_test_cases,
 )
+from flab.processes import FiniteActionProcess
 from flab.skew import (
     Cocycle,
     FiniteAction,
@@ -42,8 +44,14 @@ from flab.skew import (
     verify_skew_entropy_bound,
     verify_window_split,
 )
-from flab.words import ball, parse_word
-from skew_fixtures import is_special, pointwise_cocycle_failure, random_group_skew_bundle
+from flab.words import CayleyTree, FreeWord, WordSet, ball, ball_size, mul, parse_word
+from skew_fixtures import (
+    LetterCocycle,
+    LetterPerms,
+    is_special,
+    pointwise_cocycle_failure,
+    random_group_skew_bundle,
+)
 
 F = Fraction
 
@@ -201,7 +209,7 @@ class TestSectionCocycles:
         ga = FiniteGroupAction(z4, [neg, tuple(range(4))], 2)
         bundle = SectionCocycleBundle(ga, frozenset({0, 2}))
         ok, witness = verify_cocycle_identity(
-            bundle.cocycle.values, bundle.base_action, bundle.fiber_action, max_len=3
+            bundle.cocycle.row, bundle.base_action, bundle.fiber_action, max_len=3
         )
         assert ok, witness
         ok, witness = bundle.verify_conjugacy(max_len=3)
@@ -246,7 +254,7 @@ class TestSectionCocycles:
         for pair in section_pair_catalog(2):
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
             ok, witness = verify_cocycle_identity(
-                bundle.cocycle.values, bundle.base_action, bundle.fiber_action, max_len=2
+                bundle.cocycle.row, bundle.base_action, bundle.fiber_action, max_len=2
             )
             assert ok, (pair["name"], witness)
             ok, witness = bundle.verify_conjugacy(max_len=2)
@@ -260,9 +268,11 @@ class TestSectionCocycles:
         fiber = bundle.fiber_group
         bump = next(x for x in range(fiber.order()) if x != fiber.identity)
 
-        def corrupted(w):
-            row = bundle.cocycle.values(w)
-            if len(w) == 2:
+        length_two = range(ball_size(2, 1), ball_size(2, 2))
+
+        def corrupted(i):
+            row = bundle.cocycle.row(i)
+            if i in length_two:
                 return [fiber.mul(value, bump) for value in row]
             return row
 
@@ -277,9 +287,11 @@ class TestSectionCocycles:
         fiber = bundle.fiber_group
         bump = next(x for x in range(fiber.order()) if x != fiber.identity)
 
-        def corrupted(w):
-            row = bundle.cocycle.values(w)
-            if len(w) == 2:
+        length_two = range(ball_size(2, 1), ball_size(2, 2))
+
+        def corrupted(i):
+            row = bundle.cocycle.row(i)
+            if i in length_two:
                 return [fiber.mul(value, bump) for value in row]
             return row
 
@@ -299,22 +311,22 @@ class TestSectionCocycles:
         bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
         fiber = bundle.fiber_group
         max_len = rng.randrange(1, 4)
-        targets = list(ball(2, 2 * max_len))
-        target = targets[rng.randrange(len(targets))]
+        target = rng.randrange(ball_size(2, 2 * max_len))
         x0 = rng.randrange(bundle.base_action.size())
         bump = rng.choice([y for y in range(fiber.order()) if y != fiber.identity])
 
-        def corrupted(w):
-            row = list(bundle.cocycle.values(w))
-            if w == target:
+        def corrupted(i):
+            row = list(bundle.cocycle.row(i))
+            if i == target:
                 row[x0] = fiber.mul(row[x0], bump)
             return row
 
         got = verify_cocycle_identity(
             corrupted, bundle.base_action, bundle.fiber_action, max_len
         )
+        tree = CayleyTree(2)
         want = pointwise_cocycle_failure(
-            lambda w, x: corrupted(w)[x], bundle.base_action, bundle.fiber_action, max_len
+            lambda w, x: corrupted(tree.id(w))[x], bundle.base_action, bundle.fiber_action, max_len
         )
         assert got == want
         assert not got[0]
@@ -336,12 +348,105 @@ class TestSectionCocycles:
 
         monkeypatch.setattr(words, "_reduce", counting)
         ok, witness = verify_cocycle_identity(
-            bundle.cocycle.values, bundle.base_action, bundle.fiber_action, max_len=3
+            bundle.cocycle.row, bundle.base_action, bundle.fiber_action, max_len=3
         )
         assert ok, witness
         tables = [fresh.values(w) for w in ball(2, 3)]
         assert tables == [bundle.cocycle.values(w) for w in ball(2, 3)]
         assert reduced == []
+
+
+def assert_tables_match_letter_oracles(bundle: SkewBundle, n: int = 4):
+    """word_perm, values and row agree with the letter-keyed recursions on B(n)."""
+    words = list(ball(bundle.base.rank, n))
+    oracle = LetterCocycle(bundle.cocycle)
+    perms = [
+        (action, LetterPerms(action))
+        for action in (bundle.base, bundle.fiber.action, bundle.product)
+    ]
+    fresh = Cocycle(bundle.base, bundle.fiber, bundle.cocycle.gen_values)
+    # deepest ids first, so each row grows its missing ancestors on the way
+    rows = {i: fresh.row(i) for i in reversed(range(len(words)))}
+    for i, w in enumerate(words):
+        for action, letters in perms:
+            assert action.word_perm(w) == letters.perm(w.letters)
+        want = oracle.values(w.letters)
+        assert bundle.cocycle.values(w) == want
+        assert bundle.cocycle.row(i) == want
+        assert rows[i] == want
+
+
+class TestIdTablesMatchLetterOracles:
+    def test_section_pairs(self):
+        for pair in section_pair_catalog(2):
+            bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
+            assert_tables_match_letter_oracles(bundle.skew)
+
+    def test_rank_three_bundle(self):
+        bundle, _fiber = random_group_skew_bundle(make_rng(3), rank=3)
+        assert_tables_match_letter_oracles(bundle)
+
+
+def z4_section_bundle() -> SectionCocycleBundle:
+    z4 = cyclic(4)
+    neg = tuple((-x) % 4 for x in range(4))
+    ga = FiniteGroupAction(z4, [neg, tuple(range(4))], 2)
+    return SectionCocycleBundle(ga, frozenset({0, 2}))
+
+
+class TestRankMismatch:
+    @pytest.mark.parametrize("word", [FreeWord(1, (1,)), FreeWord(3, (3,))])
+    def test_words_of_another_rank_are_refused(self, word):
+        skew = z4_section_bundle().skew
+        q = FinitePartition.points(skew.fiber.action.space)
+        with pytest.raises(ValueError):
+            skew.base.word_perm(word)
+        with pytest.raises(ValueError):
+            skew.cocycle.values(word)
+        with pytest.raises(ValueError):
+            skew.pullback_partition(word, q)
+
+    def test_cocycle_refuses_a_fiber_of_another_rank(self):
+        base = random_finite_action(make_rng(0), rank=2)
+        fiber = FiniteGroupAction(cyclic(2), [(0, 1)], 1)
+        with pytest.raises(ValueError):
+            Cocycle(base, fiber, [[0] * base.size()] * 2)
+
+
+class TestWordFreeFiniteLayer:
+    def test_id_paths_build_no_words(self, monkeypatch):
+        import flab.skew as skew
+        import flab.words as words
+
+        bundle = z4_section_bundle()
+        action = random_finite_action(make_rng(1))
+        proc = FiniteActionProcess(action, random_partition(make_rng(2), action.size()), "rnd")
+        W, g = ball(2, 2), parse_word("aB", 2)  # g's letters cancel into W
+        moved = WordSet(2, [mul(g, v) for v in W])
+        calls = []
+
+        def counted(original):
+            def wrapper(*args):
+                calls.append(args)
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(words, "mul", counted(words.mul))
+        monkeypatch.setattr(words, "_word", counted(words._word))
+        monkeypatch.setattr(
+            skew, "_word", counted(getattr(skew, "_word", words._word)), raising=False
+        )
+        ok, witness = verify_cocycle_identity(
+            bundle.cocycle.row, bundle.base_action, bundle.fiber_action, max_len=3
+        )
+        assert ok, witness
+        ok, witness = bundle.verify_conjugacy(max_len=3)
+        assert ok, witness
+        assert W.translate(g) == moved
+        for i in (1, 2):
+            generator_entropy_rate(proc, i, W)
+        assert calls == []
 
 
 class TestSkewBundle:

@@ -564,6 +564,20 @@ class TestWordIds:
             assert tree.last(i) == letter_slots(u.letters[-1:])[0]
         assert tree.translates([i], letter_slots(v.letters)) == ids_of(rank, [mul(u, v)])
 
+    @given(word_samples(6))
+    def test_translate_matches_mul(self, case):
+        rank, (g, *members) = case
+        s = WordSet(rank, members)
+        assert s.translate(g) == WordSet(rank, [mul(g, v) for v in s])
+        # g^-1 cancels into every member of g·s
+        moved = WordSet(rank, [mul(g, v) for v in members])
+        assert moved.translate(inv(g)) == s
+
+    def test_translate_refuses_another_rank(self):
+        for g in (FreeWord(1, (1,)), FreeWord(3, (3,))):
+            with pytest.raises(ValueError):
+                ball(2, 1).translate(g)
+
     @given(word_samples(4), st.integers(0, 2))
     def test_thicken_matches_word_oracle(self, case, t):
         rank, sample = case
