@@ -10,43 +10,82 @@ plus generator entropy rates,
     F*(n) = (1 - r) H(B(n)) + sum_i h(s_i, B(n)).
 
 Every functional reads a process only through its window query
-proc.entropy(W) -> (value, certificate).  A relative (base-conditioned)
-functional is the same functional of a conditioned process, such as
+proc.entropy(W) -> EntropyValue, which is exact for every process type
+(see `flab.processes`).  A relative (base-conditioned) functional is the
+same functional of a conditioned process, such as
 SkewProductProcess.relative() or a FiniteActionProcess built with
 `given`, so nothing here takes a conditioning argument.
 
-Truncated infima over n >= 1 are upper bounds by definition; a report is
-flagged EXACT only when a tail argument pins the remaining n: window
-entropies stabilizing (finite models and finite-kernel systems) or the
-i.i.d. closed form (Bernoulli shifts), where every row is log k because
-(1 - r)|B(n)| + r(2r - 1)^n = 1 for every r >= 1 and n >= 0.
+Every label a report prints comes from one vocabulary, strongest first:
+
+    EXACT             a value computed exactly: every window and F(n) row,
+                      and each F*(n) row whose rates are all exact
+    EXACT-ZERO        a rate pinned by a zero increment
+    EXACT-STABILIZED  f and f* when the window entropies stop growing, so
+                      the computed rows already hold the constant tail
+    EXACT-IID         f and f* of a Bernoulli shift, where every row is log k
+                      since (1 - r)|B(n)| + r(2r - 1)^n = 1 for r >= 1, n >= 0
+    STABLE(k)         k equal positive increments: evidence, not proof
+    UPPER-BOUND       a truncated infimum over n >= 1 with no tail argument,
+                      or the last increment of a rate
+
+The EXACT labels form one level.  `meet` gives the strongest label a set
+of labels supports and `is_exact` tests one; both reject other strings.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .entropy import EntropyValue, FinitePartition, join
-from .processes import BernoulliProcess, FiniteActionProcess, weakest_certificate
+from .processes import BernoulliProcess, FiniteActionProcess
 from .skew import sigma_generated
 from .words import WordSet, ball, generator
 
 M_CAP = 10  # most one-sided increments a generator entropy rate takes
 
+EXACT_LABELS = ("EXACT", "EXACT-ZERO", "EXACT-STABILIZED", "EXACT-IID")
+EXACT, EXACT_ZERO, EXACT_STABILIZED, EXACT_IID = EXACT_LABELS
+UPPER_BOUND = "UPPER-BOUND"
 
-def F_of(proc, n: int) -> tuple[EntropyValue, str]:
-    """(1-2r) H(P^{B(n)}) + sum_i H(P^{B(n)} v s_i P^{B(n)}), exactly,
-    with the weakest certificate of the window entropies it used."""
+
+def stable(k: int) -> str:
+    return f"STABLE({k})"
+
+
+def _weakness(label: str) -> tuple[int, int]:
+    """(0, 0) for the EXACT level, (1, -k) for STABLE(k), since fewer equal
+    increments are weaker evidence, and (2, 0) for UPPER-BOUND."""
+    if label in EXACT_LABELS:
+        return 0, 0
+    if label == UPPER_BOUND:
+        return 2, 0
+    k = re.fullmatch(r"STABLE\(([1-9][0-9]*)\)", label)
+    if k is None:
+        raise ValueError(f"not a certificate label: {label!r}")
+    return 1, -int(k[1])
+
+
+def is_exact(label: str) -> bool:
+    return _weakness(label)[0] == 0
+
+
+def meet(labels) -> str:
+    """The strongest label every one of `labels` supports: EXACT when all
+    are exact, else the weakest of them (the fewest equal increments)."""
+    weakest = max(labels, key=_weakness)
+    return EXACT if is_exact(weakest) else weakest
+
+
+def F_of(proc, n: int) -> EntropyValue:
+    """(1-2r) H(P^{B(n)}) + sum_i H(P^{B(n)} v s_i P^{B(n)}), exactly."""
     r = proc.rank
     b = ball(r, n)
-    value, cert = proc.entropy(b)
-    total = (1 - 2 * r) * value
-    certs = [cert]
+    total = (1 - 2 * r) * proc.entropy(b)
     for i in range(1, r + 1):
-        value, cert = proc.entropy(b.union(b.translate(generator(r, i))))
-        total = total + value
-        certs.append(cert)
-    return total, weakest_certificate(certs)
+        total = total + proc.entropy(b.union(b.translate(generator(r, i))))
+    return total
 
 
 class RateResult(NamedTuple):
@@ -56,7 +95,6 @@ class RateResult(NamedTuple):
     kind: str
     increments: list[EntropyValue]
     stabilized_at: int | None
-    window_certificate: str
 
     def to_json(self) -> dict:
         return {
@@ -64,7 +102,8 @@ class RateResult(NamedTuple):
             "kind": self.kind,
             "stabilized_at": self.stabilized_at,
             "increments": [d.to_json() for d in self.increments],
-            "window_certificate": self.window_certificate,
+            # every window query is exact (see flab.processes)
+            "window_certificate": EXACT,
         }
 
 
@@ -78,76 +117,55 @@ def generator_entropy_rate(proc, i: int, W: WordSet, stable_threshold: int = 3) 
     STABLE(t), the last of M_CAP increments otherwise as an upper bound.
     """
     s = generator(proc.rank, i)
-    U = W
-    prev, cert = proc.entropy(U)
-    certs = [cert]
+    U = T = W
+    prev = proc.entropy(U)
     increments: list[EntropyValue] = []
-    T = W
     for m in range(1, M_CAP + 1):
         T = T.translate(s)  # s^m W
         U = U.union(T)
-        value, cert = proc.entropy(U)
-        certs.append(cert)
+        value = proc.entropy(U)
         d = value - prev
         prev = value
         increments.append(d)
         if d.is_zero():
-            return RateResult(
-                EntropyValue.zero(), "EXACT-ZERO", increments, m, weakest_certificate(certs)
-            )
+            return RateResult(EntropyValue.zero(), EXACT_ZERO, increments, m)
         if len(increments) >= stable_threshold and all(
             increments[-k] == d for k in range(1, stable_threshold + 1)
         ):
-            return RateResult(
-                d,
-                f"STABLE({stable_threshold})",
-                increments,
-                m,
-                weakest_certificate(certs),
-            )
-    return RateResult(
-        increments[-1], "UPPER-BOUND", increments, None, weakest_certificate(certs)
-    )
+            return RateResult(d, stable(stable_threshold), increments, m)
+    return RateResult(increments[-1], UPPER_BOUND, increments, None)
 
 
 def F_star_of(
     proc, n: int, stable_threshold: int = 3
 ) -> tuple[EntropyValue, str, list[RateResult]]:
-    """(1-r) H(P^{B(n)}) + sum_i h(s_i, P^{B(n)}), with the weakest certificate."""
+    """(1-r) H(P^{B(n)}) + sum_i h(s_i, P^{B(n)}), labelled by the meet of the rate kinds."""
     r = proc.rank
     b = ball(r, n)
-    total = (1 - r) * proc.entropy(b)[0]
+    total = (1 - r) * proc.entropy(b)
     rates = []
     for i in range(1, r + 1):
         rate = generator_entropy_rate(proc, i, b, stable_threshold)
         rates.append(rate)
         total = total + rate.value
-    kinds = [rate.kind for rate in rates]
-    if any(k == "UPPER-BOUND" for k in kinds):
-        cert = "UPPER-BOUND"
-    elif any(k.startswith("STABLE") for k in kinds):
-        cert = f"STABLE({stable_threshold})"
-    else:
-        cert = "EXACT"
-    return total, cert, rates
+    return total, meet(rate.kind for rate in rates), rates
 
 
 class FReport(NamedTuple):
-    """Per-n table of F and F* with running infima and exactness flags."""
+    """Per-n table of F and F* with running infima and the tail certificate."""
 
     label: str
     rank: int
     n_max: int
     rows: list[dict]
     f_value: EntropyValue
-    f_certificate: str
     f_star_value: EntropyValue
-    f_star_certificate: str
+    certificate: str  # the tail argument behind both f and f*
     stabilized_at: int | None
     relative: bool
 
     def f_exact(self) -> bool:
-        return self.f_certificate.startswith("EXACT")
+        return is_exact(self.certificate)
 
     def to_json(self) -> dict:
         return {
@@ -156,16 +174,14 @@ class FReport(NamedTuple):
             "n_max": self.n_max,
             "relative": self.relative,
             "stabilized_at": self.stabilized_at,
-            "f": {"value": self.f_value.to_json(), "certificate": self.f_certificate},
-            "f_star": {
-                "value": self.f_star_value.to_json(),
-                "certificate": self.f_star_certificate,
-            },
+            "f": {"value": self.f_value.to_json(), "certificate": self.certificate},
+            "f_star": {"value": self.f_star_value.to_json(), "certificate": self.certificate},
             "rows": [
                 {
                     "n": row["n"],
                     "F": row["F"].to_json(),
-                    "F_certificate": row["F_cert"],
+                    # F(n) is a sum of exact window entropies
+                    "F_certificate": EXACT,
                     "F_star": row["F_star"].to_json(),
                     "F_star_certificate": row["F_star_cert"],
                     "running_inf_F": row["inf_F"].to_json(),
@@ -180,7 +196,7 @@ class FReport(NamedTuple):
 def _stabilization_point(proc, cap: int) -> int | None:
     """The least n < cap with H(P^{B(n+1)}) = H(P^{B(n)}), or None."""
     for n in range(cap):
-        if proc.entropy(ball(proc.rank, n + 1))[0] == proc.entropy(ball(proc.rank, n))[0]:
+        if proc.entropy(ball(proc.rank, n + 1)) == proc.entropy(ball(proc.rank, n)):
             return n
     return None
 
@@ -192,7 +208,7 @@ def full_report(proc, n_max: int, stable_threshold: int = 3) -> FReport:
     rows = []
     inf_F = inf_F_star = None
     for n in range(n_max + 1):
-        F, F_cert = F_of(proc, n)
+        F = F_of(proc, n)
         F_star, F_star_cert, rates = F_star_of(proc, n, stable_threshold)
         if n >= 1:
             inf_F = F if inf_F is None else min(inf_F, F)
@@ -201,7 +217,6 @@ def full_report(proc, n_max: int, stable_threshold: int = 3) -> FReport:
             {
                 "n": n,
                 "F": F,
-                "F_cert": F_cert,
                 "F_star": F_star,
                 "F_star_cert": F_star_cert,
                 "rates": rates,
@@ -214,26 +229,17 @@ def full_report(proc, n_max: int, stable_threshold: int = 3) -> FReport:
     if stabilized_at is not None:
         # window entropies are constant beyond the stabilization point, so the
         # computed rows already contain the constant tail value
-        cert = "EXACT-STABILIZED"
+        cert = EXACT_STABILIZED
     elif isinstance(proc, BernoulliProcess):
         # every i.i.d. row is log k (see the module docstring)
         if not all(row["F"] == rows[1]["F"] for row in rows[1:]):
             raise AssertionError("i.i.d. closed form violated by computed rows")
-        cert = "EXACT-IID"
+        cert = EXACT_IID
     else:
-        cert = "UPPER-BOUND"
+        cert = UPPER_BOUND
 
     return FReport(
-        proc.label,
-        proc.rank,
-        n_max,
-        rows,
-        inf_F,
-        cert,
-        inf_F_star,
-        cert,
-        stabilized_at,
-        proc.conditioned,
+        proc.label, proc.rank, n_max, rows, inf_F, inf_F_star, cert, stabilized_at, proc.conditioned
     )
 
 
@@ -282,9 +288,8 @@ def addition_report(total: FReport, a: FReport, b: FReport) -> dict:
     levels = [r.f_exact() for r in (total, a, b)]
     out = {
         "columns": {
-            "total": {"label": total.label, "f": total.f_value.to_json(), "certificate": total.f_certificate},
-            "a": {"label": a.label, "f": a.f_value.to_json(), "certificate": a.f_certificate},
-            "b": {"label": b.label, "f": b.f_value.to_json(), "certificate": b.f_certificate},
+            key: {"label": rep.label, "f": rep.f_value.to_json(), "certificate": rep.certificate}
+            for key, rep in (("total", total), ("a", a), ("b", b))
         }
     }
     if all(levels):

@@ -30,7 +30,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .entropy import EntropyValue
 from .fplinear import (
     AffineSolutionSet,
     FpMatrix,
@@ -420,10 +419,6 @@ class KernelSubshift:
         label = dict(zip([(i, j) for i in sorted(kept) for j in channels], keep))
         reduced = [{label[c]: v for c, v in row.items()} for row in reduced]
         return MarginalResult(W, solution_space_from_constraints(reduced, tuple(keep), p), "EXACT")
-
-    def window_entropy(self, W: WordSet) -> tuple[EntropyValue, str]:
-        m = self.marginal(W)
-        return m.dimension * EntropyValue.log_int(self.kernel.p), m.certificate
 
     def cylinder_measure(self, W: WordSet, pattern: Mapping[FreeWord, object]) -> Fraction:
         m = self.marginal(W)

@@ -3,12 +3,15 @@
 There is one process per `compute-f` spec type: BernoulliProcess,
 FiniteActionProcess, SkewProductProcess (a skew product over a finite
 base) and KernelProcess.  Every process answers one window query,
-entropy(W) -> (value, certificate): the entropy of the coordinate
-partition joined over the window W, exactly, with what backs it:
+entropy(W) -> EntropyValue: the entropy of the coordinate partition
+joined over the window W.  Every answer is exact, by one argument per
+process type:
 
-    EXACT  entropies computed on a materialized finite model, from the
-           closed form of a Bernoulli shift, or from a kernel marginal
-           that the tree fixed point of `KernelSubshift` makes exact
+    BernoulliProcess     the closed form |W| log k
+    FiniteActionProcess  the joined partition, materialized on the finite model
+    SkewProductProcess   the same, on the finite product model
+    KernelProcess        dim pi_W(ker phi) log p, the marginal made exact by
+                         the tree fixed point of `KernelSubshift`
 
 Conditioning is fixed when a process is built, not passed per query.  A
 FiniteActionProcess built with `given` answers H(P^W | given) as
@@ -26,13 +29,6 @@ from .kernels import ConvolutionKernel, KernelSubshift
 from .skew import FiniteAction, SkewBundle
 from .words import WordSet
 
-CERT_STRENGTH = {"EXACT": 0, "UPPER-BOUND": 1}
-
-
-def weakest_certificate(certs) -> str:
-    return max(certs, key=lambda c: CERT_STRENGTH[c])
-
-
 class BernoulliProcess:
     """The shift on K^Gamma with uniform one-coordinate marginals.
 
@@ -49,8 +45,8 @@ class BernoulliProcess:
         self.alphabet_size = alphabet_size
         self.label = label or f"bernoulli({alphabet_size})"
 
-    def entropy(self, W: WordSet) -> tuple[EntropyValue, str]:
-        return len(W) * EntropyValue.log_int(self.alphabet_size), "EXACT"
+    def entropy(self, W: WordSet) -> EntropyValue:
+        return len(W) * EntropyValue.log_int(self.alphabet_size)
 
     def describe(self) -> dict:
         return {"type": "bernoulli", "alphabet": self.alphabet_size, "rank": self.rank}
@@ -77,12 +73,12 @@ class FiniteActionProcess:
         self.conditioned = given is not None
         # H(P^W | given) = H(P^W v given) - H(given); the second term is fixed
         self._given_entropy = None if given is None else shannon_entropy(given)
-        self._answers: dict[tuple, tuple[EntropyValue, str]] = {}
+        self._answers: dict[tuple, EntropyValue] = {}
 
     def window_partition(self, W: WordSet) -> FinitePartition:
         return self.action.window_partition(self.partition, W)
 
-    def entropy(self, W: WordSet) -> tuple[EntropyValue, str]:
+    def entropy(self, W: WordSet) -> EntropyValue:
         """The exact (conditional) entropy of the joined window, memoized
         per canonical window key."""
         key = W.key()
@@ -93,7 +89,7 @@ class FiniteActionProcess:
                 value = shannon_entropy(joined)
             else:
                 value = shannon_entropy(join(joined, self.given)) - self._given_entropy
-            hit = self._answers[key] = (value, "EXACT")
+            hit = self._answers[key] = value
         return hit
 
     def describe(self) -> dict:
@@ -117,8 +113,8 @@ class KernelProcess:
         self.rank = kernel.rank
         self.label = label or f"ker(phi) {kernel!r}"
 
-    def entropy(self, W: WordSet) -> tuple[EntropyValue, str]:
-        return self.subshift.window_entropy(W)
+    def entropy(self, W: WordSet) -> EntropyValue:
+        return self.subshift.marginal(W).dimension * EntropyValue.log_int(self.kernel.p)
 
     def describe(self) -> dict:
         return {"type": "kernel", "kernel": self.kernel.to_json(), "rank": self.rank}

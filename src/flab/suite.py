@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .entropy import EntropyValue, FinitePartition
 from .finv import (
+    M_CAP,
     F_star_of,
     abramov_rokhlin_check,
     addition_report,
@@ -75,8 +76,8 @@ class RunConfig:
             raise ValueError("rank must be >= 1")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.stable_threshold < 1:
-            raise ValueError("stable_threshold must be >= 1")
+        if not 1 <= self.stable_threshold <= M_CAP:
+            raise ValueError(f"stable_threshold must be 1 to {M_CAP}, the increments a rate takes")
 
     def to_json(self) -> dict:
         return {

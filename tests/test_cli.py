@@ -323,6 +323,19 @@ class TestMalformedSpecs:
         assert main(["verify", "--suite", "none"]) == 2
         assert capsys.readouterr().err.count("error: ") == 5
 
+    def test_stable_threshold_above_the_increment_cap_exits_2(self, tmp_path, capsys):
+        # a rate takes at most finv.M_CAP = 10 increments, so a run of 11 equal
+        # ones is never seen and every positive rate would read UPPER-BOUND
+        path = tmp_path / "bernoulli.json"
+        path.write_text(json.dumps({"type": "bernoulli", "k": 2}))
+        args = ["compute-f", "--process", str(path), "--stable-threshold"]
+        code, report = run_cli(args + ["10"], capsys)
+        assert code == 0
+        assert {row["F_star_certificate"] for row in report["report"]["rows"]} == {"STABLE(10)"}
+        assert main(args + ["11"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "command, spec",
         [

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flab.entropy import EntropyValue, FinitePartition, join
+from flab.entropy import EntropyValue, FinitePartition, join, shannon_entropy
 from flab.finv import (
     F_of,
     F_star_of,
@@ -13,6 +15,8 @@ from flab.finv import (
     exact_f_finite,
     full_report,
     generator_entropy_rate,
+    is_exact,
+    meet,
 )
 from flab.groups import cyclic, preset_group
 from flab.kernels import ow_kernel, scalar_kernel
@@ -30,7 +34,7 @@ from flab.processes import (
     KernelProcess,
     SkewProductProcess,
 )
-from flab.skew import FiniteGroupAction, SpecialPartition
+from flab.skew import FiniteGroupAction, SpecialPartition, sigma_generated
 from flab.words import WordSet, ball, parse_word
 
 F = Fraction
@@ -53,31 +57,25 @@ class TestFOf:
     def test_bernoulli_rows_constant(self):
         proc = BernoulliProcess(2, 2)
         for n in range(3):
-            assert F_of(proc, n)[0] == EntropyValue.log_int(2)
+            assert F_of(proc, n) == EntropyValue.log_int(2)
 
     def test_bernoulli_rank3(self):
         proc = BernoulliProcess(3, 3)
         for n in range(3):
-            assert F_of(proc, n)[0] == EntropyValue.log_int(3)
+            assert F_of(proc, n) == EntropyValue.log_int(3)
 
     def test_edge_kernel_zero_rows(self):
         proc = edge_process()
-        assert F_of(proc, 0)[0].is_zero()
-        assert F_of(proc, 1)[0].is_zero()
-
-    def test_certificate_is_the_weakest_window(self):
-        assert F_of(BernoulliProcess(2, 2), 1)[1] == "EXACT"
-        assert F_of(edge_process(), 1)[1] == "EXACT"
+        assert F_of(proc, 0).is_zero()
+        assert F_of(proc, 1).is_zero()
 
     def test_finite_group_rows(self):
         proc = points_process(preset_group("Z/4"))
         for n in range(3):
-            assert F_of(proc, n)[0] == -1 * EntropyValue.log_int(4)
+            assert F_of(proc, n) == -1 * EntropyValue.log_int(4)
 
     def test_matches_raw_join_recomputation(self):
         # recompute from materialized window partitions rather than entropy queries
-        from flab.entropy import shannon_entropy
-
         proc = points_process(preset_group("D4"), autos=[1, 2])
         r = proc.rank
         for n in (0, 1):
@@ -88,7 +86,7 @@ class TestFOf:
                 s = parse_word("ab"[i - 1], 2)
                 moved = base.apply_permutation(proc.action.word_perm(s))
                 total = total + shannon_entropy(join(base, moved))
-            assert total == F_of(proc, n)[0]
+            assert total == F_of(proc, n)
 
 
 class TestRates:
@@ -152,13 +150,13 @@ class TestReports:
             proc = points_process(preset_group(name))
             f, rep = exact_f_finite(proc)
             assert f == -1 * EntropyValue.log_int(proc.action.size())
-            assert rep.f_exact() and rep.f_star_certificate.startswith("EXACT")
+            assert rep.f_exact()
             assert rep.f_value == rep.f_star_value
 
     def test_ow_group_via_kernel(self):
         rep = full_report(KernelProcess(ow_kernel()), 2)
         assert rep.f_value == -1 * EntropyValue.log_int(2)
-        assert rep.f_certificate == "EXACT-STABILIZED"
+        assert rep.certificate == "EXACT-STABILIZED"
         assert rep.f_star_value == -1 * EntropyValue.log_int(2)
 
     def test_ow_group_via_finite_model(self):
@@ -170,13 +168,13 @@ class TestReports:
     def test_bernoulli_exact_iid(self):
         rep = full_report(BernoulliProcess(2, 4), 2)
         assert rep.f_value == EntropyValue.log_int(4)
-        assert rep.f_certificate == "EXACT-IID"
+        assert rep.certificate == "EXACT-IID"
         assert rep.f_star_value == EntropyValue.log_int(4)
 
     def test_edge_kernel_truncated_upper_bound(self):
         rep = full_report(edge_process(), 2)
         assert rep.f_value.is_zero() and rep.f_star_value.is_zero()
-        assert rep.f_certificate == "UPPER-BOUND"
+        assert rep.certificate == "UPPER-BOUND"
 
     def test_running_infima_nonincreasing(self):
         rep = full_report(points_process(preset_group("D4"), autos=[3, 1]), 3)
@@ -260,8 +258,8 @@ class TestRelative:
         proc = SkewProductProcess(bundle, FinitePartition.points(base.weights), q)
         fiber_proc = proc.fiber_process()
         for n in range(2):
-            lhs, _ = F_of(proc.relative(), n)
-            rhs, _ = F_of(fiber_proc, n)
+            lhs = F_of(proc.relative(), n)
+            rhs = F_of(fiber_proc, n)
             assert lhs == rhs
 
     def test_base_measurable_partition_relative_zero(self):
@@ -274,7 +272,7 @@ class TestRelative:
             bundle, FinitePartition.points(bundle.base.weights), trivial_fiber
         )
         for n in range(2):
-            assert F_of(proc.relative(), n)[0].is_zero()
+            assert F_of(proc.relative(), n).is_zero()
 
     def test_special_collapse_on_all_cases(self):
         # relative F* of the skew equals F* of the fiber, per n, exactly
@@ -316,10 +314,7 @@ class TestRelative:
             FinitePartition(act.weights, [0, 0, 1, 1]),
             FinitePartition(act.weights, [0, 1, 0, 1]),
         )
-        given = FinitePartition(act.weights, [0, 1, 0, 1])
-        from flab.skew import sigma_generated
-
-        given = sigma_generated(act, given)
+        given = sigma_generated(act, FinitePartition(act.weights, [0, 1, 0, 1]))
         values = set()
         for part in (points, other2):
             proc = FiniteActionProcess(act, part, "z4", given=given)
@@ -333,7 +328,6 @@ class TestWindowQuery:
     @pytest.mark.parametrize("conditioned", [False, True])
     def test_exact_f_finite_computes_each_window_once(self, monkeypatch, conditioned):
         import flab.processes as processes
-        from flab.skew import sigma_generated
 
         computed = []
 
@@ -362,7 +356,6 @@ class TestWindowQuery:
     def test_given_entropy_computed_once_per_process(self, monkeypatch):
         import flab.entropy as entropy
         import flab.processes as processes
-        from flab.skew import sigma_generated
 
         rng = make_rng(31)
         act = random_finite_action(rng)
@@ -385,12 +378,12 @@ class TestWindowQuery:
         for module in (entropy, processes):
             monkeypatch.setattr(module, "shannon_entropy", counting(module.shannon_entropy))
         proc = FiniteActionProcess(act, part, "rnd", given=given)
-        assert [proc.entropy(W) for W in windows] == [(v, "EXACT") for v in want]
+        assert [proc.entropy(W) for W in windows] == want
         exact_f_finite(proc)
         assert len(on_given) == 1
 
     def test_relative_is_conditioned_on_the_base(self):
-        from flab.entropy import conditional_entropy, shannon_entropy
+        from flab.entropy import conditional_entropy
 
         b = ball(2, 1)
         windows = [ball(2, 0), b] + [b.union(b.translate(parse_word(s, 2))) for s in "ab"]
@@ -406,8 +399,86 @@ class TestWindowQuery:
             for W in windows:
                 joined = bundle.product.window_partition(observed, W)
                 want = conditional_entropy(joined, bundle.base_marker())
-                assert relative.entropy(W) == (want, "EXACT"), (case["name"], W)
-                assert proc.entropy(W) == (shannon_entropy(joined), "EXACT")
+                assert relative.entropy(W) == want, (case["name"], W)
+                assert proc.entropy(W) == shannon_entropy(joined)
+
+
+class TestLabelVocabulary:
+    @pytest.mark.parametrize("label", ["EXACT", "EXACT-ZERO", "EXACT-STABILIZED", "EXACT-IID"])
+    def test_exact_level(self, label):
+        assert is_exact(label) and meet([label]) == "EXACT"
+
+    @pytest.mark.parametrize("label", ["STABLE(1)", "STABLE(3)", "STABLE(10)", "UPPER-BOUND"])
+    def test_below_exact(self, label):
+        assert not is_exact(label) and meet([label]) == label
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "STABILIZED",
+            "EXTENSION-CERTIFIED",
+            "UNCERTIFIED",
+            "STABLE(0)",
+            "STABLE(03)",
+            "STABLE(k)",
+            "STABLE",
+            "exact",
+            "EXACT-PASS",
+            "TIGHT",
+            "",
+        ],
+    )
+    def test_unknown_labels_are_rejected(self, label):
+        with pytest.raises(ValueError):
+            is_exact(label)
+        with pytest.raises(ValueError):
+            meet(["EXACT", label])
+
+    def test_fewer_equal_increments_are_weaker(self):
+        assert meet(["STABLE(5)", "STABLE(3)", "EXACT-ZERO"]) == "STABLE(3)"
+        assert meet(["STABLE(3)", "UPPER-BOUND"]) == "UPPER-BOUND"
+
+    @pytest.mark.parametrize("t", [1, 3, 10])
+    def test_meet_is_the_old_row_rule(self, t):
+        # the rule F_star_of applied to its rate kinds before the vocabulary
+        def old_rule(kinds):
+            if any(k == "UPPER-BOUND" for k in kinds):
+                return "UPPER-BOUND"
+            if any(k.startswith("STABLE") for k in kinds):
+                return f"STABLE({t})"
+            return "EXACT"
+
+        for r in (1, 2, 3):
+            for kinds in itertools.product(["EXACT-ZERO", f"STABLE({t})", "UPPER-BOUND"], repeat=r):
+                assert meet(kinds) == old_rule(kinds), kinds
+
+
+class TestFiniteModelOracle:
+    """On a finite model P^{B(n)} reaches the invariant algebra Sigma(P)
+    that P generates, and from there every F-term is H(Sigma(P)), so
+    f = (1 - r) H(Sigma(P)), and f(P | G) = (1 - r) H(Sigma(P) | G) for
+    an invariant G.  Sigma(P) closes P under the generator permutations,
+    independently of the window queries."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_f_is_the_generated_algebra_entropy(self, seed, rank):
+        rng = make_rng(seed)
+        act = random_finite_action(rng, rank)
+        p = random_partition(rng, act.size())
+        f, _ = exact_f_finite(FiniteActionProcess(act, p))
+        assert f == (1 - rank) * shannon_entropy(sigma_generated(act, p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_conditional_f_on_an_invariant_partition(self, seed, rank):
+        rng = make_rng(seed)
+        act = random_finite_action(rng, rank)
+        p = random_partition(rng, act.size())
+        invariant = sigma_generated(act, random_partition(rng, act.size()))
+        f, _ = exact_f_finite(FiniteActionProcess(act, p, given=invariant))
+        joined = join(sigma_generated(act, p), invariant)
+        assert f == (1 - rank) * (shannon_entropy(joined) - shannon_entropy(invariant))
 
 
 class TestAbramovRokhlin:
@@ -446,11 +517,11 @@ class TestProcessInvariants:
             A = WordSet(2, rng.sample(pool, rng.randint(1, 3)))
             B = WordSet(2, rng.sample(pool, rng.randint(1, 3)))
             union = A.union(B)
-            hA, hB, hU = proc.entropy(A)[0], proc.entropy(B)[0], proc.entropy(union)[0]
+            hA, hB, hU = proc.entropy(A), proc.entropy(B), proc.entropy(union)
             assert hA <= hU and hB <= hU
             assert hU <= hA + hB
             g = rng.choice(pool)
-            assert proc.entropy(A.translate(g))[0] == hA
+            assert proc.entropy(A.translate(g)) == hA
 
 
 class TestSkewActionConstructor:
@@ -470,6 +541,6 @@ class TestSkewActionConstructor:
         )
         # joint points observable: window entropy splits as base plus fiber
         W = ball(2, 1)
-        base_h, _ = FiniteActionProcess(base, base_points).entropy(W)
-        fiber_h, _ = proc.fiber_process().entropy(W)
-        assert proc.entropy(W)[0] == base_h + fiber_h
+        base_h = FiniteActionProcess(base, base_points).entropy(W)
+        fiber_h = proc.fiber_process().entropy(W)
+        assert proc.entropy(W) == base_h + fiber_h

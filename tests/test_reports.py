@@ -12,7 +12,8 @@ ids.  All ten were re-recorded once when the kernel marginals moved to
 the tree fixed point: `config` lost `window_cap` and `p`, and the kernel
 certificates EXTENSION-CERTIFIED and STABILIZED became EXACT, every other
 byte unchanged.  A change that alters any byte of these reports fails
-here.
+here.  Every certificate and rate kind in them, and in the 2x2 plateau
+kernel's compute-f report, must be a label of finv's vocabulary.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ import json
 import pytest
 
 from flab import suite
+from flab.finv import is_exact
 from flab.kernels import scalar_kernel
 
 FINITE_GROUP = {"type": "finite_group", "group": {"preset": "Z/4"}, "autos": [1, 0], "rank": 2}
@@ -39,6 +41,16 @@ SKEW_CUSTOM = {
     "fiber_autos": [0, 0],
     "cocycle": [["0", "1"], ["0", "0"]],
     "rank": 2,
+}
+PLATEAU = {
+    "type": "kernel",
+    "kernel": {
+        "p": 2,
+        "rank": 2,
+        "d_in": 2,
+        "d_out": 2,
+        "coeffs": {"B": [[1, 0], [0, 0]], "a": [[0, 1], [1, 0]]},
+    },
 }
 
 RUNS = {
@@ -79,9 +91,64 @@ GOLDEN = {
 STATUS = {"verify cocycle negate-cocycle": "FAIL"}
 
 
+# the label walk also reads the 2x2 plateau kernel, the matrix-kernel case
+LABELLED = {
+    **RUNS,
+    "compute-f kernel_plateau": lambda: suite.run_compute_f(suite.RunConfig(), PLATEAU),
+}
+
+
+@pytest.fixture(scope="module")
+def report_of():
+    """Builds each report once per module, for the digest and label tests."""
+    built = {}
+
+    def build(name: str) -> dict:
+        if name not in built:
+            built[name] = LABELLED[name]()
+        return built[name]
+
+    return build
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_report_digest(name):
-    report = RUNS[name]()
+def test_report_digest(name, report_of):
+    report = report_of(name)
     assert report["status"] == STATUS.get(name, "PASS")
     text = json.dumps(report, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+
+
+LABEL_KEYS = {"certificate", "F_certificate", "F_star_certificate", "window_certificate"}
+
+
+def labels(node):
+    """Every certificate string and rate kind in a report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in LABEL_KEYS:
+                yield value
+            elif key == "rates":
+                yield from (rate["kind"] for rate in value)
+            yield from labels(value)
+    elif isinstance(node, list):
+        for item in node:
+            yield from labels(item)
+
+
+@pytest.mark.parametrize("name", sorted(LABELLED))
+def test_every_label_is_in_the_vocabulary(name, report_of):
+    for label in set(labels(report_of(name))):
+        is_exact(label)  # raises ValueError outside finv's vocabulary
+
+
+def test_label_walk_reaches_every_level(report_of):
+    found = {label for name in LABELLED for label in labels(report_of(name))}
+    assert found == {
+        "EXACT",
+        "EXACT-ZERO",
+        "EXACT-STABILIZED",
+        "EXACT-IID",
+        "STABLE(3)",
+        "UPPER-BOUND",
+    }
