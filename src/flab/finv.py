@@ -50,6 +50,12 @@ EXACT, EXACT_ZERO, EXACT_STABILIZED, EXACT_IID = EXACT_LABELS
 UPPER_BOUND = "UPPER-BOUND"
 
 
+def check_stable_threshold(t: int) -> None:
+    """A run of t equal increments is seen only for 1 <= t <= M_CAP."""
+    if not 1 <= t <= M_CAP:
+        raise ValueError(f"stable_threshold must be 1 to {M_CAP}, the increments a rate takes")
+
+
 def stable(k: int) -> str:
     return f"STABLE({k})"
 
@@ -116,6 +122,7 @@ def generator_entropy_rate(proc, i: int, W: WordSet, stable_threshold: int = 3) 
     of `stable_threshold` equal positive increments is reported as
     STABLE(t), the last of M_CAP increments otherwise as an upper bound.
     """
+    check_stable_threshold(stable_threshold)
     s = generator(proc.rank, i)
     U = T = W
     prev = proc.entropy(U)

@@ -11,11 +11,11 @@ import random
 from .entropy import FinitePartition
 from .groups import FiniteGroup, all_automorphisms, preset_group
 from .skew import (
+    Cocycle,
     FiniteAction,
     FiniteGroupAction,
     SectionCocycleBundle,
     SpecialPartition,
-    ZSkewSystem,
 )
 from .spec import is_int
 
@@ -34,8 +34,8 @@ def group_action(group: FiniteGroup, autos, rank: int) -> FiniteGroupAction:
 
 
 def _automorphism(group: FiniteGroup, value) -> tuple[int, ...]:
-    catalog = all_automorphisms(group)
     if is_int(value):
+        catalog = all_automorphisms(group)
         return catalog[value % len(catalog)]
     if not (isinstance(value, list) and all(is_int(x) for x in value)):
         raise ValueError(f"automorphism must be an index or a permutation list, not {value!r}")
@@ -204,20 +204,22 @@ def random_finite_action(rng: random.Random, rank: int = 2, min_size: int = 3, m
 _FIBER_PRESETS = ["Z/2", "Z/3", "Z/4", "Z/2xZ/2", "D4", "Q8"]
 
 
-def random_z_skew(rng: random.Random) -> tuple[ZSkewSystem, FinitePartition, bool]:
-    """(system, fiber partition, partition-is-special) with a random cocycle."""
+def random_z_skew(rng: random.Random) -> tuple[Cocycle, FinitePartition, bool]:
+    """(rank-1 cocycle, fiber partition, partition-is-special): one random
+    transformation, fiber automorphism and cocycle value."""
     fiber = preset_group(_FIBER_PRESETS[rng.randrange(len(_FIBER_PRESETS))])
     autos = all_automorphisms(fiber)
     s_perm = autos[rng.randrange(len(autos))]
     base_size = rng.randint(2, 4)
     t_perm = random_permutation(rng, base_size)
     gen_value = [rng.randrange(fiber.order()) for _ in range(base_size)]
-    zs = ZSkewSystem(
-        FinitePartition.uniform_space(base_size), t_perm, fiber, s_perm, gen_value
+    cocycle = Cocycle(
+        FiniteAction(FinitePartition.uniform_space(base_size), [t_perm], 1),
+        FiniteGroupAction(fiber, [s_perm], 1),
+        [gen_value],
     )
     if rng.random() < 0.5:
         subs = normal_subgroups(fiber)
         q = SpecialPartition(fiber, subs[rng.randrange(len(subs))]).partition
-        return zs, q, True
-    return zs, random_partition(rng, fiber.order(), max_blocks=3), False
-
+        return cocycle, q, True
+    return cocycle, random_partition(rng, fiber.order(), max_blocks=3), False

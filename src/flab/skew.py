@@ -10,6 +10,9 @@ base and then right-multiplies the fiber by the cocycle value.  All
 verifiers here are exhaustive and exact: finite spaces make the "up to
 measure zero" clauses literal equalities.
 
+Z is the free group of rank 1, so the one-dimensional inequality
+|H(Q^m) - H(Q_x^m)| <= m K(Q) runs on a rank-1 `Cocycle`.
+
 Words enter as ids (see `flab.words`): alpha_w and sigma(w, .) live in
 tables keyed by the id of w, each entry grown from its parent's.  A
 FreeWord is encoded once where a caller passes one (`word_perm`,
@@ -422,12 +425,9 @@ def K_of(q: FinitePartition, group: FiniteGroup) -> EntropyValue:
 def sigma_generated(action: FiniteAction, q: FinitePartition) -> FinitePartition:
     """Smallest action-invariant partition algebra containing q (as a partition)."""
     current = q
-    letters = [i for i in range(1, action.rank + 1)] + [
-        -i for i in range(1, action.rank + 1)
-    ]
     while True:
         nxt = current
-        for letter in letters:
+        for letter in signed_letters(action.rank):
             nxt = join(nxt, current.apply_permutation(action.letter_perm(letter)))
         if nxt.equal_mod_null(current):
             return current
@@ -520,88 +520,36 @@ def verify_window_split(
     return lhs.equal_mod_null(rhs)
 
 
-# -- integer-time skew systems (the key one-dimensional inequality) -----------
-
-
-class ZSkewSystem:
-    """A skew product over a single transformation with a finite fiber group."""
-
-    def __init__(
-        self,
-        weights: Sequence[Fraction],
-        t_perm: Sequence[int],
-        fiber: FiniteGroup,
-        s_perm: Sequence[int],
-        gen_value: Sequence[int],
-    ):
-        weights = _as_space(weights)
-        check_permutation_preserves(weights, t_perm)
-        if not fiber.is_automorphism(s_perm):
-            raise ValueError("S must be a group automorphism")
-        if len(gen_value) != len(weights):
-            raise ValueError("cocycle value needed at every base point")
-        self.weights = weights
-        self.t_perm = tuple(t_perm)
-        self.fiber = fiber
-        self.s_perm = tuple(s_perm)
-        self.gen_value = tuple(gen_value)
-        identity = tuple(range(fiber.order()))
-        # S^k and S^-k at index k, and sigma(k, .) at index k, grown on demand
-        self._powers = ([identity], [identity])
-        self._steps = (self.s_perm, invert_perm(self.s_perm))
-        self._sigma_rows = [(fiber.identity,) * len(gen_value)]
-
-    def sigma(self, k: int, x: int) -> int:
-        """sigma(k, x) for k >= 0 via sigma(k, x) = S^{k-1} sigma(1, x) . sigma(k-1, Tx)."""
-        if k < 0:
-            raise ValueError("only forward times are needed here")
-        rows = self._sigma_rows
-        table = self.fiber.table
-        while len(rows) <= k:
-            s_prev = self.s_power_perm(len(rows) - 1)
-            prev = rows[-1]
-            rows.append(tuple([
-                table[s_prev[v]][prev[tx]] for v, tx in zip(self.gen_value, self.t_perm)
-            ]))
-        return rows[k][x]
-
-    def s_power_perm(self, k: int) -> tuple[int, ...]:
-        """S^k, each power built once from the one before it."""
-        powers, step = self._powers[k < 0], self._steps[k < 0]
-        while len(powers) <= abs(k):
-            powers.append(tuple([step[y] for y in powers[-1]]))
-        return powers[abs(k)]
-
-    def q_m(self, q: FinitePartition, m: int) -> FinitePartition:
-        """Q^m = join of S^{-k} Q for 0 <= k < m."""
-        return join_many(
-            q.apply_permutation(self.s_power_perm(-k)) for k in range(m)
-        )
-
-    def q_m_twisted(self, q: FinitePartition, m: int, x: int) -> FinitePartition:
-        """Q_x^m = join of S^{-k}(Q sigma(k,x)^{-1})."""
-        parts = []
-        for k in range(m):
-            t = self.fiber.inv(self.sigma(k, x))
-            translated = right_translate(self.fiber, q, t)
-            parts.append(translated.apply_permutation(self.s_power_perm(-k)))
-        return join_many(parts)
+# -- the one-dimensional inequality on rank-1 skew products --------------------
 
 
 def verify_skew_entropy_bound(
-    zs: ZSkewSystem, q: FinitePartition, m_max: int
+    cocycle: Cocycle, q: FinitePartition, m_max: int
 ) -> list[dict]:
-    """|H(Q^m) - H(Q_x^m)| <= m K(Q) for every base point and m <= m_max.
+    """|H(Q^m) - H(Q_x^m)| <= m K(Q) for every base point and m <= m_max,
+    on a rank-1 cocycle (T = alpha_a, S = beta_a).
 
-    Returns one record per (x, m) with both sides and whether equality held.
+    Q^m is the window partition of Q over {A^k : k < m}, and Q_x^m the
+    join of S^-k(Q sigma(k, x)^-1), with S^-k = beta_{A^k} and
+    sigma(k, x) = sigma(a^k, x).  Returns one record per (x, m) with both
+    sides and whether equality held.
     """
-    k_q = K_of(q, zs.fiber)
+    if cocycle.base.rank != 1:
+        raise ValueError(f"the skew entropy bound needs a rank-1 cocycle, not rank {cocycle.base.rank}")
+    action, group = cocycle.fiber.action, cocycle.fiber.group
+    k_q = K_of(q, group)
+    backward = [FreeWord(1, [-1] * k) for k in range(m_max)]
+    s_back = [action.word_perm(w) for w in backward]
+    sigma = [cocycle.values(FreeWord(1, [1] * k)) for k in range(m_max)]
     records = []
     for m in range(1, m_max + 1):
-        h_plain = shannon_entropy(zs.q_m(q, m))
+        h_plain = shannon_entropy(action.window_partition(q, WordSet(1, backward[:m])))
         bound = m * k_q
-        for x in range(len(zs.weights)):
-            h_twisted = shannon_entropy(zs.q_m_twisted(q, m, x))
+        for x in range(cocycle.base.size()):
+            h_twisted = shannon_entropy(join_many(
+                right_translate(group, q, group.inv(sigma[k][x])).apply_permutation(s_back[k])
+                for k in range(m)
+            ))
             diff = h_plain - h_twisted
             ok = diff <= bound and (-1 * diff) <= bound
             records.append(

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 from .entropy import EntropyValue, FinitePartition
 from .finv import (
-    M_CAP,
     F_star_of,
     abramov_rokhlin_check,
     addition_report,
+    check_stable_threshold,
     full_report,
 )
+from .fplinear import is_prime
 from .groups import group_from_json, preset_group
 from .kernels import (
     ConvolutionKernel,
@@ -76,8 +77,7 @@ class RunConfig:
             raise ValueError("rank must be >= 1")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if not 1 <= self.stable_threshold <= M_CAP:
-            raise ValueError(f"stable_threshold must be 1 to {M_CAP}, the increments a rate takes")
+        check_stable_threshold(self.stable_threshold)
 
     def to_json(self) -> dict:
         return {
@@ -158,7 +158,7 @@ def run_generalization(cfg: RunConfig, k_name: str) -> dict:
     addition = addition_report(total, constants, image)
 
     comparison = {"applicable": False}
-    if k >= 2 and all(k % d for d in range(2, k)):
+    if is_prime(k):
         ck = comparison_kernel(k, r)
         dims = _marginal_table(KernelSubshift(ck), r, (1, 2))
         comparison = {
@@ -335,13 +335,13 @@ def _suite_skew_entropy_bound(cfg: RunConfig) -> dict:
     rng = make_rng(cfg.seed)
     cases = []
     for idx in range(20):
-        zs, q, special = random_z_skew(rng)
-        records = verify_skew_entropy_bound(zs, q, 5)
+        cocycle, q, special = random_z_skew(rng)
+        records = verify_skew_entropy_bound(cocycle, q, 5)
         holds = all(r["holds"] for r in records)
         equal_ok = (not special) or all(r["equal"] for r in records)
         cases.append(
             {
-                "name": f"seeded system {idx} (fiber {zs.fiber.name}, special={special})",
+                "name": f"seeded system {idx} (fiber {cocycle.fiber.group.name}, special={special})",
                 "inequality": holds,
                 "equality_for_special": equal_ok,
                 "passed": holds and equal_ok,

@@ -240,8 +240,8 @@ def test_criterion_9_per_m_inequality():
     ok = True
     special_count = 0
     for _ in range(20):
-        zs, q, special = random_z_skew(rng)
-        records = verify_skew_entropy_bound(zs, q, 5)
+        cocycle, q, special = random_z_skew(rng)
+        records = verify_skew_entropy_bound(cocycle, q, 5)
         ok = ok and all(r["holds"] for r in records)
         if special:
             special_count += 1

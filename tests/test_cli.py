@@ -246,6 +246,26 @@ class TestComputeF:
         assert code == 0
         assert report["report"]["f"]["value"]["terms"] == {"2": "-2"}
 
+    def test_explicit_automorphisms_on_a_group_past_the_catalog(self, tmp_path, capsys):
+        # the automorphism catalog stops at order 8, but a permutation list is
+        # checked by itself; an index into the catalog still exits 2
+        z9 = {
+            "name": "C9",
+            "elements": [str(x) for x in range(9)],
+            "table": [[(x + y) % 9 for y in range(9)] for x in range(9)],
+        }
+        spec = tmp_path / "proc.json"
+        doubling = [2 * x % 9 for x in range(9)]
+        spec.write_text(json.dumps({"type": "finite_group", "group": z9, "autos": [doubling, list(range(9))]}))
+        code, report = run_cli(["compute-f", "--process", str(spec)], capsys)
+        assert code == 0 and report["status"] == "PASS"
+        assert report["report"]["f"]["value"]["terms"] == {"3": "-2"}
+        assert report["report"]["f"]["certificate"] == "EXACT-STABILIZED"
+        spec.write_text(json.dumps({"type": "finite_group", "group": z9, "autos": [1, 0]}))
+        assert main(["compute-f", "--process", str(spec)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_spec_rejected(self, tmp_path, capsys):
         spec = tmp_path / "proc.json"
         spec.write_text(json.dumps({"type": "nonsense"}))

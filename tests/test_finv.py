@@ -125,6 +125,13 @@ class TestRates:
                 for a, b in zip(rate.increments, rate.increments[1:]):
                     assert b <= a
 
+    @pytest.mark.parametrize("t", [0, 11])
+    def test_stable_threshold_outside_the_increment_cap_raises(self, t):
+        # a rate takes at most M_CAP = 10 increments, so 11 would label every
+        # positive rate UPPER-BOUND and 0 has no STABLE label
+        with pytest.raises(ValueError, match="stable_threshold must be 1 to 10"):
+            full_report(BernoulliProcess(2, 2), 1, stable_threshold=t)
+
 
 class TestFStar:
     def test_edge_kernel_f_star_zero(self):
