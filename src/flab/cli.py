@@ -29,7 +29,9 @@ _EXIT = {"PASS": 0, "FAIL": 1}
 def _render_table(report: dict) -> str:
     """Human-readable view derived from the JSON report, never computed separately."""
     lines = [f"command: {report.get('command')}   status: {report.get('status')}"]
-    for name, rep in report.get("reports", {}).items():
+    # compute-f keeps its tables under "report" and, for a skew product, "relative_report"
+    tables = report.get("reports") or {k: report[k] for k in ("report", "relative_report") if k in report}
+    for name, rep in tables.items():
         lines.append(f"-- {name}: {rep['label']}")
         lines.append("   n |        F        |       F*        | inf F (n>=1)")
         for row in rep["rows"]:
@@ -71,20 +73,13 @@ def _emit(report: dict, out: str | None, pretty: bool) -> int:
 def _add_common(sub):
     sub.add_argument("--nmax", type=int, default=2, help="largest ball radius n")
     sub.add_argument("--rank", type=int, default=2, help="rank of the free group")
-    sub.add_argument("--stable-threshold", type=int, default=3, dest="stable_threshold",
-                     help="equal increments needed to declare a rate stable")
     sub.add_argument("--out", default=None, help="write the JSON report to this path")
     sub.add_argument("--pretty", action="store_true", help="also print a table to stderr")
 
 
 def _config(args) -> RunConfig:
     seed = int(os.environ.get("FLAB_SEED", DEFAULT_SEED))
-    return RunConfig(
-        rank=args.rank,
-        n_max=args.nmax,
-        stable_threshold=args.stable_threshold,
-        seed=seed,
-    )
+    return RunConfig(rank=args.rank, n_max=args.nmax, seed=seed)
 
 
 def main(argv=None) -> int:

@@ -11,31 +11,33 @@ plus generator entropy rates,
 
 Every functional reads a process only through its window query
 proc.entropy(W) -> EntropyValue, which is exact for every process type
-(see `flab.processes`).  A relative (base-conditioned) functional is the
-same functional of a conditioned process, such as
+(see `flab.processes`), and a rate also through proc.rate_kind, the one
+fact its exactness argument needs.  A relative (base-conditioned)
+functional is the same functional of a conditioned process, such as
 SkewProductProcess.relative() or a FiniteActionProcess built with
 `given`, so nothing here takes a conditioning argument.
 
-Every label a report prints comes from one vocabulary, strongest first:
+Every label a report prints comes from one vocabulary:
 
-    EXACT             a value computed exactly: every window and F(n) row,
-                      and each F*(n) row whose rates are all exact
+    EXACT             an exact window marginal (see `flab.kernels`)
     EXACT-ZERO        a rate pinned by a zero increment
+    EXACT-IID         a Bernoulli rate, by its closed form; and f and f* of
+                      a Bernoulli shift, where every row is log k since
+                      (1 - r)|B(n)| + r(2r - 1)^n = 1 for r >= 1, n >= 0
+    EXACT-MARKOV      a kernel rate, by the hidden-state rule
     EXACT-STABILIZED  f and f* when the window entropies stop growing, so
                       the computed rows already hold the constant tail
-    EXACT-IID         f and f* of a Bernoulli shift, where every row is log k
-                      since (1 - r)|B(n)| + r(2r - 1)^n = 1 for r >= 1, n >= 0
-    STABLE(k)         k equal positive increments: evidence, not proof
-    UPPER-BOUND       a truncated infimum over n >= 1 with no tail argument,
-                      or the last increment of a rate
+    UPPER-BOUND       f and f* as a truncated infimum over n >= 1 with no
+                      tail argument
 
-The EXACT labels form one level.  `meet` gives the strongest label a set
-of labels supports and `is_exact` tests one; both reject other strings.
+Every window query and every generator rate is exact (see
+`generator_entropy_rate`), so every F(n) and F*(n) row is exact, and only
+f and f* can read UPPER-BOUND.  `is_exact` tests a label and rejects
+other strings.
 """
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple
 
 from .entropy import EntropyValue, FinitePartition, join
@@ -43,45 +45,18 @@ from .processes import BernoulliProcess, FiniteActionProcess
 from .skew import sigma_generated
 from .words import WordSet, ball, generator
 
-M_CAP = 10  # most one-sided increments a generator entropy rate takes
-
-EXACT_LABELS = ("EXACT", "EXACT-ZERO", "EXACT-STABILIZED", "EXACT-IID")
-EXACT, EXACT_ZERO, EXACT_STABILIZED, EXACT_IID = EXACT_LABELS
+EXACT_LABELS = ("EXACT", "EXACT-ZERO", "EXACT-IID", "EXACT-MARKOV", "EXACT-STABILIZED")
+EXACT, EXACT_ZERO, EXACT_IID, EXACT_MARKOV, EXACT_STABILIZED = EXACT_LABELS
 UPPER_BOUND = "UPPER-BOUND"
 
 
-def check_stable_threshold(t: int) -> None:
-    """A run of t equal increments is seen only for 1 <= t <= M_CAP."""
-    if not 1 <= t <= M_CAP:
-        raise ValueError(f"stable_threshold must be 1 to {M_CAP}, the increments a rate takes")
-
-
-def stable(k: int) -> str:
-    return f"STABLE({k})"
-
-
-def _weakness(label: str) -> tuple[int, int]:
-    """(0, 0) for the EXACT level, (1, -k) for STABLE(k), since fewer equal
-    increments are weaker evidence, and (2, 0) for UPPER-BOUND."""
-    if label in EXACT_LABELS:
-        return 0, 0
-    if label == UPPER_BOUND:
-        return 2, 0
-    k = re.fullmatch(r"STABLE\(([1-9][0-9]*)\)", label)
-    if k is None:
-        raise ValueError(f"not a certificate label: {label!r}")
-    return 1, -int(k[1])
-
-
 def is_exact(label: str) -> bool:
-    return _weakness(label)[0] == 0
-
-
-def meet(labels) -> str:
-    """The strongest label every one of `labels` supports: EXACT when all
-    are exact, else the weakest of them (the fewest equal increments)."""
-    weakest = max(labels, key=_weakness)
-    return EXACT if is_exact(weakest) else weakest
+    """True on the EXACT level, False for UPPER-BOUND; other strings raise."""
+    if label == UPPER_BOUND:
+        return False
+    if label not in EXACT_LABELS:
+        raise ValueError(f"not a certificate label: {label!r}")
+    return True
 
 
 def F_of(proc, n: int) -> EntropyValue:
@@ -95,12 +70,13 @@ def F_of(proc, n: int) -> EntropyValue:
 
 
 class RateResult(NamedTuple):
-    """A generator entropy rate with its stabilization evidence."""
+    """A generator entropy rate, the increments that reached it and the
+    argument (`kind`) that pins it at the last of them."""
 
     value: EntropyValue
     kind: str
     increments: list[EntropyValue]
-    stabilized_at: int | None
+    stabilized_at: int
 
     def to_json(self) -> dict:
         return {
@@ -108,54 +84,44 @@ class RateResult(NamedTuple):
             "kind": self.kind,
             "stabilized_at": self.stabilized_at,
             "increments": [d.to_json() for d in self.increments],
-            # every window query is exact (see flab.processes)
-            "window_certificate": EXACT,
         }
 
 
-def generator_entropy_rate(proc, i: int, W: WordSet, stable_threshold: int = 3) -> RateResult:
-    """Entropy rate along the i-th generator, via one-sided window increments.
+def generator_entropy_rate(proc, i: int, W: WordSet) -> RateResult:
+    """h(s, W) for s the i-th generator, exactly, by one-sided increments.
 
-    The increments H(union of m+1 translates) - H(union of m translates)
-    are nonincreasing; a zero increment certifies rate exactly zero
-    (later translates stay measurable in the earlier joins), while a run
-    of `stable_threshold` equal positive increments is reported as
-    STABLE(t), the last of M_CAP increments otherwise as an upper bound.
+    With U_m = W u sW u ... u s^m W, the increments d_m = H(U_m) - H(U_{m-1})
+    are nonincreasing and tend to the rate.  The loop stops at the first d_m
+    an argument proves to be the limit: a zero increment for every process
+    (EXACT-ZERO: later translates stay measurable in U_{m-1}), or else the
+    label of proc.rate_kind(s, U, d), U = [U_0, ..., U_m], which is
+        BernoulliProcess     EXACT-IID when d_m is the closed form
+                             (number of cosets <s>w meeting W) log k;
+        FiniteActionProcess  never: a zero increment comes within the number
+                             of positive-weight atoms, past which it raises;
+        KernelProcess        EXACT-MARKOV when the hidden states of the
+                             Markov chain x|s^m B(N) stop shrinking.
     """
-    check_stable_threshold(stable_threshold)
     s = generator(proc.rank, i)
-    U = T = W
-    prev = proc.entropy(U)
-    increments: list[EntropyValue] = []
-    for m in range(1, M_CAP + 1):
+    U, T, increments = [W], W, []
+    prev = proc.entropy(W)
+    while True:
         T = T.translate(s)  # s^m W
-        U = U.union(T)
-        value = proc.entropy(U)
-        d = value - prev
-        prev = value
+        U.append(U[-1].union(T))
+        value = proc.entropy(U[-1])
+        d, prev = value - prev, value
         increments.append(d)
-        if d.is_zero():
-            return RateResult(EntropyValue.zero(), EXACT_ZERO, increments, m)
-        if len(increments) >= stable_threshold and all(
-            increments[-k] == d for k in range(1, stable_threshold + 1)
-        ):
-            return RateResult(d, stable(stable_threshold), increments, m)
-    return RateResult(increments[-1], UPPER_BOUND, increments, None)
+        kind = EXACT_ZERO if d.is_zero() else proc.rate_kind(s, U, d)
+        if kind is not None:
+            return RateResult(d, kind, increments, len(increments))
 
 
-def F_star_of(
-    proc, n: int, stable_threshold: int = 3
-) -> tuple[EntropyValue, str, list[RateResult]]:
-    """(1-r) H(P^{B(n)}) + sum_i h(s_i, P^{B(n)}), labelled by the meet of the rate kinds."""
+def F_star_of(proc, n: int) -> tuple[EntropyValue, list[RateResult]]:
+    """(1-r) H(P^{B(n)}) + sum_i h(s_i, P^{B(n)}), exactly, with the rates."""
     r = proc.rank
     b = ball(r, n)
-    total = (1 - r) * proc.entropy(b)
-    rates = []
-    for i in range(1, r + 1):
-        rate = generator_entropy_rate(proc, i, b, stable_threshold)
-        rates.append(rate)
-        total = total + rate.value
-    return total, meet(rate.kind for rate in rates), rates
+    rates = [generator_entropy_rate(proc, i, b) for i in range(1, r + 1)]
+    return sum((rate.value for rate in rates), (1 - r) * proc.entropy(b)), rates
 
 
 class FReport(NamedTuple):
@@ -187,10 +153,7 @@ class FReport(NamedTuple):
                 {
                     "n": row["n"],
                     "F": row["F"].to_json(),
-                    # F(n) is a sum of exact window entropies
-                    "F_certificate": EXACT,
                     "F_star": row["F_star"].to_json(),
-                    "F_star_certificate": row["F_star_cert"],
                     "running_inf_F": row["inf_F"].to_json(),
                     "running_inf_F_star": row["inf_F_star"].to_json(),
                     "rates": [rate.to_json() for rate in row["rates"]],
@@ -208,7 +171,7 @@ def _stabilization_point(proc, cap: int) -> int | None:
     return None
 
 
-def full_report(proc, n_max: int, stable_threshold: int = 3) -> FReport:
+def full_report(proc, n_max: int) -> FReport:
     """Rows n = 0..n_max (n = 0 is diagnostic; infima use n >= 1 only)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -216,7 +179,7 @@ def full_report(proc, n_max: int, stable_threshold: int = 3) -> FReport:
     inf_F = inf_F_star = None
     for n in range(n_max + 1):
         F = F_of(proc, n)
-        F_star, F_star_cert, rates = F_star_of(proc, n, stable_threshold)
+        F_star, rates = F_star_of(proc, n)
         if n >= 1:
             inf_F = F if inf_F is None else min(inf_F, F)
             inf_F_star = F_star if inf_F_star is None else min(inf_F_star, F_star)
@@ -225,7 +188,6 @@ def full_report(proc, n_max: int, stable_threshold: int = 3) -> FReport:
                 "n": n,
                 "F": F,
                 "F_star": F_star,
-                "F_star_cert": F_star_cert,
                 "rates": rates,
                 "inf_F": inf_F if inf_F is not None else F,
                 "inf_F_star": inf_F_star if inf_F_star is not None else F_star,

@@ -363,7 +363,7 @@ class KernelSubshift:
         self._tree = CayleyTree(kernel.rank)
         # letter slots of the words of B(rho), in id order
         self._ball = [letter_slots(w.letters) for w in ball_list(kernel.rank, geo.radius)]
-        self._radius = geo.radius
+        self.radius = geo.radius  # rho: the centered hull lies in B(rho)
         self._branches = self._fixed_point()
         self._cache: dict[tuple, MarginalResult] = {}
 
@@ -413,7 +413,7 @@ class KernelSubshift:
                 rows += [{(placed[u][e], j): v for (u, j), v in row.items()} for row in branch]
         channels, kept = range(k.d_in), W.ids()
         length = tree.length
-        outer = sorted(tree.thicken(hull, self._radius) - kept, key=lambda i: (-length(i), i))
+        outer = sorted(tree.thicken(hull, self.radius) - kept, key=lambda i: (-length(i), i))
         reduced = eliminate_columns(rows, [(i, j) for i in outer for j in channels], p)
         keep = window_coordinates(k, W)
         label = dict(zip([(i, j) for i in sorted(kept) for j in channels], keep))

@@ -13,6 +13,11 @@ process type:
     KernelProcess        dim pi_W(ker phi) log p, the marginal made exact by
                          the tree fixed point of `KernelSubshift`
 
+Each process also supplies rate_kind(s, U, d), the one fact that the
+exactness argument for its generator rates needs (see
+`flab.finv.generator_entropy_rate`): the label of the argument that pins
+the rate at the last increment d, or None to take another step.
+
 Conditioning is fixed when a process is built, not passed per query.  A
 FiniteActionProcess built with `given` answers H(P^W | given) as
 H(P^W v given) - H(given), with H(given) computed once when it is built,
@@ -24,10 +29,12 @@ memoizes its answers per canonical window key.
 
 from __future__ import annotations
 
+from itertools import dropwhile
+
 from .entropy import EntropyValue, FinitePartition, join, shannon_entropy
 from .kernels import ConvolutionKernel, KernelSubshift
 from .skew import FiniteAction, SkewBundle
-from .words import WordSet
+from .words import FreeWord, WordSet, ball
 
 class BernoulliProcess:
     """The shift on K^Gamma with uniform one-coordinate marginals.
@@ -47,6 +54,14 @@ class BernoulliProcess:
 
     def entropy(self, W: WordSet) -> EntropyValue:
         return len(W) * EntropyValue.log_int(self.alphabet_size)
+
+    def rate_kind(self, s: FreeWord, U: list[WordSet], d: EntropyValue) -> str | None:
+        """EXACT-IID once d is h(s, W) = (number of cosets <s>w meeting W) log k:
+        the increments fall to that limit, one word per coset from m > diam W
+        on, so the first to reach it is it; for W = B(n), the first."""
+        letter = s.letters[0]
+        cosets = {tuple(dropwhile(lambda a: abs(a) == letter, w.letters)) for w in U[0]}
+        return "EXACT-IID" if d == len(cosets) * EntropyValue.log_int(self.alphabet_size) else None
 
     def describe(self) -> dict:
         return {"type": "bernoulli", "alphabet": self.alphabet_size, "rank": self.rank}
@@ -92,6 +107,13 @@ class FiniteActionProcess:
             hit = self._answers[key] = value
         return hit
 
+    def rate_kind(self, s: FreeWord, U: list[WordSet], d: EntropyValue) -> None:
+        """Never: each positive increment strictly refines P^U (or P^U v given),
+        so a zero one comes within the number of positive-weight atoms."""
+        if len(U) > sum(1 for c in self.action.space.counts if c):
+            raise AssertionError("a finite-model rate passed its zero-increment bound")
+        return None
+
     def describe(self) -> dict:
         return {
             "type": "finite-action",
@@ -115,6 +137,33 @@ class KernelProcess:
 
     def entropy(self, W: WordSet) -> EntropyValue:
         return self.subshift.marginal(W).dimension * EntropyValue.log_int(self.kernel.p)
+
+    def rate_kind(self, s: FreeWord, U: list[WordSet], d: EntropyValue) -> str | None:
+        """EXACT-MARKOV once the hidden states stop shrinking, a rule that
+        generalizes Bowen's Markov recoding (ETDS 2010, Nonabelian free group
+        actions: Markov processes, the Abramov-Rohlin formula and
+        Yuzvinskii's formula).
+
+        Let rho be the centered hull's radius (`KernelSubshift.radius`) and
+        N = max(rho, longest word of W = U[0]) the separator thickness.  A
+        constraint reads x on some g.B(rho), of diameter <= 2 rho.  Around
+        c = s^k, the s^j B(N) with j < k and with j > k leave c.B(N) on two
+        sides of c, 2N + 2 > 2 rho apart, so x glues along c.B(N): y_k =
+        x|s^k B(N) is a stationary linear Markov chain, x|s^k W = L(y_k).
+        The states y_j agreeing with zeros on U_j form V_j = T(V_{j-1}) n
+        ker L, of dimension S_{j+1} = dim pi(U_j u s^j B(N)) - dim pi(U_j),
+        and d_m = dim L T(V_{m-1}).  The transition T is monotone, so the V_j
+        decrease; at the first m with S_{m+1} = S_m, V_m = V_{m-1} stays put
+        and d_m is every later increment.  That takes at most S_1 + 1 steps,
+        and one for W = B(n), n >= rho, where S_1 = 0.
+        """
+        m, dim = len(U) - 1, lambda V: self.subshift.marginal(V).dimension
+        N = max(self.subshift.radius, *(len(w) for w in U[0]))
+        hidden = []
+        for j in (m - 1, m):
+            separator = ball(self.rank, N).translate(FreeWord(self.rank, s.letters * j))
+            hidden.append(dim(U[j].union(separator)) - dim(U[j]))
+        return "EXACT-MARKOV" if hidden[0] == hidden[1] else None
 
     def describe(self) -> dict:
         return {"type": "kernel", "kernel": self.kernel.to_json(), "rank": self.rank}

@@ -15,7 +15,6 @@ from .finv import (
     F_star_of,
     abramov_rokhlin_check,
     addition_report,
-    check_stable_threshold,
     full_report,
 )
 from .fplinear import is_prime
@@ -69,7 +68,6 @@ from .words import ball, ball_size, format_word, parse_word
 class RunConfig:
     rank: int = 2
     n_max: int = 2
-    stable_threshold: int = 3
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
@@ -77,13 +75,11 @@ class RunConfig:
             raise ValueError("rank must be >= 1")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        check_stable_threshold(self.stable_threshold)
 
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
             "n_max": self.n_max,
-            "stable_threshold": self.stable_threshold,
             "seed": self.seed,
         }
 
@@ -112,10 +108,9 @@ def run_ornstein_weiss(cfg: RunConfig) -> dict:
     dims = _marginal_table(KernelSubshift(kernel), 2, range(3))
     surj = is_surjective(kernel)
 
-    t = cfg.stable_threshold
-    full = full_report(BernoulliProcess(2, 2, "full shift on Z/2"), cfg.n_max, t)
-    n_col = full_report(KernelProcess(kernel, "kernel of the doubling map"), cfg.n_max, t)
-    image = full_report(BernoulliProcess(2, 4, "full shift on Z/2 x Z/2"), cfg.n_max, t)
+    full = full_report(BernoulliProcess(2, 2, "full shift on Z/2"), cfg.n_max)
+    n_col = full_report(KernelProcess(kernel, "kernel of the doubling map"), cfg.n_max)
+    image = full_report(BernoulliProcess(2, 4, "full shift on Z/2 x Z/2"), cfg.n_max)
     addition = addition_report(full, n_col, image)
 
     ok = (
@@ -149,12 +144,9 @@ def run_generalization(cfg: RunConfig, k_name: str) -> dict:
         )
     r = cfg.rank
     k = group.order()
-    t = cfg.stable_threshold
-    total = full_report(BernoulliProcess(r, k, f"full shift on {group.name}"), cfg.n_max, t)
-    constants = full_report(_points_process(trivial_action(group, r)), cfg.n_max, t)
-    image = full_report(
-        BernoulliProcess(r, k**r, f"full shift on {group.name}^{r}"), cfg.n_max, t
-    )
+    total = full_report(BernoulliProcess(r, k, f"full shift on {group.name}"), cfg.n_max)
+    constants = full_report(_points_process(trivial_action(group, r)), cfg.n_max)
+    image = full_report(BernoulliProcess(r, k**r, f"full shift on {group.name}^{r}"), cfg.n_max)
     addition = addition_report(total, constants, image)
 
     comparison = {"applicable": False}
@@ -199,11 +191,9 @@ def run_algebraic(cfg: RunConfig, kernel: ConvolutionKernel) -> dict:
     surj = is_surjective(kernel)
     geo = support_geometry(kernel)
     kproc = KernelProcess(kernel, "kernel subshift")
-    rep = full_report(kproc, cfg.n_max, cfg.stable_threshold)
+    rep = full_report(kproc, cfg.n_max)
     full = full_report(
-        BernoulliProcess(kernel.rank, kernel.p, f"full shift on Z/{kernel.p}"),
-        cfg.n_max,
-        cfg.stable_threshold,
+        BernoulliProcess(kernel.rank, kernel.p, f"full shift on Z/{kernel.p}"), cfg.n_max
     )
 
     window_dims = _marginal_table(kproc.subshift, kernel.rank, range(min(cfg.n_max, 2) + 1))
@@ -363,8 +353,8 @@ def _suite_relative_collapse(cfg: RunConfig) -> dict:
         fiber_proc = proc.fiber_process()
         ok = True
         for n in range(cfg.n_max + 1):
-            lhs, _, _ = F_star_of(relative, n, cfg.stable_threshold)
-            rhs, _, _ = F_star_of(fiber_proc, n, cfg.stable_threshold)
+            lhs, _ = F_star_of(relative, n)
+            rhs, _ = F_star_of(fiber_proc, n)
             ok = ok and lhs == rhs
         cases.append(
             {
@@ -445,6 +435,10 @@ _SUITES = {
 def run_verifier_suite(
     cfg: RunConfig, suites: list[str] | None = None, inject_bug: str | None = None
 ) -> dict:
+    if cfg.rank != 2:
+        # every suite builds its cases over the rank-2 free group (and the
+        # skew-entropy bound over rank 1), whatever the configured rank
+        raise ValueError("the verifier suites run over the rank-2 free group")
     selection = list(_SUITES) if suites is None else suites
     for name in selection:
         if name not in _SUITES:
@@ -522,7 +516,7 @@ def process_from_spec(spec: dict, cfg: RunConfig):
 
 def run_compute_f(cfg: RunConfig, spec: dict) -> dict:
     proc = process_from_spec(spec, cfg)
-    rep = full_report(proc, cfg.n_max, cfg.stable_threshold)
+    rep = full_report(proc, cfg.n_max)
     out = {
         "command": "compute-f",
         "config": cfg.to_json(),
@@ -531,7 +525,5 @@ def run_compute_f(cfg: RunConfig, spec: dict) -> dict:
         "status": "PASS",
     }
     if isinstance(proc, SkewProductProcess):
-        out["relative_report"] = full_report(
-            proc.relative(), cfg.n_max, cfg.stable_threshold
-        ).to_json()
+        out["relative_report"] = full_report(proc.relative(), cfg.n_max).to_json()
     return out

@@ -126,7 +126,7 @@ def test_criterion_4_algebraic_family():
     proc = KernelProcess(scalar_kernel(2, 2, {"e": 1, "A": 1}))
     f0 = F_of(proc, 0)
     f1 = F_of(proc, 1)
-    fstar0, _, _ = F_star_of(proc, 0)
+    fstar0, _ = F_star_of(proc, 0)
     rep = full_report(proc, 2)
     ok = (
         f0.is_zero()
@@ -222,8 +222,8 @@ def test_criterion_8_relative_collapse():
         relative = proc.relative()
         fiber_proc = proc.fiber_process()
         for n in range(3):
-            lhs, _, _ = F_star_of(relative, n)
-            rhs, _, _ = F_star_of(fiber_proc, n)
+            lhs, _ = F_star_of(relative, n)
+            rhs, _ = F_star_of(fiber_proc, n)
             ok = ok and lhs == rhs
         if case["nontrivial_cocycle"]:
             nontrivial += 1

@@ -90,6 +90,19 @@ class TestKernel:
         code, report = run_cli(["kernel", "--spec", str(spec)], capsys)
         assert code == 0 and report["preimage_recheck"]["verified"] == 5
 
+    def test_period_seven_rate_is_exact(self, tmp_path, capsys):
+        # increments 3 log 2 repeat three times before the rate 2 log 2; with
+        # it F*(1) = f* = 0, as the addition theorem gives for an onto scalar
+        spec = tmp_path / "kernel.json"
+        spec.write_text(json.dumps({"p": 2, "rank": 2, "coeffs": {"e": 1, "aaaaaaa": 1}}))
+        code, report = run_cli(["kernel", "--spec", str(spec), "--nmax", "1"], capsys)
+        assert code == 0
+        column = report["reports"]["kernel_column"]
+        rate = column["rows"][1]["rates"][0]
+        assert rate["value"]["terms"] == {"2": "2"} and rate["kind"] == "EXACT-MARKOV"
+        assert column["rows"][1]["F_star"]["terms"] == {}
+        assert column["f_star"]["value"]["terms"] == {}
+
     def test_zero_kernel_rejected(self, tmp_path, capsys):
         spec = tmp_path / "kernel.json"
         spec.write_text(json.dumps({"p": 2, "rank": 2, "coeffs": {}}))
@@ -140,48 +153,6 @@ class TestVerify:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-
-class TestStableThreshold:
-    def test_rates_use_the_threshold(self, capsys):
-        code, report = run_cli(["ow", "--stable-threshold", "5", "--nmax", "1"], capsys)
-        text = json.dumps(report)
-        assert code == 0
-        assert "STABLE(5)" in text and "STABLE(3)" not in text
-
-    def test_every_functional_gets_the_threshold(self, tmp_path, capsys, monkeypatch):
-        from flab import suite
-
-        seen = []
-
-        def spy(fn):
-            def wrapper(proc, n, stable_threshold=3):
-                seen.append(stable_threshold)
-                return fn(proc, n, stable_threshold)
-
-            return wrapper
-
-        monkeypatch.setattr(suite, "full_report", spy(suite.full_report))
-        monkeypatch.setattr(suite, "F_star_of", spy(suite.F_star_of))
-        kernel = tmp_path / "kernel.json"
-        kernel.write_text(json.dumps({"p": 2, "rank": 2, "coeffs": {"e": 1, "A": 1}}))
-        process = tmp_path / "proc.json"
-        process.write_text(json.dumps(
-            {"type": "skew_section", "group": {"preset": "Z/4"}, "autos": [1, 0],
-             "subgroup": ["0", "2"]}
-        ))
-        runs = [
-            ["ow"],
-            ["gen", "--k", "Z/3"],
-            ["kernel", "--spec", str(kernel)],
-            ["verify", "--suite", "relative-collapse"],
-            ["compute-f", "--process", str(process)],
-        ]
-        for args in runs:
-            seen.clear()
-            assert main(args + ["--stable-threshold", "5", "--nmax", "1"]) == 0
-            capsys.readouterr()
-            assert seen and set(seen) == {5}, (args, seen)
 
 
 class TestComputeF:
@@ -266,6 +237,21 @@ class TestComputeF:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    def test_pretty_renders_the_compute_f_tables(self, tmp_path, capsys):
+        spec = tmp_path / "proc.json"
+        spec.write_text(json.dumps({"type": "bernoulli", "k": 2}))
+        assert main(["compute-f", "--process", str(spec), "--pretty", "--nmax", "1"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("   f = ") == 1
+        spec.write_text(json.dumps(
+            {"type": "skew_section", "group": {"preset": "Z/4"}, "autos": [1, 0],
+             "subgroup": ["0", "2"]}
+        ))
+        assert main(["compute-f", "--process", str(spec), "--pretty", "--nmax", "1"]) == 0
+        err = capsys.readouterr().err
+        assert "-- report: " in err and "-- relative_report: " in err
+        assert err.count("   f = ") == 2
+
     def test_bad_spec_rejected(self, tmp_path, capsys):
         spec = tmp_path / "proc.json"
         spec.write_text(json.dumps({"type": "nonsense"}))
@@ -337,24 +323,22 @@ class TestMalformedSpecs:
     def test_bad_options_exit_2(self, capsys, monkeypatch):
         assert main(["ow", "--nmax", "0"]) == 2
         assert main(["gen", "--k", "Z/3", "--rank", "0"]) == 2
-        for threshold in ("0", "-2"):
-            assert main(["gen", "--k", "Z/3", "--stable-threshold", threshold]) == 2
         monkeypatch.setenv("FLAB_SEED", "abc")
         assert main(["verify", "--suite", "none"]) == 2
-        assert capsys.readouterr().err.count("error: ") == 5
+        assert capsys.readouterr().err.count("error: ") == 3
 
-    def test_stable_threshold_above_the_increment_cap_exits_2(self, tmp_path, capsys):
-        # a rate takes at most finv.M_CAP = 10 increments, so a run of 11 equal
-        # ones is never seen and every positive rate would read UPPER-BOUND
-        path = tmp_path / "bernoulli.json"
-        path.write_text(json.dumps({"type": "bernoulli", "k": 2}))
-        args = ["compute-f", "--process", str(path), "--stable-threshold"]
-        code, report = run_cli(args + ["10"], capsys)
-        assert code == 0
-        assert {row["F_star_certificate"] for row in report["report"]["rows"]} == {"STABLE(10)"}
-        assert main(args + ["11"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    def test_retired_stable_threshold_option_is_refused(self, capsys):
+        # every rate is exact, so there is no increment run left to configure
+        with pytest.raises(SystemExit) as exc:
+            main(["ow", "--stable-threshold", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stable-threshold" in capsys.readouterr().err
+
+    def test_verify_refuses_a_rank_its_suites_do_not_run(self, capsys):
+        for rank in ("1", "3"):
+            assert main(["verify", "--rank", rank]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "command, spec",

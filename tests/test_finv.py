@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -16,10 +15,9 @@ from flab.finv import (
     full_report,
     generator_entropy_rate,
     is_exact,
-    meet,
 )
 from flab.groups import cyclic, preset_group
-from flab.kernels import ow_kernel, scalar_kernel
+from flab.kernels import ConvolutionKernel, ow_kernel, scalar_kernel
 from flab.presets import (
     group_action,
     make_rng,
@@ -35,7 +33,7 @@ from flab.processes import (
     SkewProductProcess,
 )
 from flab.skew import FiniteGroupAction, SpecialPartition, sigma_generated
-from flab.words import WordSet, ball, parse_word
+from flab.words import WordSet, ball, ball_list, generator, parse_word
 
 F = Fraction
 
@@ -94,7 +92,7 @@ class TestRates:
         proc = BernoulliProcess(2, 3)
         rate = generator_entropy_rate(proc, 1, WordSet(2, [parse_word("e", 2)]))
         assert rate.value == EntropyValue.log_int(3)
-        assert rate.kind.startswith("STABLE")
+        assert rate.kind == "EXACT-IID" and rate.stabilized_at == 1
 
     def test_edge_kernel_axis_rates(self):
         proc = edge_process()
@@ -125,30 +123,131 @@ class TestRates:
                 for a, b in zip(rate.increments, rate.increments[1:]):
                     assert b <= a
 
-    @pytest.mark.parametrize("t", [0, 11])
-    def test_stable_threshold_outside_the_increment_cap_raises(self, t):
-        # a rate takes at most M_CAP = 10 increments, so 11 would label every
-        # positive rate UPPER-BOUND and 0 has no STABLE label
-        with pytest.raises(ValueError, match="stable_threshold must be 1 to 10"):
-            full_report(BernoulliProcess(2, 2), 1, stable_threshold=t)
+
+def direct_increments(proc, i, W, count):
+    """H(U_m) - H(U_{m-1}) for m = 1..count, from window queries alone."""
+    s = generator(proc.rank, i)
+    U = T = W
+    prev, out = proc.entropy(W), []
+    for _ in range(count):
+        T = T.translate(s)
+        U = U.union(T)
+        value = proc.entropy(U)
+        out.append(value - prev)
+        prev = value
+    return out
+
+
+def assert_settled(proc, i, W):
+    """The rate equals every increment from its stop to 8 steps past it."""
+    rate = generator_entropy_rate(proc, i, W)
+    later = direct_increments(proc, i, W, rate.stabilized_at + 8)
+    assert later[: rate.stabilized_at] == rate.increments
+    assert all(d == rate.value for d in later[rate.stabilized_at - 1 :]), (rate, later)
+    return rate
+
+
+def random_kernel(rng):
+    """A nonzero stencil of rank 1-3: scalar or matrix (d_in, d_out <= 2),
+    p = 2 or 3, up to three support words in B(1), or in B(2) on the line."""
+    rank = rng.randint(1, 3)
+    p, d_in, d_out = rng.choice([2, 3]), rng.randint(1, 2), rng.randint(1, 2)
+    pool = ball_list(rank, 2 if rank == 1 else 1)
+    while True:
+        coeffs = {
+            w: [[rng.randrange(p) for _ in range(d_in)] for _ in range(d_out)]
+            for w in rng.sample(pool, rng.randint(1, 3))
+        }
+        k = ConvolutionKernel(p, rank, coeffs, d_in, d_out)
+        if not k.is_zero():
+            return k
+
+
+class TestExactRates:
+    """Each rate is pinned by an argument, not by equal increments (see
+    finv.generator_entropy_rate); later increments must agree with it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_kernel_rates_hold_past_the_stop(self, seed):
+        proc = KernelProcess(random_kernel(make_rng(seed)))
+        for n in (0, 1):
+            for i in range(1, proc.rank + 1):
+                rate = assert_settled(proc, i, ball(proc.rank, n))
+                assert rate.kind in ("EXACT-ZERO", "EXACT-MARKOV")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_bernoulli_rates_hold_past_the_stop(self, seed):
+        rng = make_rng(seed)
+        rank = rng.randint(1, 3)
+        pool = ball_list(rank, 2)
+        W = WordSet(rank, rng.sample(pool, rng.randint(1, 5)))
+        proc = BernoulliProcess(rank, rng.randint(2, 4))
+        for i in range(1, rank + 1):
+            assert assert_settled(proc, i, W).kind == "EXACT-IID"
+
+    def test_bernoulli_rate_counts_cosets(self):
+        # {e, a^2} meets one coset of <a> and two of <b>; the first
+        # a-increment, 2 log 2, is not yet the rate
+        W = WordSet(2, [parse_word("e", 2), parse_word("aa", 2)])
+        proc = BernoulliProcess(2, 2)
+        along, across = (assert_settled(proc, i, W) for i in (1, 2))
+        assert along.value == EntropyValue.log_int(2) and along.stabilized_at == 2
+        assert across.value == 2 * EntropyValue.log_int(2) and across.stabilized_at == 1
+
+    def test_period_four_kernel_rate_is_zero(self):
+        # x(g a^4) = x(g): four equal increments log 2, then a zero one
+        proc = KernelProcess(scalar_kernel(2, 2, {"e": 1, "aaaa": 1}))
+        rate = assert_settled(proc, 1, ball(2, 0))
+        assert rate.value.is_zero() and rate.kind == "EXACT-ZERO"
+        assert rate.stabilized_at == 4
+
+    def test_period_seven_kernel_rate_on_ball_one(self):
+        # three equal increments 3 log 2 come before the rate 2 log 2, and
+        # F*(1) = 0, as the addition theorem gives for this onto scalar
+        proc = KernelProcess(scalar_kernel(2, 2, {"e": 1, "aaaaaaa": 1}))
+        value, rates = F_star_of(proc, 1)
+        assert rates[0].increments[:3] == [3 * EntropyValue.log_int(2)] * 3
+        assert rates[0].value == 2 * EntropyValue.log_int(2)
+        assert rates[0].kind == "EXACT-MARKOV"
+        assert value.is_zero()
+
+    def test_kernel_rates_stop_at_once_past_the_hull_radius(self):
+        # W = B(n) with n >= rho: no hidden state is left, Bowen's Markov case
+        for kernel in (ow_kernel(), scalar_kernel(3, 2, {"e": 1, "A": 1, "B": 2})):
+            _, rates = F_star_of(KernelProcess(kernel), 1)
+            assert [rate.stabilized_at for rate in rates] == [1, 1]
+
+    def test_finite_rate_past_the_atom_bound_raises(self):
+        # a positive increment at step (positive-weight atoms) is impossible
+        # on a finite model, so a process claiming one is an error, not a label
+        class Growing(FiniteActionProcess):
+            def entropy(self, W):
+                return len(W) * EntropyValue.log_int(2)
+
+        act = random_finite_action(make_rng(5))
+        proc = Growing(act, FinitePartition.points(act.weights))
+        with pytest.raises(AssertionError, match="zero-increment bound"):
+            generator_entropy_rate(proc, 1, ball(2, 0))
 
 
 class TestFStar:
     def test_edge_kernel_f_star_zero(self):
-        value, cert, rates = F_star_of(edge_process(), 0)
+        value, rates = F_star_of(edge_process(), 0)
         assert value.is_zero()
         assert rates[0].value.is_zero()
         assert rates[1].value == EntropyValue.log_int(2)
 
     def test_bernoulli(self):
-        value, cert, _ = F_star_of(BernoulliProcess(2, 2), 0)
+        value, _ = F_star_of(BernoulliProcess(2, 2), 0)
         assert value == EntropyValue.log_int(2)
 
     def test_finite_group_points(self):
         proc = points_process(preset_group("Z/4"), autos=[1, 0])
-        value, cert, _ = F_star_of(proc, 0)
+        value, rates = F_star_of(proc, 0)
         assert value == -1 * EntropyValue.log_int(4)
-        assert cert == "EXACT"
+        assert [rate.kind for rate in rates] == ["EXACT-ZERO", "EXACT-ZERO"]
 
 
 class TestReports:
@@ -293,8 +392,8 @@ class TestRelative:
             relative = proc.relative()
             fiber_proc = proc.fiber_process()
             for n in range(3):
-                lhs, _, _ = F_star_of(relative, n)
-                rhs, _, _ = F_star_of(fiber_proc, n)
+                lhs, _ = F_star_of(relative, n)
+                rhs, _ = F_star_of(fiber_proc, n)
                 assert lhs == rhs, (case["name"], n)
             if case["nontrivial_cocycle"]:
                 nontrivial_seen += 1
@@ -411,13 +510,14 @@ class TestWindowQuery:
 
 
 class TestLabelVocabulary:
-    @pytest.mark.parametrize("label", ["EXACT", "EXACT-ZERO", "EXACT-STABILIZED", "EXACT-IID"])
+    @pytest.mark.parametrize(
+        "label", ["EXACT", "EXACT-ZERO", "EXACT-IID", "EXACT-MARKOV", "EXACT-STABILIZED"]
+    )
     def test_exact_level(self, label):
-        assert is_exact(label) and meet([label]) == "EXACT"
+        assert is_exact(label)
 
-    @pytest.mark.parametrize("label", ["STABLE(1)", "STABLE(3)", "STABLE(10)", "UPPER-BOUND"])
-    def test_below_exact(self, label):
-        assert not is_exact(label) and meet([label]) == label
+    def test_below_exact(self):
+        assert not is_exact("UPPER-BOUND")
 
     @pytest.mark.parametrize(
         "label",
@@ -425,8 +525,12 @@ class TestLabelVocabulary:
             "STABILIZED",
             "EXTENSION-CERTIFIED",
             "UNCERTIFIED",
+            # the retired equal-increments labels
             "STABLE(0)",
+            "STABLE(1)",
+            "STABLE(3)",
             "STABLE(03)",
+            "STABLE(10)",
             "STABLE(k)",
             "STABLE",
             "exact",
@@ -438,26 +542,6 @@ class TestLabelVocabulary:
     def test_unknown_labels_are_rejected(self, label):
         with pytest.raises(ValueError):
             is_exact(label)
-        with pytest.raises(ValueError):
-            meet(["EXACT", label])
-
-    def test_fewer_equal_increments_are_weaker(self):
-        assert meet(["STABLE(5)", "STABLE(3)", "EXACT-ZERO"]) == "STABLE(3)"
-        assert meet(["STABLE(3)", "UPPER-BOUND"]) == "UPPER-BOUND"
-
-    @pytest.mark.parametrize("t", [1, 3, 10])
-    def test_meet_is_the_old_row_rule(self, t):
-        # the rule F_star_of applied to its rate kinds before the vocabulary
-        def old_rule(kinds):
-            if any(k == "UPPER-BOUND" for k in kinds):
-                return "UPPER-BOUND"
-            if any(k.startswith("STABLE") for k in kinds):
-                return f"STABLE({t})"
-            return "EXACT"
-
-        for r in (1, 2, 3):
-            for kinds in itertools.product(["EXACT-ZERO", f"STABLE({t})", "UPPER-BOUND"], repeat=r):
-                assert meet(kinds) == old_rule(kinds), kinds
 
 
 class TestFiniteModelOracle:

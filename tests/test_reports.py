@@ -11,9 +11,15 @@ kernel digest was recorded before the window path moved to integer word
 ids.  All ten were re-recorded once when the kernel marginals moved to
 the tree fixed point: `config` lost `window_cap` and `p`, and the kernel
 certificates EXTENSION-CERTIFIED and STABILIZED became EXACT, every other
-byte unchanged.  A change that alters any byte of these reports fails
-here.  Every certificate and rate kind in them, and in the 2x2 plateau
-kernel's compute-f report, must be a label of finv's vocabulary.
+byte unchanged.  All ten were re-recorded once more when every generator
+rate became exact: `config` lost `stable_threshold`; each STABLE(3) rate
+became EXACT-IID (Bernoulli) or EXACT-MARKOV (kernel), with its
+`increments` and `stabilized_at` cut at the new stop; the always-EXACT
+fields `window_certificate` (rates) and `F_certificate` and
+`F_star_certificate` (rows) went; every value stayed the same.  A change
+that alters any byte of these reports fails here.  Every certificate and
+rate kind in them, and in the 2x2 plateau kernel's compute-f report,
+must be a label of finv's vocabulary, and every rate kind an exact one.
 """
 
 import hashlib
@@ -75,16 +81,16 @@ RUNS = {
 }
 
 GOLDEN = {
-    "ow": "3693a978ed5ec449337ccc3757fd940d6c05d84eb1aed4fba9608eb48042f7e0",
-    "gen Z/3": "f23dd26e7e48fa16a8c387301919b47388b788599a4fd1e3fb03832f08ff9cd3",
-    "kernel p=2 {e:1,A:1}": "16da933949395b230ac8189854e2e06493ea720bb38d5dd82c2c202cd12f205d",
-    "kernel p=3 {e:1,A:1,B:2}": "9cadc588ae9efdfffc2ba7407fb92e2ca4e2fc3044678017f99ea17ec782fecf",
-    "compute-f bernoulli": "d95561bb212fbd3ac05f947e410ee2cd2a26877cecef49a4267a972ec7bb521f",
-    "verify all": "5e84d71594d8d7f4e96c0f961e2b5aa3bdad83fdf394e23ed66e0d9951874e6e",
-    "verify cocycle negate-cocycle": "98b2f7dd235c43bb351dbc27bfefb91eb4e8526444858325ccbc628a4e796b0d",
-    "compute-f finite_group": "9ee3ad038eee618585537b545a50d9973b40d7923aa8d578b704f6438eb8eb4f",
-    "compute-f skew_section": "18dc7c87ace800b2794c77d2af441d784fb916ba0eb5f7d5c1a2ebe379609e83",
-    "compute-f skew_custom": "30c8321507eefc7ba646196411c6f4473d7efae03be745c964f59b314afd7dd2",
+    "ow": "7847002c7162a0b11819b8cc0bb7f641ffc8786c3dae1242952c5cf22f1ad828",
+    "gen Z/3": "cd1c09a420bdd75edb356087a8f02f59fe8fe266444f113135937a1a106cd4a6",
+    "kernel p=2 {e:1,A:1}": "23d46f3df047834e2abe2590aa445506d7d919e246df0aa3f59ddf00f66badb0",
+    "kernel p=3 {e:1,A:1,B:2}": "f25e2ad6cf325be5cacc81e4b4a93fd2f5f79869bf60af0353650b81db3588ea",
+    "compute-f bernoulli": "737ac406e591e2a3fc59c5c6718e311cf31d79cdcc29865627c52e43364f4a15",
+    "verify all": "ac48acf0d213855120cc94ed360c3fcd88c40fe972ed91d0ac4efcab5640d066",
+    "verify cocycle negate-cocycle": "6d56b3c478e6992d48defef0c84706f1e3fbd333c325d2e657f3bb17c9131fea",
+    "compute-f finite_group": "f118a580b515aa66ccea790bce459ece3ef6a70d9393f376390bfe58ebe04ab6",
+    "compute-f skew_section": "9be4478ca5eedf66ac07c38e391e82010d9e41383f01188b30e2ff8337286066",
+    "compute-f skew_custom": "b8f124ca726d5849e6702030f5557992394a82459ca96e3af401afca2640a08c",
 }
 
 # the injected cocycle bug must be detected, so that report fails
@@ -119,17 +125,14 @@ def test_report_digest(name, report_of):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
 
 
-LABEL_KEYS = {"certificate", "F_certificate", "F_star_certificate", "window_certificate"}
-
-
 def labels(node):
-    """Every certificate string and rate kind in a report."""
+    """(field, label) for every certificate string and rate kind in a report."""
     if isinstance(node, dict):
         for key, value in node.items():
-            if key in LABEL_KEYS:
-                yield value
+            if key == "certificate":
+                yield key, value
             elif key == "rates":
-                yield from (rate["kind"] for rate in value)
+                yield from (("kind", rate["kind"]) for rate in value)
             yield from labels(value)
     elif isinstance(node, list):
         for item in node:
@@ -138,17 +141,23 @@ def labels(node):
 
 @pytest.mark.parametrize("name", sorted(LABELLED))
 def test_every_label_is_in_the_vocabulary(name, report_of):
-    for label in set(labels(report_of(name))):
+    for _, label in set(labels(report_of(name))):
         is_exact(label)  # raises ValueError outside finv's vocabulary
 
 
 def test_label_walk_reaches_every_level(report_of):
-    found = {label for name in LABELLED for label in labels(report_of(name))}
-    assert found == {
+    found = {pair for name in LABELLED for pair in labels(report_of(name))}
+    assert {label for _, label in found} == {
         "EXACT",
         "EXACT-ZERO",
-        "EXACT-STABILIZED",
         "EXACT-IID",
-        "STABLE(3)",
+        "EXACT-MARKOV",
+        "EXACT-STABILIZED",
         "UPPER-BOUND",
+    }
+    # every rate is pinned by an argument
+    assert {label for field, label in found if field == "kind"} == {
+        "EXACT-ZERO",
+        "EXACT-IID",
+        "EXACT-MARKOV",
     }
