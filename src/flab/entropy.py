@@ -16,7 +16,9 @@ sum of c_i over block b),
     H(P) = -sum_b (C_b / N) log(C_b / N) = log N - (1/N) sum_b C_b log C_b,
 
 so shannon_entropy adds up integer prime exponents of the C_b and divides
-by N once per prime.
+by N once per prime.  The EntropyValue constructor checks that its keys
+are primes; arithmetic and shannon_entropy, whose terms are canonical by
+construction, build their results through the trusted `_value`.
 """
 
 from __future__ import annotations
@@ -58,6 +60,17 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 class EntropyValue:
     """An exact number of the form sum_i q_i * log(p_i), q_i rational, p_i prime.
 
@@ -69,13 +82,10 @@ class EntropyValue:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Fraction] | None = None):
-        items = []
-        if terms:
-            for p, q in sorted(terms.items()):
-                q = Fraction(q)
-                if q != 0:
-                    items.append((p, q))
-        object.__setattr__(self, "_terms", tuple(items))
+        items = [(p, Fraction(q)) for p, q in (terms or {}).items()]
+        if not all(isinstance(p, int) and is_prime(p) for p, _q in items):
+            raise ValueError(f"EntropyValue keys must be primes: {[p for p, _q in items]}")
+        _set_terms(self, tuple(sorted([(p, q) for p, q in items if q])))
 
     def __setattr__(self, name, value):
         raise AttributeError("EntropyValue is immutable")
@@ -85,12 +95,12 @@ class EntropyValue:
 
     @staticmethod
     def zero() -> "EntropyValue":
-        return EntropyValue()
+        return _value(())
 
     @staticmethod
     def log_int(n: int) -> "EntropyValue":
         """log(n) for an integer n >= 1, expanded over prime factors."""
-        return EntropyValue({p: Fraction(e) for p, e in factorize(n)})
+        return _value(tuple([(p, Fraction(e)) for p, e in factorize(n)]))
 
     @staticmethod
     def log_fraction(q: Fraction) -> "EntropyValue":
@@ -116,18 +126,18 @@ class EntropyValue:
     def __add__(self, other: "EntropyValue") -> "EntropyValue":
         terms = dict(self._terms)
         for p, q in other._terms:
-            terms[p] = terms.get(p, Fraction(0)) + q
-        return EntropyValue(terms)
+            terms[p] = terms[p] + q if p in terms else q
+        return _value(tuple(sorted([(p, q) for p, q in terms.items() if q])))
 
     def __neg__(self) -> "EntropyValue":
-        return EntropyValue({p: -q for p, q in self._terms})
+        return _value(tuple([(p, -q) for p, q in self._terms]))
 
     def __sub__(self, other: "EntropyValue") -> "EntropyValue":
         return self + (-other)
 
     def __mul__(self, scalar) -> "EntropyValue":
         s = Fraction(scalar)
-        return EntropyValue({p: q * s for p, q in self._terms})
+        return _value(tuple([(p, q * s) for p, q in self._terms]) if s else ())
 
     __rmul__ = __mul__
 
@@ -230,6 +240,17 @@ class EntropyValue:
         for p, q in self._terms:
             parts.append(f"{q}*log({p})")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+_set_terms = EntropyValue._terms.__set__
+
+
+def _value(terms: tuple[tuple[int, Fraction], ...]) -> EntropyValue:
+    """An EntropyValue from terms the caller knows to be canonical: prime
+    keys in ascending order, each with a nonzero Fraction."""
+    v = object.__new__(EntropyValue)
+    _set_terms(v, terms)
+    return v
 
 
 class _MeasureSpace:
@@ -407,11 +428,7 @@ class FinitePartition:
         Atom x lies in T(A) iff T^{-1}(x) lies in A, so the new label of
         T(x) is the old label of x.
         """
-        labels = self.labels
-        moved = [0] * len(labels)
-        for x, y in enumerate(perm):
-            moved[y] = labels[x]
-        return _partition(self.space, moved)
+        return _partition(self.space, _moved(self.labels, perm))
 
 
 _set_space = FinitePartition.space.__set__
@@ -425,6 +442,14 @@ def _partition(space: _MeasureSpace, labels: Iterable) -> FinitePartition:
     _set_space(p, space)
     _set_labels(p, _canonical(labels))
     return p
+
+
+def _moved(labels: Sequence, perm: Sequence[int]) -> list:
+    """The labels of T(P) for a bijection T of atoms: T(x) takes x's label."""
+    moved = [0] * len(labels)
+    for x, y in enumerate(perm):
+        moved[y] = labels[x]
+    return moved
 
 
 def check_permutation_preserves(weights: Sequence[Fraction], perm: Sequence[int]):
@@ -453,7 +478,7 @@ def shannon_entropy(p: FinitePartition) -> EntropyValue:
     terms = {q: Fraction(e) for q, e in factorize(n)}
     for q, e in exponents.items():
         terms[q] = terms.get(q, 0) - Fraction(e, n)
-    return EntropyValue(terms)
+    return _value(tuple(sorted([(p, c) for p, c in terms.items() if c])))
 
 
 def join(p: FinitePartition, q: FinitePartition) -> FinitePartition:

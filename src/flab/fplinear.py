@@ -30,18 +30,9 @@ from itertools import product
 from operator import mul
 from typing import Hashable, Iterable, Sequence
 
+from .entropy import is_prime
+
 MAX_PRIME = 1 << 15
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def check_modulus(p: int):

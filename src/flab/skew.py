@@ -14,16 +14,20 @@ Z is the free group of rank 1, so the one-dimensional inequality
 |H(Q^m) - H(Q_x^m)| <= m K(Q) runs on a rank-1 `Cocycle`.
 
 Words enter as ids (see `flab.words`): alpha_w and sigma(w, .) live in
-tables keyed by the id of w, each entry grown from its parent's.  A
-FreeWord is encoded once where a caller passes one (`word_perm`,
-`values`, `pullback_partition`) and decoded only for a witness.
+tables keyed by the id of w, each entry grown from its parent's, and
+filled in one ascending sweep over the ids asked for (`CayleyTree.sweep`),
+so a ball costs one pass.  A window partition P^W zips one label column
+per word and is canonicalized once.  A FreeWord is encoded once where a
+caller passes one (`word_perm`, `values`, `pullback_partition`) and
+decoded only for a witness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
+from . import entropy
 from .entropy import (
     EntropyValue,
     FinitePartition,
@@ -35,6 +39,7 @@ from .entropy import (
     shannon_entropy,
 )
 from .groups import FiniteGroup, invert_perm
+from .spec import is_int
 from .words import CayleyTree, FreeWord, WordSet, ball, ball_size, format_word, signed_letters
 
 
@@ -56,7 +61,8 @@ class FiniteAction:
         self.space = space
         self.rank = rank
         self.gen_perms = perms
-        self._inv_perms = tuple(invert_perm(p) for p in perms)
+        # alpha_t for every letter t, in slot order: a, A, b, B, ...
+        self._steps = [q for p in perms for q in (p, invert_perm(p))]
         self._tree, self._by_id = CayleyTree(rank), {0: tuple(range(len(space.counts)))}
 
     @property
@@ -67,26 +73,31 @@ class FiniteAction:
         return len(self.space.counts)
 
     def letter_perm(self, letter: int) -> tuple[int, ...]:
-        return self.gen_perms[letter - 1] if letter > 0 else self._inv_perms[-letter - 1]
+        return self._steps[2 * letter - 2 if letter > 0 else -2 * letter - 1]
 
     def word_perm(self, w: FreeWord) -> tuple[int, ...]:
         """alpha_w as a permutation; alpha_{uv} = alpha_u after alpha_v."""
-        return self._id_perm(self._tree.id(w))
+        i = self._tree.id(w)
+        return self._by_id.get(i) or self._perms((i,))[i]
 
-    def _id_perm(self, i: int) -> tuple[int, ...]:
-        """alpha_w for the word with id i: alpha_parent after alpha_last letter."""
-        perm = self._by_id.get(i)
-        if perm is None:
-            head, s = self._id_perm(self._tree.parent(i)), self._tree.last(i)
-            step = (self.gen_perms if s % 2 == 0 else self._inv_perms)[s // 2]
-            perm = self._by_id[i] = tuple([head[x] for x in step])
-        return perm
+    def _perms(self, ids: Iterable[int]) -> dict[int, tuple[int, ...]]:
+        """The alpha table by id, filled for the given ids and their ancestors
+        in one sweep: alpha_{v t} = alpha_v after alpha_t."""
+        by_id, steps = self._by_id, self._steps
+        for i, v, s in self._tree.sweep(ids, by_id):
+            head = by_id[v]
+            by_id[i] = tuple([head[x] for x in steps[s]])
+        return by_id
 
     def window_partition(self, p: FinitePartition, W: WordSet) -> FinitePartition:
-        """P^W: the join of alpha_w P over the window, in ascending id."""
+        """P^W: the join of alpha_w P over the window, as one label column
+        per word, zipped and canonicalized once."""
         if W.rank != self.rank:
             raise ValueError(f"rank mismatch: {W.rank} != {self.rank}")
-        return join_many(p.apply_permutation(self._id_perm(i)) for i in sorted(W.ids()))
+        if not W.ids():
+            raise ValueError("window partition of an empty window")
+        perms = self._perms(W.ids())
+        return entropy._partition(p.space, zip(*[entropy._moved(p.labels, perms[i]) for i in W.ids()]))
 
 
 class FiniteGroupAction:
@@ -141,9 +152,12 @@ class Cocycle:
             raise ValueError("base and fiber must share the acting group rank")
         if len(gen_values) != base.rank:
             raise ValueError("need cocycle values for every generator")
+        order = fiber.group.order()
         for vals in gen_values:
             if len(vals) != base.size():
                 raise ValueError("cocycle table must cover every base point")
+            if not all(is_int(v) and 0 <= v < order for v in vals):
+                raise ValueError(f"cocycle values must be fiber elements 0..{order - 1}")
         self.base = base
         self.fiber = fiber
         self.gen_values = tuple(tuple(v) for v in gen_values)
@@ -157,10 +171,8 @@ class Cocycle:
         g = self.fiber.group
         if letter > 0:
             return self.gen_values[letter - 1]
-        i = -letter
-        beta_inv = invert_perm(self.fiber.action.gen_perms[i - 1])
-        alpha_inv = invert_perm(self.base.gen_perms[i - 1])
-        vals = self.gen_values[i - 1]
+        beta_inv, alpha_inv = self.fiber.action.letter_perm(letter), self.base.letter_perm(letter)
+        vals = self.gen_values[-letter - 1]
         # sigma(s^-1, x) = (beta_s^-1 sigma(s, alpha_s^-1 x))^-1
         return tuple(g.inv(beta_inv[vals[alpha_inv[x]]]) for x in range(self.base.size()))
 
@@ -169,21 +181,19 @@ class Cocycle:
         return self.row(self.base._tree.id(w))
 
     def row(self, i: int) -> tuple[int, ...]:
-        """sigma(w, .) for the word w with id i.
+        """sigma(w, .) for the word w with id i."""
+        return self._rows.get(i) or self.rows((i,))[i]
 
-        For w = v t with parent v and last letter t, sigma(w, x) =
-        beta_v sigma(t, x) . sigma(v, alpha_t x).
-        """
-        out = self._rows.get(i)
-        if out is None:
-            tree, table = self.base._tree, self.fiber.group.table
-            v = tree.parent(i)
-            sigma_t, alpha_t = self._steps[tree.last(i)]
-            beta_v, head = self.fiber.action._id_perm(v), self.row(v)
-            out = self._rows[i] = tuple([
-                table[beta_v[s]][head[a]] for s, a in zip(sigma_t, alpha_t)
-            ])
-        return out
+    def rows(self, ids: Iterable[int]) -> dict[int, tuple[int, ...]]:
+        """The sigma table by id, filled for the given ids and their ancestors
+        in one sweep: sigma(v t, x) = beta_v sigma(t, x) . sigma(v, alpha_t x)."""
+        rows, table = self._rows, self.fiber.group.table
+        steps = self.base._tree.sweep(ids, rows)
+        betas = self.fiber.action._perms(v for _i, v, _s in steps)
+        for i, v, s in steps:
+            (sigma_t, alpha_t), beta_v, head = self._steps[s], betas[v], rows[v]
+            rows[i] = tuple([table[beta_v[y]][head[a]] for y, a in zip(sigma_t, alpha_t)])
+        return rows
 
 
 def verify_cocycle_identity(
@@ -195,47 +205,38 @@ def verify_cocycle_identity(
     """Exhaustive check of the cocycle identity over pairs of words.
 
     `row(i)` returns sigma(w, x) for the word w with id i and every base
-    point x in order.  For every g, h in B(max_len), taken in id order,
-    the row of gh is compared whole against the row x -> beta_g
-    sigma(h, x) . sigma(g, alpha_h x).  `row` is called once for each id
-    of B(2 max_len) that some gh reaches; the ids of gh for all g are one
-    tree step from those of g times the parent of h.
+    point x in order; it is called once for each id of B(2 max_len), which
+    the products gh reach.  For each g in B(max_len), in id order, the rows
+    of gh over all h in B(max_len), in id order, are compared whole against
+    the rows x -> beta_g sigma(h, x) . sigma(g, alpha_h x).  The ids of gh
+    for all g are one tree step from those of g times the parent of h.
 
     Returns (ok, witness); the witness names the first failing (g, h, x)
     in the order g, then h, then x.
     """
-    table = fiber.group.table
-    labels = fiber.group.labels
-    tree = base._tree
+    table, labels, tree = fiber.group.table, fiber.group.labels, base._tree
     ids = range(ball_size(base.rank, max_len))
-    rows = {}
-
-    def read(i: int) -> Sequence[int]:
-        out = rows.get(i)
-        if out is None:
-            out = rows[i] = list(row(i))
-        return out
-
-    # (sigma(h, .), alpha_h) paired per point, and the ids of g h by g
-    h_pairs = [list(zip(read(h), base._id_perm(h))) for h in ids]
+    rows = [row(i) for i in range(ball_size(base.rank, 2 * max_len))]
+    alphas, betas = base._perms(ids), fiber.action._perms(ids)
+    # (sigma(h, x), alpha_h x) over h, then x, and the ids of g h by g
+    pairs = [sa for h in ids for sa in zip(rows[h], alphas[h])]
     products = [list(ids)]
     for h in ids[1:]:
         products.append(tree.translates(products[tree.parent(h)], (tree.last(h),)))
     for g in ids:
-        beta_g = fiber.action._id_perm(g)
-        sigma_g = rows[g]
-        for h, pairs in zip(ids, h_pairs):
-            lhs = read(products[h][g])
-            rhs = [table[beta_g[s]][sigma_g[a]] for s, a in pairs]
-            if lhs != rhs:
-                x = next(x for x, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
-                return False, {
-                    "g": format_word(tree.word(g)),
-                    "h": format_word(tree.word(h)),
-                    "x": x,
-                    "lhs": labels[lhs[x]],
-                    "rhs": labels[rhs[x]],
-                }
+        beta_g, sigma_g = betas[g], rows[g]
+        lhs = [y for gh in products for y in rows[gh[g]]]
+        rhs = [table[beta_g[s]][sigma_g[a]] for s, a in pairs]
+        if lhs != rhs:
+            k = next(k for k, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
+            h, x = divmod(k, base.size())
+            return False, {
+                "g": format_word(tree.word(g)),
+                "h": format_word(tree.word(h)),
+                "x": x,
+                "lhs": labels[lhs[k]],
+                "rhs": labels[rhs[k]],
+            }
     return True, None
 
 
@@ -383,14 +384,15 @@ class SectionCocycleBundle:
         ]
         if sorted(phi_flat) != list(range(g.order())):
             return False, {"reason": "phi is not a bijection"}
-        skew, parent = self.skew.product, self.parent.action
-        for i in range(ball_size(self.parent.rank, max_len)):
-            skew_perm, parent_perm = skew._id_perm(i), parent._id_perm(i)
+        ids = range(ball_size(self.parent.rank, max_len))
+        skew, parent = self.skew.product._perms(ids), self.parent.action._perms(ids)
+        for i in ids:
+            skew_perm, parent_perm = skew[i], parent[i]
             for idx in range(len(phi_flat)):
                 if phi_flat[skew_perm[idx]] != parent_perm[phi_flat[idx]]:
                     c, n = divmod(idx, ny)
                     return False, {
-                        "word": format_word(skew._tree.word(i)),
+                        "word": format_word(self.skew.product._tree.word(i)),
                         "coset": c,
                         "fiber": self.fiber_group.labels[n],
                     }
@@ -423,12 +425,12 @@ def K_of(q: FinitePartition, group: FiniteGroup) -> EntropyValue:
 
 
 def sigma_generated(action: FiniteAction, q: FinitePartition) -> FinitePartition:
-    """Smallest action-invariant partition algebra containing q (as a partition)."""
+    """Smallest action-invariant partition algebra containing q (as a partition):
+    each round joins the current partition with its image under every letter."""
     current = q
     while True:
-        nxt = current
-        for letter in signed_letters(action.rank):
-            nxt = join(nxt, current.apply_permutation(action.letter_perm(letter)))
+        moved = [entropy._moved(current.labels, step) for step in action._steps]
+        nxt = entropy._partition(current.space, zip(current.labels, *moved))
         if nxt.equal_mod_null(current):
             return current
         current = nxt
@@ -531,25 +533,25 @@ def verify_skew_entropy_bound(
 
     Q^m is the window partition of Q over {A^k : k < m}, and Q_x^m the
     join of S^-k(Q sigma(k, x)^-1), with S^-k = beta_{A^k} and
-    sigma(k, x) = sigma(a^k, x).  Returns one record per (x, m) with both
-    sides and whether equality held.
+    sigma(k, x) = sigma(a^k, x).  Both start from Q^1 = Q_x^1 = Q and grow
+    from m - 1 by one join, each factor built once.  Returns one record
+    per (x, m) with both sides and whether equality held.
     """
     if cocycle.base.rank != 1:
         raise ValueError(f"the skew entropy bound needs a rank-1 cocycle, not rank {cocycle.base.rank}")
     action, group = cocycle.fiber.action, cocycle.fiber.group
     k_q = K_of(q, group)
-    backward = [FreeWord(1, [-1] * k) for k in range(m_max)]
-    s_back = [action.word_perm(w) for w in backward]
-    sigma = [cocycle.values(FreeWord(1, [1] * k)) for k in range(m_max)]
-    records = []
+    plain, twisted, records = q, [q] * cocycle.base.size(), []
     for m in range(1, m_max + 1):
-        h_plain = shannon_entropy(action.window_partition(q, WordSet(1, backward[:m])))
+        s_back = action.word_perm(FreeWord(1, [-1] * (m - 1)))
+        sigma = cocycle.values(FreeWord(1, [1] * (m - 1)))
+        plain = join(plain, q.apply_permutation(s_back))
+        h_plain = shannon_entropy(plain)
         bound = m * k_q
-        for x in range(cocycle.base.size()):
-            h_twisted = shannon_entropy(join_many(
-                right_translate(group, q, group.inv(sigma[k][x])).apply_permutation(s_back[k])
-                for k in range(m)
-            ))
+        for x, value in enumerate(sigma):
+            factor = right_translate(group, q, group.inv(value)).apply_permutation(s_back)
+            twisted[x] = join(twisted[x], factor)
+            h_twisted = shannon_entropy(twisted[x])
             diff = h_plain - h_twisted
             ok = diff <= bound and (-1 * diff) <= bound
             records.append(

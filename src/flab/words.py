@@ -294,6 +294,34 @@ class CayleyTree:
             self._last[i] = s
         return s
 
+    def sweep(self, ids: Iterable[int], known: Collection[int], new: set[int] | None = None) -> list[tuple[int, int, int]]:
+        """(i, parent, last slot) for each id i >= 1 outside `known` (closed
+        under parents) and `new` among the given ones and their ancestors,
+        each parent first; `new` gains every id listed.  Ascending ids walk
+        the spheres in order, so parent and slot are arithmetic on the
+        sphere layout, the slot read from the parent's."""
+        ids, out, new = sorted(ids), [], set() if new is None else new
+        if ids:
+            self.length(ids[-1])
+        sizes, last, q, n = self._sizes, self._last, self.q, 1
+        for i in ids:
+            if i in known or i in new or not i:
+                continue
+            while sizes[n] <= i:
+                n += 1
+            if n == 1:
+                v, d = 0, i - 1
+            else:
+                v, d = divmod(i - sizes[n - 1], q)
+                v += sizes[n - 2]
+                if v not in known and v not in new:
+                    out += self.sweep((v,), known, new)
+                d += d >= last[v] ^ 1
+            new.add(i)
+            last[i] = d
+            out.append((i, v, d))
+        return out
+
     def translates(self, ids: Iterable[int], word: Sequence[int]) -> list[int]:
         """The ids of v·w for each id v, for w given by its letter slots."""
         sizes, last, q = self._sizes, self._last, self.q

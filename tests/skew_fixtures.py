@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import random
 
-from flab.entropy import FinitePartition
+from flab.entropy import FinitePartition, join_many
 from flab.groups import FiniteGroup, all_automorphisms, preset_group
 from flab.presets import _FIBER_PRESETS, random_finite_action
 from flab.skew import Cocycle, FiniteAction, FiniteGroupAction, SkewBundle, SpecialPartition
-from flab.words import ball, format_word, mul, signed_letters
+from flab.words import CayleyTree, WordSet, ball, format_word, mul, signed_letters
 
 
 def nontrivial_auto_assignments(group: FiniteGroup, rank: int, count: int = 2) -> list[list[int]]:
@@ -138,3 +138,55 @@ class LetterCocycle:
                 for s, a in zip(self.values(rest), self.base.perm(rest))
             ])
         return out
+
+
+class RecursivePerms:
+    """alpha_w memoized by the id of w, each entry grown from its parent's on
+    demand: alpha_{v t} = alpha_v after alpha_t.  The oracle for the
+    sweep-filled `FiniteAction` table; it reads the last letter from the
+    decoded word, so it shares no slot arithmetic with the sweep."""
+
+    def __init__(self, action: FiniteAction):
+        self.action = action
+        self.tree = CayleyTree(action.rank)
+        self._memo: dict[int, tuple[int, ...]] = {0: tuple(range(action.size()))}
+
+    def perm(self, i: int) -> tuple[int, ...]:
+        perm = self._memo.get(i)
+        if perm is None:
+            head = self.perm(self.tree.parent(i))
+            step = self.action.letter_perm(self.tree.word(i).letters[-1])
+            perm = self._memo[i] = tuple([head[x] for x in step])
+        return perm
+
+
+class RecursiveRows:
+    """sigma(w, .) memoized by the id of w, grown from its parent v and last
+    letter t on demand: sigma(v t, x) = beta_v sigma(t, x) . sigma(v, alpha_t x).
+    The oracle for the sweep-filled `Cocycle` rows."""
+
+    def __init__(self, cocycle: Cocycle):
+        self.cocycle = cocycle
+        self.tree = CayleyTree(cocycle.base.rank)
+        self.betas = RecursivePerms(cocycle.fiber.action)
+        self._memo: dict[int, tuple[int, ...]] = {
+            0: (cocycle.fiber.group.identity,) * cocycle.base.size()
+        }
+
+    def row(self, i: int) -> tuple[int, ...]:
+        out = self._memo.get(i)
+        if out is None:
+            table = self.cocycle.fiber.group.table
+            v, t = self.tree.parent(i), self.tree.word(i).letters[-1]
+            sigma_t = self.cocycle._letter_values(t)
+            alpha_t = self.cocycle.base.letter_perm(t)
+            beta_v, head = self.betas.perm(v), self.row(v)
+            out = self._memo[i] = tuple([table[beta_v[s]][head[a]] for s, a in zip(sigma_t, alpha_t)])
+        return out
+
+
+def joined_window(action: FiniteAction, p: FinitePartition, W: WordSet) -> FinitePartition:
+    """P^W as the join of every alpha_w P, one canonicalized partition per
+    word: the oracle for `FiniteAction.window_partition`."""
+    oracle = RecursivePerms(action)
+    return join_many(p.apply_permutation(oracle.perm(i)) for i in sorted(W.ids()))

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flab.entropy import EntropyValue, FinitePartition, join, shannon_entropy
 from flab.finv import generator_entropy_rate
@@ -49,7 +50,10 @@ from flab.words import CayleyTree, FreeWord, WordSet, ball, ball_size, mul, pars
 from skew_fixtures import (
     LetterCocycle,
     LetterPerms,
+    RecursivePerms,
+    RecursiveRows,
     is_special,
+    joined_window,
     pointwise_cocycle_failure,
     random_group_skew_bundle,
 )
@@ -684,3 +688,93 @@ class TestZSkew:
                 if not rec["equal"]:
                     slack = True
         assert slack
+
+
+class TestSweepTables:
+    """The sweep-filled alpha and sigma tables equal the per-id recursions
+    they replaced (`RecursivePerms`, `RecursiveRows`)."""
+
+    def test_section_pairs_on_every_id_of_ball_six(self):
+        ids = range(ball_size(2, 6))
+        for pair in section_pair_catalog(2):
+            bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
+            rows, oracle = bundle.cocycle.rows(ids), RecursiveRows(bundle.cocycle)
+            assert [rows[i] for i in ids] == [oracle.row(i) for i in ids], pair["name"]
+            for action in (bundle.base_action, bundle.fiber_action.action, bundle.skew.product):
+                perms, want = action._perms(ids), RecursivePerms(action)
+                assert [perms[i] for i in ids] == [want.perm(i) for i in ids], pair["name"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), st.data())
+    def test_random_cocycles_of_rank_one_and_three(self, seed, rank, data):
+        bundle, _fiber = random_group_skew_bundle(random.Random(seed), rank)
+        top = ball_size(rank, 12 if rank == 1 else 4)
+        batches = data.draw(
+            st.lists(st.lists(st.integers(0, top - 1), max_size=12), min_size=1, max_size=4)
+        )
+        rows, perms = RecursiveRows(bundle.cocycle), RecursivePerms(bundle.product)
+        for batch in batches:
+            got_rows, got_perms = bundle.cocycle.rows(batch), bundle.product._perms(batch)
+            assert [got_rows[i] for i in batch] == [rows.row(i) for i in batch]
+            assert [got_perms[i] for i in batch] == [perms.perm(i) for i in batch]
+        # the ancestors filled on the way are right too
+        assert all(row == rows.row(i) for i, row in bundle.cocycle._rows.items())
+        assert all(perm == perms.perm(i) for i, perm in bundle.product._by_id.items())
+
+
+class TestWindowPartition:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.data())
+    def test_matches_the_join_of_moved_partitions(self, seed, rank, data):
+        rng = random.Random(seed)
+        action = random_finite_action(rng, rank, min_size=1, max_size=7)
+        p = random_partition(rng, action.size(), max_blocks=data.draw(st.integers(1, 4)))
+        tree = CayleyTree(rank)
+        ids = data.draw(st.sets(st.integers(0, ball_size(rank, 3) - 1), min_size=1, max_size=10))
+        W = WordSet(rank, [tree.word(i) for i in ids])
+        assert action.window_partition(p, W) == joined_window(action, p, W)
+        for i in ids:
+            single = WordSet(rank, [tree.word(i)])
+            assert action.window_partition(p, single) == p.apply_permutation(action.word_perm(tree.word(i)))
+        with pytest.raises(ValueError):
+            action.window_partition(p, WordSet(rank + 1, [FreeWord(rank + 1, (rank + 1,))]))
+
+    def test_empty_window_is_refused(self):
+        action = FiniteAction(uniform(3), [[1, 2, 0], [0, 2, 1]], 2)
+        with pytest.raises(ValueError):
+            action.window_partition(FinitePartition.points(action.space), WordSet(2))
+
+    def test_one_partition_per_window(self, monkeypatch):
+        import flab.entropy as entropy
+
+        action = FiniteAction(uniform(5), [[1, 2, 3, 4, 0], [0, 2, 1, 4, 3]], 2)
+        p = FinitePartition(action.space, [0, 0, 1, 1, 2])
+        built = []
+        partition = entropy._partition
+
+        def counting(space, labels):
+            built.append(space)
+            return partition(space, labels)
+
+        monkeypatch.setattr(entropy, "_partition", counting)
+        for n in range(4):
+            built.clear()
+            joined = action.window_partition(p, ball(2, n))
+            assert len(built) == 1 and joined.space is p.space
+
+
+class TestCocycleValues:
+    def z3_cocycle(self, value):
+        base = FiniteAction(uniform(2), [[1, 0]], 1)
+        fiber = FiniteGroupAction(cyclic(3), [tuple(range(3))], 1)
+        return Cocycle(base, fiber, [[value, 0]])
+
+    @pytest.mark.parametrize("value", [-1, 3, 1.0, True])
+    def test_values_outside_the_group_are_refused(self, value):
+        # -1 used to alias the element 2, and 3 raised IndexError
+        with pytest.raises(ValueError):
+            self.z3_cocycle(value)
+
+    def test_group_elements_are_kept(self):
+        cocycle = self.z3_cocycle(2)
+        assert cocycle.row(1) == (2, 0)

@@ -646,3 +646,35 @@ class TestTreeDistance:
         rank, ws = case
         s = WordSet(rank, ws)
         assert radius_center(s) == old_radius_center(s)
+
+
+class TestSweep:
+    @given(st.integers(1, 3), st.data())
+    def test_lists_each_missing_ancestor_once_parents_first(self, rank, data):
+        tree, oracle = CayleyTree(rank), CayleyTree(rank)
+        top = ball_size(rank, 6 if rank == 1 else 4)
+        batches = data.draw(
+            st.lists(st.lists(st.integers(0, top - 1), max_size=10), min_size=1, max_size=4)
+        )
+        known = {0}
+        for batch in batches:
+            want = set()
+            for i in batch:
+                while i not in known:
+                    want.add(i)
+                    i = oracle.parent(i)
+            steps = tree.sweep(batch, known)
+            assert sorted(i for i, _v, _s in steps) == sorted(want)
+            for i, v, s in steps:
+                letters = oracle.word(i).letters
+                assert v in known and v == oracle.parent(i)
+                assert s == letter_slots(letters[-1:])[0] == tree.last(i)
+                known.add(i)
+
+    def test_a_ball_comes_back_in_id_order(self):
+        tree = CayleyTree(2)
+        steps = tree.sweep(reversed(range(ball_size(2, 4))), {0: None})
+        assert [i for i, _v, _s in steps] == list(range(1, ball_size(2, 4)))
+        # a fresh tree reads the slot of a deep id from its decoded word
+        deep = ball_size(2, 9) + 5
+        assert CayleyTree(2).last(deep) == letter_slots(tree.word(deep).letters[-1:])[0]
