@@ -2,11 +2,11 @@
 
 Every computation runs through one sparse Gaussian elimination,
 `eliminate`, on rows stored as dicts {column label: nonzero residue}.
-Solution sets come back as AffineSolutionSet in a canonical form
-(reduced row echelon basis, particular point zero on the basis pivots),
-so equal sets compare equal however they were computed.  Very large
-translation-invariant systems are projected onto small coordinate
-windows by eliminating the non-kept columns first (`eliminate_columns`).
+Solution sets come back as AffineSolutionSet, a tuple of five fields in
+canonical form, so equal sets compare equal however they were computed.
+Very large translation-invariant systems are projected onto small
+coordinate windows by eliminating the non-kept columns first
+(`eliminate_columns`).
 
 An FpMatrix is factored once, on its first `solve` or `rank`, and keeps
 the factorization.  It is the elimination of [m | I]: row i carries a
@@ -15,19 +15,21 @@ eliminated row is.  Columns are eliminated last to first, then reduced.
 The factorization keeps
   - the check rows: the leftover rows, which hold tags only, so m x = b
     is consistent iff every check reads 0 on b;
-  - for each pivot column c, the tags of its reduced row, which give the
-    particular point at c as a dot product with b;
+  - the point map, compiled from the tags of each reduced pivot row c:
+    a single tag i with coefficient a gives the particular point at c
+    as a·b[i], more tags give it as a dot product with b;
   - the reduced echelon basis of the solutions of m x = 0 and its
     pivots, which do not depend on b and are shared by every solution set.
 Pivot choice never looks at the right-hand side, so each solve does the
 same row operations a fresh elimination of [m | b] would; reading them
-off the tags gives the same canonical set, field for field.
+off the tags gives the same canonical set, field for field.  A solve is
+one scatter of b into the particular point and one tuple.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from operator import mul
+from operator import itemgetter, mul
 from typing import Hashable, Iterable, Sequence
 
 from .entropy import is_prime
@@ -145,46 +147,61 @@ def _reduce(pivots: list[tuple[Hashable, SparseRow]], p: int) -> list[tuple[Hash
 
 # -- solution sets ----------------------------------------------------------
 
-class AffineSolutionSet:
+_new = tuple.__new__
+
+
+class AffineSolutionSet(tuple):
     """A (possibly empty) affine subspace of (Z/pZ)^keys in canonical form.
 
-    basis rows are in reduced row echelon form over the key order, and the
-    particular point is reduced to zero on all pivot coordinates, so two
-    equal sets have identical representations.
+    The tuple of its five fields (p, keys, particular, basis, pivots).
+    basis rows are in reduced row echelon form over the key order, with
+    leading coordinates pivots, and the particular point is reduced to
+    zero on all pivots, so two equal sets have identical representations;
+    an empty set has particular None.  Sets equal only other sets, never
+    a plain tuple, and are not ordered.
     """
 
-    __slots__ = ("p", "keys", "particular", "basis", "pivots")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        p: int,
-        keys: Sequence[Hashable],
-        particular: Sequence[int] | None,
-        basis: Sequence[Sequence[int]],
-    ):
+    def __new__(cls, p: int, keys: Sequence[Hashable], particular: Sequence[int] | None, basis: Sequence[Sequence[int]]):
         check_modulus(p)
         keys = tuple(keys)
         if particular is None:
-            _fill(self, p, keys, None, (), ())
-            return
-        point = [x % p for x in particular]
-        if len(point) != len(keys):
-            raise ValueError("particular point has wrong length")
+            return _new(cls, (p, keys, None, (), ()))
         n = len(keys)
-        reduced = _reduce(eliminate([dict(enumerate(r)) for r in basis], range(n), p)[0], p)
+        point = [x % p for x in particular]
+        if len(point) != n:
+            raise ValueError("particular point has wrong length")
+        rows = [dict(enumerate(r)) for r in basis]
+        if any(len(r) != n for r in rows):
+            raise ValueError("basis row has wrong length")
+        reduced = _reduce(eliminate(rows, range(n), p)[0], p)
         pivots = [c for c, _ in reversed(reduced)]
         rows = [tuple(row.get(j, 0) for j in range(n)) for _, row in reversed(reduced)]
         for row, c in zip(rows, pivots):
             if point[c]:
                 f = point[c]
                 point = [(a - f * b) % p for a, b in zip(point, row)]
-        _fill(self, p, keys, tuple(point), tuple(rows), tuple(pivots))
+        return _new(cls, (p, keys, tuple(point), tuple(rows), tuple(pivots)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineSolutionSet is immutable")
+    p = property(itemgetter(0))
+    keys = property(itemgetter(1))
+    particular = property(itemgetter(2))
+    basis = property(itemgetter(3))
+    pivots = property(itemgetter(4))
 
-    def __delattr__(self, name):
-        raise AttributeError("AffineSolutionSet is immutable")
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AffineSolutionSet) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        raise TypeError("solution sets are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def is_empty(self) -> bool:
         return self.particular is None
@@ -198,19 +215,9 @@ class AffineSolutionSet:
     def size(self) -> int:
         return 0 if self.is_empty() else self.p ** self.dimension
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AffineSolutionSet)
-            and self.p == other.p
-            and self.keys == other.keys
-            and self.particular == other.particular
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.keys, self.particular, self.basis))
-
     def contains(self, vector: Sequence[int]) -> bool:
+        if len(vector) != len(self.keys):
+            raise ValueError("vector has wrong length")
         if self.is_empty():
             return False
         p = self.p
@@ -220,6 +227,8 @@ class AffineSolutionSet:
                 f = diff[c]
                 diff = [(a - f * b) % p for a, b in zip(diff, row)]
         return not any(diff)
+
+    __contains__ = contains  # `v in s` is membership, not a search of the five fields
 
     def members(self, limit: int = 1 << 12) -> list[tuple[int, ...]]:
         """Exhaustive enumeration; refuses to expand more than `limit` points."""
@@ -245,33 +254,13 @@ class AffineSolutionSet:
                 raise IndexError(f"projection coordinate {k!r} out of range")
         cols = [index[k] for k in keep]
         if self.is_empty():
-            return _canonical(self.p, tuple(keep), None, (), ())
+            return _new(AffineSolutionSet, (self.p, tuple(keep), None, (), ()))
         return AffineSolutionSet(
             self.p,
             tuple(keep),
             [self.particular[c] for c in cols],
             [[row[c] for c in cols] for row in self.basis],
         )
-
-
-_set_p, _set_keys, _set_particular, _set_basis, _set_pivots = (
-    getattr(AffineSolutionSet, name).__set__ for name in AffineSolutionSet.__slots__
-)
-
-
-def _fill(out: AffineSolutionSet, p, keys, particular, basis, pivots) -> AffineSolutionSet:
-    """Store canonical fields through the slot descriptors, past __setattr__."""
-    _set_p(out, p)
-    _set_keys(out, keys)
-    _set_particular(out, particular)
-    _set_basis(out, basis)
-    _set_pivots(out, pivots)
-    return out
-
-
-def _canonical(p, keys, particular, basis, pivots) -> AffineSolutionSet:
-    """An AffineSolutionSet from fields already in canonical form."""
-    return _fill(object.__new__(AffineSolutionSet), p, keys, particular, basis, pivots)
 
 
 def _solution_basis(rows: list[SparseRow], n: int, p: int):
@@ -306,11 +295,14 @@ def _tags(row: SparseRow, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _factorization(m: FpMatrix) -> tuple:
-    """(checks, point rows, basis, basis pivots, column indices) of m, cached on m.
+    """(checks, single-tag point rows, other point rows, basis, basis
+    pivots, column indices) of m, cached on m.
 
     The rows of [m | I] are eliminated, with the tag of row i at column
-    label cols + i.  Checks are the tags of the leftover rows, point rows
-    pair each pivot column with the tags of its reduced row.
+    label cols + i.  Checks are the (tag rows, coefficients) of the
+    leftover rows.  The point map is split by the number of tags of each
+    reduced pivot row c: one tag i with coefficient a gives (c, i, a),
+    more give (c, tag rows, coefficients).
     """
     f = m._factors
     if f is None:
@@ -321,26 +313,28 @@ def _factorization(m: FpMatrix) -> tuple:
             row[n + i] = 1
             tagged.append(row)
         reduced, rest, basis, free = _solution_basis(tagged, n, m.p)
-        f = (
-            tuple(_tags(row, n) for row in rest),
-            tuple((c, _tags(row, n)) for c, row in reduced),
-            basis,
-            free,
-            tuple(range(n)),
-        )
+        singles, sums = [], []
+        for c, row in reduced:
+            idx, coeffs = _tags(row, n)
+            if len(idx) == 1:
+                singles.append((c, idx[0], coeffs[0]))
+            else:
+                sums.append((c, idx, coeffs))
+        f = (tuple(_tags(row, n) for row in rest), tuple(singles), tuple(sums), basis, free, tuple(range(n)))
         object.__setattr__(m, "_factors", f)
     return f
 
 
 def rank(m: FpMatrix) -> int:
-    return len(_factorization(m)[1])
+    f = _factorization(m)
+    return len(f[1]) + len(f[2])
 
 
 def solve(m: FpMatrix, b: Sequence[int], keys: Sequence[Hashable] | None = None) -> AffineSolutionSet:
     """Full solution set of m x = b as an AffineSolutionSet."""
     if len(b) != m.rows:
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    checks, point_rows, basis, free, columns = _factorization(m)
+    checks, singles, sums, basis, free, columns = _factorization(m)
     keys = columns if keys is None else tuple(keys)
     if len(keys) != m.cols:
         raise ValueError("key count must match column count")
@@ -348,11 +342,13 @@ def solve(m: FpMatrix, b: Sequence[int], keys: Sequence[Hashable] | None = None)
     at = b.__getitem__
     for idx, coeffs in checks:
         if sum(map(mul, coeffs, map(at, idx))) % p:
-            return _canonical(p, keys, None, (), ())
+            return _new(AffineSolutionSet, (p, keys, None, (), ()))
     point = [0] * m.cols
-    for c, (idx, coeffs) in point_rows:
+    for c, i, a in singles:
+        point[c] = a * b[i] % p
+    for c, idx, coeffs in sums:
         point[c] = sum(map(mul, coeffs, map(at, idx))) % p
-    return _canonical(p, keys, tuple(point), basis, free)
+    return _new(AffineSolutionSet, (p, keys, tuple(point), basis, free))
 
 
 def eliminate_columns(
@@ -376,4 +372,4 @@ def solution_space_from_constraints(
     index = {k: i for i, k in enumerate(keys)}
     n = len(keys)
     _, _, basis, free = _solution_basis([{index[k]: v for k, v in row.items()} for row in rows], n, p)
-    return _canonical(p, keys, (0,) * n, basis, free)
+    return _new(AffineSolutionSet, (p, keys, (0,) * n, basis, free))

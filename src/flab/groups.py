@@ -241,8 +241,9 @@ def all_automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
     An automorphism is fixed by its images of a generating set, and each
     image has the order of its generator.  So the candidates are those
     images, each extended along a spanning tree of the Cayley graph
-    (x·s is sent to image(x)·image(s)) and kept when the result is a
-    bijective homomorphism.  The list is computed once per group.
+    (x·s is sent to image(x)·image(s)) and kept when it is a bijection
+    with perm[x·s] = perm[x]·perm[s] for every x and every generator s,
+    which makes it a homomorphism.  The list is computed once per group.
     """
     if g.order() > 8:
         raise ValueError("automorphism enumeration capped at order 8")
@@ -266,13 +267,15 @@ def all_automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
                     steps.append((x, k, y))
         orders = [_element_order(g, x) for x in range(n)]
         choices = [[y for y in range(n) if orders[y] == orders[s]] for s in gens]
-        out = []
+        tab, out = g.table, []
         for images in product(*choices):
             perm = [0] * n
             perm[g.identity] = g.identity
             for x, k, y in steps:
-                perm[y] = g.mul(perm[x], images[k])
-            if g.is_automorphism(perm):
+                perm[y] = tab[perm[x]][images[k]]
+            if len(set(perm)) == n and all(
+                perm[row[s]] == tab[perm[x]][perm[s]] for x, row in enumerate(tab) for s in gens
+            ):
                 out.append(tuple(perm))
         out.sort()
         object.__setattr__(g, "_automorphisms", tuple(out))

@@ -255,6 +255,11 @@ def _stencil(k: ConvolutionKernel, tree: CayleyTree) -> list[tuple[int, tuple[in
 # -- window systems ---------------------------------------------------------
 
 
+def _check_rank(k: ConvolutionKernel, V: WordSet):
+    if V.rank != k.rank:
+        raise ValueError(f"rank mismatch: {V.rank} != {k.rank}")
+
+
 def window_coordinates(k: ConvolutionKernel, V: WordSet) -> list[tuple[FreeWord, int]]:
     """Column labels (word, input channel) in the canonical length-lex order."""
     return [(w, j) for w in V for j in range(k.d_in)]
@@ -275,6 +280,7 @@ def _sites(k: ConvolutionKernel, tree: CayleyTree, V: frozenset[int]) -> list[in
 
 def constraint_sites(k: ConvolutionKernel, V: WordSet) -> list[FreeWord]:
     """All g whose translated stencil support g.F lies inside V."""
+    _check_rank(k, V)
     tree = CayleyTree(k.rank)
     return [tree.word(g) for g in _sites(k, tree, V.ids())]
 
@@ -300,6 +306,7 @@ def _site_rows(k: ConvolutionKernel, tree: CayleyTree, sites: list[int]) -> list
 
 def window_rows(k: ConvolutionKernel, V: WordSet) -> tuple[list[dict], list[FreeWord]]:
     """Sparse homogeneous constraint rows over window V plus the site index."""
+    _check_rank(k, V)
     tree = CayleyTree(k.rank)
     sites = _sites(k, tree, V.ids())
     word = {i: tree.word(i) for i in V.ids()}
@@ -368,6 +375,7 @@ class KernelSubshift:
         self._cache: dict[tuple, MarginalResult] = {}
 
     def marginal(self, W: WordSet) -> MarginalResult:
+        _check_rank(self.kernel, W)
         key = W.key()
         hit = self._cache.get(key)
         if hit is not None:
@@ -447,6 +455,7 @@ class SurjectivityReport(NamedTuple):
 
 def target_map_matrix(k: ConvolutionKernel, W: WordSet) -> tuple[FpMatrix, list]:
     """Matrix of x |-> phi(x)|_W over the variables the W-constraints read."""
+    _check_rank(k, W)
     tree, p, d_in = CayleyTree(k.rank), k.p, k.d_in
     sites = sorted(W.ids())
     placed = [(tree.translates(sites, slots), block) for _, slots, block in _stencil(k, tree)]

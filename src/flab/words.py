@@ -509,11 +509,42 @@ class WordSet:
         return _wordset(self.rank, self._ids | other._ids)
 
     def translate(self, g: FreeWord) -> "WordSet":
-        """Left translate g·S, reduced on letters."""
-        rank, x = self.rank, g.letters
+        """Left translate g·S, on ids, the letters of g applied right to left.
+
+        A word of length n >= 1 sits at offset j = f·q^(n-1) + rest in its
+        sphere, f the slot of its first letter.  Left-multiplying by the
+        letter of slot s = f^1 cancels that letter: the second letter's
+        digit d = rest // q^(n-2) gives its slot d + (d >= f^1), which
+        leads the shorter word.  Any other s is prepended, with f becoming
+        the digit f - (f > s^1) after it.
+        """
+        rank = self.rank
         if g.rank != rank:
             raise ValueError(f"rank mismatch: {g.rank} != {rank}")
-        return _wordset(rank, (_word_id(rank, _reduce(x + _id_letters(rank, i))) for i in self._ids))
+        slots, q = letter_slots(reversed(g.letters)), 2 * rank - 1
+        top = CayleyTree(rank).length(max(self._ids, default=0)) + len(slots)
+        sizes = [ball_size(rank, n) for n in range(top + 1)]
+        powers = [q**n for n in range(top + 1)]
+        out = []
+        for i in self._ids:
+            n = bisect_right(sizes, i)
+            j = i - sizes[n - 1] if n else 0
+            for s in slots:
+                if not n:
+                    n, j = 1, s
+                    continue
+                unit = powers[n - 1]
+                f, rest = divmod(j, unit)
+                if f == s ^ 1:
+                    n -= 1
+                    if n:
+                        d, rest = divmod(rest, powers[n - 1])
+                        j = (d + (d >= f ^ 1)) * powers[n - 1] + rest
+                else:
+                    j = (s * q + f - (f > s ^ 1)) * unit + rest
+                    n += 1
+            out.append(sizes[n - 1] + j if n else 0)
+        return _wordset(rank, out)
 
     def key(self) -> tuple:
         """Canonical hashable key (used for memo tables): the ascending ids."""

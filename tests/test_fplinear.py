@@ -1,10 +1,13 @@
+import hashlib
+import json
 import random
 from itertools import product
 
+import fplinear_oracles as oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flab import fplinear
+from flab import fplinear, kernels, words
 from flab.fplinear import (
     AffineSolutionSet,
     FpMatrix,
@@ -300,3 +303,110 @@ class TestSolveKeys:
                     setattr(s, name, None)
                 with pytest.raises(AttributeError):
                     delattr(s, name)
+
+
+class TestSolutionSetShape:
+    s = AffineSolutionSet(3, ["x", "y"], [1, 0], [[1, 2]])
+
+    def test_vectors_of_the_wrong_length_are_refused(self):
+        assert self.s.contains([1, 0]) and self.s.contains([2, 2])
+        assert not self.s.contains([0, 0])
+        # `in` tests membership too, not whether a field equals the operand
+        assert (2, 2) in self.s and (0, 0) not in self.s
+        with pytest.raises(ValueError, match="wrong length"):
+            self.s.basis in self.s
+        empty = solve(FpMatrix(2, [[1], [1]]), [0, 1])
+        for s, bad in ((self.s, [1]), (self.s, [1, 0, 2]), (self.s, []), (empty, [0, 0])):
+            with pytest.raises(ValueError, match="wrong length"):
+                s.contains(bad)
+
+    def test_basis_rows_of_the_wrong_length_are_refused(self):
+        with pytest.raises(ValueError, match="basis row"):
+            AffineSolutionSet(3, ["x"], [0], [[0, 1]])
+        with pytest.raises(ValueError, match="basis row"):
+            AffineSolutionSet(3, ["x", "y"], [0, 0], [[1]])
+        with pytest.raises(ValueError, match="particular"):
+            AffineSolutionSet(3, ["x", "y"], [0], [])
+
+
+class TestSolutionSetTuple:
+    m = FpMatrix(3, [[1, 2, 0], [0, 1, 1]])
+
+    def test_the_tuple_of_its_five_fields(self):
+        for s in (solve(self.m, [1, 2]), solve(FpMatrix(2, [[1], [1]]), [0, 1])):
+            assert isinstance(s, tuple) and tuple(s) == fields(s)
+
+    def test_equal_only_to_solution_sets(self):
+        s = solve(self.m, [1, 2])
+        t = AffineSolutionSet(s.p, s.keys, s.particular, s.basis)
+        assert s == t and not s != t and hash(s) == hash(t)
+        plain = tuple(s)
+        assert s != plain and plain != s and not s == plain and not plain == s
+        assert plain not in {s} and s in {t}
+
+    def test_not_ordered(self):
+        s = solve(self.m, [1, 2])
+        for a, b in ((s, s), (s, tuple(s)), (tuple(s), s), (s, 0)):
+            for compare in (lambda: a < b, lambda: a <= b, lambda: a > b, lambda: a >= b):
+                with pytest.raises(TypeError):
+                    compare()
+
+
+def oracle_cases(p: int, rng: random.Random):
+    """(entries, column count) of random and degenerate matrices over Z/pZ."""
+    cases = [([], 0), ([], 3), ([[], []], 0), ([[0, 0, 0]], 3), ([[1, 1], [1, 1]], 2)]
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        cases.append(([[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)], ncols))
+    return cases
+
+
+class TestSolveMatchesParentOracle:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_target_field_for_field(self, p):
+        seen = {"empty": 0, "solvable": 0, "multi-tag": 0}
+        for entries, ncols in oracle_cases(p, random.Random(p)):
+            m = FpMatrix(p, entries, cols=ncols)
+            factors = oracle.factorization(p, entries, ncols)
+            named = [f"x{j}" for j in range(ncols)]
+            for b in product(range(p), repeat=len(entries)):
+                want = oracle.solve(p, entries, ncols, b, factors=factors)
+                assert fields(solve(m, list(b))) == want
+                assert fields(solve(m, b, keys=named)) == oracle.solve(p, entries, ncols, b, named, factors)
+                seen["empty" if want[2] is None else "solvable"] += 1
+            assert rank(m) == len(factors[1])
+            seen["multi-tag"] += len(fplinear._factorization(m)[2])
+        assert all(seen.values()), seen
+
+
+# sha256 of each stencil's onto-ness certificate, solvable-target counts on
+# B(0) and B(1), and preimage of a fixed B(2) target, recorded before the
+# point map was compiled into the factorization
+ONTO_PINS = {
+    (2, "e:1,a:1"): "cd1b245d935c46513a8fe9072b0cea45869b86545cead930b69898bf887034b1",
+    (2, "e:1,A:1,b:1,B:1"): "1ac0ca8388c0151d391540ab9732391da9862da84047b298d42d386c3b6a4014",
+    (3, "e:1,A:1,B:2"): "c0b64251799574d41ef7cda027f1718df11793fa668dd514f907264f79199381",
+    (3, "e:1,a:2,A:1,b:1,B:2"): "ab84abd9db04b34bdc0efe34fea2b49952099c8a693ba385d8ea5b819f1d9736",
+}
+
+
+@pytest.mark.parametrize("p, stencil", sorted(ONTO_PINS))
+def test_onto_oracle_stencils_are_pinned(p, stencil):
+    k = scalar_kernel(p, 2, dict((t, int(c)) for t, c in (pair.split(":") for pair in stencil.split(","))))
+    solvable = {}
+    for n in (0, 1):
+        m, _ = target_map_matrix(k, ball(2, n))
+        solvable[f"B({n})"] = sum(1 for y in product(range(p), repeat=m.rows) if not solve(m, list(y)).is_empty())
+        assert solvable[f"B({n})"] == p**m.rows and rank(m) == m.rows
+        assert len(fplinear._factorization(m)[2]) <= 1
+    target = {g: (i * i + 1) % p for i, g in enumerate(words.ball_list(2, 2))}
+    x = kernels.preimage_on_ball(k, target, 2)
+    text = json.dumps(
+        {
+            "surjectivity": kernels.is_surjective(k).to_json(),
+            "solvable": solvable,
+            "preimage": [[words.format_word(g), v] for g, v in sorted(x.items(), key=lambda kv: kv[0].sort_key())],
+        },
+        sort_keys=True,
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == ONTO_PINS[p, stencil]

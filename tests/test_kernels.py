@@ -595,6 +595,25 @@ class TestTargetMap:
         m, _ = target_map_matrix(ow_kernel(), ball(2, 1))
         assert fp_rank(m) == m.rows == 10
 
+    def test_windows_of_another_rank_are_refused(self):
+        # a rank-3 ball read as rank-2 ids would give a 7x15 matrix and a
+        # 6-dimensional marginal over words like aa, ab; the rank-3 copy of
+        # B(1) at rank 2 has the ids of the cached rank-2 window
+        k = scalar_kernel(3, 2, {"e": 1, "A": 1, "B": 2})
+        sub = KernelSubshift(k)
+        sub.marginal(ball(2, 1))
+        same_ids = WordSet(3, [parse_word(t, 3) for t in ("e", "a", "A", "b", "B")])
+        assert same_ids.ids() == ball(2, 1).ids()
+        for W in (ball(3, 1), ball(1, 1), same_ids):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                target_map_matrix(k, W)
+            with pytest.raises(ValueError, match="rank mismatch"):
+                sub.marginal(W)
+            with pytest.raises(ValueError, match="rank mismatch"):
+                window_rows(k, W)
+            with pytest.raises(ValueError, match="rank mismatch"):
+                constraint_sites(k, W)
+
 
 # -- the onto-ness path on word ids ---------------------------------------------
 

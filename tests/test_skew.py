@@ -11,6 +11,7 @@ from flab.entropy import EntropyValue, FinitePartition, join, shannon_entropy
 from flab.finv import generator_entropy_rate
 from flab.groups import (
     _PRESETS,
+    FiniteGroup,
     all_automorphisms,
     cyclic,
     dihedral4,
@@ -104,6 +105,18 @@ class TestGroups:
         g = preset_group(name)
         assert g.order() <= 8
         assert all_automorphisms(g) == brute_force_automorphisms(g)
+
+    def test_automorphisms_with_a_redundant_generating_set(self):
+        # D4 relabelled so that r3s, r1s and r3 are all picked as
+        # generators: 24 candidates are bijections, only 8 respect the
+        # group law, so the generator check must drop the other 16
+        d4 = dihedral4()
+        order = [d4.index(t) for t in ("r0", "r3s", "r1s", "r3", "r1", "r2s", "r0s", "r2")]
+        pos = {old: new for new, old in enumerate(order)}
+        table = [[pos[d4.mul(x, y)] for y in order] for x in order]
+        g = FiniteGroup("D4", [d4.labels[x] for x in order], table)
+        autos = all_automorphisms(g)
+        assert len(autos) == 8 and autos == brute_force_automorphisms(g)
 
     def test_automorphisms_cached_on_the_group(self):
         g = dihedral4()

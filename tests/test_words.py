@@ -573,6 +573,19 @@ class TestWordIds:
         moved = WordSet(rank, [mul(g, v) for v in members])
         assert moved.translate(inv(g)) == s
 
+    @given(st.integers(1, 3).flatmap(lambda r: st.tuples(
+        st.just(r),
+        st.integers(0, ball_size(r, 5) - 1),
+        st.lists(st.integers(0, ball_size(r, 5) - 1), max_size=12),
+    )))
+    def test_translate_matches_decode_reduce_encode(self, case):
+        # the oracle decodes each id, prepends g's letters, reduces and
+        # encodes again; translate does neither step on words
+        rank, g_id, ids = case
+        g = CayleyTree(rank).word(g_id)
+        want = {words._word_id(rank, words._reduce(g.letters + words._id_letters(rank, i))) for i in ids}
+        assert words._wordset(rank, ids).translate(g).ids() == want
+
     def test_translate_refuses_another_rank(self):
         for g in (FreeWord(1, (1,)), FreeWord(3, (3,))):
             with pytest.raises(ValueError):
