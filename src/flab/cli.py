@@ -71,7 +71,7 @@ def _emit(report: dict, out: str | None, pretty: bool) -> int:
 
 
 def _add_common(sub):
-    sub.add_argument("--nmax", type=int, default=2, help="largest ball radius n")
+    sub.add_argument("--nmax", type=int, default=2, help="largest ball radius n, or where f is read off if later")
     sub.add_argument("--rank", type=int, default=2, help="rank of the free group")
     sub.add_argument("--out", default=None, help="write the JSON report to this path")
     sub.add_argument("--pretty", action="store_true", help="also print a table to stderr")

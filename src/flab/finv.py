@@ -1,4 +1,4 @@
-"""The weighted entropy functionals over ball windows and their truncated infima.
+"""The weighted entropy functionals over ball windows and their exact limits.
 
 For a rank-r process the basic functional is
 
@@ -9,31 +9,28 @@ plus generator entropy rates,
 
     F*(n) = (1 - r) H(B(n)) + sum_i h(s_i, B(n)).
 
-Every functional reads a process only through its window query
-proc.entropy(W) -> EntropyValue, which is exact for every process type
-(see `flab.processes`), and a rate also through proc.rate_kind, the one
-fact its exactness argument needs.  A relative (base-conditioned)
-functional is the same functional of a conditioned process, such as
-SkewProductProcess.relative() or a FiniteActionProcess built with
-`given`, so nothing here takes a conditioning argument.
+Every functional reads a process only through its exact window query
+proc.entropy(W) -> EntropyValue (see `flab.processes`), and through
+proc.rate_kind and proc.f_kind, the facts its rate and tail arguments
+need.  A relative (base-conditioned) functional is the same functional
+of a conditioned process, such as SkewProductProcess.relative() or a
+FiniteActionProcess built with `given`, so nothing here takes a
+conditioning argument.
 
-Every label a report prints comes from one vocabulary:
+Every label a report prints comes from one vocabulary, all of it exact:
 
     EXACT             an exact window marginal (see `flab.kernels`)
     EXACT-ZERO        a rate pinned by a zero increment
     EXACT-IID         a Bernoulli rate, by its closed form; and f and f* of
                       a Bernoulli shift, where every row is log k since
                       (1 - r)|B(n)| + r(2r - 1)^n = 1 for r >= 1, n >= 0
-    EXACT-MARKOV      a kernel rate, by the hidden-state rule
-    EXACT-STABILIZED  f and f* when the window entropies stop growing, so
-                      the computed rows already hold the constant tail
-    UPPER-BOUND       f and f* as a truncated infimum over n >= 1 with no
-                      tail argument
+    EXACT-MARKOV      a kernel rate, by the hidden-state rule; and f and f*
+                      of a kernel subshift, constant from the row of its
+                      hull radius on (see `KernelProcess.f_kind`)
+    EXACT-STABILIZED  f and f* once the window entropies stop growing, as a
+                      finite model's do within its positive-weight atoms
 
-Every window query and every generator rate is exact (see
-`generator_entropy_rate`), so every F(n) and F*(n) row is exact, and only
-f and f* can read UPPER-BOUND.  `is_exact` tests a label and rejects
-other strings.
+`is_exact` accepts a label of this vocabulary and rejects other strings.
 """
 
 from __future__ import annotations
@@ -41,19 +38,16 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .entropy import EntropyValue, FinitePartition, join
-from .processes import BernoulliProcess, FiniteActionProcess
+from .processes import FiniteActionProcess
 from .skew import sigma_generated
 from .words import WordSet, ball, generator
 
 EXACT_LABELS = ("EXACT", "EXACT-ZERO", "EXACT-IID", "EXACT-MARKOV", "EXACT-STABILIZED")
 EXACT, EXACT_ZERO, EXACT_IID, EXACT_MARKOV, EXACT_STABILIZED = EXACT_LABELS
-UPPER_BOUND = "UPPER-BOUND"
 
 
 def is_exact(label: str) -> bool:
-    """True on the EXACT level, False for UPPER-BOUND; other strings raise."""
-    if label == UPPER_BOUND:
-        return False
+    """True for a label of the vocabulary, every one exact; other strings raise."""
     if label not in EXACT_LABELS:
         raise ValueError(f"not a certificate label: {label!r}")
     return True
@@ -76,13 +70,11 @@ class RateResult(NamedTuple):
     value: EntropyValue
     kind: str
     increments: list[EntropyValue]
-    stabilized_at: int
 
     def to_json(self) -> dict:
         return {
             "value": self.value.to_json(),
             "kind": self.kind,
-            "stabilized_at": self.stabilized_at,
             "increments": [d.to_json() for d in self.increments],
         }
 
@@ -113,7 +105,7 @@ def generator_entropy_rate(proc, i: int, W: WordSet) -> RateResult:
         increments.append(d)
         kind = EXACT_ZERO if d.is_zero() else proc.rate_kind(s, U, d)
         if kind is not None:
-            return RateResult(d, kind, increments, len(increments))
+            return RateResult(d, kind, increments)
 
 
 def F_star_of(proc, n: int) -> tuple[EntropyValue, list[RateResult]]:
@@ -125,7 +117,8 @@ def F_star_of(proc, n: int) -> tuple[EntropyValue, list[RateResult]]:
 
 
 class FReport(NamedTuple):
-    """Per-n table of F and F* with running infima and the tail certificate."""
+    """Per-n table of F and F* with running infima, and f and f* read off
+    the row where the tail argument `certificate` starts (see `full_report`)."""
 
     label: str
     rank: int
@@ -134,7 +127,7 @@ class FReport(NamedTuple):
     f_value: EntropyValue
     f_star_value: EntropyValue
     certificate: str  # the tail argument behind both f and f*
-    stabilized_at: int | None
+    stabilized_at: int | None  # the n with H(B(n + 1)) = H(B(n)), for EXACT-STABILIZED
     relative: bool
 
     def f_exact(self) -> bool:
@@ -163,70 +156,52 @@ class FReport(NamedTuple):
         }
 
 
-def _stabilization_point(proc, cap: int) -> int | None:
-    """The least n < cap with H(P^{B(n+1)}) = H(P^{B(n)}), or None."""
-    for n in range(cap):
-        if proc.entropy(ball(proc.rank, n + 1)) == proc.entropy(ball(proc.rank, n)):
-            return n
-    return None
-
-
 def full_report(proc, n_max: int) -> FReport:
-    """Rows n = 0..n_max (n = 0 is diagnostic; infima use n >= 1 only)."""
+    """Rows n = 0, 1, ... of F and F*, and f and f* read off the row t
+    from which a tail argument shows both constant.
+
+    Row 0 is diagnostic.  At each row n >= 1, until an argument holds:
+    EXACT-STABILIZED, for every process, when H(B(n)) = H(B(n - 1)), since
+    then P^{B(n)}, and so every later window, is measurable in P^{B(n-1)},
+    and from t = max(n - 1, 1) on F = F* = (1 - r) H(B(n - 1)); else the
+    process's own fact proc.f_kind(n), with t = n.  Rows run past n_max
+    until an argument holds, so f and f* are values of a printed row, and
+    every row past t must repeat row t.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rows = []
-    inf_F = inf_F_star = None
-    for n in range(n_max + 1):
+    r = proc.rank
+    rows, cert, stabilized_at = [], None, None
+    n = 0
+    while n <= n_max or cert is None:
         F = F_of(proc, n)
         F_star, rates = F_star_of(proc, n)
-        if n >= 1:
-            inf_F = F if inf_F is None else min(inf_F, F)
-            inf_F_star = F_star if inf_F_star is None else min(inf_F_star, F_star)
+        # the running infima are over n >= 1; row 0 carries its own values
+        inf_F = F if n <= 1 else min(inf_F, F)
+        inf_F_star = F_star if n <= 1 else min(inf_F_star, F_star)
         rows.append(
-            {
-                "n": n,
-                "F": F,
-                "F_star": F_star,
-                "rates": rates,
-                "inf_F": inf_F if inf_F is not None else F,
-                "inf_F_star": inf_F_star if inf_F_star is not None else F_star,
-            }
+            {"n": n, "F": F, "F_star": F_star, "rates": rates, "inf_F": inf_F, "inf_F_star": inf_F_star}
         )
+        if n >= 1 and cert is None:
+            if proc.entropy(ball(r, n)) == proc.entropy(ball(r, n - 1)):
+                cert, stabilized_at, tail = EXACT_STABILIZED, n - 1, max(n - 1, 1)
+            else:
+                cert, tail = proc.f_kind(n), n
+        n += 1
 
-    stabilized_at = _stabilization_point(proc, n_max)
-    if stabilized_at is not None:
-        # window entropies are constant beyond the stabilization point, so the
-        # computed rows already contain the constant tail value
-        cert = EXACT_STABILIZED
-    elif isinstance(proc, BernoulliProcess):
-        # every i.i.d. row is log k (see the module docstring)
-        if not all(row["F"] == rows[1]["F"] for row in rows[1:]):
-            raise AssertionError("i.i.d. closed form violated by computed rows")
-        cert = EXACT_IID
-    else:
-        cert = UPPER_BOUND
-
-    return FReport(
-        proc.label, proc.rank, n_max, rows, inf_F, inf_F_star, cert, stabilized_at, proc.conditioned
-    )
+    f, f_star = rows[tail]["F"], rows[tail]["F_star"]
+    if any(row["F"] != f or row["F_star"] != f_star for row in rows[tail:]):
+        raise AssertionError(f"a row past {tail} contradicts the {cert} tail")
+    return FReport(proc.label, r, n_max, rows, f, f_star, cert, stabilized_at, proc.conditioned)
 
 
 # -- exact values on finite models --------------------------------------------
 
 
 def exact_f_finite(proc) -> tuple[EntropyValue, FReport]:
-    """The exact f-value of a finite-model process (window joins stabilize).
-
-    Searches for the stabilization point and truncates one step past it;
-    the report is then EXACT by the tail argument.
-    """
-    n_stab = _stabilization_point(proc, proc.action.size() + 2)
-    if n_stab is None:
-        raise AssertionError("finite model failed to stabilize within the cap")
-    report = full_report(proc, max(1, n_stab + 1))
-    if not report.f_exact():
-        raise AssertionError("stabilized finite model produced a non-exact report")
+    """The f-value of a finite-model process, with its report: the rows run
+    until the window entropies stop growing (see `full_report`)."""
+    report = full_report(proc, 1)
     return report.f_value, report
 
 
@@ -248,39 +223,13 @@ def abramov_rokhlin_check(action, p: FinitePartition, q: FinitePartition) -> dic
 
 
 def addition_report(total: FReport, a: FReport, b: FReport) -> dict:
-    """Verdict for f(total) = f(a) + f(b).
-
-    EXACT triples get an exact equality verdict; all-bound triples get the
-    aligned per-n consistency table; mixed certificate levels are refused
-    as INCOMPARABLE.
-    """
-    levels = [r.f_exact() for r in (total, a, b)]
-    out = {
+    """Verdict for f(total) = f(a) + f(b), an equality of exact values."""
+    equal = total.f_value == a.f_value + b.f_value
+    return {
         "columns": {
             key: {"label": rep.label, "f": rep.f_value.to_json(), "certificate": rep.certificate}
             for key, rep in (("total", total), ("a", a), ("b", b))
-        }
+        },
+        "verdict": "EXACT-PASS" if equal else "EXACT-FAIL",
+        "exact_equality": equal,
     }
-    if all(levels):
-        equal = total.f_value == a.f_value + b.f_value
-        out["verdict"] = "EXACT-PASS" if equal else "EXACT-FAIL"
-        out["exact_equality"] = equal
-        return out
-    if not any(levels):
-        n_common = min(total.n_max, a.n_max, b.n_max)
-        if n_common < 1:
-            out["verdict"] = "INCOMPARABLE"
-            return out
-        table = []
-        for n in range(1, n_common + 1):
-            lhs = total.rows[n]["inf_F"]
-            rhs = a.rows[n]["inf_F"] + b.rows[n]["inf_F"]
-            table.append(
-                {"n": n, "total_inf": lhs.to_json(), "sum_inf": rhs.to_json(), "equal": lhs == rhs}
-            )
-        out["verdict"] = "BOUND-CONSISTENT"
-        out["rows"] = table
-        return out
-    out["verdict"] = "INCOMPARABLE"
-    out["reason"] = "mixed certificate levels"
-    return out

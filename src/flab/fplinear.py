@@ -56,12 +56,11 @@ class FpMatrix:
     def __init__(self, p: int, entries: Sequence[Sequence[int]], cols: int | None = None):
         check_modulus(p)
         rows = [tuple(x % p for x in row) for row in entries]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = cols or 0
+        width = len(rows[0]) if rows else cols or 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
+        if cols is not None and cols != width:
+            raise ValueError(f"cols={cols} disagrees with the row width {width}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
@@ -166,6 +165,8 @@ class AffineSolutionSet(tuple):
     def __new__(cls, p: int, keys: Sequence[Hashable], particular: Sequence[int] | None, basis: Sequence[Sequence[int]]):
         check_modulus(p)
         keys = tuple(keys)
+        if len(set(keys)) != len(keys):
+            raise ValueError("duplicate keys")
         if particular is None:
             return _new(cls, (p, keys, None, (), ()))
         n = len(keys)
@@ -371,5 +372,11 @@ def solution_space_from_constraints(
     keys = tuple(keys)
     index = {k: i for i, k in enumerate(keys)}
     n = len(keys)
-    _, _, basis, free = _solution_basis([{index[k]: v for k, v in row.items()} for row in rows], n, p)
+    if len(index) != n:
+        raise ValueError("duplicate keys")
+    try:
+        rows = [{index[k]: v for k, v in row.items()} for row in rows]
+    except KeyError as missing:
+        raise ValueError(f"a constraint reads {missing.args[0]!r}, which is not a key") from None
+    _, _, basis, free = _solution_basis(rows, n, p)
     return _new(AffineSolutionSet, (p, keys, (0,) * n, basis, free))

@@ -13,10 +13,11 @@ process type:
     KernelProcess        dim pi_W(ker phi) log p, the marginal made exact by
                          the tree fixed point of `KernelSubshift`
 
-Each process also supplies rate_kind(s, U, d), the one fact that the
-exactness argument for its generator rates needs (see
-`flab.finv.generator_entropy_rate`): the label of the argument that pins
-the rate at the last increment d, or None to take another step.
+Each process also supplies the one fact that each exactness argument of
+`flab.finv` needs: rate_kind(s, U, d), the label of the argument that
+pins a generator rate at the last increment d, and f_kind(n), the label
+of the one that makes F and F* constant from row n on; None asks for
+another step or row.
 
 Conditioning is fixed when a process is built, not passed per query.  A
 FiniteActionProcess built with `given` answers H(P^W | given) as
@@ -34,7 +35,7 @@ from itertools import dropwhile
 from .entropy import EntropyValue, FinitePartition, join, shannon_entropy
 from .kernels import ConvolutionKernel, KernelSubshift
 from .skew import FiniteAction, SkewBundle
-from .words import FreeWord, WordSet, ball
+from .words import FreeWord, WordSet, ball, generator
 
 class BernoulliProcess:
     """The shift on K^Gamma with uniform one-coordinate marginals.
@@ -63,6 +64,10 @@ class BernoulliProcess:
         cosets = {tuple(dropwhile(lambda a: abs(a) == letter, w.letters)) for w in U[0]}
         return "EXACT-IID" if d == len(cosets) * EntropyValue.log_int(self.alphabet_size) else None
 
+    def f_kind(self, n: int) -> str:
+        """EXACT-IID from row 1: every row of F and F* is log k (see `flab.finv`)."""
+        return "EXACT-IID"
+
     def describe(self) -> dict:
         return {"type": "bernoulli", "alphabet": self.alphabet_size, "rank": self.rank}
 
@@ -89,6 +94,7 @@ class FiniteActionProcess:
         # H(P^W | given) = H(P^W v given) - H(given); the second term is fixed
         self._given_entropy = None if given is None else shannon_entropy(given)
         self._answers: dict[tuple, EntropyValue] = {}
+        self._atoms = sum(1 for c in action.space.counts if c)  # positive-weight ones
 
     def window_partition(self, W: WordSet) -> FinitePartition:
         return self.action.window_partition(self.partition, W)
@@ -110,8 +116,15 @@ class FiniteActionProcess:
     def rate_kind(self, s: FreeWord, U: list[WordSet], d: EntropyValue) -> None:
         """Never: each positive increment strictly refines P^U (or P^U v given),
         so a zero one comes within the number of positive-weight atoms."""
-        if len(U) > sum(1 for c in self.action.space.counts if c):
+        if len(U) > self._atoms:
             raise AssertionError("a finite-model rate passed its zero-increment bound")
+        return None
+
+    def f_kind(self, n: int) -> None:
+        """Never: each rise of H(B(n)) strictly refines P^{B(n)}, so they stop
+        (EXACT-STABILIZED, tested first) within the positive-weight atoms."""
+        if n >= self._atoms:
+            raise AssertionError("a finite model passed its stabilization bound")
         return None
 
     def describe(self) -> dict:
@@ -125,7 +138,21 @@ class FiniteActionProcess:
 
 
 class KernelProcess:
-    """The Haar system on the kernel subshift of a convolution operator."""
+    """The Haar system on the kernel subshift of a convolution operator.
+
+    Its rates and its f rest on one split, Bowen's Markov recoding (ETDS
+    2010, Nonabelian free group actions: Markov processes, the
+    Abramov-Rohlin formula and Yuzvinskii's formula).  Let rho be the
+    centered hull's radius (`KernelSubshift.radius`): a constraint reads x
+    on some g.B(rho), of diameter <= 2 rho.  Take N >= rho, the least N
+    with 2N + 2 > 2 rho, a vertex c and a letter t.  A vertex outside c.B(N) in the branch through c.t and one
+    outside c.B(N) off it are at least 2N + 2 > 2 rho apart, the path
+    between them passing c, so no constraint reads both: ker phi is the
+    fiber product over x|c.B(N) of its restrictions to the two sides, each
+    joined with c.B(N), and Haar measure makes the sides independent given
+    x|c.B(N).  So the process recoded by y(c) = x|c.B(N) is Markov, and
+    along each axis <s> a stationary linear Markov chain.
+    """
 
     conditioned = False
 
@@ -139,23 +166,17 @@ class KernelProcess:
         return self.subshift.marginal(W).dimension * EntropyValue.log_int(self.kernel.p)
 
     def rate_kind(self, s: FreeWord, U: list[WordSet], d: EntropyValue) -> str | None:
-        """EXACT-MARKOV once the hidden states stop shrinking, a rule that
-        generalizes Bowen's Markov recoding (ETDS 2010, Nonabelian free group
-        actions: Markov processes, the Abramov-Rohlin formula and
-        Yuzvinskii's formula).
+        """EXACT-MARKOV once the hidden states stop shrinking.
 
-        Let rho be the centered hull's radius (`KernelSubshift.radius`) and
-        N = max(rho, longest word of W = U[0]) the separator thickness.  A
-        constraint reads x on some g.B(rho), of diameter <= 2 rho.  Around
-        c = s^k, the s^j B(N) with j < k and with j > k leave c.B(N) on two
-        sides of c, 2N + 2 > 2 rho apart, so x glues along c.B(N): y_k =
-        x|s^k B(N) is a stationary linear Markov chain, x|s^k W = L(y_k).
-        The states y_j agreeing with zeros on U_j form V_j = T(V_{j-1}) n
-        ker L, of dimension S_{j+1} = dim pi(U_j u s^j B(N)) - dim pi(U_j),
-        and d_m = dim L T(V_{m-1}).  The transition T is monotone, so the V_j
-        decrease; at the first m with S_{m+1} = S_m, V_m = V_{m-1} stays put
-        and d_m is every later increment.  That takes at most S_1 + 1 steps,
-        and one for W = B(n), n >= rho, where S_1 = 0.
+        With the separator thickness N = max(rho, longest word of W = U[0]),
+        y_k = x|s^k B(N) is the chain of the class docstring, and x|s^k W =
+        L(y_k).  The states y_j agreeing with zeros on U_j form V_j =
+        T(V_{j-1}) n ker L, of dimension S_{j+1} = dim pi(U_j u s^j B(N)) -
+        dim pi(U_j), and d_m = dim L T(V_{m-1}).  The transition T is
+        monotone, so the V_j decrease; at the first m with S_{m+1} = S_m,
+        V_m = V_{m-1} stays put and d_m is every later increment.  That
+        takes at most S_1 + 1 steps, and one for W = B(n), n >= rho, where
+        S_1 = 0.
         """
         m, dim = len(U) - 1, lambda V: self.subshift.marginal(V).dimension
         N = max(self.subshift.radius, *(len(w) for w in U[0]))
@@ -164,6 +185,33 @@ class KernelProcess:
             separator = ball(self.rank, N).translate(FreeWord(self.rank, s.letters * j))
             hidden.append(dim(U[j].union(separator)) - dim(U[j]))
         return "EXACT-MARKOV" if hidden[0] == hidden[1] else None
+
+    def f_kind(self, n: int) -> str | None:
+        """EXACT-MARKOV from row n >= rho on, after a check that raises
+        AssertionError rather than print the label.
+
+        The process recoded at N = n is Markov (class docstring), so by
+        Bowen's theorem F(n) = F(P^{B(n)}) = f, and along each axis h(s,
+        B(n)) = H(B(n) u sB(n)) - H(B(n)), so F*(n) = F(n): F and F* are
+        constant from row rho on.  The check splits windows F already
+        queries: B(n) n sB(n) = B(n - 1) u sB(n - 1) =: S, and vertices
+        outside S in and off the branch through s are at least 2n + 1 >
+        2 rho apart, so pi(B(n) u sB(n)) is a fiber product over pi(S):
+
+            dim pi(B(n) u sB(n)) = 2 dim pi(B(n)) - dim pi(S),
+
+        as dim pi(sB(n)) = dim pi(B(n)) for the shift-invariant ker phi.
+        """
+        if n < self.subshift.radius:
+            return None
+        dim = lambda V: self.subshift.marginal(V).dimension
+        outer, inner = ball(self.rank, n), ball(self.rank, n - 1)
+        for i in range(1, self.rank + 1):
+            s = generator(self.rank, i)
+            split = 2 * dim(outer) - dim(inner.union(inner.translate(s)))
+            if dim(outer.union(outer.translate(s))) != split:
+                raise AssertionError(f"ker phi is not a fiber product over B({n - 1}) u s_{i}B({n - 1})")
+        return "EXACT-MARKOV"
 
     def describe(self) -> dict:
         return {"type": "kernel", "kernel": self.kernel.to_json(), "rank": self.rank}

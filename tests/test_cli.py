@@ -70,7 +70,8 @@ class TestKernel:
         )
         code, report = run_cli(["kernel", "--spec", str(spec), "--nmax", "2"], capsys)
         assert code == 0 and report["status"] == "PASS"
-        assert report["column_vs_zero"]["verdict"] == "TIGHT"
+        assert report["column_vs_zero"]["verdict"] == "EXACT-ZERO"
+        assert report["reports"]["kernel_column"]["f"]["certificate"] == "EXACT-MARKOV"
         rows = report["reports"]["kernel_column"]["rows"]
         assert all(row["F"]["terms"] == {} for row in rows)
         assert report["preimage_recheck"]["verified"] == 5
@@ -92,7 +93,8 @@ class TestKernel:
 
     def test_period_seven_rate_is_exact(self, tmp_path, capsys):
         # increments 3 log 2 repeat three times before the rate 2 log 2; with
-        # it F*(1) = f* = 0, as the addition theorem gives for an onto scalar
+        # it F*(1) = f* = 0, as the addition theorem gives for an onto scalar;
+        # f = 0 is read off row rho = 4, past --nmax 1, where F(1) = log 2
         spec = tmp_path / "kernel.json"
         spec.write_text(json.dumps({"p": 2, "rank": 2, "coeffs": {"e": 1, "aaaaaaa": 1}}))
         code, report = run_cli(["kernel", "--spec", str(spec), "--nmax", "1"], capsys)
@@ -102,6 +104,10 @@ class TestKernel:
         assert rate["value"]["terms"] == {"2": "2"} and rate["kind"] == "EXACT-MARKOV"
         assert column["rows"][1]["F_star"]["terms"] == {}
         assert column["f_star"]["value"]["terms"] == {}
+        assert [row["n"] for row in column["rows"]] == [0, 1, 2, 3, 4]
+        assert column["rows"][1]["F"]["terms"] == {"2": "1"}
+        assert column["f"]["value"]["terms"] == {} and column["f"]["certificate"] == "EXACT-MARKOV"
+        assert report["column_vs_zero"]["verdict"] == "EXACT-ZERO"
 
     def test_zero_kernel_rejected(self, tmp_path, capsys):
         spec = tmp_path / "kernel.json"

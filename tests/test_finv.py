@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,7 @@ from flab.processes import (
     KernelProcess,
     SkewProductProcess,
 )
-from flab.skew import FiniteGroupAction, SpecialPartition, sigma_generated
+from flab.skew import FiniteAction, FiniteGroupAction, SpecialPartition, sigma_generated
 from flab.words import WordSet, ball, ball_list, generator, parse_word
 
 F = Fraction
@@ -92,7 +93,7 @@ class TestRates:
         proc = BernoulliProcess(2, 3)
         rate = generator_entropy_rate(proc, 1, WordSet(2, [parse_word("e", 2)]))
         assert rate.value == EntropyValue.log_int(3)
-        assert rate.kind == "EXACT-IID" and rate.stabilized_at == 1
+        assert rate.kind == "EXACT-IID" and len(rate.increments) == 1
 
     def test_edge_kernel_axis_rates(self):
         proc = edge_process()
@@ -141,9 +142,10 @@ def direct_increments(proc, i, W, count):
 def assert_settled(proc, i, W):
     """The rate equals every increment from its stop to 8 steps past it."""
     rate = generator_entropy_rate(proc, i, W)
-    later = direct_increments(proc, i, W, rate.stabilized_at + 8)
-    assert later[: rate.stabilized_at] == rate.increments
-    assert all(d == rate.value for d in later[rate.stabilized_at - 1 :]), (rate, later)
+    stop = len(rate.increments)
+    later = direct_increments(proc, i, W, stop + 8)
+    assert later[:stop] == rate.increments
+    assert all(d == rate.value for d in later[stop - 1 :]), (rate, later)
     return rate
 
 
@@ -193,15 +195,15 @@ class TestExactRates:
         W = WordSet(2, [parse_word("e", 2), parse_word("aa", 2)])
         proc = BernoulliProcess(2, 2)
         along, across = (assert_settled(proc, i, W) for i in (1, 2))
-        assert along.value == EntropyValue.log_int(2) and along.stabilized_at == 2
-        assert across.value == 2 * EntropyValue.log_int(2) and across.stabilized_at == 1
+        assert along.value == EntropyValue.log_int(2) and len(along.increments) == 2
+        assert across.value == 2 * EntropyValue.log_int(2) and len(across.increments) == 1
 
     def test_period_four_kernel_rate_is_zero(self):
         # x(g a^4) = x(g): four equal increments log 2, then a zero one
         proc = KernelProcess(scalar_kernel(2, 2, {"e": 1, "aaaa": 1}))
         rate = assert_settled(proc, 1, ball(2, 0))
         assert rate.value.is_zero() and rate.kind == "EXACT-ZERO"
-        assert rate.stabilized_at == 4
+        assert len(rate.increments) == 4
 
     def test_period_seven_kernel_rate_on_ball_one(self):
         # three equal increments 3 log 2 come before the rate 2 log 2, and
@@ -217,7 +219,7 @@ class TestExactRates:
         # W = B(n) with n >= rho: no hidden state is left, Bowen's Markov case
         for kernel in (ow_kernel(), scalar_kernel(3, 2, {"e": 1, "A": 1, "B": 2})):
             _, rates = F_star_of(KernelProcess(kernel), 1)
-            assert [rate.stabilized_at for rate in rates] == [1, 1]
+            assert [len(rate.increments) for rate in rates] == [1, 1]
 
     def test_finite_rate_past_the_atom_bound_raises(self):
         # a positive increment at step (positive-weight atoms) is impossible
@@ -277,10 +279,11 @@ class TestReports:
         assert rep.certificate == "EXACT-IID"
         assert rep.f_star_value == EntropyValue.log_int(4)
 
-    def test_edge_kernel_truncated_upper_bound(self):
+    def test_edge_kernel_markov_tail(self):
+        # F and F* are constant from the hull radius rho = 1 on
         rep = full_report(edge_process(), 2)
         assert rep.f_value.is_zero() and rep.f_star_value.is_zero()
-        assert rep.certificate == "UPPER-BOUND"
+        assert rep.certificate == "EXACT-MARKOV" and rep.stabilized_at is None
 
     def test_running_infima_nonincreasing(self):
         rep = full_report(points_process(preset_group("D4"), autos=[3, 1]), 3)
@@ -311,6 +314,68 @@ class TestReports:
         assert rep.f_value == rep.f_star_value == EntropyValue.log_int(2)
 
 
+class TestTailArguments:
+    """full_report reads f and f* off the row where a tail argument starts,
+    computing rows past n_max when it must (see finv.full_report)."""
+
+    def test_rows_run_to_the_hull_radius(self):
+        # rho = 2: F(1) = log 2, and F is 0 from row 2 on
+        rep = full_report(KernelProcess(scalar_kernel(2, 2, {"aa": 1, "Ab": 1})), 1)
+        assert rep.n_max == 1 and [row["n"] for row in rep.rows] == [0, 1, 2]
+        assert rep.rows[1]["F"] == EntropyValue.log_int(2)
+        assert rep.f_value.is_zero() and rep.f_star_value.is_zero()
+        assert rep.certificate == "EXACT-MARKOV"
+
+    def test_rows_run_to_stabilization(self):
+        # a on Z/5 by x -> x + 1, b trivial, observed through {0}: P^{B(n)}
+        # separates 2n + 1 points, all five from n = 2 on, so f = -log 5
+        act = FiniteAction(FinitePartition.uniform_space(5), [[1, 2, 3, 4, 0], range(5)], 2)
+        proc = FiniteActionProcess(act, FinitePartition(act.weights, [0, 1, 1, 1, 1]))
+        f, rep = exact_f_finite(proc)
+        assert rep.certificate == "EXACT-STABILIZED" and rep.stabilized_at == 2
+        assert len(rep.rows) == 4 and rep.rows[1]["F"] != f
+        assert f == rep.f_star_value == -1 * EntropyValue.log_int(5)
+        assert full_report(proc, 3).rows == rep.rows
+
+    def test_a_marginal_breaking_the_split_raises(self):
+        # mutation: one more dimension on B(1) u aB(1) breaks the fiber
+        # product over B(0) u aB(0), so EXACT-MARKOV must not be printed
+        proc = KernelProcess(scalar_kernel(3, 2, {"e": 1, "A": 1, "B": 2}))
+        assert full_report(proc, 1).certificate == "EXACT-MARKOV"
+        proc = KernelProcess(proc.kernel)
+        b = ball(2, 1)
+        broken = b.union(b.translate(generator(2, 1))).key()
+        exact = proc.subshift.marginal
+
+        def marginal(W):
+            m = exact(W)
+            return SimpleNamespace(dimension=m.dimension + 1) if W.key() == broken else m
+
+        proc.subshift.marginal = marginal
+        with pytest.raises(AssertionError, match="fiber product"):
+            full_report(proc, 1)
+
+    def test_finite_tail_past_the_atom_bound_raises(self):
+        # window entropies rising at row (positive-weight atoms) are
+        # impossible on a finite model, so that is an error, not a label
+        act = random_finite_action(make_rng(5))
+        proc = FiniteActionProcess(act, FinitePartition.points(act.weights))
+        atoms = sum(1 for c in act.space.counts if c)
+        assert proc.f_kind(atoms - 1) is None
+        with pytest.raises(AssertionError, match="stabilization bound"):
+            proc.f_kind(atoms)
+
+    def test_a_row_past_the_tail_must_repeat_it(self):
+        # a fake binary shift with one bit too many on windows past 20 words:
+        # only the windows of row 2 reach that, so F(2) != F(1)
+        class Drifting(BernoulliProcess):
+            def entropy(self, W):
+                return (len(W) + (len(W) > 20)) * EntropyValue.log_int(2)
+
+        with pytest.raises(AssertionError, match="contradicts the EXACT-IID tail"):
+            full_report(Drifting(2, 2), 2)
+
+
 class TestBernoulliTriples:
     def test_ow_triple(self):
         full = full_report(BernoulliProcess(2, 2), 2)
@@ -334,17 +399,21 @@ class TestBernoulliTriples:
         image = full_report(BernoulliProcess(2, 4), 2)
         assert addition_report(total, wrong, image)["verdict"] == "EXACT-FAIL"
 
-    def test_mixed_levels_incomparable(self):
+    def test_kernel_column_beside_bernoulli_columns(self):
+        # log 2 = 0 + log 2, with the edge kernel's f exact by its Markov tail
         total = full_report(BernoulliProcess(2, 2), 2)
-        bound = full_report(edge_process(), 2)
+        kernel = full_report(edge_process(), 2)
         image = full_report(BernoulliProcess(2, 2), 2)
-        assert addition_report(total, bound, image)["verdict"] == "INCOMPARABLE"
+        verdict = addition_report(total, kernel, image)
+        assert verdict["verdict"] == "EXACT-PASS" and verdict["exact_equality"]
+        assert verdict["columns"]["a"]["certificate"] == "EXACT-MARKOV"
 
-    def test_all_bounds_consistency_table(self):
-        bound = full_report(edge_process(), 2)
-        verdict = addition_report(bound, bound, bound)
-        assert verdict["verdict"] == "BOUND-CONSISTENT"
-        assert all(not row["equal"] or row for row in verdict["rows"])
+    def test_all_kernel_columns(self):
+        kernel = full_report(edge_process(), 2)
+        assert addition_report(kernel, kernel, kernel)["verdict"] == "EXACT-PASS"
+        # the constants of Z/2, f = -log 2
+        constants = full_report(points_process(cyclic(2)), 2)
+        assert addition_report(kernel, kernel, constants)["verdict"] == "EXACT-FAIL"
 
 
 class TestRelative:
@@ -517,7 +586,9 @@ class TestLabelVocabulary:
         assert is_exact(label)
 
     def test_below_exact(self):
-        assert not is_exact("UPPER-BOUND")
+        # nothing is reported below the exact level: the retired label raises
+        with pytest.raises(ValueError):
+            is_exact("UPPER-BOUND")
 
     @pytest.mark.parametrize(
         "label",
@@ -535,7 +606,11 @@ class TestLabelVocabulary:
             "STABLE",
             "exact",
             "EXACT-PASS",
+            # the retired bound and column verdicts
+            "BOUND-CONSISTENT",
+            "INCOMPARABLE",
             "TIGHT",
+            "CONSISTENT",
             "",
         ],
     )

@@ -328,6 +328,29 @@ class TestSolutionSetShape:
         with pytest.raises(ValueError, match="particular"):
             AffineSolutionSet(3, ["x", "y"], [0], [])
 
+    def test_duplicate_keys_are_refused(self):
+        # project would read the last "x", whose coordinate the basis pins
+        with pytest.raises(ValueError, match="duplicate keys"):
+            AffineSolutionSet(3, ["x", "x"], [0, 0], [[1, 0]])
+        with pytest.raises(ValueError, match="duplicate keys"):
+            AffineSolutionSet(3, ["x", "x"], None, [])
+        with pytest.raises(ValueError, match="duplicate keys"):
+            solution_space_from_constraints([{"x": 1}], ["x", "y", "x"], 3)
+
+    def test_a_constraint_outside_the_keys_is_refused(self):
+        with pytest.raises(ValueError, match="'z'"):
+            solution_space_from_constraints([{"z": 1}], ["x", "y"], 3)
+        assert solution_space_from_constraints([{"y": 1}], ["x", "y"], 3).dimension == 1
+
+
+class TestMatrixShape:
+    def test_cols_must_match_the_row_width(self):
+        with pytest.raises(ValueError, match="cols=5"):
+            FpMatrix(3, [[1, 2]], cols=5)
+        assert FpMatrix(3, [[1, 2]], cols=2).cols == 2
+        # with no rows, cols is the only record of the width
+        assert FpMatrix(3, [], cols=5).cols == 5 and FpMatrix(3, []).cols == 0
+
 
 class TestSolutionSetTuple:
     m = FpMatrix(3, [[1, 2, 0], [0, 1, 1]])
