@@ -16,10 +16,14 @@ Z is the free group of rank 1, so the one-dimensional inequality
 Words enter as ids (see `flab.words`): alpha_w and sigma(w, .) live in
 tables keyed by the id of w, each entry grown from its parent's, and
 filled in one ascending sweep over the ids asked for (`CayleyTree.sweep`),
-so a ball costs one pass.  A window partition P^W zips one label column
-per word and is canonicalized once.  A FreeWord is encoded once where a
-caller passes one (`word_perm`, `values`, `pullback_partition`) and
-decoded only for a witness.
+so a ball costs one pass.  The growth is a finite-state machine: the
+entry of v t depends only on that of v (for sigma, also on beta_v) and
+on the letter t, so each instance composes a transition once, in its own
+transition table, and every id that reaches it shares the entry.  The
+cocycle check reads the ids of g h off one step table of the tree.  A
+window partition P^W zips one label column per word and is canonicalized
+once.  A FreeWord is encoded once where a caller passes one (`word_perm`,
+`values`, `pullback_partition`) and decoded only for a witness.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ class FiniteAction:
         # alpha_t for every letter t, in slot order: a, A, b, B, ...
         self._steps = [q for p in perms for q in (p, invert_perm(p))]
         self._tree, self._by_id = CayleyTree(rank), {0: tuple(range(len(space.counts)))}
+        self._moves: dict[tuple, tuple[int, ...]] = {}  # (alpha_v, slot of t) -> alpha_{v t}
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -82,11 +87,15 @@ class FiniteAction:
 
     def _perms(self, ids: Iterable[int]) -> dict[int, tuple[int, ...]]:
         """The alpha table by id, filled for the given ids and their ancestors
-        in one sweep: alpha_{v t} = alpha_v after alpha_t."""
-        by_id, steps = self._by_id, self._steps
+        in one sweep: alpha_{v t} = alpha_v after alpha_t, composed once per
+        distinct (alpha_v, t) and shared by every id that reaches it."""
+        by_id, steps, moves = self._by_id, self._steps, self._moves
         for i, v, s in self._tree.sweep(ids, by_id):
             head = by_id[v]
-            by_id[i] = tuple([head[x] for x in steps[s]])
+            perm = moves.get((head, s))
+            if perm is None:
+                perm = moves[head, s] = tuple([head[x] for x in steps[s]])
+            by_id[i] = perm
         return by_id
 
     def window_partition(self, p: FinitePartition, W: WordSet) -> FinitePartition:
@@ -166,6 +175,7 @@ class Cocycle:
             (self._letter_values(t), base.letter_perm(t)) for t in signed_letters(base.rank)
         ]
         self._rows = {0: (fiber.group.identity,) * base.size()}
+        self._moves: dict[tuple, tuple[int, ...]] = {}  # (sigma(v, .), beta_v, slot of t) -> sigma(v t, .)
 
     def _letter_values(self, letter: int) -> tuple[int, ...]:
         g = self.fiber.group
@@ -186,13 +196,19 @@ class Cocycle:
 
     def rows(self, ids: Iterable[int]) -> dict[int, tuple[int, ...]]:
         """The sigma table by id, filled for the given ids and their ancestors
-        in one sweep: sigma(v t, x) = beta_v sigma(t, x) . sigma(v, alpha_t x)."""
-        rows, table = self._rows, self.fiber.group.table
+        in one sweep: sigma(v t, x) = beta_v sigma(t, x) . sigma(v, alpha_t x),
+        composed once per distinct (sigma(v, .), beta_v, t) and shared by
+        every id that reaches it."""
+        rows, table, moves = self._rows, self.fiber.group.table, self._moves
         steps = self.base._tree.sweep(ids, rows)
         betas = self.fiber.action._perms(v for _i, v, _s in steps)
         for i, v, s in steps:
-            (sigma_t, alpha_t), beta_v, head = self._steps[s], betas[v], rows[v]
-            rows[i] = tuple([table[beta_v[y]][head[a]] for y, a in zip(sigma_t, alpha_t)])
+            head, beta_v = rows[v], betas[v]
+            row = moves.get((head, beta_v, s))
+            if row is None:
+                sigma_t, alpha_t = self._steps[s]
+                row = moves[head, beta_v, s] = tuple([table[beta_v[y]][head[a]] for y, a in zip(sigma_t, alpha_t)])
+            rows[i] = row
         return rows
 
 
@@ -209,20 +225,24 @@ def verify_cocycle_identity(
     the products gh reach.  For each g in B(max_len), in id order, the rows
     of gh over all h in B(max_len), in id order, are compared whole against
     the rows x -> beta_g sigma(h, x) . sigma(g, alpha_h x).  The ids of gh
-    for all g are one tree step from those of g times the parent of h.
+    for all g index the step table of B(2 max_len - 1) at the last letter
+    of h, over those of g times the parent of h.
 
     Returns (ok, witness); the witness names the first failing (g, h, x)
     in the order g, then h, then x.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, not {max_len}")
     table, labels, tree = fiber.group.table, fiber.group.labels, base._tree
     ids = range(ball_size(base.rank, max_len))
     rows = [row(i) for i in range(ball_size(base.rank, 2 * max_len))]
     alphas, betas = base._perms(ids), fiber.action._perms(ids)
-    # (sigma(h, x), alpha_h x) over h, then x, and the ids of g h by g
+    # (sigma(h, x), alpha_h x) over h, then x, and the ids of g h by h, then g
     pairs = [sa for h in ids for sa in zip(rows[h], alphas[h])]
+    step = tree.step_table(2 * max_len - 1) if max_len else []
     products = [list(ids)]
-    for h in ids[1:]:
-        products.append(tree.translates(products[tree.parent(h)], (tree.last(h),)))
+    for _h, v, s in tree.sweep(ids, (0,)):
+        products.append(list(map(step[s].__getitem__, products[v])))
     for g in ids:
         beta_g, sigma_g = betas[g], rows[g]
         lhs = [y for gh in products for y in rows[gh[g]]]
@@ -377,6 +397,8 @@ class SectionCocycleBundle:
 
     def verify_conjugacy(self, max_len: int = 3) -> tuple[bool, dict | None]:
         """Phi intertwines the skew action with the original one, exhaustively."""
+        if max_len < 0:
+            raise ValueError(f"max_len must be >= 0, not {max_len}")
         g = self.parent.group
         ny = self.fiber_group.order()
         phi_flat = [

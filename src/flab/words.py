@@ -25,11 +25,12 @@ and the words of length n come after all shorter words, in lex order of
 their slots.  This is the word's position in `ball_list`'s breadth-first
 order, and integer order is `FreeWord.sort_key` order: sorting ids gives
 the canonical order, which is the only ordering contract of this module.
-With q = 2r - 1 and S(n) = ball_size(r, n), a word of length n >= 1 with
-id i has
-    children  S(n) + (i - S(n-1))·q + d  for d = 0 .. q-1, in slot order
+With q = 2r - 1 and S(n) = ball_size(r, n), the children of each word
+of a sphere fill the next sphere in order, and S(n) = q·S(n-1) + 2, so a
+word with id i >= 1 has
+    children  q·i + 2 + d  for d = 0 .. q-1, in slot order
               (the children of e are 1 .. 2r),
-    parent    S(n-2) + (i - S(n-1)) // q  (e when n = 1).
+    parent    (i - 2) // q  (e when i = 1).
 The child reached by the letter of slot s skips the inverse of i's last
 letter, so d = s, or s - 1 past that inverse; a one-generator step i·s
 therefore needs i's last letter too.  A `CayleyTree` does these steps and
@@ -267,17 +268,14 @@ class CayleyTree:
         return bisect_right(sizes, i)
 
     def parent(self, i: int) -> int:
-        n = self.length(i)
-        if n == 0:
+        if i == 0:
             raise ValueError("the identity has no parent")
-        return self._sizes[n - 2] + (i - self._sizes[n - 1]) // self.q if n > 1 else 0
+        return (i - 2) // self.q if i > 1 else 0
 
     def children(self, i: int) -> range:
         if i == 0:
             return range(1, 2 * self.rank + 1)
-        n = self.length(i)
-        base = self._sizes[n] + (i - self._sizes[n - 1]) * self.q
-        return range(base, base + self.q)
+        return range(self.q * i + 2, self.q * i + 2 + self.q)
 
     def last(self, i: int) -> int:
         """The slot of the last letter of the word with id i >= 1."""
@@ -288,8 +286,8 @@ class CayleyTree:
             if i <= 2 * self.rank:
                 s = i - 1
             else:
-                d = (i - self._sizes[self.length(i) - 1]) % self.q
-                back = self.last(self.parent(i)) ^ 1
+                v, d = divmod(i - 2, self.q)
+                back = self.last(v) ^ 1
                 s = d if d < back else d + 1
             self._last[i] = s
         return s
@@ -297,25 +295,21 @@ class CayleyTree:
     def sweep(self, ids: Iterable[int], known: Collection[int], new: set[int] | None = None) -> list[tuple[int, int, int]]:
         """(i, parent, last slot) for each id i >= 1 outside `known` (closed
         under parents) and `new` among the given ones and their ancestors,
-        each parent first; `new` gains every id listed.  Ascending ids walk
-        the spheres in order, so parent and slot are arithmetic on the
-        sphere layout, the slot read from the parent's."""
+        each parent first; `new` gains every id listed.  Parent and slot
+        are arithmetic on the sphere layout, the slot read from the
+        parent's."""
         ids, out, new = sorted(ids), [], set() if new is None else new
-        if ids:
-            self.length(ids[-1])
-        sizes, last, q, n = self._sizes, self._last, self.q, 1
+        last, q, top = self._last, self.q, 2 * self.rank
         for i in ids:
             if i in known or i in new or not i:
                 continue
-            while sizes[n] <= i:
-                n += 1
-            if n == 1:
+            if i <= top:
                 v, d = 0, i - 1
             else:
-                v, d = divmod(i - sizes[n - 1], q)
-                v += sizes[n - 2]
+                v = (i - 2) // q
                 if v not in known and v not in new:
                     out += self.sweep((v,), known, new)
+                d = (i - 2) % q
                 d += d >= last[v] ^ 1
             new.add(i)
             last[i] = d
@@ -324,7 +318,7 @@ class CayleyTree:
 
     def translates(self, ids: Iterable[int], word: Sequence[int]) -> list[int]:
         """The ids of v·w for each id v, for w given by its letter slots."""
-        sizes, last, q = self._sizes, self._last, self.q
+        last, q = self._last, self.q
         out = []
         for i in ids:
             for s in word:
@@ -335,20 +329,34 @@ class CayleyTree:
                 if back is None:
                     back = self.last(i)
                 back ^= 1
-                if sizes[-1] <= i:
-                    self.length(i)
-                n = bisect_right(sizes, i)
                 if s == back:
-                    i = sizes[n - 2] + (i - sizes[n - 1]) // q if n > 1 else 0
+                    i = (i - 2) // q if i > 1 else 0
                 else:
-                    i = sizes[n] + (i - sizes[n - 1]) * q + (s if s < back else s - 1)
+                    i = q * i + 2 + (s if s < back else s - 1)
                     last[i] = s
             out.append(i)
         return out
 
+    def step_table(self, n: int) -> list[list[int]]:
+        """For each letter slot s, the ids of i·s for every id i of B(n), in
+        id order: the parent when s is the inverse b of i's last slot, else
+        the child q·i + 2 + s - (s > b) (e has b = -1).  The children of an
+        id with inverse b have the slots t != b, in order, so the b of
+        every id follows from its parent's, sphere by sphere."""
+        q, r2, top = self.q, 2 * self.rank, ball_size(self.rank, n)
+        after = [[t ^ 1 for t in range(r2) if t != b] for b in range(-1, r2)]
+        backs, i = [-1], 0
+        while len(backs) < top:
+            backs += after[backs[i] + 1]
+            i += 1
+        return [
+            [q * i + 2 + s - (s > b) if s != b else (i - 2) // q if i > 1 else 0 for i, b in enumerate(backs)]
+            for s in range(r2)
+        ]
+
     def thicken(self, ids: Iterable[int], t: int) -> set[int]:
         """All ids within distance t of the given ones."""
-        sizes, q, top = self._sizes, self.q, range(1, 2 * self.rank + 1)
+        q, top = self.q, range(1, 2 * self.rank + 1)
         out = set(ids)
         frontier = out
         for _ in range(t):
@@ -357,12 +365,8 @@ class CayleyTree:
                 if i == 0:
                     nxt.update(top)
                     continue
-                if sizes[-1] <= i:
-                    self.length(i)
-                n = bisect_right(sizes, i)
-                j = i - sizes[n - 1]
-                nxt.add(sizes[n - 2] + j // q if n > 1 else 0)
-                base = sizes[n] + j * q
+                nxt.add((i - 2) // q if i > 1 else 0)
+                base = q * i + 2
                 nxt.update(range(base, base + q))
             nxt -= out
             out |= nxt
@@ -613,6 +617,8 @@ def ball(rank: int, n: int) -> WordSet:
 
 def ball_size(rank: int, n: int) -> int:
     """Closed-form |B(n)| in the 2r-regular tree."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n == 0:
         return 1
     if rank == 1:

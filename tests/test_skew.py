@@ -349,6 +349,61 @@ class TestSectionCocycles:
         assert got == want
         assert not got[0]
 
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_a_corrupted_cell_at_the_deepest_gh_gives_the_pointwise_witness(self, max_len, end):
+        # the first and last ids of sphere 2 max_len are reached only as
+        # g h with |g| = |h| = max_len, through the deepest step-table rows
+        target = range(ball_size(2, 2 * max_len - 1), ball_size(2, 2 * max_len))[end]
+        tree = CayleyTree(2)
+        for pair in section_pair_catalog(2):
+            if len(pair["subgroup"]) == 1:
+                continue
+            bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
+            fiber = bundle.fiber_group
+            bump = next(y for y in range(fiber.order()) if y != fiber.identity)
+            x0 = end % bundle.base_action.size()
+
+            def corrupted(i):
+                row = list(bundle.cocycle.row(i))
+                if i == target:
+                    row[x0] = fiber.mul(row[x0], bump)
+                return row
+
+            got = verify_cocycle_identity(
+                corrupted, bundle.base_action, bundle.fiber_action, max_len
+            )
+            want = pointwise_cocycle_failure(
+                lambda w, x: corrupted(tree.id(w))[x], bundle.base_action, bundle.fiber_action, max_len
+            )
+            assert got == want, pair["name"]
+            assert not got[0]
+
+    def test_radius_zero_checks_the_identity_alone(self):
+        bundle = z4_section_bundle()
+        check = (bundle.cocycle.row, bundle.base_action, bundle.fiber_action)
+        assert verify_cocycle_identity(*check, max_len=0) == (True, None)
+        assert bundle.verify_conjugacy(max_len=0) == (True, None)
+        bump = next(y for y in range(bundle.fiber_group.order()) if y != bundle.fiber_group.identity)
+
+        def corrupted(i):
+            return [bump, *bundle.cocycle.row(i)[1:]] if i == 0 else bundle.cocycle.row(i)
+
+        got = verify_cocycle_identity(corrupted, *check[1:], max_len=0)
+        tree = CayleyTree(2)
+        assert got == pointwise_cocycle_failure(lambda w, x: corrupted(tree.id(w))[x], *check[1:], 0)
+        assert got[1]["g"] == got[1]["h"] == "e"
+
+    def test_negative_radius_is_refused(self):
+        # ball_size used to return -1.0 here, and range() raised TypeError
+        bundle = z4_section_bundle()
+        with pytest.raises(ValueError, match="max_len"):
+            verify_cocycle_identity(
+                bundle.cocycle.row, bundle.base_action, bundle.fiber_action, max_len=-1
+            )
+        with pytest.raises(ValueError, match="max_len"):
+            bundle.verify_conjugacy(max_len=-1)
+
     def test_cocycle_path_builds_no_validated_words(self, monkeypatch):
         import flab.words as words
 
@@ -403,6 +458,79 @@ class TestIdTablesMatchLetterOracles:
     def test_rank_three_bundle(self):
         bundle, _fiber = random_group_skew_bundle(make_rng(3), rank=3)
         assert_tables_match_letter_oracles(bundle)
+
+
+def random_perm(rng: random.Random, n: int) -> list[int]:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def six_atom_bundle(rank: int) -> SkewBundle:
+    """Random permutations of six atoms over a Q8 fiber with random
+    automorphisms and cocycle values: at rank 3 almost every row of B(4)
+    is a distinct entry, so almost every id composes its own transition."""
+    rng = random.Random(rank)
+    q8 = quaternion8()
+    autos = all_automorphisms(q8)
+    base = FiniteAction(uniform(6), [random_perm(rng, 6) for _ in range(rank)], rank)
+    fiber = FiniteGroupAction(q8, [autos[rng.randrange(len(autos))] for _ in range(rank)], rank)
+    cocycle = Cocycle(base, fiber, [[rng.randrange(8) for _ in range(6)] for _ in range(rank)])
+    return SkewBundle(base, fiber, cocycle)
+
+
+class TestTransitionTables:
+    """alpha_w and sigma(w, .) are finite-state: each FiniteAction and each
+    Cocycle composes a transition the first time it meets it, and every id
+    that reaches it points at the one stored entry."""
+
+    @pytest.mark.parametrize("rank, n", [(1, 12), (3, 4)])
+    def test_six_atoms_match_the_letter_oracles(self, rank, n):
+        bundle = six_atom_bundle(rank)
+        assert_tables_match_letter_oracles(bundle, n)
+        ids = range(ball_size(rank, n))
+        bundle.cocycle.rows(ids)
+        if rank == 3:
+            assert len(set(bundle.cocycle._rows.values())) > 0.9 * len(ids)
+        for action in (bundle.base, bundle.fiber.action, bundle.product):
+            for (head, s), perm in action._moves.items():
+                step = action._steps[s]
+                assert perm == tuple(head[x] for x in step)
+        cocycle, table = bundle.cocycle, bundle.fiber.group.table
+        for (head, beta_v, s), row in cocycle._moves.items():
+            sigma_t, alpha_t = cocycle._steps[s]
+            assert row == tuple(table[beta_v[y]][head[a]] for y, a in zip(sigma_t, alpha_t))
+
+    def test_ids_share_the_entry_of_their_transition(self):
+        ids = range(ball_size(2, 6))
+        for pair in section_pair_catalog(2):
+            bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
+            cocycle, action = bundle.cocycle, bundle.base_action
+            rows, perms = cocycle.rows(ids), action._perms(ids)
+            betas = bundle.fiber_action.action._by_id
+            for i, v, s in CayleyTree(2).sweep(ids, (0,)):
+                assert rows[i] is cocycle._moves[rows[v], betas[v], s]
+                assert perms[i] is action._moves[perms[v], s]
+
+    def test_instances_share_no_state(self):
+        bundle = z4_section_bundle()
+        base, fiber, values = bundle.base_action, bundle.fiber_action, bundle.cocycle.gen_values
+        actions = [FiniteAction(base.space, base.gen_perms, base.rank) for _ in range(2)]
+        cocycles = [Cocycle(base, fiber, values) for _ in range(2)]
+        ids = range(ball_size(2, 3))
+        actions[0]._perms(ids)
+        cocycles[0].rows(ids)
+        # filling one instance leaves its twin empty
+        assert actions[1]._by_id == {0: (0, 1)} and actions[1]._moves == {}
+        assert len(cocycles[1]._rows) == 1 and cocycles[1]._moves == {}
+        actions[1]._perms(ids)
+        cocycles[1].rows(ids)
+        for a, b in (actions, cocycles):
+            for name in ("_moves", "_steps", "_by_id", "_rows", "_tree"):
+                if hasattr(a, name):
+                    assert getattr(a, name) is not getattr(b, name), name
+        assert actions[0]._moves == actions[1]._moves
+        assert cocycles[0]._rows == cocycles[1]._rows and cocycles[0]._moves == cocycles[1]._moves
 
 
 def z4_section_bundle() -> SectionCocycleBundle:

@@ -151,6 +151,13 @@ class TestBall:
     def test_closed_form(self, rank, n):
         assert len(ball(rank, n)) == ball_size(rank, n)
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_radius_is_refused(self, rank, n):
+        # rank >= 2 used to give the float -1.0, rank 1 the int 2n + 1
+        with pytest.raises(ValueError):
+            ball_size(rank, n)
+
     def test_all_reduced_and_within_radius(self):
         for v in ball(2, 3):
             assert len(v) <= 3
@@ -659,6 +666,18 @@ class TestTreeDistance:
         rank, ws = case
         s = WordSet(rank, ws)
         assert radius_center(s) == old_radius_center(s)
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_translates(self, rank, n):
+        table = CayleyTree(rank).step_table(n)
+        ids = range(ball_size(rank, n))
+        assert len(table) == 2 * rank
+        for s, row in enumerate(table):
+            # a fresh tree reads every last letter by its own arithmetic
+            assert row == CayleyTree(rank).translates(ids, (s,))
 
 
 class TestSweep:
