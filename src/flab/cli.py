@@ -33,16 +33,9 @@ def _render_table(report: dict) -> str:
     tables = report.get("reports") or {k: report[k] for k in ("report", "relative_report") if k in report}
     for name, rep in tables.items():
         lines.append(f"-- {name}: {rep['label']}")
-        lines.append("   n |        F        |       F*        | inf F (n>=1)")
+        lines.append("   n |        F        |       F*")
         for row in rep["rows"]:
-            lines.append(
-                "   {n} | {F:>15.12f} | {Fs:>15.12f} | {inf:>12.9f}".format(
-                    n=row["n"],
-                    F=row["F"]["float"],
-                    Fs=row["F_star"]["float"],
-                    inf=row["running_inf_F"]["float"],
-                )
-            )
+            lines.append(f"   {row['n']} | {row['F']['float']:>15.12f} | {row['F_star']['float']:>15.12f}")
         lines.append(
             f"   f = {rep['f']['value']['float']:.12f} [{rep['f']['certificate']}]  "
             f"f* = {rep['f_star']['value']['float']:.12f} [{rep['f_star']['certificate']}]"

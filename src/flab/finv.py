@@ -117,8 +117,8 @@ def F_star_of(proc, n: int) -> tuple[EntropyValue, list[RateResult]]:
 
 
 class FReport(NamedTuple):
-    """Per-n table of F and F* with running infima, and f and f* read off
-    the row where the tail argument `certificate` starts (see `full_report`)."""
+    """Per-n table of F and F*, and f and f* read off the row where the
+    tail argument `certificate` starts (see `full_report`)."""
 
     label: str
     rank: int
@@ -147,8 +147,6 @@ class FReport(NamedTuple):
                     "n": row["n"],
                     "F": row["F"].to_json(),
                     "F_star": row["F_star"].to_json(),
-                    "running_inf_F": row["inf_F"].to_json(),
-                    "running_inf_F_star": row["inf_F_star"].to_json(),
                     "rates": [rate.to_json() for rate in row["rates"]],
                 }
                 for row in self.rows
@@ -176,12 +174,7 @@ def full_report(proc, n_max: int) -> FReport:
     while n <= n_max or cert is None:
         F = F_of(proc, n)
         F_star, rates = F_star_of(proc, n)
-        # the running infima are over n >= 1; row 0 carries its own values
-        inf_F = F if n <= 1 else min(inf_F, F)
-        inf_F_star = F_star if n <= 1 else min(inf_F_star, F_star)
-        rows.append(
-            {"n": n, "F": F, "F_star": F_star, "rates": rates, "inf_F": inf_F, "inf_F_star": inf_F_star}
-        )
+        rows.append({"n": n, "F": F, "F_star": F_star, "rates": rates})
         if n >= 1 and cert is None:
             if proc.entropy(ball(r, n)) == proc.entropy(ball(r, n - 1)):
                 cert, stabilized_at, tail = EXACT_STABILIZED, n - 1, max(n - 1, 1)

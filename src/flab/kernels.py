@@ -13,8 +13,11 @@ ker(phi) is a tree shift of finite type, the states that extend into
 each branch of the Cayley tree are a fixed point computed once per
 subshift, and pi_W(ker phi) is the solution set on hull(W) with each
 exit state held to its branch's fixed point (see `KernelSubshift`).
-Every marginal is labelled EXACT.  `constraint_sites` and `window_rows`
-are the word-level views of the constraint placement on a window.
+Every marginal is labelled EXACT.  The constraint placement has one
+implementation, `_site_rows` (the rows at given site ids, keyed (id,
+input channel)): the hull systems and the fixed point use it on ids,
+`target_map_matrix` densifies it, and `window_rows` is its word-level
+view on a window.
 
 The onto-ness decision (`is_surjective`) and the preimage solver
 (`preimage_on_ball`) work on the stencil translated so that the identity
@@ -59,6 +62,7 @@ from .words import (
 )
 
 Matrix = tuple[tuple[int, ...], ...]
+ORDERING_DEPTH = 3  # the scalar onto-ness certificate orders the sites of B(3)
 
 
 class ZeroKernelError(ValueError):
@@ -286,21 +290,17 @@ def constraint_sites(k: ConvolutionKernel, V: WordSet) -> list[FreeWord]:
 
 
 def _site_rows(k: ConvolutionKernel, tree: CayleyTree, sites: list[int]) -> list[dict]:
-    """The constraint rows at the given site ids, keyed (id, input channel)."""
+    """The constraint rows at the given site ids, keyed (id, input channel).
+
+    The support words s place at distinct ids g·s, so each nonzero block
+    entry, already reduced mod p, is a row entry of its own."""
     blocks = list(k.coeffs.values())
     columns = [tree.translates(sites, letter_slots(s.letters)) for s in k.coeffs]
-    p = k.p
     rows = []
     for n in range(len(sites)):
         placed = [(column[n], block) for column, block in zip(columns, blocks)]
         for r in range(k.d_out):
-            row: dict = {}
-            for gs, block in placed:
-                for j in range(k.d_in):
-                    if block[r][j]:
-                        key = (gs, j)
-                        row[key] = (row.get(key, 0) + block[r][j]) % p
-            rows.append({kk: v for kk, v in row.items() if v})
+            rows.append({(gs, j): x for gs, block in placed for j, x in enumerate(block[r]) if x})
     return rows
 
 
@@ -454,32 +454,29 @@ class SurjectivityReport(NamedTuple):
 
 
 def target_map_matrix(k: ConvolutionKernel, W: WordSet) -> tuple[FpMatrix, list]:
-    """Matrix of x |-> phi(x)|_W over the variables the W-constraints read."""
+    """Matrix of x |-> phi(x)|_W over the variables the W-constraints read:
+    the `_site_rows` at W, densified over every channel of each id read."""
     _check_rank(k, W)
-    tree, p, d_in = CayleyTree(k.rank), k.p, k.d_in
-    sites = sorted(W.ids())
-    placed = [(tree.translates(sites, slots), block) for _, slots, block in _stencil(k, tree)]
-    var_ids = sorted({gs for column, _ in placed for gs in column})
+    tree, d_in = CayleyTree(k.rank), k.d_in
+    rows = _site_rows(k, tree, sorted(W.ids()))
+    var_ids = sorted({i for row in rows for i, _ in row})
     index = {i: n * d_in for n, i in enumerate(var_ids)}
-    rows = []
-    for n in range(len(sites)):
-        for r in range(k.d_out):
-            row = [0] * (len(var_ids) * d_in)
-            for column, block in placed:
-                at = index[column[n]]
-                for j in range(d_in):
-                    row[at + j] = (row[at + j] + block[r][j]) % p
-            rows.append(row)
+    dense = []
+    for row in rows:
+        out = [0] * (len(var_ids) * d_in)
+        for (i, j), v in row.items():
+            out[index[i] + j] = v
+        dense.append(out)
     cols = [(tree.word(i), j) for i in var_ids for j in range(d_in)]
-    return FpMatrix(p, rows, cols=len(cols)), cols
+    return FpMatrix(k.p, dense, cols=len(cols)), cols
 
 
-def is_surjective(k: ConvolutionKernel, depth: int = 3) -> SurjectivityReport:
+def is_surjective(k: ConvolutionKernel) -> SurjectivityReport:
     """Onto-ness of phi, with a certificate.
 
     Nonzero scalar kernels are onto; the certificate re-derives the
-    covering condition for the centered stencil hull along a spiral
-    ordering up to the configured depth.  Matrix-valued kernels only get
+    covering condition for the centered stencil hull along the spiral
+    ordering of B(ORDERING_DEPTH).  Matrix-valued kernels only get
     a window-level verdict, explicitly flagged as not theorem-backed.
     """
     if k.is_zero():
@@ -487,8 +484,8 @@ def is_surjective(k: ConvolutionKernel, depth: int = 3) -> SurjectivityReport:
     if k.is_scalar():
         _, center, geo = _centered(k)
         slots = [letter_slots(w.letters) for w in geo.hull]
-        # the spiral ordering of B(depth) is breadth-first: the ids 0, 1, ...
-        sites = ball_size(k.rank, depth)
+        # the spiral ordering of B(ORDERING_DEPTH) is breadth-first: the ids 0, 1, ...
+        sites = ball_size(k.rank, ORDERING_DEPTH)
         walk = CayleyTree(k.rank).escape_walk(range(sites), slots, slots)
         return SurjectivityReport(
             True,
@@ -497,8 +494,7 @@ def is_surjective(k: ConvolutionKernel, depth: int = 3) -> SurjectivityReport:
                 "center": format_word(center),
                 "centered_hull": [format_word(w) for w in geo.hull],
                 "hull_radius": geo.radius,
-                "identity_is_center": 0 in geo.centers.ids(),
-                "ordering_depth": depth,
+                "ordering_depth": ORDERING_DEPTH,
                 "ordering_condition": len(walk) == sites,
             },
         )

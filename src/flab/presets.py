@@ -68,13 +68,13 @@ def normal_subgroups(group: FiniteGroup) -> list[frozenset[int]]:
     )
 
 
-def _auto_fixing_subgroup(group: FiniteGroup, sub: frozenset[int], skip_identity=True):
+def _auto_fixing_subgroup(group: FiniteGroup, sub: frozenset[int]):
+    """The first automorphism but the identity mapping sub onto itself, else the identity."""
+    ident = identity_perm(group.order())
     for perm in all_automorphisms(group):
-        if skip_identity and perm == identity_perm(group.order()):
-            continue
-        if frozenset(perm[x] for x in sub) == sub:
+        if perm != ident and frozenset(perm[x] for x in sub) == sub:
             return perm
-    return identity_perm(group.order())
+    return ident
 
 
 def section_pair_catalog(rank: int = 2) -> list[dict]:

@@ -13,8 +13,8 @@ Construction: the public `FreeWord(rank, letters)` reduces its letters and
 checks each against the rank, so it accepts any input.  The private
 `_word(rank, letters)` trusts its caller to pass a reduced tuple of
 in-range letters and only stores it; `identity`, `mul`, `inv`,
-`neighbors`, `ball_list` and the id decoding build their results with it,
-because they produce reduced words by construction.  A word stores its
+`ball_list` and the id decoding build their results with it, because
+they produce reduced words by construction.  A word stores its
 hash on first use: that of its doubled letters, since hash(-1) ==
 hash(-2) would equate s1^-1 and s2^-1 in the letters themselves.
 
@@ -34,10 +34,12 @@ word with id i >= 1 has
 The child reached by the letter of slot s skips the inverse of i's last
 letter, so d = s, or s - 1 past that inverse; a one-generator step i·s
 therefore needs i's last letter too.  A `CayleyTree` does these steps and
-keeps, for the ids it has met, their last letters.  A `WordSet` stores
-ids, and `thicken`, `convex_hull`, `geodesic_interval`, `extreme_points`,
-`radius_center` and `escape_walk` run on ids; their word arguments and
-results are converted at the boundary.
+keeps, for the ids it has met, their last letters; for another id it
+climbs, in a loop, to the nearest ancestor it has met.  A `WordSet`
+stores ids, and `thicken`, `convex_hull`, `extreme_points`,
+`radius_center` and `check_ordering_condition` (through
+`CayleyTree.escape_walk`, the onto-ness induction's ordering step) run
+on ids, converting word arguments and results at the boundary.
 """
 
 from __future__ import annotations
@@ -278,29 +280,37 @@ class CayleyTree:
         return range(self.q * i + 2, self.q * i + 2 + self.q)
 
     def last(self, i: int) -> int:
-        """The slot of the last letter of the word with id i >= 1."""
-        s = self._last.get(i)
+        """The slot of the last letter of the word with id i >= 1, read from
+        its parent's; the ancestors not met yet are filled first, top down."""
+        last = self._last
+        s = last.get(i)
         if s is None:
             if i == 0:
                 raise ValueError("the identity has no last letter")
-            if i <= 2 * self.rank:
+            top = 2 * self.rank
+            if i <= top:
                 s = i - 1
             else:
                 v, d = divmod(i - 2, self.q)
-                back = self.last(v) ^ 1
-                s = d if d < back else d + 1
-            self._last[i] = s
+                if v not in last:
+                    chain = [v]
+                    while chain[-1] > top and (u := (chain[-1] - 2) // self.q) not in last:
+                        chain.append(u)
+                    for u in reversed(chain):
+                        self.last(u)
+                s = d + (d >= last[v] ^ 1)
+            last[i] = s
         return s
 
-    def sweep(self, ids: Iterable[int], known: Collection[int], new: set[int] | None = None) -> list[tuple[int, int, int]]:
+    def sweep(self, ids: Iterable[int], known: Collection[int]) -> list[tuple[int, int, int]]:
         """(i, parent, last slot) for each id i >= 1 outside `known` (closed
-        under parents) and `new` among the given ones and their ancestors,
-        each parent first; `new` gains every id listed.  Parent and slot
-        are arithmetic on the sphere layout, the slot read from the
-        parent's."""
-        ids, out, new = sorted(ids), [], set() if new is None else new
+        under parents) among the given ones and their ancestors, each
+        parent first.  Parent and slot are arithmetic on the sphere
+        layout, the slot read from the parent's; an id whose parent is
+        not listed yet first lists its missing ancestors, top down."""
+        out, new = [], set()
         last, q, top = self._last, self.q, 2 * self.rank
-        for i in ids:
+        for i in sorted(ids):
             if i in known or i in new or not i:
                 continue
             if i <= top:
@@ -308,7 +318,12 @@ class CayleyTree:
             else:
                 v = (i - 2) // q
                 if v not in known and v not in new:
-                    out += self.sweep((v,), known, new)
+                    chain = [v]
+                    while (u := self.parent(chain[-1])) and u not in known and u not in new:
+                        chain.append(u)
+                    for u in reversed(chain):
+                        new.add(u)
+                        out.append((u, self.parent(u), self.last(u)))
                 d = (i - 2) % q
                 d += d >= last[v] ^ 1
             new.add(i)
@@ -416,16 +431,20 @@ class CayleyTree:
         ordering: Iterable[int],
         fresh: Sequence[Sequence[int]],
         cover: Iterable[Sequence[int]],
-        covered: Iterable[int] = (),
     ) -> list[int]:
         """The ordering step of the onto-ness induction on ids.
 
         `fresh` and `cover` are words given by their letter slots.  Each
         site g, in order, takes the first index k with g·fresh[k] outside
-        `covered` and outside every earlier g'·cover; the walk stops at the
-        first site that has none.  Returns the index k of each placed site.
+        every earlier g'·cover; the walk stops at the first site that has
+        none.  Returns the index k of each placed site, so the walk is
+        blocked at site len(result) when that is shorter than `ordering`.
+        Processing the sites in the given order loses nothing: the covered
+        set only grows, so a site without a fresh coordinate never gains
+        one, and any order that skips a blocked site can never place it
+        either.
         """
-        ordering, covered = list(ordering), set(covered)
+        ordering, covered = list(ordering), set()
         image = {}
         for w in [*fresh, *cover]:
             if w not in image:
@@ -573,16 +592,6 @@ def signed_letters(rank: int) -> list[int]:
     return out
 
 
-def neighbors(w: FreeWord) -> list[FreeWord]:
-    """w·s for s = s1, s1^-1, ..., sr, sr^-1: the parent once, children otherwise."""
-    rank, x = w.rank, w.letters
-    back = -x[-1] if x else 0
-    return [
-        _word(rank, x[:-1]) if a == back else _word(rank, x + (a,))
-        for a in signed_letters(rank)
-    ]
-
-
 def ball_list(rank: int, n: int) -> list[FreeWord]:
     """Breadth-first enumeration of the radius-n ball around the identity.
 
@@ -632,14 +641,6 @@ def spiral_ordering(rank: int, n: int) -> list[FreeWord]:
     return ball_list(rank, n)
 
 
-def geodesic_interval(v: FreeWord, w: FreeWord) -> WordSet:
-    """Vertices on the unique tree path from v to w, inclusive: hull {v, w}."""
-    if v.rank != w.rank:
-        raise ValueError("rank mismatch")
-    tree = CayleyTree(v.rank)
-    return _wordset(v.rank, tree.hull((tree.id(v), tree.id(w))))
-
-
 def convex_hull(s: WordSet) -> WordSet:
     """Smallest connected superset in the Cayley tree.
 
@@ -683,38 +684,10 @@ def thicken(s: WordSet, t: int) -> WordSet:
     return _wordset(s.rank, CayleyTree(s.rank).thicken(s._ids, t))
 
 
-def escape_walk(
-    ordering: Sequence[FreeWord],
-    fresh: Collection[FreeWord],
-    cover: Collection[FreeWord],
-    covered: Iterable[FreeWord] = (),
-) -> list[tuple[FreeWord, FreeWord]]:
-    """Pair each site g, in order, with its first fresh coordinate g·f.
-
-    f is the first element of `fresh` with g·f outside `covered` and
-    outside every earlier g'·cover; the walk stops at the first site that
-    has none, so it is blocked at index len(result) when that is shorter
-    than `ordering`.  This is the ordering step of the onto-ness
-    induction.  Processing the sites in the given order loses nothing:
-    the covered set only grows, so a site without a fresh coordinate
-    never gains one, and any order that skips a blocked site can never
-    place it either.  The walk runs on ids (`CayleyTree.escape_walk`).
-    """
-    ordering, fresh = list(ordering), list(fresh)
-    if not ordering:
-        return []
-    tree = CayleyTree(ordering[0].rank)
-    picks = tree.escape_walk(
-        map(tree.id, ordering),
-        [letter_slots(f.letters) for f in fresh],
-        [letter_slots(c.letters) for c in cover],
-        map(tree.id, covered),
-    )
-    return [(g, fresh[k]) for g, k in zip(ordering, picks)]
-
-
 def check_ordering_condition(
     hull: WordSet, ordering: Sequence[FreeWord]
 ) -> bool:
     """True iff every translate g_n·hull escapes the union of the earlier ones."""
-    return len(escape_walk(ordering, hull, hull)) == len(ordering)
+    tree = CayleyTree(hull.rank)
+    slots = [letter_slots(w.letters) for w in hull]
+    return len(tree.escape_walk(map(tree.id, ordering), slots, slots)) == len(ordering)

@@ -9,9 +9,10 @@ says when it has arrived, which is why flab computes marginals by the
 tree fixed point instead; here it cross-checks that fixed point from the
 other side.
 
-The onto-ness path.  Word-level copies of `is_surjective`'s certificate,
-`target_map_matrix` and `preimage_on_ball`, in which every product is a
-FreeWord built by `mul`; flab runs the same steps on word ids.
+The onto-ness path.  Word-level copies of the escape walk,
+`is_surjective`'s certificate, `target_map_matrix` and
+`preimage_on_ball`, in which every product is a FreeWord built by `mul`;
+flab runs the same steps on word ids.
 """
 
 from __future__ import annotations
@@ -32,11 +33,8 @@ from flab.words import (
     check_ordering_condition,
     convex_hull,
     distance,
-    escape_walk,
     extreme_points,
     format_word,
-    geodesic_interval,
-    identity,
     inv,
     mul,
     spiral_ordering,
@@ -77,6 +75,20 @@ def contains(outer, inner) -> bool:
 # -- the word-level onto-ness path -------------------------------------------
 
 
+def word_walk(ordering, fresh, cover):
+    """The escape walk on words: pair each site g, in order, with the first
+    f in `fresh` whose g·f lies outside every earlier g'·cover; stop at the
+    first site that has none."""
+    covered, walk = set(), []
+    for g in ordering:
+        f = next((f for f in fresh if mul(g, f) not in covered), None)
+        if f is None:
+            break
+        walk.append((g, f))
+        covered.update(mul(g, c) for c in cover)
+    return walk
+
+
 def old_radius_center(s):
     """Smallest rho with B(v, rho) covering s, and all such centers v."""
     elems = list(s)
@@ -90,7 +102,7 @@ def old_radius_center(s):
                 best = (d, v, u)
     diam, u1, u2 = best
     rho = (diam + 1) // 2
-    path = sorted(geodesic_interval(u1, u2), key=lambda g: distance(u1, g))
+    path = sorted(convex_hull(WordSet(s.rank, [u1, u2])), key=lambda g: distance(u1, g))
     candidates = [g for g in path if max(distance(g, u1), distance(g, u2)) <= rho]
     centers = [g for g in candidates if all(distance(g, u) <= rho for u in elems)]
     return rho, WordSet(s.rank, centers)
@@ -113,18 +125,17 @@ def old_centered(k):
     return kc, center, old_geometry(kc)
 
 
-def old_surjectivity_certificate(k, depth: int = 3) -> dict:
+def old_surjectivity_certificate(k) -> dict:
     """to_json() of is_surjective(k) for a nonzero scalar kernel."""
     _, center, geo = old_centered(k)
-    ok = check_ordering_condition(geo.hull, spiral_ordering(k.rank, depth))
+    ok = check_ordering_condition(geo.hull, spiral_ordering(k.rank, 3))
     return {
         "surjective": True,
         "kind": "theorem-scalar",
         "center": format_word(center),
         "centered_hull": [format_word(u) for u in geo.hull],
         "hull_radius": geo.radius,
-        "identity_is_center": identity(k.rank) in geo.centers,
-        "ordering_depth": depth,
+        "ordering_depth": 3,
         "ordering_condition": ok,
     }
 
@@ -157,7 +168,7 @@ def old_preimage_on_ball(k, y, n):
     shifted = {mul(g, c): y[g] for g in targets}
     cands = list(geo.extremes) if len(geo.hull) > 1 else list(geo.support)
     fresh = [f for f in cands if fp_rank(FpMatrix(k.p, centered.coeffs[f])) == k.d_out]
-    walk = escape_walk(sites, fresh, geo.hull)
+    walk = word_walk(sites, fresh, geo.hull)
     if len(walk) < len(sites):
         step = len(walk)
         raise OrderingConditionError(

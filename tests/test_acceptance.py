@@ -135,7 +135,7 @@ def test_criterion_4_algebraic_family():
         and rep.f_value.is_zero()
         and rep.f_star_value.is_zero()
     )
-    report_line(4, ok, "edge kernel (p=2, r=2): F(0) = F(1) = F*(0) = 0 and both truncated infima are 0, matching f = 0")
+    report_line(4, ok, "edge kernel (p=2, r=2): F(0) = F(1) = F*(0) = 0, and f = f* = 0")
 
 
 def _all_window_targets_solvable(kernel, W):

@@ -404,12 +404,14 @@ class TestSolveMatchesParentOracle:
 
 # sha256 of each stencil's onto-ness certificate, solvable-target counts on
 # B(0) and B(1), and preimage of a fixed B(2) target, recorded before the
-# point map was compiled into the factorization
+# point map was compiled into the factorization; re-recorded once when the
+# certificate lost its always-true `identity_is_center`, each equal to the
+# old text with that key deleted
 ONTO_PINS = {
-    (2, "e:1,a:1"): "cd1b245d935c46513a8fe9072b0cea45869b86545cead930b69898bf887034b1",
-    (2, "e:1,A:1,b:1,B:1"): "1ac0ca8388c0151d391540ab9732391da9862da84047b298d42d386c3b6a4014",
-    (3, "e:1,A:1,B:2"): "c0b64251799574d41ef7cda027f1718df11793fa668dd514f907264f79199381",
-    (3, "e:1,a:2,A:1,b:1,B:2"): "ab84abd9db04b34bdc0efe34fea2b49952099c8a693ba385d8ea5b819f1d9736",
+    (2, "e:1,a:1"): "9c4da348ba3a222a31c46ebc9770c920b7d040738b49e172481800747eb78d69",
+    (2, "e:1,A:1,b:1,B:1"): "cd83dd48cc7e5b0536c8dde4eb9a626d669a33d1527bbe9b436ebe3931b8b898",
+    (3, "e:1,A:1,B:2"): "957ecb5d4dc55d15577e8a9a52d1a33583a4d85be65949a0181019f4fb3dac6b",
+    (3, "e:1,a:2,A:1,b:1,B:2"): "0fa836edff7bff58d52c4f18bfda6872161cd44d97fe9e821567f68937e702a1",
 }
 
 

@@ -10,6 +10,7 @@ from kernel_oracles import (
     old_surjectivity_certificate,
     old_target_map_matrix,
     window_chain,
+    word_walk,
     window_projection,
 )
 
@@ -33,18 +34,21 @@ from flab.kernels import (
     window_rows,
 )
 from flab.words import (
+    CayleyTree,
     FreeWord,
     WordSet,
     ball,
     ball_list,
+    ball_size,
     convex_hull,
-    escape_walk,
     extreme_points,
     format_word,
     identity,
     inv,
+    letter_slots,
     mul,
     parse_word,
+    radius_center,
     spiral_ordering,
     thicken,
 )
@@ -432,12 +436,19 @@ class TestCylinderMeasure:
                 )
 
 
+def centers_identity(rep) -> bool:
+    """Whether e is a center of the certificate's centered hull."""
+    hull = WordSet(2, [w(text) for text in rep.details["centered_hull"]])
+    return identity(2) in radius_center(hull)[1]
+
+
 class TestSurjectivity:
     def test_edge_kernel_theorem_path(self):
         rep = is_surjective(edge_kernel())
         assert rep.surjective and rep.kind == "theorem-scalar"
         assert rep.details["ordering_condition"]
-        assert rep.details["identity_is_center"]
+        assert rep.details["ordering_depth"] == kernels.ORDERING_DEPTH == 3
+        assert centers_identity(rep) and "identity_is_center" not in rep.details
 
     def test_zero_kernel(self):
         rep = is_surjective(ConvolutionKernel(2, 2, {}))
@@ -471,7 +482,7 @@ class TestSurjectivity:
     def test_uncentered_kernel_gets_centered(self):
         k = scalar_kernel(2, 2, {"a": 1, "ab": 1})
         rep = is_surjective(k)
-        assert rep.surjective and rep.details["identity_is_center"]
+        assert rep.surjective and rep.details["center"] != "e" and centers_identity(rep)
 
     def test_window_solvability_matches_theorem_small_sample(self):
         rng = random.Random(4)
@@ -541,10 +552,12 @@ class TestPreimage:
         # on the uncentered hull of {aa, ab}, the translate at site BA has
         # no extreme point outside the hulls placed at the 15 sites before it
         geo = support_geometry(scalar_kernel(2, 2, {"aa": 1, "ab": 1}))
-        sites = spiral_ordering(2, 2)
-        walk = escape_walk(sites, list(geo.extremes), geo.hull)
-        assert len(walk) == 15
-        assert format_word(sites[15]) == "BA"
+        tree, slots = CayleyTree(2), [letter_slots(u.letters) for u in geo.hull]
+        ends = [letter_slots(u.letters) for u in geo.extremes]
+        picks = tree.escape_walk(range(ball_size(2, 2)), ends, slots)
+        assert len(picks) == 15 and format_word(tree.word(15)) == "BA"
+        walk = word_walk(spiral_ordering(2, 2), list(geo.extremes), geo.hull)
+        assert [list(geo.extremes).index(f) for _, f in walk] == picks
 
     def test_off_center_stencil_solves(self):
         # the walk above blocks, but the solver runs on the centered stencil
@@ -670,8 +683,16 @@ class TestIdPathMatchesWordOracle:
             assert isinstance(got, dict) and all(isinstance(g, FreeWord) for g in got)
 
     def test_matrix_kernel_target_map(self):
-        for k in (ow_kernel(), comparison_kernel(3, 2)):
-            for n in (0, 1):
+        # two input channels, and blocks with a zero column, check that
+        # every channel of each id read gets its own column
+        plateau = ConvolutionKernel(2, 2, {w("B"): [[1, 0], [0, 0]], w("a"): [[0, 1], [1, 0]]}, 2, 2)
+        rng, wide = random.Random(21), []
+        for _ in range(6):
+            support = rng.sample(list(ball(2, 1)), rng.randint(1, 3))
+            blocks = ([[1, 0]], [[0, 2]], [[1, 1]])
+            wide.append(ConvolutionKernel(3, 2, {u: rng.choice(blocks) for u in support}, 2, 1))
+        for k in (ow_kernel(), comparison_kernel(3, 2), plateau, *wide):
+            for n in (0, 1, 2):
                 m, cols = target_map_matrix(k, ball(2, n))
                 want, want_cols = old_target_map_matrix(k, ball(2, n))
                 assert (m.entries, cols) == (want.entries, want_cols)

@@ -863,6 +863,21 @@ class TestSweepTables:
         assert all(perm == perms.perm(i) for i, perm in bundle.product._by_id.items())
 
 
+    def test_rank_one_words_past_the_recursion_limit(self):
+        # a fresh table climbs from a^1200 to e in a loop; one recursive
+        # call per missing ancestor ran out of stack near a thousand letters
+        assert FiniteAction(uniform(3), [[1, 2, 0]], 1).word_perm(FreeWord(1, [1] * 1200)) == (0, 1, 2)
+        # alpha has period 3, and sigma(a^k, .) period 6 over the two-point base
+        def cocycle():
+            return z_cocycle(uniform(2), [1, 0], cyclic(3), tuple(range(3)), [2, 0])
+
+        short_action, short_cocycle = FiniteAction(uniform(3), [[1, 2, 0]], 1), cocycle()
+        for k in (1201, 2405, -2401):
+            deep = FiniteAction(uniform(3), [[1, 2, 0]], 1).word_perm(z_power(k))
+            assert deep == short_action.word_perm(z_power(k % 3))
+            assert cocycle().values(z_power(k)) == short_cocycle.values(z_power(k % 6))
+
+
 class TestWindowPartition:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.data())

@@ -1,8 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
-from kernel_oracles import old_radius_center
+from hypothesis import given, settings, strategies as st
+from kernel_oracles import old_radius_center, word_walk
 
 from flab import words
 from flab.kernels import KernelSubshift, scalar_kernel
@@ -16,15 +16,12 @@ from flab.words import (
     check_ordering_condition,
     convex_hull,
     distance,
-    escape_walk,
     extreme_points,
     format_word,
-    geodesic_interval,
     identity,
     inv,
     letter_slots,
     mul,
-    neighbors,
     parse_word,
     radius_center,
     signed_letters,
@@ -35,6 +32,11 @@ from flab.words import (
 
 def w(text, rank=2):
     return parse_word(text, rank)
+
+
+def neighbors(v):
+    """Oracle: v·s for s = s1, s1^-1, ..., sr, sr^-1, by `mul`."""
+    return [mul(v, FreeWord(v.rank, (a,))) for a in signed_letters(v.rank)]
 
 
 def is_connected(s):
@@ -172,6 +174,11 @@ def prefix_geodesic(v, w):
     path = [FreeWord(v.rank, a[:k]) for k in range(len(a), i - 1, -1)]
     path.extend(FreeWord(v.rank, b[:k]) for k in range(i + 1, len(b) + 1))
     return path
+
+
+def geodesic_interval(v, w):
+    """The tree path from v to w: the convex hull of {v, w}."""
+    return convex_hull(WordSet(v.rank, [v, w]))
 
 
 class TestGeodesic:
@@ -321,7 +328,7 @@ class TestOrderingCondition:
         order = [w("e"), w("a"), w("a")]
         hull = WordSet(2, [w("e")])
         assert not check_ordering_condition(hull, order)
-        assert len(escape_walk(order, hull, hull)) == 2
+        assert len(id_walk(order, hull, hull)) == 2
 
     def test_centered_hulls_pass_at_depth_three(self):
         # Cross-validation of the covering lemma on small cases: hulls
@@ -336,9 +343,21 @@ class TestOrderingCondition:
             assert check_ordering_condition(ws, spiral_ordering(2, 3))
 
 
-def restart_greedy(ordering, fresh, cover, covered=()):
+def id_walk(ordering, fresh, cover):
+    """`CayleyTree.escape_walk` on words: each placed site with its fresh word."""
+    fresh = list(fresh)
+    tree = CayleyTree(fresh[0].rank)
+    picks = tree.escape_walk(
+        map(tree.id, ordering),
+        [letter_slots(f.letters) for f in fresh],
+        [letter_slots(c.letters) for c in cover],
+    )
+    return [(g, fresh[k]) for g, k in zip(ordering, picks)]
+
+
+def restart_greedy(ordering, fresh, cover):
     """Oracle: repeatedly place the first remaining site that has a fresh coordinate."""
-    covered, remaining, placed = set(covered), list(ordering), []
+    covered, remaining, placed = set(), list(ordering), []
     while remaining:
         for idx, g in enumerate(remaining):
             f = next((f for f in fresh if mul(g, f) not in covered), None)
@@ -354,17 +373,13 @@ def restart_greedy(ordering, fresh, cover, covered=()):
 class TestEscapeWalk:
     def test_pairs_each_site_with_first_fresh_point(self):
         hull = WordSet(2, [w("e"), w("a")])
-        walk = escape_walk([w("e"), w("a"), w("A")], list(hull), hull)
+        walk = id_walk([w("e"), w("a"), w("A")], list(hull), hull)
         assert walk == [(w("e"), w("e")), (w("a"), w("a")), (w("A"), w("e"))]
 
     def test_stops_at_first_blocked_site(self):
         hull = WordSet(2, [w("e")])
-        walk = escape_walk([w("a"), w("b"), w("b"), w("B")], hull, hull)
+        walk = id_walk([w("a"), w("b"), w("b"), w("B")], hull, hull)
         assert [g for g, _ in walk] == [w("a"), w("b")]
-
-    def test_initial_cover_blocks(self):
-        hull = WordSet(2, [w("e")])
-        assert escape_walk([w("a")], hull, hull, covered=[w("a")]) == []
 
     def test_matches_restart_greedy(self):
         # the covered set only grows, so the fixed-order walk succeeds
@@ -375,9 +390,8 @@ class TestEscapeWalk:
             cover = convex_hull(WordSet(2, rng.sample(pool, rng.randint(1, 4))))
             fresh = [f for f in cover if rng.random() < 0.7] or list(cover)
             ordering = rng.sample(pool, rng.randint(1, 12))
-            covered = rng.sample(pool, rng.randint(0, 3))
-            walk = escape_walk(ordering, fresh, cover, covered)
-            greedy = restart_greedy(ordering, fresh, cover, covered)
+            walk = id_walk(ordering, fresh, cover)
+            greedy = restart_greedy(ordering, fresh, cover)
             if len(walk) == len(ordering):
                 assert greedy == walk
             else:
@@ -423,14 +437,6 @@ class TestTrustedConstruction:
         a, b = FreeWord(rank, x), FreeWord(rank, y)
         assert_validated(mul(a, b), rank, x + y)
         assert_validated(inv(a), rank, [-l for l in reversed(x)])
-
-    @given(letter_lists(1))
-    def test_neighbors(self, case):
-        rank, (x,) = case
-        got = neighbors(FreeWord(rank, x))
-        assert len(got) == 2 * rank
-        for u, a in zip(got, signed_letters(rank)):
-            assert_validated(u, rank, x + [a])
 
     @given(letter_lists(2))
     def test_geodesic_interval(self, case):
@@ -487,24 +493,11 @@ class TestTrustedConstruction:
         calls.clear()
         thicken(b2, 3)
         mul(g, h)
-        neighbors(g)
         sub.marginal(W)
         assert calls == []
 
 
 # -- integer word ids ----------------------------------------------------------
-
-
-def word_walk(ordering, fresh, cover, covered=()):
-    """Oracle: the escape walk on words, with `mul` and word sets."""
-    covered, walk = set(covered), []
-    for g in ordering:
-        f = next((f for f in fresh if mul(g, f) not in covered), None)
-        if f is None:
-            break
-        walk.append((g, f))
-        covered.update(mul(g, c) for c in cover)
-    return walk
 
 
 def word_thicken(ws, t):
@@ -620,10 +613,7 @@ class TestWordIds:
         ordering, pool = sample[:8], sample[8:]
         cover = list(convex_hull(WordSet(rank, pool)))
         fresh = [f for f in cover if data.draw(st.booleans())] or cover
-        covered = data.draw(st.lists(st.sampled_from(sample), max_size=3))
-        assert escape_walk(ordering, fresh, cover, covered) == word_walk(
-            ordering, fresh, cover, covered
-        )
+        assert id_walk(ordering, fresh, cover) == word_walk(ordering, fresh, cover)
 
     def test_window_path_builds_few_words(self, monkeypatch):
         # the fixed point and the hull system of this marginal run on ids;
@@ -680,6 +670,28 @@ class TestStepTable:
             assert row == CayleyTree(rank).translates(ids, (s,))
 
 
+def recursive_sweep(tree, ids, known, new=None):
+    """Oracle: the sweep before it climbed in a loop, one recursive call per
+    missing ancestor, sharing the ids listed so far through `new`."""
+    ids, out, new = sorted(ids), [], set() if new is None else new
+    last, q, top = tree._last, tree.q, 2 * tree.rank
+    for i in ids:
+        if i in known or i in new or not i:
+            continue
+        if i <= top:
+            v, d = 0, i - 1
+        else:
+            v = (i - 2) // q
+            if v not in known and v not in new:
+                out += recursive_sweep(tree, (v,), known, new)
+            d = (i - 2) % q
+            d += d >= last[v] ^ 1
+        new.add(i)
+        last[i] = d
+        out.append((i, v, d))
+    return out
+
+
 class TestSweep:
     @given(st.integers(1, 3), st.data())
     def test_lists_each_missing_ancestor_once_parents_first(self, rank, data):
@@ -710,3 +722,40 @@ class TestSweep:
         # a fresh tree reads the slot of a deep id from its decoded word
         deep = ball_size(2, 9) + 5
         assert CayleyTree(2).last(deep) == letter_slots(tree.word(deep).letters[-1:])[0]
+
+    @settings(deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_matches_the_recursive_sweep(self, rank, data):
+        # both fill their tree's slot table; out-of-order batches leave
+        # ancestors missing, so the climb runs at every depth
+        tree, oracle = CayleyTree(rank), CayleyTree(rank)
+        top = ball_size(rank, 40 if rank == 1 else 5)
+        batches = data.draw(
+            st.lists(st.lists(st.integers(0, top - 1), max_size=12), min_size=1, max_size=5)
+        )
+        known = {0}
+        for batch in batches:
+            steps = tree.sweep(batch, known)
+            assert steps == recursive_sweep(oracle, batch, known)
+            known.update(i for i, _v, _s in steps)
+        assert tree._last == oracle._last
+
+    @given(st.integers(1, 3), st.lists(st.integers(1, 10**5), min_size=1, max_size=8))
+    def test_last_on_a_partly_filled_table(self, rank, ids):
+        # each call climbs only to the nearest slot an earlier call stored
+        tree = CayleyTree(rank)
+        for i in ids:
+            assert tree.last(i) == letter_slots(words._id_letters(rank, i)[-1:])[0]
+
+    def test_rank_one_past_the_recursion_limit(self):
+        # a^1201 has id 2401; one call per missing ancestor ran out of stack
+        assert CayleyTree(1).last(2401) == 0
+        assert CayleyTree(1).last(2402) == 1
+        tree = CayleyTree(1)
+        deep = tree.id(FreeWord(1, [-1] * 2400))
+        fresh = CayleyTree(1)
+        steps = fresh.sweep([deep], {0})
+        assert steps == [(2 * n, 2 * n - 2, 1) for n in range(1, 2401)]
+        assert fresh.sweep([deep + 2, deep - 1], {0, *(i for i, _v, _s in steps)}) == [
+            (2 * n - 1, max(2 * n - 3, 0), 0) for n in range(1, 2401)
+        ] + [(deep + 2, deep, 1)]
