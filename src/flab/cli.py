@@ -63,16 +63,17 @@ def _emit(report: dict, out: str | None, pretty: bool) -> int:
     return _EXIT.get(report.get("status", "FAIL"), 1)
 
 
-def _add_common(sub):
+def _add_common(sub, rank: bool = True):
     sub.add_argument("--nmax", type=int, default=2, help="largest ball radius n, or where f is read off if later")
-    sub.add_argument("--rank", type=int, default=2, help="rank of the free group")
+    if rank:
+        sub.add_argument("--rank", type=int, default=2, help="rank of the free group")
     sub.add_argument("--out", default=None, help="write the JSON report to this path")
     sub.add_argument("--pretty", action="store_true", help="also print a table to stderr")
 
 
 def _config(args) -> RunConfig:
     seed = int(os.environ.get("FLAB_SEED", DEFAULT_SEED))
-    return RunConfig(rank=args.rank, n_max=args.nmax, seed=seed)
+    return RunConfig(rank=getattr(args, "rank", RunConfig.rank), n_max=args.nmax, seed=seed)
 
 
 def main(argv=None) -> int:
@@ -90,8 +91,8 @@ def main(argv=None) -> int:
     _add_common(gen)
 
     ker = subs.add_parser("kernel", help="run a convolution-kernel subshift")
-    ker.add_argument("--spec", required=True, help="path to a kernel spec JSON file")
-    _add_common(ker)
+    ker.add_argument("--spec", required=True, help="path to a kernel spec JSON file, which fixes the rank")
+    _add_common(ker, rank=False)
 
     ver = subs.add_parser("verify", help="run the verifier suites")
     ver.add_argument(

@@ -22,6 +22,8 @@ view on a window.
 The onto-ness decision (`is_surjective`) and the preimage solver
 (`preimage_on_ball`) work on the stencil translated so that the identity
 is a center of its hull (`_centered`), which cuts out the same subshift.
+There a lemma (`preimage_on_ball`) gives each site of the spiral ordering
+a coordinate that no earlier constraint reads; hence nonzero scalars are onto.
 
 The window systems and the onto-ness path run on word ids and
 `CayleyTree` steps (see `flab.words`); FreeWords are built only at the
@@ -51,7 +53,6 @@ from .words import (
     ball_list,
     ball_size,
     convex_hull,
-    extreme_points,
     format_word,
     identity,
     inv,
@@ -62,17 +63,10 @@ from .words import (
 )
 
 Matrix = tuple[tuple[int, ...], ...]
-ORDERING_DEPTH = 3  # the scalar onto-ness certificate orders the sites of B(3)
 
 
 class ZeroKernelError(ValueError):
     pass
-
-
-class OrderingConditionError(RuntimeError):
-    def __init__(self, step: int, message: str):
-        super().__init__(message)
-        self.step = step
 
 
 def _as_matrix(value, d_out: int, d_in: int, p: int) -> Matrix:
@@ -216,11 +210,10 @@ def comparison_kernel(p: int, rank: int) -> ConvolutionKernel:
 
 
 class SupportGeometry(NamedTuple):
-    """Stencil support F, its convex hull, extreme points, radius and centers."""
+    """Stencil support F, its convex hull, radius and centers."""
 
     support: WordSet
     hull: WordSet
-    extremes: WordSet
     radius: int
     centers: WordSet
 
@@ -231,7 +224,7 @@ def support_geometry(k: ConvolutionKernel) -> SupportGeometry:
     support = k.support()
     hull = convex_hull(support)
     radius, centers = radius_center(hull)
-    return SupportGeometry(support, hull, extreme_points(hull), radius, centers)
+    return SupportGeometry(support, hull, radius, centers)
 
 
 def _centered(k: ConvolutionKernel) -> tuple[ConvolutionKernel, FreeWord, SupportGeometry]:
@@ -474,19 +467,15 @@ def target_map_matrix(k: ConvolutionKernel, W: WordSet) -> tuple[FpMatrix, list]
 def is_surjective(k: ConvolutionKernel) -> SurjectivityReport:
     """Onto-ness of phi, with a certificate.
 
-    Nonzero scalar kernels are onto; the certificate re-derives the
-    covering condition for the centered stencil hull along the spiral
-    ordering of B(ORDERING_DEPTH).  Matrix-valued kernels only get
-    a window-level verdict, explicitly flagged as not theorem-backed.
+    Nonzero scalar kernels are onto, by the lemma of `preimage_on_ball`
+    on the centered stencil, whose center and hull the certificate names.
+    Matrix-valued kernels only get a window-level verdict, explicitly
+    flagged as not theorem-backed.
     """
     if k.is_zero():
         return SurjectivityReport(False, "zero-kernel", {})
     if k.is_scalar():
         _, center, geo = _centered(k)
-        slots = [letter_slots(w.letters) for w in geo.hull]
-        # the spiral ordering of B(ORDERING_DEPTH) is breadth-first: the ids 0, 1, ...
-        sites = ball_size(k.rank, ORDERING_DEPTH)
-        walk = CayleyTree(k.rank).escape_walk(range(sites), slots, slots)
         return SurjectivityReport(
             True,
             "theorem-scalar",
@@ -494,8 +483,6 @@ def is_surjective(k: ConvolutionKernel) -> SurjectivityReport:
                 "center": format_word(center),
                 "centered_hull": [format_word(w) for w in geo.hull],
                 "hull_radius": geo.radius,
-                "ordering_depth": ORDERING_DEPTH,
-                "ordering_condition": len(walk) == sites,
             },
         )
     verdicts = {}
@@ -513,6 +500,12 @@ def is_surjective(k: ConvolutionKernel) -> SurjectivityReport:
 # -- constructive preimages --------------------------------------------------
 
 
+def _picks(stencil: list[tuple[int, tuple[int, ...], Matrix]], rank: int) -> dict:
+    """For each cancelling slot b (None at e), the lemma's u: the index of the
+    last stencil word in id order, so a longest one, not starting with b."""
+    return {b: max(f for f, (_, s, _) in enumerate(stencil) if s[:1] != (b,)) for b in (None, *range(2 * rank))}
+
+
 def preimage_on_ball(
     k: ConvolutionKernel, y: Mapping[FreeWord, int], n: int
 ) -> dict[FreeWord, int]:
@@ -521,19 +514,35 @@ def preimage_on_ball(
     Runs the inductive construction behind the onto-ness theorem on the
     centered stencil k' = _centered(k) with center c: phi(x)(g) =
     phi'(x)(g·c), so the targets move to y'(g·c) = y(g) for g in B(n),
-    and y' = 0 on the rest of B(n + |c|).  The escape walk pairs each
-    site of the spiral ordering of B(n + |c|) with an extreme-point
-    coordinate outside all earlier translated hulls, and that single
-    coordinate is then solved for.  Raises OrderingConditionError at the
-    first site with no such coordinate, reporting its index in that
-    ordering.  The result is re-verified against k on B(n).  Sites,
-    targets and x are keyed by word id; x is decoded once, at the return.
+    and y' = 0 on the rest of B(n + |c|).  The sites of B(n + |c|) are
+    taken in id order, the spiral ordering, and each solves its
+    constraint for one coordinate g·u that no earlier constraint reads.
+
+    Lemma.  Let k' have support F and hull H, with e a center of H and
+    radius rho.  For a site g != e whose last letter is t, let u be a
+    longest word of F whose first letter is not t^-1; for g = e, any
+    longest word of F.  Then g·u lies outside g'·H for every earlier g'.
+
+    Proof.  H lies in B(rho) and holds e, a center.  A longest word of H
+    not starting with t^-1 has at most one neighbour in H, so it is a
+    leaf of H (or all of H) and lies in F: u is one, and |g·u| = |g| + |u|
+    >= |g'| + |u|.  If |u| = rho, d(g', g·u) <= rho forces g' = g.  Else
+    the words of H longer than |u| start with t^-1, so are at most
+    2rho - 2 apart, and a diametral pair (2rho - 1 or 2rho apart) gives
+    |u| = rho - 1 and diameter 2rho - 1.  Then only the parent of g is
+    close enough, and it would need t·u in H; but t·u lies 2rho away from
+    a rho-long word of H, which starts with t^-1.
+
+    Each word of F has a coefficient invertible mod p.  `_picks` tabulates
+    u by the cancelling slot t^-1; each step asserts its constraint, and
+    the result is re-verified against k on B(n).  Sites, targets and x
+    are keyed by word id; x is decoded once, at the return.
     """
     if k.is_zero():
         raise ZeroKernelError("zero kernel has no preimages")
     if not k.is_scalar():
         raise ValueError("preimage solver requires a scalar kernel")
-    centered, c, geo = _centered(k)
+    centered, c, _ = _centered(k)
     rank, p, tree = k.rank, k.p, CayleyTree(k.rank)
     # the spiral ordering is breadth-first: the ids 0, 1, ..., with B(n) first
     sites = range(ball_size(rank, n + len(c)))
@@ -544,29 +553,16 @@ def preimage_on_ball(
             raise ValueError(f"target pattern missing site {format_word(tree.word(g))}")
     shifted = dict(zip(tree.translates(targets, letter_slots(c.letters)), map(given.get, targets)))
     stencil = _stencil(centered, tree)
-    # the solved-for coordinate is an extreme point of the hull (the whole
-    # support for a radius-0 stencil); a nonzero scalar is invertible mod p
-    ends = (geo.extremes if len(geo.hull) > 1 else geo.support).ids()
-    fresh = [f for f, (i, _, _) in enumerate(stencil) if i in ends]
-    hull = [letter_slots(w.letters) for w in geo.hull]
-    picks = tree.escape_walk(sites, [stencil[f][1] for f in fresh], hull)
-    if len(picks) < len(sites):
-        step = len(picks)
-        raise OrderingConditionError(
-            step,
-            f"site {format_word(tree.word(step))} has no uncovered extreme coordinate at step {step}",
-        )
+    picks = _picks(stencil, rank)
 
     image = [tree.translates(sites, slots) for _, slots, _ in stencil]
     coeffs = [block[0][0] for _, _, block in stencil]
     x: dict[int, int] = {}
-    for g, pick in zip(sites, picks):
-        f = fresh[pick]
+    for g in sites:
+        f = picks[tree.last(g) ^ 1 if g else None]
         placed = [column[g] for column in image]
-        for gs in placed:
-            x.setdefault(gs, 0)
         target = shifted.get(g, 0) % p
-        rest = sum(a * x[gs] for s, (a, gs) in enumerate(zip(coeffs, placed)) if s != f)
+        rest = sum(a * x.setdefault(gs, 0) for s, (a, gs) in enumerate(zip(coeffs, placed)) if s != f)
         x[placed[f]] = (pow(coeffs[f], -1, p) * (target - rest)) % p
         if sum(a * x[gs] for a, gs in zip(coeffs, placed)) % p != target:
             raise AssertionError("solver step failed to satisfy its constraint")

@@ -8,7 +8,7 @@ tolerance-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .entropy import EntropyValue, FinitePartition
 from .finv import (
@@ -183,7 +183,7 @@ def run_generalization(cfg: RunConfig, k_name: str) -> dict:
 
 
 def run_algebraic(cfg: RunConfig, kernel: ConvolutionKernel) -> dict:
-    """F/F* tables for a kernel subshift and its exact column checked against zero."""
+    """F/F* tables for a kernel subshift, of its own rank, and its exact column checked against zero."""
     if kernel.is_zero():
         raise ValueError("the zero kernel cuts out the full shift; nothing to run")
     if not kernel.is_scalar():
@@ -219,7 +219,7 @@ def run_algebraic(cfg: RunConfig, kernel: ConvolutionKernel) -> dict:
     )
     return {
         "command": "kernel",
-        "config": cfg.to_json(),
+        "config": replace(cfg, rank=kernel.rank).to_json(),
         "kernel": kernel.to_json(),
         "support_hull": [format_word(w) for w in geo.hull],
         "surjectivity": surj.to_json(),
@@ -515,7 +515,7 @@ def run_compute_f(cfg: RunConfig, spec: dict) -> dict:
     rep = full_report(proc, cfg.n_max)
     out = {
         "command": "compute-f",
-        "config": cfg.to_json(),
+        "config": replace(cfg, rank=proc.rank).to_json(),
         "process": proc.describe(),
         "report": rep.to_json(),
         "status": "PASS",

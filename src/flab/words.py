@@ -36,10 +36,9 @@ letter, so d = s, or s - 1 past that inverse; a one-generator step i·s
 therefore needs i's last letter too.  A `CayleyTree` does these steps and
 keeps, for the ids it has met, their last letters; for another id it
 climbs, in a loop, to the nearest ancestor it has met.  A `WordSet`
-stores ids, and `thicken`, `convex_hull`, `extreme_points`,
-`radius_center` and `check_ordering_condition` (through
-`CayleyTree.escape_walk`, the onto-ness induction's ordering step) run
-on ids, converting word arguments and results at the boundary.
+stores ids, and `thicken`, `convex_hull`, `radius_center` and
+`check_ordering_condition` run on ids, converting word arguments and
+results at the boundary.
 """
 
 from __future__ import annotations
@@ -274,11 +273,6 @@ class CayleyTree:
             raise ValueError("the identity has no parent")
         return (i - 2) // self.q if i > 1 else 0
 
-    def children(self, i: int) -> range:
-        if i == 0:
-            return range(1, 2 * self.rank + 1)
-        return range(self.q * i + 2, self.q * i + 2 + self.q)
-
     def last(self, i: int) -> int:
         """The slot of the last letter of the word with id i >= 1, read from
         its parent's; the ancestors not met yet are filled first, top down."""
@@ -306,8 +300,9 @@ class CayleyTree:
         """(i, parent, last slot) for each id i >= 1 outside `known` (closed
         under parents) among the given ones and their ancestors, each
         parent first.  Parent and slot are arithmetic on the sphere
-        layout, the slot read from the parent's; an id whose parent is
-        not listed yet first lists its missing ancestors, top down."""
+        layout, the slot read from the parent's, through `last` when the
+        table lacks a known parent's; an id whose parent is not listed
+        yet first lists its missing ancestors, top down."""
         out, new = [], set()
         last, q, top = self._last, self.q, 2 * self.rank
         for i in sorted(ids):
@@ -325,7 +320,10 @@ class CayleyTree:
                         new.add(u)
                         out.append((u, self.parent(u), self.last(u)))
                 d = (i - 2) % q
-                d += d >= last[v] ^ 1
+                try:
+                    d += d >= last[v] ^ 1
+                except KeyError:
+                    d += d >= self.last(v) ^ 1
             new.add(i)
             last[i] = d
             out.append((i, v, d))
@@ -420,45 +418,6 @@ class CayleyTree:
         """|u^-1 v| = |u| + |v| - 2 |meet(u, v)|."""
         length = self.length
         return length(u) + length(v) - 2 * length(self.meet(u, v))
-
-    def degree(self, i: int, ids: Collection[int]) -> int:
-        """Neighbours of i inside ids."""
-        deg = sum(1 for c in self.children(i) if c in ids)
-        return deg + (i != 0 and self.parent(i) in ids)
-
-    def escape_walk(
-        self,
-        ordering: Iterable[int],
-        fresh: Sequence[Sequence[int]],
-        cover: Iterable[Sequence[int]],
-    ) -> list[int]:
-        """The ordering step of the onto-ness induction on ids.
-
-        `fresh` and `cover` are words given by their letter slots.  Each
-        site g, in order, takes the first index k with g·fresh[k] outside
-        every earlier g'·cover; the walk stops at the first site that has
-        none.  Returns the index k of each placed site, so the walk is
-        blocked at site len(result) when that is shorter than `ordering`.
-        Processing the sites in the given order loses nothing: the covered
-        set only grows, so a site without a fresh coordinate never gains
-        one, and any order that skips a blocked site can never place it
-        either.
-        """
-        ordering, covered = list(ordering), set()
-        image = {}
-        for w in [*fresh, *cover]:
-            if w not in image:
-                image[w] = self.translates(ordering, w)
-        fresh = [image[f] for f in fresh]
-        cover = [image[c] for c in cover]
-        picks = []
-        for n in range(len(ordering)):
-            k = next((k for k, f in enumerate(fresh) if f[n] not in covered), None)
-            if k is None:
-                break
-            picks.append(k)
-            covered.update(c[n] for c in cover)
-        return picks
 
 
 # -- word sets ---------------------------------------------------------------
@@ -651,16 +610,6 @@ def convex_hull(s: WordSet) -> WordSet:
     return _wordset(s.rank, CayleyTree(s.rank).hull(s._ids))
 
 
-def extreme_points(s: WordSet) -> WordSet:
-    """Elements of degree exactly 1 in the induced subgraph of s.
-
-    A singleton has degree 0, hence no extreme points; downstream users
-    special-case radius-0 hulls.
-    """
-    tree, ids = CayleyTree(s.rank), s._ids
-    return _wordset(s.rank, (i for i in ids if tree.degree(i, ids) == 1))
-
-
 def radius_center(s: WordSet) -> tuple[int, WordSet]:
     """Smallest rho with B(v, rho) covering s, and all such centers v.
 
@@ -684,10 +633,13 @@ def thicken(s: WordSet, t: int) -> WordSet:
     return _wordset(s.rank, CayleyTree(s.rank).thicken(s._ids, t))
 
 
-def check_ordering_condition(
-    hull: WordSet, ordering: Sequence[FreeWord]
-) -> bool:
+def check_ordering_condition(hull: WordSet, ordering: Sequence[FreeWord]) -> bool:
     """True iff every translate g_n·hull escapes the union of the earlier ones."""
-    tree = CayleyTree(hull.rank)
-    slots = [letter_slots(w.letters) for w in hull]
-    return len(tree.escape_walk(map(tree.id, ordering), slots, slots)) == len(ordering)
+    tree, covered = CayleyTree(hull.rank), set()
+    ids = [tree.id(g) for g in ordering]
+    image = [tree.translates(ids, letter_slots(w.letters)) for w in hull]
+    for placed in map(set, zip(*image)):
+        if placed <= covered:
+            return False
+        covered |= placed
+    return True

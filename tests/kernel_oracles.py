@@ -9,18 +9,17 @@ says when it has arrived, which is why flab computes marginals by the
 tree fixed point instead; here it cross-checks that fixed point from the
 other side.
 
-The onto-ness path.  Word-level copies of the escape walk,
-`is_surjective`'s certificate, `target_map_matrix` and
-`preimage_on_ball`, in which every product is a FreeWord built by `mul`;
-flab runs the same steps on word ids.
+The onto-ness path.  Word-level copies of `is_surjective`'s
+certificate and `target_map_matrix`, and the covered sets that the
+preimage induction's picks must escape, in which every product is a
+FreeWord built by `mul`; flab runs the same steps on word ids.
 """
 
 from __future__ import annotations
 
-from flab.fplinear import FpMatrix, eliminate_columns, rank as fp_rank, solution_space_from_constraints
+from flab.fplinear import FpMatrix, eliminate_columns, solution_space_from_constraints
 from flab.kernels import (
     ConvolutionKernel,
-    OrderingConditionError,
     SupportGeometry,
     support_geometry,
     window_coordinates,
@@ -29,15 +28,11 @@ from flab.kernels import (
 from flab.words import (
     FreeWord,
     WordSet,
-    ball_size,
-    check_ordering_condition,
     convex_hull,
     distance,
-    extreme_points,
     format_word,
     inv,
     mul,
-    spiral_ordering,
     thicken,
 )
 
@@ -75,18 +70,14 @@ def contains(outer, inner) -> bool:
 # -- the word-level onto-ness path -------------------------------------------
 
 
-def word_walk(ordering, fresh, cover):
-    """The escape walk on words: pair each site g, in order, with the first
-    f in `fresh` whose g·f lies outside every earlier g'·cover; stop at the
-    first site that has none."""
-    covered, walk = set(), []
+def word_walk(ordering, cover):
+    """Each site g of `ordering`, in order, with the union of the earlier
+    translates g'·cover on words: the set a coordinate picked at g must
+    escape.  The set is live, so it is read before the next step."""
+    covered = set()
     for g in ordering:
-        f = next((f for f in fresh if mul(g, f) not in covered), None)
-        if f is None:
-            break
-        walk.append((g, f))
+        yield g, covered
         covered.update(mul(g, c) for c in cover)
-    return walk
 
 
 def old_radius_center(s):
@@ -112,7 +103,7 @@ def old_geometry(k):
     support = k.support()
     hull = convex_hull(support)
     radius, centers = old_radius_center(hull)
-    return SupportGeometry(support, hull, extreme_points(hull), radius, centers)
+    return SupportGeometry(support, hull, radius, centers)
 
 
 def old_centered(k):
@@ -128,15 +119,12 @@ def old_centered(k):
 def old_surjectivity_certificate(k) -> dict:
     """to_json() of is_surjective(k) for a nonzero scalar kernel."""
     _, center, geo = old_centered(k)
-    ok = check_ordering_condition(geo.hull, spiral_ordering(k.rank, 3))
     return {
         "surjective": True,
         "kind": "theorem-scalar",
         "center": format_word(center),
         "centered_hull": [format_word(u) for u in geo.hull],
         "hull_radius": geo.radius,
-        "ordering_depth": 3,
-        "ordering_condition": ok,
     }
 
 
@@ -154,36 +142,3 @@ def old_target_map_matrix(k, W):
                     row[index[(gs, j)]] = (row[index[(gs, j)]] + block[r][j]) % k.p
             rows.append(row)
     return FpMatrix(k.p, rows, cols=len(cols)), cols
-
-
-def old_preimage_on_ball(k, y, n):
-    """A preimage of y on B(n), or OrderingConditionError at the blocked step."""
-    centered, c, geo = old_centered(k)
-    support = geo.support
-    sites = spiral_ordering(k.rank, n + len(c))
-    targets = sites[: ball_size(k.rank, n)]
-    for g in targets:
-        if g not in y:
-            raise ValueError(f"target pattern missing site {format_word(g)}")
-    shifted = {mul(g, c): y[g] for g in targets}
-    cands = list(geo.extremes) if len(geo.hull) > 1 else list(geo.support)
-    fresh = [f for f in cands if fp_rank(FpMatrix(k.p, centered.coeffs[f])) == k.d_out]
-    walk = word_walk(sites, fresh, geo.hull)
-    if len(walk) < len(sites):
-        step = len(walk)
-        raise OrderingConditionError(
-            step,
-            f"site {format_word(sites[step])} has no uncovered extreme coordinate at step {step}",
-        )
-    x = {}
-    for g, f in walk:
-        for s in support:
-            x.setdefault(mul(g, s), 0)
-        target = shifted.get(g, 0) % k.p
-        coeff = centered.coeffs[f][0][0]
-        rest = sum(centered.coeffs[s][0][0] * x[mul(g, s)] for s in support if s != f)
-        x[mul(g, f)] = (pow(coeff, -1, k.p) * (target - rest)) % k.p
-        assert centered.evaluate(x, g) == (target,)
-    for g in targets:
-        assert k.evaluate(x, g) == (y[g] % k.p,)
-    return x

@@ -115,6 +115,21 @@ class TestKernel:
         code = main(["kernel", "--spec", str(spec)])
         assert code == 2
 
+    def test_config_carries_the_spec_rank(self, tmp_path, capsys):
+        spec = tmp_path / "kernel.json"
+        spec.write_text(json.dumps({"p": 2, "rank": 1, "coeffs": {"e": 1, "a": 1}}))
+        code, report = run_cli(["kernel", "--spec", str(spec), "--nmax", "1"], capsys)
+        assert code == 0 and report["config"]["rank"] == report["kernel"]["rank"] == 1
+
+    def test_rank_option_is_refused(self, tmp_path, capsys):
+        # the spec fixes the rank, so there is none to choose
+        spec = tmp_path / "kernel.json"
+        spec.write_text(json.dumps({"p": 2, "rank": 1, "coeffs": {"e": 1, "a": 1}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "--spec", str(spec), "--rank", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rank" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):
@@ -162,6 +177,20 @@ class TestVerify:
 
 
 class TestComputeF:
+    @pytest.mark.parametrize(
+        "spec, rank",
+        [
+            ({"type": "kernel", "kernel": {"p": 2, "rank": 1, "coeffs": {"e": 1, "a": 1}}}, 1),
+            ({"type": "bernoulli", "k": 2, "rank": 3}, 3),
+            ({"type": "bernoulli", "k": 2}, 2),
+        ],
+    )
+    def test_config_carries_the_process_rank(self, tmp_path, capsys, spec, rank):
+        path = tmp_path / "proc.json"
+        path.write_text(json.dumps(spec))
+        code, report = run_cli(["compute-f", "--process", str(path), "--nmax", "1"], capsys)
+        assert code == 0 and report["config"]["rank"] == report["process"]["rank"] == rank
+
     def test_bernoulli_spec(self, tmp_path, capsys):
         spec = tmp_path / "proc.json"
         spec.write_text(json.dumps({"type": "bernoulli", "k": 4, "rank": 2}))

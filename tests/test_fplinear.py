@@ -406,12 +406,15 @@ class TestSolveMatchesParentOracle:
 # B(0) and B(1), and preimage of a fixed B(2) target, recorded before the
 # point map was compiled into the factorization; re-recorded once when the
 # certificate lost its always-true `identity_is_center`, each equal to the
-# old text with that key deleted
+# old text with that key deleted; re-recorded once more when the preimage
+# solver's escape walk gave way to the centered-hull lemma: the certificate
+# lost `ordering_depth` and `ordering_condition`, the counts stayed, and all
+# four preimages changed, each still solving its target on B(2)
 ONTO_PINS = {
-    (2, "e:1,a:1"): "9c4da348ba3a222a31c46ebc9770c920b7d040738b49e172481800747eb78d69",
-    (2, "e:1,A:1,b:1,B:1"): "cd83dd48cc7e5b0536c8dde4eb9a626d669a33d1527bbe9b436ebe3931b8b898",
-    (3, "e:1,A:1,B:2"): "957ecb5d4dc55d15577e8a9a52d1a33583a4d85be65949a0181019f4fb3dac6b",
-    (3, "e:1,a:2,A:1,b:1,B:2"): "0fa836edff7bff58d52c4f18bfda6872161cd44d97fe9e821567f68937e702a1",
+    (2, "e:1,a:1"): "e0bb28147c47267c20377627f1dfcde48706839d1e0e236853113959681d3b2d",
+    (2, "e:1,A:1,b:1,B:1"): "fac8a84935f5ddda6141d9d482860efa0cd479361569612017f2ce66ab3d312b",
+    (3, "e:1,A:1,B:2"): "ad7d6e9be1ca12483359f234e927696d4566f2cfc001a54fb6b2e4f607235184",
+    (3, "e:1,a:2,A:1,b:1,B:2"): "d8675b352b7d0c240cd920fbb0ee139eaea56cf18de2d16b6f3dca8527610cb3",
 }
 
 
@@ -426,6 +429,7 @@ def test_onto_oracle_stencils_are_pinned(p, stencil):
         assert len(fplinear._factorization(m)[2]) <= 1
     target = {g: (i * i + 1) % p for i, g in enumerate(words.ball_list(2, 2))}
     x = kernels.preimage_on_ball(k, target, 2)
+    assert all(k.evaluate(x, g) == (v,) for g, v in target.items())
     text = json.dumps(
         {
             "surjectivity": kernels.is_surjective(k).to_json(),

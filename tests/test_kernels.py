@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from kernel_oracles import (
     contains,
-    old_preimage_on_ball,
     old_surjectivity_certificate,
     old_target_map_matrix,
     window_chain,
@@ -19,9 +18,10 @@ from flab.fplinear import FpMatrix, rank as fp_rank, solve
 from flab.kernels import (
     ConvolutionKernel,
     KernelSubshift,
-    OrderingConditionError,
     ZeroKernelError,
     _centered,
+    _picks,
+    _stencil,
     comparison_kernel,
     constraint_sites,
     is_surjective,
@@ -41,7 +41,6 @@ from flab.words import (
     ball_list,
     ball_size,
     convex_hull,
-    extreme_points,
     format_word,
     identity,
     inv,
@@ -49,7 +48,6 @@ from flab.words import (
     mul,
     parse_word,
     radius_center,
-    spiral_ordering,
     thicken,
 )
 
@@ -108,7 +106,6 @@ class TestSupportGeometry:
         geo = support_geometry(edge_kernel())
         assert geo.support == WordSet(2, [w("e"), w("A")])
         assert geo.hull == geo.support
-        assert geo.extremes == geo.support
         assert geo.radius == 1
 
     def test_delta(self):
@@ -120,21 +117,11 @@ class TestSupportGeometry:
         geo = support_geometry(ow_kernel())
         assert geo.support == WordSet(2, [w("e"), w("a"), w("b")])
         assert geo.hull == geo.support
-        assert geo.extremes == WordSet(2, [w("a"), w("b")])
         assert geo.radius == 1 and identity(2) in geo.centers
 
     def test_zero_kernel_rejected(self):
         with pytest.raises(ZeroKernelError):
             support_geometry(ConvolutionKernel(2, 2, {}))
-
-    def test_extremes_inside_support_random(self):
-        rng = random.Random(0)
-        pool = list(ball(2, 2))
-        for _ in range(40):
-            words = rng.sample(pool, rng.randint(1, 4))
-            k = ConvolutionKernel(3, 2, {v: [[rng.randint(1, 2)]] for v in words})
-            geo = support_geometry(k)
-            assert set(geo.extremes) <= set(geo.support)
 
 
 class TestWindowSystem:
@@ -446,9 +433,8 @@ class TestSurjectivity:
     def test_edge_kernel_theorem_path(self):
         rep = is_surjective(edge_kernel())
         assert rep.surjective and rep.kind == "theorem-scalar"
-        assert rep.details["ordering_condition"]
-        assert rep.details["ordering_depth"] == kernels.ORDERING_DEPTH == 3
-        assert centers_identity(rep) and "identity_is_center" not in rep.details
+        assert set(rep.details) == {"center", "centered_hull", "hull_radius"}
+        assert centers_identity(rep)
 
     def test_zero_kernel(self):
         rep = is_surjective(ConvolutionKernel(2, 2, {}))
@@ -548,23 +534,19 @@ class TestPreimage:
         with pytest.raises(ValueError):
             preimage_on_ball(ow_kernel(), {g: 0 for g in ball(2, 0)}, 0)
 
-    def test_blocked_walk_reports_first_blocked_site(self):
-        # on the uncentered hull of {aa, ab}, the translate at site BA has
-        # no extreme point outside the hulls placed at the 15 sites before it
-        geo = support_geometry(scalar_kernel(2, 2, {"aa": 1, "ab": 1}))
-        tree, slots = CayleyTree(2), [letter_slots(u.letters) for u in geo.hull]
-        ends = [letter_slots(u.letters) for u in geo.extremes]
-        picks = tree.escape_walk(range(ball_size(2, 2)), ends, slots)
-        assert len(picks) == 15 and format_word(tree.word(15)) == "BA"
-        walk = word_walk(spiral_ordering(2, 2), list(geo.extremes), geo.hull)
-        assert [list(geo.extremes).index(f) for _, f in walk] == picks
+    def test_uncentered_stencil_has_no_pick(self):
+        # every word of {aa, ab} starts with a, so after the letter A no
+        # word is left to pick; the solver picks on the centered {a, b}
+        k = scalar_kernel(2, 2, {"aa": 1, "ab": 1})
+        with pytest.raises(ValueError):
+            _picks(_stencil(k, CayleyTree(2)), 2)
 
     def test_off_center_stencil_solves(self):
-        # the walk above blocks, but the solver runs on the centered stencil
-        # {a, b}, so it solves every kernel that is_surjective certifies
+        # the solver runs on the centered stencil {a, b}, so it solves every
+        # kernel that is_surjective certifies
         k = scalar_kernel(2, 2, {"aa": 1, "ab": 1})
         rep = is_surjective(k)
-        assert rep.surjective and rep.details["ordering_condition"]
+        assert rep.surjective and rep.details["center"] == "a"
         rng = random.Random(8)
         for n in (1, 2):
             y = {g: rng.randrange(2) for g in ball(2, n)}
@@ -572,16 +554,61 @@ class TestPreimage:
             for g in ball(2, n):
                 assert k.evaluate(x, g) == (y[g],)
 
-    def test_centered_stencil_keeps_its_solution(self):
-        # a stencil centered at e is solved on B(n) itself, so it keeps the
-        # solution recorded with the solver that did not center
+    def test_centered_stencil_solves_at_the_picks(self):
+        # a stencil centered at e is solved on B(n) itself; each site g
+        # solves for g·u, u the longest stencil word not cancelling g's last
+        # letter: B at e, a, A and B, and A at b, so x is zero off B, aB, AB,
+        # bA and BB
         k = scalar_kernel(3, 2, {"e": 1, "A": 1, "B": 2})
         assert _centered(k)[1].is_identity()
         x = preimage_on_ball(k, {g: (len(g) + 1) % 3 for g in ball(2, 1)}, 1)
         assert {format_word(g): v for g, v in x.items()} == {
-            "e": 0, "a": 0, "A": 1, "b": 0, "B": 0, "aB": 1,
-            "AA": 1, "AB": 0, "bA": 2, "BA": 2, "BB": 0,
+            "e": 0, "a": 0, "A": 0, "b": 0, "B": 2, "aB": 1,
+            "AA": 0, "AB": 1, "bA": 2, "BA": 0, "BB": 0,
         }
+
+
+@st.composite
+def centered_stencils(draw):
+    """A nonzero scalar kernel of rank 1..3 with support in B(3), centered."""
+    rank, p = draw(st.integers(1, 3)), draw(st.sampled_from([2, 3]))
+    ids = draw(st.sets(st.integers(0, ball_size(rank, 3) - 1), min_size=1, max_size=5))
+    tree = CayleyTree(rank)
+    k = ConvolutionKernel(p, rank, {tree.word(i): [[draw(st.integers(1, p - 1))]] for i in ids})
+    return _centered(k)[0]
+
+
+class TestPickLemma:
+    @settings(deadline=None)
+    @given(centered_stencils())
+    def test_each_pick_escapes_the_earlier_hulls(self, k):
+        # the solver's pick at every site of B(4) is a support word u with
+        # g·u outside the union of the earlier translated hulls, on words
+        rank, tree = k.rank, CayleyTree(k.rank)
+        stencil, hull = _stencil(k, tree), support_geometry(k).hull
+        picks = _picks(stencil, rank)
+        for g, covered in word_walk(ball_list(rank, 4), hull):
+            cancel = letter_slots(g.letters[-1:])[0] ^ 1 if g.letters else None
+            u = tree.word(stencil[picks[cancel]][0])
+            assert u in k.coeffs
+            assert mul(g, u) not in covered
+
+    @pytest.mark.parametrize("coeffs", [{"e": 1, "aaaaaaa": 1}, {"e": 1, "a": 1}])
+    def test_shorter_pick_on_odd_diameters(self, coeffs):
+        # the centered hulls {A^3 .. a^4} and {e, a} have odd diameter, so
+        # after a letter whose inverse leads to the only rho-long words the
+        # pick has length rho - 1; the preimages still solve
+        k = scalar_kernel(2, 2, coeffs)
+        centered, _, geo = _centered(k)
+        stencil = _stencil(centered, CayleyTree(2))
+        lengths = {len(stencil[f][1]) for f in _picks(stencil, 2).values()}
+        assert lengths == {geo.radius - 1, geo.radius}
+        rng = random.Random(9)
+        for n in (1, 2):
+            y = {g: rng.randrange(2) for g in ball(2, n)}
+            x = preimage_on_ball(k, y, n)
+            for g in ball(2, n):
+                assert k.evaluate(x, g) == (y[g],)
 
 
 class TestJson:
@@ -657,13 +684,6 @@ def stencil_id(k):
     return f"p{k.p}-r{k.rank}-{{{coeffs}}}"
 
 
-def preimage_or_step(solver, k, y, n):
-    try:
-        return solver(k, y, n)
-    except OrderingConditionError as err:
-        return ("blocked", err.step, str(err))
-
-
 class TestIdPathMatchesWordOracle:
     def test_stencil_count(self):
         assert len(nonzero_b1_stencils()) == 273
@@ -678,9 +698,10 @@ class TestIdPathMatchesWordOracle:
         rng = random.Random(stencil_id(k))
         for n in (1, 2):
             y = {g: rng.randrange(k.p) for g in ball(k.rank, n)}
-            got = preimage_or_step(preimage_on_ball, k, y, n)
-            assert got == preimage_or_step(old_preimage_on_ball, k, y, n)
-            assert isinstance(got, dict) and all(isinstance(g, FreeWord) for g in got)
+            x = preimage_on_ball(k, y, n)
+            assert all(isinstance(g, FreeWord) for g in x)
+            for g in ball(k.rank, n):
+                assert k.evaluate(x, g) == (y[g],)
 
     def test_matrix_kernel_target_map(self):
         # two input channels, and blocks with a zero column, check that

@@ -16,7 +16,6 @@ from flab.words import (
     check_ordering_condition,
     convex_hull,
     distance,
-    extreme_points,
     format_word,
     identity,
     inv,
@@ -248,28 +247,6 @@ class TestHull:
             assert set(convex_hull(small)) <= set(convex_hull(large))
 
 
-class TestExtremePoints:
-    def test_tripod(self):
-        s = WordSet(2, [w("a"), w("e"), w("b")])
-        assert extreme_points(s) == WordSet(2, [w("a"), w("b")])
-
-    def test_singleton_is_empty(self):
-        assert len(extreme_points(WordSet(2, [w("ab")]))) == 0
-
-    def test_hull_case(self):
-        s = convex_hull(WordSet(2, [w("aa"), w("bb")]))
-        assert extreme_points(s) == WordSet(2, [w("aa"), w("bb")])
-
-    def test_hull_of_extremes_recovers_connected_set(self):
-        rng = random.Random(3)
-        big = list(ball(2, 3))
-        for _ in range(25):
-            s = convex_hull(WordSet(2, rng.sample(big, rng.randint(2, 6))))
-            if len(s) < 2:
-                continue
-            assert convex_hull(extreme_points(s)) == s
-
-
 class TestRadiusCenter:
     def test_tripod(self):
         rho, centers = radius_center(WordSet(2, [w("a"), w("e"), w("b")]))
@@ -327,8 +304,14 @@ class TestOrderingCondition:
     def test_repeat_fails(self):
         order = [w("e"), w("a"), w("a")]
         hull = WordSet(2, [w("e")])
+        assert check_ordering_condition(hull, order[:2])
         assert not check_ordering_condition(hull, order)
-        assert len(id_walk(order, hull, hull)) == 2
+
+    def test_a_site_whose_neighbours_came_first_fails(self):
+        # A·{e, a} and a·{e, a} cover e·{e, a}, which is placed third
+        hull = WordSet(2, [w("e"), w("a")])
+        assert not check_ordering_condition(hull, [w("A"), w("a"), w("e")])
+        assert check_ordering_condition(hull, [w("e"), w("A"), w("a")])
 
     def test_centered_hulls_pass_at_depth_three(self):
         # Cross-validation of the covering lemma on small cases: hulls
@@ -341,61 +324,6 @@ class TestOrderingCondition:
             WordSet(2, [w("B"), w("e"), w("a"), w("b")]),
         ]:
             assert check_ordering_condition(ws, spiral_ordering(2, 3))
-
-
-def id_walk(ordering, fresh, cover):
-    """`CayleyTree.escape_walk` on words: each placed site with its fresh word."""
-    fresh = list(fresh)
-    tree = CayleyTree(fresh[0].rank)
-    picks = tree.escape_walk(
-        map(tree.id, ordering),
-        [letter_slots(f.letters) for f in fresh],
-        [letter_slots(c.letters) for c in cover],
-    )
-    return [(g, fresh[k]) for g, k in zip(ordering, picks)]
-
-
-def restart_greedy(ordering, fresh, cover):
-    """Oracle: repeatedly place the first remaining site that has a fresh coordinate."""
-    covered, remaining, placed = set(), list(ordering), []
-    while remaining:
-        for idx, g in enumerate(remaining):
-            f = next((f for f in fresh if mul(g, f) not in covered), None)
-            if f is not None:
-                placed.append((remaining.pop(idx), f))
-                covered.update(mul(g, c) for c in cover)
-                break
-        else:
-            return None
-    return placed
-
-
-class TestEscapeWalk:
-    def test_pairs_each_site_with_first_fresh_point(self):
-        hull = WordSet(2, [w("e"), w("a")])
-        walk = id_walk([w("e"), w("a"), w("A")], list(hull), hull)
-        assert walk == [(w("e"), w("e")), (w("a"), w("a")), (w("A"), w("e"))]
-
-    def test_stops_at_first_blocked_site(self):
-        hull = WordSet(2, [w("e")])
-        walk = id_walk([w("a"), w("b"), w("b"), w("B")], hull, hull)
-        assert [g for g, _ in walk] == [w("a"), w("b")]
-
-    def test_matches_restart_greedy(self):
-        # the covered set only grows, so the fixed-order walk succeeds
-        # exactly when the restart-greedy ordering does, and in the same order
-        rng = random.Random(11)
-        pool = ball_list(2, 2)
-        for _ in range(200):
-            cover = convex_hull(WordSet(2, rng.sample(pool, rng.randint(1, 4))))
-            fresh = [f for f in cover if rng.random() < 0.7] or list(cover)
-            ordering = rng.sample(pool, rng.randint(1, 12))
-            walk = id_walk(ordering, fresh, cover)
-            greedy = restart_greedy(ordering, fresh, cover)
-            if len(walk) == len(ordering):
-                assert greedy == walk
-            else:
-                assert greedy is None
 
 
 class TestThicken:
@@ -557,8 +485,6 @@ class TestWordIds:
         (i,), tree = ids_of(rank, [u]), CayleyTree(rank)
         steps = [tree.translates([i], letter_slots([a]))[0] for a in signed_letters(rank)]
         assert steps == ids_of(rank, neighbors(u))
-        children = ids_of(rank, [x for x in neighbors(u) if len(x) > len(u)])
-        assert list(tree.children(i)) == children
         if u.letters:
             assert tree.parent(i) == ids_of(rank, [FreeWord(rank, u.letters[:-1])])[0]
             assert tree.last(i) == letter_slots(u.letters[-1:])[0]
@@ -607,13 +533,12 @@ class TestWordIds:
         assert got.ids() == CayleyTree(rank).hull(ids_of(rank, sample))
         assert is_connected(got)
 
-    @given(word_samples(12), st.data())
-    def test_escape_walk_matches_word_oracle(self, case, data):
+    @given(word_samples(12))
+    def test_ordering_condition_matches_word_oracle(self, case):
         rank, sample = case
-        ordering, pool = sample[:8], sample[8:]
-        cover = list(convex_hull(WordSet(rank, pool)))
-        fresh = [f for f in cover if data.draw(st.booleans())] or cover
-        assert id_walk(ordering, fresh, cover) == word_walk(ordering, fresh, cover)
+        ordering, hull = sample[:8], convex_hull(WordSet(rank, sample[8:]))
+        escapes = all(any(mul(g, u) not in covered for u in hull) for g, covered in word_walk(ordering, hull))
+        assert check_ordering_condition(hull, ordering) == escapes
 
     def test_window_path_builds_few_words(self, monkeypatch):
         # the fixed point and the hull system of this marginal run on ids;
@@ -722,6 +647,25 @@ class TestSweep:
         # a fresh tree reads the slot of a deep id from its decoded word
         deep = ball_size(2, 9) + 5
         assert CayleyTree(2).last(deep) == letter_slots(tree.word(deep).letters[-1:])[0]
+
+    def test_known_ids_the_tree_has_not_met(self):
+        # id 1 is known, so it is not listed, but this tree holds no slot for it
+        assert CayleyTree(2).sweep([7], {0, 1}) == [(7, 1, 3)]
+
+    @given(st.integers(1, 3), st.data())
+    def test_known_ids_read_their_slots_through_last(self, rank, data):
+        # a tree that has met every known id and one that has met none list
+        # the same steps
+        oracle, top = CayleyTree(rank), ball_size(rank, 4)
+        known = {0}
+        for i in data.draw(st.lists(st.integers(0, top - 1), max_size=6)):
+            while i not in known:
+                known.add(i)
+                i = oracle.parent(i)
+        batch = data.draw(st.lists(st.integers(0, top - 1), max_size=8))
+        for i in known - {0}:
+            oracle.last(i)
+        assert CayleyTree(rank).sweep(batch, known) == oracle.sweep(batch, known)
 
     @settings(deadline=None)
     @given(st.integers(1, 3), st.data())
