@@ -63,10 +63,8 @@ def _emit(report: dict, out: str | None, pretty: bool) -> int:
     return _EXIT.get(report.get("status", "FAIL"), 1)
 
 
-def _add_common(sub, rank: bool = True):
+def _add_common(sub):
     sub.add_argument("--nmax", type=int, default=2, help="largest ball radius n, or where f is read off if later")
-    if rank:
-        sub.add_argument("--rank", type=int, default=2, help="rank of the free group")
     sub.add_argument("--out", default=None, help="write the JSON report to this path")
     sub.add_argument("--pretty", action="store_true", help="also print a table to stderr")
 
@@ -88,11 +86,12 @@ def main(argv=None) -> int:
 
     gen = subs.add_parser("gen", help="run the finite-abelian generalization family")
     gen.add_argument("--k", required=True, help="finite abelian group preset, e.g. Z/3")
+    gen.add_argument("--rank", type=int, default=2, help="rank of the free group")
     _add_common(gen)
 
     ker = subs.add_parser("kernel", help="run a convolution-kernel subshift")
     ker.add_argument("--spec", required=True, help="path to a kernel spec JSON file, which fixes the rank")
-    _add_common(ker, rank=False)
+    _add_common(ker)
 
     ver = subs.add_parser("verify", help="run the verifier suites")
     ver.add_argument(

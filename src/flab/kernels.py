@@ -24,6 +24,9 @@ The onto-ness decision (`is_surjective`) and the preimage solver
 is a center of its hull (`_centered`), which cuts out the same subshift.
 There a lemma (`preimage_on_ball`) gives each site of the spiral ordering
 a coordinate that no earlier constraint reads; hence nonzero scalars are onto.
+A matrix kernel is onto iff its dual stencil has no finitely supported
+kernel element: the least fixed point of the same round map decides it,
+and a "not onto" carries a checked witness (`is_surjective`).
 
 The window systems and the onto-ness path run on word ids and
 `CayleyTree` steps (see `flab.words`); FreeWords are built only at the
@@ -42,6 +45,7 @@ from .fplinear import (
     eliminate,
     eliminate_columns,
     rank as fp_rank,
+    solve,
     solution_space_from_constraints,
 )
 from .spec import is_int, spec_field
@@ -312,6 +316,35 @@ def _basis_rows(rows: list[dict], columns, p: int) -> list[dict]:
     return [row for _, row in eliminate(rows, columns, p)[0]]
 
 
+def _fixed_point(k: ConvolutionKernel, tree: CayleyTree, ball: list, least: bool = False) -> tuple[list[list[dict]], int]:
+    """Each branch space of the centered stencil k at a fixed point of the
+    round map of `KernelSubshift`, as rows over the state coordinates (id
+    in B(rho), by the letter slots in `ball`; input channel), and the
+    rounds run.  From the state rows the spaces only shrink, to E_t; from
+    the unit rows (least), which cut out {0}, they only grow, to the Z_t
+    of `is_surjective`.  Either way equal ranks mean a fixed point."""
+    p, n, letters = k.p, len(ball), range(2 * k.rank)
+    keys = [(u, j) for u in range(n) for j in range(k.d_in)]
+    state = _basis_rows(_site_rows(k, tree, [0]), keys, p)
+    # t·w for each state coordinate w of the neighbour g·t, as seen from g
+    step = list(zip(*(tree.translates(range(1, 2 * k.rank + 1), w) for w in ball)))
+    branches = [[{key: 1} for key in keys] if least else state for _ in letters]
+    rounds = 0
+    while True:
+        rounds += 1
+        grown = []
+        for t in letters:
+            shared = {w: tw for w, tw in enumerate(step[t]) if tw < n}
+            beyond = [row for s in letters if s != t ^ 1 for row in branches[s]]
+            hidden = [(w, j) for w in range(n) if w not in shared for j in range(k.d_in)]
+            seen = eliminate_columns(beyond, hidden, p)
+            rows = state + [{(shared[w], j): v for (w, j), v in row.items()} for row in seen]
+            grown.append(_basis_rows(rows, keys, p))
+        if [len(rows) for rows in grown] == [len(rows) for rows in branches]:
+            return branches, rounds
+        branches = grown
+
+
 class MarginalResult(NamedTuple):
     """Projected solution set of the kernel subshift on a window, with certificate."""
 
@@ -333,7 +366,7 @@ class KernelSubshift:
     every pair of neighbours agree where their balls overlap.  For each of
     the 2r letters t, E_t is the subspace of states at g that extend, by
     agreeing states, to every vertex of the branch through g·t.  These
-    are computed once, as the greatest fixed point of
+    are computed once (`_fixed_point`), as the greatest fixed point of
 
         E_t <- {states y : some z in the meet of E_t', t' != t^-1,
                  agrees with y on B(rho) ∩ t·B(rho)}
@@ -364,7 +397,7 @@ class KernelSubshift:
         # letter slots of the words of B(rho), in id order
         self._ball = [letter_slots(w.letters) for w in ball_list(kernel.rank, geo.radius)]
         self.radius = geo.radius  # rho: the centered hull lies in B(rho)
-        self._branches = self._fixed_point()
+        self._branches, _ = _fixed_point(self._stencil, self._tree, self._ball)
         self._cache: dict[tuple, MarginalResult] = {}
 
     def marginal(self, W: WordSet) -> MarginalResult:
@@ -376,30 +409,6 @@ class KernelSubshift:
         result = self._compute_marginal(W)
         self._cache[key] = result
         return result
-
-    def _fixed_point(self) -> list[list[dict]]:
-        """E_t for each letter slot t, as independent rows over the state
-        coordinates (id in B(rho), input channel)."""
-        k, tree, p = self._stencil, self._tree, self.kernel.p
-        n, letters = len(self._ball), range(2 * k.rank)
-        keys = [(u, j) for u in range(n) for j in range(k.d_in)]
-        state = _basis_rows(_site_rows(k, tree, [0]), keys, p)
-        # t·w for each state coordinate w of the neighbour g·t, as seen from g
-        step = list(zip(*(tree.translates(range(1, 2 * k.rank + 1), w) for w in self._ball)))
-        branches = [state for _ in letters]
-        while True:
-            grown = []
-            for t in letters:
-                shared = {w: tw for w, tw in enumerate(step[t]) if tw < n}
-                beyond = [row for s in letters if s != t ^ 1 for row in branches[s]]
-                hidden = [(w, j) for w in range(n) if w not in shared for j in range(k.d_in)]
-                seen = eliminate_columns(beyond, hidden, p)
-                rows = state + [{(shared[w], j): v for (w, j), v in row.items()} for row in seen]
-                grown.append(_basis_rows(rows, keys, p))
-            # each E_t only shrinks, so equal ranks mean a fixed point
-            if [len(rows) for rows in grown] == [len(rows) for rows in branches]:
-                return branches
-            branches = grown
 
     def _compute_marginal(self, W: WordSet) -> MarginalResult:
         """Project the hull system of W onto W (see the class docstring)."""
@@ -469,8 +478,23 @@ def is_surjective(k: ConvolutionKernel) -> SurjectivityReport:
 
     Nonzero scalar kernels are onto, by the lemma of `preimage_on_ball`
     on the centered stencil, whose center and hull the certificate names.
-    Matrix-valued kernels only get a window-level verdict, explicitly
-    flagged as not theorem-backed.
+
+    A matrix kernel is decided on its dual phi^ = {s^-1 : c(s)^T}, for
+    which <phi(x), y> = <x, phi^(y)>.  phi has compact image, so by
+    Pontryagin duality (K. Schmidt, Dynamical Systems of Algebraic Origin,
+    1995) phi is onto iff no finitely supported y != 0 has phi^(y) = 0.
+    On the centered dual stencil, of radius rho^, `_fixed_point` grows
+    each Z_t from {0}: after round m, Z_t holds the states at g that
+    extend into the branch through g·t by a y vanishing off
+    g·B(m - 1 + rho^).  A finitely supported y in ker phi^ has its state
+    at every vertex in every Z_t, and a state in all of them extends into
+    every branch at once.  So phi is onto iff the meet of the 2r spaces
+    Z_t is {0}, a rank check on their stacked rows.  Else, the fixed
+    point being reached at round rounds - 1, some y != 0 in ker phi^
+    vanishes off B(rounds - 2 + rho^).  The target map on B(n) loses row
+    rank iff such a y vanishes off B(n): its left null vectors are those
+    y.  `_witness` scans B(0), B(1), ... up to that bound, raises
+    AssertionError past it, and checks phi^(y) = 0 on the stencil.
     """
     if k.is_zero():
         return SurjectivityReport(False, "zero-kernel", {})
@@ -485,16 +509,33 @@ def is_surjective(k: ConvolutionKernel) -> SurjectivityReport:
                 "hull_radius": geo.radius,
             },
         )
-    verdicts = {}
-    for n in (0, 1):
-        # every target on B(n) is attainable iff the target map has full row rank
+    dual = ConvolutionKernel(k.p, k.rank, {inv(s): list(zip(*c)) for s, c in k.coeffs.items()}, k.d_out, k.d_in)
+    stencil, _, geo = _centered(dual)
+    tree, states = CayleyTree(k.rank), ball_list(k.rank, geo.radius)
+    branches, rounds = _fixed_point(stencil, tree, [letter_slots(w.letters) for w in states], least=True)
+    keys = [(u, j) for u in range(len(states)) for j in range(dual.d_in)]
+    meet = len(keys) - len(_basis_rows([row for rows in branches for row in rows], keys, k.p))
+    dims = {format_word(tree.word(t + 1)): len(keys) - len(rows) for t, rows in enumerate(branches)}
+    details = {"rounds": rounds, "branch_dimensions": dims, "meet_dimension": meet}
+    if meet:
+        details["witness"] = _witness(k, dual, rounds - 2 + geo.radius)
+    return SurjectivityReport(not meet, "dual-fixed-point", details)
+
+
+def _witness(k: ConvolutionKernel, dual: ConvolutionKernel, bound: int) -> dict:
+    """The first ball B(n), n <= bound, whose target map loses row rank, and a
+    left null vector y there, listed on its support, checked: phi^(y) = 0."""
+    for n in range(bound + 1):
         m, _ = target_map_matrix(k, ball(k.rank, n))
-        verdicts[f"B({n})"] = fp_rank(m) == m.rows
-    return SurjectivityReport(
-        all(verdicts.values()),
-        "window-checked",
-        {"theorem_backed": False, "windows": verdicts},
-    )
+        if (rank := fp_rank(m)) < m.rows:
+            break
+    else:
+        raise AssertionError(f"no target map up to B({bound}) loses row rank")
+    d, null = k.d_out, solve(FpMatrix(k.p, list(zip(*m.entries))), [0] * m.cols).basis[0]
+    y = {g: null[i * d:i * d + d] for i, g in enumerate(ball_list(k.rank, n)) if any(null[i * d:i * d + d])}
+    if any(any(dual.evaluate(y, mul(g, inv(s)))) for g in y for s in dual.coeffs):
+        raise AssertionError("the witness is not in the kernel of the dual stencil")
+    return {"ball": f"B({n})", "rank": rank, "rows": m.rows, "y": [[format_word(g), list(v)] for g, v in y.items()]}
 
 
 # -- constructive preimages --------------------------------------------------

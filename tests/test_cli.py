@@ -34,8 +34,16 @@ class TestOw:
         assert all(
             d["dimension"] == 1 for d in report["kernel_window_dimensions"].values()
         )
-        assert report["surjectivity"]["kind"] == "window-checked"
-        assert report["surjectivity"]["theorem_backed"] is False
+        surj = report["surjectivity"]
+        assert surj["surjective"] and surj["kind"] == "dual-fixed-point"
+        assert surj["meet_dimension"] == 0 and "witness" not in surj
+
+    def test_rank_option_is_refused(self, capsys):
+        # the doubling map lives over rank 2, so there is no rank to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["ow", "--rank", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rank" in capsys.readouterr().err
 
 
 class TestGen:
@@ -190,6 +198,15 @@ class TestComputeF:
         path.write_text(json.dumps(spec))
         code, report = run_cli(["compute-f", "--process", str(path), "--nmax", "1"], capsys)
         assert code == 0 and report["config"]["rank"] == report["process"]["rank"] == rank
+
+    def test_rank_option_is_refused(self, tmp_path, capsys):
+        # a spec fixes its own rank (2 by default), so --rank 5 was ignored
+        path = tmp_path / "proc.json"
+        path.write_text(json.dumps({"type": "kernel", "kernel": {"p": 2, "rank": 1, "coeffs": {"e": 1, "a": 1}}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["compute-f", "--process", str(path), "--rank", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rank" in capsys.readouterr().err
 
     def test_bernoulli_spec(self, tmp_path, capsys):
         spec = tmp_path / "proc.json"
@@ -370,10 +387,13 @@ class TestMalformedSpecs:
         assert "unrecognized arguments: --stable-threshold" in capsys.readouterr().err
 
     def test_verify_refuses_a_rank_its_suites_do_not_run(self, capsys):
-        for rank in ("1", "3"):
-            assert main(["verify", "--rank", rank]) == 2
+        # every suite runs over rank 2, so the option is gone
+        for rank in ("1", "2", "3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--rank", rank])
+            assert exc.value.code == 2
             out, err = capsys.readouterr()
-            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert out == "" and "unrecognized arguments: --rank" in err
 
     @pytest.mark.parametrize(
         "command, spec",

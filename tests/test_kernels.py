@@ -440,31 +440,6 @@ class TestSurjectivity:
         rep = is_surjective(ConvolutionKernel(2, 2, {}))
         assert not rep.surjective and rep.kind == "zero-kernel"
 
-    def test_ow_kernel_window_verdict(self):
-        rep = is_surjective(ow_kernel())
-        assert rep.surjective and rep.kind == "window-checked"
-        assert rep.details["theorem_backed"] is False
-
-    def test_matrix_window_verdicts_match_brute_force(self):
-        # the rank test behind the window-checked verdict, against solving
-        # every target on its own
-        rng = random.Random(8)
-        pool = list(ball(2, 1))
-        kernels = [ow_kernel(), comparison_kernel(3, 2)]
-        for _ in range(12):
-            support = rng.sample(pool, rng.randint(1, 3))
-            kernels.append(
-                ConvolutionKernel(
-                    2, 2, {u: [[rng.randrange(2)], [rng.randrange(2)]] for u in support}, d_out=2
-                )
-            )
-        for k in kernels:
-            if k.is_zero():
-                continue
-            windows = is_surjective(k).details["windows"]
-            for n in (0, 1):
-                assert windows[f"B({n})"] == window_targets_all_solvable(k, ball(2, n))
-
     def test_uncentered_kernel_gets_centered(self):
         k = scalar_kernel(2, 2, {"a": 1, "ab": 1})
         rep = is_surjective(k)
@@ -483,6 +458,112 @@ class TestSurjectivity:
                     continue
                 for n in (0, 1):
                     assert window_targets_all_solvable(k, ball(2, n))
+
+
+def dual_image(k, y):
+    """phi^(y) as a dict of its nonzero values, straight from the pairing
+    <phi(x), y> = sum_g y(g)·sum_s c(s) x(g s): the coefficient of x(h) is
+    the sum of c(s)^T y(g) over g s = h."""
+    out = {}
+    for g, v in y.items():
+        for s, block in k.coeffs.items():
+            h = out.setdefault(mul(g, s), [0] * k.d_in)
+            for j in range(k.d_in):
+                h[j] += sum(block[r][j] * v[r] for r in range(k.d_out))
+    return {h: v for h, v in out.items() if any(x % k.p for x in v)}
+
+
+def full_row_rank(k, n):
+    m, _ = target_map_matrix(k, ball(k.rank, n))
+    return fp_rank(m) == m.rows
+
+
+def check_verdict(k):
+    """The verdict of is_surjective against the target maps: "onto" needs
+    full row rank on B(0)..B(3), "not onto" a nonzero y in ker phi^ on the
+    first ball whose target map loses row rank."""
+    rep = is_surjective(k)
+    if rep.surjective:
+        assert rep.kind in ("theorem-scalar", "dual-fixed-point") and rep.details.get("meet_dimension", 0) == 0
+        assert all(full_row_rank(k, n) for n in range(4))
+        return rep
+    assert rep.kind == "dual-fixed-point" and rep.details["meet_dimension"] > 0
+    witness = rep.details["witness"]
+    n = int(witness["ball"][2:-1])
+    y = {w(g): v for g, v in witness["y"]}
+    assert y and all(any(v) for v in y.values()) and all(len(g) <= n for g in y)
+    assert dual_image(k, y) == {}
+    m, _ = target_map_matrix(k, ball(2, n))
+    assert (fp_rank(m), m.rows) == (witness["rank"], witness["rows"]) and witness["rank"] < m.rows
+    assert all(full_row_rank(k, i) for i in range(n))
+    return rep
+
+
+# the retired window check called both onto: full row rank on B(0) and B(1)
+DEFECT_KERNELS = {
+    "B(3)": (lambda: ConvolutionKernel(2, 2, {w("AB"): [[1], [1]], w("Ab"): [[1], [1]], w("AA"): [[1], [0]]}, d_out=2),
+             12, 105, 106, [["a", [0, 1]], ["baa", [1, 1]], ["Baa", [1, 1]]]),
+    "B(4)": (lambda: ConvolutionKernel(2, 2, {w("aB"): [[1], [0]], w("ab"): [[0], [1]], w("AA"): [[0], [1]]}, d_out=2),
+             14, 321, 322, [["e", [0, 1]], ["abbA", [1, 0]], ["AAbA", [1, 0]]]),
+}
+
+ONTO_KERNELS = {
+    "ow": (ow_kernel, 3),
+    "comparison p=2": (lambda: comparison_kernel(2, 2), 3),
+    "comparison p=3": (lambda: comparison_kernel(3, 2), 3),
+    "plateau": (plateau_kernel, 5),
+}
+
+
+@st.composite
+def matrix_kernels(draw):
+    """p in {2, 3}, d_in and d_out in {1, 2}, one to three support words in B(2)."""
+    p, d_in, d_out = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    support = draw(st.lists(st.sampled_from(ball_list(2, 2)), min_size=1, max_size=3, unique=True))
+    block = st.lists(st.lists(st.integers(0, p - 1), min_size=d_in, max_size=d_in), min_size=d_out, max_size=d_out)
+    k = ConvolutionKernel(p, 2, {u: draw(block) for u in support}, d_in, d_out)
+    assume(not k.is_zero())
+    return k
+
+
+class TestDualFixedPoint:
+    @pytest.mark.parametrize("name", sorted(DEFECT_KERNELS))
+    def test_defect_kernels_are_not_onto(self, name):
+        make, rounds, rank, rows, y = DEFECT_KERNELS[name]
+        rep = check_verdict(make())
+        assert not rep.surjective and rep.details["rounds"] == rounds
+        assert rep.details["witness"] == {"ball": name, "rank": rank, "rows": rows, "y": y}
+
+    @pytest.mark.parametrize("name", sorted(ONTO_KERNELS))
+    def test_onto_kernels(self, name):
+        make, rounds = ONTO_KERNELS[name]
+        rep = check_verdict(make())
+        assert rep.surjective and rep.kind == "dual-fixed-point"
+        assert (rep.details["rounds"], rep.details["meet_dimension"]) == (rounds, 0)
+        assert "witness" not in rep.details
+
+    def test_a_non_onto_block_is_found_at_once(self):
+        # c(e) = [[1], [0]] misses the second output channel: y = e_1 at e
+        rep = check_verdict(ConvolutionKernel(3, 2, {w("e"): [[1], [0]]}, d_out=2))
+        assert rep.details["witness"] == {"ball": "B(0)", "rank": 1, "rows": 2, "y": [["e", [0, 1]]]}
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix_kernels())
+    def test_verdict_agrees_with_the_ball_ranks(self, k):
+        check_verdict(k)
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_kernels().filter(lambda k: k.is_scalar()), small_kernels().filter(lambda k: k.is_scalar()))
+    def test_diagonal_of_onto_scalars_is_onto(self, phi, psi):
+        # the scalar theorem as an oracle for the dual path: diag(phi, psi)
+        # is onto when both stencils are nonzero
+        assume(phi.p == psi.p)
+        coeffs = {}
+        for i, k in enumerate((phi, psi)):
+            for s, block in k.coeffs.items():
+                coeffs.setdefault(s, [[0, 0], [0, 0]])[i][i] = block[0][0]
+        rep = check_verdict(ConvolutionKernel(phi.p, 2, coeffs, 2, 2))
+        assert rep.surjective and rep.kind == "dual-fixed-point"
 
 
 class TestCentered:

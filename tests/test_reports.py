@@ -32,7 +32,12 @@ the same.  The two kernel digests were re-recorded once more when the
 preimage solver's escape walk gave way to the centered-hull lemma: the
 scalar surjectivity certificate lost `ordering_depth` and the
 always-true `ordering_condition`; each new report is the old one with
-those keys deleted.  A change that alters any byte of
+those keys deleted.  The ow digest was re-recorded once when matrix
+onto-ness moved to the dual stencil's least fixed point: its
+`surjectivity` object went from the window-checked verdict (kind,
+`theorem_backed`, `windows`) to kind dual-fixed-point with `rounds`,
+`branch_dimensions` and `meet_dimension`; every other byte of it
+stayed the same.  A change that alters any byte of
 these reports fails here.  Every certificate and rate kind in them, and
 in the 2x2 plateau kernel's compute-f report, must be a label of finv's
 vocabulary, all of it exact.
@@ -97,7 +102,7 @@ RUNS = {
 }
 
 GOLDEN = {
-    "ow": "a28a022471c25dc76e2c33448b58e3654a0f9c43dbafb2bad25dd0df9c569b35",
+    "ow": "910895f09e46a3b9b255d16e76ea9d72d52b99e55d1c0fc22602ac45e25f4714",
     "gen Z/3": "68a16bb6c2a902645a0e126c7231d4c5f9f5ab1d18f0c10527b300c0bc398524",
     "kernel p=2 {e:1,A:1}": "7f624df9793f46d2046efa5581a7650fb6f0e7446d01ffdaf14f2d83b41ccd19",
     "kernel p=3 {e:1,A:1,B:2}": "3c444b26b2a1b4d1728e7ca808080ce96e4182d4b28563165ee893f4ddd0dd04",
