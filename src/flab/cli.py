@@ -86,7 +86,7 @@ def main(argv=None) -> int:
 
     gen = subs.add_parser("gen", help="run the finite-abelian generalization family")
     gen.add_argument("--k", required=True, help="finite abelian group preset, e.g. Z/3")
-    gen.add_argument("--rank", type=int, default=2, help="rank of the free group")
+    gen.add_argument("--rank", type=int, default=2, help="rank of the free group (a-d, f-z name at most 25)")
     _add_common(gen)
 
     ker = subs.add_parser("kernel", help="run a convolution-kernel subshift")

@@ -152,13 +152,10 @@ def run_generalization(cfg: RunConfig, k_name: str) -> dict:
     comparison = {"applicable": False}
     if is_prime(k):
         ck = comparison_kernel(k, r)
-        dims = _marginal_table(KernelSubshift(ck), r, (1, 2))
-        comparison = {
-            "applicable": True,
-            "kernel": ck.to_json(),
-            "window_dimensions": dims,
-            "constants_only": all(d["dimension"] == 1 for d in dims.values()),
-        }
+        # named before the marginals run: past rank 25 its words have no text
+        comparison = {"applicable": True, "kernel": ck.to_json()}
+        dims = comparison["window_dimensions"] = _marginal_table(KernelSubshift(ck), r, (1, 2))
+        comparison["constants_only"] = all(d["dimension"] == 1 for d in dims.values())
 
     expected_constants = -(r - 1) * EntropyValue.log_int(k)
     ok = (

@@ -6,8 +6,9 @@ the Cayley graph of a free group is a tree, all metric notions (geodesics,
 convex hulls, radii, centers) have exact combinatorial meanings and are
 computed exactly here.
 
-Text syntax: lowercase letters a..z are generators 1..26, uppercase
-letters their inverses, and "e" (or the empty string) is the identity.
+Text syntax: the 25 lowercase letters a..d and f..z are generators
+1..25, uppercase letters their inverses, and "e" (or the empty string) is
+the identity; a word of rank above 25 has no text.
 
 Construction: the public `FreeWord(rank, letters)` reduces its letters and
 checks each against the rank, so it accepts any input.  The private
@@ -33,17 +34,19 @@ word with id i >= 1 has
     parent    (i - 2) // q  (e when i = 1).
 The child reached by the letter of slot s skips the inverse of i's last
 letter, so d = s, or s - 1 past that inverse; a one-generator step i·s
-therefore needs i's last letter too.  A `CayleyTree` does these steps and
-keeps, for the ids it has met, their last letters; for another id it
-climbs, in a loop, to the nearest ancestor it has met.  A `WordSet`
-stores ids, and `thicken`, `convex_hull`, `radius_center` and
+therefore needs i's last letter too.  These two steps are the only id
+arithmetic here: encoding takes one child step per letter, decoding
+climbs parents for the digits, and a left translate steps from the
+image of each parent.  A `CayleyTree` keeps, for the ids it has met,
+their last letters; `sweep` fills those of other ids and their missing
+ancestors in ascending id order, which puts every parent first.  A
+`WordSet` stores ids, and `thicken`, `convex_hull`, `radius_center` and
 `check_ordering_condition` run on ids, converting word arguments and
 results at the boundary.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import reduce
 from itertools import combinations
 from operator import itemgetter
@@ -100,7 +103,7 @@ class FreeWord:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"FreeWord({self.rank}, {format_word(self)!r})"
+        return f"FreeWord({self.rank}, {format_word(self) if self.rank <= len(_LETTERS) else self.letters!r})"
 
     def sort_key(self):
         """Length-lexicographic key; fixes every deterministic iteration order.
@@ -159,17 +162,24 @@ def distance(v: FreeWord, w: FreeWord) -> int:
     return len(mul(inv(v), w))
 
 
+_LETTERS = "abcdfghijklmnopqrstuvwxyz"  # generators 1..25; "e" is the identity
+_CODES = {ch: i + 1 for i, ch in enumerate(_LETTERS)} | {ch.upper(): -i - 1 for i, ch in enumerate(_LETTERS)}
+
+
+def _check_text_rank(rank: int) -> None:
+    if rank > len(_LETTERS):
+        raise ValueError(f"rank {rank} has no word text: letters name generators 1..{len(_LETTERS)}")
+
+
 def parse_word(text: str, rank: int) -> FreeWord:
+    _check_text_rank(rank)
     if text in ("", "e"):
         return identity(rank)
     letters = []
     for ch in text:
-        if "a" <= ch <= "z":
-            letters.append(ord(ch) - ord("a") + 1)
-        elif "A" <= ch <= "Z":
-            letters.append(-(ord(ch) - ord("A") + 1))
-        else:
+        if ch not in _CODES:
             raise ValueError(f"bad word character {ch!r} in {text!r}")
+        letters.append(_CODES[ch])
     w = FreeWord(rank, letters)
     if len(w.letters) != len(letters):
         raise ValueError(f"word text {text!r} is not reduced")
@@ -177,15 +187,8 @@ def parse_word(text: str, rank: int) -> FreeWord:
 
 
 def format_word(w: FreeWord) -> str:
-    if not w.letters:
-        return "e"
-    out = []
-    for a in w.letters:
-        if a > 0:
-            out.append(chr(ord("a") + a - 1))
-        else:
-            out.append(chr(ord("A") - a - 1))
-    return "".join(out)
+    _check_text_rank(w.rank)
+    return "".join(_LETTERS[a - 1] if a > 0 else _LETTERS[-a - 1].upper() for a in w.letters) or "e"
 
 
 # -- integer ids -------------------------------------------------------------
@@ -197,35 +200,28 @@ def letter_slots(letters: Iterable[int]) -> tuple[int, ...]:
 
 
 def _word_id(rank: int, letters: Sequence[int]) -> int:
-    """The length-lex id of a reduced word."""
-    q = 2 * rank - 1
-    i, lo, width, back = 0, 0, 1, -1  # words of i's length: [lo, lo + width)
+    """The length-lex id of a reduced word: one child step per letter."""
+    q, i, back = 2 * rank - 1, 0, -1
     for a in letters:
         s = a + a - 2 if a > 0 else -a - a - 1
-        if lo:
-            i = lo + width + (i - lo) * q + (s if s < back else s - 1)
-            lo, width = lo + width, width * q
-        else:
-            i, lo, width = s + 1, 1, 2 * rank
+        i = q * i + 2 + s - (s > back) if i else s + 1
         back = s ^ 1
     return i
 
 
 def _id_letters(rank: int, i: int) -> tuple[int, ...]:
-    """The letters of the reduced word with id i."""
-    if i == 0:
-        return ()
-    q, lo, width, n = 2 * rank - 1, 1, 2 * rank, 1
-    while i >= lo + width:
-        lo, width, n = lo + width, width * q, n + 1
-    j, digits = i - lo, []
-    for _ in range(n - 1):
-        j, d = divmod(j, q)
+    """The letters of the reduced word with id i: the parent steps up to
+    the first letter collect the child digits, then each slot is read top
+    down from its parent's, d or d + 1 at or past the inverse slot."""
+    q, digits = 2 * rank - 1, []
+    while i > 2 * rank:
+        i, d = divmod(i - 2, q)
         digits.append(d)
-    s, path = j, [j]
+    if not i:
+        return ()
+    s, path = i - 1, [i - 1]
     for d in reversed(digits):
-        back = s ^ 1
-        s = d if d < back else d + 1
+        s = d + (d >= s ^ 1)
         path.append(s)
     return tuple(s // 2 + 1 if s % 2 == 0 else -(s // 2 + 1) for s in path)
 
@@ -233,21 +229,21 @@ def _id_letters(rank: int, i: int) -> tuple[int, ...]:
 class CayleyTree:
     """The tree steps on the ids of the rank-r free group.
 
-    Keeps the ball sizes S(0), S(1), ... and the last-letter slot of every
-    id it has met, both grown on demand, so that after the first visit a
-    one-generator step is a few integer operations.  The tables belong to
-    the instance; an owner that walks many windows keeps one tree for all
-    of them.
+    Keeps the last-letter slot of every id it has met, grown on demand,
+    so that after the first visit a one-generator step is a few integer
+    operations.  An id not met yet gets its slot, and its missing
+    ancestors theirs, from one `sweep`.  The table belongs to the
+    instance; an owner that walks many windows keeps one tree for all of
+    them.
     """
 
-    __slots__ = ("rank", "q", "_sizes", "_last")
+    __slots__ = ("rank", "q", "_last")
 
     def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("rank must be >= 1")
         self.rank = rank
         self.q = 2 * rank - 1
-        self._sizes = [1]
         self._last: dict[int, int] = {}
 
     def id(self, w: FreeWord) -> int:
@@ -262,11 +258,11 @@ class CayleyTree:
         return _word(self.rank, _id_letters(self.rank, i))
 
     def length(self, i: int) -> int:
-        """n with S(n-1) <= i < S(n); grows the size table past i."""
-        sizes = self._sizes
-        while sizes[-1] <= i:
-            sizes.append(ball_size(self.rank, len(sizes)))
-        return bisect_right(sizes, i)
+        """The number of parent steps from i up to e."""
+        n = 0
+        while i:
+            i, n = self.parent(i), n + 1
+        return n
 
     def parent(self, i: int) -> int:
         if i == 0:
@@ -274,57 +270,37 @@ class CayleyTree:
         return (i - 2) // self.q if i > 1 else 0
 
     def last(self, i: int) -> int:
-        """The slot of the last letter of the word with id i >= 1, read from
-        its parent's; the ancestors not met yet are filled first, top down."""
-        last = self._last
-        s = last.get(i)
+        """The slot of the last letter of the word with id i >= 1; an id not
+        met yet is filled by a sweep over it and its missing ancestors."""
+        s = self._last.get(i)
         if s is None:
             if i == 0:
                 raise ValueError("the identity has no last letter")
-            top = 2 * self.rank
-            if i <= top:
-                s = i - 1
-            else:
-                v, d = divmod(i - 2, self.q)
-                if v not in last:
-                    chain = [v]
-                    while chain[-1] > top and (u := (chain[-1] - 2) // self.q) not in last:
-                        chain.append(u)
-                    for u in reversed(chain):
-                        self.last(u)
-                s = d + (d >= last[v] ^ 1)
-            last[i] = s
+            self.sweep((i,), self._last)
+            s = self._last[i]
         return s
 
     def sweep(self, ids: Iterable[int], known: Collection[int]) -> list[tuple[int, int, int]]:
-        """(i, parent, last slot) for each id i >= 1 outside `known` (closed
-        under parents) among the given ones and their ancestors, each
-        parent first.  Parent and slot are arithmetic on the sphere
-        layout, the slot read from the parent's, through `last` when the
-        table lacks a known parent's; an id whose parent is not listed
-        yet first lists its missing ancestors, top down."""
-        out, new = [], set()
-        last, q, top = self._last, self.q, 2 * self.rank
-        for i in sorted(ids):
-            if i in known or i in new or not i:
-                continue
+        """(i, parent, last slot) for each id i >= 1 outside `known` among
+        the given ones and their ancestors, in ascending id order, which
+        lists every parent first.  The climb from each id stops at the
+        first ancestor known or listed; the slot is read from the
+        parent's, through `last` when the table lacks a known parent's."""
+        q, new = self.q, set()
+        for i in ids:
+            while i and i not in known and i not in new:
+                new.add(i)
+                i = (i - 2) // q if i > 1 else 0
+        out, last, top = [], self._last, 2 * self.rank
+        for i in sorted(new):
             if i <= top:
                 v, d = 0, i - 1
             else:
-                v = (i - 2) // q
-                if v not in known and v not in new:
-                    chain = [v]
-                    while (u := self.parent(chain[-1])) and u not in known and u not in new:
-                        chain.append(u)
-                    for u in reversed(chain):
-                        new.add(u)
-                        out.append((u, self.parent(u), self.last(u)))
-                d = (i - 2) % q
+                v, d = divmod(i - 2, q)
                 try:
                     d += d >= last[v] ^ 1
                 except KeyError:
                     d += d >= self.last(v) ^ 1
-            new.add(i)
             last[i] = d
             out.append((i, v, d))
         return out
@@ -491,42 +467,17 @@ class WordSet:
         return _wordset(self.rank, self._ids | other._ids)
 
     def translate(self, g: FreeWord) -> "WordSet":
-        """Left translate g·S, on ids, the letters of g applied right to left.
-
-        A word of length n >= 1 sits at offset j = f·q^(n-1) + rest in its
-        sphere, f the slot of its first letter.  Left-multiplying by the
-        letter of slot s = f^1 cancels that letter: the second letter's
-        digit d = rest // q^(n-2) gives its slot d + (d >= f^1), which
-        leads the shorter word.  Any other s is prepended, with f becoming
-        the digit f - (f > s^1) after it.
-        """
+        """Left translate g·S, on ids: e goes to id(g), and g·v·s is one
+        tree step from the image of v, for each (v·s, v, s) of one sweep
+        of S and its ancestors."""
         rank = self.rank
         if g.rank != rank:
             raise ValueError(f"rank mismatch: {g.rank} != {rank}")
-        slots, q = letter_slots(reversed(g.letters)), 2 * rank - 1
-        top = CayleyTree(rank).length(max(self._ids, default=0)) + len(slots)
-        sizes = [ball_size(rank, n) for n in range(top + 1)]
-        powers = [q**n for n in range(top + 1)]
-        out = []
-        for i in self._ids:
-            n = bisect_right(sizes, i)
-            j = i - sizes[n - 1] if n else 0
-            for s in slots:
-                if not n:
-                    n, j = 1, s
-                    continue
-                unit = powers[n - 1]
-                f, rest = divmod(j, unit)
-                if f == s ^ 1:
-                    n -= 1
-                    if n:
-                        d, rest = divmod(rest, powers[n - 1])
-                        j = (d + (d >= f ^ 1)) * powers[n - 1] + rest
-                else:
-                    j = (s * q + f - (f > s ^ 1)) * unit + rest
-                    n += 1
-            out.append(sizes[n - 1] + j if n else 0)
-        return _wordset(rank, out)
+        tree = CayleyTree(rank)
+        image = {0: tree.id(g)}
+        for i, v, s in tree.sweep(self._ids, image):
+            image[i] = tree.translates((image[v],), (s,))[0]
+        return _wordset(rank, [image[i] for i in self._ids])
 
     def key(self) -> tuple:
         """Canonical hashable key (used for memo tables): the ascending ids."""

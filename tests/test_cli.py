@@ -64,6 +64,20 @@ class TestGen:
         code, report = run_cli(["gen", "--k", "Z/4"], capsys)
         assert code == 0 and not report["comparison_kernel"]["applicable"]
 
+    def test_rank_five_names_each_support_word_once(self, capsys):
+        # "e" named both the identity and the fifth generator, so s5's block
+        # overwrote the identity's
+        code, report = run_cli(["gen", "--k", "Z/2", "--rank", "5", "--nmax", "1"], capsys)
+        coeffs = report["comparison_kernel"]["kernel"]["coeffs"]
+        assert code == 0 and sorted(coeffs) == ["a", "b", "c", "d", "e", "f"]
+        assert coeffs["e"] == [[1]] * 5 and coeffs["f"] == [[0]] * 4 + [[1]]
+
+    def test_rank_past_the_alphabet_exits_2(self, capsys):
+        code = main(["gen", "--k", "Z/3", "--rank", "26"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_nonabelian_rejected(self, capsys):
         code = main(["gen", "--k", "D4"])
         err = capsys.readouterr().err

@@ -17,6 +17,7 @@ from flab.words import (
     convex_hull,
     distance,
     format_word,
+    generator,
     identity,
     inv,
     letter_slots,
@@ -128,9 +129,26 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_word("aA", 2)
 
-    @given(words_st)
+    @given(st.integers(1, 25).flatmap(lambda r: st.lists(st.sampled_from(signed_letters(r)), max_size=10).map(
+        lambda ls: FreeWord(r, ls))))
     def test_format_parse_inverse(self, a):
-        assert parse_word(format_word(a), 2) == a
+        # every rank whose generators have letters
+        assert parse_word(format_word(a), a.rank) == a
+
+    def test_e_names_only_the_identity(self):
+        # "e" names only the identity, so the fifth generator is "f"
+        assert [format_word(generator(5, i)) for i in (4, 5, -5)] == ["d", "f", "F"]
+        assert format_word(FreeWord(25, (25, -24))) == "zY"
+        assert parse_word("e", 5) == identity(5) and parse_word("f", 5) == generator(5, 5)
+        with pytest.raises(ValueError, match="bad word character"):
+            parse_word("E", 5)
+
+    def test_no_text_past_rank_25(self):
+        with pytest.raises(ValueError, match="no word text"):
+            format_word(generator(26, 1))
+        with pytest.raises(ValueError, match="no word text"):
+            parse_word("a", 26)
+        assert repr(generator(26, -26)) == "FreeWord(26, (-26,))"
 
 
 class TestBall:
@@ -445,6 +463,42 @@ def word_samples(draw, count):
     return rank, [FreeWord(rank, x) for x in lists]
 
 
+def old_word_id(rank, letters):
+    """Oracle: the length-lex id by the sphere bookkeeping, the offset of
+    each prefix in the sphere [lo, lo + width) of its length."""
+    q = 2 * rank - 1
+    i, lo, width, back = 0, 0, 1, -1
+    for a in letters:
+        s = a + a - 2 if a > 0 else -a - a - 1
+        if lo:
+            i = lo + width + (i - lo) * q + (s if s < back else s - 1)
+            lo, width = lo + width, width * q
+        else:
+            i, lo, width = s + 1, 1, 2 * rank
+        back = s ^ 1
+    return i
+
+
+def old_id_letters(rank, i):
+    """Oracle: the letters of id i by the sphere bookkeeping, the offset in
+    its sphere read as base-q digits below the first letter's slot."""
+    if i == 0:
+        return ()
+    q, lo, width, n = 2 * rank - 1, 1, 2 * rank, 1
+    while i >= lo + width:
+        lo, width, n = lo + width, width * q, n + 1
+    j, digits = i - lo, []
+    for _ in range(n - 1):
+        j, d = divmod(j, q)
+        digits.append(d)
+    s, path = j, [j]
+    for d in reversed(digits):
+        back = s ^ 1
+        s = d if d < back else d + 1
+        path.append(s)
+    return tuple(s // 2 + 1 if s % 2 == 0 else -(s // 2 + 1) for s in path)
+
+
 def ids_of(rank, ws):
     tree = CayleyTree(rank)
     return [tree.id(u) for u in ws]
@@ -458,6 +512,19 @@ class TestWordIds:
             assert tree.id(u) == i
             assert_validated(tree.word(i), rank, u.letters)
         assert ball(rank, 4).ids() == frozenset(range(ball_size(rank, 4)))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_steps_match_the_sphere_bookkeeping_on_a_ball(self, rank):
+        for i, u in enumerate(ball_list(rank, 5)):
+            assert words._word_id(rank, u.letters) == old_word_id(rank, u.letters) == i
+            assert words._id_letters(rank, i) == old_id_letters(rank, i) == u.letters
+
+    @given(st.integers(1, 3).flatmap(lambda r: st.tuples(st.just(r), st.integers(0, 10**40 if r > 1 else 10**4))))
+    def test_steps_match_the_sphere_bookkeeping_on_large_ids(self, case):
+        rank, i = case
+        letters = old_id_letters(rank, i)
+        assert words._id_letters(rank, i) == letters
+        assert words._word_id(rank, letters) == old_word_id(rank, letters) == i
 
     @given(word_samples(1))
     def test_round_trip(self, case):
@@ -508,9 +575,18 @@ class TestWordIds:
         # the oracle decodes each id, prepends g's letters, reduces and
         # encodes again; translate does neither step on words
         rank, g_id, ids = case
-        g = CayleyTree(rank).word(g_id)
-        want = {words._word_id(rank, words._reduce(g.letters + words._id_letters(rank, i))) for i in ids}
+        g = FreeWord(rank, old_id_letters(rank, g_id))
+        want = {old_word_id(rank, words._reduce(g.letters + old_id_letters(rank, i))) for i in ids}
         assert words._wordset(rank, ids).translate(g).ids() == want
+
+    def test_deep_translates(self):
+        # a^1200 and a^1199 have ids 2399 and 2397; the sweep of a^1200 and
+        # its 1199 missing ancestors, and the image steps, run in loops
+        deep = WordSet(1, [FreeWord(1, [1] * 1200)])
+        assert deep.ids() == {2399}
+        assert deep.translate(generator(1, -1)).ids() == {2397}
+        assert deep.translate(FreeWord(1, [-1] * 1200)).ids() == {0}
+        assert deep.translate(generator(1, -1)).translate(FreeWord(1, [-1] * 1200)).ids() == {2}
 
     def test_translate_refuses_another_rank(self):
         for g in (FreeWord(1, (1,)), FreeWord(3, (3,))):
@@ -671,7 +747,8 @@ class TestSweep:
     @given(st.integers(1, 3), st.data())
     def test_matches_the_recursive_sweep(self, rank, data):
         # both fill their tree's slot table; out-of-order batches leave
-        # ancestors missing, so the climb runs at every depth
+        # ancestors missing, so the climb runs at every depth.  The sweep
+        # lists the oracle's steps in ascending id order
         tree, oracle = CayleyTree(rank), CayleyTree(rank)
         top = ball_size(rank, 40 if rank == 1 else 5)
         batches = data.draw(
@@ -680,7 +757,8 @@ class TestSweep:
         known = {0}
         for batch in batches:
             steps = tree.sweep(batch, known)
-            assert steps == recursive_sweep(oracle, batch, known)
+            assert steps == sorted(recursive_sweep(oracle, batch, known))
+            assert all(a[0] < b[0] for a, b in zip(steps, steps[1:]))
             known.update(i for i, _v, _s in steps)
         assert tree._last == oracle._last
 
@@ -689,7 +767,7 @@ class TestSweep:
         # each call climbs only to the nearest slot an earlier call stored
         tree = CayleyTree(rank)
         for i in ids:
-            assert tree.last(i) == letter_slots(words._id_letters(rank, i)[-1:])[0]
+            assert tree.last(i) == letter_slots(old_id_letters(rank, i)[-1:])[0]
 
     def test_rank_one_past_the_recursion_limit(self):
         # a^1201 has id 2401; one call per missing ancestor ran out of stack
