@@ -1,7 +1,8 @@
 """Command-line front end: byte-stable JSON reports for the example families.
 
 Exit codes: 0 when the report's status is PASS, 1 when it is FAIL, 2 on
-malformed input or options (a one-line error, no report).  FLAB_SEED
+malformed input or options or an --out path that cannot be written (a
+one-line error, no report).  FLAB_SEED
 seeds the randomized verifier suites (a fixed default otherwise).
 """
 
@@ -140,11 +141,10 @@ def main(argv=None) -> int:
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
             return 2
+        return _emit(report, args.out, args.pretty)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    return _emit(report, args.out, args.pretty)
 
 
 if __name__ == "__main__":

@@ -1,25 +1,27 @@
 """Skew products of free-group actions over finite bases and finite fiber groups.
 
-A cocycle is determined by its generator values; values on arbitrary
-reduced words come from the cocycle identity
+A cocycle is determined by its generator values, on which a free group
+imposes no relations.  The skew action T_g(x, y) = (alpha_g x,
+beta_g(y) . sigma(g, x)) moves the base and then right-multiplies the
+fiber by the cocycle value, and the cocycle identity
 
     sigma(g h, x) = (beta_g sigma(h, x)) . sigma(g, alpha_h x)
 
-which a free group imposes no relations on.  The skew action moves the
-base and then right-multiplies the fiber by the cocycle value.  All
-verifiers here are exhaustive and exact: finite spaces make the "up to
-measure zero" clauses literal equalities.
+is what makes it an action.  All verifiers here are exhaustive and
+exact: finite spaces make the "up to measure zero" clauses literal
+equalities.
 
 Z is the free group of rank 1, so the one-dimensional inequality
 |H(Q^m) - H(Q_x^m)| <= m K(Q) runs on a rank-1 `Cocycle`.
 
-Words enter as ids (see `flab.words`): alpha_w and sigma(w, .) live in
-tables keyed by the id of w, each entry grown from its parent's, and
-filled in one ascending sweep over the ids asked for (`CayleyTree.sweep`),
-so a ball costs one pass.  The growth is a finite-state machine: the
-entry of v t depends only on that of v (for sigma, also on beta_v) and
-on the letter t, so each instance composes a transition once, in its own
-transition table, and every id that reaches it shares the entry.  The
+Words enter as ids (see `flab.words`).  One table holds word maps: a
+`FiniteAction` keys alpha_w by the id of w and grows each entry from its
+parent's, alpha_{v t} = alpha_v after alpha_t, in one ascending sweep
+over the ids asked for (`CayleyTree.sweep`), so a ball costs one pass.
+The entry of v t depends only on that of v and on the letter t, so each
+instance composes a step once and every id that reaches it shares the
+entry.  sigma(w, .) has no table of its own: a `Cocycle` reads it off
+T_w in the table of its skew product, once per distinct T_w.  The
 cocycle check reads the ids of g h off one step table of the tree.  A
 window partition P^W zips one label column per word and is canonicalized
 once.  A FreeWord is encoded once where a caller passes one (`word_perm`,
@@ -44,7 +46,7 @@ from .entropy import (
 )
 from .groups import FiniteGroup, invert_perm
 from .spec import is_int
-from .words import CayleyTree, FreeWord, WordSet, ball, ball_size, format_word, signed_letters
+from .words import CayleyTree, FreeWord, WordSet, ball, ball_size, format_word
 
 
 class FiniteAction:
@@ -76,9 +78,6 @@ class FiniteAction:
 
     def size(self) -> int:
         return len(self.space.counts)
-
-    def letter_perm(self, letter: int) -> tuple[int, ...]:
-        return self._steps[2 * letter - 2 if letter > 0 else -2 * letter - 1]
 
     def word_perm(self, w: FreeWord) -> tuple[int, ...]:
         """alpha_w as a permutation; alpha_{uv} = alpha_u after alpha_v."""
@@ -149,7 +148,20 @@ class SpecialPartition:
 
 
 class Cocycle:
-    """A cocycle for (base, fiber) actions, given by its generator values."""
+    """A cocycle for (base, fiber) actions, given by its generator values.
+
+    The cocycle is read off the skew product it defines, `product`: the
+    action on base x fiber, atom (x, y) at x ny + y with weight nu(x) / ny,
+    whose generators move (x, y) to T_t(x, y) = (alpha_t x, beta_t(y) . sigma(t, x)).
+    Its word maps compose as T_{v t} = T_v after T_t, and
+
+        T_v T_t (x, y) = (alpha_v alpha_t x, beta_v(beta_t(y) . sigma(t, x)) . sigma(v, alpha_t x))
+
+    is T_{v t}(x, y) exactly when sigma(v t, x) = beta_v sigma(t, x) .
+    sigma(v, alpha_t x): the cocycle identity is what makes T an action,
+    and each T_w carries sigma(w, .).  Since beta_w is an automorphism,
+    beta_w(e) = e, so sigma(w, x) is the fiber coordinate of T_w(x, e).
+    """
 
     def __init__(
         self,
@@ -170,46 +182,36 @@ class Cocycle:
         self.base = base
         self.fiber = fiber
         self.gen_values = tuple(tuple(v) for v in gen_values)
-        # (sigma(t, .), alpha_t) for every letter t, in slot order
-        self._steps = [
-            (self._letter_values(t), base.letter_perm(t)) for t in signed_letters(base.rank)
+        mul, nx = fiber.group.mul, base.size()
+        space = _MeasureSpace([c for c in base.space.counts for _ in range(order)], base.space.total * order)
+        perms = [
+            [alpha[x] * order + mul(beta[y], vals[x]) for x in range(nx) for y in range(order)]
+            for alpha, beta, vals in zip(base.gen_perms, fiber.action.gen_perms, self.gen_values)
         ]
-        self._rows = {0: (fiber.group.identity,) * base.size()}
-        self._moves: dict[tuple, tuple[int, ...]] = {}  # (sigma(v, .), beta_v, slot of t) -> sigma(v t, .)
-
-    def _letter_values(self, letter: int) -> tuple[int, ...]:
-        g = self.fiber.group
-        if letter > 0:
-            return self.gen_values[letter - 1]
-        beta_inv, alpha_inv = self.fiber.action.letter_perm(letter), self.base.letter_perm(letter)
-        vals = self.gen_values[-letter - 1]
-        # sigma(s^-1, x) = (beta_s^-1 sigma(s, alpha_s^-1 x))^-1
-        return tuple(g.inv(beta_inv[vals[alpha_inv[x]]]) for x in range(self.base.size()))
+        self.product = FiniteAction(space, perms, base.rank)
+        self._sigma: dict[tuple[int, ...], tuple[int, ...]] = {}  # T_w -> sigma(w, .)
 
     def values(self, w: FreeWord) -> tuple[int, ...]:
         """sigma(w, .) as a table over base points."""
-        return self.row(self.base._tree.id(w))
+        return self.row(self.product._tree.id(w))
 
     def row(self, i: int) -> tuple[int, ...]:
         """sigma(w, .) for the word w with id i."""
-        return self._rows.get(i) or self.rows((i,))[i]
+        return self._read(self.product._by_id.get(i) or self.product._perms((i,))[i])
 
     def rows(self, ids: Iterable[int]) -> dict[int, tuple[int, ...]]:
-        """The sigma table by id, filled for the given ids and their ancestors
-        in one sweep: sigma(v t, x) = beta_v sigma(t, x) . sigma(v, alpha_t x),
-        composed once per distinct (sigma(v, .), beta_v, t) and shared by
-        every id that reaches it."""
-        rows, table, moves = self._rows, self.fiber.group.table, self._moves
-        steps = self.base._tree.sweep(ids, rows)
-        betas = self.fiber.action._perms(v for _i, v, _s in steps)
-        for i, v, s in steps:
-            head, beta_v = rows[v], betas[v]
-            row = moves.get((head, beta_v, s))
-            if row is None:
-                sigma_t, alpha_t = self._steps[s]
-                row = moves[head, beta_v, s] = tuple([table[beta_v[y]][head[a]] for y, a in zip(sigma_t, alpha_t)])
-            rows[i] = row
-        return rows
+        """sigma(w, .) by id for the given ids, off one sweep of the product table."""
+        ids = list(ids)
+        perms = self.product._perms(ids)
+        return {i: self._read(perms[i]) for i in ids}
+
+    def _read(self, perm: tuple[int, ...]) -> tuple[int, ...]:
+        """sigma(w, .) off T_w, read once per distinct T_w."""
+        row = self._sigma.get(perm)
+        if row is None:
+            ny, e = self.fiber.size(), self.fiber.group.identity
+            row = self._sigma[perm] = tuple([perm[x * ny + e] % ny for x in range(self.base.size())])
+        return row
 
 
 def verify_cocycle_identity(
@@ -263,42 +265,16 @@ def verify_cocycle_identity(
 class SkewBundle:
     """The skew product action on base x fiber, with its lifted partitions."""
 
-    def __init__(self, base: FiniteAction, fiber: FiniteGroupAction, cocycle: Cocycle):
-        if base.rank != fiber.rank:
-            raise ValueError("base and fiber must share the acting group rank")
-        self.base = base
-        self.fiber = fiber
+    def __init__(self, cocycle: Cocycle):
         self.cocycle = cocycle
-        nx, ny = base.size(), fiber.size()
-        g = fiber.group
-        # atom (x, y) at x * ny + y carries weight nu(x) / ny
-        space = _MeasureSpace(
-            [c for c in base.space.counts for _ in range(ny)], base.space.total * ny
-        )
-        perms = []
-        for i in range(base.rank):
-            alpha = base.gen_perms[i]
-            beta = fiber.action.gen_perms[i]
-            vals = cocycle.gen_values[i]
-            perm = [0] * (nx * ny)
-            for x in range(nx):
-                for y in range(ny):
-                    perm[x * ny + y] = alpha[x] * ny + g.mul(beta[y], vals[x])
-            perms.append(perm)
-        self.product = FiniteAction(space, perms, base.rank)
-        self._ny = ny
+        self.base, self.fiber, self.product = cocycle.base, cocycle.fiber, cocycle.product
 
     def lift_base(self, p: FinitePartition) -> FinitePartition:
-        labels = []
-        for x in range(self.base.size()):
-            labels.extend([p.labels[x]] * self._ny)
-        return FinitePartition(self.product.space, labels)
+        ny = self.fiber.size()
+        return FinitePartition(self.product.space, [label for label in p.labels for _ in range(ny)])
 
     def lift_fiber(self, q: FinitePartition) -> FinitePartition:
-        labels = []
-        for _x in range(self.base.size()):
-            labels.extend(q.labels)
-        return FinitePartition(self.product.space, labels)
+        return FinitePartition(self.product.space, list(q.labels) * self.base.size())
 
     def base_marker(self) -> FinitePartition:
         """B_X as a partition of the product: one block per base point."""
@@ -310,11 +286,7 @@ class SkewBundle:
     def pullback_partition(self, g: FreeWord, q: FinitePartition) -> FinitePartition:
         """P_g: the base partition pulling beta_g(Q) back under sigma(g, .)."""
         beta_gq = q.apply_permutation(self.fiber.action.word_perm(g))
-        vals = self.cocycle.values(g)
-        return FinitePartition(
-            self.base.space,
-            [beta_gq.labels[vals[x]] for x in range(self.base.size())],
-        )
+        return FinitePartition(self.base.space, [beta_gq.labels[y] for y in self.cocycle.values(g)])
 
 
 # -- the section cocycle realizing quotient-by-subgroup as a skew product ----
@@ -389,7 +361,7 @@ class SectionCocycleBundle:
         )
         self.fiber_action = FiniteGroupAction(fiber_group, fiber_perms, ga.rank)
         self.cocycle = Cocycle(self.base_action, self.fiber_action, gen_values)
-        self.skew = SkewBundle(self.base_action, self.fiber_action, self.cocycle)
+        self.skew = SkewBundle(self.cocycle)
 
     def phi(self, c: int, n_local: int) -> int:
         """The intertwining bijection (coset, fiber) -> parent element."""

@@ -433,9 +433,11 @@ def run_verifier_suite(
         # skew-entropy bound over rank 1), whatever the configured rank
         raise ValueError("the verifier suites run over the rank-2 free group")
     selection = list(_SUITES) if suites is None else suites
-    for name in selection:
+    for k, name in enumerate(selection):
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; available: {sorted(_SUITES)}")
+        if name in selection[:k]:
+            raise ValueError(f"suite {name!r} is selected twice")
     if inject_bug is not None and "cocycle" not in selection:
         raise ValueError(
             f"the injected bug {inject_bug!r} corrupts the cocycle suite, which is not selected"
@@ -496,8 +498,7 @@ def process_from_spec(spec: dict, cfg: RunConfig):
             _label_indices(fiber_group, row, "cocycle")
             for row in spec_field(spec, "cocycle", list)
         ]
-        cocycle = Cocycle(base.action, fiber, gen_values)
-        bundle = SkewBundle(base.action, fiber, cocycle)
+        bundle = SkewBundle(Cocycle(base.action, fiber, gen_values))
         return SkewProductProcess(
             bundle,
             FinitePartition.points(base.action.space),

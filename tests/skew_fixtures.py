@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from flab.entropy import FinitePartition, join_many
-from flab.groups import FiniteGroup, all_automorphisms, preset_group
+from flab.groups import FiniteGroup, all_automorphisms, invert_perm, preset_group
 from flab.presets import _FIBER_PRESETS, random_finite_action
 from flab.skew import Cocycle, FiniteAction, FiniteGroupAction, SkewBundle, SpecialPartition
 from flab.words import CayleyTree, WordSet, ball, format_word, mul, signed_letters
@@ -43,8 +43,7 @@ def random_group_skew_bundle(rng: random.Random, rank: int = 2) -> tuple[SkewBun
         [rng.randrange(fiber_group.order()) for _ in range(base.size())]
         for _ in range(rank)
     ]
-    cocycle = Cocycle(base, fiber, gen_values)
-    return SkewBundle(base, fiber, cocycle), fiber
+    return SkewBundle(Cocycle(base, fiber, gen_values)), fiber
 
 
 def is_special(group: FiniteGroup, p: FinitePartition) -> bool:
@@ -89,6 +88,22 @@ def pointwise_cocycle_failure(
     return True, None
 
 
+def letter_perm(action: FiniteAction, letter: int) -> tuple[int, ...]:
+    """alpha_t for a signed letter t, straight from the generator permutations."""
+    perm = action.gen_perms[abs(letter) - 1]
+    return perm if letter > 0 else invert_perm(perm)
+
+
+def letter_values(cocycle: Cocycle, letter: int) -> tuple[int, ...]:
+    """sigma(t, .) for a signed letter t: a generator's given values, or
+    sigma(s^-1, x) = (beta_s^-1 sigma(s, alpha_s^-1 x))^-1 for an inverse."""
+    if letter > 0:
+        return cocycle.gen_values[letter - 1]
+    g, vals = cocycle.fiber.group, cocycle.gen_values[-letter - 1]
+    beta_inv, alpha_inv = letter_perm(cocycle.fiber.action, letter), letter_perm(cocycle.base, letter)
+    return tuple(g.inv(beta_inv[vals[alpha_inv[x]]]) for x in range(cocycle.base.size()))
+
+
 class LetterPerms:
     """alpha_w memoized by the letter tuple of w, peeling the first letter:
     alpha_{t v} = alpha_t after alpha_v.  The oracle for the id-keyed
@@ -101,7 +116,7 @@ class LetterPerms:
     def perm(self, key: tuple[int, ...]) -> tuple[int, ...]:
         perm = self._memo.get(key)
         if perm is None:
-            head = self.action.letter_perm(key[0])
+            head = letter_perm(self.action, key[0])
             perm = self._memo[key] = tuple([head[x] for x in self.perm(key[1:])])
         return perm
 
@@ -110,8 +125,8 @@ class LetterCocycle:
     """sigma(w, .) memoized by the letter tuple of w, peeling the first letter.
 
     For w = t v with t a letter, sigma(w, x) = beta_t sigma(v, x) .
-    sigma(t, alpha_v x).  The oracle for the id-keyed `Cocycle` rows, which
-    grow from the last letter.
+    sigma(t, alpha_v x).  The oracle for the `Cocycle` rows, which are read
+    off the skew product's word maps; it uses only the generator tables.
     """
 
     def __init__(self, cocycle: Cocycle):
@@ -119,7 +134,7 @@ class LetterCocycle:
         self.base = LetterPerms(cocycle.base)
         # (beta_t, sigma(t, .)) for every letter t
         self._steps = {
-            t: (cocycle.fiber.action.letter_perm(t), cocycle._letter_values(t))
+            t: (letter_perm(cocycle.fiber.action, t), letter_values(cocycle, t))
             for t in signed_letters(cocycle.base.rank)
         }
         self._memo: dict[tuple, tuple[int, ...]] = {
@@ -155,7 +170,7 @@ class RecursivePerms:
         perm = self._memo.get(i)
         if perm is None:
             head = self.perm(self.tree.parent(i))
-            step = self.action.letter_perm(self.tree.word(i).letters[-1])
+            step = letter_perm(self.action, self.tree.word(i).letters[-1])
             perm = self._memo[i] = tuple([head[x] for x in step])
         return perm
 
@@ -163,7 +178,7 @@ class RecursivePerms:
 class RecursiveRows:
     """sigma(w, .) memoized by the id of w, grown from its parent v and last
     letter t on demand: sigma(v t, x) = beta_v sigma(t, x) . sigma(v, alpha_t x).
-    The oracle for the sweep-filled `Cocycle` rows."""
+    The oracle for the `Cocycle` rows read off the sweep-filled product table."""
 
     def __init__(self, cocycle: Cocycle):
         self.cocycle = cocycle
@@ -178,8 +193,7 @@ class RecursiveRows:
         if out is None:
             table = self.cocycle.fiber.group.table
             v, t = self.tree.parent(i), self.tree.word(i).letters[-1]
-            sigma_t = self.cocycle._letter_values(t)
-            alpha_t = self.cocycle.base.letter_perm(t)
+            sigma_t, alpha_t = letter_values(self.cocycle, t), letter_perm(self.cocycle.base, t)
             beta_v, head = self.betas.perm(v), self.row(v)
             out = self._memo[i] = tuple([table[beta_v[s]][head[a]] for s, a in zip(sigma_t, alpha_t)])
         return out

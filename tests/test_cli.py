@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import flab
 from flab.cli import main
+from flab.suite import RunConfig, run_verifier_suite
 
 
 def run_cli(args, capsys):
@@ -189,6 +190,26 @@ class TestVerify:
 
     def test_unknown_suite_rejected(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
+
+    def test_repeated_suite_rejected(self, capsys):
+        # the repeated suite used to run twice and be listed twice
+        assert main(["verify", "--suite", "special,special"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: suite 'special' is selected twice\n"
+        with pytest.raises(ValueError, match="'cocycle'"):
+            run_verifier_suite(RunConfig(), ["cocycle", "special", "cocycle"])
+
+    @pytest.mark.parametrize("target", ["missing/report.json", ""])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
+        # a missing directory, or a directory as the path: the write used
+        # to raise past the error handler with a traceback and exit 1
+        out = tmp_path / target
+        assert main(["verify", "--suite", "special", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_injected_bug_needs_the_cocycle_suite(self, capsys):
         for selection in ("special", "none", "relative-collapse,window-split"):

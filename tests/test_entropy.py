@@ -447,7 +447,7 @@ class TestSpaceValidation:
 
         monkeypatch.setattr(entropy._MeasureSpace, "__init__", counting_init)
         monkeypatch.setattr(entropy, "_partition", counting_partition)
-        bundle = SkewBundle(base, fiber, Cocycle(base, fiber, [[1, 0, 3], [0, 2, 0]]))
+        bundle = SkewBundle(Cocycle(base, fiber, [[1, 0, 3], [0, 2, 0]]))
         proc = SkewProductProcess(
             bundle,
             FinitePartition.points(base.space),

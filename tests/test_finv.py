@@ -427,8 +427,7 @@ class TestRelative:
         fiber = FiniteGroupAction(
             fiber_group, [tuple((-x) % 4 for x in range(4)), tuple(range(4))], 2
         )
-        cocycle = Cocycle(base, fiber, [[0] * base.size()] * 2)
-        bundle = SkewBundle(base, fiber, cocycle)
+        bundle = SkewBundle(Cocycle(base, fiber, [[0] * base.size()] * 2))
         q = random_partition(rng, 4)
         proc = SkewProductProcess(bundle, FinitePartition.points(base.weights), q)
         fiber_proc = proc.fiber_process()
@@ -698,10 +697,9 @@ class TestSkewActionConstructor:
         base = random_finite_action(rng)
         z2 = cyclic(2)
         fiber = FiniteGroupAction(z2, [tuple(range(2))] * 2, 2)
-        cocycle = Cocycle(base, fiber, [[0] * base.size()] * 2)
         base_points = FinitePartition.points(base.weights)
         proc = SkewProductProcess(
-            SkewBundle(base, fiber, cocycle),
+            SkewBundle(Cocycle(base, fiber, [[0] * base.size()] * 2)),
             base_points,
             FinitePartition.points(fiber.action.weights),
         )

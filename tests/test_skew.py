@@ -475,31 +475,27 @@ def six_atom_bundle(rank: int) -> SkewBundle:
     autos = all_automorphisms(q8)
     base = FiniteAction(uniform(6), [random_perm(rng, 6) for _ in range(rank)], rank)
     fiber = FiniteGroupAction(q8, [autos[rng.randrange(len(autos))] for _ in range(rank)], rank)
-    cocycle = Cocycle(base, fiber, [[rng.randrange(8) for _ in range(6)] for _ in range(rank)])
-    return SkewBundle(base, fiber, cocycle)
+    return SkewBundle(Cocycle(base, fiber, [[rng.randrange(8) for _ in range(6)] for _ in range(rank)]))
 
 
 class TestTransitionTables:
-    """alpha_w and sigma(w, .) are finite-state: each FiniteAction and each
-    Cocycle composes a transition the first time it meets it, and every id
-    that reaches it points at the one stored entry."""
+    """alpha_w is finite-state: each FiniteAction composes a step the first
+    time it meets it, and every id that reaches it points at the one stored
+    entry.  sigma(w, .) is read off the skew product's T_w, once per
+    distinct T_w, and every id with that T_w shares the row."""
 
     @pytest.mark.parametrize("rank, n", [(1, 12), (3, 4)])
     def test_six_atoms_match_the_letter_oracles(self, rank, n):
         bundle = six_atom_bundle(rank)
         assert_tables_match_letter_oracles(bundle, n)
         ids = range(ball_size(rank, n))
-        bundle.cocycle.rows(ids)
+        rows = bundle.cocycle.rows(ids)
         if rank == 3:
-            assert len(set(bundle.cocycle._rows.values())) > 0.9 * len(ids)
+            assert len(set(rows.values())) > 0.9 * len(ids)
         for action in (bundle.base, bundle.fiber.action, bundle.product):
             for (head, s), perm in action._moves.items():
                 step = action._steps[s]
                 assert perm == tuple(head[x] for x in step)
-        cocycle, table = bundle.cocycle, bundle.fiber.group.table
-        for (head, beta_v, s), row in cocycle._moves.items():
-            sigma_t, alpha_t = cocycle._steps[s]
-            assert row == tuple(table[beta_v[y]][head[a]] for y, a in zip(sigma_t, alpha_t))
 
     def test_ids_share_the_entry_of_their_transition(self):
         ids = range(ball_size(2, 6))
@@ -507,10 +503,14 @@ class TestTransitionTables:
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
             cocycle, action = bundle.cocycle, bundle.base_action
             rows, perms = cocycle.rows(ids), action._perms(ids)
-            betas = bundle.fiber_action.action._by_id
+            products = cocycle.product._perms(ids)
+            # each distinct T_w is read out once, and a later row(i) reads no more
+            assert len(cocycle._sigma) == len({products[i] for i in ids})
             for i, v, s in CayleyTree(2).sweep(ids, (0,)):
-                assert rows[i] is cocycle._moves[rows[v], betas[v], s]
                 assert perms[i] is action._moves[perms[v], s]
+                assert products[i] is cocycle.product._moves[products[v], s]
+                assert rows[i] is cocycle._sigma[products[i]] is cocycle.row(i)
+            assert len(cocycle._sigma) == len({products[i] for i in ids})
 
     def test_instances_share_no_state(self):
         bundle = z4_section_bundle()
@@ -522,15 +522,38 @@ class TestTransitionTables:
         cocycles[0].rows(ids)
         # filling one instance leaves its twin empty
         assert actions[1]._by_id == {0: (0, 1)} and actions[1]._moves == {}
-        assert len(cocycles[1]._rows) == 1 and cocycles[1]._moves == {}
+        assert len(cocycles[1].product._by_id) == 1 and cocycles[1].product._moves == {}
+        assert cocycles[1]._sigma == {}
         actions[1]._perms(ids)
         cocycles[1].rows(ids)
-        for a, b in (actions, cocycles):
-            for name in ("_moves", "_steps", "_by_id", "_rows", "_tree"):
-                if hasattr(a, name):
-                    assert getattr(a, name) is not getattr(b, name), name
-        assert actions[0]._moves == actions[1]._moves
-        assert cocycles[0]._rows == cocycles[1]._rows and cocycles[0]._moves == cocycles[1]._moves
+        for a, b in (actions, [c.product for c in cocycles]):
+            for name in ("_moves", "_steps", "_by_id", "_tree"):
+                assert getattr(a, name) is not getattr(b, name), name
+            assert a._moves == b._moves
+        assert cocycles[0]._sigma is not cocycles[1]._sigma
+        assert cocycles[0]._sigma == cocycles[1]._sigma
+
+
+class TestProductReadout:
+    """The skew product's word maps are T_w(x, y) = (alpha_w x, beta_w(y) .
+    sigma(w, x)), with alpha, beta and sigma from the letter oracles."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_word_maps_are_the_skew_action(self, seed, rank):
+        bundle, _fiber = random_group_skew_bundle(random.Random(seed), rank)
+        sigma, alphas = LetterCocycle(bundle.cocycle), LetterPerms(bundle.base)
+        betas, mul = LetterPerms(bundle.fiber.action), bundle.fiber.group.mul
+        nx, ny = bundle.base.size(), bundle.fiber.size()
+        for w in ball(rank, 3):
+            alpha, beta, row = alphas.perm(w.letters), betas.perm(w.letters), sigma.values(w.letters)
+            want = tuple(alpha[x] * ny + mul(beta[y], row[x]) for x in range(nx) for y in range(ny))
+            assert bundle.product.word_perm(w) == want, w
+
+    def test_the_bundle_is_the_cocycle_product(self):
+        bundle = z4_section_bundle()
+        assert bundle.skew.product is bundle.cocycle.product
+        assert (bundle.skew.base, bundle.skew.fiber) == (bundle.base_action, bundle.fiber_action)
 
 
 def z4_section_bundle() -> SectionCocycleBundle:
@@ -601,8 +624,7 @@ class TestSkewBundle:
         base = random_finite_action(rng)
         z2 = cyclic(2)
         fiber = FiniteGroupAction(z2, [tuple(range(2))] * 2, 2)
-        cocycle = Cocycle(base, fiber, [[0] * base.size()] * 2)
-        bundle = SkewBundle(base, fiber, cocycle)
+        bundle = SkewBundle(Cocycle(base, fiber, [[0] * base.size()] * 2))
         p = random_partition(rng, base.size())
         q = FinitePartition.points(uniform(2))
         W = ball(2, 1)
@@ -832,8 +854,8 @@ class TestZSkew:
 
 
 class TestSweepTables:
-    """The sweep-filled alpha and sigma tables equal the per-id recursions
-    they replaced (`RecursivePerms`, `RecursiveRows`)."""
+    """The sweep-filled alpha tables, and the sigma rows read off the
+    product's, equal the per-id recursions (`RecursivePerms`, `RecursiveRows`)."""
 
     def test_section_pairs_on_every_id_of_ball_six(self):
         ids = range(ball_size(2, 6))
@@ -859,7 +881,7 @@ class TestSweepTables:
             assert [got_rows[i] for i in batch] == [rows.row(i) for i in batch]
             assert [got_perms[i] for i in batch] == [perms.perm(i) for i in batch]
         # the ancestors filled on the way are right too
-        assert all(row == rows.row(i) for i, row in bundle.cocycle._rows.items())
+        assert all(bundle.cocycle.row(i) == rows.row(i) for i in bundle.product._by_id)
         assert all(perm == perms.perm(i) for i, perm in bundle.product._by_id.items())
 
 
