@@ -71,7 +71,11 @@ def _add_common(sub):
 
 
 def _config(args) -> RunConfig:
-    seed = int(os.environ.get("FLAB_SEED", DEFAULT_SEED))
+    text = os.environ.get("FLAB_SEED")
+    try:
+        seed = DEFAULT_SEED if text is None else int(text)
+    except ValueError:
+        raise ValueError(f"FLAB_SEED must be an integer, not {text!r}") from None
     return RunConfig(rank=getattr(args, "rank", RunConfig.rank), n_max=args.nmax, seed=seed)
 
 

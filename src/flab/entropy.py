@@ -15,10 +15,16 @@ sum of c_i over block b),
 
     H(P) = -sum_b (C_b / N) log(C_b / N) = log N - (1/N) sum_b C_b log C_b,
 
-so shannon_entropy adds up integer prime exponents of the C_b and divides
-by N once per prime.  The EntropyValue constructor checks that its keys
-are primes; arithmetic and shannon_entropy, whose terms are canonical by
-construction, build their results through the trusted `_value`.
+so shannon_entropy adds up integer prime exponents of the C_b and puts
+them over N.
+
+An EntropyValue holds its coefficients as integer numerators over one
+common denominator, in lowest terms, so sums, differences, multiples,
+equality and hashing are integer arithmetic; Fractions appear only where
+a value is read out (`terms`, and the strings of `to_json` and `repr`).
+The constructor checks that its keys are primes; arithmetic and
+shannon_entropy build their results through `_reduced`, which drops zero
+numerators and divides out one gcd.
 """
 
 from __future__ import annotations
@@ -74,18 +80,23 @@ def is_prime(n: int) -> bool:
 class EntropyValue:
     """An exact number of the form sum_i q_i * log(p_i), q_i rational, p_i prime.
 
-    The representation is canonical (no zero coefficients, primes sorted),
-    and logs of distinct primes are linearly independent over Q, so
-    equality of values is equality of representations.
+    Held as integer numerators n_i over one common denominator d, q_i =
+    n_i / d.  The form is canonical (d >= 1, gcd(d, n_1, ..., n_k) = 1,
+    no zero numerator, primes ascending), and logs of distinct primes are
+    linearly independent over Q, so equality of values is equality of
+    representations.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[int, Fraction] | None = None):
         items = [(p, Fraction(q)) for p, q in (terms or {}).items()]
         if not all(isinstance(p, int) and is_prime(p) for p, _q in items):
             raise ValueError(f"EntropyValue keys must be primes: {[p for p, _q in items]}")
-        _set_terms(self, tuple(sorted([(p, q) for p, q in items if q])))
+        items = sorted([(p, q) for p, q in items if q])
+        den = math.lcm(*[q.denominator for _p, q in items])
+        _set_nums(self, tuple([(p, q.numerator * (den // q.denominator)) for p, q in items]))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("EntropyValue is immutable")
@@ -95,12 +106,12 @@ class EntropyValue:
 
     @staticmethod
     def zero() -> "EntropyValue":
-        return _value(())
+        return _ZERO
 
     @staticmethod
     def log_int(n: int) -> "EntropyValue":
         """log(n) for an integer n >= 1, expanded over prime factors."""
-        return _value(tuple([(p, Fraction(e)) for p, e in factorize(n)]))
+        return _value(factorize(n), 1)
 
     @staticmethod
     def log_fraction(q: Fraction) -> "EntropyValue":
@@ -112,37 +123,44 @@ class EntropyValue:
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        den = self._den
+        return {p: Fraction(n, den) for p, n in self._nums}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, EntropyValue) and self._terms == other._terms
+        return (
+            isinstance(other, EntropyValue)
+            and self._den == other._den
+            and self._nums == other._nums
+        )
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash((self._nums, self._den))
 
     def __add__(self, other: "EntropyValue") -> "EntropyValue":
-        terms = dict(self._terms)
-        for p, q in other._terms:
-            terms[p] = terms[p] + q if p in terms else q
-        return _value(tuple(sorted([(p, q) for p, q in terms.items() if q])))
+        return _combine(self, other, 1)
 
     def __neg__(self) -> "EntropyValue":
-        return _value(tuple([(p, -q) for p, q in self._terms]))
+        return _value(tuple([(p, -n) for p, n in self._nums]), self._den)
 
     def __sub__(self, other: "EntropyValue") -> "EntropyValue":
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __mul__(self, scalar) -> "EntropyValue":
-        s = Fraction(scalar)
-        return _value(tuple([(p, q * s) for p, q in self._terms]) if s else ())
+        if type(scalar) is int:
+            num, den = scalar, 1
+        else:
+            s = Fraction(scalar)
+            num, den = s.numerator, s.denominator
+        return _reduced([(p, n * num) for p, n in self._nums], self._den * den)
 
     __rmul__ = __mul__
 
     def to_float(self) -> float:
-        return float(sum(float(q) * math.log(p) for p, q in self._terms))
+        den = self._den
+        return float(sum(n / den * math.log(p) for p, n in self._nums))
 
     def _approx(self, prec: int) -> tuple[Decimal, Decimal]:
         """The value at `prec` significant digits, and a bound on its error.
@@ -155,11 +173,12 @@ class EntropyValue:
             ctx.prec = prec
             total = Decimal(0)
             scale = Decimal(0)
-            for p, q in self._terms:
-                coeff = Decimal(q.numerator) / Decimal(q.denominator)
+            den = Decimal(self._den)
+            for p, n in self._nums:
+                coeff = Decimal(n) / den
                 total += coeff * Decimal(p).ln()
                 scale += abs(coeff) * p.bit_length()
-            return total, (len(self._terms) + 4) * scale * Decimal(10) ** (2 - prec)
+            return total, (len(self._nums) + 4) * scale * Decimal(10) ** (2 - prec)
 
     def __lt__(self, other: "EntropyValue") -> bool:
         """Exact order: a binary first rung, then a decimal ladder.
@@ -195,11 +214,13 @@ class EntropyValue:
             prec *= 2
 
     def _first_rung(self) -> float | None:
-        """The value in doubles when that fixes its sign, else None."""
+        """The value in doubles when that fixes its sign, else None; each
+        coefficient n / d is one correctly rounded integer division."""
         total = scale = 0.0
+        den = self._den
         try:
-            for p, q in self._terms:
-                coeff = q.numerator / q.denominator
+            for p, n in self._nums:
+                coeff = n / den
                 if abs(coeff) < _MIN_NORMAL:
                     return None
                 total += coeff * math.log(p)
@@ -208,7 +229,7 @@ class EntropyValue:
             return None
         if not (math.isfinite(total) and math.isfinite(scale)):
             return None
-        if abs(total) > (len(self._terms) + 4) * scale * _FIRST_RUNG_MARGIN:
+        if abs(total) > (len(self._nums) + 4) * scale * _FIRST_RUNG_MARGIN:
             return total
         return None
 
@@ -223,7 +244,7 @@ class EntropyValue:
 
     def to_json(self) -> dict:
         return {
-            "terms": {str(p): str(q) for p, q in self._terms},
+            "terms": {str(p): str(q) for p, q in self.terms.items()},
             "float": self.to_float(),
         }
 
@@ -234,23 +255,55 @@ class EntropyValue:
         )
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
         parts = []
-        for p, q in self._terms:
+        for p, q in self.terms.items():
             parts.append(f"{q}*log({p})")
         return " + ".join(parts).replace("+ -", "- ")
 
 
-_set_terms = EntropyValue._terms.__set__
+_set_nums = EntropyValue._nums.__set__
+_set_den = EntropyValue._den.__set__
 
 
-def _value(terms: tuple[tuple[int, Fraction], ...]) -> EntropyValue:
-    """An EntropyValue from terms the caller knows to be canonical: prime
-    keys in ascending order, each with a nonzero Fraction."""
+def _value(nums: tuple[tuple[int, int], ...], den: int) -> EntropyValue:
+    """An EntropyValue from a form the caller knows to be canonical: prime
+    keys in ascending order, each with a nonzero integer numerator, over a
+    denominator den >= 1 sharing no factor with all of them."""
     v = object.__new__(EntropyValue)
-    _set_terms(v, terms)
+    _set_nums(v, nums)
+    _set_den(v, den)
     return v
+
+
+def _reduced(nums: list[tuple[int, int]], den: int) -> EntropyValue:
+    """The canonical value of sum (n / den) log p over ascending primes p:
+    zero numerators dropped, one gcd divided out."""
+    nums = [(p, n) for p, n in nums if n]
+    g = math.gcd(den, *[n for _p, n in nums])
+    if g > 1:
+        nums = [(p, n // g) for p, n in nums]
+        den //= g
+    return _value(tuple(nums), den)
+
+
+def _combine(a: EntropyValue, b: EntropyValue, sign: int) -> EntropyValue:
+    """a + sign * b over the least common denominator."""
+    da, db = a._den, b._den
+    if da == db:
+        ka, kb, den = 1, sign, da
+    else:
+        g = math.gcd(da, db)
+        ka, kb = db // g, sign * (da // g)
+        den = da * (db // g)
+    terms = {p: n * ka for p, n in a._nums}
+    for p, n in b._nums:
+        terms[p] = terms.get(p, 0) + n * kb
+    return _reduced(sorted(terms.items()), den)
+
+
+_ZERO = _value((), 1)
 
 
 class _MeasureSpace:
@@ -467,7 +520,9 @@ def shannon_entropy(p: FinitePartition) -> EntropyValue:
 
     With block counts C_b over the space's total N this is
     log N - (1/N) sum_b C_b log C_b: the sum is accumulated as integer
-    exponents per prime, and divided by N once per prime.
+    exponents E_q per prime q, so the coefficient of log q is the
+    numerator e_N(q) N - E_q over N, with e_N(q) the exponent of q in N,
+    and one gcd brings the value to canonical form.
     """
     exponents: dict[int, int] = {}
     for size, mult in Counter(p.block_counts()).items():
@@ -475,10 +530,10 @@ def shannon_entropy(p: FinitePartition) -> EntropyValue:
             for q, e in factorize(size):
                 exponents[q] = exponents.get(q, 0) + mult * size * e
     n = p.space.total
-    terms = {q: Fraction(e) for q, e in factorize(n)}
+    nums = {q: e * n for q, e in factorize(n)}
     for q, e in exponents.items():
-        terms[q] = terms.get(q, 0) - Fraction(e, n)
-    return _value(tuple(sorted([(p, c) for p, c in terms.items() if c])))
+        nums[q] = nums.get(q, 0) - e
+    return _reduced(sorted(nums.items()), n)
 
 
 def join(p: FinitePartition, q: FinitePartition) -> FinitePartition:

@@ -77,17 +77,20 @@ class FiniteGroup:
         )
 
     def subgroup_closure(self, gens: Sequence[int]) -> frozenset[int]:
+        """The subgroup generated by `gens`: the identity closed under right
+        multiplication by the generators, breadth first.  In a finite group
+        every inverse is a positive power, x^-1 = x^(k-1) for x of order k,
+        so no inverse is needed; each element met is multiplied once by
+        each generator."""
         out = {self.identity}
-        frontier = list(gens)
-        while frontier:
-            x = frontier.pop()
-            if x in out:
-                continue
-            out.add(x)
-            for y in list(out):
-                for z in (self.mul(x, y), self.mul(y, x), self.inv(x)):
-                    if z not in out:
-                        frontier.append(z)
+        queue = [self.identity]
+        for x in queue:
+            row = self.table[x]
+            for s in gens:
+                y = row[s]
+                if y not in out:
+                    out.add(y)
+                    queue.append(y)
         return frozenset(out)
 
     def is_subgroup(self, elems: frozenset[int]) -> bool:

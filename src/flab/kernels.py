@@ -100,6 +100,9 @@ class ConvolutionKernel:
         check_modulus(p)
         if rank < 1:
             raise ValueError("rank must be >= 1")
+        for field, d in (("d_in", d_in), ("d_out", d_out)):
+            if d < 1:
+                raise ValueError(f"{field} must be >= 1, not {d}")
         clean: dict[FreeWord, Matrix] = {}
         for w, block in coeffs.items():
             if w.rank != rank:

@@ -408,10 +408,14 @@ def K_of(q: FinitePartition, group: FiniteGroup) -> EntropyValue:
 
     Each term is 2 H(Q v Qg) - H(Q) - H(Qg), one join per element.
     """
+    return _k_of(q, [right_translate(group, q, g) for g in range(group.order())])
+
+
+def _k_of(q: FinitePartition, translates: Sequence[FinitePartition]) -> EntropyValue:
+    """K(Q) from the right translates Qg of Q, one per group element."""
     best = EntropyValue.zero()
     h_q = shannon_entropy(q)
-    for g in range(group.order()):
-        qg = right_translate(group, q, g)
+    for qg in translates:
         value = 2 * shannon_entropy(join(q, qg)) - h_q - shannon_entropy(qg)
         if value > best:
             best = value
@@ -528,13 +532,15 @@ def verify_skew_entropy_bound(
     Q^m is the window partition of Q over {A^k : k < m}, and Q_x^m the
     join of S^-k(Q sigma(k, x)^-1), with S^-k = beta_{A^k} and
     sigma(k, x) = sigma(a^k, x).  Both start from Q^1 = Q_x^1 = Q and grow
-    from m - 1 by one join, each factor built once.  Returns one record
-    per (x, m) with both sides and whether equality held.
+    from m - 1 by one join.  The right translates Qg are built once, for
+    K(Q) and for the factors.  Returns one record per (x, m) with both
+    sides and whether equality held.
     """
     if cocycle.base.rank != 1:
         raise ValueError(f"the skew entropy bound needs a rank-1 cocycle, not rank {cocycle.base.rank}")
     action, group = cocycle.fiber.action, cocycle.fiber.group
-    k_q = K_of(q, group)
+    translates = [right_translate(group, q, g) for g in range(group.order())]
+    k_q = _k_of(q, translates)
     plain, twisted, records = q, [q] * cocycle.base.size(), []
     for m in range(1, m_max + 1):
         s_back = action.word_perm(FreeWord(1, [-1] * (m - 1)))
@@ -543,7 +549,7 @@ def verify_skew_entropy_bound(
         h_plain = shannon_entropy(plain)
         bound = m * k_q
         for x, value in enumerate(sigma):
-            factor = right_translate(group, q, group.inv(value)).apply_permutation(s_back)
+            factor = translates[group.inv(value)].apply_permutation(s_back)
             twisted[x] = join(twisted[x], factor)
             h_twisted = shannon_entropy(twisted[x])
             diff = h_plain - h_twisted

@@ -246,9 +246,9 @@ def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
     cases = []
     for pair in section_pair_catalog(2):
         bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
-        bundle.cocycle.rows(range(ball_size(2, 6)))  # every row the check reads
+        rows = bundle.cocycle.rows(range(ball_size(2, 6)))  # every row the check reads
         ok_eq, wit_eq = verify_cocycle_identity(
-            bundle.cocycle.row, bundle.base_action, bundle.fiber_action, max_len=3
+            rows.__getitem__, bundle.base_action, bundle.fiber_action, max_len=3
         )
         ok_phi, wit_phi = bundle.verify_conjugacy(max_len=3)
         cases.append(

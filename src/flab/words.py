@@ -468,15 +468,30 @@ class WordSet:
 
     def translate(self, g: FreeWord) -> "WordSet":
         """Left translate g·S, on ids: e goes to id(g), and g·v·s is one
-        tree step from the image of v, for each (v·s, v, s) of one sweep
-        of S and its ancestors."""
+        tree step from the image j of v, for each (v·s, v, s) of one sweep
+        of S and its ancestors: the parent of j when s cancels j's last
+        letter, else the child of j with last slot s."""
         rank = self.rank
         if g.rank != rank:
             raise ValueError(f"rank mismatch: {g.rank} != {rank}")
         tree = CayleyTree(rank)
+        last, q = tree._last, tree.q
         image = {0: tree.id(g)}
         for i, v, s in tree.sweep(self._ids, image):
-            image[i] = tree.translates((image[v],), (s,))[0]
+            j = image[v]
+            if j == 0:
+                j = s + 1
+            else:
+                back = last.get(j)
+                if back is None:
+                    back = tree.last(j)
+                back ^= 1
+                if s == back:
+                    image[i] = (j - 2) // q if j > 1 else 0
+                    continue
+                j = q * j + 2 + (s if s < back else s - 1)
+            last[j] = s
+            image[i] = j
         return _wordset(rank, [image[i] for i in self._ids])
 
     def key(self) -> tuple:

@@ -3,22 +3,99 @@
 These compute from the weights a partition reads as, through the public
 FinitePartition API and EntropyValue.log_fraction, never through the
 integer block counts that flab.entropy.shannon_entropy uses, so the two
-routes can be cross-checked.
+routes can be cross-checked.  FractionTerms keeps exact values as
+(prime, Fraction) terms, with none of EntropyValue's integer arithmetic.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from flab.entropy import (
     EntropyValue,
     FinitePartition,
     SpaceMismatchError,
     check_permutation_preserves,
+    factorize,
     join,
 )
+
+
+class FractionTerms:
+    """sum q log p as ascending (prime, Fraction) terms, none zero: a value
+    held term by term, with its float, JSON and first-rung double computed
+    from the Fractions, as EntropyValue computed them when it held such
+    terms."""
+
+    def __init__(self, terms: Mapping[int, Fraction]):
+        self.terms = tuple(sorted((p, Fraction(q)) for p, q in terms.items() if q))
+
+    @classmethod
+    def of(cls, v: EntropyValue) -> "FractionTerms":
+        return cls(v.terms)
+
+    @classmethod
+    def entropy(cls, p: FinitePartition) -> "FractionTerms":
+        """-sum w log w over the block weights w = a / b, with
+        log w = sum e log q over a less that over b."""
+        terms: dict[int, Fraction] = {}
+        for w in p.block_weights().values():
+            if w:
+                for q, e in factorize(w.numerator):
+                    terms[q] = terms.get(q, 0) - w * e
+                for q, e in factorize(w.denominator):
+                    terms[q] = terms.get(q, 0) + w * e
+        return cls(terms)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionTerms) and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"FractionTerms({dict(self.terms)})"
+
+    def __add__(self, other: "FractionTerms") -> "FractionTerms":
+        terms = dict(self.terms)
+        for p, q in other.terms:
+            terms[p] = terms.get(p, 0) + q
+        return FractionTerms(terms)
+
+    def __neg__(self) -> "FractionTerms":
+        return FractionTerms({p: -q for p, q in self.terms})
+
+    def __sub__(self, other: "FractionTerms") -> "FractionTerms":
+        return self + (-other)
+
+    def scaled(self, s) -> "FractionTerms":
+        return FractionTerms({p: q * Fraction(s) for p, q in self.terms})
+
+    def to_json(self) -> dict:
+        return {
+            "terms": {str(p): str(q) for p, q in self.terms},
+            "float": float(sum(float(q) * math.log(p) for p, q in self.terms)),
+        }
+
+    def first_rung(self) -> float | None:
+        """The double sum of q log p when it clears the first rung's margin
+        (see EntropyValue.__lt__), else None."""
+        total = scale = 0.0
+        try:
+            for p, q in self.terms:
+                coeff = q.numerator / q.denominator
+                if abs(coeff) < sys.float_info.min:
+                    return None
+                total += coeff * math.log(p)
+                scale += abs(coeff) * p.bit_length()
+        except OverflowError:
+            return None
+        if not (math.isfinite(total) and math.isfinite(scale)):
+            return None
+        if abs(total) > (len(self.terms) + 4) * scale * 2.0 ** -40:
+            return total
+        return None
 
 
 def fraction_entropy(weights: Sequence[Fraction], labels: Sequence) -> EntropyValue:

@@ -46,6 +46,24 @@ def random_group_skew_bundle(rng: random.Random, rank: int = 2) -> tuple[SkewBun
     return SkewBundle(Cocycle(base, fiber, gen_values)), fiber
 
 
+def pairwise_closure(group: FiniteGroup, gens) -> frozenset[int]:
+    """The subgroup generated by gens, closed pairwise: each new element is
+    multiplied on both sides against every element found so far, and
+    inverted."""
+    out = {group.identity}
+    frontier = list(gens)
+    while frontier:
+        x = frontier.pop()
+        if x in out:
+            continue
+        out.add(x)
+        for y in list(out):
+            for z in (group.mul(x, y), group.mul(y, x), group.inv(x)):
+                if z not in out:
+                    frontier.append(z)
+    return frozenset(out)
+
+
 def is_special(group: FiniteGroup, p: FinitePartition) -> bool:
     """Structural check: blocks are exactly the cosets of a normal subgroup."""
     block_of_identity = frozenset(

@@ -138,6 +138,17 @@ class TestKernel:
         code = main(["kernel", "--spec", str(spec)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "field, value, coeffs",
+        [("d_out", -1, {"e": 1}), ("d_in", 0, {"e": [[]]}), ("d_out", 0, {"e": 1}), ("d_in", -2, {"e": 1})],
+    )
+    def test_dimension_below_one_names_the_field(self, tmp_path, capsys, field, value, coeffs):
+        spec = tmp_path / "kernel.json"
+        spec.write_text(json.dumps({"p": 2, "rank": 2, field: value, "coeffs": coeffs}))
+        assert main(["kernel", "--spec", str(spec)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {field} must be >= 1, not {value}\n"
+
     def test_config_carries_the_spec_rank(self, tmp_path, capsys):
         spec = tmp_path / "kernel.json"
         spec.write_text(json.dumps({"p": 2, "rank": 1, "coeffs": {"e": 1, "a": 1}}))
@@ -413,6 +424,12 @@ class TestMalformedSpecs:
         monkeypatch.setenv("FLAB_SEED", "abc")
         assert main(["verify", "--suite", "none"]) == 2
         assert capsys.readouterr().err.count("error: ") == 3
+
+    def test_non_integer_seed_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("FLAB_SEED", "abc")
+        assert main(["verify", "--suite", "special"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: FLAB_SEED must be an integer, not 'abc'\n"
 
     def test_retired_stable_threshold_option_is_refused(self, capsys):
         # every rate is exact, so there is no increment run left to configure

@@ -1,4 +1,6 @@
 import decimal
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entropy_oracles import (
+    FractionTerms,
     decimal_less,
     fraction_entropy,
     information_function,
@@ -103,8 +106,12 @@ class TestTrustedArithmetic:
     validating constructor; they must equal what it would build."""
 
     @staticmethod
-    def rebuilt(v):
-        return EntropyValue(v.terms)._terms
+    def form(v):
+        return v._nums, v._den
+
+    @classmethod
+    def rebuilt(cls, v):
+        return cls.form(EntropyValue(v.terms))
 
     @settings(max_examples=200, deadline=None)
     @given(values, values, coefficients | st.integers(-5, 5))
@@ -119,18 +126,19 @@ class TestTrustedArithmetic:
             (s * a, EntropyValue({p: q * s for p, q in a.terms.items()})),
             (a - b, a + EntropyValue({p: -q for p, q in b.terms.items()})),
         ]:
-            assert got._terms == want._terms == self.rebuilt(got)
-            assert all(type(q) is Fraction for _p, q in got._terms)
+            assert self.form(got) == self.form(want) == self.rebuilt(got)
+            assert type(got._den) is int and all(type(n) is int for _p, n in got._nums)
         # cancellation to zero and the zero multiple
-        assert (a - a)._terms == (a + (-a))._terms == (0 * a)._terms == (a * F(0))._terms == ()
+        zeros = [a - a, a + (-a), 0 * a, a * F(0)]
+        assert all(self.form(z) == ((), 1) for z in zeros)
 
     def test_entropies_are_canonical(self):
         rng = random.Random(5)
         for n in range(1, 13):
             p = random_partition(rng, uniform(n))
             h = shannon_entropy(p)
-            assert h._terms == self.rebuilt(h)
-            assert all(type(q) is Fraction and q for _p, q in h._terms)
+            assert self.form(h) == self.rebuilt(h)
+            assert type(h._den) is int and all(type(n) is int and n for _p, n in h._nums)
 
     @pytest.mark.parametrize("key", [4, 1, 0, -2, 6, 2.0, "2", True])
     def test_keys_that_are_not_primes_are_refused(self, key):
@@ -142,6 +150,60 @@ class TestTrustedArithmetic:
     def test_json_with_a_composite_key_is_refused(self):
         with pytest.raises(ValueError):
             EntropyValue.from_json({"terms": {"4": "1"}})
+
+
+wide_coefficients = coefficients | st.fractions(max_denominator=10**30)
+wide_values = st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]), wide_coefficients, max_size=6).map(EntropyValue)
+counted_partitions = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), min_size=1, max_size=12).filter(
+    lambda atoms: sum(c for c, _lab in atoms) > 0
+)
+
+
+def is_canonical(v):
+    primes = [p for p, _n in v._nums]
+    return (
+        v._den >= 1
+        and math.gcd(v._den, *[n for _p, n in v._nums]) == 1
+        and all(n for _p, n in v._nums)
+        and primes == sorted(set(primes))
+    )
+
+
+class TestAgainstFractionTerms:
+    """Integer numerators over one denominator against the same arithmetic
+    on (prime, Fraction) terms: equal results in canonical form, equal
+    hashes for equal values, and the same JSON and first-rung doubles."""
+
+    @staticmethod
+    def check(got, want):
+        assert FractionTerms.of(got) == want
+        assert is_canonical(got)
+        rebuilt = EntropyValue(dict(want.terms))
+        assert got == rebuilt and hash(got) == hash(rebuilt)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        assert got._first_rung() == want.first_rung()
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_values, wide_values, wide_coefficients | st.integers(-5, 5))
+    def test_arithmetic(self, a, b, s):
+        fa, fb = FractionTerms.of(a), FractionTerms.of(b)
+        for got, want in [
+            (a, fa),
+            (a + b, fa + fb),
+            (a - b, fa - fb),
+            (-a, -fa),
+            (a * s, fa.scaled(s)),
+            (s * a, fa.scaled(s)),
+        ]:
+            self.check(got, want)
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(counted_partitions)
+    def test_shannon_entropy(self, atoms):
+        total = sum(c for c, _lab in atoms)
+        p = FinitePartition([F(c, total) for c, _lab in atoms], [lab for _c, lab in atoms])
+        self.check(shannon_entropy(p), FractionTerms.entropy(p))
 
 
 class TestExactOrder:

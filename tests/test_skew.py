@@ -55,6 +55,7 @@ from skew_fixtures import (
     RecursiveRows,
     is_special,
     joined_window,
+    pairwise_closure,
     pointwise_cocycle_failure,
     random_group_skew_bundle,
 )
@@ -140,6 +141,14 @@ class TestGroups:
         assert d4.is_normal(rotations)
         reflection_pair = d4.subgroup_closure((d4.index("r0s"),))
         assert not d4.is_normal(reflection_pair)
+
+    @pytest.mark.parametrize("name", sorted(_PRESETS))
+    def test_closure_matches_the_pairwise_closure(self, name):
+        g = preset_group(name)
+        n = g.order()
+        gen_lists = [()] + [(a,) for a in range(n)] + [(a, b) for a in range(n) for b in range(n)]
+        for gens in gen_lists:
+            assert g.subgroup_closure(gens) == pairwise_closure(g, gens), gens
 
     @pytest.mark.parametrize("name", sorted(_PRESETS))
     def test_normal_subgroups_match_all_pairs(self, name):

@@ -17,7 +17,8 @@ from flab.words import ball, parse_word
 VALUES = {
     "FinitePartition": (lambda: FinitePartition([Fraction(1, 2)] * 2, [0, 1]), "labels"),
     "measure space": (lambda: FinitePartition.uniform_space(3), "counts"),
-    "EntropyValue": (lambda: EntropyValue.log_int(6), "_terms"),
+    "EntropyValue": (lambda: EntropyValue.log_int(6), "_nums"),
+    "EntropyValue denominator": (lambda: Fraction(1, 2) * EntropyValue.log_int(6), "_den"),
     "FreeWord": (lambda: parse_word("abA", 2), "letters"),
     "WordSet": (lambda: ball(2, 1), "_ids"),
     "FiniteGroup": (lambda: cyclic(3), "table"),
