@@ -24,8 +24,8 @@ FiniteActionProcess built with `given` answers H(P^W | given) as
 H(P^W v given) - H(given), with H(given) computed once when it is built,
 and the skew products' relative() returns the process conditioned on
 the base, whose functionals are the relative (base-conditioned) ones of
-the addition formula.  A FiniteActionProcess, and so a skew product,
-memoizes its answers per canonical window key.
+the addition formula.  A FiniteActionProcess, and so a skew product, keeps
+its own memo of answers per set {alpha_w : w in W}, on which alone P^W depends.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class FiniteActionProcess:
         self.conditioned = given is not None
         # H(P^W | given) = H(P^W v given) - H(given); the second term is fixed
         self._given_entropy = None if given is None else shannon_entropy(given)
-        self._answers: dict[tuple, EntropyValue] = {}
+        self._answers: dict[frozenset[int], EntropyValue] = {}
         self._atoms = sum(1 for c in action.space.counts if c)  # positive-weight ones
 
     def window_partition(self, W: WordSet) -> FinitePartition:
@@ -101,8 +101,9 @@ class FiniteActionProcess:
 
     def entropy(self, W: WordSet) -> EntropyValue:
         """The exact (conditional) entropy of the joined window, memoized
-        per canonical window key."""
-        key = W.key()
+        per state set: P^W, the join of alpha_w P over w in W, depends only
+        on the set {alpha_w : w in W} (`FiniteAction.window_states`)."""
+        key = self.action.window_states(W)
         hit = self._answers.get(key)
         if hit is None:
             joined = self.window_partition(W)

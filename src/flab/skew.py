@@ -14,18 +14,18 @@ equalities.
 Z is the free group of rank 1, so the one-dimensional inequality
 |H(Q^m) - H(Q_x^m)| <= m K(Q) runs on a rank-1 `Cocycle`.
 
-Words enter as ids (see `flab.words`).  One table holds word maps: a
-`FiniteAction` keys alpha_w by the id of w and grows each entry from its
-parent's, alpha_{v t} = alpha_v after alpha_t, in one ascending sweep
-over the ids asked for (`CayleyTree.sweep`), so a ball costs one pass.
-The entry of v t depends only on that of v and on the letter t, so each
-instance composes a step once and every id that reaches it shares the
-entry.  sigma(w, .) has no table of its own: a `Cocycle` reads it off
-T_w in the table of its skew product, once per distinct T_w.  The
-cocycle check reads the ids of g h off one step table of the tree.  A
-window partition P^W zips one label column per word and is canonicalized
-once.  A FreeWord is encoded once where a caller passes one (`word_perm`,
-`values`, `pullback_partition`) and decoded only for a witness.
+Words enter as ids (see `flab.words`).  The word maps alpha_w of a
+finite action lie in the finite group the alpha_s generate, so each
+`FiniteAction` numbers the distinct ones it meets as states (0 the
+identity) and keeps, per instance, each state's permutation, a state x
+letter-slot table whose cells, alpha_{v t} = alpha_v after alpha_t, are
+composed once each, and a word id -> state table, filled by
+`CayleyTree.sweep` for a window and in id order off a step table for a
+ball.  Joining alpha_w P twice changes nothing, so P^W depends only on
+the set of states over W and zips one label column per state.  A
+`Cocycle` reads sigma(w, .) off T_w once per state, and the cocycle check
+forms each right-hand side once per distinct datum.  A FreeWord is
+encoded once where a caller passes one and decoded only for a witness.
 """
 
 from __future__ import annotations
@@ -69,8 +69,11 @@ class FiniteAction:
         self.gen_perms = perms
         # alpha_t for every letter t, in slot order: a, A, b, B, ...
         self._steps = [q for p in perms for q in (p, invert_perm(p))]
-        self._tree, self._by_id = CayleyTree(rank), {0: tuple(range(len(space.counts)))}
-        self._moves: dict[tuple, tuple[int, ...]] = {}  # (alpha_v, slot of t) -> alpha_{v t}
+        # _maps[k] is state k's map (_index inverts it), _next[k 2r + s] the state of
+        # alpha_v after alpha_t for alpha_v in state k, t in slot s; _state by word id
+        identity = tuple(range(len(space.counts)))
+        self._maps, self._index, self._next = [identity], {identity: 0}, {}
+        self._tree, self._state = CayleyTree(rank), {0: 0}
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -82,30 +85,51 @@ class FiniteAction:
     def word_perm(self, w: FreeWord) -> tuple[int, ...]:
         """alpha_w as a permutation; alpha_{uv} = alpha_u after alpha_v."""
         i = self._tree.id(w)
-        return self._by_id.get(i) or self._perms((i,))[i]
+        return self._maps[self._states((i,))[i]]
 
-    def _perms(self, ids: Iterable[int]) -> dict[int, tuple[int, ...]]:
-        """The alpha table by id, filled for the given ids and their ancestors
-        in one sweep: alpha_{v t} = alpha_v after alpha_t, composed once per
-        distinct (alpha_v, t) and shared by every id that reaches it."""
-        by_id, steps, moves = self._by_id, self._steps, self._moves
-        for i, v, s in self._tree.sweep(ids, by_id):
-            head = by_id[v]
-            perm = moves.get((head, s))
-            if perm is None:
-                perm = moves[head, s] = tuple([head[x] for x in steps[s]])
-            by_id[i] = perm
-        return by_id
+    def _states(self, ids: Iterable[int]) -> dict[int, int]:
+        """The state table filled for the given ids and their ancestors in one sweep."""
+        state, cells, r2 = self._state, self._next, len(self._steps)
+        for i, v, s in self._tree.sweep(ids, state):
+            k = state[v] * r2 + s
+            state[i] = cells[k] if k in cells else self._compose(k)
+        return state
+
+    def _ball(self, n: int) -> dict[int, int]:
+        """The state table filled over B(n) in id order off a `CayleyTree.step_table`."""
+        state, cells, r2 = self._state, self._next, len(self._steps)
+        step = self._tree.step_table(n - 1) if n else [[]]
+        for v in range(len(step[0])):
+            k = state[v] * r2
+            for s, col in enumerate(step):
+                if col[v] > v:
+                    state[col[v]] = cells[k + s] if k + s in cells else self._compose(k + s)
+        return state
+
+    def _compose(self, k: int) -> int:
+        """Fill cell k: alpha_v after alpha_t, a new state unless an old one."""
+        head, step = self._maps[k // len(self._steps)], self._steps[k % len(self._steps)]
+        perm = tuple([head[x] for x in step])
+        t = self._next[k] = self._index.setdefault(perm, len(self._maps))
+        if t == len(self._maps):
+            self._maps.append(perm)
+        return t
+
+    def window_states(self, W: WordSet) -> frozenset[int]:
+        """The states of alpha_w over W: joining alpha_w P twice changes nothing, so P^W depends on no more."""
+        if W.rank != self.rank:
+            raise ValueError(f"rank mismatch: {W.rank} != {self.rank}")
+        ids = W.ids()
+        if not ids:
+            raise ValueError("window partition of an empty window")
+        state = self._state if self._state.keys() >= ids else self._states(ids)
+        return frozenset([state[i] for i in ids])
 
     def window_partition(self, p: FinitePartition, W: WordSet) -> FinitePartition:
         """P^W: the join of alpha_w P over the window, as one label column
-        per word, zipped and canonicalized once."""
-        if W.rank != self.rank:
-            raise ValueError(f"rank mismatch: {W.rank} != {self.rank}")
-        if not W.ids():
-            raise ValueError("window partition of an empty window")
-        perms = self._perms(W.ids())
-        return entropy._partition(p.space, zip(*[entropy._moved(p.labels, perms[i]) for i in W.ids()]))
+        per distinct state, zipped and canonicalized once."""
+        maps = self._maps
+        return entropy._partition(p.space, zip(*[entropy._moved(p.labels, maps[k]) for k in self.window_states(W)]))
 
 
 class FiniteGroupAction:
@@ -189,7 +213,7 @@ class Cocycle:
             for alpha, beta, vals in zip(base.gen_perms, fiber.action.gen_perms, self.gen_values)
         ]
         self.product = FiniteAction(space, perms, base.rank)
-        self._sigma: dict[tuple[int, ...], tuple[int, ...]] = {}  # T_w -> sigma(w, .)
+        self._rows: dict[int, tuple[int, ...]] = {}  # state of T_w -> sigma(w, .)
 
     def values(self, w: FreeWord) -> tuple[int, ...]:
         """sigma(w, .) as a table over base points."""
@@ -197,20 +221,19 @@ class Cocycle:
 
     def row(self, i: int) -> tuple[int, ...]:
         """sigma(w, .) for the word w with id i."""
-        return self._read(self.product._by_id.get(i) or self.product._perms((i,))[i])
+        return self._read(self.product._states((i,))[i])
 
-    def rows(self, ids: Iterable[int]) -> dict[int, tuple[int, ...]]:
-        """sigma(w, .) by id for the given ids, off one sweep of the product table."""
-        ids = list(ids)
-        perms = self.product._perms(ids)
-        return {i: self._read(perms[i]) for i in ids}
+    def ball_rows(self, n: int) -> list[tuple[int, ...]]:
+        """sigma(w, .) for every w of B(n), by id, off the product's states over the ball."""
+        state = self.product._ball(n)
+        return [self._read(state[i]) for i in range(ball_size(self.base.rank, n))]
 
-    def _read(self, perm: tuple[int, ...]) -> tuple[int, ...]:
-        """sigma(w, .) off T_w, read once per distinct T_w."""
-        row = self._sigma.get(perm)
+    def _read(self, k: int) -> tuple[int, ...]:
+        """sigma(w, .) off T_w in state k, read once per state."""
+        row = self._rows.get(k)
         if row is None:
-            ny, e = self.fiber.size(), self.fiber.group.identity
-            row = self._sigma[perm] = tuple([perm[x * ny + e] % ny for x in range(self.base.size())])
+            perm, ny, e = self.product._maps[k], self.fiber.size(), self.fiber.group.identity
+            row = self._rows[k] = tuple([perm[x * ny + e] % ny for x in range(self.base.size())])
         return row
 
 
@@ -225,10 +248,11 @@ def verify_cocycle_identity(
     `row(i)` returns sigma(w, x) for the word w with id i and every base
     point x in order; it is called once for each id of B(2 max_len), which
     the products gh reach.  For each g in B(max_len), in id order, the rows
-    of gh over all h in B(max_len), in id order, are compared whole against
-    the rows x -> beta_g sigma(h, x) . sigma(g, alpha_h x).  The ids of gh
-    for all g index the step table of B(2 max_len - 1) at the last letter
-    of h, over those of g times the parent of h.
+    of gh over all h in B(max_len), in id order, are compared, by number
+    among the distinct rows, with x -> beta_g sigma(h, x) . sigma(g, alpha_h
+    x), formed once per distinct (beta_g, sigma(g, .)), (sigma(h, .), alpha_h).
+    The ids of gh for all g index the step table of B(2 max_len - 1) at the
+    last letter of h, over those of g times the parent of h.
 
     Returns (ok, witness); the witness names the first failing (g, h, x)
     in the order g, then h, then x.
@@ -237,27 +261,38 @@ def verify_cocycle_identity(
         raise ValueError(f"max_len must be >= 0, not {max_len}")
     table, labels, tree = fiber.group.table, fiber.group.labels, base._tree
     ids = range(ball_size(base.rank, max_len))
-    rows = [row(i) for i in range(ball_size(base.rank, 2 * max_len))]
-    alphas, betas = base._perms(ids), fiber.action._perms(ids)
-    # (sigma(h, x), alpha_h x) over h, then x, and the ids of g h by h, then g
-    pairs = [sa for h in ids for sa in zip(rows[h], alphas[h])]
+    rows = [tuple(row(i)) for i in range(ball_size(base.rank, 2 * max_len))]
+    number: dict[tuple[int, ...], int] = {}
+    nums = [number.setdefault(r, len(number)) for r in rows]
     step = tree.step_table(2 * max_len - 1) if max_len else []
-    products = [list(ids)]
+    alphas, betas = base._ball(max_len), fiber.action._ball(max_len)
+    products = [list(ids)]  # the ids of g h by h, then g
     for _h, v, s in tree.sweep(ids, (0,)):
         products.append(list(map(step[s].__getitem__, products[v])))
+
+    def rhs(g: int, h: int) -> tuple[int, ...]:
+        beta_g, sigma_g = fiber.action._maps[betas[g]], rows[g]
+        return tuple([table[beta_g[s]][sigma_g[a]] for s, a in zip(rows[h], base._maps[alphas[h]])])
+
+    data = [(nums[h], alphas[h]) for h in ids]  # (sigma(h, .), alpha_h) by h
+    first = {d: h for h, d in reversed(list(enumerate(data)))}  # the least h of each
+    want: dict[tuple[int, int], list[int]] = {}  # (beta_g, sigma(g, .)) -> rhs numbers by h
     for g in ids:
-        beta_g, sigma_g = betas[g], rows[g]
-        lhs = [y for gh in products for y in rows[gh[g]]]
-        rhs = [table[beta_g[s]][sigma_g[a]] for s, a in pairs]
-        if lhs != rhs:
-            k = next(k for k, (l, r) in enumerate(zip(lhs, rhs)) if l != r)
-            h, x = divmod(k, base.size())
+        expected = want.get((betas[g], nums[g]))
+        if expected is None:
+            cells = {d: number.get(rhs(g, h), -1) for d, h in first.items()}
+            expected = want[betas[g], nums[g]] = [cells[d] for d in data]
+        got = [nums[gh[g]] for gh in products]
+        if got != expected:
+            h = next(h for h in ids if got[h] != expected[h])
+            lhs, right = rows[products[h][g]], rhs(g, h)
+            x = next(x for x in range(base.size()) if lhs[x] != right[x])
             return False, {
                 "g": format_word(tree.word(g)),
                 "h": format_word(tree.word(h)),
                 "x": x,
-                "lhs": labels[lhs[k]],
-                "rhs": labels[rhs[k]],
+                "lhs": labels[lhs[x]],
+                "rhs": labels[right[x]],
             }
     return True, None
 
@@ -292,31 +327,6 @@ class SkewBundle:
 # -- the section cocycle realizing quotient-by-subgroup as a skew product ----
 
 
-def subgroup_as_group(g: FiniteGroup, sub: frozenset[int]) -> tuple[FiniteGroup, dict[int, int]]:
-    elems = sorted(sub)
-    to_local = {e: i for i, e in enumerate(elems)}
-    table = [[to_local[g.mul(a, b)] for b in elems] for a in elems]
-    return FiniteGroup(f"{g.name}|sub", [g.labels[e] for e in elems], table), to_local
-
-
-def quotient_group(g: FiniteGroup, sub: frozenset[int]) -> tuple[FiniteGroup, list[int], list[frozenset[int]]]:
-    """(G/N, coset index per element, coset list); requires N normal."""
-    if not g.is_normal(sub):
-        raise ValueError("quotient needs a normal subgroup")
-    cosets = g.left_cosets(sub)
-    coset_of = [0] * g.order()
-    for i, coset in enumerate(cosets):
-        for x in coset:
-            coset_of[x] = i
-    reps = [min(c) for c in cosets]
-    table = [
-        [coset_of[g.mul(reps[a], reps[b])] for b in range(len(cosets))]
-        for a in range(len(cosets))
-    ]
-    q = FiniteGroup(f"{g.name}/N", [g.labels[r] for r in reps], table)
-    return q, coset_of, cosets
-
-
 class SectionCocycleBundle:
     """Skew realization of a group action along an invariant normal subgroup.
 
@@ -328,38 +338,27 @@ class SectionCocycleBundle:
 
     def __init__(self, ga: FiniteGroupAction, sub: frozenset[int]):
         g = ga.group
+        if not g.is_subgroup(sub):
+            raise ValueError("subgroup labels do not form a subgroup")
         if not g.is_normal(sub):
             raise ValueError("subgroup is not normal")
         if not ga.subgroup_invariant(sub):
             raise ValueError("subgroup is not invariant under the action")
-        self.parent = ga
-        self.sub = sub
-        fiber_group, to_local = subgroup_as_group(g, sub)
-        quot, coset_of, cosets = quotient_group(g, sub)
-        self.coset_of = coset_of
-        self.section = [min(c) for c in cosets]
-
-        base_perms = []
-        fiber_perms = []
-        gen_values = []
+        self.parent, self.sub = ga, sub
+        elems = self._from_local = sorted(sub)
+        to_local = {e: i for i, e in enumerate(elems)}
+        table = [[to_local[g.mul(a, b)] for b in elems] for a in elems]
+        self.fiber_group = FiniteGroup(f"{g.name}|sub", [g.labels[e] for e in elems], table)
+        coset_of = SpecialPartition(g, sub).partition.labels  # cosets by least element
+        section = self.section = [coset_of.index(c) for c in range(max(coset_of) + 1)]
+        base_perms, fiber_perms, gen_values = [], [], []
         for perm in ga.action.gen_perms:
-            base_perms.append([coset_of[perm[self.section[c]]] for c in range(len(cosets))])
-            fiber_perms.append([to_local[perm[e]] for e in sorted(sub)])
-            vals = []
-            for c in range(len(cosets)):
-                moved = perm[self.section[c]]
-                target_rep = self.section[coset_of[moved]]
-                vals.append(to_local[g.mul(moved, g.inv(target_rep))])
-            gen_values.append(vals)
-
-        self.quotient = quot
-        self.fiber_group = fiber_group
-        self._to_local = to_local
-        self._from_local = sorted(sub)
-        self.base_action = FiniteAction(
-            FinitePartition.uniform_space(len(cosets)), base_perms, ga.rank
-        )
-        self.fiber_action = FiniteGroupAction(fiber_group, fiber_perms, ga.rank)
+            moved = [perm[r] for r in section]
+            base_perms.append([coset_of[m] for m in moved])
+            fiber_perms.append([to_local[perm[e]] for e in elems])
+            gen_values.append([to_local[g.mul(m, g.inv(section[coset_of[m]]))] for m in moved])
+        self.base_action = FiniteAction(FinitePartition.uniform_space(len(section)), base_perms, ga.rank)
+        self.fiber_action = FiniteGroupAction(self.fiber_group, fiber_perms, ga.rank)
         self.cocycle = Cocycle(self.base_action, self.fiber_action, gen_values)
         self.skew = SkewBundle(self.cocycle)
 
@@ -378,15 +377,15 @@ class SectionCocycleBundle:
         ]
         if sorted(phi_flat) != list(range(g.order())):
             return False, {"reason": "phi is not a bijection"}
-        ids = range(ball_size(self.parent.rank, max_len))
-        skew, parent = self.skew.product._perms(ids), self.parent.action._perms(ids)
-        for i in ids:
-            skew_perm, parent_perm = skew[i], parent[i]
+        product, parent = self.skew.product, self.parent.action
+        skew, orig = product._ball(max_len), parent._ball(max_len)
+        for i in range(ball_size(self.parent.rank, max_len)):
+            skew_perm, parent_perm = product._maps[skew[i]], parent._maps[orig[i]]
             for idx in range(len(phi_flat)):
                 if phi_flat[skew_perm[idx]] != parent_perm[phi_flat[idx]]:
                     c, n = divmod(idx, ny)
                     return False, {
-                        "word": format_word(self.skew.product._tree.word(i)),
+                        "word": format_word(product._tree.word(i)),
                         "coset": c,
                         "fiber": self.fiber_group.labels[n],
                     }

@@ -246,7 +246,7 @@ def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
     cases = []
     for pair in section_pair_catalog(2):
         bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
-        rows = bundle.cocycle.rows(range(ball_size(2, 6)))  # every row the check reads
+        rows = bundle.cocycle.ball_rows(6)  # every row the check reads
         ok_eq, wit_eq = verify_cocycle_identity(
             rows.__getitem__, bundle.base_action, bundle.fiber_action, max_len=3
         )

@@ -12,7 +12,7 @@ from flab.entropy import FinitePartition, join_many
 from flab.groups import FiniteGroup, all_automorphisms, invert_perm, preset_group
 from flab.presets import _FIBER_PRESETS, random_finite_action
 from flab.skew import Cocycle, FiniteAction, FiniteGroupAction, SkewBundle, SpecialPartition
-from flab.words import CayleyTree, WordSet, ball, format_word, mul, signed_letters
+from flab.words import CayleyTree, WordSet, ball, ball_list, format_word, mul, signed_letters
 
 
 def nontrivial_auto_assignments(group: FiniteGroup, rank: int, count: int = 2) -> list[list[int]]:
@@ -101,6 +101,36 @@ def pointwise_cocycle_failure(
                         "h": format_word(h),
                         "x": x,
                         "lhs": group.labels[lhs],
+                        "rhs": group.labels[rhs],
+                    }
+    return True, None
+
+
+def scan_cocycle_rows(rows, base: FiniteAction, fiber: FiniteGroupAction, max_len: int) -> tuple[bool, dict | None]:
+    """The cocycle identity scanned one (g, h, x) at a time over a row table.
+
+    `rows[i]` is sigma(w, .) for the word w with id i, over B(2 max_len).
+    For g, then h, in B(max_len) by id, then x, it takes the id of gh from
+    the multiplied words and alpha_h, beta_g from the letter recursions, and
+    returns the first (g, h, x) where rows[id(gh)][x] differs from
+    beta_g sigma(h, x) . sigma(g, alpha_h x), in the witness format of
+    `verify_cocycle_identity`.
+    """
+    group, tree = fiber.group, CayleyTree(base.rank)
+    alphas, betas = LetterPerms(base), LetterPerms(fiber.action)
+    words = ball_list(base.rank, max_len)
+    for g in words:
+        beta_g, sigma_g = betas.perm(g.letters), rows[tree.id(g)]
+        for h in words:
+            alpha_h, sigma_h, lhs = alphas.perm(h.letters), rows[tree.id(h)], rows[tree.id(mul(g, h))]
+            for x in range(base.size()):
+                rhs = group.mul(beta_g[sigma_h[x]], sigma_g[alpha_h[x]])
+                if lhs[x] != rhs:
+                    return False, {
+                        "g": format_word(g),
+                        "h": format_word(h),
+                        "x": x,
+                        "lhs": group.labels[lhs[x]],
                         "rhs": group.labels[rhs],
                     }
     return True, None

@@ -296,6 +296,22 @@ class TestComputeF:
         assert report["report"]["f"]["value"]["terms"] == {"2": "-2"}
         assert "relative_report" in report
 
+    @pytest.mark.parametrize("labels", [[], ["1"], ["0", "1"]])
+    def test_skew_section_labels_that_are_not_a_subgroup(self, tmp_path, capsys, labels):
+        # none of these is a subgroup of Z/4, so the error says that rather
+        # than that the subgroup is not normal
+        spec = tmp_path / "proc.json"
+        spec.write_text(json.dumps(
+            {"type": "skew_section", "group": {"preset": "Z/4"}, "autos": [1, 0], "subgroup": labels}
+        ))
+        assert main(["compute-f", "--process", str(spec), "--nmax", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: subgroup labels do not form a subgroup\n"
+        spec.write_text(json.dumps(
+            {"type": "skew_section", "group": {"preset": "Z/4"}, "autos": [1, 0], "subgroup": ["0", "2"]}
+        ))
+        assert main(["compute-f", "--process", str(spec), "--nmax", "1"]) == 0
+
     def test_skew_custom_cocycle_table(self, tmp_path, capsys):
         spec = tmp_path / "proc.json"
         spec.write_text(

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flab.entropy import EntropyValue, FinitePartition, join, shannon_entropy
+from flab.entropy import EntropyValue, FinitePartition, join, join_many, shannon_entropy
 from flab.finv import (
     F_of,
     F_star_of,
@@ -499,8 +499,8 @@ class TestRelative:
 
 
 class TestWindowQuery:
-    @pytest.mark.parametrize("conditioned", [False, True])
-    def test_exact_f_finite_computes_each_window_once(self, monkeypatch, conditioned):
+    @pytest.mark.parametrize("conditioned, windows", [(False, 11), (True, 6)])
+    def test_exact_f_finite_computes_each_state_set_once(self, monkeypatch, conditioned, windows):
         import flab.processes as processes
 
         computed = []
@@ -513,19 +513,57 @@ class TestWindowQuery:
             return wrapper
 
         monkeypatch.setattr(processes, "shannon_entropy", counting(processes.shannon_entropy))
-        asked = set()
+        asked, state_sets = set(), set()
 
         class Spy(FiniteActionProcess):
             def entropy(self, W):
                 asked.add(W.key())
+                state_sets.add(self.action.window_states(W))
                 return super().entropy(W)
 
         rng = make_rng(31)
         act = random_finite_action(rng)
         given = sigma_generated(act, random_partition(rng, act.size())) if conditioned else None
         exact_f_finite(Spy(act, random_partition(rng, act.size()), "rnd", given=given))
-        # one computation per window, plus H(given) once for a conditioned process
-        assert computed and len(computed) == len(asked) + conditioned
+        # the three atoms carry three word maps, so the windows asked for
+        # reach three sets of them: one computation per set, plus H(given)
+        # once for a conditioned process
+        assert (len(asked), len(state_sets)) == (windows, 3)
+        assert len(computed) == len(state_sets) + conditioned
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(), st.data())
+    def test_state_keyed_answers_match_the_direct_join(self, seed, rank, conditioned, data):
+        # answers are memoized per set of word maps; each must still be the
+        # entropy of the join of alpha_w P over the window, word by word
+        rng = random.Random(seed)
+        act = random_finite_action(rng, rank)  # 3 to 6 atoms
+        part = random_partition(rng, act.size(), max_blocks=data.draw(st.integers(2, 4)))
+        given_p = sigma_generated(act, random_partition(rng, act.size())) if conditioned else None
+        proc = FiniteActionProcess(act, part, "rnd", given=given_p)
+        radius, shifts = st.integers(0, 2 if rank < 3 else 1), list(ball(rank, 2))
+
+        def piece():
+            # a ball, maybe translated, maybe grown to U_m = W u sW u ... u s^m W
+            W = ball(rank, data.draw(radius))
+            if data.draw(st.booleans()):
+                W = W.translate(data.draw(st.sampled_from(shifts)))
+            if data.draw(st.booleans()):
+                s, T = generator(rank, data.draw(st.integers(1, rank))), W
+                for _ in range(data.draw(st.integers(1, 3))):
+                    T = T.translate(s)
+                    W = W.union(T)
+            return W
+
+        for _ in range(data.draw(st.integers(4, 12))):
+            W = piece().union(piece()) if data.draw(st.booleans()) else piece()
+            direct = join_many(part.apply_permutation(act.word_perm(w)) for w in W)
+            want = shannon_entropy(direct)
+            if conditioned:
+                want = shannon_entropy(join(direct, given_p)) - shannon_entropy(given_p)
+            assert proc.window_partition(W) == direct
+            assert proc.entropy(W) == want
+            assert proc.entropy(W) == want
 
     def test_given_entropy_computed_once_per_process(self, monkeypatch):
         import flab.entropy as entropy

@@ -47,7 +47,7 @@ from flab.skew import (
     verify_skew_entropy_bound,
     verify_window_split,
 )
-from flab.words import CayleyTree, FreeWord, WordSet, ball, ball_size, mul, parse_word
+from flab.words import CayleyTree, FreeWord, WordSet, ball, ball_size, mul, parse_word, signed_letters
 from skew_fixtures import (
     LetterCocycle,
     LetterPerms,
@@ -55,9 +55,11 @@ from skew_fixtures import (
     RecursiveRows,
     is_special,
     joined_window,
+    letter_perm,
     pairwise_closure,
     pointwise_cocycle_failure,
     random_group_skew_bundle,
+    scan_cocycle_rows,
 )
 
 F = Fraction
@@ -388,6 +390,27 @@ class TestSectionCocycles:
             assert got == want, pair["name"]
             assert not got[0]
 
+    @pytest.mark.parametrize(
+        "ids", [range(ball_size(2, 1)), range(ball_size(2, 3)), range(ball_size(2, 5), ball_size(2, 6))]
+    )
+    def test_one_corrupted_row_of_ball_six_gives_the_scanned_witness(self, ids):
+        # one row of the B(6) table the cocycle suite passes, at an id of
+        # B(1), B(3) or B(6) \ B(5): the check, which forms each right-hand
+        # side once per distinct datum, stops where the plain scan does
+        for pair in section_pair_catalog(2):
+            bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
+            fiber, base = bundle.fiber_group, bundle.base_action
+            if fiber.order() == 1:
+                continue
+            rng = random.Random(f"{pair['name']}/{ids}")
+            rows = [list(row) for row in bundle.cocycle.ball_rows(6)]
+            target, x0 = rng.choice(ids), rng.randrange(base.size())
+            bump = rng.choice([y for y in range(fiber.order()) if y != fiber.identity])
+            rows[target][x0] = fiber.mul(rows[target][x0], bump)
+            got = verify_cocycle_identity(rows.__getitem__, base, bundle.fiber_action, 3)
+            assert not got[0], pair["name"]
+            assert got == scan_cocycle_rows(rows, base, bundle.fiber_action, 3), pair["name"]
+
     def test_radius_zero_checks_the_identity_alone(self):
         bundle = z4_section_bundle()
         check = (bundle.cocycle.row, bundle.base_action, bundle.fiber_action)
@@ -487,39 +510,65 @@ def six_atom_bundle(rank: int) -> SkewBundle:
     return SkewBundle(Cocycle(base, fiber, [[rng.randrange(8) for _ in range(6)] for _ in range(rank)]))
 
 
+def counting_compositions(action: FiniteAction) -> list[int]:
+    """The cells the instance composes, in order, recorded from now on."""
+    cells, compose = [], action._compose
+
+    def counting(k):
+        cells.append(k)
+        return compose(k)
+
+    action._compose = counting
+    return cells
+
+
+def assert_cells_match_letter_perms(action: FiniteAction):
+    """Each state is one distinct map, and each filled (state, slot) cell
+    holds the state of that map after the letter's permutation."""
+    r2 = 2 * action.rank
+    assert len(set(action._maps)) == len(action._maps) == len(action._index)
+    assert all(action._index[perm] == k for k, perm in enumerate(action._maps))
+    for k, t in action._next.items():
+        assert 0 <= k < r2 * len(action._maps)
+        head, step = action._maps[k // r2], letter_perm(action, signed_letters(action.rank)[k % r2])
+        assert action._maps[t] == tuple(head[x] for x in step)
+
+
 class TestTransitionTables:
-    """alpha_w is finite-state: each FiniteAction composes a step the first
-    time it meets it, and every id that reaches it points at the one stored
-    entry.  sigma(w, .) is read off the skew product's T_w, once per
-    distinct T_w, and every id with that T_w shares the row."""
+    """alpha_w is finite-state: each FiniteAction numbers its distinct maps
+    as states and composes each (state, letter slot) cell the first time it
+    meets it; every id that reaches the cell gets its state.  sigma(w, .)
+    is read off the skew product's T_w, once per state."""
 
     @pytest.mark.parametrize("rank, n", [(1, 12), (3, 4)])
     def test_six_atoms_match_the_letter_oracles(self, rank, n):
         bundle = six_atom_bundle(rank)
         assert_tables_match_letter_oracles(bundle, n)
-        ids = range(ball_size(rank, n))
-        rows = bundle.cocycle.rows(ids)
+        rows = bundle.cocycle.ball_rows(n)
         if rank == 3:
-            assert len(set(rows.values())) > 0.9 * len(ids)
+            assert len(set(rows)) > 0.9 * len(rows)
         for action in (bundle.base, bundle.fiber.action, bundle.product):
-            for (head, s), perm in action._moves.items():
-                step = action._steps[s]
-                assert perm == tuple(head[x] for x in step)
+            assert_cells_match_letter_perms(action)
 
-    def test_ids_share_the_entry_of_their_transition(self):
+    def test_ids_share_the_state_of_their_transition(self):
         ids = range(ball_size(2, 6))
         for pair in section_pair_catalog(2):
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
             cocycle, action = bundle.cocycle, bundle.base_action
-            rows, perms = cocycle.rows(ids), action._perms(ids)
-            products = cocycle.product._perms(ids)
+            composed = [counting_compositions(a) for a in (action, cocycle.product)]
+            states, rows = action._states(ids), cocycle.ball_rows(6)
+            products = cocycle.product._state
             # each distinct T_w is read out once, and a later row(i) reads no more
-            assert len(cocycle._sigma) == len({products[i] for i in ids})
-            for i, v, s in CayleyTree(2).sweep(ids, (0,)):
-                assert perms[i] is action._moves[perms[v], s]
-                assert products[i] is cocycle.product._moves[products[v], s]
-                assert rows[i] is cocycle._sigma[products[i]] is cocycle.row(i)
-            assert len(cocycle._sigma) == len({products[i] for i in ids})
+            assert len(cocycle._rows) == len({products[i] for i in ids})
+            for a, cells, table in zip((action, cocycle.product), composed, (states, products)):
+                r2 = 2 * a.rank
+                # each cell is composed once, the first time an id reaches it
+                assert len(cells) == len(set(cells)) == len(a._next)
+                for i, v, s in CayleyTree(2).sweep(ids, (0,)):
+                    assert table[i] == a._next[table[v] * r2 + s]
+            for i in ids:
+                assert rows[i] is cocycle._rows[products[i]] is cocycle.row(i)
+            assert len(cocycle._rows) == len({products[i] for i in ids})
 
     def test_instances_share_no_state(self):
         bundle = z4_section_bundle()
@@ -527,20 +576,22 @@ class TestTransitionTables:
         actions = [FiniteAction(base.space, base.gen_perms, base.rank) for _ in range(2)]
         cocycles = [Cocycle(base, fiber, values) for _ in range(2)]
         ids = range(ball_size(2, 3))
-        actions[0]._perms(ids)
-        cocycles[0].rows(ids)
+        actions[0]._states(ids)
+        cocycles[0].ball_rows(3)
         # filling one instance leaves its twin empty
-        assert actions[1]._by_id == {0: (0, 1)} and actions[1]._moves == {}
-        assert len(cocycles[1].product._by_id) == 1 and cocycles[1].product._moves == {}
-        assert cocycles[1]._sigma == {}
-        actions[1]._perms(ids)
-        cocycles[1].rows(ids)
+        for twin in (actions[1], cocycles[1].product):
+            assert twin._state == {0: 0} and len(twin._maps) == 1
+            assert twin._next == {}
+        assert actions[1]._maps == [(0, 1)]
+        assert cocycles[1]._rows == {}
+        actions[1]._states(ids)
+        cocycles[1].ball_rows(3)
         for a, b in (actions, [c.product for c in cocycles]):
-            for name in ("_moves", "_steps", "_by_id", "_tree"):
+            for name in ("_maps", "_index", "_next", "_state", "_steps", "_tree"):
                 assert getattr(a, name) is not getattr(b, name), name
-            assert a._moves == b._moves
-        assert cocycles[0]._sigma is not cocycles[1]._sigma
-        assert cocycles[0]._sigma == cocycles[1]._sigma
+            assert (a._maps, a._next, a._state) == (b._maps, b._next, b._state)
+        assert cocycles[0]._rows is not cocycles[1]._rows
+        assert cocycles[0]._rows == cocycles[1]._rows
 
 
 class TestProductReadout:
@@ -870,11 +921,14 @@ class TestSweepTables:
         ids = range(ball_size(2, 6))
         for pair in section_pair_catalog(2):
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
-            rows, oracle = bundle.cocycle.rows(ids), RecursiveRows(bundle.cocycle)
-            assert [rows[i] for i in ids] == [oracle.row(i) for i in ids], pair["name"]
+            rows, oracle = bundle.cocycle.ball_rows(6), RecursiveRows(bundle.cocycle)
+            assert rows == [oracle.row(i) for i in ids], pair["name"]
             for action in (bundle.base_action, bundle.fiber_action.action, bundle.skew.product):
-                perms, want = action._perms(ids), RecursivePerms(action)
-                assert [perms[i] for i in ids] == [want.perm(i) for i in ids], pair["name"]
+                want = [RecursivePerms(action).perm(i) for i in ids]
+                # the ball filled in id order off a step table, and by one sweep
+                fresh = FiniteAction(action.space, action.gen_perms, action.rank)
+                for states, a in ((action._ball(6), action), (fresh._states(ids), fresh)):
+                    assert [a._maps[states[i]] for i in ids] == want, pair["name"]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), st.data())
@@ -885,14 +939,14 @@ class TestSweepTables:
             st.lists(st.lists(st.integers(0, top - 1), max_size=12), min_size=1, max_size=4)
         )
         rows, perms = RecursiveRows(bundle.cocycle), RecursivePerms(bundle.product)
+        product = bundle.product
         for batch in batches:
-            got_rows, got_perms = bundle.cocycle.rows(batch), bundle.product._perms(batch)
-            assert [got_rows[i] for i in batch] == [rows.row(i) for i in batch]
-            assert [got_perms[i] for i in batch] == [perms.perm(i) for i in batch]
+            states = product._states(batch)
+            assert [bundle.cocycle.row(i) for i in batch] == [rows.row(i) for i in batch]
+            assert [product._maps[states[i]] for i in batch] == [perms.perm(i) for i in batch]
         # the ancestors filled on the way are right too
-        assert all(bundle.cocycle.row(i) == rows.row(i) for i in bundle.product._by_id)
-        assert all(perm == perms.perm(i) for i, perm in bundle.product._by_id.items())
-
+        assert all(bundle.cocycle.row(i) == rows.row(i) for i in product._state)
+        assert all(product._maps[k] == perms.perm(i) for i, k in product._state.items())
 
     def test_rank_one_words_past_the_recursion_limit(self):
         # a fresh table climbs from a^1200 to e in a loop; one recursive
@@ -931,7 +985,7 @@ class TestWindowPartition:
         with pytest.raises(ValueError):
             action.window_partition(FinitePartition.points(action.space), WordSet(2))
 
-    def test_one_partition_per_window(self, monkeypatch):
+    def test_one_partition_and_one_column_per_state(self, monkeypatch):
         import flab.entropy as entropy
 
         action = FiniteAction(uniform(5), [[1, 2, 3, 4, 0], [0, 2, 1, 4, 3]], 2)
@@ -943,11 +997,22 @@ class TestWindowPartition:
             built.append(space)
             return partition(space, labels)
 
+        moved, move = [], entropy._moved
+
+        def counting_columns(labels, perm):
+            moved.append(perm)
+            return move(labels, perm)
+
         monkeypatch.setattr(entropy, "_partition", counting)
+        monkeypatch.setattr(entropy, "_moved", counting_columns)
         for n in range(4):
             built.clear()
+            moved.clear()
             joined = action.window_partition(p, ball(2, n))
             assert len(built) == 1 and joined.space is p.space
+            # one label column per distinct word map, however many words reach it
+            assert len(moved) == len(set(moved)) == len(action.window_states(ball(2, n)))
+        assert len(moved) < ball_size(2, 3)
 
 
 class TestCocycleValues:
