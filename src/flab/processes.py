@@ -106,7 +106,7 @@ class FiniteActionProcess:
         key = self.action.window_states(W)
         hit = self._answers.get(key)
         if hit is None:
-            joined = self.window_partition(W)
+            joined = self.action.window_partition(self.partition, W, key)
             if self.given is None:
                 value = shannon_entropy(joined)
             else:

@@ -20,12 +20,12 @@ finite action lie in the finite group the alpha_s generate, so each
 identity) and keeps, per instance, each state's permutation, a state x
 letter-slot table whose cells, alpha_{v t} = alpha_v after alpha_t, are
 composed once each, and a word id -> state table, filled by
-`CayleyTree.sweep` for a window and in id order off a step table for a
-ball.  Joining alpha_w P twice changes nothing, so P^W depends only on
-the set of states over W and zips one label column per state.  A
-`Cocycle` reads sigma(w, .) off T_w once per state, and the cocycle check
-forms each right-hand side once per distinct datum.  A FreeWord is
-encoded once where a caller passes one and decoded only for a witness.
+`CayleyTree.sweep` for a window or a ball.  Joining alpha_w P twice
+changes nothing, so P^W depends only on the set of states over W and
+zips one label column per state.  A `Cocycle` reads sigma(w, .) off T_w
+once per state, and the cocycle check forms each right-hand side once
+per distinct datum.  A FreeWord is encoded once where a caller passes
+one and decoded only for a witness.
 """
 
 from __future__ import annotations
@@ -95,17 +95,6 @@ class FiniteAction:
             state[i] = cells[k] if k in cells else self._compose(k)
         return state
 
-    def _ball(self, n: int) -> dict[int, int]:
-        """The state table filled over B(n) in id order off a `CayleyTree.step_table`."""
-        state, cells, r2 = self._state, self._next, len(self._steps)
-        step = self._tree.step_table(n - 1) if n else [[]]
-        for v in range(len(step[0])):
-            k = state[v] * r2
-            for s, col in enumerate(step):
-                if col[v] > v:
-                    state[col[v]] = cells[k + s] if k + s in cells else self._compose(k + s)
-        return state
-
     def _compose(self, k: int) -> int:
         """Fill cell k: alpha_v after alpha_t, a new state unless an old one."""
         head, step = self._maps[k // len(self._steps)], self._steps[k % len(self._steps)]
@@ -122,14 +111,19 @@ class FiniteAction:
         ids = W.ids()
         if not ids:
             raise ValueError("window partition of an empty window")
-        state = self._state if self._state.keys() >= ids else self._states(ids)
+        state = self._states(ids)
         return frozenset([state[i] for i in ids])
 
-    def window_partition(self, p: FinitePartition, W: WordSet) -> FinitePartition:
+    def window_partition(
+        self, p: FinitePartition, W: WordSet, states: frozenset[int] | None = None
+    ) -> FinitePartition:
         """P^W: the join of alpha_w P over the window, as one label column
-        per distinct state, zipped and canonicalized once."""
+        per distinct state, zipped and canonicalized once.  `states` is W's
+        `window_states`, when the caller has them already."""
         maps = self._maps
-        return entropy._partition(p.space, zip(*[entropy._moved(p.labels, maps[k]) for k in self.window_states(W)]))
+        if states is None:
+            states = self.window_states(W)
+        return entropy._partition(p.space, zip(*[entropy._moved(p.labels, maps[k]) for k in states]))
 
 
 class FiniteGroupAction:
@@ -225,8 +219,9 @@ class Cocycle:
 
     def ball_rows(self, n: int) -> list[tuple[int, ...]]:
         """sigma(w, .) for every w of B(n), by id, off the product's states over the ball."""
-        state = self.product._ball(n)
-        return [self._read(state[i]) for i in range(ball_size(self.base.rank, n))]
+        ids = range(ball_size(self.base.rank, n))
+        state = self.product._states(ids)
+        return [self._read(state[i]) for i in ids]
 
     def _read(self, k: int) -> tuple[int, ...]:
         """sigma(w, .) off T_w in state k, read once per state."""
@@ -265,7 +260,7 @@ def verify_cocycle_identity(
     number: dict[tuple[int, ...], int] = {}
     nums = [number.setdefault(r, len(number)) for r in rows]
     step = tree.step_table(2 * max_len - 1) if max_len else []
-    alphas, betas = base._ball(max_len), fiber.action._ball(max_len)
+    alphas, betas = base._states(ids), fiber.action._states(ids)
     products = [list(ids)]  # the ids of g h by h, then g
     for _h, v, s in tree.sweep(ids, (0,)):
         products.append(list(map(step[s].__getitem__, products[v])))
@@ -338,9 +333,9 @@ class SectionCocycleBundle:
 
     def __init__(self, ga: FiniteGroupAction, sub: frozenset[int]):
         g = ga.group
-        if not g.is_subgroup(sub):
-            raise ValueError("subgroup labels do not form a subgroup")
         if not g.is_normal(sub):
+            if not g.is_subgroup(sub):
+                raise ValueError("subgroup labels do not form a subgroup")
             raise ValueError("subgroup is not normal")
         if not ga.subgroup_invariant(sub):
             raise ValueError("subgroup is not invariant under the action")
@@ -349,8 +344,9 @@ class SectionCocycleBundle:
         to_local = {e: i for i, e in enumerate(elems)}
         table = [[to_local[g.mul(a, b)] for b in elems] for a in elems]
         self.fiber_group = FiniteGroup(f"{g.name}|sub", [g.labels[e] for e in elems], table)
-        coset_of = SpecialPartition(g, sub).partition.labels  # cosets by least element
-        section = self.section = [coset_of.index(c) for c in range(max(coset_of) + 1)]
+        cosets = g.left_cosets(sub)  # in the order of their least elements
+        coset_of = {x: c for c, coset in enumerate(cosets) for x in coset}
+        section = self.section = [min(coset) for coset in cosets]
         base_perms, fiber_perms, gen_values = [], [], []
         for perm in ga.action.gen_perms:
             moved = [perm[r] for r in section]
@@ -378,8 +374,9 @@ class SectionCocycleBundle:
         if sorted(phi_flat) != list(range(g.order())):
             return False, {"reason": "phi is not a bijection"}
         product, parent = self.skew.product, self.parent.action
-        skew, orig = product._ball(max_len), parent._ball(max_len)
-        for i in range(ball_size(self.parent.rank, max_len)):
+        ids = range(ball_size(self.parent.rank, max_len))
+        skew, orig = product._states(ids), parent._states(ids)
+        for i in ids:
             skew_perm, parent_perm = product._maps[skew[i]], parent._maps[orig[i]]
             for idx in range(len(phi_flat)):
                 if phi_flat[skew_perm[idx]] != parent_perm[phi_flat[idx]]:

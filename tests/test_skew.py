@@ -925,9 +925,11 @@ class TestSweepTables:
             assert rows == [oracle.row(i) for i in ids], pair["name"]
             for action in (bundle.base_action, bundle.fiber_action.action, bundle.skew.product):
                 want = [RecursivePerms(action).perm(i) for i in ids]
-                # the ball filled in id order off a step table, and by one sweep
+                # the ball filled by one sweep, and one id at a time from the far end
                 fresh = FiniteAction(action.space, action.gen_perms, action.rank)
-                for states, a in ((action._ball(6), action), (fresh._states(ids), fresh)):
+                for i in reversed(ids):
+                    fresh._states((i,))
+                for states, a in ((action._states(ids), action), (fresh._state, fresh)):
                     assert [a._maps[states[i]] for i in ids] == want, pair["name"]
 
     @settings(max_examples=60, deadline=None)
