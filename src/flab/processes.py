@@ -1,8 +1,9 @@
 """Measured free-group processes answering exact window-entropy queries.
 
 There is one process per `compute-f` spec type: BernoulliProcess,
-FiniteActionProcess, SkewProductProcess (a skew product over a finite
-base) and KernelProcess.  Every process answers one window query,
+FiniteActionProcess (a `FiniteGroupAction` is one such action),
+SkewProductProcess (a `Cocycle`'s product action over a finite base) and
+KernelProcess.  Every process answers one window query,
 entropy(W) -> EntropyValue: the entropy of the coordinate partition
 joined over the window W.  Every answer is exact, by one argument per
 process type:
@@ -34,7 +35,7 @@ from itertools import dropwhile
 
 from .entropy import EntropyValue, FinitePartition, join, shannon_entropy
 from .kernels import ConvolutionKernel, KernelSubshift
-from .skew import FiniteAction, SkewBundle
+from .skew import Cocycle, FiniteAction
 from .words import FreeWord, WordSet, ball, generator
 
 class BernoulliProcess:
@@ -95,9 +96,6 @@ class FiniteActionProcess:
         self._given_entropy = None if given is None else shannon_entropy(given)
         self._answers: dict[frozenset[int], EntropyValue] = {}
         self._atoms = sum(1 for c in action.space.counts if c)  # positive-weight ones
-
-    def window_partition(self, W: WordSet) -> FinitePartition:
-        return self.action.window_partition(self.partition, W)
 
     def entropy(self, W: WordSet) -> EntropyValue:
         """The exact (conditional) entropy of the joined window, memoized
@@ -219,7 +217,7 @@ class KernelProcess:
 
 
 class SkewProductProcess(FiniteActionProcess):
-    """A finite skew product observed through P x Q.
+    """A finite skew product, the cocycle's product action, observed through P x Q.
 
     relative() is the same process conditioned on the base and
     fiber_process() the fiber alone, so the two sides of the collapse
@@ -228,36 +226,33 @@ class SkewProductProcess(FiniteActionProcess):
 
     def __init__(
         self,
-        bundle: SkewBundle,
+        cocycle: Cocycle,
         base_partition: FinitePartition,
         fiber_partition: FinitePartition,
         label: str = "skew",
     ):
         super().__init__(
-            bundle.product,
-            bundle.product_partition(base_partition, fiber_partition),
+            cocycle.product,
+            cocycle.product_partition(base_partition, fiber_partition),
             label,
         )
-        self.bundle = bundle
-        self.base_partition = base_partition
+        self.cocycle = cocycle
         self.fiber_partition = fiber_partition
 
     def relative(self) -> FiniteActionProcess:
         """P x Q conditioned on the base marker, one block per base point."""
         return FiniteActionProcess(
-            self.action, self.partition, self.label, self.bundle.base_marker()
+            self.action, self.partition, self.label, self.cocycle.base_marker()
         )
 
     def fiber_process(self) -> FiniteActionProcess:
-        return FiniteActionProcess(
-            self.bundle.fiber.action, self.fiber_partition, self.label + "/fiber"
-        )
+        return FiniteActionProcess(self.cocycle.fiber, self.fiber_partition, self.label + "/fiber")
 
     def describe(self) -> dict:
         return {
             "type": "skew-product",
-            "base_atoms": self.bundle.base.size(),
-            "fiber_order": self.bundle.fiber.size(),
+            "base_atoms": self.cocycle.base.size(),
+            "fiber_order": self.cocycle.fiber.size(),
             "rank": self.rank,
             "label": self.label,
         }

@@ -1,7 +1,10 @@
 """Skew products of free-group actions over finite bases and finite fiber groups.
 
-A cocycle is determined by its generator values, on which a free group
-imposes no relations.  The skew action T_g(x, y) = (alpha_g x,
+A `Cocycle` is the skew product X x_sigma G: one base `FiniteAction`,
+one fiber `FiniteGroupAction` (a `FiniteAction` on a group, by
+automorphisms), the generator values of sigma, on which a free group
+imposes no relations, and the product action with its lifted
+partitions.  The skew action T_g(x, y) = (alpha_g x,
 beta_g(y) . sigma(g, x)) moves the base and then right-multiplies the
 fiber by the cocycle value, and the cocycle identity
 
@@ -126,26 +129,18 @@ class FiniteAction:
         return entropy._partition(p.space, zip(*[entropy._moved(p.labels, maps[k]) for k in states]))
 
 
-class FiniteGroupAction:
+class FiniteGroupAction(FiniteAction):
     """A free-group action on a finite group by automorphisms, with Haar measure."""
 
     def __init__(self, group: FiniteGroup, auto_perms: Sequence[Sequence[int]], rank: int):
         for p in auto_perms:
             if not group.is_automorphism(p):
                 raise ValueError("generator image is not a group automorphism")
+        super().__init__(FinitePartition.uniform_space(group.order()), auto_perms, rank)
         self.group = group
-        self.rank = rank
-        self.action = FiniteAction(
-            FinitePartition.uniform_space(group.order()), auto_perms, rank
-        )
-
-    def size(self) -> int:
-        return self.group.order()
 
     def subgroup_invariant(self, sub: frozenset[int]) -> bool:
-        return all(
-            frozenset(p[x] for x in sub) == sub for p in self.action.gen_perms
-        )
+        return all(frozenset(p[x] for x in sub) == sub for p in self.gen_perms)
 
 
 class SpecialPartition:
@@ -204,7 +199,7 @@ class Cocycle:
         space = _MeasureSpace([c for c in base.space.counts for _ in range(order)], base.space.total * order)
         perms = [
             [alpha[x] * order + mul(beta[y], vals[x]) for x in range(nx) for y in range(order)]
-            for alpha, beta, vals in zip(base.gen_perms, fiber.action.gen_perms, self.gen_values)
+            for alpha, beta, vals in zip(base.gen_perms, fiber.gen_perms, self.gen_values)
         ]
         self.product = FiniteAction(space, perms, base.rank)
         self._rows: dict[int, tuple[int, ...]] = {}  # state of T_w -> sigma(w, .)
@@ -230,6 +225,25 @@ class Cocycle:
             perm, ny, e = self.product._maps[k], self.fiber.size(), self.fiber.group.identity
             row = self._rows[k] = tuple([perm[x * ny + e] % ny for x in range(self.base.size())])
         return row
+
+    def lift_base(self, p: FinitePartition) -> FinitePartition:
+        ny = self.fiber.size()
+        return FinitePartition(self.product.space, [label for label in p.labels for _ in range(ny)])
+
+    def lift_fiber(self, q: FinitePartition) -> FinitePartition:
+        return FinitePartition(self.product.space, list(q.labels) * self.base.size())
+
+    def base_marker(self) -> FinitePartition:
+        """B_X as a partition of the product: one block per base point."""
+        return self.lift_base(FinitePartition.points(self.base.space))
+
+    def product_partition(self, p: FinitePartition, q: FinitePartition) -> FinitePartition:
+        return join(self.lift_base(p), self.lift_fiber(q))
+
+    def pullback_partition(self, g: FreeWord, q: FinitePartition) -> FinitePartition:
+        """P_g: the base partition pulling beta_g(Q) back under sigma(g, .)."""
+        beta_gq = q.apply_permutation(self.fiber.word_perm(g))
+        return FinitePartition(self.base.space, [beta_gq.labels[y] for y in self.values(g)])
 
 
 def verify_cocycle_identity(
@@ -260,13 +274,13 @@ def verify_cocycle_identity(
     number: dict[tuple[int, ...], int] = {}
     nums = [number.setdefault(r, len(number)) for r in rows]
     step = tree.step_table(2 * max_len - 1) if max_len else []
-    alphas, betas = base._states(ids), fiber.action._states(ids)
+    alphas, betas = base._states(ids), fiber._states(ids)
     products = [list(ids)]  # the ids of g h by h, then g
     for _h, v, s in tree.sweep(ids, (0,)):
         products.append(list(map(step[s].__getitem__, products[v])))
 
     def rhs(g: int, h: int) -> tuple[int, ...]:
-        beta_g, sigma_g = fiber.action._maps[betas[g]], rows[g]
+        beta_g, sigma_g = fiber._maps[betas[g]], rows[g]
         return tuple([table[beta_g[s]][sigma_g[a]] for s, a in zip(rows[h], base._maps[alphas[h]])])
 
     data = [(nums[h], alphas[h]) for h in ids]  # (sigma(h, .), alpha_h) by h
@@ -292,43 +306,16 @@ def verify_cocycle_identity(
     return True, None
 
 
-class SkewBundle:
-    """The skew product action on base x fiber, with its lifted partitions."""
-
-    def __init__(self, cocycle: Cocycle):
-        self.cocycle = cocycle
-        self.base, self.fiber, self.product = cocycle.base, cocycle.fiber, cocycle.product
-
-    def lift_base(self, p: FinitePartition) -> FinitePartition:
-        ny = self.fiber.size()
-        return FinitePartition(self.product.space, [label for label in p.labels for _ in range(ny)])
-
-    def lift_fiber(self, q: FinitePartition) -> FinitePartition:
-        return FinitePartition(self.product.space, list(q.labels) * self.base.size())
-
-    def base_marker(self) -> FinitePartition:
-        """B_X as a partition of the product: one block per base point."""
-        return self.lift_base(FinitePartition.points(self.base.space))
-
-    def product_partition(self, p: FinitePartition, q: FinitePartition) -> FinitePartition:
-        return join(self.lift_base(p), self.lift_fiber(q))
-
-    def pullback_partition(self, g: FreeWord, q: FinitePartition) -> FinitePartition:
-        """P_g: the base partition pulling beta_g(Q) back under sigma(g, .)."""
-        beta_gq = q.apply_permutation(self.fiber.action.word_perm(g))
-        return FinitePartition(self.base.space, [beta_gq.labels[y] for y in self.cocycle.values(g)])
-
-
 # -- the section cocycle realizing quotient-by-subgroup as a skew product ----
 
 
 class SectionCocycleBundle:
-    """Skew realization of a group action along an invariant normal subgroup.
+    """A group action split along an invariant normal subgroup N as a cocycle.
 
-    Splits G into base G/N and fiber N through the least-representative
-    section s, with sigma(g, c) = alpha_g(s(c)) . s(alpha_g c)^{-1}, and
-    carries the conjugacy Phi(c, n) = n . s(c) used to verify the
-    realization is measurably the original action.
+    The least-representative section s splits G into base G/N and fiber N,
+    with sigma(g, c) = alpha_g(s(c)) . s(alpha_g c)^{-1}; `cocycle` is the
+    skew product over G/N with fiber N, and `verify_conjugacy` checks that
+    Phi(c, n) = n . s(c) makes it the original action.
     """
 
     def __init__(self, ga: FiniteGroupAction, sub: frozenset[int]):
@@ -339,52 +326,47 @@ class SectionCocycleBundle:
             raise ValueError("subgroup is not normal")
         if not ga.subgroup_invariant(sub):
             raise ValueError("subgroup is not invariant under the action")
-        self.parent, self.sub = ga, sub
-        elems = self._from_local = sorted(sub)
+        self.parent = ga
+        elems = sorted(sub)
         to_local = {e: i for i, e in enumerate(elems)}
         table = [[to_local[g.mul(a, b)] for b in elems] for a in elems]
-        self.fiber_group = FiniteGroup(f"{g.name}|sub", [g.labels[e] for e in elems], table)
+        fiber_group = FiniteGroup(f"{g.name}|sub", [g.labels[e] for e in elems], table)
         cosets = g.left_cosets(sub)  # in the order of their least elements
         coset_of = {x: c for c, coset in enumerate(cosets) for x in coset}
         section = self.section = [min(coset) for coset in cosets]
         base_perms, fiber_perms, gen_values = [], [], []
-        for perm in ga.action.gen_perms:
+        for perm in ga.gen_perms:
             moved = [perm[r] for r in section]
             base_perms.append([coset_of[m] for m in moved])
             fiber_perms.append([to_local[perm[e]] for e in elems])
             gen_values.append([to_local[g.mul(m, g.inv(section[coset_of[m]]))] for m in moved])
-        self.base_action = FiniteAction(FinitePartition.uniform_space(len(section)), base_perms, ga.rank)
-        self.fiber_action = FiniteGroupAction(self.fiber_group, fiber_perms, ga.rank)
-        self.cocycle = Cocycle(self.base_action, self.fiber_action, gen_values)
-        self.skew = SkewBundle(self.cocycle)
-
-    def phi(self, c: int, n_local: int) -> int:
-        """The intertwining bijection (coset, fiber) -> parent element."""
-        return self.parent.group.mul(self._from_local[n_local], self.section[c])
+        self.cocycle = Cocycle(
+            FiniteAction(FinitePartition.uniform_space(len(section)), base_perms, ga.rank),
+            FiniteGroupAction(fiber_group, fiber_perms, ga.rank),
+            gen_values,
+        )
 
     def verify_conjugacy(self, max_len: int = 3) -> tuple[bool, dict | None]:
-        """Phi intertwines the skew action with the original one, exhaustively."""
+        """Phi(c, n) = n . s(c) intertwines the skew action with the original one, exhaustively."""
         if max_len < 0:
             raise ValueError(f"max_len must be >= 0, not {max_len}")
-        g = self.parent.group
-        ny = self.fiber_group.order()
-        phi_flat = [
-            self.phi(c, n) for c in range(self.base_action.size()) for n in range(ny)
-        ]
+        parent, product, fiber = self.parent, self.cocycle.product, self.cocycle.fiber.group
+        g = parent.group
+        # Phi at atom c ny + n of the product, with N's elements read off the fiber labels
+        phi_flat = [g.mul(g.index(n), s) for s in self.section for n in fiber.labels]
         if sorted(phi_flat) != list(range(g.order())):
             return False, {"reason": "phi is not a bijection"}
-        product, parent = self.skew.product, self.parent.action
-        ids = range(ball_size(self.parent.rank, max_len))
+        ids = range(ball_size(parent.rank, max_len))
         skew, orig = product._states(ids), parent._states(ids)
         for i in ids:
             skew_perm, parent_perm = product._maps[skew[i]], parent._maps[orig[i]]
             for idx in range(len(phi_flat)):
                 if phi_flat[skew_perm[idx]] != parent_perm[phi_flat[idx]]:
-                    c, n = divmod(idx, ny)
+                    c, n = divmod(idx, fiber.order())
                     return False, {
                         "word": format_word(product._tree.word(i)),
                         "coset": c,
-                        "fiber": self.fiber_group.labels[n],
+                        "fiber": fiber.labels[n],
                     }
         return True, None
 
@@ -461,7 +443,7 @@ def join_special(
 
 
 def verify_pullback_exchange(
-    bundle: SkewBundle,
+    cocycle: Cocycle,
     g: FreeWord,
     special_q: SpecialPartition,
     p_prime: FinitePartition,
@@ -469,49 +451,49 @@ def verify_pullback_exchange(
     """Moving (P_g v P') x Q by the skew action equals moving both factors
     separately: exact partition identity on the finite product space."""
     q = special_q.partition
-    p_g = bundle.pullback_partition(g, q)
+    p_g = cocycle.pullback_partition(g, q)
     combined = join(p_g, p_prime)
-    lhs = bundle.product_partition(combined, q).apply_permutation(
-        bundle.product.word_perm(g)
+    lhs = cocycle.product_partition(combined, q).apply_permutation(
+        cocycle.product.word_perm(g)
     )
     rhs = join(
-        bundle.lift_base(combined.apply_permutation(bundle.base.word_perm(g))),
-        bundle.lift_fiber(q.apply_permutation(bundle.fiber.action.word_perm(g))),
+        cocycle.lift_base(combined.apply_permutation(cocycle.base.word_perm(g))),
+        cocycle.lift_fiber(q.apply_permutation(cocycle.fiber.word_perm(g))),
     )
     return lhs.equal_mod_null(rhs)
 
 
 def verify_generated_algebra(
-    bundle: SkewBundle, p_base: FinitePartition, special_q: SpecialPartition
+    cocycle: Cocycle, p_base: FinitePartition, special_q: SpecialPartition
 ) -> bool:
     """The invariant algebra of P x Q equals the one generated by
     B_X x Sigma(Q), for generating base partitions."""
-    if not sigma_generated(bundle.base, p_base).equal_mod_null(
-        FinitePartition.points(bundle.base.space)
+    if not sigma_generated(cocycle.base, p_base).equal_mod_null(
+        FinitePartition.points(cocycle.base.space)
     ):
         raise ValueError("base partition is not generating")
     lhs = sigma_generated(
-        bundle.product, bundle.product_partition(p_base, special_q.partition)
+        cocycle.product, cocycle.product_partition(p_base, special_q.partition)
     )
-    sigma_q = sigma_generated(bundle.fiber.action, special_q.partition)
-    rhs = join(bundle.base_marker(), bundle.lift_fiber(sigma_q))
+    sigma_q = sigma_generated(cocycle.fiber, special_q.partition)
+    rhs = join(cocycle.base_marker(), cocycle.lift_fiber(sigma_q))
     return lhs.equal_mod_null(rhs)
 
 
 def verify_window_split(
-    bundle: SkewBundle, n: int, p_base: FinitePartition, special_q: SpecialPartition
+    cocycle: Cocycle, n: int, p_base: FinitePartition, special_q: SpecialPartition
 ) -> bool:
     """((P v R_n) x Q)^{B(n)} splits as (P v R_n)^{B(n)} x Q^{B(n)}."""
     q = special_q.partition
-    window = ball(bundle.base.rank, n)
-    r_n = join_many(bundle.pullback_partition(g, q) for g in window)
+    window = ball(cocycle.base.rank, n)
+    r_n = join_many(cocycle.pullback_partition(g, q) for g in window)
     enriched = join(p_base, r_n)
-    lhs = bundle.product.window_partition(
-        bundle.product_partition(enriched, q), window
+    lhs = cocycle.product.window_partition(
+        cocycle.product_partition(enriched, q), window
     )
     rhs = join(
-        bundle.lift_base(bundle.base.window_partition(enriched, window)),
-        bundle.lift_fiber(bundle.fiber.action.window_partition(q, window)),
+        cocycle.lift_base(cocycle.base.window_partition(enriched, window)),
+        cocycle.lift_fiber(cocycle.fiber.window_partition(q, window)),
     )
     return lhs.equal_mod_null(rhs)
 
@@ -534,7 +516,7 @@ def verify_skew_entropy_bound(
     """
     if cocycle.base.rank != 1:
         raise ValueError(f"the skew entropy bound needs a rank-1 cocycle, not rank {cocycle.base.rank}")
-    action, group = cocycle.fiber.action, cocycle.fiber.group
+    action, group = cocycle.fiber, cocycle.fiber.group
     translates = [right_translate(group, q, g) for g in range(group.order())]
     k_q = _k_of(q, translates)
     plain, twisted, records = q, [q] * cocycle.base.size(), []

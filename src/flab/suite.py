@@ -51,7 +51,6 @@ from .skew import (
     FiniteGroupAction,
     K_of,
     SectionCocycleBundle,
-    SkewBundle,
     SpecialPartition,
     join_special,
     verify_cocycle_identity,
@@ -86,9 +85,7 @@ class RunConfig:
 
 def _points_process(action: FiniteGroupAction) -> FiniteActionProcess:
     """A finite group under automorphisms, observed through its points."""
-    return FiniteActionProcess(
-        action.action, FinitePartition.points(action.action.space), action.group.name
-    )
+    return FiniteActionProcess(action, FinitePartition.points(action.space), action.group.name)
 
 
 def _marginal_table(sub: KernelSubshift, rank: int, radii) -> dict:
@@ -248,7 +245,7 @@ def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
         bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
         rows = bundle.cocycle.ball_rows(6)  # every row the check reads
         ok_eq, wit_eq = verify_cocycle_identity(
-            rows.__getitem__, bundle.base_action, bundle.fiber_action, max_len=3
+            rows.__getitem__, bundle.cocycle.base, bundle.cocycle.fiber, max_len=3
         )
         ok_phi, wit_phi = bundle.verify_conjugacy(max_len=3)
         cases.append(
@@ -262,18 +259,18 @@ def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
         )
     if inject_bug == "negate-cocycle":
         pair = section_pair_catalog(2)[0]
-        bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
-        fiber = bundle.fiber_group
+        cocycle = SectionCocycleBundle(pair["action"], pair["subgroup"]).cocycle
+        fiber = cocycle.fiber.group
         bump = next(x for x in range(fiber.order()) if x != fiber.identity)
 
         length_two = range(ball_size(2, 1), ball_size(2, 2))
 
         def corrupted(i):
-            row = bundle.cocycle.row(i)
+            row = cocycle.row(i)
             return [fiber.mul(value, bump) for value in row] if i in length_two else row
 
         ok, witness = verify_cocycle_identity(
-            corrupted, bundle.base_action, bundle.fiber_action, max_len=2
+            corrupted, cocycle.base, cocycle.fiber, max_len=2
         )
         cases.append(
             {
@@ -336,10 +333,10 @@ def _suite_skew_entropy_bound(cfg: RunConfig) -> dict:
 def _suite_relative_collapse(cfg: RunConfig) -> dict:
     cases = []
     for case in skew_test_cases(2):
-        bundle = case["bundle"]
+        cocycle = case["cocycle"]
         proc = SkewProductProcess(
-            bundle,
-            FinitePartition.points(bundle.base.space),
+            cocycle,
+            FinitePartition.points(cocycle.base.space),
             case["special"].partition,
         )
         relative = proc.relative()
@@ -363,10 +360,10 @@ def _suite_pullback_exchange(cfg: RunConfig) -> dict:
     rng = make_rng(cfg.seed + 1)
     cases = []
     for case in skew_test_cases(2)[:8]:
-        bundle = case["bundle"]
-        p_prime = random_partition(rng, bundle.base.size())
+        cocycle = case["cocycle"]
+        p_prime = random_partition(rng, cocycle.base.size())
         ok = all(
-            verify_pullback_exchange(bundle, parse_word(text, 2), case["special"], p_prime)
+            verify_pullback_exchange(cocycle, parse_word(text, 2), case["special"], p_prime)
             for text in ("e", "a", "B", "ab", "aB")
         )
         cases.append({"name": case["name"], "passed": ok})
@@ -376,9 +373,9 @@ def _suite_pullback_exchange(cfg: RunConfig) -> dict:
 def _suite_generated_algebra(cfg: RunConfig) -> dict:
     cases = []
     for case in skew_test_cases(2)[:8]:
-        bundle = case["bundle"]
-        p = FinitePartition.points(bundle.base.space)
-        ok = verify_generated_algebra(bundle, p, case["special"])
+        cocycle = case["cocycle"]
+        p = FinitePartition.points(cocycle.base.space)
+        ok = verify_generated_algebra(cocycle, p, case["special"])
         cases.append({"name": case["name"], "passed": ok})
     return {"name": "generated-algebra", "cases": cases, "passed": all(c["passed"] for c in cases)}
 
@@ -386,9 +383,9 @@ def _suite_generated_algebra(cfg: RunConfig) -> dict:
 def _suite_window_split(cfg: RunConfig) -> dict:
     cases = []
     for case in skew_test_cases(2)[:4]:
-        bundle = case["bundle"]
-        p = FinitePartition.points(bundle.base.space)
-        ok = all(verify_window_split(bundle, n, p, case["special"]) for n in (1, 2))
+        cocycle = case["cocycle"]
+        p = FinitePartition.points(cocycle.base.space)
+        ok = all(verify_window_split(cocycle, n, p, case["special"]) for n in (1, 2))
         cases.append({"name": case["name"], "passed": ok})
     return {"name": "window-split", "cases": cases, "passed": all(c["passed"] for c in cases)}
 
@@ -482,11 +479,11 @@ def process_from_spec(spec: dict, cfg: RunConfig):
         group = group_from_json(spec_field(spec, "group", dict))
         action = group_action(group, spec_field(spec, "autos", list, [0] * rank), rank)
         sub = frozenset(_label_indices(group, spec_field(spec, "subgroup", list), "subgroup"))
-        bundle = SectionCocycleBundle(action, sub)
+        cocycle = SectionCocycleBundle(action, sub).cocycle
         return SkewProductProcess(
-            bundle.skew,
-            FinitePartition.points(bundle.base_action.space),
-            FinitePartition.points(bundle.fiber_action.action.space),
+            cocycle,
+            FinitePartition.points(cocycle.base.space),
+            FinitePartition.points(cocycle.fiber.space),
             f"{group.name} over subgroup of order {len(sub)}",
         )
     if kind == "skew_custom":
@@ -498,11 +495,10 @@ def process_from_spec(spec: dict, cfg: RunConfig):
             _label_indices(fiber_group, row, "cocycle")
             for row in spec_field(spec, "cocycle", list)
         ]
-        bundle = SkewBundle(Cocycle(base.action, fiber, gen_values))
         return SkewProductProcess(
-            bundle,
-            FinitePartition.points(base.action.space),
-            FinitePartition.points(fiber.action.space),
+            Cocycle(base, fiber, gen_values),
+            FinitePartition.points(base.space),
+            FinitePartition.points(fiber.space),
             "custom skew product",
         )
     raise ValueError(f"unknown process type {kind!r}")

@@ -11,7 +11,7 @@ import random
 from flab.entropy import FinitePartition, join_many
 from flab.groups import FiniteGroup, all_automorphisms, invert_perm, preset_group
 from flab.presets import _FIBER_PRESETS, random_finite_action
-from flab.skew import Cocycle, FiniteAction, FiniteGroupAction, SkewBundle, SpecialPartition
+from flab.skew import Cocycle, FiniteAction, FiniteGroupAction, SpecialPartition
 from flab.words import CayleyTree, WordSet, ball, ball_list, format_word, mul, signed_letters
 
 
@@ -31,8 +31,8 @@ def nontrivial_auto_assignments(group: FiniteGroup, rank: int, count: int = 2) -
     return assignments[:count]
 
 
-def random_group_skew_bundle(rng: random.Random, rank: int = 2) -> tuple[SkewBundle, FiniteGroupAction]:
-    """A skew bundle with random base action and random finite-group cocycle."""
+def random_group_skew_bundle(rng: random.Random, rank: int = 2) -> Cocycle:
+    """A skew product: a cocycle with random base action and random finite-group values."""
     fiber_group = preset_group(_FIBER_PRESETS[rng.randrange(len(_FIBER_PRESETS))])
     autos = all_automorphisms(fiber_group)
     fiber = FiniteGroupAction(
@@ -43,7 +43,7 @@ def random_group_skew_bundle(rng: random.Random, rank: int = 2) -> tuple[SkewBun
         [rng.randrange(fiber_group.order()) for _ in range(base.size())]
         for _ in range(rank)
     ]
-    return SkewBundle(Cocycle(base, fiber, gen_values)), fiber
+    return Cocycle(base, fiber, gen_values)
 
 
 def pairwise_closure(group: FiniteGroup, gens) -> frozenset[int]:
@@ -88,7 +88,7 @@ def pointwise_cocycle_failure(
     group = fiber.group
     words = list(ball(base.rank, max_len))
     for g in words:
-        beta_g = fiber.action.word_perm(g)
+        beta_g = fiber.word_perm(g)
         for h in words:
             gh = mul(g, h)
             alpha_h = base.word_perm(h)
@@ -117,7 +117,7 @@ def scan_cocycle_rows(rows, base: FiniteAction, fiber: FiniteGroupAction, max_le
     `verify_cocycle_identity`.
     """
     group, tree = fiber.group, CayleyTree(base.rank)
-    alphas, betas = LetterPerms(base), LetterPerms(fiber.action)
+    alphas, betas = LetterPerms(base), LetterPerms(fiber)
     words = ball_list(base.rank, max_len)
     for g in words:
         beta_g, sigma_g = betas.perm(g.letters), rows[tree.id(g)]
@@ -148,7 +148,7 @@ def letter_values(cocycle: Cocycle, letter: int) -> tuple[int, ...]:
     if letter > 0:
         return cocycle.gen_values[letter - 1]
     g, vals = cocycle.fiber.group, cocycle.gen_values[-letter - 1]
-    beta_inv, alpha_inv = letter_perm(cocycle.fiber.action, letter), letter_perm(cocycle.base, letter)
+    beta_inv, alpha_inv = letter_perm(cocycle.fiber, letter), letter_perm(cocycle.base, letter)
     return tuple(g.inv(beta_inv[vals[alpha_inv[x]]]) for x in range(cocycle.base.size()))
 
 
@@ -182,7 +182,7 @@ class LetterCocycle:
         self.base = LetterPerms(cocycle.base)
         # (beta_t, sigma(t, .)) for every letter t
         self._steps = {
-            t: (letter_perm(cocycle.fiber.action, t), letter_values(cocycle, t))
+            t: (letter_perm(cocycle.fiber, t), letter_values(cocycle, t))
             for t in signed_letters(cocycle.base.rank)
         }
         self._memo: dict[tuple, tuple[int, ...]] = {
@@ -231,7 +231,7 @@ class RecursiveRows:
     def __init__(self, cocycle: Cocycle):
         self.cocycle = cocycle
         self.tree = CayleyTree(cocycle.base.rank)
-        self.betas = RecursivePerms(cocycle.fiber.action)
+        self.betas = RecursivePerms(cocycle.fiber)
         self._memo: dict[int, tuple[int, ...]] = {
             0: (cocycle.fiber.group.identity,) * cocycle.base.size()
         }

@@ -65,7 +65,7 @@ def points_process(group, rank=2, auto_indices=None):
         else group_action(group, auto_indices, rank)
     )
     return FiniteActionProcess(
-        action.action,
+        action,
         FinitePartition.points(FinitePartition.uniform_space(group.order())),
         group.name,
     )
@@ -196,7 +196,7 @@ def test_criterion_7_cocycle_and_conjugacy():
     for pair in pairs:
         bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
         ok_eq, _ = verify_cocycle_identity(
-            bundle.cocycle.row, bundle.base_action, bundle.fiber_action, max_len=3
+            bundle.cocycle.row, bundle.cocycle.base, bundle.cocycle.fiber, max_len=3
         )
         ok_phi, _ = bundle.verify_conjugacy(max_len=3)
         if not (ok_eq and ok_phi):
@@ -213,10 +213,10 @@ def test_criterion_8_relative_collapse():
     nontrivial = 0
     ok = True
     for case in cases:
-        bundle = case["bundle"]
+        cocycle = case["cocycle"]
         proc = SkewProductProcess(
-            bundle,
-            FinitePartition.points(bundle.base.weights),
+            cocycle,
+            FinitePartition.points(cocycle.base.weights),
             case["special"].partition,
         )
         relative = proc.relative()

@@ -351,6 +351,21 @@ class TestComputeF:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec", [
+        {"type": "finite_group", "group": {"preset": "Z/4"}, "autos": [[0, 2, 1, 3], [0, 1, 2, 3]]},
+        {"type": "skew_custom", "base_group": {"preset": "Z/2"}, "base_autos": [0, 0],
+         "fiber_group": {"preset": "Z/4"}, "fiber_autos": [[0, 2, 1, 3], [0, 1, 2, 3]],
+         "cocycle": [["0", "1"], ["0", "0"]]},
+    ])
+    def test_a_permutation_that_is_no_automorphism_exits_2(self, tmp_path, capsys, spec):
+        # swapping 1 and 2 in Z/4 is a bijection but not a homomorphism
+        path = tmp_path / "proc.json"
+        path.write_text(json.dumps(spec))
+        assert main(["compute-f", "--process", str(path), "--nmax", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "automorphism" in err
+
     def test_pretty_renders_the_compute_f_tables(self, tmp_path, capsys):
         spec = tmp_path / "proc.json"
         spec.write_text(json.dumps({"type": "bernoulli", "k": 2}))

@@ -488,7 +488,7 @@ class TestSpaceValidation:
         from flab.finv import exact_f_finite
         from flab.groups import cyclic
         from flab.processes import SkewProductProcess
-        from flab.skew import Cocycle, FiniteAction, FiniteGroupAction, SkewBundle
+        from flab.skew import Cocycle, FiniteAction, FiniteGroupAction
 
         # a non-uniform base: atoms 1 and 2 are swapped, atom 0 is fixed
         base = FiniteAction([F(1, 2), F(1, 4), F(1, 4)], [[0, 2, 1], [0, 1, 2]], 2)
@@ -509,18 +509,18 @@ class TestSpaceValidation:
 
         monkeypatch.setattr(entropy._MeasureSpace, "__init__", counting_init)
         monkeypatch.setattr(entropy, "_partition", counting_partition)
-        bundle = SkewBundle(Cocycle(base, fiber, [[1, 0, 3], [0, 2, 0]]))
+        cocycle = Cocycle(base, fiber, [[1, 0, 3], [0, 2, 0]])
         proc = SkewProductProcess(
-            bundle,
+            cocycle,
             FinitePartition.points(base.space),
-            FinitePartition.points(fiber.action.space),
+            FinitePartition.points(fiber.space),
         )
         f, _ = exact_f_finite(proc)
         f_rel, _ = exact_f_finite(proc.relative())
         # the product space is the only one built; every join reuses it
         assert validated == [12]
-        assert len(trusted) == 19 and all(s is bundle.product.space for s in trusted)
+        assert len(trusted) == 19 and all(s is cocycle.product.space for s in trusted)
         # points of the product generate: f = (1 - r) H(points), and
         # conditioning on the base leaves the uniform fiber, log 4
-        assert f == -shannon_entropy(FinitePartition.points(bundle.product.space))
+        assert f == -shannon_entropy(FinitePartition.points(cocycle.product.space))
         assert f_rel == -EntropyValue.log_int(4)

@@ -46,7 +46,7 @@ def edge_process(p=2):
 def points_process(group, rank=2, autos=None):
     act = trivial_action(group, rank) if autos is None else group_action(group, autos, rank)
     return FiniteActionProcess(
-        act.action,
+        act,
         FinitePartition.points(FinitePartition.uniform_space(group.order())),
         group.name,
     )
@@ -79,7 +79,7 @@ class TestFOf:
         r = proc.rank
         for n in (0, 1):
             b = ball(r, n)
-            base = proc.window_partition(b)
+            base = proc.action.window_partition(proc.partition, b)
             total = (1 - 2 * r) * shannon_entropy(base)
             for i in range(1, r + 1):
                 s = parse_word("ab"[i - 1], 2)
@@ -419,7 +419,7 @@ class TestBernoulliTriples:
 class TestRelative:
     def test_trivial_cocycle_relative_equals_fiber(self):
         # independent product: conditioning on the base changes nothing
-        from flab.skew import Cocycle, SkewBundle
+        from flab.skew import Cocycle
 
         rng = make_rng(12)
         base = random_finite_action(rng)
@@ -427,9 +427,9 @@ class TestRelative:
         fiber = FiniteGroupAction(
             fiber_group, [tuple((-x) % 4 for x in range(4)), tuple(range(4))], 2
         )
-        bundle = SkewBundle(Cocycle(base, fiber, [[0] * base.size()] * 2))
+        cocycle = Cocycle(base, fiber, [[0] * base.size()] * 2)
         q = random_partition(rng, 4)
-        proc = SkewProductProcess(bundle, FinitePartition.points(base.weights), q)
+        proc = SkewProductProcess(cocycle, FinitePartition.points(base.weights), q)
         fiber_proc = proc.fiber_process()
         for n in range(2):
             lhs = F_of(proc.relative(), n)
@@ -438,12 +438,12 @@ class TestRelative:
 
     def test_base_measurable_partition_relative_zero(self):
         cases = skew_test_cases(2)
-        bundle = cases[0]["bundle"]
+        cocycle = cases[0]["cocycle"]
         trivial_fiber = FinitePartition.trivial(
-            FinitePartition.uniform_space(bundle.fiber.size())
+            FinitePartition.uniform_space(cocycle.fiber.size())
         )
         proc = SkewProductProcess(
-            bundle, FinitePartition.points(bundle.base.weights), trivial_fiber
+            cocycle, FinitePartition.points(cocycle.base.weights), trivial_fiber
         )
         for n in range(2):
             assert F_of(proc.relative(), n).is_zero()
@@ -452,10 +452,10 @@ class TestRelative:
         # relative F* of the skew equals F* of the fiber, per n, exactly
         nontrivial_seen = 0
         for case in skew_test_cases(2):
-            bundle = case["bundle"]
+            cocycle = case["cocycle"]
             sp = case["special"]
             proc = SkewProductProcess(
-                bundle, FinitePartition.points(bundle.base.weights), sp.partition
+                cocycle, FinitePartition.points(cocycle.base.weights), sp.partition
             )
             relative = proc.relative()
             fiber_proc = proc.fiber_process()
@@ -470,8 +470,8 @@ class TestRelative:
     def test_relative_report(self):
         case = skew_test_cases(2)[0]
         proc = SkewProductProcess(
-            case["bundle"],
-            FinitePartition.points(case["bundle"].base.weights),
+            case["cocycle"],
+            FinitePartition.points(case["cocycle"].base.weights),
             case["special"].partition,
         )
         rep = full_report(proc.relative(), 2)
@@ -481,7 +481,7 @@ class TestRelative:
     def test_relative_variants_agree_for_generating_partitions(self):
         # two generating partitions and both starred/unstarred relative routes
         z4 = preset_group("Z/4")
-        act = group_action(z4, [1, 0], 2).action
+        act = group_action(z4, [1, 0], 2)
         points = FinitePartition.points(act.weights)
         other = FinitePartition(act.weights, [0, 1, 2, 2])
         other2 = join(
@@ -561,7 +561,7 @@ class TestWindowQuery:
             want = shannon_entropy(direct)
             if conditioned:
                 want = shannon_entropy(join(direct, given_p)) - shannon_entropy(given_p)
-            assert proc.window_partition(W) == direct
+            assert proc.action.window_partition(proc.partition, W) == direct
             assert proc.entropy(W) == want
             assert proc.entropy(W) == want
 
@@ -600,17 +600,17 @@ class TestWindowQuery:
         b = ball(2, 1)
         windows = [ball(2, 0), b] + [b.union(b.translate(parse_word(s, 2))) for s in "ab"]
         for case in skew_test_cases(2):
-            bundle = case["bundle"]
-            observed = bundle.product_partition(
-                FinitePartition.points(bundle.base.weights), case["special"].partition
+            cocycle = case["cocycle"]
+            observed = cocycle.product_partition(
+                FinitePartition.points(cocycle.base.weights), case["special"].partition
             )
             proc = SkewProductProcess(
-                bundle, FinitePartition.points(bundle.base.weights), case["special"].partition
+                cocycle, FinitePartition.points(cocycle.base.weights), case["special"].partition
             )
             relative = proc.relative()
             for W in windows:
-                joined = bundle.product.window_partition(observed, W)
-                want = conditional_entropy(joined, bundle.base_marker())
+                joined = cocycle.product.window_partition(observed, W)
+                want = conditional_entropy(joined, cocycle.base_marker())
                 assert relative.entropy(W) == want, (case["name"], W)
                 assert proc.entropy(W) == shannon_entropy(joined)
 
@@ -695,7 +695,7 @@ class TestAbramovRokhlin:
             assert result["equal"], result
 
     def test_invariant_example(self):
-        act = trivial_action(preset_group("Z/4"), 2).action
+        act = trivial_action(preset_group("Z/4"), 2)
         p = FinitePartition(act.weights, [0, 0, 1, 1])
         q = FinitePartition(act.weights, [0, 1, 0, 1])
         result = abramov_rokhlin_check(act, p, q)
@@ -729,7 +729,7 @@ class TestProcessInvariants:
 
 class TestSkewActionConstructor:
     def test_defaults_to_points_partitions(self):
-        from flab.skew import Cocycle, FiniteGroupAction, SkewBundle
+        from flab.skew import Cocycle, FiniteGroupAction
 
         rng = make_rng(21)
         base = random_finite_action(rng)
@@ -737,9 +737,9 @@ class TestSkewActionConstructor:
         fiber = FiniteGroupAction(z2, [tuple(range(2))] * 2, 2)
         base_points = FinitePartition.points(base.weights)
         proc = SkewProductProcess(
-            SkewBundle(Cocycle(base, fiber, [[0] * base.size()] * 2)),
+            Cocycle(base, fiber, [[0] * base.size()] * 2),
             base_points,
-            FinitePartition.points(fiber.action.weights),
+            FinitePartition.points(fiber.weights),
         )
         # joint points observable: window entropy splits as base plus fiber
         W = ball(2, 1)

@@ -36,7 +36,6 @@ from flab.skew import (
     FiniteGroupAction,
     K_of,
     SectionCocycleBundle,
-    SkewBundle,
     SpecialPartition,
     join_special,
     right_translate,
@@ -166,6 +165,26 @@ class TestGroups:
         assert normal_subgroups(g) == want
 
 
+class TestGroupActions:
+    def test_each_generator_is_checked_once(self, monkeypatch):
+        # catalog entries and permutation lists alike are checked by the action alone
+        from flab.presets import group_action
+
+        d4 = dihedral4()
+        catalog = all_automorphisms(d4)
+        checked, original = [], FiniteGroup.is_automorphism
+
+        def counting(self, perm):
+            checked.append(tuple(perm))
+            return original(self, perm)
+
+        monkeypatch.setattr(FiniteGroup, "is_automorphism", counting)
+        action = group_action(d4, [3, list(catalog[5])], 2)
+        assert checked == [catalog[3], catalog[5]] == list(action.gen_perms)
+        with pytest.raises(ValueError, match="automorphism"):
+            group_action(cyclic(4), [[0, 2, 1, 3], 0], 2)
+
+
 class TestSpecialPartitions:
     def test_cosets(self):
         z4 = cyclic(4)
@@ -238,14 +257,14 @@ class TestSectionCocycles:
         ga = FiniteGroupAction(z4, [neg, tuple(range(4))], 2)
         bundle = SectionCocycleBundle(ga, frozenset({0, 2}))
         ok, witness = verify_cocycle_identity(
-            bundle.cocycle.row, bundle.base_action, bundle.fiber_action, max_len=3
+            bundle.cocycle.row, bundle.cocycle.base, bundle.cocycle.fiber, max_len=3
         )
         assert ok, witness
         ok, witness = bundle.verify_conjugacy(max_len=3)
         assert ok, witness
         # the negating generator produces a genuinely nontrivial cocycle
         assert any(
-            v != bundle.fiber_group.identity for v in bundle.cocycle.gen_values[0]
+            v != bundle.cocycle.fiber.group.identity for v in bundle.cocycle.gen_values[0]
         )
 
     def test_trivial_subgroup(self):
@@ -254,7 +273,7 @@ class TestSectionCocycles:
         ga = FiniteGroupAction(z4, [neg, neg], 2)
         bundle = SectionCocycleBundle(ga, frozenset({0}))
         assert all(
-            v == bundle.fiber_group.identity
+            v == bundle.cocycle.fiber.group.identity
             for vals in bundle.cocycle.gen_values
             for v in vals
         )
@@ -265,7 +284,7 @@ class TestSectionCocycles:
         neg = tuple((-x) % 4 for x in range(4))
         ga = FiniteGroupAction(z4, [tuple(range(4)), neg], 2)
         bundle = SectionCocycleBundle(ga, frozenset(range(4)))
-        assert bundle.base_action.size() == 1
+        assert bundle.cocycle.base.size() == 1
         assert bundle.verify_conjugacy(max_len=2)[0]
 
     def test_noninvariant_subgroup_rejected(self):
@@ -283,7 +302,7 @@ class TestSectionCocycles:
         for pair in section_pair_catalog(2):
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
             ok, witness = verify_cocycle_identity(
-                bundle.cocycle.row, bundle.base_action, bundle.fiber_action, max_len=2
+                bundle.cocycle.row, bundle.cocycle.base, bundle.cocycle.fiber, max_len=2
             )
             assert ok, (pair["name"], witness)
             ok, witness = bundle.verify_conjugacy(max_len=2)
@@ -294,7 +313,7 @@ class TestSectionCocycles:
         neg = tuple((-x) % 4 for x in range(4))
         ga = FiniteGroupAction(z4, [neg, tuple(range(4))], 2)
         bundle = SectionCocycleBundle(ga, frozenset({0, 2}))
-        fiber = bundle.fiber_group
+        fiber = bundle.cocycle.fiber.group
         bump = next(x for x in range(fiber.order()) if x != fiber.identity)
 
         length_two = range(ball_size(2, 1), ball_size(2, 2))
@@ -306,14 +325,14 @@ class TestSectionCocycles:
             return row
 
         ok, witness = verify_cocycle_identity(
-            corrupted, bundle.base_action, bundle.fiber_action, max_len=2
+            corrupted, bundle.cocycle.base, bundle.cocycle.fiber, max_len=2
         )
         assert not ok and witness is not None
 
     def test_injected_bug_witness(self):
         pair = section_pair_catalog(2)[0]
         bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
-        fiber = bundle.fiber_group
+        fiber = bundle.cocycle.fiber.group
         bump = next(x for x in range(fiber.order()) if x != fiber.identity)
 
         length_two = range(ball_size(2, 1), ball_size(2, 2))
@@ -325,7 +344,7 @@ class TestSectionCocycles:
             return row
 
         ok, witness = verify_cocycle_identity(
-            corrupted, bundle.base_action, bundle.fiber_action, max_len=2
+            corrupted, bundle.cocycle.base, bundle.cocycle.fiber, max_len=2
         )
         assert not ok
         assert witness == {"g": "a", "h": "a", "x": 0, "lhs": "2", "rhs": "0"}
@@ -338,10 +357,10 @@ class TestSectionCocycles:
         ]
         pair = pairs[rng.randrange(len(pairs))]
         bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
-        fiber = bundle.fiber_group
+        fiber = bundle.cocycle.fiber.group
         max_len = rng.randrange(1, 4)
         target = rng.randrange(ball_size(2, 2 * max_len))
-        x0 = rng.randrange(bundle.base_action.size())
+        x0 = rng.randrange(bundle.cocycle.base.size())
         bump = rng.choice([y for y in range(fiber.order()) if y != fiber.identity])
 
         def corrupted(i):
@@ -351,11 +370,11 @@ class TestSectionCocycles:
             return row
 
         got = verify_cocycle_identity(
-            corrupted, bundle.base_action, bundle.fiber_action, max_len
+            corrupted, bundle.cocycle.base, bundle.cocycle.fiber, max_len
         )
         tree = CayleyTree(2)
         want = pointwise_cocycle_failure(
-            lambda w, x: corrupted(tree.id(w))[x], bundle.base_action, bundle.fiber_action, max_len
+            lambda w, x: corrupted(tree.id(w))[x], bundle.cocycle.base, bundle.cocycle.fiber, max_len
         )
         assert got == want
         assert not got[0]
@@ -371,9 +390,9 @@ class TestSectionCocycles:
             if len(pair["subgroup"]) == 1:
                 continue
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
-            fiber = bundle.fiber_group
+            fiber = bundle.cocycle.fiber.group
             bump = next(y for y in range(fiber.order()) if y != fiber.identity)
-            x0 = end % bundle.base_action.size()
+            x0 = end % bundle.cocycle.base.size()
 
             def corrupted(i):
                 row = list(bundle.cocycle.row(i))
@@ -382,10 +401,10 @@ class TestSectionCocycles:
                 return row
 
             got = verify_cocycle_identity(
-                corrupted, bundle.base_action, bundle.fiber_action, max_len
+                corrupted, bundle.cocycle.base, bundle.cocycle.fiber, max_len
             )
             want = pointwise_cocycle_failure(
-                lambda w, x: corrupted(tree.id(w))[x], bundle.base_action, bundle.fiber_action, max_len
+                lambda w, x: corrupted(tree.id(w))[x], bundle.cocycle.base, bundle.cocycle.fiber, max_len
             )
             assert got == want, pair["name"]
             assert not got[0]
@@ -399,7 +418,7 @@ class TestSectionCocycles:
         # side once per distinct datum, stops where the plain scan does
         for pair in section_pair_catalog(2):
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
-            fiber, base = bundle.fiber_group, bundle.base_action
+            fiber, base = bundle.cocycle.fiber.group, bundle.cocycle.base
             if fiber.order() == 1:
                 continue
             rng = random.Random(f"{pair['name']}/{ids}")
@@ -407,16 +426,17 @@ class TestSectionCocycles:
             target, x0 = rng.choice(ids), rng.randrange(base.size())
             bump = rng.choice([y for y in range(fiber.order()) if y != fiber.identity])
             rows[target][x0] = fiber.mul(rows[target][x0], bump)
-            got = verify_cocycle_identity(rows.__getitem__, base, bundle.fiber_action, 3)
+            got = verify_cocycle_identity(rows.__getitem__, base, bundle.cocycle.fiber, 3)
             assert not got[0], pair["name"]
-            assert got == scan_cocycle_rows(rows, base, bundle.fiber_action, 3), pair["name"]
+            assert got == scan_cocycle_rows(rows, base, bundle.cocycle.fiber, 3), pair["name"]
 
     def test_radius_zero_checks_the_identity_alone(self):
         bundle = z4_section_bundle()
-        check = (bundle.cocycle.row, bundle.base_action, bundle.fiber_action)
+        check = (bundle.cocycle.row, bundle.cocycle.base, bundle.cocycle.fiber)
         assert verify_cocycle_identity(*check, max_len=0) == (True, None)
         assert bundle.verify_conjugacy(max_len=0) == (True, None)
-        bump = next(y for y in range(bundle.fiber_group.order()) if y != bundle.fiber_group.identity)
+        fiber = bundle.cocycle.fiber.group
+        bump = next(y for y in range(fiber.order()) if y != fiber.identity)
 
         def corrupted(i):
             return [bump, *bundle.cocycle.row(i)[1:]] if i == 0 else bundle.cocycle.row(i)
@@ -431,7 +451,7 @@ class TestSectionCocycles:
         bundle = z4_section_bundle()
         with pytest.raises(ValueError, match="max_len"):
             verify_cocycle_identity(
-                bundle.cocycle.row, bundle.base_action, bundle.fiber_action, max_len=-1
+                bundle.cocycle.row, bundle.cocycle.base, bundle.cocycle.fiber, max_len=-1
             )
         with pytest.raises(ValueError, match="max_len"):
             bundle.verify_conjugacy(max_len=-1)
@@ -443,7 +463,7 @@ class TestSectionCocycles:
         neg = tuple((-x) % 4 for x in range(4))
         ga = FiniteGroupAction(z4, [neg, tuple(range(4))], 2)
         bundle = SectionCocycleBundle(ga, frozenset({0, 2}))
-        fresh = Cocycle(bundle.base_action, bundle.fiber_action, bundle.cocycle.gen_values)
+        fresh = Cocycle(bundle.cocycle.base, bundle.cocycle.fiber, bundle.cocycle.gen_values)
         reduced = []
         original = words._reduce
 
@@ -453,7 +473,7 @@ class TestSectionCocycles:
 
         monkeypatch.setattr(words, "_reduce", counting)
         ok, witness = verify_cocycle_identity(
-            bundle.cocycle.row, bundle.base_action, bundle.fiber_action, max_len=3
+            bundle.cocycle.row, bundle.cocycle.base, bundle.cocycle.fiber, max_len=3
         )
         assert ok, witness
         tables = [fresh.values(w) for w in ball(2, 3)]
@@ -461,23 +481,23 @@ class TestSectionCocycles:
         assert reduced == []
 
 
-def assert_tables_match_letter_oracles(bundle: SkewBundle, n: int = 4):
+def assert_tables_match_letter_oracles(cocycle: Cocycle, n: int = 4):
     """word_perm, values and row agree with the letter-keyed recursions on B(n)."""
-    words = list(ball(bundle.base.rank, n))
-    oracle = LetterCocycle(bundle.cocycle)
+    words = list(ball(cocycle.base.rank, n))
+    oracle = LetterCocycle(cocycle)
     perms = [
         (action, LetterPerms(action))
-        for action in (bundle.base, bundle.fiber.action, bundle.product)
+        for action in (cocycle.base, cocycle.fiber, cocycle.product)
     ]
-    fresh = Cocycle(bundle.base, bundle.fiber, bundle.cocycle.gen_values)
+    fresh = Cocycle(cocycle.base, cocycle.fiber, cocycle.gen_values)
     # deepest ids first, so each row grows its missing ancestors on the way
     rows = {i: fresh.row(i) for i in reversed(range(len(words)))}
     for i, w in enumerate(words):
         for action, letters in perms:
             assert action.word_perm(w) == letters.perm(w.letters)
         want = oracle.values(w.letters)
-        assert bundle.cocycle.values(w) == want
-        assert bundle.cocycle.row(i) == want
+        assert cocycle.values(w) == want
+        assert cocycle.row(i) == want
         assert rows[i] == want
 
 
@@ -485,11 +505,10 @@ class TestIdTablesMatchLetterOracles:
     def test_section_pairs(self):
         for pair in section_pair_catalog(2):
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
-            assert_tables_match_letter_oracles(bundle.skew)
+            assert_tables_match_letter_oracles(bundle.cocycle)
 
     def test_rank_three_bundle(self):
-        bundle, _fiber = random_group_skew_bundle(make_rng(3), rank=3)
-        assert_tables_match_letter_oracles(bundle)
+        assert_tables_match_letter_oracles(random_group_skew_bundle(make_rng(3), rank=3))
 
 
 def random_perm(rng: random.Random, n: int) -> list[int]:
@@ -498,7 +517,7 @@ def random_perm(rng: random.Random, n: int) -> list[int]:
     return perm
 
 
-def six_atom_bundle(rank: int) -> SkewBundle:
+def six_atom_cocycle(rank: int) -> Cocycle:
     """Random permutations of six atoms over a Q8 fiber with random
     automorphisms and cocycle values: at rank 3 almost every row of B(4)
     is a distinct entry, so almost every id composes its own transition."""
@@ -507,7 +526,7 @@ def six_atom_bundle(rank: int) -> SkewBundle:
     autos = all_automorphisms(q8)
     base = FiniteAction(uniform(6), [random_perm(rng, 6) for _ in range(rank)], rank)
     fiber = FiniteGroupAction(q8, [autos[rng.randrange(len(autos))] for _ in range(rank)], rank)
-    return SkewBundle(Cocycle(base, fiber, [[rng.randrange(8) for _ in range(6)] for _ in range(rank)]))
+    return Cocycle(base, fiber, [[rng.randrange(8) for _ in range(6)] for _ in range(rank)])
 
 
 def counting_compositions(action: FiniteAction) -> list[int]:
@@ -542,19 +561,19 @@ class TestTransitionTables:
 
     @pytest.mark.parametrize("rank, n", [(1, 12), (3, 4)])
     def test_six_atoms_match_the_letter_oracles(self, rank, n):
-        bundle = six_atom_bundle(rank)
-        assert_tables_match_letter_oracles(bundle, n)
-        rows = bundle.cocycle.ball_rows(n)
+        cocycle = six_atom_cocycle(rank)
+        assert_tables_match_letter_oracles(cocycle, n)
+        rows = cocycle.ball_rows(n)
         if rank == 3:
             assert len(set(rows)) > 0.9 * len(rows)
-        for action in (bundle.base, bundle.fiber.action, bundle.product):
+        for action in (cocycle.base, cocycle.fiber, cocycle.product):
             assert_cells_match_letter_perms(action)
 
     def test_ids_share_the_state_of_their_transition(self):
         ids = range(ball_size(2, 6))
         for pair in section_pair_catalog(2):
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
-            cocycle, action = bundle.cocycle, bundle.base_action
+            cocycle, action = bundle.cocycle, bundle.cocycle.base
             composed = [counting_compositions(a) for a in (action, cocycle.product)]
             states, rows = action._states(ids), cocycle.ball_rows(6)
             products = cocycle.product._state
@@ -572,7 +591,7 @@ class TestTransitionTables:
 
     def test_instances_share_no_state(self):
         bundle = z4_section_bundle()
-        base, fiber, values = bundle.base_action, bundle.fiber_action, bundle.cocycle.gen_values
+        base, fiber, values = bundle.cocycle.base, bundle.cocycle.fiber, bundle.cocycle.gen_values
         actions = [FiniteAction(base.space, base.gen_perms, base.rank) for _ in range(2)]
         cocycles = [Cocycle(base, fiber, values) for _ in range(2)]
         ids = range(ball_size(2, 3))
@@ -601,19 +620,26 @@ class TestProductReadout:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
     def test_word_maps_are_the_skew_action(self, seed, rank):
-        bundle, _fiber = random_group_skew_bundle(random.Random(seed), rank)
-        sigma, alphas = LetterCocycle(bundle.cocycle), LetterPerms(bundle.base)
-        betas, mul = LetterPerms(bundle.fiber.action), bundle.fiber.group.mul
-        nx, ny = bundle.base.size(), bundle.fiber.size()
+        cocycle = random_group_skew_bundle(random.Random(seed), rank)
+        sigma, alphas = LetterCocycle(cocycle), LetterPerms(cocycle.base)
+        betas, mul = LetterPerms(cocycle.fiber), cocycle.fiber.group.mul
+        nx, ny = cocycle.base.size(), cocycle.fiber.size()
         for w in ball(rank, 3):
             alpha, beta, row = alphas.perm(w.letters), betas.perm(w.letters), sigma.values(w.letters)
             want = tuple(alpha[x] * ny + mul(beta[y], row[x]) for x in range(nx) for y in range(ny))
-            assert bundle.product.word_perm(w) == want, w
+            assert cocycle.product.word_perm(w) == want, w
 
-    def test_the_bundle_is_the_cocycle_product(self):
+    def test_the_cocycle_is_the_skew_product(self):
+        # one object holds base, fiber and product, so no wrapper can disagree with it
+        import flab.skew as skew
+
         bundle = z4_section_bundle()
-        assert bundle.skew.product is bundle.cocycle.product
-        assert (bundle.skew.base, bundle.skew.fiber) == (bundle.base_action, bundle.fiber_action)
+        fiber = bundle.cocycle.fiber
+        assert isinstance(fiber, FiniteAction) and not hasattr(fiber, "action")
+        assert fiber.size() == fiber.group.order()
+        for alias in ("skew", "base_action", "fiber_action", "fiber_group", "sub", "phi"):
+            assert not hasattr(bundle, alias), alias
+        assert not hasattr(skew, "SkewBundle")
 
 
 def z4_section_bundle() -> SectionCocycleBundle:
@@ -626,14 +652,14 @@ def z4_section_bundle() -> SectionCocycleBundle:
 class TestRankMismatch:
     @pytest.mark.parametrize("word", [FreeWord(1, (1,)), FreeWord(3, (3,))])
     def test_words_of_another_rank_are_refused(self, word):
-        skew = z4_section_bundle().skew
-        q = FinitePartition.points(skew.fiber.action.space)
+        cocycle = z4_section_bundle().cocycle
+        q = FinitePartition.points(cocycle.fiber.space)
         with pytest.raises(ValueError):
-            skew.base.word_perm(word)
+            cocycle.base.word_perm(word)
         with pytest.raises(ValueError):
-            skew.cocycle.values(word)
+            cocycle.values(word)
         with pytest.raises(ValueError):
-            skew.pullback_partition(word, q)
+            cocycle.pullback_partition(word, q)
 
     def test_cocycle_refuses_a_fiber_of_another_rank(self):
         base = random_finite_action(make_rng(0), rank=2)
@@ -667,7 +693,7 @@ class TestWordFreeFiniteLayer:
             skew, "_word", counted(getattr(skew, "_word", words._word)), raising=False
         )
         ok, witness = verify_cocycle_identity(
-            bundle.cocycle.row, bundle.base_action, bundle.fiber_action, max_len=3
+            bundle.cocycle.row, bundle.cocycle.base, bundle.cocycle.fiber, max_len=3
         )
         assert ok, witness
         ok, witness = bundle.verify_conjugacy(max_len=3)
@@ -678,31 +704,57 @@ class TestWordFreeFiniteLayer:
         assert calls == []
 
 
-class TestSkewBundle:
+class TestCocycleLifts:
     def test_trivial_cocycle_is_product(self):
         rng = make_rng(5)
         base = random_finite_action(rng)
         z2 = cyclic(2)
         fiber = FiniteGroupAction(z2, [tuple(range(2))] * 2, 2)
-        bundle = SkewBundle(Cocycle(base, fiber, [[0] * base.size()] * 2))
+        cocycle = Cocycle(base, fiber, [[0] * base.size()] * 2)
         p = random_partition(rng, base.size())
         q = FinitePartition.points(uniform(2))
         W = ball(2, 1)
-        lhs = bundle.product.window_partition(bundle.product_partition(p, q), W)
+        lhs = cocycle.product.window_partition(cocycle.product_partition(p, q), W)
         rhs = join(
-            bundle.lift_base(base.window_partition(p, W)),
-            bundle.lift_fiber(fiber.action.window_partition(q, W)),
+            cocycle.lift_base(base.window_partition(p, W)),
+            cocycle.lift_fiber(fiber.window_partition(q, W)),
         )
         assert lhs.equal_mod_null(rhs)
 
     def test_full_window_entropy_splits(self):
         # joint points partition has entropy H(base points) + log|G|
         rng = make_rng(7)
-        bundle, fiber = random_group_skew_bundle(rng)
-        p = FinitePartition.points(bundle.base.weights)
+        cocycle = random_group_skew_bundle(rng)
+        fiber = cocycle.fiber
+        p = FinitePartition.points(cocycle.base.weights)
         q = FinitePartition.points(uniform(fiber.size()))
-        joint = bundle.product_partition(p, q)
+        joint = cocycle.product_partition(p, q)
         assert shannon_entropy(joint) == shannon_entropy(p) + EntropyValue.log_int(fiber.size())
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_lifts_and_pullbacks_match_their_definitions(self, rank, seed):
+        # atom x ny + y of the product is (x, y); P_w labels x by the label
+        # of beta_w(Q) at sigma(w, x), and beta_w(Q) labels y by Q at beta_w^-1(y)
+        rng = random.Random(f"lifts/{rank}/{seed}")
+        cocycle = random_group_skew_bundle(rng, rank)
+        base, fiber, product = cocycle.base, cocycle.fiber, cocycle.product
+        nx, ny = base.size(), fiber.size()
+        p, q = random_partition(rng, nx), random_partition(rng, ny)
+        atoms = range(nx * ny)
+        assert cocycle.lift_base(p) == FinitePartition(product.space, [p.labels[a // ny] for a in atoms])
+        assert cocycle.lift_fiber(q) == FinitePartition(product.space, [q.labels[a % ny] for a in atoms])
+        assert cocycle.base_marker() == FinitePartition(product.space, [a // ny for a in atoms])
+        pairs = [(p.labels[a // ny], q.labels[a % ny]) for a in atoms]
+        assert cocycle.product_partition(p, q) == FinitePartition(product.space, pairs)
+        rows, betas, tree = RecursiveRows(cocycle), RecursivePerms(fiber), CayleyTree(rank)
+        assert isinstance(fiber, FiniteAction) and fiber.size() == fiber.group.order()
+        for w in ball(rank, 2):
+            i = tree.id(w)
+            beta_inv = invert_perm(betas.perm(i))
+            want = [q.labels[beta_inv[y]] for y in rows.row(i)]
+            assert cocycle.pullback_partition(w, q) == FinitePartition(base.space, want), w
+            assert fiber.group.is_automorphism(fiber.word_perm(w)), w
 
 
 class TestSigmaGenerated:
@@ -715,7 +767,7 @@ class TestSigmaGenerated:
     def test_invariant_partition_fixed(self):
         z4 = cyclic(4)
         neg = tuple((-x) % 4 for x in range(4))
-        act = FiniteGroupAction(z4, [neg, tuple(range(4))], 2).action
+        act = FiniteGroupAction(z4, [neg, tuple(range(4))], 2)
         sp = SpecialPartition(z4, frozenset({0, 2}))
         assert sigma_generated(act, sp.partition).equal_mod_null(sp.partition)
 
@@ -733,56 +785,52 @@ class TestSigmaGenerated:
 
 
 class TestPartitionExchangeVerifiers:
-    def _z4_bundle(self):
-        z4 = cyclic(4)
-        neg = tuple((-x) % 4 for x in range(4))
-        ga = FiniteGroupAction(z4, [neg, tuple(range(4))], 2)
-        return SectionCocycleBundle(ga, frozenset({0, 2}))
+    def _z4_case(self):
+        """The Z/4 section cocycle and its fiber's points as a special partition."""
+        cocycle = z4_section_bundle().cocycle
+        group = cocycle.fiber.group
+        return cocycle, SpecialPartition(group, frozenset({group.identity}))
 
     def test_pullback_exchange_identity_word(self):
-        bundle = self._z4_bundle()
-        sp = SpecialPartition(bundle.fiber_group, frozenset({bundle.fiber_group.identity}))
-        p_prime = FinitePartition.trivial(bundle.base_action.weights)
-        assert verify_pullback_exchange(bundle.skew, parse_word("e", 2), sp, p_prime)
+        cocycle, sp = self._z4_case()
+        p_prime = FinitePartition.trivial(cocycle.base.weights)
+        assert verify_pullback_exchange(cocycle, parse_word("e", 2), sp, p_prime)
 
     def test_pullback_exchange_long_word(self):
-        bundle = self._z4_bundle()
-        sp = SpecialPartition(bundle.fiber_group, frozenset({bundle.fiber_group.identity}))
+        cocycle, sp = self._z4_case()
         for text in ("ab", "aB", "ba", "Ab"):
-            p_prime = FinitePartition.points(bundle.base_action.weights)
-            assert verify_pullback_exchange(bundle.skew, parse_word(text, 2), sp, p_prime)
+            p_prime = FinitePartition.points(cocycle.base.weights)
+            assert verify_pullback_exchange(cocycle, parse_word(text, 2), sp, p_prime)
 
     def test_pullback_exchange_random_bundles(self):
         rng = make_rng(11)
         for _ in range(6):
-            bundle, fiber = random_group_skew_bundle(rng)
+            cocycle = random_group_skew_bundle(rng)
+            fiber = cocycle.fiber
             subs = [
                 s for s in normal_subgroups(fiber.group) if fiber.subgroup_invariant(s)
             ]
             sp = SpecialPartition(fiber.group, subs[0])
-            p_prime = random_partition(rng, bundle.base.size())
+            p_prime = random_partition(rng, cocycle.base.size())
             for text in ("a", "b", "AB"):
-                assert verify_pullback_exchange(bundle, parse_word(text, 2), sp, p_prime)
+                assert verify_pullback_exchange(cocycle, parse_word(text, 2), sp, p_prime)
 
     def test_generated_algebra(self):
-        bundle = self._z4_bundle()
-        p = FinitePartition.points(bundle.base_action.weights)
-        sp = SpecialPartition(bundle.fiber_group, frozenset({bundle.fiber_group.identity}))
-        assert verify_generated_algebra(bundle.skew, p, sp)
+        cocycle, sp = self._z4_case()
+        p = FinitePartition.points(cocycle.base.weights)
+        assert verify_generated_algebra(cocycle, p, sp)
 
     def test_generated_algebra_needs_generating_base(self):
-        bundle = self._z4_bundle()
-        trivial = FinitePartition.trivial(bundle.base_action.weights)
-        sp = SpecialPartition(bundle.fiber_group, frozenset({bundle.fiber_group.identity}))
+        cocycle, sp = self._z4_case()
+        trivial = FinitePartition.trivial(cocycle.base.weights)
         with pytest.raises(ValueError):
-            verify_generated_algebra(bundle.skew, trivial, sp)
+            verify_generated_algebra(cocycle, trivial, sp)
 
     def test_window_split(self):
-        bundle = self._z4_bundle()
-        p = FinitePartition.points(bundle.base_action.weights)
-        sp = SpecialPartition(bundle.fiber_group, frozenset({bundle.fiber_group.identity}))
+        cocycle, sp = self._z4_case()
+        p = FinitePartition.points(cocycle.base.weights)
         for n in (1, 2):
-            assert verify_window_split(bundle.skew, n, p, sp)
+            assert verify_window_split(cocycle, n, p, sp)
 
 
 def z_power(k):
@@ -802,7 +850,7 @@ class TestZSkew:
         rng = make_rng(3)
         for _ in range(6):
             cocycle, _q, _ = random_z_skew(rng)
-            (t_perm,), (s_perm,) = cocycle.base.gen_perms, cocycle.fiber.action.gen_perms
+            (t_perm,), (s_perm,) = cocycle.base.gen_perms, cocycle.fiber.gen_perms
             for n in range(0, 4):
                 for m in range(0, 4):
                     for x in range(cocycle.base.size()):
@@ -825,7 +873,7 @@ class TestZSkew:
             return out
 
         def direct_sigma(cocycle, k, x):
-            (t_perm,), (s_perm,) = cocycle.base.gen_perms, cocycle.fiber.action.gen_perms
+            (t_perm,), (s_perm,) = cocycle.base.gen_perms, cocycle.fiber.gen_perms
             group = cocycle.fiber.group
             if k < 0:
                 # e = S^-k sigma(A^-k, x) . sigma(a^-k, T^k x)
@@ -846,7 +894,7 @@ class TestZSkew:
             z_cocycle(uniform(3), (1, 2, 0), z5, tuple(2 * y % 5 for y in range(5)), (1, 3, 0))
         )
         for cocycle in systems:
-            base, fiber = cocycle.base, cocycle.fiber.action
+            base, fiber = cocycle.base, cocycle.fiber
             # out of order, so the tables grow from the middle as well
             for k in (3, -2, 0, 6, -5, 1, -1):
                 assert fiber.word_perm(z_power(k)) == direct_power(fiber.gen_perms[0], k)
@@ -923,7 +971,7 @@ class TestSweepTables:
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
             rows, oracle = bundle.cocycle.ball_rows(6), RecursiveRows(bundle.cocycle)
             assert rows == [oracle.row(i) for i in ids], pair["name"]
-            for action in (bundle.base_action, bundle.fiber_action.action, bundle.skew.product):
+            for action in (bundle.cocycle.base, bundle.cocycle.fiber, bundle.cocycle.product):
                 want = [RecursivePerms(action).perm(i) for i in ids]
                 # the ball filled by one sweep, and one id at a time from the far end
                 fresh = FiniteAction(action.space, action.gen_perms, action.rank)
@@ -935,19 +983,19 @@ class TestSweepTables:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), st.data())
     def test_random_cocycles_of_rank_one_and_three(self, seed, rank, data):
-        bundle, _fiber = random_group_skew_bundle(random.Random(seed), rank)
+        cocycle = random_group_skew_bundle(random.Random(seed), rank)
         top = ball_size(rank, 12 if rank == 1 else 4)
         batches = data.draw(
             st.lists(st.lists(st.integers(0, top - 1), max_size=12), min_size=1, max_size=4)
         )
-        rows, perms = RecursiveRows(bundle.cocycle), RecursivePerms(bundle.product)
-        product = bundle.product
+        rows, perms = RecursiveRows(cocycle), RecursivePerms(cocycle.product)
+        product = cocycle.product
         for batch in batches:
             states = product._states(batch)
-            assert [bundle.cocycle.row(i) for i in batch] == [rows.row(i) for i in batch]
+            assert [cocycle.row(i) for i in batch] == [rows.row(i) for i in batch]
             assert [product._maps[states[i]] for i in batch] == [perms.perm(i) for i in batch]
         # the ancestors filled on the way are right too
-        assert all(bundle.cocycle.row(i) == rows.row(i) for i in product._state)
+        assert all(cocycle.row(i) == rows.row(i) for i in product._state)
         assert all(product._maps[k] == perms.perm(i) for i, k in product._state.items())
 
     def test_rank_one_words_past_the_recursion_limit(self):
