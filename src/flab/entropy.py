@@ -113,14 +113,6 @@ class EntropyValue:
         """log(n) for an integer n >= 1, expanded over prime factors."""
         return _value(factorize(n), 1)
 
-    @staticmethod
-    def log_fraction(q: Fraction) -> "EntropyValue":
-        """log of a positive rational."""
-        q = Fraction(q)
-        if q <= 0:
-            raise ValueError("log of nonpositive rational")
-        return EntropyValue.log_int(q.numerator) - EntropyValue.log_int(q.denominator)
-
     @property
     def terms(self) -> dict[int, Fraction]:
         den = self._den
@@ -420,10 +412,6 @@ class FinitePartition:
     def points(cls, weights: Sequence[Fraction]) -> "FinitePartition":
         return cls(weights, range(len(weights)))
 
-    @classmethod
-    def trivial(cls, weights: Sequence[Fraction]) -> "FinitePartition":
-        return cls(weights, (0,) * len(weights))
-
     def num_atoms(self) -> int:
         return len(self.labels)
 
@@ -436,10 +424,6 @@ class FinitePartition:
         for c, lab in zip(self.space.counts, self.labels):
             out[lab] += c
         return out
-
-    def block_weights(self) -> dict[int, Fraction]:
-        n = self.space.total
-        return {lab: Fraction(c, n) for lab, c in enumerate(self.block_counts())}
 
     def same_space(self, other: "FinitePartition") -> bool:
         return self.space == other.space

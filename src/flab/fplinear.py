@@ -28,7 +28,6 @@ one scatter of b into the particular point and one tuple.
 
 from __future__ import annotations
 
-from itertools import product
 from operator import itemgetter, mul
 from typing import Hashable, Iterable, Sequence
 
@@ -213,9 +212,6 @@ class AffineSolutionSet(tuple):
             raise ValueError("empty solution set has no dimension")
         return len(self.basis)
 
-    def size(self) -> int:
-        return 0 if self.is_empty() else self.p ** self.dimension
-
     def contains(self, vector: Sequence[int]) -> bool:
         if len(vector) != len(self.keys):
             raise ValueError("vector has wrong length")
@@ -230,38 +226,6 @@ class AffineSolutionSet(tuple):
         return not any(diff)
 
     __contains__ = contains  # `v in s` is membership, not a search of the five fields
-
-    def members(self, limit: int = 1 << 12) -> list[tuple[int, ...]]:
-        """Exhaustive enumeration; refuses to expand more than `limit` points."""
-        if self.is_empty():
-            return []
-        if self.size() > limit:
-            raise ValueError(f"solution set too large to enumerate ({self.size()})")
-        p = self.p
-        out = []
-        for coeffs in product(range(p), repeat=self.dimension):
-            v = list(self.particular)
-            for f, row in zip(coeffs, self.basis):
-                if f:
-                    v = [(a + f * b) % p for a, b in zip(v, row)]
-            out.append(tuple(v))
-        return out
-
-    def project(self, keep: Sequence[Hashable]) -> "AffineSolutionSet":
-        """Image under the coordinate projection onto `keep` (a key subset)."""
-        index = {k: i for i, k in enumerate(self.keys)}
-        for k in keep:
-            if k not in index:
-                raise IndexError(f"projection coordinate {k!r} out of range")
-        cols = [index[k] for k in keep]
-        if self.is_empty():
-            return _new(AffineSolutionSet, (self.p, tuple(keep), None, (), ()))
-        return AffineSolutionSet(
-            self.p,
-            tuple(keep),
-            [self.particular[c] for c in cols],
-            [[row[c] for c in cols] for row in self.basis],
-        )
 
 
 def _solution_basis(rows: list[SparseRow], n: int, p: int):
@@ -331,14 +295,11 @@ def rank(m: FpMatrix) -> int:
     return len(f[1]) + len(f[2])
 
 
-def solve(m: FpMatrix, b: Sequence[int], keys: Sequence[Hashable] | None = None) -> AffineSolutionSet:
-    """Full solution set of m x = b as an AffineSolutionSet."""
+def solve(m: FpMatrix, b: Sequence[int]) -> AffineSolutionSet:
+    """Full solution set of m x = b as an AffineSolutionSet keyed by column index."""
     if len(b) != m.rows:
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    checks, singles, sums, basis, free, columns = _factorization(m)
-    keys = columns if keys is None else tuple(keys)
-    if len(keys) != m.cols:
-        raise ValueError("key count must match column count")
+    checks, singles, sums, basis, free, keys = _factorization(m)
     p = m.p
     at = b.__getitem__
     for idx, coeffs in checks:

@@ -425,8 +425,8 @@ class KernelSubshift:
             for e in range(len(exits)):
                 rows += [{(placed[u][e], j): v for (u, j), v in row.items()} for row in branch]
         channels, kept = range(k.d_in), W.ids()
-        length = tree.length
-        outer = sorted(tree.thicken(hull, self.radius) - kept, key=lambda i: (-length(i), i))
+        # ids are length-lex, so descending id order eliminates the longest words first
+        outer = sorted(tree.thicken(hull, self.radius) - kept, reverse=True)
         reduced = eliminate_columns(rows, [(i, j) for i in outer for j in channels], p)
         keep = window_coordinates(k, W)
         label = dict(zip([(i, j) for i in sorted(kept) for j in channels], keep))

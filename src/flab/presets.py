@@ -1,7 +1,9 @@
 """Named presets and seeded factories backing the verifier suites.
 
-Every randomized suite takes an explicit rng so runs are reproducible
-from a single seed.
+The section pairs and the skew cases built on them act through the
+rank-2 free group, the rank every verifier suite runs at.  Every
+randomized suite takes an explicit rng so runs are reproducible from a
+single seed.
 """
 
 from __future__ import annotations
@@ -74,83 +76,35 @@ def _auto_fixing_subgroup(group: FiniteGroup, sub: frozenset[int]):
     return ident
 
 
-def section_pair_catalog(rank: int = 2) -> list[dict]:
-    """(G, N) preset pairs with invariant normal subgroups and mixed actions."""
-    out = []
-
+def section_pair_catalog() -> list[dict]:
+    """(G, N) preset pairs with invariant normal subgroups and mixed rank-2 actions."""
     z4 = preset_group("Z/4")
-    neg = next(p for p in all_automorphisms(z4) if p != identity_perm(4))
-    half = frozenset({z4.index("0"), z4.index("2")})
-    out.append(
-        {
-            "name": "Z/4 over Z/2, negating generator",
-            "action": FiniteGroupAction(z4, [neg] + [identity_perm(4)] * (rank - 1), rank),
-            "subgroup": half,
-        }
-    )
-    out.append(
-        {
-            "name": "Z/4 with trivial fiber",
-            "action": FiniteGroupAction(z4, [neg] * rank, rank),
-            "subgroup": frozenset({z4.identity}),
-        }
-    )
-    out.append(
-        {
-            "name": "Z/4 with trivial base",
-            "action": FiniteGroupAction(z4, [identity_perm(4), neg][:rank] + [neg] * max(0, rank - 2), rank),
-            "subgroup": frozenset(range(4)),
-        }
-    )
-
+    one, neg = identity_perm(4), next(p for p in all_automorphisms(z4) if p != identity_perm(4))
     klein = preset_group("Z/2xZ/2")
     fixed = frozenset({klein.identity, klein.index("(1,0)")})
     swap = _auto_fixing_subgroup(klein, fixed)
-    out.append(
-        {
-            "name": "Klein four over Z/2, swapping the complement",
-            "action": FiniteGroupAction(klein, [swap] + [identity_perm(4)] * (rank - 1), rank),
-            "subgroup": fixed,
-        }
-    )
-
-    d4 = preset_group("D4")
-    autos_d4 = all_automorphisms(d4)
-    center = frozenset({d4.index("r0"), d4.index("r2")})
-    rotations = frozenset({d4.index(f"r{k}") for k in range(4)})
-    out.append(
-        {
-            "name": "D4 over its center",
-            "action": FiniteGroupAction(d4, [autos_d4[1], autos_d4[2]][:rank] + [autos_d4[0]] * max(0, rank - 2), rank),
-            "subgroup": center,
-        }
-    )
-    out.append(
-        {
-            "name": "D4 over the rotation subgroup",
-            "action": FiniteGroupAction(d4, [autos_d4[3], autos_d4[1]][:rank] + [autos_d4[0]] * max(0, rank - 2), rank),
-            "subgroup": rotations,
-        }
-    )
-
-    q8 = preset_group("Q8")
-    autos_q8 = all_automorphisms(q8)
-    q8_center = frozenset({q8.index("1"), q8.index("-1")})
-    out.append(
-        {
-            "name": "Q8 over its center",
-            "action": FiniteGroupAction(q8, [autos_q8[1], autos_q8[5]][:rank] + [autos_q8[0]] * max(0, rank - 2), rank),
-            "subgroup": q8_center,
-        }
-    )
-    return out
+    d4, q8 = preset_group("D4"), preset_group("Q8")
+    autos_d4, autos_q8 = all_automorphisms(d4), all_automorphisms(q8)
+    pairs = [
+        ("Z/4 over Z/2, negating generator", z4, [neg, one], {z4.index("0"), z4.index("2")}),
+        ("Z/4 with trivial fiber", z4, [neg, neg], {z4.identity}),
+        ("Z/4 with trivial base", z4, [one, neg], range(4)),
+        ("Klein four over Z/2, swapping the complement", klein, [swap, one], fixed),
+        ("D4 over its center", d4, [autos_d4[1], autos_d4[2]], {d4.index("r0"), d4.index("r2")}),
+        ("D4 over the rotation subgroup", d4, [autos_d4[3], autos_d4[1]], {d4.index(f"r{k}") for k in range(4)}),
+        ("Q8 over its center", q8, [autos_q8[1], autos_q8[5]], {q8.index("1"), q8.index("-1")}),
+    ]
+    return [
+        {"name": name, "action": FiniteGroupAction(group, autos, 2), "subgroup": frozenset(sub)}
+        for name, group, autos, sub in pairs
+    ]
 
 
-def skew_test_cases(rank: int = 2) -> list[dict]:
-    """Finite skew products with a special fiber partition, cocycles mixed
-    trivial and nontrivial."""
+def skew_test_cases() -> list[dict]:
+    """Finite rank-2 skew products with a special fiber partition, cocycles
+    mixed trivial and nontrivial."""
     cases = []
-    for pair in section_pair_catalog(rank):
+    for pair in section_pair_catalog():
         cocycle = SectionCocycleBundle(pair["action"], pair["subgroup"]).cocycle
         fiber = cocycle.fiber
         specials = [
@@ -217,4 +171,4 @@ def random_z_skew(rng: random.Random) -> tuple[Cocycle, FinitePartition, bool]:
         subs = normal_subgroups(fiber)
         q = SpecialPartition(fiber, subs[rng.randrange(len(subs))]).partition
         return cocycle, q, True
-    return cocycle, random_partition(rng, fiber.order(), max_blocks=3), False
+    return cocycle, random_partition(rng, fiber.order()), False

@@ -102,11 +102,12 @@ def run_ornstein_weiss(cfg: RunConfig) -> dict:
     if cfg.rank != 2:
         raise ValueError("the doubling-map example lives over the rank-2 free group")
     kernel = ow_kernel()
-    dims = _marginal_table(KernelSubshift(kernel), 2, range(3))
+    kproc = KernelProcess(kernel, "kernel of the doubling map")
+    dims = _marginal_table(kproc.subshift, 2, range(3))
     surj = is_surjective(kernel)
 
     full = full_report(BernoulliProcess(2, 2, "full shift on Z/2"), cfg.n_max)
-    n_col = full_report(KernelProcess(kernel, "kernel of the doubling map"), cfg.n_max)
+    n_col = full_report(kproc, cfg.n_max)
     image = full_report(BernoulliProcess(2, 4, "full shift on Z/2 x Z/2"), cfg.n_max)
     addition = addition_report(full, n_col, image)
 
@@ -240,8 +241,8 @@ def run_algebraic(cfg: RunConfig, kernel: ConvolutionKernel) -> dict:
 
 
 def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
-    cases = []
-    for pair in section_pair_catalog(2):
+    cases, pairs = [], section_pair_catalog()
+    for pair in pairs:
         bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
         rows = bundle.cocycle.ball_rows(6)  # every row the check reads
         ok_eq, wit_eq = verify_cocycle_identity(
@@ -258,7 +259,7 @@ def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
             }
         )
     if inject_bug == "negate-cocycle":
-        pair = section_pair_catalog(2)[0]
+        pair = pairs[0]
         cocycle = SectionCocycleBundle(pair["action"], pair["subgroup"]).cocycle
         fiber = cocycle.fiber.group
         bump = next(x for x in range(fiber.order()) if x != fiber.identity)
@@ -330,9 +331,9 @@ def _suite_skew_entropy_bound(cfg: RunConfig) -> dict:
     return {"name": "skew-entropy-bound", "cases": cases, "passed": all(c["passed"] for c in cases)}
 
 
-def _suite_relative_collapse(cfg: RunConfig) -> dict:
+def _suite_relative_collapse(cfg: RunConfig, skew_cases: list[dict]) -> dict:
     cases = []
-    for case in skew_test_cases(2):
+    for case in skew_cases:
         cocycle = case["cocycle"]
         proc = SkewProductProcess(
             cocycle,
@@ -356,10 +357,10 @@ def _suite_relative_collapse(cfg: RunConfig) -> dict:
     return {"name": "relative-collapse", "cases": cases, "passed": all(c["passed"] for c in cases)}
 
 
-def _suite_pullback_exchange(cfg: RunConfig) -> dict:
+def _suite_pullback_exchange(cfg: RunConfig, skew_cases: list[dict]) -> dict:
     rng = make_rng(cfg.seed + 1)
     cases = []
-    for case in skew_test_cases(2)[:8]:
+    for case in skew_cases[:8]:
         cocycle = case["cocycle"]
         p_prime = random_partition(rng, cocycle.base.size())
         ok = all(
@@ -370,9 +371,9 @@ def _suite_pullback_exchange(cfg: RunConfig) -> dict:
     return {"name": "pullback-exchange", "cases": cases, "passed": all(c["passed"] for c in cases)}
 
 
-def _suite_generated_algebra(cfg: RunConfig) -> dict:
+def _suite_generated_algebra(cfg: RunConfig, skew_cases: list[dict]) -> dict:
     cases = []
-    for case in skew_test_cases(2)[:8]:
+    for case in skew_cases[:8]:
         cocycle = case["cocycle"]
         p = FinitePartition.points(cocycle.base.space)
         ok = verify_generated_algebra(cocycle, p, case["special"])
@@ -380,9 +381,9 @@ def _suite_generated_algebra(cfg: RunConfig) -> dict:
     return {"name": "generated-algebra", "cases": cases, "passed": all(c["passed"] for c in cases)}
 
 
-def _suite_window_split(cfg: RunConfig) -> dict:
+def _suite_window_split(cfg: RunConfig, skew_cases: list[dict]) -> dict:
     cases = []
-    for case in skew_test_cases(2)[:4]:
+    for case in skew_cases[:4]:
         cocycle = case["cocycle"]
         p = FinitePartition.points(cocycle.base.space)
         ok = all(verify_window_split(cocycle, n, p, case["special"]) for n in (1, 2))
@@ -420,6 +421,7 @@ _SUITES = {
     "window-split": _suite_window_split,
     "addition-formula": _suite_addition_formula,
 }
+_SKEW_SUITES = frozenset({"relative-collapse", "pullback-exchange", "generated-algebra", "window-split"})
 
 
 def run_verifier_suite(
@@ -439,12 +441,11 @@ def run_verifier_suite(
         raise ValueError(
             f"the injected bug {inject_bug!r} corrupts the cocycle suite, which is not selected"
         )
-    results = []
-    for name in selection:
-        if name == "cocycle":
-            results.append(_suite_cocycle(cfg, inject_bug))
-        else:
-            results.append(_SUITES[name](cfg))
+    extra = {"cocycle": (inject_bug,)}
+    if not _SKEW_SUITES.isdisjoint(selection):
+        # one build of the skew cases, shared by every suite that reads them
+        extra |= dict.fromkeys(_SKEW_SUITES, (skew_test_cases(),))
+    results = [_SUITES[name](cfg, *extra.get(name, ())) for name in selection]
     passed = all(s["passed"] for s in results)
     return {
         "command": "verify",

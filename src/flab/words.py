@@ -158,10 +158,6 @@ def inv(a: FreeWord) -> FreeWord:
     return _word(a.rank, tuple([-l for l in reversed(a.letters)]))
 
 
-def distance(v: FreeWord, w: FreeWord) -> int:
-    return len(mul(inv(v), w))
-
-
 _LETTERS = "abcdfghijklmnopqrstuvwxyz"  # generators 1..25; "e" is the identity
 _CODES = {ch: i + 1 for i, ch in enumerate(_LETTERS)} | {ch.upper(): -i - 1 for i, ch in enumerate(_LETTERS)}
 

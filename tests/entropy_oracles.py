@@ -1,9 +1,9 @@
 """Independent entropy oracles on Fraction weights, for the tests only.
 
 These compute from the weights a partition reads as, through the public
-FinitePartition API and EntropyValue.log_fraction, never through the
-integer block counts that flab.entropy.shannon_entropy uses, so the two
-routes can be cross-checked.  FractionTerms keeps exact values as
+FinitePartition API and `log_fraction` below, never through the integer
+block counts that flab.entropy.shannon_entropy uses, so the two routes
+can be cross-checked.  FractionTerms keeps exact values as
 (prime, Fraction) terms, with none of EntropyValue's integer arithmetic.
 """
 
@@ -25,6 +25,22 @@ from flab.entropy import (
 )
 
 
+def log_fraction(q: Fraction) -> EntropyValue:
+    """log of a positive rational, as log of its numerator less log of its denominator."""
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError("log of nonpositive rational")
+    return EntropyValue.log_int(q.numerator) - EntropyValue.log_int(q.denominator)
+
+
+def block_weights(p: FinitePartition) -> dict[int, Fraction]:
+    """The Fraction weight of each block label of p."""
+    out: dict[int, Fraction] = {}
+    for w, lab in zip(p.weights, p.labels):
+        out[lab] = out.get(lab, Fraction(0)) + w
+    return out
+
+
 class FractionTerms:
     """sum q log p as ascending (prime, Fraction) terms, none zero: a value
     held term by term, with its float, JSON and first-rung double computed
@@ -43,7 +59,7 @@ class FractionTerms:
         """-sum w log w over the block weights w = a / b, with
         log w = sum e log q over a less that over b."""
         terms: dict[int, Fraction] = {}
-        for w in p.block_weights().values():
+        for w in block_weights(p).values():
             if w:
                 for q, e in factorize(w.numerator):
                     terms[q] = terms.get(q, 0) - w * e
@@ -107,7 +123,7 @@ def fraction_entropy(weights: Sequence[Fraction], labels: Sequence) -> EntropyVa
     total = EntropyValue.zero()
     for w in blocks.values():
         if w > 0:
-            total = total - w * EntropyValue.log_fraction(w)
+            total = total - w * log_fraction(w)
     return total
 
 
@@ -123,15 +139,15 @@ def information_function(
     if not p.same_space(f):
         raise SpaceMismatchError("partitions on different spaces")
     joint = join(p, f)
-    joint_w = joint.block_weights()
-    f_w = f.block_weights()
+    joint_w = block_weights(joint)
+    f_w = block_weights(f)
     out = []
     for x in range(p.num_atoms()):
         if p.weights[x] == 0:
             out.append(EntropyValue.zero())
             continue
         cond = joint_w[joint.labels[x]] / f_w[f.labels[x]]
-        out.append(-EntropyValue.log_fraction(cond))
+        out.append(-log_fraction(cond))
     return tuple(out)
 
 

@@ -7,11 +7,19 @@ read by a dot product with b, and returns the five canonical fields
 (p, keys, particular, basis, pivots) as a plain tuple.  It shares no code
 with flab.fplinear, so field-for-field agreement checks the compiled
 point map, the tuple-backed solution sets and the canonical form at once.
+
+`members` and `project` read a solution set through its public fields:
+the first lists its points for brute-force comparisons, the second
+builds its image under a coordinate projection with the canonicalizing
+AffineSolutionSet constructor.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from operator import mul
+
+from flab.fplinear import AffineSolutionSet
 
 
 def _eliminate(rows, order, p):
@@ -91,11 +99,12 @@ def factorization(p, entries, ncols):
     )
 
 
-def solve(p, entries, ncols, b, keys=None, factors=None):
-    """(p, keys, particular, basis, pivots) of the solutions of m x = b;
-    particular is None, and basis and pivots empty, when there are none."""
+def solve(p, entries, ncols, b, factors=None):
+    """(p, keys, particular, basis, pivots) of the solutions of m x = b, keyed
+    by column index; particular is None, and basis and pivots empty, when
+    there are none."""
     checks, point_rows, basis, free = factors or factorization(p, entries, ncols)
-    keys = tuple(range(ncols)) if keys is None else tuple(keys)
+    keys = tuple(range(ncols))
     at = b.__getitem__
     for idx, coeffs in checks:
         if sum(map(mul, coeffs, map(at, idx))) % p:
@@ -104,3 +113,29 @@ def solve(p, entries, ncols, b, keys=None, factors=None):
     for c, (idx, coeffs) in point_rows:
         point[c] = sum(map(mul, coeffs, map(at, idx))) % p
     return (p, keys, tuple(point), basis, free)
+
+
+def members(s, limit=1 << 12):
+    """Every point of the solution set s; refuses to list more than `limit`."""
+    if s.is_empty():
+        return []
+    p, dim = s.p, len(s.basis)
+    if p**dim > limit:
+        raise ValueError(f"solution set too large to enumerate ({p**dim})")
+    out = []
+    for coeffs in product(range(p), repeat=dim):
+        v = list(s.particular)
+        for f, row in zip(coeffs, s.basis):
+            v = [(a + f * x) % p for a, x in zip(v, row)]
+        out.append(tuple(v))
+    return out
+
+
+def project(s, keep):
+    """The image of s under the coordinate projection onto the keys `keep`."""
+    cols = [s.keys.index(k) for k in keep]
+    if s.is_empty():
+        return AffineSolutionSet(s.p, keep, None, ())
+    return AffineSolutionSet(
+        s.p, keep, [s.particular[c] for c in cols], [[row[c] for c in cols] for row in s.basis]
+    )

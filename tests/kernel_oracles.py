@@ -29,12 +29,16 @@ from flab.words import (
     FreeWord,
     WordSet,
     convex_hull,
-    distance,
     format_word,
     inv,
     mul,
     thicken,
 )
+
+
+def distance(v, w) -> int:
+    """The word metric, |v^-1 w|, by `mul`."""
+    return len(mul(inv(v), w))
 
 
 def window_projection(k, W, V):

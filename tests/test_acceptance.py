@@ -192,7 +192,7 @@ def test_criterion_6_preimage_solver():
 
 def test_criterion_7_cocycle_and_conjugacy():
     failures = 0
-    pairs = section_pair_catalog(2)
+    pairs = section_pair_catalog()
     for pair in pairs:
         bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
         ok_eq, _ = verify_cocycle_identity(
@@ -209,7 +209,7 @@ def test_criterion_7_cocycle_and_conjugacy():
 
 
 def test_criterion_8_relative_collapse():
-    cases = skew_test_cases(2)
+    cases = skew_test_cases()
     nontrivial = 0
     ok = True
     for case in cases:

@@ -22,10 +22,10 @@ from flab.processes import KernelProcess
 from flab.words import ball_list, mul, parse_word
 
 
-def random_scalar(rng, p: int, radius: int) -> ConvolutionKernel:
+def random_scalar(rng, p: int, rank: int, radius: int) -> ConvolutionKernel:
     """A stencil of one to three words of B(radius), with nonzero coefficients."""
-    words = rng.sample(ball_list(2, radius), rng.randint(1, 3))
-    return ConvolutionKernel(p, 2, {w: [[rng.randrange(1, p)]] for w in words})
+    words = rng.sample(ball_list(rank, radius), rng.randint(1, 3))
+    return ConvolutionKernel(p, rank, {w: [[rng.randrange(1, p)]] for w in words})
 
 
 def random_matrix(rng, p: int) -> ConvolutionKernel:
@@ -62,7 +62,17 @@ def compose(phi: ConvolutionKernel, psi: ConvolutionKernel) -> ConvolutionKernel
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
 def test_onto_scalar_stencils_in_ball_two_read_zero(seed, p):
-    kernel = random_scalar(make_rng(seed), p, 2)
+    kernel = random_scalar(make_rng(seed), p, 2, 2)
+    assert is_surjective(kernel).surjective
+    assert exact_f(kernel).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.sampled_from([(1, 3), (3, 1)]))
+def test_onto_scalar_stencils_at_ranks_one_and_three_read_zero(seed, p, shape):
+    # rank 1 with support in B(3), rank 3 with support in B(1)
+    rank, radius = shape
+    kernel = random_scalar(make_rng(seed), p, rank, radius)
     assert is_surjective(kernel).surjective
     assert exact_f(kernel).is_zero()
 
@@ -107,9 +117,9 @@ def test_composition_adds_f(seed):
     rng = make_rng(seed)
     p = rng.choice([2, 3])
     phi = rng.choice(
-        [comparison_kernel(p, 2), random_scalar(rng, p, 1)] + ([ow_kernel()] if p == 2 else [])
+        [comparison_kernel(p, 2), random_scalar(rng, p, 2, 1)] + ([ow_kernel()] if p == 2 else [])
     )
-    psi = random_scalar(rng, p, 1)
+    psi = random_scalar(rng, p, 2, 1)
     product = compose(phi, psi)
     # the stored stencils are coeffs[s] = h(s^-1), so the order of s t is
     # checked against composing the operators on a random configuration

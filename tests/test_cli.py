@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import flab
+from flab import suite
 from flab.cli import main
 from flab.suite import RunConfig, run_verifier_suite
 
@@ -188,6 +189,23 @@ class TestVerify:
     def test_empty_selection(self, capsys):
         code, report = run_cli(["verify", "--suite", "none"], capsys)
         assert code == 0 and report["suites"] == []
+
+    def test_skew_cases_are_built_at_most_once(self, monkeypatch):
+        # the four suites that read the skew cases share one build, and a
+        # selection without them builds none
+        builds = []
+        real = suite.skew_test_cases
+
+        def counting():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(suite, "skew_test_cases", counting)
+        assert run_verifier_suite(RunConfig())["status"] == "PASS"
+        assert len(builds) == 1
+        builds.clear()
+        assert run_verifier_suite(RunConfig(), ["special"])["status"] == "PASS"
+        assert builds == []
 
     def test_injected_bug_fails_with_witness(self, capsys):
         code, report = run_cli(

@@ -437,11 +437,10 @@ class TestRelative:
             assert lhs == rhs
 
     def test_base_measurable_partition_relative_zero(self):
-        cases = skew_test_cases(2)
+        cases = skew_test_cases()
         cocycle = cases[0]["cocycle"]
-        trivial_fiber = FinitePartition.trivial(
-            FinitePartition.uniform_space(cocycle.fiber.size())
-        )
+        ny = cocycle.fiber.size()
+        trivial_fiber = FinitePartition(FinitePartition.uniform_space(ny), [0] * ny)
         proc = SkewProductProcess(
             cocycle, FinitePartition.points(cocycle.base.weights), trivial_fiber
         )
@@ -451,7 +450,7 @@ class TestRelative:
     def test_special_collapse_on_all_cases(self):
         # relative F* of the skew equals F* of the fiber, per n, exactly
         nontrivial_seen = 0
-        for case in skew_test_cases(2):
+        for case in skew_test_cases():
             cocycle = case["cocycle"]
             sp = case["special"]
             proc = SkewProductProcess(
@@ -468,7 +467,7 @@ class TestRelative:
         assert nontrivial_seen >= 3
 
     def test_relative_report(self):
-        case = skew_test_cases(2)[0]
+        case = skew_test_cases()[0]
         proc = SkewProductProcess(
             case["cocycle"],
             FinitePartition.points(case["cocycle"].base.weights),
@@ -599,7 +598,7 @@ class TestWindowQuery:
 
         b = ball(2, 1)
         windows = [ball(2, 0), b] + [b.union(b.translate(parse_word(s, 2))) for s in "ab"]
-        for case in skew_test_cases(2):
+        for case in skew_test_cases():
             cocycle = case["cocycle"]
             observed = cocycle.product_partition(
                 FinitePartition.points(cocycle.base.weights), case["special"].partition

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from fplinear_oracles import members, project
 from hypothesis import assume, given, settings, strategies as st
 from kernel_oracles import (
     contains,
@@ -14,7 +15,7 @@ from kernel_oracles import (
 )
 
 from flab import kernels, words
-from flab.fplinear import FpMatrix, rank as fp_rank, solve
+from flab.fplinear import AffineSolutionSet, FpMatrix, rank as fp_rank, solve
 from flab.kernels import (
     ConvolutionKernel,
     KernelSubshift,
@@ -75,7 +76,8 @@ def window_system(k, V):
 
 def window_solution_space(k, V):
     m, _ = window_system(k, V)
-    return solve(m, [0] * m.rows, keys=tuple(window_coordinates(k, V)))
+    s = solve(m, [0] * m.rows)
+    return AffineSolutionSet(k.p, window_coordinates(k, V), s.particular, s.basis)
 
 
 def window_targets_all_solvable(k, W):
@@ -89,15 +91,22 @@ def edge_kernel(p=2):
     return scalar_kernel(p, 2, {"e": 1, "A": 1})
 
 
-def coset_count(W):
-    """Independent oracle for edge_kernel marginals: distinct right cosets g<s1>."""
+def wide_kernel():
+    """x(g) + x(g s1^5): hull radius 3, kernel constant along each coset g<s1^5>."""
+    return scalar_kernel(2, 2, {"e": 1, "aaaaa": 1})
+
+
+def coset_count(W, period=1):
+    """Independent oracle for the marginals of edge_kernel (period 1) and
+    wide_kernel (period 5): distinct right cosets g<s1^period>."""
     reps = set()
     for v in W:
-        # canonical coset representative: strip trailing powers of s1
-        letters = list(v.letters)
+        # canonical coset representative: strip trailing powers of s1,
+        # keeping their exponent mod the period
+        letters, power = list(v.letters), 0
         while letters and abs(letters[-1]) == 1:
-            letters.pop()
-        reps.add(tuple(letters))
+            power += letters.pop()
+        reps.add((tuple(letters), power % period))
     return len(reps)
 
 
@@ -150,7 +159,7 @@ class TestWindowSystem:
         V = ball(2, 2)
         sols = window_solution_space(k, V)
         _, sites = window_system(k, V)
-        for member in sols.members(limit=1 << 13):
+        for member in members(sols, limit=1 << 13):
             x = {word: val for (word, _j), val in zip(sols.keys, member)}
             for g in sites:
                 assert k.evaluate(x, g) == (0,)
@@ -180,6 +189,11 @@ class TestProjectedDimension:
             m = sub.marginal(W)
             assert m.certificate == "EXACT"
             assert m.dimension == coset_count(W)
+        # the wide hull, where B(3) holds the linked pairs AA ~ aaa, AAA ~ aa
+        wide = KernelSubshift(wide_kernel())
+        for W in [ball(2, 3)] + [WordSet(2, rng.sample(pool, rng.randint(1, 30))) for _ in range(15)]:
+            assert wide.marginal(W).dimension == coset_count(W, 5)
+        assert wide.marginal(ball(2, 3)).dimension == len(ball(2, 3)) - 2
 
     def test_matches_exhaustive_enumeration(self):
         # project the dense B(2)-window solution set (elimination-pruned
@@ -188,7 +202,7 @@ class TestProjectedDimension:
         W = ball(2, 1)
         big = window_solution_space(k, ball(2, 2))
         keep = tuple((v, 0) for v in W)
-        brute = big.project(keep)
+        brute = project(big, keep)
         m = KernelSubshift(k).marginal(W)
         assert m.certificate == "EXACT" and m.dimension == brute.dimension
 
@@ -198,9 +212,9 @@ class TestProjectedDimension:
             m = sub.marginal(ball(2, n))
             assert m.certificate == "EXACT" and m.dimension == 1
         # one input channel, so a member lists the values on B(1) in order
-        members = sub.marginal(ball(2, 1)).solution_set.members()
-        assert len(members) == 2
-        for member in members:
+        points = members(sub.marginal(ball(2, 1)).solution_set)
+        assert len(points) == 2
+        for member in points:
             assert len(set(member)) == 1  # constants only
 
     def test_comparison_kernel_constants(self):
@@ -217,7 +231,7 @@ class TestProjectedDimension:
         W_big = ball(2, 1).union(ball(2, 1).translate(w("a")))
         small = sub.marginal(W_small).solution_set
         big = sub.marginal(W_big).solution_set
-        assert big.project(tuple((v, 0) for v in W_small)) == small
+        assert project(big, tuple((v, 0) for v in W_small)) == small
 
     def test_stabilization_by_two_extra_balls(self):
         # support within B(2) stabilizes by V = B(n+2) for W = B(n)
@@ -257,6 +271,7 @@ CERTIFICATE_KERNELS = {
     "comparison": lambda: comparison_kernel(3, 2),
     "m3": lambda: matrix_kernel(3, {"A": [[1, 1], [1, 0]], "e": [[1, 1], [1, 1]], "a": [[0, 0], [1, 1]]}),
     "m2": plateau_kernel,
+    "wide": wide_kernel,
 }
 GOLDEN_CERTIFICATES = {
     ("edge", 0): ("EXACT", 1),
@@ -275,6 +290,8 @@ GOLDEN_CERTIFICATES = {
     ("m3", 1): ("EXACT", 3),
     ("m2", 0): ("EXACT", 0),
     ("m2", 1): ("EXACT", 0),
+    # B(1) alone would take the window oracle seconds, its chain running to B(10)
+    ("wide", 0): ("EXACT", 1),
 }
 
 
@@ -327,7 +344,7 @@ class TestRestrictionConsistency:
         sub = KernelSubshift(k)
         big = sub.marginal(ball(2, 1)).solution_set
         small = sub.marginal(ball(2, 0)).solution_set
-        assert big.project(small.keys) == small
+        assert project(big, small.keys) == small
 
 
 # stencils with e as their first support word, then three without

@@ -299,7 +299,7 @@ class TestSectionCocycles:
             SectionCocycleBundle(ga, frozenset({klein.identity, klein.index("(1,0)")}))
 
     def test_all_preset_pairs(self):
-        for pair in section_pair_catalog(2):
+        for pair in section_pair_catalog():
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
             ok, witness = verify_cocycle_identity(
                 bundle.cocycle.row, bundle.cocycle.base, bundle.cocycle.fiber, max_len=2
@@ -330,7 +330,7 @@ class TestSectionCocycles:
         assert not ok and witness is not None
 
     def test_injected_bug_witness(self):
-        pair = section_pair_catalog(2)[0]
+        pair = section_pair_catalog()[0]
         bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
         fiber = bundle.cocycle.fiber.group
         bump = next(x for x in range(fiber.order()) if x != fiber.identity)
@@ -353,7 +353,7 @@ class TestSectionCocycles:
     def test_one_corrupted_cell_gives_the_pointwise_witness(self, seed):
         rng = random.Random(seed)
         pairs = [
-            pair for pair in section_pair_catalog(2) if len(pair["subgroup"]) > 1
+            pair for pair in section_pair_catalog() if len(pair["subgroup"]) > 1
         ]
         pair = pairs[rng.randrange(len(pairs))]
         bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
@@ -386,7 +386,7 @@ class TestSectionCocycles:
         # g h with |g| = |h| = max_len, through the deepest step-table rows
         target = range(ball_size(2, 2 * max_len - 1), ball_size(2, 2 * max_len))[end]
         tree = CayleyTree(2)
-        for pair in section_pair_catalog(2):
+        for pair in section_pair_catalog():
             if len(pair["subgroup"]) == 1:
                 continue
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
@@ -416,7 +416,7 @@ class TestSectionCocycles:
         # one row of the B(6) table the cocycle suite passes, at an id of
         # B(1), B(3) or B(6) \ B(5): the check, which forms each right-hand
         # side once per distinct datum, stops where the plain scan does
-        for pair in section_pair_catalog(2):
+        for pair in section_pair_catalog():
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
             fiber, base = bundle.cocycle.fiber.group, bundle.cocycle.base
             if fiber.order() == 1:
@@ -503,7 +503,7 @@ def assert_tables_match_letter_oracles(cocycle: Cocycle, n: int = 4):
 
 class TestIdTablesMatchLetterOracles:
     def test_section_pairs(self):
-        for pair in section_pair_catalog(2):
+        for pair in section_pair_catalog():
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
             assert_tables_match_letter_oracles(bundle.cocycle)
 
@@ -571,7 +571,7 @@ class TestTransitionTables:
 
     def test_ids_share_the_state_of_their_transition(self):
         ids = range(ball_size(2, 6))
-        for pair in section_pair_catalog(2):
+        for pair in section_pair_catalog():
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
             cocycle, action = bundle.cocycle, bundle.cocycle.base
             composed = [counting_compositions(a) for a in (action, cocycle.product)]
@@ -793,7 +793,7 @@ class TestPartitionExchangeVerifiers:
 
     def test_pullback_exchange_identity_word(self):
         cocycle, sp = self._z4_case()
-        p_prime = FinitePartition.trivial(cocycle.base.weights)
+        p_prime = FinitePartition(cocycle.base.weights, [0] * cocycle.base.size())
         assert verify_pullback_exchange(cocycle, parse_word("e", 2), sp, p_prime)
 
     def test_pullback_exchange_long_word(self):
@@ -822,7 +822,7 @@ class TestPartitionExchangeVerifiers:
 
     def test_generated_algebra_needs_generating_base(self):
         cocycle, sp = self._z4_case()
-        trivial = FinitePartition.trivial(cocycle.base.weights)
+        trivial = FinitePartition(cocycle.base.weights, [0] * cocycle.base.size())
         with pytest.raises(ValueError):
             verify_generated_algebra(cocycle, trivial, sp)
 
@@ -967,7 +967,7 @@ class TestSweepTables:
 
     def test_section_pairs_on_every_id_of_ball_six(self):
         ids = range(ball_size(2, 6))
-        for pair in section_pair_catalog(2):
+        for pair in section_pair_catalog():
             bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
             rows, oracle = bundle.cocycle.ball_rows(6), RecursiveRows(bundle.cocycle)
             assert rows == [oracle.row(i) for i in ids], pair["name"]
