@@ -46,6 +46,15 @@ class TestEntropyValue:
     def test_exact_cancellation(self):
         assert ((EntropyValue.log_int(2) + EntropyValue.log_int(3)) - EntropyValue.log_int(6)).is_zero()
 
+    def test_fraction_log(self):
+        # the oracle's log of a rational, which the Fraction-weight routes read
+        got = log_fraction(F(3, 4))
+        assert got == EntropyValue.log_int(3) - 2 * EntropyValue.log_int(2)
+        p = FinitePartition([F(3, 4), F(1, 4)], [0, 1])
+        assert shannon_entropy(p) == -(F(3, 4) * got + F(1, 4) * log_fraction(F(1, 4)))
+        with pytest.raises(ValueError):
+            log_fraction(F(0))
+
     def test_order_matches_float(self):
         vals = [EntropyValue.log_int(2), EntropyValue.log_int(3), F(1, 2) * EntropyValue.log_int(5), EntropyValue.zero()]
         for a in vals:

@@ -99,6 +99,63 @@ class TestSolve:
                 assert set(oracle.members(s)) == brute
 
 
+class TestProjection:
+    """The reference projection in fplinear_oracles, which the kernel tests
+    read marginals against, built with the canonicalizing constructor and
+    checked against enumeration and the library's column elimination."""
+
+    def test_project_everything(self):
+        m = FpMatrix(2, [[1, 1, 0]])
+        s = solve(m, [0])
+        assert oracle.project(s, s.keys) == s
+
+    def test_project_point(self):
+        m = FpMatrix(3, [[1, 0], [0, 1]])
+        s = solve(m, [1, 2])
+        proj = oracle.project(s, (0,))
+        assert proj.dimension == 0 and oracle.members(proj) == [(1,)]
+
+    def test_projection_is_full_space(self):
+        # x0 + x1 = 0 mod 2 on three variables, projected onto {x0, x2}
+        m = FpMatrix(2, [[1, 1, 0]])
+        s = solve(m, [0])
+        proj = oracle.project(s, (0, 2))
+        assert proj.dimension == 2
+        assert set(oracle.members(proj)) == set(product(range(2), repeat=2))
+        assert proj == solution_space_from_constraints(eliminate_columns([{0: 1, 1: 1}], [1], 2), (0, 2), 2)
+
+    def test_project_onto_key_subset(self):
+        # labelled keys: x + y = 0 mod 2, projected onto {x, z}
+        s = AffineSolutionSet(2, ("x", "y", "z"), (0, 0, 0), [(1, 1, 0), (0, 0, 1)])
+        proj = oracle.project(s, ("x", "z"))
+        assert proj.keys == ("x", "z") and proj.dimension == 2
+
+    def test_out_of_range(self):
+        s = solve(FpMatrix(2, [[1, 1]]), [0])
+        with pytest.raises(ValueError):
+            oracle.project(s, (5,))
+
+    def test_against_enumeration_oracle(self):
+        rng = random.Random(3)
+        for p in (2, 3):
+            for _ in range(20):
+                m = FpMatrix(p, [[rng.randrange(p) for _ in range(6)] for _ in range(3)])
+                b = [rng.randrange(p) for _ in range(3)]
+                s = solve(m, b)
+                if s.is_empty():
+                    continue
+                keep = tuple(sorted(rng.sample(range(6), rng.randint(1, 4))))
+                proj = oracle.project(s, keep)
+                brute = {tuple(v[c] for c in keep) for v in oracle.members(s)}
+                assert set(oracle.members(proj)) == brute
+                assert proj.dimension <= min(len(keep), s.dimension)
+                # the homogeneous part is what the library's elimination projects
+                rows = [{c: v for c, v in enumerate(row) if v} for row in m.entries]
+                drop = [c for c in range(6) if c not in keep]
+                linear = solution_space_from_constraints(eliminate_columns(rows, drop, p), keep, p)
+                assert linear.basis == proj.basis
+
+
 class TestCanonicalForm:
     def test_equal_sets_have_equal_representations(self):
         # same solution set presented by different generating data
