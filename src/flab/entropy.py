@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -506,10 +505,14 @@ def shannon_entropy(p: FinitePartition) -> EntropyValue:
     log N - (1/N) sum_b C_b log C_b: the sum is accumulated as integer
     exponents E_q per prime q, so the coefficient of log q is the
     numerator e_N(q) N - E_q over N, with e_N(q) the exponent of q in N,
-    and one gcd brings the value to canonical form.
+    and one gcd brings the value to canonical form.  Each distinct block
+    count, tallied in a plain dict, is factorized once.
     """
+    mults: dict[int, int] = {}  # block count -> number of blocks
+    for size in p.block_counts():
+        mults[size] = mults.get(size, 0) + 1
     exponents: dict[int, int] = {}
-    for size, mult in Counter(p.block_counts()).items():
+    for size, mult in mults.items():
         if size > 1:
             for q, e in factorize(size):
                 exponents[q] = exponents.get(q, 0) + mult * size * e

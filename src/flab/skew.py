@@ -22,13 +22,14 @@ finite action lie in the finite group the alpha_s generate, so each
 `FiniteAction` numbers the distinct ones it meets as states (0 the
 identity) and keeps, per instance, each state's permutation, a state x
 letter-slot table whose cells, alpha_{v t} = alpha_v after alpha_t, are
-composed once each, and a word id -> state table, filled by
-`CayleyTree.sweep` for a window or a ball.  Joining alpha_w P twice
-changes nothing, so P^W depends only on the set of states over W and
-zips one label column per state.  A `Cocycle` reads sigma(w, .) off T_w
-once per state, and the cocycle check forms each right-hand side once
-per distinct datum.  A FreeWord is encoded once where a caller passes
-one and decoded only for a witness.
+composed once each, and one word id -> state table: a window fills it
+by `CayleyTree.sweep`, a whole ball in id order off `words.ball_steps`,
+each id one cell from its parent.  Joining alpha_w P twice changes
+nothing, so P^W depends only on the set of states over W and zips one
+label column per state.  A `Cocycle` reads sigma(w, .) off T_w once per
+state, and the cocycle check forms each right-hand side once per
+distinct datum.  A FreeWord is encoded once where a caller passes one
+and decoded only for a witness.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .entropy import (
 )
 from .groups import FiniteGroup, invert_perm
 from .spec import is_int
-from .words import CayleyTree, FreeWord, WordSet, ball, ball_size, format_word
+from .words import CayleyTree, FreeWord, WordSet, ball, ball_size, ball_steps, format_word
 
 
 class FiniteAction:
@@ -92,8 +93,13 @@ class FiniteAction:
 
     def _states(self, ids: Iterable[int]) -> dict[int, int]:
         """The state table filled for the given ids and their ancestors in one sweep."""
+        return self._fill(self._tree.sweep(ids, self._state))
+
+    def _fill(self, steps: Iterable[tuple[int, int, int]]) -> dict[int, int]:
+        """The state table filled for (id, parent, last slot) triples, parents first, as
+        `CayleyTree.sweep` lists a window or `ball_steps` a whole ball: one cell per id."""
         state, cells, r2 = self._state, self._next, len(self._steps)
-        for i, v, s in self._tree.sweep(ids, state):
+        for i, v, s in steps:
             k = state[v] * r2 + s
             state[i] = cells[k] if k in cells else self._compose(k)
         return state
@@ -214,9 +220,9 @@ class Cocycle:
 
     def ball_rows(self, n: int) -> list[tuple[int, ...]]:
         """sigma(w, .) for every w of B(n), by id, off the product's states over the ball."""
-        ids = range(ball_size(self.base.rank, n))
-        state = self.product._states(ids)
-        return [self._read(state[i]) for i in ids]
+        state, rows = self.product._fill(ball_steps(self.base.rank, n)), self._rows
+        states = map(state.__getitem__, range(ball_size(self.base.rank, n)))
+        return [rows[k] if k in rows else self._read(k) for k in states]
 
     def _read(self, k: int) -> tuple[int, ...]:
         """sigma(w, .) off T_w in state k, read once per state."""
@@ -274,9 +280,10 @@ def verify_cocycle_identity(
     number: dict[tuple[int, ...], int] = {}
     nums = [number.setdefault(r, len(number)) for r in rows]
     step = tree.step_table(2 * max_len - 1) if max_len else []
-    alphas, betas = base._states(ids), fiber._states(ids)
+    steps = list(ball_steps(base.rank, max_len))
+    alphas, betas = base._fill(steps), fiber._fill(steps)
     products = [list(ids)]  # the ids of g h by h, then g
-    for _h, v, s in tree.sweep(ids, (0,)):
+    for _h, v, s in steps:
         products.append(list(map(step[s].__getitem__, products[v])))
 
     def rhs(g: int, h: int) -> tuple[int, ...]:
@@ -356,8 +363,8 @@ class SectionCocycleBundle:
         phi_flat = [g.mul(g.index(n), s) for s in self.section for n in fiber.labels]
         if sorted(phi_flat) != list(range(g.order())):
             return False, {"reason": "phi is not a bijection"}
-        ids = range(ball_size(parent.rank, max_len))
-        skew, orig = product._states(ids), parent._states(ids)
+        ids, steps = range(ball_size(parent.rank, max_len)), list(ball_steps(parent.rank, max_len))
+        skew, orig = product._fill(steps), parent._fill(steps)
         for i in ids:
             skew_perm, parent_perm = product._maps[skew[i]], parent._maps[orig[i]]
             for idx in range(len(phi_flat)):
@@ -382,19 +389,22 @@ def right_translate(group: FiniteGroup, q: FinitePartition, g: int) -> FinitePar
 
 def K_of(q: FinitePartition, group: FiniteGroup) -> EntropyValue:
     """sup over group elements of H(Qg | Q) + H(Q | Qg); zero iff Q is
-    invariant under every right translation.
-
-    Each term is 2 H(Q v Qg) - H(Q) - H(Qg), one join per element.
+    invariant under every right translation.  Q must be a partition of
+    the group under Haar (uniform) measure, else ValueError.
     """
+    if q.space.counts != (1,) * group.order():
+        raise ValueError("K(Q) needs a partition of the group under Haar measure")
     return _k_of(q, [right_translate(group, q, g) for g in range(group.order())])
 
 
 def _k_of(q: FinitePartition, translates: Sequence[FinitePartition]) -> EntropyValue:
-    """K(Q) from the right translates Qg of Q, one per group element."""
+    """K(Q) from the right translates Qg of Q, one per group element, under
+    Haar measure: each term 2 H(Q v Qg) - H(Q) - H(Qg) is 2 H(Q v Qg) - 2 H(Q),
+    since right translation permutes atoms of equal weight, so H(Qg) = H(Q)."""
     best = EntropyValue.zero()
     h_q = shannon_entropy(q)
     for qg in translates:
-        value = 2 * shannon_entropy(join(q, qg)) - h_q - shannon_entropy(qg)
+        value = 2 * (shannon_entropy(join(q, qg)) - h_q)
         if value > best:
             best = value
     return best
@@ -505,42 +515,45 @@ def verify_skew_entropy_bound(
     cocycle: Cocycle, q: FinitePartition, m_max: int
 ) -> list[dict]:
     """|H(Q^m) - H(Q_x^m)| <= m K(Q) for every base point and m <= m_max,
-    on a rank-1 cocycle (T = alpha_a, S = beta_a).
+    on a rank-1 cocycle (T = alpha_a, S = beta_a) and a partition Q of the
+    fiber group under Haar measure; anything else raises ValueError.
 
     Q^m is the window partition of Q over {A^k : k < m}, and Q_x^m the
     join of S^-k(Q sigma(k, x)^-1), with S^-k = beta_{A^k} and
     sigma(k, x) = sigma(a^k, x).  Both start from Q^1 = Q_x^1 = Q and grow
-    from m - 1 by one join.  The right translates Qg are built once, for
+    from m - 1 by one join, Q_x^m once per prefix (sigma(k, x) : k < m),
+    on which alone it depends.  The right translates Qg are built once, for
     K(Q) and for the factors.  Returns one record per (x, m) with both
     sides and whether equality held.
     """
     if cocycle.base.rank != 1:
         raise ValueError(f"the skew entropy bound needs a rank-1 cocycle, not rank {cocycle.base.rank}")
+    if q.space != cocycle.fiber.space:
+        raise ValueError("the skew entropy bound needs a partition of the fiber group under Haar measure")
     action, group = cocycle.fiber, cocycle.fiber.group
     translates = [right_translate(group, q, g) for g in range(group.order())]
     k_q = _k_of(q, translates)
-    plain, twisted, records = q, [q] * cocycle.base.size(), []
+    # twisted[c] = (Q_x^m, its record but m and x) for the base points x of prefix number c = prefix[x]
+    plain, twisted, prefix, records = q, [(q,)], [0] * cocycle.base.size(), []
     for m in range(1, m_max + 1):
         s_back = action.word_perm(FreeWord(1, [-1] * (m - 1)))
         sigma = cocycle.values(FreeWord(1, [1] * (m - 1)))
         plain = join(plain, q.apply_permutation(s_back))
         h_plain = shannon_entropy(plain)
         bound = m * k_q
+        longer: dict[tuple[int, int], int] = {}  # (prefix number, sigma(m - 1, x)) -> the longer prefix's
+        grown = []
         for x, value in enumerate(sigma):
-            factor = translates[group.inv(value)].apply_permutation(s_back)
-            twisted[x] = join(twisted[x], factor)
-            h_twisted = shannon_entropy(twisted[x])
-            diff = h_plain - h_twisted
-            ok = diff <= bound and (-1 * diff) <= bound
-            records.append(
-                {
-                    "m": m,
-                    "x": x,
-                    "h_plain": h_plain,
-                    "h_twisted": h_twisted,
-                    "k_q": k_q,
-                    "holds": ok,
-                    "equal": diff.is_zero(),
-                }
-            )
+            c = longer.setdefault((prefix[x], value), len(grown))
+            if c == len(grown):
+                factor = translates[group.inv(value)].apply_permutation(s_back)
+                joined = join(twisted[prefix[x]][0], factor)
+                h_twisted = shannon_entropy(joined)
+                diff = h_plain - h_twisted
+                ok = diff <= bound and (-1 * diff) <= bound
+                record = {"h_plain": h_plain, "h_twisted": h_twisted, "k_q": k_q, "holds": ok, "equal": diff.is_zero()}
+                grown.append((joined, record))
+            prefix[x] = c
+            records.append({"m": m, "x": x, **grown[c][1]})
+        twisted = grown
     return records

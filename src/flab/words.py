@@ -222,6 +222,19 @@ def _id_letters(rank: int, i: int) -> tuple[int, ...]:
     return tuple(s // 2 + 1 if s % 2 == 0 else -(s // 2 + 1) for s in path)
 
 
+def ball_steps(rank: int, n: int) -> Iterator[tuple[int, int, int]]:
+    """(i, parent, last slot) for each id i >= 1 of B(n) in id order, as a sweep lists
+    them but with no climb: the children of e take the slots 0 .. 2r-1, and the q
+    children of each id v >= 1 of B(n - 1) the slots but the inverse of v's last."""
+    q, inner = 2 * rank - 1, ball_size(rank, n - 1) - 1 if n else 0
+    after = [[t for t in range(q + 1) if t != s ^ 1] for s in range(q + 1)]
+    slots = list(range(q + 1)) if n else []
+    for v in range(inner):
+        slots += after[slots[v]]
+    parents = [0] * (q + 1) + sorted(list(range(1, inner + 1)) * q)
+    return zip(range(1, len(slots) + 1), parents, slots)
+
+
 class CayleyTree:
     """The tree steps on the ids of the rank-r free group.
 
@@ -325,18 +338,12 @@ class CayleyTree:
     def step_table(self, n: int) -> list[list[int]]:
         """For each letter slot s, the ids of i·s for every id i of B(n), in
         id order: the parent when s is the inverse b of i's last slot, else
-        the child q·i + 2 + s - (s > b) (e has b = -1).  The children of an
-        id with inverse b have the slots t != b, in order, so the b of
-        every id follows from its parent's, sphere by sphere."""
-        q, r2, top = self.q, 2 * self.rank, ball_size(self.rank, n)
-        after = [[t ^ 1 for t in range(r2) if t != b] for b in range(-1, r2)]
-        backs, i = [-1], 0
-        while len(backs) < top:
-            backs += after[backs[i] + 1]
-            i += 1
+        the child q·i + 2 + s - (s > b) (e has b = -1), with the last
+        slots of `ball_steps`."""
+        q, backs = self.q, [-1] + [s ^ 1 for _i, _v, s in ball_steps(self.rank, n)]
         return [
             [q * i + 2 + s - (s > b) if s != b else (i - 2) // q if i > 1 else 0 for i, b in enumerate(backs)]
-            for s in range(r2)
+            for s in range(2 * self.rank)
         ]
 
     def thicken(self, ids: Iterable[int], t: int) -> set[int]:

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import random
 
-from flab.entropy import FinitePartition, join_many
+from flab.entropy import FinitePartition, join, join_many, shannon_entropy
 from flab.groups import FiniteGroup, all_automorphisms, invert_perm, preset_group
 from flab.presets import _FIBER_PRESETS, random_finite_action
-from flab.skew import Cocycle, FiniteAction, FiniteGroupAction, SpecialPartition
-from flab.words import CayleyTree, WordSet, ball, ball_list, format_word, mul, signed_letters
+from flab.skew import Cocycle, FiniteAction, FiniteGroupAction, SpecialPartition, right_translate
+from flab.words import CayleyTree, FreeWord, WordSet, ball, ball_list, format_word, mul, signed_letters
 
 
 def nontrivial_auto_assignments(group: FiniteGroup, rank: int, count: int = 2) -> list[list[int]]:
@@ -252,3 +252,38 @@ def joined_window(action: FiniteAction, p: FinitePartition, W: WordSet) -> Finit
     word: the oracle for `FiniteAction.window_partition`."""
     oracle = RecursivePerms(action)
     return join_many(p.apply_permutation(oracle.perm(i)) for i in sorted(W.ids()))
+
+
+def per_point_skew_bound(cocycle: Cocycle, q: FinitePartition, m_max: int) -> list[dict]:
+    """The records of `verify_skew_entropy_bound` with one Q_x^m per base
+    point, each grown from Q_x^(m-1) by its own join and entropy, and K(Q)
+    as the largest 2 H(Q v Qg) - H(Q) - H(Qg), with H(Qg) computed for
+    every g: the reference for the shared-prefix verifier."""
+    action, group = cocycle.fiber, cocycle.fiber.group
+    translates = [right_translate(group, q, g) for g in range(group.order())]
+    h_q = shannon_entropy(q)
+    k_q = max(2 * shannon_entropy(join(q, qg)) - h_q - shannon_entropy(qg) for qg in translates)
+    plain, twisted, records = q, [q] * cocycle.base.size(), []
+    for m in range(1, m_max + 1):
+        s_back = action.word_perm(FreeWord(1, [-1] * (m - 1)))
+        sigma = cocycle.values(FreeWord(1, [1] * (m - 1)))
+        plain = join(plain, q.apply_permutation(s_back))
+        h_plain = shannon_entropy(plain)
+        bound = m * k_q
+        for x, value in enumerate(sigma):
+            factor = translates[group.inv(value)].apply_permutation(s_back)
+            twisted[x] = join(twisted[x], factor)
+            h_twisted = shannon_entropy(twisted[x])
+            diff = h_plain - h_twisted
+            records.append(
+                {
+                    "m": m,
+                    "x": x,
+                    "h_plain": h_plain,
+                    "h_twisted": h_twisted,
+                    "k_q": k_q,
+                    "holds": diff <= bound and (-1 * diff) <= bound,
+                    "equal": diff.is_zero(),
+                }
+            )
+    return records

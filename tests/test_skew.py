@@ -46,7 +46,7 @@ from flab.skew import (
     verify_skew_entropy_bound,
     verify_window_split,
 )
-from flab.words import CayleyTree, FreeWord, WordSet, ball, ball_size, mul, parse_word, signed_letters
+from flab.words import CayleyTree, FreeWord, WordSet, ball, ball_size, ball_steps, mul, parse_word, signed_letters
 from skew_fixtures import (
     LetterCocycle,
     LetterPerms,
@@ -56,6 +56,7 @@ from skew_fixtures import (
     joined_window,
     letter_perm,
     pairwise_closure,
+    per_point_skew_bound,
     pointwise_cocycle_failure,
     random_group_skew_bundle,
     scan_cocycle_rows,
@@ -248,6 +249,12 @@ class TestKOf:
                 right_translate(z4, q, g).equal_mod_null(q) for g in range(4)
             )
             assert k.is_zero() == invariant
+
+    @pytest.mark.parametrize("weights", [[F(1, 2), F(1, 4), F(1, 4)], uniform(4)])
+    def test_a_partition_off_haar_measure_is_refused(self, weights):
+        # H(Qg) = H(Q) holds because right translation permutes atoms of equal weight
+        with pytest.raises(ValueError, match="Haar"):
+            K_of(FinitePartition(weights, [0] + [1] * (len(weights) - 1)), cyclic(3))
 
 
 class TestSectionCocycles:
@@ -929,6 +936,49 @@ class TestZSkew:
         with pytest.raises(ValueError):
             verify_skew_entropy_bound(cocycle, FinitePartition(uniform(3), [0, 1, 1]), 2)
 
+    def test_a_partition_off_the_fiber_space_is_refused(self):
+        cocycle = z_cocycle(uniform(2), (1, 0), cyclic(3), tuple(range(3)), (0, 1))
+        for weights in ([F(1, 2), F(1, 4), F(1, 4)], uniform(4)):
+            with pytest.raises(ValueError, match="Haar"):
+                verify_skew_entropy_bound(cocycle, FinitePartition(weights, [0] + [1] * (len(weights) - 1)), 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_records_match_the_per_point_reference(self, seed, m_max):
+        cocycle, q, _special = random_z_skew(random.Random(seed))
+        assert verify_skew_entropy_bound(cocycle, q, m_max) == per_point_skew_bound(cocycle, q, m_max)
+
+    def test_one_join_and_one_entropy_per_distinct_prefix(self, monkeypatch):
+        import flab.skew as skew
+
+        calls = {"join": 0, "shannon_entropy": 0}
+
+        def counting(name):
+            original = getattr(skew, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(skew, name, counting(name))
+        rng = make_rng(5)
+        for _ in range(12):
+            cocycle, q, _special = random_z_skew(rng)
+            calls.update(join=0, shannon_entropy=0)
+            verify_skew_entropy_bound(cocycle, q, 5)
+            # the prefixes (sigma(k, x) : k < m) of the base points, for each m
+            prefixes = sum(
+                len({tuple(cocycle.values(z_power(k))[x] for k in range(m)) for x in range(cocycle.base.size())})
+                for m in range(1, 6)
+            )
+            order = cocycle.fiber.group.order()
+            # K(Q): one join per translate; Q^m: one join per m
+            assert calls["join"] == order + 5 + prefixes
+            assert calls["shannon_entropy"] == 1 + order + 5 + prefixes
+
     def test_trivial_cocycle_equality(self):
         z3 = cyclic(3)
         cocycle = z_cocycle(uniform(2), (1, 0), z3, tuple(range(3)), (0, 0))
@@ -1011,6 +1061,46 @@ class TestSweepTables:
             deep = FiniteAction(uniform(3), [[1, 2, 0]], 1).word_perm(z_power(k))
             assert deep == short_action.word_perm(z_power(k % 3))
             assert cocycle().values(z_power(k)) == short_cocycle.values(z_power(k % 6))
+
+
+class TestBallFill:
+    """A whole ball filled in id order off `ball_steps`, with no sweep."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.data())
+    def test_matches_a_sweep_filled_twin(self, seed, rank, data):
+        action = random_finite_action(random.Random(seed), rank, min_size=1, max_size=7)
+        twin = FiniteAction(action.space, action.gen_perms, rank)
+        n = {1: 12, 2: 6, 3: 4}[rank]
+        ids = range(ball_size(rank, n))
+        # ids met before the fill, some of them past the ball
+        met = data.draw(st.lists(st.integers(0, ball_size(rank, n + 1) - 1), max_size=8))
+        cells = counting_compositions(action)
+        action._states(met)
+        states = action._fill(ball_steps(rank, n))
+        twin._states(ids)
+        assert states is action._state
+        assert [action._maps[states[i]] for i in ids] == [twin._maps[twin._state[i]] for i in ids]
+        if not met:
+            assert (action._state, action._maps, action._next) == (twin._state, twin._maps, twin._next)
+        # every cell is composed once, the first time an id reaches it
+        assert len(cells) == len(set(cells)) == len(action._next)
+        assert_cells_match_letter_perms(action)
+
+    def test_ball_rows_sweep_nothing(self, monkeypatch):
+        swept = []
+        sweep = CayleyTree.sweep
+
+        def counting(self, ids, known):
+            out = sweep(self, ids, known)
+            swept.extend(out)
+            return out
+
+        monkeypatch.setattr(CayleyTree, "sweep", counting)
+        cocycle = six_atom_cocycle(2)
+        rows = cocycle.ball_rows(6)
+        assert swept == []
+        assert rows == [RecursiveRows(cocycle).row(i) for i in range(ball_size(2, 6))]
 
 
 class TestWindowPartition:

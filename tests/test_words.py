@@ -673,6 +673,18 @@ class TestStepTable:
             # a fresh tree reads every last letter by its own arithmetic
             assert row == CayleyTree(rank).translates(ids, (s,))
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(5))
+    def test_ball_steps_list_a_ball_as_a_sweep_does(self, rank, n):
+        # every id of B(n) but e once, in id order, with its parent and the
+        # slot of its last letter, read here off the enumerated words
+        steps, listed = list(words.ball_steps(rank, n)), ball_list(rank, n)
+        assert [i for i, _v, _s in steps] == list(range(1, len(listed)))
+        for i, v, s in steps:
+            assert listed[v].letters == listed[i].letters[:-1]
+            assert letter_slots(listed[i].letters[-1:]) == (s,)
+        assert steps == CayleyTree(rank).sweep(range(len(listed)), (0,))
+
 
 def recursive_sweep(tree, ids, known, new=None):
     """Oracle: the sweep before it climbed in a loop, one recursive call per
