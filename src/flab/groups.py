@@ -14,9 +14,10 @@ from .spec import is_int, spec_field
 
 
 class FiniteGroup:
-    """A group given by its multiplication table; caches its automorphisms."""
+    """A group given by its multiplication table; caches its automorphisms
+    and its normal subgroups, functions of the table alone."""
 
-    __slots__ = ("name", "labels", "table", "identity", "inverse", "_index", "_automorphisms")
+    __slots__ = ("name", "labels", "table", "identity", "inverse", "_index", "_automorphisms", "_normal_subgroups")
 
     def __init__(self, name: str, labels: Sequence[str], table: Sequence[Sequence[int]]):
         n = len(labels)
@@ -51,6 +52,7 @@ class FiniteGroup:
         object.__setattr__(self, "inverse", tuple(inverse))
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
         object.__setattr__(self, "_automorphisms", None)
+        object.__setattr__(self, "_normal_subgroups", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
@@ -207,13 +209,20 @@ _PRESETS = {
 }
 
 
+_BUILT: dict[str, FiniteGroup] = {}
+
+
 def preset_group(name: str) -> FiniteGroup:
-    try:
-        return _PRESETS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown group preset {name!r}; available: {sorted(_PRESETS)}"
-        ) from None
+    """The preset of that name, built and validated once per process.  One
+    instance is shared: a FiniteGroup refuses attribute assignment, and what
+    it fills lazily is a function of its table.  The builders (`cyclic`,
+    `dihedral4`, ...) still return fresh groups."""
+    group = _BUILT.get(name)
+    if group is None:
+        if name not in _PRESETS:
+            raise ValueError(f"unknown group preset {name!r}; available: {sorted(_PRESETS)}")
+        group = _BUILT[name] = _PRESETS[name]()
+    return group
 
 
 def group_from_json(data: dict) -> FiniteGroup:

@@ -49,22 +49,24 @@ def trivial_action(group: FiniteGroup, rank: int) -> FiniteGroupAction:
 
 
 def normal_subgroups(group: FiniteGroup) -> list[frozenset[int]]:
-    """All normal subgroups, by closing generator pairs (fine up to order 8).
+    """All normal subgroups, by size, then elements, by closing generator
+    pairs (fine up to order 8); computed once per group and kept on it.
 
     Each unordered pair is closed once, and a pair whose b lies in <a>
     closes to <a> itself, so it is skipped.
     """
-    n = group.order()
-    found = {frozenset([group.identity]), frozenset(range(n))}
-    for a in range(n):
-        cyclic = group.subgroup_closure((a,))
-        found.add(cyclic)
-        for b in range(a + 1, n):
-            if b not in cyclic:
-                found.add(group.subgroup_closure((a, b)))
-    return sorted(
-        (s for s in found if group.is_normal(s)), key=lambda s: (len(s), sorted(s))
-    )
+    if group._normal_subgroups is None:
+        n = group.order()
+        found = {frozenset([group.identity]), frozenset(range(n))}
+        for a in range(n):
+            cyclic = group.subgroup_closure((a,))
+            found.add(cyclic)
+            for b in range(a + 1, n):
+                if b not in cyclic:
+                    found.add(group.subgroup_closure((a, b)))
+        normal = sorted((s for s in found if group.is_normal(s)), key=lambda s: (len(s), sorted(s)))
+        object.__setattr__(group, "_normal_subgroups", tuple(normal))
+    return list(group._normal_subgroups)
 
 
 def _auto_fixing_subgroup(group: FiniteGroup, sub: frozenset[int]):

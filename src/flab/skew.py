@@ -26,10 +26,11 @@ composed once each, and one word id -> state table: a window fills it
 by `CayleyTree.sweep`, a whole ball in id order off `words.ball_steps`,
 each id one cell from its parent.  Joining alpha_w P twice changes
 nothing, so P^W depends only on the set of states over W and zips one
-label column per state.  A `Cocycle` reads sigma(w, .) off T_w once per
-state, and the cocycle check forms each right-hand side once per
-distinct datum.  A FreeWord is encoded once where a caller passes one
-and decoded only for a witness.
+label column per state; each action memoises that set by W's ids, since
+the states over a set of ids are a function of the generators alone.  A
+`Cocycle` reads sigma(w, .) off T_w once per state, and the cocycle
+check forms each right-hand side once per distinct datum.  A FreeWord is
+encoded once where a caller passes one and decoded only for a witness.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ class FiniteAction:
         identity = tuple(range(len(space.counts)))
         self._maps, self._index, self._next = [identity], {identity: 0}, {}
         self._tree, self._state = CayleyTree(rank), {0: 0}
+        self._windows: dict[frozenset[int], frozenset[int]] = {}  # W's ids -> window_states(W)
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -114,14 +116,18 @@ class FiniteAction:
         return t
 
     def window_states(self, W: WordSet) -> frozenset[int]:
-        """The states of alpha_w over W: joining alpha_w P twice changes nothing, so P^W depends on no more."""
+        """The states of alpha_w over W: joining alpha_w P twice changes nothing, so P^W
+        depends on no more.  Memoised by W's ids: the states are functions of the generators."""
         if W.rank != self.rank:
             raise ValueError(f"rank mismatch: {W.rank} != {self.rank}")
         ids = W.ids()
-        if not ids:
-            raise ValueError("window partition of an empty window")
-        state = self._states(ids)
-        return frozenset([state[i] for i in ids])
+        states = self._windows.get(ids)
+        if states is None:
+            if not ids:
+                raise ValueError("window partition of an empty window")
+            state = self._states(ids)
+            states = self._windows[ids] = frozenset([state[i] for i in ids])
+        return states
 
     def window_partition(
         self, p: FinitePartition, W: WordSet, states: frozenset[int] | None = None

@@ -467,6 +467,8 @@ def _label_indices(group, labels, key: str) -> list[int]:
 def process_from_spec(spec: dict, cfg: RunConfig):
     kind = spec_field(spec, "type", str)
     rank = spec_field(spec, "rank", int, cfg.rank)
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
     if kind == "bernoulli":
         return BernoulliProcess(rank, spec_field(spec, "k", int))
     if kind == "finite_group":

@@ -64,6 +64,25 @@ def pairwise_closure(group: FiniteGroup, gens) -> frozenset[int]:
     return frozenset(out)
 
 
+def brute_force_normal_subgroups(group: FiniteGroup) -> list[frozenset[int]]:
+    """Every subset of the elements that holds the identity, is closed under
+    the table's products and under conjugation, by size, then elements; read
+    off the table alone.  A finite subset closed under products is a subgroup."""
+    n, tab, e = group.order(), group.table, group.identity
+    inverse = [next(y for y in range(n) if tab[x][y] == e) for x in range(n)]
+    out = []
+    for mask in range(1 << n):
+        sub = frozenset(x for x in range(n) if mask >> x & 1)
+        if e in sub and all(
+            tab[x][y] in sub and tab[tab[g][x]][inverse[g]] in sub
+            for x in sub
+            for y in sub
+            for g in range(n)
+        ):
+            out.append(sub)
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
 def is_special(group: FiniteGroup, p: FinitePartition) -> bool:
     """Structural check: blocks are exactly the cosets of a normal subgroup."""
     block_of_identity = frozenset(

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import flab
 from flab import suite
 from flab.cli import main
 from flab.suite import RunConfig, run_verifier_suite
+from test_reports import GOLDEN
 
 
 def run_cli(args, capsys):
@@ -399,6 +401,16 @@ class TestComputeF:
         assert "-- report: " in err and "-- relative_report: " in err
         assert err.count("   f = ") == 2
 
+    @pytest.mark.parametrize("rank", [0, -3])
+    @pytest.mark.parametrize("kind", ["bernoulli", "finite_group", "kernel", "skew_section", "skew_custom"])
+    def test_a_rank_below_one_is_named(self, tmp_path, capsys, kind, rank):
+        # the rank itself is named, not the generator permutations it leaves unmatched
+        spec = next(spec for command, spec, _ in VALID_SPECS if command == "compute-f" and spec["type"] == kind)
+        path = tmp_path / "proc.json"
+        path.write_text(json.dumps({**spec, "rank": rank}))
+        assert main(["compute-f", "--process", str(path), "--nmax", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: rank must be >= 1\n")
+
     def test_bad_spec_rejected(self, tmp_path, capsys):
         spec = tmp_path / "proc.json"
         spec.write_text(json.dumps({"type": "nonsense"}))
@@ -533,6 +545,20 @@ class TestDeterminism:
         assert main(["verify", "--suite", "addition-formula,skew-entropy-bound", "--out", str(out1)]) == 0
         assert main(["verify", "--suite", "addition-formula,skew-entropy-bound", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_a_fresh_process_prints_what_a_warm_one_builds(self):
+        # preset groups, with their automorphisms and normal subgroups, are
+        # kept for the whole process; a cold CLI run and two warm library
+        # runs give the same bytes, the golden ones
+        env = dict(os.environ, PYTHONPATH=str(Path(flab.__file__).parents[1]))
+        env.pop("FLAB_SEED", None)
+        cold = subprocess.run(
+            [sys.executable, "-m", "flab.cli", "verify"], capture_output=True, text=True, env=env
+        )
+        assert cold.returncode == 0 and cold.stderr == ""
+        warm = [json.dumps(run_verifier_suite(RunConfig()), sort_keys=True, indent=2) + "\n" for _ in range(2)]
+        assert warm == [cold.stdout] * 2
+        assert hashlib.sha256(cold.stdout[:-1].encode()).hexdigest() == GOLDEN["verify all"]
 
     def test_exact_fields_never_floats(self, capsys):
         _, report = run_cli(["ow"], capsys)

@@ -693,6 +693,31 @@ class TestAbramovRokhlin:
             result = abramov_rokhlin_check(act, p, q)
             assert result["equal"], result
 
+    def test_each_distinct_window_is_swept_once(self, monkeypatch):
+        # P v Q, Q and P given Sigma(Q) ask one action for the same windows;
+        # the action works out each window's states once
+        asked, swept = [], []
+        window_states, states = FiniteAction.window_states, FiniteAction._states
+
+        def asking(self, W):
+            asked.append(W.ids())
+            return window_states(self, W)
+
+        def sweeping(self, ids):
+            swept.append(frozenset(ids))
+            return states(self, ids)
+
+        monkeypatch.setattr(FiniteAction, "window_states", asking)
+        monkeypatch.setattr(FiniteAction, "_states", sweeping)
+        rng = make_rng()
+        for _ in range(10):
+            act = random_finite_action(rng)
+            asked.clear()
+            swept.clear()
+            abramov_rokhlin_check(act, random_partition(rng, act.size()), random_partition(rng, act.size()))
+            assert sorted(swept, key=sorted) == sorted(set(asked), key=sorted)
+            assert len(asked) > len(swept)
+
     def test_invariant_example(self):
         act = trivial_action(preset_group("Z/4"), 2)
         p = FinitePartition(act.weights, [0, 0, 1, 1])

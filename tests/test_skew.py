@@ -52,6 +52,7 @@ from skew_fixtures import (
     LetterPerms,
     RecursivePerms,
     RecursiveRows,
+    brute_force_normal_subgroups,
     is_special,
     joined_window,
     letter_perm,
@@ -127,7 +128,23 @@ class TestGroups:
         autos = all_automorphisms(g)
         autos.clear()
         assert all_automorphisms(g) == brute_force_automorphisms(g)
-        assert preset_group("D4")._automorphisms is None
+        # one preset instance per name, shared; the builders still give fresh groups
+        assert all(preset_group(name) is preset_group(name) for name in _PRESETS)
+        assert dihedral4() is not preset_group("D4") and dihedral4()._automorphisms is None
+
+    @pytest.mark.parametrize("name", sorted(_PRESETS))
+    def test_cached_lists_are_copies(self, name):
+        for g in (preset_group(name), _PRESETS[name]()):
+            for listing in (normal_subgroups, all_automorphisms):
+                first = listing(g)
+                first.clear()
+                assert listing(g) == listing(_PRESETS[name]()) != []
+
+    @pytest.mark.parametrize("name", sorted(_PRESETS))
+    def test_normal_subgroups_match_every_subset(self, name):
+        g = preset_group(name)
+        assert normal_subgroups(g) == brute_force_normal_subgroups(g)
+        assert g._normal_subgroups is not None
 
     def test_q8_relations(self):
         q8 = quaternion8()
@@ -221,6 +238,34 @@ class TestJoinSpecial:
         out = join_special(z8, [(triple, q1), (tuple(range(8)), q2)])
         assert out.subgroup == frozenset({0, 4})
         assert is_special(z8, out.partition)
+
+
+    @pytest.mark.parametrize(
+        "relabel, message",
+        [
+            # every atom its own block: the identity block is {e}, not {0, 4}
+            (lambda labels: list(range(len(labels))), "joined identity block is not the intersected subgroup"),
+            # the identity block kept, every other block split into points
+            (
+                lambda labels: [0 if v == labels[0] else x + 1 for x, v in enumerate(labels)],
+                "join of special partitions failed to be special",
+            ),
+        ],
+    )
+    def test_the_special_suite_checks_fire_on_a_wrong_join(self, monkeypatch, relabel, message):
+        # the special suite joins once, on Z/8, whose identity is atom 0
+        import flab.skew as skew
+        from flab.suite import RunConfig, run_verifier_suite
+
+        real = skew.join_many
+
+        def wrong(parts):
+            joined = real(parts)
+            return FinitePartition(joined.space, relabel(joined.labels))
+
+        monkeypatch.setattr(skew, "join_many", wrong)
+        with pytest.raises(AssertionError, match=message):
+            run_verifier_suite(RunConfig(), ["special"])
 
 
 class TestKOf:
@@ -1124,6 +1169,23 @@ class TestWindowPartition:
         action = FiniteAction(uniform(3), [[1, 2, 0], [0, 2, 1]], 2)
         with pytest.raises(ValueError):
             action.window_partition(FinitePartition.points(action.space), WordSet(2))
+        with pytest.raises(ValueError):
+            action.window_states(WordSet(2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.data())
+    def test_memoised_states_match_a_fresh_twin(self, seed, rank, data):
+        # state numbers follow each action's history, so compare the word maps they name
+        action = random_finite_action(random.Random(seed), rank, min_size=1, max_size=7)
+        tree = CayleyTree(rank)
+        window_ids = st.sets(st.integers(0, ball_size(rank, 3) - 1), min_size=1, max_size=10)
+        windows = data.draw(st.lists(window_ids, min_size=1, max_size=6))
+        for ids in windows + windows[::-1]:
+            W = WordSet(rank, [tree.word(i) for i in ids])
+            twin = FiniteAction(action.space, action.gen_perms, rank)
+            got, want = action.window_states(W), twin.window_states(W)
+            assert {action._maps[k] for k in got} == {twin._maps[k] for k in want}
+            assert action.window_states(W) is got
 
     def test_one_partition_and_one_column_per_state(self, monkeypatch):
         import flab.entropy as entropy
