@@ -17,6 +17,11 @@ of a conditioned process, such as SkewProductProcess.relative() or a
 FiniteActionProcess built with `given`, so nothing here takes a
 conditioning argument.
 
+The windows B(n) u s_i B(n) and U_m = W u s_i W u ... u s_i^m W come from
+`flab.words.axis_window`, memoised per (window, generator) at module
+level: they depend on the window and i, never on the process, so the
+processes of one addition check or skew suite share one instance of each.
+
 Every label a report prints comes from one vocabulary, all of it exact:
 
     EXACT             an exact window marginal (see `flab.kernels`)
@@ -40,7 +45,7 @@ from typing import NamedTuple
 from .entropy import EntropyValue, FinitePartition, join
 from .processes import FiniteActionProcess
 from .skew import sigma_generated
-from .words import WordSet, ball, generator
+from .words import WordSet, axis_window, ball, generator
 
 EXACT_LABELS = ("EXACT", "EXACT-ZERO", "EXACT-IID", "EXACT-MARKOV", "EXACT-STABILIZED")
 EXACT, EXACT_ZERO, EXACT_IID, EXACT_MARKOV, EXACT_STABILIZED = EXACT_LABELS
@@ -59,7 +64,7 @@ def F_of(proc, n: int) -> EntropyValue:
     b = ball(r, n)
     total = (1 - 2 * r) * proc.entropy(b)
     for i in range(1, r + 1):
-        total = total + proc.entropy(b.union(b.translate(generator(r, i))))
+        total = total + proc.entropy(axis_window(b, i, 1)[1])
     return total
 
 
@@ -94,12 +99,13 @@ def generator_entropy_rate(proc, i: int, W: WordSet) -> RateResult:
         KernelProcess        EXACT-MARKOV when the hidden states of the
                              Markov chain x|s^m B(N) stop shrinking.
     """
+    if W.rank != proc.rank:
+        raise ValueError(f"rank mismatch: {W.rank} != {proc.rank}")
     s = generator(proc.rank, i)
-    U, T, increments = [W], W, []
+    U, increments = [W], []
     prev = proc.entropy(W)
     while True:
-        T = T.translate(s)  # s^m W
-        U.append(U[-1].union(T))
+        U.append(axis_window(W, i, len(U))[1])
         value = proc.entropy(U[-1])
         d, prev = value - prev, value
         increments.append(d)

@@ -102,12 +102,21 @@ def section_pair_catalog() -> list[dict]:
     ]
 
 
-def skew_test_cases() -> list[dict]:
+def section_bundles() -> list[tuple[str, SectionCocycleBundle]]:
+    """Each pair of `section_pair_catalog` by name, split once into its bundle."""
+    return [
+        (pair["name"], SectionCocycleBundle(pair["action"], pair["subgroup"]))
+        for pair in section_pair_catalog()
+    ]
+
+
+def skew_test_cases(bundles: list[tuple[str, SectionCocycleBundle]] | None = None) -> list[dict]:
     """Finite rank-2 skew products with a special fiber partition, cocycles
-    mixed trivial and nontrivial."""
+    mixed trivial and nontrivial: those of `bundles`, built by
+    `section_bundles` when not given."""
     cases = []
-    for pair in section_pair_catalog():
-        cocycle = SectionCocycleBundle(pair["action"], pair["subgroup"]).cocycle
+    for name, bundle in section_bundles() if bundles is None else bundles:
+        cocycle = bundle.cocycle
         fiber = cocycle.fiber
         specials = [
             SpecialPartition(fiber.group, sub)
@@ -118,7 +127,7 @@ def skew_test_cases() -> list[dict]:
         for sp in specials:
             cases.append(
                 {
-                    "name": pair["name"] + f" (blocks={sp.partition.num_blocks()})",
+                    "name": name + f" (blocks={sp.partition.num_blocks()})",
                     "cocycle": cocycle,
                     "special": sp,
                     "nontrivial_cocycle": nontrivial,

@@ -27,6 +27,9 @@ and the skew products' relative() returns the process conditioned on
 the base, whose functionals are the relative (base-conditioned) ones of
 the addition formula.  A FiniteActionProcess, and so a skew product, keeps
 its own memo of answers per set {alpha_w : w in W}, on which alone P^W depends.
+The axis windows a KernelProcess splits, s^j B(N) and B(n) u sB(n), come
+from `flab.words.axis_window`, memoised per (window, generator) at module
+level: they are a function of the window and the generator alone.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from itertools import dropwhile
 from .entropy import EntropyValue, FinitePartition, join, shannon_entropy
 from .kernels import ConvolutionKernel, KernelSubshift
 from .skew import Cocycle, FiniteAction
-from .words import FreeWord, WordSet, ball, generator
+from .words import FreeWord, WordSet, axis_window, ball
 
 class BernoulliProcess:
     """The shift on K^Gamma with uniform one-coordinate marginals.
@@ -181,7 +184,7 @@ class KernelProcess:
         N = max(self.subshift.radius, *(len(w) for w in U[0]))
         hidden = []
         for j in (m - 1, m):
-            separator = ball(self.rank, N).translate(FreeWord(self.rank, s.letters * j))
+            separator = axis_window(ball(self.rank, N), s.letters[0], j)[0]  # s^j B(N)
             hidden.append(dim(U[j].union(separator)) - dim(U[j]))
         return "EXACT-MARKOV" if hidden[0] == hidden[1] else None
 
@@ -206,9 +209,8 @@ class KernelProcess:
         dim = lambda V: self.subshift.marginal(V).dimension
         outer, inner = ball(self.rank, n), ball(self.rank, n - 1)
         for i in range(1, self.rank + 1):
-            s = generator(self.rank, i)
-            split = 2 * dim(outer) - dim(inner.union(inner.translate(s)))
-            if dim(outer.union(outer.translate(s))) != split:
+            split = 2 * dim(outer) - dim(axis_window(inner, i, 1)[1])
+            if dim(axis_window(outer, i, 1)[1]) != split:
                 raise AssertionError(f"ker phi is not a fiber product over B({n - 1}) u s_{i}B({n - 1})")
         return "EXACT-MARKOV"
 

@@ -36,7 +36,7 @@ from .presets import (
     random_finite_action,
     random_partition,
     random_z_skew,
-    section_pair_catalog,
+    section_bundles,
     skew_test_cases,
     trivial_action,
 )
@@ -240,10 +240,9 @@ def run_algebraic(cfg: RunConfig, kernel: ConvolutionKernel) -> dict:
 # -- verifier suites ------------------------------------------------------------
 
 
-def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
-    cases, pairs = [], section_pair_catalog()
-    for pair in pairs:
-        bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
+def _suite_cocycle(cfg: RunConfig, bundles: list, inject_bug: str | None) -> dict:
+    cases = []
+    for name, bundle in bundles:
         rows = bundle.cocycle.ball_rows(6)  # every row the check reads
         ok_eq, wit_eq = verify_cocycle_identity(
             rows.__getitem__, bundle.cocycle.base, bundle.cocycle.fiber, max_len=3
@@ -251,7 +250,7 @@ def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
         ok_phi, wit_phi = bundle.verify_conjugacy(max_len=3)
         cases.append(
             {
-                "name": pair["name"],
+                "name": name,
                 "cocycle_identity": ok_eq,
                 "conjugacy": ok_phi,
                 "witness": wit_eq or wit_phi,
@@ -259,8 +258,8 @@ def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
             }
         )
     if inject_bug == "negate-cocycle":
-        pair = pairs[0]
-        cocycle = SectionCocycleBundle(pair["action"], pair["subgroup"]).cocycle
+        name, bundle = bundles[0]
+        cocycle = bundle.cocycle
         fiber = cocycle.fiber.group
         bump = next(x for x in range(fiber.order()) if x != fiber.identity)
 
@@ -275,7 +274,7 @@ def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
         )
         cases.append(
             {
-                "name": pair["name"] + " [injected bug: perturbed length-2 values]",
+                "name": name + " [injected bug: perturbed length-2 values]",
                 "cocycle_identity": ok,
                 "conjugacy": None,
                 "witness": witness,
@@ -441,10 +440,15 @@ def run_verifier_suite(
         raise ValueError(
             f"the injected bug {inject_bug!r} corrupts the cocycle suite, which is not selected"
         )
-    extra = {"cocycle": (inject_bug,)}
-    if not _SKEW_SUITES.isdisjoint(selection):
-        # one build of the skew cases, shared by every suite that reads them
-        extra |= dict.fromkeys(_SKEW_SUITES, (skew_test_cases(),))
+    extra = {}
+    if "cocycle" in selection or not _SKEW_SUITES.isdisjoint(selection):
+        # one split of each section pair, shared by the cocycle suite and
+        # the skew cases, and one build of those, shared by every suite
+        # that reads them
+        bundles = section_bundles()
+        extra["cocycle"] = (bundles, inject_bug)
+        if not _SKEW_SUITES.isdisjoint(selection):
+            extra |= dict.fromkeys(_SKEW_SUITES, (skew_test_cases(bundles),))
     results = [_SUITES[name](cfg, *extra.get(name, ())) for name in selection]
     passed = all(s["passed"] for s in results)
     return {
@@ -477,7 +481,10 @@ def process_from_spec(spec: dict, cfg: RunConfig):
             group_action(group, spec_field(spec, "autos", list, [0] * rank), rank)
         )
     if kind == "kernel":
-        return KernelProcess(ConvolutionKernel.from_json(spec_field(spec, "kernel", dict)))
+        kernel = ConvolutionKernel.from_json(spec_field(spec, "kernel", dict))
+        if "rank" in spec and rank != kernel.rank:
+            raise ValueError(f"spec field 'rank' is {rank} but the kernel's rank is {kernel.rank}")
+        return KernelProcess(kernel)
     if kind == "skew_section":
         group = group_from_json(spec_field(spec, "group", dict))
         action = group_action(group, spec_field(spec, "autos", list, [0] * rank), rank)

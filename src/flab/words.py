@@ -43,6 +43,13 @@ ancestors in ascending id order, which puts every parent first.  A
 `WordSet` stores ids, and `thicken`, `convex_hull`, `radius_center` and
 `check_ordering_condition` run on ids, converting word arguments and
 results at the boundary.
+
+Axis windows.  `axis_window(W, i, m)` returns s_i^m W and W u s_i W u
+... u s_i^m W, the windows of every F and F* row and generator rate.
+They are memoised at module level per (rank, W's ids, i), so a window
+is translated once per process, however many processes query it.  That
+is safe because a WordSet is immutable (it only caches its decoded
+words) and the windows are a function of W's ids and i alone.
 """
 
 from __future__ import annotations
@@ -562,6 +569,31 @@ def ball_size(rank: int, n: int) -> int:
         return 2 * n + 1
     q = 2 * rank - 1
     return 1 + 2 * rank * (q**n - 1) // (q - 1)
+
+
+# (rank, ids of W, i) -> (s_i, [W, s_i W, s_i^2 W, ...], [W, W u s_i W, ...])
+_AXES: dict[tuple[int, frozenset[int], int], tuple[FreeWord, list[WordSet], list[WordSet]]] = {}
+
+
+def axis_window(W: WordSet, i: int, m: int) -> tuple[WordSet, WordSet]:
+    """(s_i^m W, W u s_i W u ... u s_i^m W) for the i-th generator s_i, m >= 0.
+
+    Memoised per (rank, W's ids, i) for the whole process: the chain grows
+    by one `translate` and one `union` per new m, and every later call
+    returns the same instances.  Sharing is safe because a WordSet is
+    immutable and these windows are a function of W's ids and i alone.
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    key = (W.rank, W._ids, i)
+    chain = _AXES.get(key)
+    if chain is None:
+        chain = _AXES[key] = (generator(W.rank, i), [W], [W])
+    s, moved, joined = chain
+    while len(moved) <= m:
+        moved.append(moved[-1].translate(s))
+        joined.append(joined[-1].union(moved[-1]))
+    return moved[m], joined[m]
 
 
 def spiral_ordering(rank: int, n: int) -> list[FreeWord]:

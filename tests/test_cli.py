@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 import flab
 from flab import suite
 from flab.cli import main
+from flab.kernels import ConvolutionKernel
 from flab.suite import RunConfig, run_verifier_suite
 from test_reports import GOLDEN
 
@@ -198,9 +199,9 @@ class TestVerify:
         builds = []
         real = suite.skew_test_cases
 
-        def counting():
+        def counting(*args):
             builds.append(1)
-            return real()
+            return real(*args)
 
         monkeypatch.setattr(suite, "skew_test_cases", counting)
         assert run_verifier_suite(RunConfig())["status"] == "PASS"
@@ -208,6 +209,25 @@ class TestVerify:
         builds.clear()
         assert run_verifier_suite(RunConfig(), ["special"])["status"] == "PASS"
         assert builds == []
+
+    def test_section_pairs_are_split_once_per_run(self, monkeypatch):
+        # the cocycle suite, its injected bug and the skew cases share one
+        # split of each of the seven section pairs
+        splits = []
+        real = suite.SectionCocycleBundle.__init__
+
+        def counting(self, *args):
+            splits.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(suite.SectionCocycleBundle, "__init__", counting)
+        for inject_bug in (None, "negate-cocycle"):
+            splits.clear()
+            run_verifier_suite(RunConfig(), inject_bug=inject_bug)
+            assert len(splits) == 7
+        splits.clear()
+        run_verifier_suite(RunConfig(), ["special", "addition-formula"])
+        assert splits == []
 
     def test_injected_bug_fails_with_witness(self, capsys):
         code, report = run_cli(
@@ -273,6 +293,19 @@ class TestComputeF:
             main(["compute-f", "--process", str(path), "--rank", "5"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --rank" in capsys.readouterr().err
+
+    def test_kernel_spec_rank_must_be_the_kernels(self, tmp_path, capsys):
+        # a top-level rank that disagrees with kernel.rank was read and then
+        # ignored; an equal one still runs
+        kernel = {"p": 2, "rank": 2, "coeffs": {"e": 1, "A": 1}}
+        path = tmp_path / "proc.json"
+        path.write_text(json.dumps({"type": "kernel", "rank": 5, "kernel": kernel}))
+        assert main(["compute-f", "--process", str(path), "--nmax", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: spec field 'rank' is 5 but the kernel's rank is 2\n"
+        path.write_text(json.dumps({"type": "kernel", "rank": 2, "kernel": kernel}))
+        code, report = run_cli(["compute-f", "--process", str(path), "--nmax", "1"], capsys)
+        assert code == 0 and report["config"]["rank"] == 2
 
     def test_bernoulli_spec(self, tmp_path, capsys):
         spec = tmp_path / "proc.json"
@@ -559,6 +592,35 @@ class TestDeterminism:
         warm = [json.dumps(run_verifier_suite(RunConfig()), sort_keys=True, indent=2) + "\n" for _ in range(2)]
         assert warm == [cold.stdout] * 2
         assert hashlib.sha256(cold.stdout[:-1].encode()).hexdigest() == GOLDEN["verify all"]
+
+    @pytest.mark.parametrize(
+        "command, spec",
+        [
+            ("compute-f", {"type": "skew_section", "group": {"preset": "D4"}, "autos": [3, 5], "subgroup": ["r0", "r2"]}),
+            ("kernel", {"p": 3, "rank": 2, "coeffs": {"e": 1, "A": 1, "B": 2}}),
+        ],
+    )
+    def test_axis_windows_kept_for_the_process_change_no_byte(self, tmp_path, monkeypatch, command, spec):
+        # the axis windows of F and F* are memoised for the whole process; a
+        # cold CLI run, a library run that builds them and one that reuses
+        # them give the same bytes
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        env = dict(os.environ, PYTHONPATH=str(Path(flab.__file__).parents[1]))
+        flag, nmax = ("--process", "2") if command == "compute-f" else ("--spec", "1")
+        cold = subprocess.run(
+            [sys.executable, "-m", "flab.cli", command, flag, str(path), "--nmax", nmax],
+            capture_output=True, text=True, env=env,
+        )
+        assert cold.returncode == 0 and cold.stderr == ""
+        monkeypatch.setattr(flab.words, "_AXES", {})
+        cfg = RunConfig(n_max=int(nmax))
+        if command == "compute-f":
+            run = lambda: suite.run_compute_f(cfg, spec)
+        else:
+            run = lambda: suite.run_algebraic(cfg, ConvolutionKernel.from_json(spec))
+        warm = [json.dumps(run(), sort_keys=True, indent=2) + "\n" for _ in range(2)]
+        assert warm == [cold.stdout] * 2
 
     def test_exact_fields_never_floats(self, capsys):
         _, report = run_cli(["ow"], capsys)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flab import words
 from flab.entropy import EntropyValue, FinitePartition, join, join_many, shannon_entropy
 from flab.finv import (
     F_of,
@@ -717,6 +718,30 @@ class TestAbramovRokhlin:
             abramov_rokhlin_check(act, random_partition(rng, act.size()), random_partition(rng, act.size()))
             assert sorted(swept, key=sorted) == sorted(set(asked), key=sorted)
             assert len(asked) > len(swept)
+
+    def test_each_axis_window_is_translated_once(self, monkeypatch):
+        # the windows of F and F*, B(n) u s_i B(n) and U_m = B(n) u ... u
+        # s_i^m B(n), depend on no process: two reports on different actions
+        # translate each (window, i, m) once, the second reusing the first's
+        monkeypatch.setattr(words, "_AXES", {})
+        translated = []
+        translate = WordSet.translate
+
+        def counting(self, g):
+            translated.append((self.rank, self.ids(), g.letters))
+            return translate(self, g)
+
+        monkeypatch.setattr(WordSet, "translate", counting)
+        rng = make_rng(5)
+        per_report = []
+        for _ in range(2):
+            act = random_finite_action(rng)
+            full_report(FiniteActionProcess(act, random_partition(rng, act.size())), 2)
+            per_report.append(len(translated) - sum(per_report))
+        steps = [(W, i, m) for (_r, W, i), (_s, moved, _u) in words._AXES.items() for m in range(1, len(moved))]
+        assert len(translated) == len(set(translated)) == len(steps)
+        # the second report reuses the windows of the first
+        assert per_report[1] < per_report[0]
 
     def test_invariant_example(self):
         act = trivial_action(preset_group("Z/4"), 2)

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from fplinear_oracles import members, project
@@ -15,6 +17,7 @@ from kernel_oracles import (
 )
 
 from flab import kernels, words
+from flab.cli import main
 from flab.fplinear import AffineSolutionSet, FpMatrix, rank as fp_rank, solve
 from flab.kernels import (
     ConvolutionKernel,
@@ -667,6 +670,57 @@ class TestPreimage:
             "e": 0, "a": 0, "A": 0, "b": 0, "B": 2, "aB": 1,
             "AA": 0, "AB": 1, "bA": 2, "BA": 0, "BB": 0,
         }
+
+
+class TestProofChecksFire:
+    """Each check behind a proof in `flab.kernels` raises once the one fact
+    it rests on is corrupted, and no report reaches stdout."""
+
+    # c(e) = [[1], [0]] misses its second output channel: its target map
+    # loses row rank on B(0), the witness bound, with null vector y = e_1
+    def blind_channel(self):
+        return ConvolutionKernel(3, 2, {w("e"): [[1], [0]]}, d_out=2)
+
+    def test_witness_needs_a_ball_that_loses_row_rank(self, monkeypatch, capsys):
+        monkeypatch.setattr(kernels, "fp_rank", lambda m: m.rows)
+        with pytest.raises(AssertionError, match=r"no target map up to B\(0\) loses row rank"):
+            print(json.dumps(is_surjective(self.blind_channel()).to_json()))
+        assert capsys.readouterr().out == ""
+
+    def test_witness_must_lie_in_the_dual_kernel(self, monkeypatch, capsys):
+        # the solver returns its null vector plus e_0, which the dual misses
+        real = kernels.solve
+
+        def off_by_e0(m, b):
+            v = list(real(m, b).basis[0])
+            v[0] = (v[0] + 1) % m.p
+            return SimpleNamespace(basis=[v])
+
+        monkeypatch.setattr(kernels, "solve", off_by_e0)
+        with pytest.raises(AssertionError, match="the witness is not in the kernel of the dual stencil"):
+            print(json.dumps(is_surjective(self.blind_channel()).to_json()))
+        assert capsys.readouterr().out == ""
+
+    def run_p3_kernel(self, tmp_path):
+        spec = tmp_path / "p3.json"
+        spec.write_text(json.dumps({"p": 3, "rank": 2, "coeffs": {"e": 1, "A": 1, "B": 2}}))
+        return main(["kernel", "--spec", str(spec), "--nmax", "1"])
+
+    def test_solver_step_needs_an_inverse(self, monkeypatch, tmp_path, capsys):
+        # 1 is no inverse of B's coefficient 2 mod 3, so a step that picks
+        # x(gB) misses its own constraint
+        monkeypatch.setattr(kernels, "pow", lambda base, exp, mod: 1, raising=False)
+        with pytest.raises(AssertionError, match="solver step failed to satisfy its constraint"):
+            self.run_p3_kernel(tmp_path)
+        assert capsys.readouterr().out == ""
+
+    def test_preimage_needs_the_pick_lemma(self, monkeypatch, tmp_path, capsys):
+        # every site picks e, so site A overwrites x(A), which the
+        # constraint at e, solved first, reads: each step still holds
+        monkeypatch.setattr(kernels, "_picks", lambda stencil, rank: dict.fromkeys((None, *range(2 * rank)), 0))
+        with pytest.raises(AssertionError, match="preimage re-verification failed"):
+            self.run_p3_kernel(tmp_path)
+        assert capsys.readouterr().out == ""
 
 
 @st.composite

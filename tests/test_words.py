@@ -10,6 +10,7 @@ from flab.words import (
     CayleyTree,
     FreeWord,
     WordSet,
+    axis_window,
     ball,
     ball_list,
     ball_size,
@@ -796,3 +797,73 @@ class TestSweep:
         assert fresh.sweep([deep + 2, deep - 1], {0, *(i for i, _v, _s in steps)}) == [
             (2 * n - 1, max(2 * n - 3, 0), 0) for n in range(1, 2401)
         ] + [(deep + 2, deep, 1)]
+
+
+# -- memoised axis windows -----------------------------------------------------
+
+
+def fresh_axis_window(W, i, m):
+    """Oracle: s_i^m W and W u s_i W u ... u s_i^m W by a fresh chain of m
+    translates and unions, and the same by `mul` on words."""
+    s, moved, joined = generator(W.rank, i), W, W
+    for _ in range(m):
+        moved = moved.translate(s)
+        joined = joined.union(moved)
+    power = FreeWord(W.rank, (i,) * m)
+    assert moved == WordSet(W.rank, [mul(power, u) for u in W])
+    assert joined == WordSet(W.rank, [mul(FreeWord(W.rank, (i,) * k), u) for k in range(m + 1) for u in W])
+    return moved, joined
+
+
+@pytest.fixture
+def no_axes(monkeypatch):
+    """An empty axis-window memo for one test, so a test neither reads nor
+    leaves chains of another."""
+    monkeypatch.setattr(words, "_AXES", {})
+
+
+@pytest.mark.usefixtures("no_axes")
+class TestAxisWindow:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_balls_match_a_fresh_chain(self, rank):
+        for n in range(4):
+            W = ball(rank, n)
+            for i in signed_letters(rank):
+                # the longest chain first, then the shorter ones it holds
+                for m in (4, 0, 1, 2, 3):
+                    assert axis_window(W, i, m) == fresh_axis_window(W, i, m)
+
+    @settings(deadline=None)
+    @given(word_samples(6), st.data())
+    def test_other_windows_match_a_fresh_chain(self, case, data):
+        rank, sample = case
+        W = WordSet(rank, sample)
+        i = data.draw(st.sampled_from(signed_letters(rank)))
+        for m in data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)):
+            assert axis_window(W, i, m) == fresh_axis_window(W, i, m)
+
+    def test_later_calls_return_the_same_instances(self):
+        W = ball(2, 1)
+        first = [axis_window(W, 1, m) for m in range(3)]
+        assert first[0] == (W, W) and first[0][0] is W and first[0][1] is W
+        # an equal window built again keys the same chain
+        again = [axis_window(ball(2, 1), 1, m) for m in range(3)]
+        assert all(a is b for pair in zip(first, again) for a, b in zip(*pair))
+        assert axis_window(W, 2, 1)[1] is not first[1][1]
+
+    def test_the_rank_is_part_of_the_key(self):
+        # the rank-3 words e, a, A, b, B have the ids of the rank-2 ball B(1)
+        same_ids = WordSet(3, [parse_word(text, 3) for text in ("e", "a", "A", "b", "B")])
+        assert same_ids.ids() == ball(2, 1).ids()
+        axis_window(ball(2, 1), 2, 1)
+        moved, joined = axis_window(same_ids, 2, 1)
+        assert (moved.rank, joined.rank) == (3, 3)
+        assert joined == fresh_axis_window(same_ids, 2, 1)[1]
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            axis_window(ball(2, 1), 1, -1)
+        for i in (0, 3, -3):
+            with pytest.raises(ValueError, match="out of range"):
+                axis_window(ball(2, 1), i, 1)
+        assert words._AXES == {}
