@@ -56,6 +56,7 @@ from .words import (
     ball,
     ball_list,
     ball_size,
+    ball_steps,
     convex_hull,
     format_word,
     identity,
@@ -421,7 +422,10 @@ class KernelSubshift:
         rows = _site_rows(k, tree, hull)
         for t, branch in enumerate(self._branches):
             exits = [g for g, gt in zip(hull, tree.translates(hull, (t,))) if gt not in inside]
-            placed = [tree.translates(exits, u) for u in self._ball]
+            # exits·u for each u of B(rho), in id order: one step by u's last letter from exits·parent(u)
+            placed = [exits]
+            for _u, v, s in ball_steps(k.rank, self.radius):
+                placed.append(tree.translates(placed[v], (s,)))
             for e in range(len(exits)):
                 rows += [{(placed[u][e], j): v for (u, j), v in row.items()} for row in branch]
         channels, kept = range(k.d_in), W.ids()

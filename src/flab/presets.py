@@ -4,6 +4,17 @@ The section pairs and the skew cases built on them act through the
 rank-2 free group, the rank every verifier suite runs at.  Every
 randomized suite takes an explicit rng so runs are reproducible from a
 single seed.
+
+Per-process facts.  The seven section pairs are split once per process
+(`_SECTIONS`), each into its `SectionCocycleBundle` with one skew case
+per special fiber partition; `section_bundles` and `skew_test_cases`
+return fresh lists, and fresh case dicts, over those shared bundles,
+cocycles and special partitions.  The preset groups come from
+`groups.preset_group`, one per name, and keep their automorphisms and
+normal subgroups.  Sharing is safe because none of these objects changes
+meaning after it is built and validated: what they fill lazily (state
+tables, window state sets, cocycle rows) is a function of their
+generators alone.
 """
 
 from __future__ import annotations
@@ -102,38 +113,48 @@ def section_pair_catalog() -> list[dict]:
     ]
 
 
-def section_bundles() -> list[tuple[str, SectionCocycleBundle]]:
-    """Each pair of `section_pair_catalog` by name, split once into its bundle."""
-    return [
-        (pair["name"], SectionCocycleBundle(pair["action"], pair["subgroup"]))
-        for pair in section_pair_catalog()
-    ]
+# pair name -> (its bundle, its skew cases), filled once per process by `_sections`
+_SECTIONS: dict[str, tuple[SectionCocycleBundle, tuple[dict, ...]]] = {}
 
 
-def skew_test_cases(bundles: list[tuple[str, SectionCocycleBundle]] | None = None) -> list[dict]:
-    """Finite rank-2 skew products with a special fiber partition, cocycles
-    mixed trivial and nontrivial: those of `bundles`, built by
-    `section_bundles` when not given."""
-    cases = []
-    for name, bundle in section_bundles() if bundles is None else bundles:
-        cocycle = bundle.cocycle
-        fiber = cocycle.fiber
-        specials = [
-            SpecialPartition(fiber.group, sub)
-            for sub in normal_subgroups(fiber.group)
-            if fiber.subgroup_invariant(sub)
-        ]
-        nontrivial = any(v != fiber.group.identity for vals in cocycle.gen_values for v in vals)
-        for sp in specials:
-            cases.append(
+def _sections() -> dict[str, tuple[SectionCocycleBundle, tuple[dict, ...]]]:
+    """Each pair of `section_pair_catalog`, split once into its bundle, with
+    one skew case per special fiber partition invariant under the fiber action."""
+    if not _SECTIONS:
+        built = {}
+        for pair in section_pair_catalog():
+            bundle = SectionCocycleBundle(pair["action"], pair["subgroup"])
+            cocycle = bundle.cocycle
+            fiber = cocycle.fiber
+            nontrivial = any(v != fiber.group.identity for vals in cocycle.gen_values for v in vals)
+            specials = [
+                SpecialPartition(fiber.group, sub)
+                for sub in normal_subgroups(fiber.group)
+                if fiber.subgroup_invariant(sub)
+            ]
+            built[pair["name"]] = bundle, tuple(
                 {
-                    "name": name + f" (blocks={sp.partition.num_blocks()})",
+                    "name": pair["name"] + f" (blocks={sp.partition.num_blocks()})",
                     "cocycle": cocycle,
                     "special": sp,
                     "nontrivial_cocycle": nontrivial,
                 }
+                for sp in specials
             )
-    return cases
+        _SECTIONS.update(built)  # only whole: a failed split leaves no partial catalog
+    return _SECTIONS
+
+
+def section_bundles() -> list[tuple[str, SectionCocycleBundle]]:
+    """Each pair of `section_pair_catalog` by name with its bundle, shared by every call."""
+    return [(name, bundle) for name, (bundle, _cases) in _sections().items()]
+
+
+def skew_test_cases() -> list[dict]:
+    """Finite rank-2 skew products with a special fiber partition, cocycles
+    mixed trivial and nontrivial: fresh dicts over the shared bundles of
+    `section_bundles`."""
+    return [dict(case) for _bundle, cases in _sections().values() for case in cases]
 
 
 # -- seeded factories ----------------------------------------------------------

@@ -286,7 +286,7 @@ def verify_cocycle_identity(
     number: dict[tuple[int, ...], int] = {}
     nums = [number.setdefault(r, len(number)) for r in rows]
     step = tree.step_table(2 * max_len - 1) if max_len else []
-    steps = list(ball_steps(base.rank, max_len))
+    steps = ball_steps(base.rank, max_len)
     alphas, betas = base._fill(steps), fiber._fill(steps)
     products = [list(ids)]  # the ids of g h by h, then g
     for _h, v, s in steps:
@@ -369,7 +369,7 @@ class SectionCocycleBundle:
         phi_flat = [g.mul(g.index(n), s) for s in self.section for n in fiber.labels]
         if sorted(phi_flat) != list(range(g.order())):
             return False, {"reason": "phi is not a bijection"}
-        ids, steps = range(ball_size(parent.rank, max_len)), list(ball_steps(parent.rank, max_len))
+        ids, steps = range(ball_size(parent.rank, max_len)), ball_steps(parent.rank, max_len)
         skew, orig = product._fill(steps), parent._fill(steps)
         for i in ids:
             skew_perm, parent_perm = product._maps[skew[i]], parent._maps[orig[i]]

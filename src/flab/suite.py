@@ -240,8 +240,8 @@ def run_algebraic(cfg: RunConfig, kernel: ConvolutionKernel) -> dict:
 # -- verifier suites ------------------------------------------------------------
 
 
-def _suite_cocycle(cfg: RunConfig, bundles: list, inject_bug: str | None) -> dict:
-    cases = []
+def _suite_cocycle(cfg: RunConfig, inject_bug: str | None) -> dict:
+    cases, bundles = [], section_bundles()
     for name, bundle in bundles:
         rows = bundle.cocycle.ball_rows(6)  # every row the check reads
         ok_eq, wit_eq = verify_cocycle_identity(
@@ -330,9 +330,9 @@ def _suite_skew_entropy_bound(cfg: RunConfig) -> dict:
     return {"name": "skew-entropy-bound", "cases": cases, "passed": all(c["passed"] for c in cases)}
 
 
-def _suite_relative_collapse(cfg: RunConfig, skew_cases: list[dict]) -> dict:
+def _suite_relative_collapse(cfg: RunConfig) -> dict:
     cases = []
-    for case in skew_cases:
+    for case in skew_test_cases():
         cocycle = case["cocycle"]
         proc = SkewProductProcess(
             cocycle,
@@ -356,10 +356,10 @@ def _suite_relative_collapse(cfg: RunConfig, skew_cases: list[dict]) -> dict:
     return {"name": "relative-collapse", "cases": cases, "passed": all(c["passed"] for c in cases)}
 
 
-def _suite_pullback_exchange(cfg: RunConfig, skew_cases: list[dict]) -> dict:
+def _suite_pullback_exchange(cfg: RunConfig) -> dict:
     rng = make_rng(cfg.seed + 1)
     cases = []
-    for case in skew_cases[:8]:
+    for case in skew_test_cases()[:8]:
         cocycle = case["cocycle"]
         p_prime = random_partition(rng, cocycle.base.size())
         ok = all(
@@ -370,9 +370,9 @@ def _suite_pullback_exchange(cfg: RunConfig, skew_cases: list[dict]) -> dict:
     return {"name": "pullback-exchange", "cases": cases, "passed": all(c["passed"] for c in cases)}
 
 
-def _suite_generated_algebra(cfg: RunConfig, skew_cases: list[dict]) -> dict:
+def _suite_generated_algebra(cfg: RunConfig) -> dict:
     cases = []
-    for case in skew_cases[:8]:
+    for case in skew_test_cases()[:8]:
         cocycle = case["cocycle"]
         p = FinitePartition.points(cocycle.base.space)
         ok = verify_generated_algebra(cocycle, p, case["special"])
@@ -380,9 +380,9 @@ def _suite_generated_algebra(cfg: RunConfig, skew_cases: list[dict]) -> dict:
     return {"name": "generated-algebra", "cases": cases, "passed": all(c["passed"] for c in cases)}
 
 
-def _suite_window_split(cfg: RunConfig, skew_cases: list[dict]) -> dict:
+def _suite_window_split(cfg: RunConfig) -> dict:
     cases = []
-    for case in skew_cases[:4]:
+    for case in skew_test_cases()[:4]:
         cocycle = case["cocycle"]
         p = FinitePartition.points(cocycle.base.space)
         ok = all(verify_window_split(cocycle, n, p, case["special"]) for n in (1, 2))
@@ -420,7 +420,6 @@ _SUITES = {
     "window-split": _suite_window_split,
     "addition-formula": _suite_addition_formula,
 }
-_SKEW_SUITES = frozenset({"relative-collapse", "pullback-exchange", "generated-algebra", "window-split"})
 
 
 def run_verifier_suite(
@@ -440,16 +439,7 @@ def run_verifier_suite(
         raise ValueError(
             f"the injected bug {inject_bug!r} corrupts the cocycle suite, which is not selected"
         )
-    extra = {}
-    if "cocycle" in selection or not _SKEW_SUITES.isdisjoint(selection):
-        # one split of each section pair, shared by the cocycle suite and
-        # the skew cases, and one build of those, shared by every suite
-        # that reads them
-        bundles = section_bundles()
-        extra["cocycle"] = (bundles, inject_bug)
-        if not _SKEW_SUITES.isdisjoint(selection):
-            extra |= dict.fromkeys(_SKEW_SUITES, (skew_test_cases(bundles),))
-    results = [_SUITES[name](cfg, *extra.get(name, ())) for name in selection]
+    results = [_SUITES[name](cfg, inject_bug) if name == "cocycle" else _SUITES[name](cfg) for name in selection]
     passed = all(s["passed"] for s in results)
     return {
         "command": "verify",

@@ -44,12 +44,17 @@ ancestors in ascending id order, which puts every parent first.  A
 `check_ordering_condition` run on ids, converting word arguments and
 results at the boundary.
 
-Axis windows.  `axis_window(W, i, m)` returns s_i^m W and W u s_i W u
-... u s_i^m W, the windows of every F and F* row and generator rate.
-They are memoised at module level per (rank, W's ids, i), so a window
-is translated once per process, however many processes query it.  That
-is safe because a WordSet is immutable (it only caches its decoded
-words) and the windows are a function of W's ids and i alone.
+Per-process facts.  Four module-level dicts keep what depends on no
+caller, each entry built once per process and then shared:
+    `ball(rank, n)`            one WordSet B(n) per (rank, n) (`_BALLS`);
+    `ball_steps(rank, n)`      one tuple of (id, parent, slot) triples (`_STEPS`);
+    `CayleyTree.step_table(n)` one tuple of rows per (rank, n), whichever
+                               tree asks (`_STEP_TABLES`);
+    `axis_window(W, i, m)`     s_i^m W and W u s_i W u ... u s_i^m W, the
+                               windows of every F and F* row and generator
+                               rate, per (rank, W's ids, i) (`_AXES`).
+Sharing is safe because each is a function of its key alone and
+immutable: tuples, and WordSets, which only cache their decoded words.
 """
 
 from __future__ import annotations
@@ -229,17 +234,29 @@ def _id_letters(rank: int, i: int) -> tuple[int, ...]:
     return tuple(s // 2 + 1 if s % 2 == 0 else -(s // 2 + 1) for s in path)
 
 
-def ball_steps(rank: int, n: int) -> Iterator[tuple[int, int, int]]:
+# (rank, n) -> ball_steps(rank, n)
+_STEPS: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
+
+
+def ball_steps(rank: int, n: int) -> tuple[tuple[int, int, int], ...]:
     """(i, parent, last slot) for each id i >= 1 of B(n) in id order, as a sweep lists
     them but with no climb: the children of e take the slots 0 .. 2r-1, and the q
-    children of each id v >= 1 of B(n - 1) the slots but the inverse of v's last."""
-    q, inner = 2 * rank - 1, ball_size(rank, n - 1) - 1 if n else 0
-    after = [[t for t in range(q + 1) if t != s ^ 1] for s in range(q + 1)]
-    slots = list(range(q + 1)) if n else []
-    for v in range(inner):
-        slots += after[slots[v]]
-    parents = [0] * (q + 1) + sorted(list(range(1, inner + 1)) * q)
-    return zip(range(1, len(slots) + 1), parents, slots)
+    children of each id v >= 1 of B(n - 1) the slots but the inverse of v's last.
+    Built once per (rank, n) for the whole process."""
+    steps = _STEPS.get((rank, n))
+    if steps is None:
+        q, inner = 2 * rank - 1, ball_size(rank, n - 1) - 1 if n else 0
+        after = [[t for t in range(q + 1) if t != s ^ 1] for s in range(q + 1)]
+        slots = list(range(q + 1)) if n else []
+        for v in range(inner):
+            slots += after[slots[v]]
+        parents = [0] * (q + 1) + sorted(list(range(1, inner + 1)) * q)
+        steps = _STEPS[rank, n] = tuple(zip(range(1, len(slots) + 1), parents, slots))
+    return steps
+
+
+# (rank, n) -> CayleyTree(rank).step_table(n)
+_STEP_TABLES: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
 class CayleyTree:
@@ -342,16 +359,19 @@ class CayleyTree:
             out.append(i)
         return out
 
-    def step_table(self, n: int) -> list[list[int]]:
+    def step_table(self, n: int) -> tuple[tuple[int, ...], ...]:
         """For each letter slot s, the ids of i·s for every id i of B(n), in
         id order: the parent when s is the inverse b of i's last slot, else
         the child q·i + 2 + s - (s > b) (e has b = -1), with the last
-        slots of `ball_steps`."""
-        q, backs = self.q, [-1] + [s ^ 1 for _i, _v, s in ball_steps(self.rank, n)]
-        return [
-            [q * i + 2 + s - (s > b) if s != b else (i - 2) // q if i > 1 else 0 for i, b in enumerate(backs)]
-            for s in range(2 * self.rank)
-        ]
+        slots of `ball_steps`.  Built once per (rank, n) for the whole process."""
+        table = _STEP_TABLES.get((self.rank, n))
+        if table is None:
+            q, backs = self.q, [-1] + [s ^ 1 for _i, _v, s in ball_steps(self.rank, n)]
+            table = _STEP_TABLES[self.rank, n] = tuple(
+                tuple([q * i + 2 + s - (s > b) if s != b else (i - 2) // q if i > 1 else 0 for i, b in enumerate(backs)])
+                for s in range(2 * self.rank)
+            )
+        return table
 
     def thicken(self, ids: Iterable[int], t: int) -> set[int]:
         """All ids within distance t of the given ones."""
@@ -551,12 +571,20 @@ def ball_list(rank: int, n: int) -> list[FreeWord]:
     return out
 
 
+# (rank, n) -> ball(rank, n)
+_BALLS: dict[tuple[int, int], WordSet] = {}
+
+
 def ball(rank: int, n: int) -> WordSet:
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _wordset(rank, range(ball_size(rank, n)))
+    """B(n), one instance per (rank, n) for the whole process."""
+    b = _BALLS.get((rank, n))
+    if b is None:
+        if rank < 1:
+            raise ValueError("rank must be >= 1")
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        b = _BALLS[rank, n] = _wordset(rank, range(ball_size(rank, n)))
+    return b
 
 
 def ball_size(rank: int, n: int) -> int:

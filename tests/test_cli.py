@@ -12,11 +12,21 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import flab
-from flab import suite
+from flab import groups, presets, suite, words
 from flab.cli import main
 from flab.kernels import ConvolutionKernel
 from flab.suite import RunConfig, run_verifier_suite
 from test_reports import GOLDEN
+
+
+def cold_catalog(monkeypatch):
+    """Empty every per-process memo of the verifier's fixed inputs: the
+    section catalog, the preset groups, and the balls, ball steps, step
+    tables and axis windows of `flab.words`."""
+    monkeypatch.setattr(presets, "_SECTIONS", {})
+    monkeypatch.setattr(groups, "_BUILT", {})
+    for name in ("_BALLS", "_STEPS", "_STEP_TABLES", "_AXES"):
+        monkeypatch.setattr(words, name, {})
 
 
 def run_cli(args, capsys):
@@ -194,25 +204,38 @@ class TestVerify:
         assert code == 0 and report["suites"] == []
 
     def test_skew_cases_are_built_at_most_once(self, monkeypatch):
-        # the four suites that read the skew cases share one build, and a
-        # selection without them builds none
+        # the skew cases are built with the catalog, once per process: a
+        # selection without the suites that read them builds none, the
+        # first run that reads them builds them, and no later run does;
+        # every call hands out fresh case dicts over the shared objects
+        cold_catalog(monkeypatch)
         builds = []
-        real = suite.skew_test_cases
+        real = presets.SpecialPartition
 
         def counting(*args):
-            builds.append(1)
+            builds.append(args)
             return real(*args)
 
-        monkeypatch.setattr(suite, "skew_test_cases", counting)
-        assert run_verifier_suite(RunConfig())["status"] == "PASS"
-        assert len(builds) == 1
-        builds.clear()
+        monkeypatch.setattr(presets, "SpecialPartition", counting)
         assert run_verifier_suite(RunConfig(), ["special"])["status"] == "PASS"
         assert builds == []
+        assert run_verifier_suite(RunConfig(), ["window-split"])["status"] == "PASS"
+        built = len(builds)
+        assert built == len(presets.skew_test_cases()) > 0
+        skew_suites = ["cocycle", "relative-collapse", "pullback-exchange", "generated-algebra", "window-split"]
+        assert run_verifier_suite(RunConfig(), skew_suites)["status"] == "PASS"
+        assert len(builds) == built
+        first, second = presets.skew_test_cases(), presets.skew_test_cases()
+        assert first == second and first is not second
+        for a, b in zip(first, second):
+            assert a is not b and a["cocycle"] is b["cocycle"] and a["special"] is b["special"]
 
     def test_section_pairs_are_split_once_per_run(self, monkeypatch):
-        # the cocycle suite, its injected bug and the skew cases share one
-        # split of each of the seven section pairs
+        # with the catalog cleared, the first run splits each of the seven
+        # section pairs, and every later run, the injected bug and each
+        # suite alone included, splits none; a run that reads no section
+        # pair splits none either
+        cold_catalog(monkeypatch)
         splits = []
         real = suite.SectionCocycleBundle.__init__
 
@@ -221,13 +244,34 @@ class TestVerify:
             real(self, *args)
 
         monkeypatch.setattr(suite.SectionCocycleBundle, "__init__", counting)
-        for inject_bug in (None, "negate-cocycle"):
-            splits.clear()
-            run_verifier_suite(RunConfig(), inject_bug=inject_bug)
-            assert len(splits) == 7
-        splits.clear()
         run_verifier_suite(RunConfig(), ["special", "addition-formula"])
         assert splits == []
+        run_verifier_suite(RunConfig())
+        assert len(splits) == 7
+        splits.clear()
+        run_verifier_suite(RunConfig(), inject_bug="negate-cocycle")
+        for name in suite._SUITES:
+            run_verifier_suite(RunConfig(seed=7), [name])
+        assert splits == []
+        first, second = presets.section_bundles(), presets.section_bundles()
+        assert first == second and first is not second
+
+    def test_a_warm_catalog_changes_no_byte(self, monkeypatch):
+        # the bench's shape: after a default and an injected-bug run in the
+        # same interpreter, each suite alone for seeds 7 and 11 prints the
+        # bytes of the same run in a fresh process
+        env = dict(os.environ, PYTHONPATH=str(Path(flab.__file__).parents[1]))
+        cold_catalog(monkeypatch)
+        run_verifier_suite(RunConfig())
+        run_verifier_suite(RunConfig(), inject_bug="negate-cocycle")
+        for seed in (7, 11):
+            env["FLAB_SEED"] = str(seed)
+            for name in suite._SUITES:
+                warm = json.dumps(run_verifier_suite(RunConfig(seed=seed), [name]), sort_keys=True, indent=2) + "\n"
+                cold = subprocess.run(
+                    [sys.executable, "-m", "flab.cli", "verify", "--suite", name], capture_output=True, text=True, env=env
+                )
+                assert (cold.returncode, cold.stderr, cold.stdout) == (0, "", warm), (seed, name)
 
     def test_injected_bug_fails_with_witness(self, capsys):
         code, report = run_cli(

@@ -663,16 +663,25 @@ class TestTreeDistance:
         assert radius_center(s) == old_radius_center(s)
 
 
+@pytest.fixture
+def no_geometry(monkeypatch):
+    """Empty ball, ball-step and step-table memos for one test, so each
+    table is built by the test itself."""
+    for name in ("_BALLS", "_STEPS", "_STEP_TABLES"):
+        monkeypatch.setattr(words, name, {})
+
+
+@pytest.mark.usefixtures("no_geometry")
 class TestStepTable:
     @pytest.mark.parametrize("rank", [1, 2, 3])
     @pytest.mark.parametrize("n", range(5))
     def test_matches_translates(self, rank, n):
-        table = CayleyTree(rank).step_table(n)
         ids = range(ball_size(rank, n))
-        assert len(table) == 2 * rank
-        for s, row in enumerate(table):
-            # a fresh tree reads every last letter by its own arithmetic
-            assert row == CayleyTree(rank).translates(ids, (s,))
+        for table in (CayleyTree(rank).step_table(n), CayleyTree(rank).step_table(n)):
+            assert len(table) == 2 * rank
+            for s, row in enumerate(table):
+                # a fresh tree reads every last letter by its own arithmetic
+                assert list(row) == CayleyTree(rank).translates(ids, (s,))
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     @pytest.mark.parametrize("n", range(5))
@@ -685,6 +694,26 @@ class TestStepTable:
             assert listed[v].letters == listed[i].letters[:-1]
             assert letter_slots(listed[i].letters[-1:]) == (s,)
         assert steps == CayleyTree(rank).sweep(range(len(listed)), (0,))
+        assert list(words.ball_steps(rank, n)) == steps
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_built_once_per_rank_and_radius_as_tuples(self, rank):
+        # later calls, from any tree, return the same immutable instances
+        for n in range(5):
+            steps, table, b = words.ball_steps(rank, n), CayleyTree(rank).step_table(n), ball(rank, n)
+            assert type(steps) is tuple and all(type(step) is tuple for step in steps)
+            assert type(table) is tuple and all(type(row) is tuple for row in table)
+            assert words.ball_steps(rank, n) is steps
+            assert CayleyTree(rank).step_table(n) is table
+            assert ball(rank, n) is b and b.ids() == frozenset(range(ball_size(rank, n)))
+        assert len(words._BALLS) == len(words._STEPS) == len(words._STEP_TABLES) == 5
+        assert ball(rank + 1, 1) is not ball(rank, 1)
+
+    def test_bad_radius_is_not_kept(self):
+        for bad in (lambda: ball(2, -1), lambda: ball(0, 1), lambda: words.ball_steps(2, -1)):
+            with pytest.raises(ValueError):
+                bad()
+        assert words._BALLS == words._STEPS == {}
 
 
 def recursive_sweep(tree, ids, known, new=None):
