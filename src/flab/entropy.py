@@ -35,6 +35,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .values import Frozen
+
 MAX_ATOMS = 1 << 20
 
 # the binary first rung of EntropyValue.__lt__ (see its docstring)
@@ -76,7 +78,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class EntropyValue:
+class EntropyValue(Frozen):
     """An exact number of the form sum_i q_i * log(p_i), q_i rational, p_i prime.
 
     Held as integer numerators n_i over one common denominator d, q_i =
@@ -96,12 +98,6 @@ class EntropyValue:
         den = math.lcm(*[q.denominator for _p, q in items])
         _set_nums(self, tuple([(p, q.numerator * (den // q.denominator)) for p, q in items]))
         _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EntropyValue is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("EntropyValue is immutable")
 
     @staticmethod
     def zero() -> "EntropyValue":
@@ -297,7 +293,7 @@ def _combine(a: EntropyValue, b: EntropyValue, sign: int) -> EntropyValue:
 _ZERO = _value((), 1)
 
 
-class _MeasureSpace:
+class _MeasureSpace(Frozen):
     """Atoms 0..n-1 with weights c_i / N, validated once when built.
 
     The counts c_i are nonnegative integers summing to N, and N is the
@@ -324,12 +320,6 @@ class _MeasureSpace:
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "_hash", hash(counts))
         object.__setattr__(self, "_weights", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("measure spaces are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("measure spaces are immutable")
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -373,7 +363,7 @@ def _canonical(labels: Iterable) -> tuple[int, ...]:
     return tuple([canon.setdefault(lab, len(canon)) for lab in labels])
 
 
-class FinitePartition:
+class FinitePartition(Frozen):
     """A labelled partition of a finite measured space.
 
     The space is atoms 0..n-1 with rational weights summing to 1, given
@@ -392,12 +382,6 @@ class FinitePartition:
             raise SpaceMismatchError("weights/labels length mismatch")
         _set_space(self, space)
         _set_labels(self, _canonical(labels))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinitePartition is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FinitePartition is immutable")
 
     @property
     def weights(self) -> tuple[Fraction, ...]:

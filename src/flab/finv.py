@@ -18,9 +18,10 @@ FiniteActionProcess built with `given`, so nothing here takes a
 conditioning argument.
 
 The windows B(n) u s_i B(n) and U_m = W u s_i W u ... u s_i^m W come from
-`flab.words.axis_window`, memoised per (window, generator) at module
-level: they depend on the window and i, never on the process, so the
-processes of one addition check or skew suite share one instance of each.
+`flab.words.axis_window`, kept on the window: they depend on the window
+and i, never on the process, so the processes of one addition check or
+skew suite share one instance of each (see the per-process facts of
+`flab.words`).
 
 Every label a report prints comes from one vocabulary, all of it exact:
 

@@ -32,6 +32,7 @@ from operator import itemgetter, mul
 from typing import Hashable, Iterable, Sequence
 
 from .entropy import is_prime
+from .values import Frozen
 
 MAX_PRIME = 1 << 15
 
@@ -43,7 +44,7 @@ def check_modulus(p: int):
         raise ValueError(f"modulus {p} is not prime")
 
 
-class FpMatrix:
+class FpMatrix(Frozen):
     """A dense matrix over Z/pZ with entries reduced to [0, p).
 
     The factorization behind `solve` and `rank` is built on first use and
@@ -65,12 +66,6 @@ class FpMatrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", tuple(rows))
         object.__setattr__(self, "_factors", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FpMatrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FpMatrix is immutable")
 
 
 # -- the elimination kernel -------------------------------------------------

@@ -11,9 +11,10 @@ from itertools import product
 from typing import Sequence
 
 from .spec import is_int, spec_field
+from .values import Frozen
 
 
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """A group given by its multiplication table; caches its automorphisms
     and its normal subgroups, functions of the table alone."""
 
@@ -53,12 +54,6 @@ class FiniteGroup:
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
         object.__setattr__(self, "_automorphisms", None)
         object.__setattr__(self, "_normal_subgroups", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteGroup is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FiniteGroup is immutable")
 
     def order(self) -> int:
         return len(self.labels)
@@ -292,6 +287,27 @@ def all_automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
         out.sort()
         object.__setattr__(g, "_automorphisms", tuple(out))
     return list(g._automorphisms)
+
+
+def normal_subgroups(group: FiniteGroup) -> list[frozenset[int]]:
+    """All normal subgroups, by size, then elements, by closing generator
+    pairs (fine up to order 8); computed once per group and kept on it.
+
+    Each unordered pair is closed once, and a pair whose b lies in <a>
+    closes to <a> itself, so it is skipped.
+    """
+    if group._normal_subgroups is None:
+        n = group.order()
+        found = {frozenset([group.identity]), frozenset(range(n))}
+        for a in range(n):
+            powers = group.subgroup_closure((a,))
+            found.add(powers)
+            for b in range(a + 1, n):
+                if b not in powers:
+                    found.add(group.subgroup_closure((a, b)))
+        normal = sorted((s for s in found if group.is_normal(s)), key=lambda s: (len(s), sorted(s)))
+        object.__setattr__(group, "_normal_subgroups", tuple(normal))
+    return list(group._normal_subgroups)
 
 
 def invert_perm(perm: Sequence[int]) -> tuple[int, ...]:

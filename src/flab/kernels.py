@@ -49,6 +49,7 @@ from .fplinear import (
     solution_space_from_constraints,
 )
 from .spec import is_int, spec_field
+from .values import Frozen
 from .words import (
     CayleyTree,
     FreeWord,
@@ -85,7 +86,7 @@ def _block_is_zero(m: Matrix) -> bool:
     return all(all(x == 0 for x in row) for row in m)
 
 
-class ConvolutionKernel:
+class ConvolutionKernel(Frozen):
     """A finitely supported matrix-valued kernel over Z/pZ."""
 
     __slots__ = ("p", "rank", "d_in", "d_out", "coeffs")
@@ -116,12 +117,6 @@ class ConvolutionKernel:
         object.__setattr__(self, "d_in", d_in)
         object.__setattr__(self, "d_out", d_out)
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConvolutionKernel is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ConvolutionKernel is immutable")
 
     def is_zero(self) -> bool:
         return not self.coeffs

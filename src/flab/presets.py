@@ -10,11 +10,11 @@ Per-process facts.  The seven section pairs are split once per process
 per special fiber partition; `section_bundles` and `skew_test_cases`
 return fresh lists, and fresh case dicts, over those shared bundles,
 cocycles and special partitions.  The preset groups come from
-`groups.preset_group`, one per name, and keep their automorphisms and
-normal subgroups.  Sharing is safe because none of these objects changes
-meaning after it is built and validated: what they fill lazily (state
-tables, window state sets, cocycle rows) is a function of their
-generators alone.
+`groups.preset_group`, one per name (`groups._BUILT`), and keep their
+automorphisms and normal subgroups.  Sharing is safe because none of
+these objects changes meaning after it is built and validated: what
+they fill lazily (state tables, window state sets, cocycle rows) is a
+function of their generators alone.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 
 from .entropy import FinitePartition
-from .groups import FiniteGroup, all_automorphisms, preset_group
+from .groups import FiniteGroup, all_automorphisms, normal_subgroups, preset_group
 from .skew import (
     Cocycle,
     FiniteAction,
@@ -57,27 +57,6 @@ def _automorphism(group: FiniteGroup, value) -> tuple[int, ...]:
 
 def trivial_action(group: FiniteGroup, rank: int) -> FiniteGroupAction:
     return FiniteGroupAction(group, [identity_perm(group.order())] * rank, rank)
-
-
-def normal_subgroups(group: FiniteGroup) -> list[frozenset[int]]:
-    """All normal subgroups, by size, then elements, by closing generator
-    pairs (fine up to order 8); computed once per group and kept on it.
-
-    Each unordered pair is closed once, and a pair whose b lies in <a>
-    closes to <a> itself, so it is skipped.
-    """
-    if group._normal_subgroups is None:
-        n = group.order()
-        found = {frozenset([group.identity]), frozenset(range(n))}
-        for a in range(n):
-            cyclic = group.subgroup_closure((a,))
-            found.add(cyclic)
-            for b in range(a + 1, n):
-                if b not in cyclic:
-                    found.add(group.subgroup_closure((a, b)))
-        normal = sorted((s for s in found if group.is_normal(s)), key=lambda s: (len(s), sorted(s)))
-        object.__setattr__(group, "_normal_subgroups", tuple(normal))
-    return list(group._normal_subgroups)
 
 
 def _auto_fixing_subgroup(group: FiniteGroup, sub: frozenset[int]):

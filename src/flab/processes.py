@@ -28,8 +28,8 @@ the base, whose functionals are the relative (base-conditioned) ones of
 the addition formula.  A FiniteActionProcess, and so a skew product, keeps
 its own memo of answers per set {alpha_w : w in W}, on which alone P^W depends.
 The axis windows a KernelProcess splits, s^j B(N) and B(n) u sB(n), come
-from `flab.words.axis_window`, memoised per (window, generator) at module
-level: they are a function of the window and the generator alone.
+from `flab.words.axis_window`, kept on the shared balls (see the
+per-process facts of `flab.words`).
 """
 
 from __future__ import annotations

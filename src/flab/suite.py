@@ -10,15 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .entropy import EntropyValue, FinitePartition
+from .entropy import EntropyValue, FinitePartition, is_prime
 from .finv import (
     F_star_of,
     abramov_rokhlin_check,
     addition_report,
     full_report,
 )
-from .fplinear import is_prime
-from .groups import group_from_json, preset_group
+from .groups import group_from_json, normal_subgroups, preset_group
 from .kernels import (
     ConvolutionKernel,
     KernelSubshift,
@@ -32,7 +31,6 @@ from .presets import (
     DEFAULT_SEED,
     group_action,
     make_rng,
-    normal_subgroups,
     random_finite_action,
     random_partition,
     random_z_skew,

@@ -34,27 +34,29 @@ word with id i >= 1 has
     parent    (i - 2) // q  (e when i = 1).
 The child reached by the letter of slot s skips the inverse of i's last
 letter, so d = s, or s - 1 past that inverse; a one-generator step i·s
-therefore needs i's last letter too.  These two steps are the only id
-arithmetic here: encoding takes one child step per letter, decoding
-climbs parents for the digits, and a left translate steps from the
-image of each parent.  A `CayleyTree` keeps, for the ids it has met,
-their last letters; `sweep` fills those of other ids and their missing
-ancestors in ascending id order, which puts every parent first.  A
-`WordSet` stores ids, and `thicken`, `convex_hull`, `radius_center` and
-`check_ordering_condition` run on ids, converting word arguments and
-results at the boundary.
+therefore needs i's last letter too.  Every id computation here is one
+of these two steps: encoding takes one child step per letter, decoding
+climbs parents for the digits, a left translate steps from the image of
+each parent, and `ball_steps` and `CayleyTree.step_table` write the
+child rule in closed form over a whole ball.  A `CayleyTree` keeps, for
+the ids it has met, their last letters; `sweep` fills those of other
+ids and their missing ancestors in ascending id order, which puts every
+parent first.  A `WordSet` stores ids, and `thicken`, `convex_hull`,
+`radius_center` and `check_ordering_condition` run on ids, converting
+word arguments and results at the boundary.
 
-Per-process facts.  Four module-level dicts keep what depends on no
+Per-process facts.  Three module-level dicts keep what depends on no
 caller, each entry built once per process and then shared:
     `ball(rank, n)`            one WordSet B(n) per (rank, n) (`_BALLS`);
     `ball_steps(rank, n)`      one tuple of (id, parent, slot) triples (`_STEPS`);
     `CayleyTree.step_table(n)` one tuple of rows per (rank, n), whichever
-                               tree asks (`_STEP_TABLES`);
-    `axis_window(W, i, m)`     s_i^m W and W u s_i W u ... u s_i^m W, the
-                               windows of every F and F* row and generator
-                               rate, per (rank, W's ids, i) (`_AXES`).
+                               tree asks (`_STEP_TABLES`).
 Sharing is safe because each is a function of its key alone and
-immutable: tuples, and WordSets, which only cache their decoded words.
+immutable: tuples, and WordSets, which only cache their decoded words
+and their axis windows.  `axis_window(W, i, m)`, s_i^m W and W u s_i W
+u ... u s_i^m W, the windows of every F and F* row and generator rate,
+is kept on W per i: a ball's chains last for the process, and any other
+window's go with it.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ from functools import reduce
 from itertools import combinations
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Sequence
+
+from .values import Frozen
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -75,7 +79,7 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
-class FreeWord:
+class FreeWord(Frozen):
     """A reduced word in the rank-r free group."""
 
     __slots__ = ("rank", "letters", "_hash")
@@ -90,12 +94,6 @@ class FreeWord:
         _set_rank(self, rank)
         _set_letters(self, reduced)
         _set_hash(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeWord is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FreeWord is immutable")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -429,16 +427,16 @@ class CayleyTree:
 # -- word sets ---------------------------------------------------------------
 
 
-class WordSet:
+class WordSet(Frozen):
     """A finite set of words of common rank with deterministic iteration.
 
     The words are held as their ids.  Iteration is length-lexicographic
     (ascending id), so anything derived from a WordSet (reports, matrix
     column orders) is byte-stable; the words are decoded on the first
-    iteration and kept.
+    iteration and kept, and so are the axis windows of `axis_window`.
     """
 
-    __slots__ = ("rank", "_ids", "_sorted")
+    __slots__ = ("rank", "_ids", "_sorted", "_axes")
 
     def __init__(self, rank: int, words: Iterable[FreeWord] = ()):
         ids = set()
@@ -449,15 +447,7 @@ class WordSet:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_ids", frozenset(ids))
         object.__setattr__(self, "_sorted", None)
-
-    def __setattr__(self, name, value):
-        if name == "_sorted":
-            object.__setattr__(self, name, value)
-        else:
-            raise AttributeError("WordSet is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("WordSet is immutable")
+        object.__setattr__(self, "_axes", None)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -472,7 +462,7 @@ class WordSet:
     def __iter__(self) -> Iterator[FreeWord]:
         if self._sorted is None:
             rank = self.rank
-            self._sorted = [_word(rank, _id_letters(rank, i)) for i in sorted(self._ids)]
+            object.__setattr__(self, "_sorted", [_word(rank, _id_letters(rank, i)) for i in sorted(self._ids)])
         return iter(self._sorted)
 
     def __eq__(self, other) -> bool:
@@ -535,6 +525,7 @@ def _wordset(rank: int, ids: Iterable[int]) -> WordSet:
     object.__setattr__(s, "rank", rank)
     object.__setattr__(s, "_ids", frozenset(ids))
     object.__setattr__(s, "_sorted", None)
+    object.__setattr__(s, "_axes", None)
     return s
 
 
@@ -599,29 +590,26 @@ def ball_size(rank: int, n: int) -> int:
     return 1 + 2 * rank * (q**n - 1) // (q - 1)
 
 
-# (rank, ids of W, i) -> (s_i, [W, s_i W, s_i^2 W, ...], [W, W u s_i W, ...])
-_AXES: dict[tuple[int, frozenset[int], int], tuple[FreeWord, list[WordSet], list[WordSet]]] = {}
-
-
 def axis_window(W: WordSet, i: int, m: int) -> tuple[WordSet, WordSet]:
     """(s_i^m W, W u s_i W u ... u s_i^m W) for the i-th generator s_i, m >= 0.
 
-    Memoised per (rank, W's ids, i) for the whole process: the chain grows
+    Kept on W per i for W's lifetime: the chain s_i W, s_i^2 W, ... grows
     by one `translate` and one `union` per new m, and every later call
-    returns the same instances.  Sharing is safe because a WordSet is
-    immutable and these windows are a function of W's ids and i alone.
+    returns the same instances.  The chain does not hold W, so it goes
+    with W; a ball, kept for the process, keeps its chains too.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    key = (W.rank, W._ids, i)
-    chain = _AXES.get(key)
+    if W._axes is None:
+        object.__setattr__(W, "_axes", {})
+    chain = W._axes.get(i)
     if chain is None:
-        chain = _AXES[key] = (generator(W.rank, i), [W], [W])
+        chain = W._axes[i] = (generator(W.rank, i), [], [])
     s, moved, joined = chain
-    while len(moved) <= m:
-        moved.append(moved[-1].translate(s))
-        joined.append(joined[-1].union(moved[-1]))
-    return moved[m], joined[m]
+    while len(moved) < m:
+        moved.append((moved[-1] if moved else W).translate(s))
+        joined.append((joined[-1] if joined else W).union(moved[-1]))
+    return (moved[m - 1], joined[m - 1]) if m else (W, W)
 
 
 def spiral_ordering(rank: int, n: int) -> list[FreeWord]:

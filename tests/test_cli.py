@@ -21,11 +21,11 @@ from test_reports import GOLDEN
 
 def cold_catalog(monkeypatch):
     """Empty every per-process memo of the verifier's fixed inputs: the
-    section catalog, the preset groups, and the balls, ball steps, step
-    tables and axis windows of `flab.words`."""
+    section catalog, the preset groups, and the balls (with the axis
+    windows kept on them), ball steps and step tables of `flab.words`."""
     monkeypatch.setattr(presets, "_SECTIONS", {})
     monkeypatch.setattr(groups, "_BUILT", {})
-    for name in ("_BALLS", "_STEPS", "_STEP_TABLES", "_AXES"):
+    for name in ("_BALLS", "_STEPS", "_STEP_TABLES"):
         monkeypatch.setattr(words, name, {})
 
 
@@ -645,9 +645,9 @@ class TestDeterminism:
         ],
     )
     def test_axis_windows_kept_for_the_process_change_no_byte(self, tmp_path, monkeypatch, command, spec):
-        # the axis windows of F and F* are memoised for the whole process; a
-        # cold CLI run, a library run that builds them and one that reuses
-        # them give the same bytes
+        # the axis windows of F and F* are kept on the balls, which are kept
+        # for the whole process; a cold CLI run, a library run that builds
+        # them on fresh balls and one that reuses them give the same bytes
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         env = dict(os.environ, PYTHONPATH=str(Path(flab.__file__).parents[1]))
@@ -657,7 +657,7 @@ class TestDeterminism:
             capture_output=True, text=True, env=env,
         )
         assert cold.returncode == 0 and cold.stderr == ""
-        monkeypatch.setattr(flab.words, "_AXES", {})
+        monkeypatch.setattr(flab.words, "_BALLS", {})
         cfg = RunConfig(n_max=int(nmax))
         if command == "compute-f":
             run = lambda: suite.run_compute_f(cfg, spec)

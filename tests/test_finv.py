@@ -721,9 +721,10 @@ class TestAbramovRokhlin:
 
     def test_each_axis_window_is_translated_once(self, monkeypatch):
         # the windows of F and F*, B(n) u s_i B(n) and U_m = B(n) u ... u
-        # s_i^m B(n), depend on no process: two reports on different actions
-        # translate each (window, i, m) once, the second reusing the first's
-        monkeypatch.setattr(words, "_AXES", {})
+        # s_i^m B(n), depend on no process and are kept on the shared balls:
+        # two reports on different actions translate each (window, i, m)
+        # once, the second reusing the first's
+        monkeypatch.setattr(words, "_BALLS", {})
         translated = []
         translate = WordSet.translate
 
@@ -738,7 +739,7 @@ class TestAbramovRokhlin:
             act = random_finite_action(rng)
             full_report(FiniteActionProcess(act, random_partition(rng, act.size())), 2)
             per_report.append(len(translated) - sum(per_report))
-        steps = [(W, i, m) for (_r, W, i), (_s, moved, _u) in words._AXES.items() for m in range(1, len(moved))]
+        steps = [(W, i, m) for W in words._BALLS.values() for i, (_s, moved, _u) in W._axes.items() for m in range(len(moved))]
         assert len(translated) == len(set(translated)) == len(steps)
         # the second report reuses the windows of the first
         assert per_report[1] < per_report[0]

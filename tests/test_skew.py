@@ -17,12 +17,12 @@ from flab.groups import (
     dihedral4,
     invert_perm,
     klein_four,
+    normal_subgroups,
     preset_group,
     quaternion8,
 )
 from flab.presets import (
     make_rng,
-    normal_subgroups,
     random_finite_action,
     random_partition,
     random_z_skew,

@@ -846,9 +846,9 @@ def fresh_axis_window(W, i, m):
 
 @pytest.fixture
 def no_axes(monkeypatch):
-    """An empty axis-window memo for one test, so a test neither reads nor
-    leaves chains of another."""
-    monkeypatch.setattr(words, "_AXES", {})
+    """Fresh balls for one test, so a test neither reads nor leaves the
+    axis chains kept on the shared balls of another."""
+    monkeypatch.setattr(words, "_BALLS", {})
 
 
 @pytest.mark.usefixtures("no_axes")
@@ -875,10 +875,14 @@ class TestAxisWindow:
         W = ball(2, 1)
         first = [axis_window(W, 1, m) for m in range(3)]
         assert first[0] == (W, W) and first[0][0] is W and first[0][1] is W
-        # an equal window built again keys the same chain
+        # the shared ball, asked for again, holds the same chain
         again = [axis_window(ball(2, 1), 1, m) for m in range(3)]
         assert all(a is b for pair in zip(first, again) for a, b in zip(*pair))
         assert axis_window(W, 2, 1)[1] is not first[1][1]
+        # an equal window built apart has its own chain, of equal windows
+        apart = WordSet(2, ball_list(2, 1))
+        assert [axis_window(apart, 1, m) for m in range(3)] == first
+        assert axis_window(apart, 1, 2)[1] is not first[2][1]
 
     def test_the_rank_is_part_of_the_key(self):
         # the rank-3 words e, a, A, b, B have the ids of the rank-2 ball B(1)
@@ -890,9 +894,10 @@ class TestAxisWindow:
         assert joined == fresh_axis_window(same_ids, 2, 1)[1]
 
     def test_bad_arguments(self):
+        W = ball(2, 1)
         with pytest.raises(ValueError, match="m must be >= 0"):
-            axis_window(ball(2, 1), 1, -1)
+            axis_window(W, 1, -1)
         for i in (0, 3, -3):
             with pytest.raises(ValueError, match="out of range"):
-                axis_window(ball(2, 1), i, 1)
-        assert words._AXES == {}
+                axis_window(W, i, 1)
+        assert not W._axes
