@@ -31,11 +31,20 @@ and a "not onto" carries a checked witness (`is_surjective`).
 The window systems and the onto-ness path run on word ids and
 `CayleyTree` steps (see `flab.words`); FreeWords are built only at the
 boundary: for arguments, for the keys and columns returned, and reports.
+Words over a whole ball are read off the process-wide `ball(rank, n)`.
+
+Per-kernel facts.  A kernel keeps its `support_geometry` (support, hull,
+radius, centers) and its `_centered` triple on itself, each computed on
+first use: `is_surjective`, `KernelSubshift` and every `preimage_on_ball`
+on one kernel share one hull.  Sharing is safe because a kernel never
+changes: it refuses assignment (`flab.values.Frozen`) and its `coeffs`
+are a read-only mapping.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .fplinear import (
@@ -55,7 +64,6 @@ from .words import (
     FreeWord,
     WordSet,
     ball,
-    ball_list,
     ball_size,
     ball_steps,
     convex_hull,
@@ -87,9 +95,10 @@ def _block_is_zero(m: Matrix) -> bool:
 
 
 class ConvolutionKernel(Frozen):
-    """A finitely supported matrix-valued kernel over Z/pZ."""
+    """A finitely supported matrix-valued kernel over Z/pZ; `coeffs` is a
+    read-only view of its nonzero blocks (see the module's "Per-kernel facts")."""
 
-    __slots__ = ("p", "rank", "d_in", "d_out", "coeffs")
+    __slots__ = ("p", "rank", "d_in", "d_out", "coeffs", "_geometry", "_centering")
 
     def __init__(
         self,
@@ -116,7 +125,9 @@ class ConvolutionKernel(Frozen):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "d_in", d_in)
         object.__setattr__(self, "d_out", d_out)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+        object.__setattr__(self, "_geometry", None)
+        object.__setattr__(self, "_centering", None)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -222,12 +233,17 @@ class SupportGeometry(NamedTuple):
 
 
 def support_geometry(k: ConvolutionKernel) -> SupportGeometry:
-    if k.is_zero():
-        raise ZeroKernelError("zero kernel has no support geometry")
-    support = k.support()
-    hull = convex_hull(support)
-    radius, centers = radius_center(hull)
-    return SupportGeometry(support, hull, radius, centers)
+    """The geometry of k's support, computed on first use and kept on k."""
+    geo = k._geometry
+    if geo is None:
+        if k.is_zero():
+            raise ZeroKernelError("zero kernel has no support geometry")
+        support = k.support()
+        hull = convex_hull(support)
+        radius, centers = radius_center(hull)
+        geo = SupportGeometry(support, hull, radius, centers)
+        object.__setattr__(k, "_geometry", geo)
+    return geo
 
 
 def _centered(k: ConvolutionKernel) -> tuple[ConvolutionKernel, FreeWord, SupportGeometry]:
@@ -235,21 +251,32 @@ def _centered(k: ConvolutionKernel) -> tuple[ConvolutionKernel, FreeWord, Suppor
 
     Returns (k', c, geometry of k') with k'.coeffs[t] = k.coeffs[c t]; the
     two kernels cut out the same subshift, with constraints reindexed by
-    g -> g c^{-1}.
+    g -> g c^{-1}.  Computed on first use and kept on k.
     """
-    geo = support_geometry(k)
-    center = next(iter(geo.centers))
-    if center.is_identity():
-        return k, center, geo
-    cinv = inv(center)
-    coeffs = {mul(cinv, s): block for s, block in k.coeffs.items()}
-    kc = ConvolutionKernel(k.p, k.rank, coeffs, k.d_in, k.d_out)
-    return kc, center, support_geometry(kc)
+    triple = k._centering
+    if triple is None:
+        geo = support_geometry(k)
+        center = next(iter(geo.centers))
+        if center.is_identity():
+            triple = k, center, geo
+        else:
+            cinv = inv(center)
+            coeffs = {mul(cinv, s): block for s, block in k.coeffs.items()}
+            kc = ConvolutionKernel(k.p, k.rank, coeffs, k.d_in, k.d_out)
+            triple = kc, center, support_geometry(kc)
+        object.__setattr__(k, "_centering", triple)
+    return triple
 
 
 def _stencil(k: ConvolutionKernel, tree: CayleyTree) -> list[tuple[int, tuple[int, ...], Matrix]]:
     """(id, letter slots, block) of each support word of k, in ascending id."""
     return sorted((tree.id(s), letter_slots(s.letters), block) for s, block in k.coeffs.items())
+
+
+def _ball_words(tree: CayleyTree, top: int) -> list[FreeWord]:
+    """The words of ids 0 .. top and on to the end of top's sphere, listed by
+    id: those of the process-wide ball B(|top|), decoded once per process."""
+    return list(ball(tree.rank, tree.length(top)))
 
 
 # -- window systems ---------------------------------------------------------
@@ -394,7 +421,7 @@ class KernelSubshift:
         self._stencil, _, geo = _centered(kernel)
         self._tree = CayleyTree(kernel.rank)
         # letter slots of the words of B(rho), in id order
-        self._ball = [letter_slots(w.letters) for w in ball_list(kernel.rank, geo.radius)]
+        self._ball = [letter_slots(w.letters) for w in ball(kernel.rank, geo.radius)]
         self.radius = geo.radius  # rho: the centered hull lies in B(rho)
         self._branches, _ = _fixed_point(self._stencil, self._tree, self._ball)
         self._cache: dict[tuple, MarginalResult] = {}
@@ -459,7 +486,12 @@ class SurjectivityReport(NamedTuple):
 
 def target_map_matrix(k: ConvolutionKernel, W: WordSet) -> tuple[FpMatrix, list]:
     """Matrix of x |-> phi(x)|_W over the variables the W-constraints read:
-    the `_site_rows` at W, densified over every channel of each id read."""
+    the `_site_rows` at W, densified over every channel of each id read.
+
+    The column words are read off the shared ball that reaches the last
+    id read: B(n + m) for W = B(n), as every caller passes, with m the
+    longest support word's length, but a ball that grows with W's
+    distance from e for a window far away."""
     _check_rank(k, W)
     tree, d_in = CayleyTree(k.rank), k.d_in
     rows = _site_rows(k, tree, sorted(W.ids()))
@@ -471,7 +503,8 @@ def target_map_matrix(k: ConvolutionKernel, W: WordSet) -> tuple[FpMatrix, list]
         for (i, j), v in row.items():
             out[index[i] + j] = v
         dense.append(out)
-    cols = [(tree.word(i), j) for i in var_ids for j in range(d_in)]
+    words = _ball_words(tree, max(var_ids, default=0))
+    cols = [(words[i], j) for i in var_ids for j in range(d_in)]
     return FpMatrix(k.p, dense, cols=len(cols)), cols
 
 
@@ -513,7 +546,7 @@ def is_surjective(k: ConvolutionKernel) -> SurjectivityReport:
         )
     dual = ConvolutionKernel(k.p, k.rank, {inv(s): list(zip(*c)) for s, c in k.coeffs.items()}, k.d_out, k.d_in)
     stencil, _, geo = _centered(dual)
-    tree, states = CayleyTree(k.rank), ball_list(k.rank, geo.radius)
+    tree, states = CayleyTree(k.rank), ball(k.rank, geo.radius)
     branches, rounds = _fixed_point(stencil, tree, [letter_slots(w.letters) for w in states], least=True)
     keys = [(u, j) for u in range(len(states)) for j in range(dual.d_in)]
     meet = len(keys) - len(_basis_rows([row for rows in branches for row in rows], keys, k.p))
@@ -534,7 +567,7 @@ def _witness(k: ConvolutionKernel, dual: ConvolutionKernel, bound: int) -> dict:
     else:
         raise AssertionError(f"no target map up to B({bound}) loses row rank")
     d, null = k.d_out, solve(FpMatrix(k.p, list(zip(*m.entries))), [0] * m.cols).basis[0]
-    y = {g: null[i * d:i * d + d] for i, g in enumerate(ball_list(k.rank, n)) if any(null[i * d:i * d + d])}
+    y = {g: null[i * d:i * d + d] for i, g in enumerate(ball(k.rank, n)) if any(null[i * d:i * d + d])}
     if any(any(dual.evaluate(y, mul(g, inv(s)))) for g in y for s in dual.coeffs):
         raise AssertionError("the witness is not in the kernel of the dual stencil")
     return {"ball": f"B({n})", "rank": rank, "rows": m.rows, "y": [[format_word(g), list(v)] for g, v in y.items()]}
@@ -579,7 +612,8 @@ def preimage_on_ball(
     Each word of F has a coefficient invertible mod p.  `_picks` tabulates
     u by the cancelling slot t^-1; each step asserts its constraint, and
     the result is re-verified against k on B(n).  Sites, targets and x
-    are keyed by word id; x is decoded once, at the return.
+    are keyed by word id; x's keys are read off the shared ball at the
+    return.
     """
     if k.is_zero():
         raise ZeroKernelError("zero kernel has no preimages")
@@ -614,5 +648,5 @@ def preimage_on_ball(
     for g in targets:
         if sum(a * x.get(column[g], 0) for column, a in checks) % p != given[g] % p:
             raise AssertionError("preimage re-verification failed")
-    words = ball_list(rank, tree.length(max(x)))
+    words = _ball_words(tree, max(x))
     return {words[i]: v for i, v in x.items()}

@@ -56,7 +56,11 @@ immutable: tuples, and WordSets, which only cache their decoded words
 and their axis windows.  `axis_window(W, i, m)`, s_i^m W and W u s_i W
 u ... u s_i^m W, the windows of every F and F* row and generator rate,
 is kept on W per i: a ball's chains last for the process, and any other
-window's go with it.
+window's go with it.  Library code that needs the words of a whole ball
+(`flab.kernels`: state balls, target-map columns, witnesses, preimages)
+reads them off `ball(rank, n)`, so each ball is decoded once per process;
+`ball_list` stays the independent breadth-first enumeration that the
+tests check the ids against.
 """
 
 from __future__ import annotations

@@ -642,12 +642,15 @@ class TestDeterminism:
         [
             ("compute-f", {"type": "skew_section", "group": {"preset": "D4"}, "autos": [3, 5], "subgroup": ["r0", "r2"]}),
             ("kernel", {"p": 3, "rank": 2, "coeffs": {"e": 1, "A": 1, "B": 2}}),
+            ("kernel", {"p": 2, "rank": 2, "coeffs": {"aa": 1, "ab": 1}}),
+            ("kernel", {"p": 2, "rank": 2, "coeffs": {"e": 1, "aaaaa": 1}}),
         ],
     )
     def test_axis_windows_kept_for_the_process_change_no_byte(self, tmp_path, monkeypatch, command, spec):
         # the axis windows of F and F* are kept on the balls, which are kept
-        # for the whole process; a cold CLI run, a library run that builds
-        # them on fresh balls and one that reuses them give the same bytes
+        # for the whole process, and a kernel keeps its geometry and
+        # centering; a cold CLI run, a library run that builds them on fresh
+        # balls and one that reuses them, on the same kernel, give the same bytes
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         env = dict(os.environ, PYTHONPATH=str(Path(flab.__file__).parents[1]))
@@ -662,7 +665,8 @@ class TestDeterminism:
         if command == "compute-f":
             run = lambda: suite.run_compute_f(cfg, spec)
         else:
-            run = lambda: suite.run_algebraic(cfg, ConvolutionKernel.from_json(spec))
+            kernel = ConvolutionKernel.from_json(spec)
+            run = lambda: suite.run_algebraic(cfg, kernel)
         warm = [json.dumps(run(), sort_keys=True, indent=2) + "\n" for _ in range(2)]
         assert warm == [cold.stdout] * 2
 

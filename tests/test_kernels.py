@@ -16,7 +16,7 @@ from kernel_oracles import (
     window_projection,
 )
 
-from flab import kernels, words
+from flab import kernels, suite, words
 from flab.cli import main
 from flab.fplinear import AffineSolutionSet, FpMatrix, rank as fp_rank, solve
 from flab.kernels import (
@@ -894,3 +894,69 @@ class TestWordFreeOntoPath:
         monkeypatch.undo()
         for g in ball(2, 2):
             assert k.evaluate(x, g) == (y[g],)
+
+
+class TestPerKernelFacts:
+    def test_coeffs_are_read_only(self):
+        # the geometry and centering kept on a kernel are functions of its
+        # coeffs, so the coeffs must not change after construction
+        k = scalar_kernel(2, 2, {"e": 1, "A": 1})
+        with pytest.raises(TypeError):
+            k.coeffs[w("a")] = ((0,),)
+        with pytest.raises(TypeError):
+            del k.coeffs[w("e")]
+        assert k.to_json()["coeffs"] == {"e": [[1]], "A": [[1]]}
+
+    @pytest.mark.parametrize("p, stencil, hulls", [(3, {"e": 1, "A": 1, "B": 2}, 1), (2, {"aa": 1, "ab": 1}, 2)])
+    def test_geometry_is_computed_once_per_kernel(self, monkeypatch, p, stencil, hulls):
+        # one hull per kernel over a whole kernel run, and one more for the
+        # centered copy of an off-center stencil; later calls add none
+        calls = []
+        real_hull = words.convex_hull
+        counting = lambda s: calls.append(s) or real_hull(s)
+        for module in (words, kernels):
+            monkeypatch.setattr(module, "convex_hull", counting)
+        k = scalar_kernel(p, 2, stencil)
+        suite.run_algebraic(suite.RunConfig(n_max=1), k)
+        assert len(calls) == hulls
+        rng = random.Random(len(stencil))
+        assert is_surjective(k).surjective
+        for n in (1, 2):
+            y = {g: rng.randrange(k.p) for g in ball(2, n)}
+            x = preimage_on_ball(k, y, n)
+            assert all(k.evaluate(x, g) == (y[g],) for g in ball(2, n))
+        KernelSubshift(k)
+        assert support_geometry(k) is support_geometry(k) and _centered(k) is _centered(k)
+        assert len(calls) == hulls
+
+    def test_library_reads_the_shared_balls(self, monkeypatch):
+        # no onto-ness call enumerates a ball of its own: every word it
+        # returns is the shared ball's instance, and its values are the oracles'
+        def refuse(rank, n):
+            raise AssertionError(f"a fresh ball_list({rank}, {n})")
+
+        monkeypatch.setattr(words, "ball_list", refuse)
+        assert not hasattr(kernels, "ball_list")
+        tree = CayleyTree(2)
+
+        def shared(found):
+            listed = list(ball(2, max(map(len, found))))
+            return all(listed[tree.id(u)] is u for u in found)
+
+        for k in (scalar_kernel(3, 2, {"e": 1, "A": 1, "B": 2}), scalar_kernel(2, 2, {"aa": 1, "ab": 1})):
+            assert is_surjective(k).to_json() == old_surjectivity_certificate(k)
+            for n in (0, 1):
+                m, cols = target_map_matrix(k, ball(2, n))
+                want, want_cols = old_target_map_matrix(k, ball(2, n))
+                assert (m.entries, cols) == (want.entries, want_cols)
+                assert shared([u for u, _ in cols])
+            y = {g: (len(g) + tree.id(g)) % k.p for g in ball(2, 2)}
+            x = preimage_on_ball(k, y, 2)
+            assert shared(list(x))
+            assert all(k.evaluate(x, g) == (y[g],) for g in ball(2, 2))
+        for name in sorted(DEFECT_KERNELS):
+            make, _, rank, rows, y = DEFECT_KERNELS[name]
+            rep = check_verdict(make())
+            assert rep.details["witness"] == {"ball": name, "rank": rank, "rows": rows, "y": y}
+        assert is_surjective(ow_kernel()).surjective
+        KernelSubshift(wide_kernel())
